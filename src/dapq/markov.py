@@ -3,8 +3,8 @@
 Two kinds of object live here:
 
 * the distribution of the number of customers an arrival finds in system,
-  for M/M/1 (geometric) and M/D/1 (alternating-sum formula with a geometric
-  tail continuation), and
+  for M/M/1 (geometric) and M/D/1 (FFT inversion of the pole-subtracted
+  Pollaczek--Khinchine pgf, with a geometric tail continuation), and
 
 * the joint law of "``j`` customers ahead after ``d`` time units and the
   ahead-set never emptied", computed by uniformizing the birth--death chain
@@ -15,7 +15,13 @@ On the M/D/1 geometric tail: the decay of consecutive probabilities is the
 *reciprocal* of the nontrivial root ``sigma > 1`` of ``exp(rho*sigma)/sigma
 = exp(rho)``.  The orientation was fixed by comparing against exact
 consecutive ratios (see ``md1_tail_ratio``); the root itself exceeds 1, so
-it cannot be the ratio directly.
+it cannot be the ratio directly.  It is the pgf's dominant pole, which
+``md1_stationary`` subtracts before its FFT.
+
+Truncations stop on absolute tail mass and raise ``TruncationOverflow``
+when the tolerance cannot be met: the M/D/1 head within ``max_states``
+terms, the Poisson jump sum within its horizon (the tail is the Poisson
+survival function, which stays accurate far below 1e-16).
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.stats import poisson
 
 from .core import (
     DEFAULT_TOL,
-    NumericalInstability,
     OutOfRange,
     QueueConfig,
     RootBracketFailure,
@@ -38,8 +42,6 @@ from .core import (
     TruncationOverflow,
     validate,
 )
-
-_MAX_DPS = 2000
 
 
 @dataclass(frozen=True)
@@ -120,67 +122,66 @@ def md1_tail_ratio(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return 1.0 / sigma
 
 
-def _md1_pi_exact(rho: float, n: int, dps: int) -> float:
-    """pi_n for M/D/1 from the pgf expansion, in extended precision.
+def _md1_pmf_fft(rho: float, g: float, c: float, n: int) -> np.ndarray:
+    """pi_0 .. pi_{n-1} for M/D/1 by FFT of the pole-subtracted pgf.
 
-    pi_n = (1-rho) * [ sum_{m=0}^{n}   e^{m rho} (-m rho)^{n-m}/(n-m)!
-                     - sum_{m=0}^{n-1} e^{m rho} (-m rho)^{n-1-m}/(n-1-m)! ]
-
-    The terms alternate and grow like e^{n rho}, so the evaluation is done
-    with mpmath at a precision budgeted for the cancellation.
+    The Pollaczek--Khinchine pgf P(z) = (1-rho)(1-z)/(1 - z e^{rho(1-z)})
+    has its dominant singularity at the simple pole z = sigma = 1/g, with
+    principal part c/(1 - z/sigma), c = (1-rho)(sigma-1)/(rho*sigma-1).  The
+    remainder is analytic on a disk larger than |z| <= sigma, so its
+    coefficients decay faster than g^i and n roots of unity alias them
+    negligibly; the pole's coefficients c*g^i are added back exactly (Abate
+    & Whitt, "Numerical inversion of probability generating functions",
+    Oper. Res. Letters 12, 1992).  Absolute error is about 1e-16; entries
+    at roundoff level may come out negative and are clipped to 0.
     """
-    with mp.workdps(dps):
-        r = mp.mpf(rho)
-        s1 = mp.fsum(
-            mp.e ** (m * r) * (-m * r) ** (n - m) / mp.factorial(n - m)
-            for m in range(n + 1)
-        )
-        if n >= 1:
-            s2 = mp.fsum(
-                mp.e ** (m * r) * (-m * r) ** (n - 1 - m) / mp.factorial(n - 1 - m)
-                for m in range(n)
-            )
-        else:
-            s2 = mp.mpf(0)
-        return float((1 - r) * (s1 - s2))
-
-
-def md1_pi_exact(rho: float, n: int) -> float:
-    """Exact M/D/1 queue-length probability pi_n (no tail continuation)."""
-    if not 0.0 <= rho < 1.0:
-        raise OutOfRange(f"rho must lie in [0,1), got {rho}")
-    dps = 40 + int(0.8 * n)
-    if dps > _MAX_DPS:
-        raise NumericalInstability(
-            f"pi_{n} at rho={rho} would need more than {_MAX_DPS} digits"
-        )
-    return _md1_pi_exact(rho, n, dps)
+    theta = (2.0 * math.pi / n) * np.arange(n)
+    z = np.exp(1j * theta)
+    # P(z) = (1-rho) / (1 - rho z (e^w - 1)/w) with w = rho(1-z): no 0/0 at z = 1
+    w = rho * (2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta))
+    w[0] = 1.0  # placeholder; z = 1 is set to P(1) = 1 below
+    pgf = (1.0 - rho) / (1.0 - rho * z * (np.expm1(w) / w))
+    pgf[0] = 1.0
+    # the pole's constant term c is left in: at light traffic c ~ 1/rho, and
+    # subtracting it would cost eps*c absolute in every coefficient
+    zg = z * g
+    coef = np.fft.fft(pgf - c * zg / (1.0 - zg)).real / n
+    probs = np.maximum(coef + c * g ** np.arange(n), 0.0)
+    probs[0] = 1.0 - rho  # exact; coef[0] + c double-counts the constant
+    return probs
 
 
 def md1_stationary(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
-    """M/D/1 queue-length pmf: exact terms, then a geometric continuation.
+    """M/D/1 queue-length pmf: FFT-inverted head, then a geometric continuation.
 
-    Exact evaluation runs until the geometric tail carries less than
-    eps_series/2 of the mass, so the truncated-plus-tail total is accurate
-    to eps_series even though the continuation uses the limiting ratio.
+    The head runs until the geometric tail carries less than eps_series/2 of
+    the mass, so the truncated-plus-tail total is accurate to eps_series
+    even though the continuation uses the limiting ratio.  The stopping rule
+    is on absolute mass because the FFT terms carry an absolute (not
+    relative) error of about 1e-16.
     """
     if not 0.0 <= rho < 1.0:
         raise OutOfRange(f"rho must lie in [0,1), got {rho}")
     if rho == 0.0:
         return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
     g = md1_tail_ratio(rho, tol)
-    probs = [1.0 - rho]
-    i = 0
-    while True:
-        i += 1
-        if i > tol.max_states:
-            raise TruncationOverflow(
-                f"M/D/1 pmf needs more than max_states={tol.max_states} exact terms"
-            )
-        probs.append(md1_pi_exact(rho, i))
-        if i >= 8 and probs[-1] * g / (1.0 - g) < 0.5 * tol.eps_series:
-            break
-    return StationaryDist(probs=np.asarray(probs), tail_ratio=g, truncation_K=i)
+    sigma = 1.0 / g
+    c = (1.0 - rho) * (sigma - 1.0) / (rho * sigma - 1.0)
+    # pi_i ~ c g^i, so the stopping index is about log(eps (1-g)/(2 c g)) / log(g);
+    # measured, it is at most 1.13 max(8, K_pred) for rho in [0.01, 0.995] and
+    # eps_series in [1e-16, 1e-4], so 2 K_pred terms hold it
+    K_pred = math.log(0.5 * tol.eps_series * (1.0 - g) / (c * g)) / math.log(g)
+    n = 64
+    while n < 2 * min(K_pred, tol.max_states + 1):
+        n *= 2
+    probs = _md1_pmf_fft(rho, g, c, n)
+    small = np.flatnonzero(probs[8:] * g / (1.0 - g) < 0.5 * tol.eps_series)
+    if not small.size or 8 + small[0] > tol.max_states:
+        raise TruncationOverflow(
+            f"M/D/1 pmf needs more than max_states={tol.max_states} terms"
+        )
+    K = 8 + int(small[0])
+    return StationaryDist(probs=probs[: K + 1].copy(), tail_ratio=g, truncation_K=K)
 
 
 def stationary_for(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
@@ -200,10 +201,14 @@ def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
     if nu_d == 0.0:
         return np.array([1.0])
     hi = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
-    pmf = poisson.pmf(np.arange(hi + 1), nu_d)
-    tail = 1.0 - np.cumsum(pmf)  # tail[k] = P[N > k]
-    cut = int(np.argmax(tail < eps))  # first index meeting the bound
-    return pmf[: cut + 1]
+    ks = np.arange(hi + 1)
+    meets = poisson.sf(ks, nu_d) < eps  # sf[k] = P[N > k]
+    if not meets[-1]:
+        raise TruncationOverflow(
+            f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {hi} jumps"
+        )
+    cut = int(np.argmax(meets))  # first index meeting the bound
+    return poisson.pmf(ks[: cut + 1], nu_d)
 
 
 def _chain_step(v: np.ndarray, p_up: float, q_down: float) -> np.ndarray:

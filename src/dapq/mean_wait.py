@@ -175,11 +175,12 @@ def _leggauss(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _poisson_weights(x: float, n: int) -> np.ndarray:
-    """x^i / i! for i = 0..n-1, by stable cumulative products."""
-    if n == 1:
-        return np.array([1.0])
-    return np.cumprod(np.concatenate([[1.0], x / np.arange(1, n)]))
+def _poisson_weights(x: np.ndarray, n: int) -> np.ndarray:
+    """Rows x_q^i / i! for i = 0..n-1, by stable cumulative products."""
+    steps = np.empty((len(x), n))
+    steps[:, 0] = 1.0
+    steps[:, 1:] = x[:, None] / np.arange(1, n)
+    return np.cumprod(steps, axis=1)
 
 
 def _md1_correction_term(j: int, ell: int, lam1: float, pi: np.ndarray, Tmat) -> float:
@@ -189,30 +190,27 @@ def _md1_correction_term(j: int, ell: int, lam1: float, pi: np.ndarray, Tmat) ->
     service, the post-delay ahead count j, and survival of the ahead-set,
     over the residual's support (0, 1).  The integrand (after pulling out
     exp(-lam1*d)) is a polynomial of degree < j + ell, so the quadrature
-    below is exact.
+    below is exact.  All quadrature nodes are evaluated at once.
     """
     kmax = j + ell
     d = float(ell)
     nodes, weights = _leggauss(kmax // 2 + 2)
-    I0 = 0.0
-    I1 = 0.0
-    u = pi[1 : kmax + 1]  # pi_1 .. pi_kmax
-    m_arr = np.arange(2, ell + 1)
-    pw = j + ell - m_arr
-    lg_pw = gammaln(pw + 1.0)
-    for rr, wq in zip(nodes, weights):
-        pois_r = _poisson_weights(lam1 * rr, kmax)
-        pois_y = _poisson_weights(lam1 * (d - rr), kmax)
-        # numres[k] = sum_n pi_{k-n} (lam1 r)^n/n!,  k = 2..kmax
-        conv = np.convolve(u, pois_r)
-        numres = conv[1:kmax]  # entries for k = 2..kmax
-        val = float(numres @ pois_y[kmax - 2 :: -1])
-        if ell >= 2:
-            z = lam1 * (d - m_arr + 1.0 - rr)  # positive on the open node set
-            Zvec = np.exp(pw * np.log(z) - lg_pw)
-            val -= float(numres[: ell - 1] @ (Tmat @ Zvec))
-        I0 += wq * val
-        I1 += wq * rr * val
+    pois_r = _poisson_weights(lam1 * nodes, kmax)
+    pois_y = _poisson_weights(lam1 * (d - nodes), kmax)
+    # numres[:, k-2] = sum_n pi_{k-n} (lam1 r)^n/n!  for k = 2..kmax, as a
+    # product with the Toeplitz matrix toep[n, k-2] = pi_{k-n} (pi_0 excluded)
+    padded = np.concatenate([np.zeros(kmax - 1), pi[1 : kmax + 1]])
+    toep = np.lib.stride_tricks.sliding_window_view(padded, kmax - 1)[:0:-1]
+    numres = pois_r @ toep
+    val = np.einsum("qk,qk->q", numres, pois_y[:, kmax - 2 :: -1])
+    if ell >= 2:
+        m_arr = np.arange(2, ell + 1)
+        pw = j + ell - m_arr
+        z = lam1 * (d - m_arr + 1.0 - nodes[:, None])  # positive on the open node set
+        Zmat = np.exp(pw * np.log(z) - gammaln(pw + 1.0))
+        val -= np.einsum("qk,qk->q", numres[:, : ell - 1], Zmat @ Tmat.T)
+    I0 = float(weights @ val)
+    I1 = float((weights * nodes) @ val)
     return math.exp(-lam1 * d) * (I1 + (j - 1) * I0)
 
 

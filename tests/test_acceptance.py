@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import x_rows_by_matrix
+from _oracles import md1_pi_exact, x_rows_by_matrix
 from dapq.core import Kpi, QueueConfig, ServiceKind, validate
 from dapq.approx import kpi_mean_threshold, zexp_from_mean, cdf_sup_diff
 from dapq.kpi import b_star_class1, b_star_class2, feasible_region, in_tuning_region
-from dapq.markov import md1_pi_exact, md1_stationary, md1_tail_ratio
+from dapq.markov import md1_stationary, md1_tail_ratio
 from dapq.mean_wait import dapq_means, fcfs_mean, npq_class2_mean, x_table
 from dapq.simulate import SimConfig, run_replicated
 from dapq.transforms import Lst, class2_cdf_dapq, invert_to_cdf

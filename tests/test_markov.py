@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import md1_pi_embedded
-from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
+from _oracles import md1_pi_embedded, md1_pi_exact
+from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
 from dapq.markov import (
     busy_state_distribution,
-    md1_pi_exact,
     md1_stationary,
     md1_tail_ratio,
     mm1_stationary,
@@ -73,6 +73,39 @@ def test_md1_exact_ratios_match_tail_ratio(rho):
     for i in range(15, 26):
         ratio = md1_pi_exact(rho, i + 1) / md1_pi_exact(rho, i)
         assert ratio == pytest.approx(g, abs=1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=st.floats(min_value=0.05, max_value=0.99))
+def test_md1_stationary_fft_matches_embedded_chain(rho):
+    oracle = np.array(md1_pi_embedded(rho, 60)[:61])
+    assert np.max(np.abs(md1_stationary(rho).pmf_array(60) - oracle)) <= 1e-13
+
+
+@pytest.mark.parametrize("rho", [1e-9, 1e-6, 1e-3])
+def test_md1_stationary_light_traffic(rho):
+    # the pole residue c grows like 1/rho here, so any cancellation against
+    # it would show at the 1e-16 * c level
+    dist = md1_stationary(rho)
+    oracle = np.array(md1_pi_embedded(rho, 20)[:21])
+    assert np.max(np.abs(dist.pmf_array(20) - oracle)) <= 1e-15
+    assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
+
+
+# stopping indices of the term-by-term extended-precision pmf (md1_pi_exact)
+# under the same absolute-mass rule, at the criterion-01 occupancies and 0.95
+@pytest.mark.parametrize(
+    "rho,K",
+    [(0.1, 8), (0.5, 19), (0.55, 22), (0.8, 55), (0.85, 75), (0.9, 115), (0.95, 233)],
+)
+def test_md1_stationary_truncation_matches_exact_terms(rho, K):
+    assert md1_stationary(rho).truncation_K == K
+
+
+def test_md1_stationary_state_cap_raises():
+    with pytest.raises(TruncationOverflow):
+        md1_stationary(0.9, ToleranceConfig(max_states=100))
+    assert md1_stationary(0.9, ToleranceConfig(max_states=115)).truncation_K == 115
 
 
 def test_md1_tail_ratio_reference_value():
@@ -188,6 +221,22 @@ def test_busy_state_distribution_zero_delay_is_busy_find():
     w = busy_state_distribution(cfg)
     assert w.sum() == pytest.approx(0.8, abs=1e-9)  # P[arrival finds system busy]
     assert w[0] == pytest.approx(0.2 * 0.8, abs=1e-12)
+
+
+def test_busy_state_distribution_tight_tolerance_keeps_mass():
+    # a Poisson tail taken as 1 - cumsum floors near 1e-16, which once cut
+    # the jump sum at 0 terms here and returned mass 0.00198
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=4.0, service=EXP)
+    loose = busy_state_distribution(cfg).sum()
+    tight = busy_state_distribution(cfg, ToleranceConfig(eps_series=1e-17)).sum()
+    assert loose == pytest.approx(0.478445816, abs=1e-9)
+    assert tight == pytest.approx(loose, abs=1e-10)
+
+
+def test_busy_state_distribution_unreachable_tolerance_raises():
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=4.0, service=EXP)
+    with pytest.raises(TruncationOverflow):
+        busy_state_distribution(cfg, ToleranceConfig(eps_series=1e-300))
 
 
 def test_md1_stationary_matches_pasta_simulation():

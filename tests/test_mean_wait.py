@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import correction_by_matrix, x_rows_by_matrix
+from _oracles import correction_by_matrix, md1_correction_term_by_nodes, x_rows_by_matrix
 from dapq.core import (
     InvalidDelay,
     NoClass1,
@@ -10,7 +10,10 @@ from dapq.core import (
     ServiceKind,
     validate,
 )
+from dapq.markov import md1_stationary
 from dapq.mean_wait import (
+    _md1_correction_term,
+    _md1_probempty_matrix,
     dapq_means,
     fcfs_mean,
     interpolated_mean,
@@ -132,6 +135,17 @@ def test_md1_reference_values():
         got = md1_dapq_class2_mean(cfg)
         assert got == pytest.approx(want, abs=1e-9)
         assert got < npq_class2_mean(cfg)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 8])
+@pytest.mark.parametrize("rho,lam1", [(0.8, 0.5), (0.9, 0.05)])
+def test_md1_correction_term_matches_per_node_loop(rho, lam1, ell):
+    pi = md1_stationary(rho).pmf_array(300)
+    T = _md1_probempty_matrix(ell, lam1) if ell >= 2 else None
+    for j in (1, 2, 3, 7, 20, 60, 140):
+        fast = _md1_correction_term(j, ell, lam1, pi, T)
+        slow = md1_correction_term_by_nodes(j, ell, lam1, pi, T)
+        assert fast == pytest.approx(slow, rel=1e-14, abs=0.0)
 
 
 def test_md1_mu_rescaling():
