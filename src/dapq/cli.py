@@ -132,8 +132,11 @@ def _write_output(rows: List[List], header: List[str], args, manifest: dict) -> 
             fh.write("\n")
 
 
-def _manifest(subcommand: str, params: dict, tol: ToleranceConfig, t0: float) -> dict:
-    return {
+def _manifest(
+    subcommand: str, params: dict, tol: ToleranceConfig, t0: float, inversion=None
+) -> dict:
+    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics."""
+    manifest = {
         "subcommand": subcommand,
         "parameters": params,
         "tolerances": {
@@ -145,6 +148,9 @@ def _manifest(subcommand: str, params: dict, tol: ToleranceConfig, t0: float) ->
         "version": __version__,
         "duration_s": round(time.monotonic() - t0, 6),
     }
+    if inversion is not None:
+        manifest["inversion"] = inversion
+    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -193,17 +199,17 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     if kind in analytic_kinds and service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange(f"analytic curve {kind!r} requires exponential service")
 
+    inversion = None
     if kind == "fcfs":
         lam = cfg.lambda1 + cfg.lambda2
         values = 1.0 - rates.rho * np.exp(-(cfg.mu - lam) * grid)
     elif kind == "npq1":
         values = 1.0 - rates.rho * np.exp(-(cfg.mu - cfg.lambda1) * grid)
-    elif kind == "npq2":
-        curve = transforms.class2_cdf_dapq(cfg.replace(b=0.0, d=0.0), grid, tol)
+    elif kind in ("npq2", "dapq2"):
+        curve_cfg = cfg.replace(b=0.0, d=0.0) if kind == "npq2" else cfg
+        curve = transforms.class2_cdf_dapq(curve_cfg, grid, tol)
         values = curve.values
-    elif kind == "dapq2":
-        curve = transforms.class2_cdf_dapq(cfg, grid, tol)
-        values = curve.values
+        inversion = {"error_estimate": curve.error_estimate, "head_states": curve.head_states}
     elif kind == "zexp1":
         summary = mean_wait.dapq_means(cfg, tol)
         z = approx.zexp_from_mean(rates.rho, summary.mean_w1)
@@ -223,7 +229,7 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     params = {k: getattr(args, k) for k in
               ("kind", "lam1", "lam2", "mu", "service", "b", "d",
                "t_max", "dt", "n", "burn_in", "reps", "seed", "out")}
-    _write_output(rows, ["t", "F"], args, _manifest("cdf", params, tol, t0))
+    _write_output(rows, ["t", "F"], args, _manifest("cdf", params, tol, t0, inversion))
     return EXIT_OK
 
 

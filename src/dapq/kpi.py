@@ -109,6 +109,20 @@ def _bisect_largest(f, m, lo, hi, eps):
 # optimal accumulation rates
 # --------------------------------------------------------------------------
 
+def _policy_point(
+    config: QueueConfig, b: float, feasible: bool, tol: ToleranceConfig
+) -> PolicyPoint:
+    """The search result at rate b, with both exact class means there."""
+    summary = mean_wait.dapq_means(config.replace(b=b), tol)
+    return PolicyPoint(
+        d=config.d,
+        b_star=b,
+        mean_w1=summary.mean_w1,
+        mean_w2=summary.mean_w2,
+        feasible=feasible,
+    )
+
+
 def b_star_class2(
     config: QueueConfig, kpi: Kpi, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PolicyPoint:
@@ -127,26 +141,16 @@ def b_star_class2(
     def constraint(b: float) -> float:
         return _class2_cdf_at_w(config.replace(b=b), w, tol)
 
-    def finish(b: float, feasible: bool) -> PolicyPoint:
-        summary = mean_wait.dapq_means(config.replace(b=b), tol)
-        return PolicyPoint(
-            d=config.d,
-            b_star=b,
-            mean_w1=summary.mean_w1,
-            mean_w2=summary.mean_w2,
-            feasible=feasible,
-        )
-
     f0 = constraint(0.0)
     if f0 >= p:
-        return finish(0.0, True)
+        return _policy_point(config, 0.0, True, tol)
     f1 = constraint(1.0)
     if f1 < p:
-        return finish(1.0, False)
+        return _policy_point(config, 1.0, False, tol)
     _check_monotone(constraint, increasing=True, slack=100 * tol.eps_invert,
                     what="class-2 compliance")
     b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
-    return finish(b, True)
+    return _policy_point(config, b, True, tol)
 
 
 def b_star_class1(
@@ -166,26 +170,16 @@ def b_star_class1(
     def mean1(b: float) -> float:
         return mean_wait.dapq_means(config.replace(b=b), tol).mean_w1
 
-    def finish(b: float, feasible: bool) -> PolicyPoint:
-        summary = mean_wait.dapq_means(config.replace(b=b), tol)
-        return PolicyPoint(
-            d=config.d,
-            b_star=b,
-            mean_w1=summary.mean_w1,
-            mean_w2=summary.mean_w2,
-            feasible=feasible,
-        )
-
     if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
-        return finish(1.0, True)
+        return _policy_point(config, 1.0, True, tol)
     if mean1(0.0) > threshold:
-        return finish(0.0, False)
+        return _policy_point(config, 0.0, False, tol)
     if mean1(1.0) <= threshold:
-        return finish(1.0, True)
+        return _policy_point(config, 1.0, True, tol)
     _check_monotone(mean1, increasing=True, slack=1e-9 * max(1.0, threshold),
                     what="class-1 mean wait")
     b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
-    return finish(b, True)
+    return _policy_point(config, b, True, tol)
 
 
 # --------------------------------------------------------------------------

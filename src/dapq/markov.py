@@ -1,4 +1,4 @@
-"""Stationary queue-length distributions and busy-horizon transition laws.
+"""Stationary queue-length distributions and busy-horizon state weights.
 
 Two kinds of object live here:
 
@@ -6,10 +6,14 @@ Two kinds of object live here:
   for M/M/1 (geometric) and M/D/1 (FFT inversion of the pole-subtracted
   Pollaczek--Khinchine pgf, with a geometric tail continuation), and
 
-* the joint law of "``j`` customers ahead after ``d`` time units and the
-  ahead-set never emptied", computed by uniformizing the birth--death chain
-  with birth rate ``lambda1`` and death rate ``mu`` (a Poisson-weighted sum
-  of powers of the absorbing chain's positive part).
+* the busy-horizon state weights: the probability of "``j`` customers
+  ahead after ``d`` time units and the ahead-set never emptied" for a
+  tagged arrival, computed by uniformizing the birth--death chain with
+  birth rate ``lambda1`` and death rate ``mu`` (a Poisson-weighted sum of
+  powers of the absorbing chain's positive part applied to the busy part
+  of the geometric M/M/1 law).  Beyond the Poisson jump cut the weights
+  are exactly geometric in ``j`` with ratio rho, so only a head whose size
+  is set by ``d`` is computed and the tail is kept in closed form.
 
 On the M/D/1 geometric tail: the decay of consecutive probabilities is the
 *reciprocal* of the nontrivial root ``sigma > 1`` of ``exp(rho*sigma)/sigma
@@ -21,7 +25,8 @@ it cannot be the ratio directly.  It is the pgf's dominant pole, which
 Truncations stop on absolute tail mass and raise ``TruncationOverflow``
 when the tolerance cannot be met: the M/D/1 head within ``max_states``
 terms, the Poisson jump sum within its horizon (the tail is the Poisson
-survival function, which stays accurate far below 1e-16).
+survival function, which stays accurate far below 1e-16), and the
+busy-state head within ``max_states`` states.
 """
 
 from __future__ import annotations
@@ -193,7 +198,7 @@ def stationary_for(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> S
 
 
 # --------------------------------------------------------------------------
-# uniformized busy-horizon transition law (exponential service)
+# uniformized busy-horizon state weights (exponential service)
 # --------------------------------------------------------------------------
 
 def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
@@ -223,89 +228,60 @@ def _chain_step(v: np.ndarray, p_up: float, q_down: float) -> np.ndarray:
     return out
 
 
-def _state_cap(rho: float, n_poisson: int, tol: ToleranceConfig) -> int:
-    # reachability: no path climbs more than one state per jump
-    base = 64 if rho == 0.0 else math.ceil(math.log(tol.eps_series) / math.log(rho))
-    need = max(64, base) + n_poisson
-    if need > tol.max_states:
-        raise TruncationOverflow(
-            f"uniformization needs {need} states but max_states={tol.max_states}"
-        )
-    return need
-
-
 @dataclass(frozen=True)
-class SurvivalTransition:
-    """probs[i-1, j-1] = P[j ahead after d with the ahead-set never empty | i at 0].
+class BusyWeights:
+    """w_l = P[l ahead after d, ahead-set never empty] for a tagged arrival.
 
-    Row sums are at most 1 (the deficit is absorption at the empty state) and
-    are nonincreasing in the horizon d.  ``d = 0`` gives the identity block.
+    ``head[l-1]`` holds w_l for l <= n, where n = ``len(self)`` is the
+    Poisson jump cut; beyond it the weights are exactly geometric,
+    w_l = ``tail_next`` * rho**(l - n - 1), i.e. C rho**l with
+    C rho**(n+1) = ``tail_next``.
     """
 
-    probs: np.ndarray
-    max_initial: int
-    max_final: int
-    poisson_terms: int
+    head: np.ndarray
+    rho: float
+    tail_next: float
 
-    def prob(self, i: int, j: int) -> float:
-        if not (1 <= i <= self.max_initial and 1 <= j <= self.max_final):
-            return 0.0
-        return float(self.probs[i - 1, j - 1])
+    def __len__(self) -> int:
+        return len(self.head)
 
-    def row_sum(self, i: int) -> float:
-        return float(self.probs[i - 1].sum())
-
-
-def survival_transition(
-    config: QueueConfig,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_initial: int = 64,
-) -> SurvivalTransition:
-    """Busy-horizon transition law of the uniformized ahead-set chain.
-
-    Entry (i, j) is the Poisson(nu*d)-weighted sum over jump counts of the
-    absorbing chain's positive-part powers; the jump sum stops when the
-    Poisson tail falls below eps_series and states are capped by a
-    reachability bound.
-    """
-    rates = validate(config)
-    if config.service is not ServiceKind.EXPONENTIAL:
-        raise OutOfRange("survival_transition requires exponential service")
-    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
-    S = _state_cap(rates.rho, len(pmf), tol)
-    max_initial = min(max_initial, S)
-    rows = np.zeros((max_initial, S))
-    for i in range(1, max_initial + 1):
-        v = np.zeros(S)
-        v[i - 1] = 1.0
-        acc = pmf[0] * v
-        for k in range(1, len(pmf)):
-            v = _chain_step(v, rates.p_up, rates.q_down)
-            acc = acc + pmf[k] * v
-        rows[i - 1] = acc
-    return SurvivalTransition(
-        probs=rows, max_initial=max_initial, max_final=S, poisson_terms=len(pmf)
-    )
+    def total_mass(self) -> float:
+        """P[ahead-set never empties within d], head plus closed-form tail."""
+        return float(self.head.sum() + self.tail_next / (1.0 - self.rho))
 
 
 def busy_state_distribution(
     config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """w[j-1] = P[j ahead after d, ahead-set never empty] for a tagged arrival.
+) -> BusyWeights:
+    """Busy-horizon state weights: an exact head plus a closed geometric tail.
 
     The initial state is the stationary arriving-customer count (PASTA),
-    restricted to busy finds; equivalent to pi_+ premultiplying the
-    survival transition, computed as a single weighted row iteration.
+    restricted to busy finds: pi_+ with (pi_+)_l = (1-rho) rho^l.  After k
+    steps of the uniformized chain every state l > k still holds exactly
+    (1-rho) rho^(l-k) r^k with r = p_up + q_down rho^2 (one step maps that
+    geometric profile onto itself times r), so with the Poisson jump sum
+    cut at n every state l > n carries C rho^l, C = (1-rho) sum_k
+    pmf_k (r/rho)^k.  Only the first 2n states are iterated: the missing
+    flow from above corrupts one more top state per step, so after n steps
+    states 1..n are still exact.  The state count depends on the delay
+    horizon, not on rho.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
     pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
-    S = _state_cap(rates.rho, len(pmf), tol)
+    n = len(pmf) - 1
+    if n > tol.max_states:
+        raise TruncationOverflow(
+            f"busy-state head needs {n} states but max_states={tol.max_states}"
+        )
     rho = rates.rho
-    v = (1.0 - rho) * rho ** np.arange(1, S + 1)
+    # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
+    ks = np.arange(n + 1)
+    tail_next = float((1.0 - rho) * (pmf * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
+    v = (1.0 - rho) * rho ** np.arange(1, 2 * n + 1)
     acc = pmf[0] * v
-    for k in range(1, len(pmf)):
+    for k in range(1, n + 1):
         v = _chain_step(v, rates.p_up, rates.q_down)
-        acc = acc + pmf[k] * v
-    return acc
+        acc += pmf[k] * v
+    return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)

@@ -5,13 +5,21 @@ The class-2 waiting time beyond the delay horizon has transform
     sum_j  w_j * eta(s)^j        (times exp(-s d) for the unshifted law),
 
 where ``w_j`` is the busy-horizon state distribution from :mod:`dapq.markov`
-and ``eta`` the accreditation-interval transform.  CDFs are recovered with
-the Euler-summation Fourier-series inversion (Abate--Whitt style): the
-Bromwich integral is discretized with step pi/t on the contour Re(s) =
-A/(2t), giving a discretization error below exp(-A) for functions bounded
-by 1, and the alternating series is accelerated by binomial averaging.  The
-difference between the last two binomial averages serves as the error
-estimate.
+and ``eta`` the accreditation-interval transform.  The weights are an
+explicit head w_1..w_n plus an exact geometric tail C rho^j, so the sum is
+a degree-n polynomial in eta (Horner's rule) plus the closed form
+C (rho eta)^(n+1) / (1 - rho eta); n is set by the delay horizon, not by
+the occupancy.
+
+CDFs are recovered with the Euler-summation Fourier-series inversion
+(Abate--Whitt style): the Bromwich integral is discretized with step pi/t
+on the contour Re(s) = A/(2t), giving a discretization error below
+exp(-A) for functions bounded by 1, and the alternating series is
+accelerated by binomial averaging.  The difference between the last two
+binomial averages serves as the error estimate.  The inversion runs on
+whole blocks of grid points at once: transforms (``Lst.fn``) take an
+ndarray of complex s, here points x contour nodes, and the partial sums
+and averages run along the node axis.
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -21,7 +29,6 @@ APQ waits to within Monte Carlo noise.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,35 +45,47 @@ from .core import (
     ToleranceConfig,
     validate,
 )
-from .markov import busy_state_distribution
+from .markov import BusyWeights, busy_state_distribution
 
 
 @dataclass(frozen=True)
 class Lst:
     """An evaluatable Laplace-Stieltjes transform with its mass metadata.
 
-    ``fn`` accepts real or complex s with Re(s) >= 0.  ``mass`` is the value
-    at s = 0 (1 for proper laws, the tail probability for tail transforms);
-    ``atom_at_zero`` is P[X = 0] when known, used for CDF values at t = 0.
+    ``fn`` maps an ndarray of complex s with Re(s) >= 0 to the transform
+    values elementwise: the inversion passes a whole block of grid points
+    times contour nodes in one call.  ``mass`` is the value at s = 0 (1 for
+    proper laws, the tail probability for tail transforms); ``atom_at_zero``
+    is P[X = 0] when known, used for CDF values at t = 0.
     """
 
-    fn: Callable[[complex], complex]
+    fn: Callable[[np.ndarray], np.ndarray]
     mass: float
     atom_at_zero: Optional[float] = None
     label: str = ""
 
-    def __call__(self, s) -> complex:
+    def __call__(self, s):
         return self.fn(s)
 
 
 @dataclass(frozen=True)
 class CdfCurve:
-    """A monotone CDF evaluated on a fixed grid of abscissae."""
+    """A monotone CDF evaluated on a fixed grid of abscissae.
+
+    Inverted curves also say how they were computed: ``max_adjustment`` is
+    the largest change made by clipping and isotonic clamping,
+    ``error_estimate`` the certified inversion error (worst Euler estimate
+    plus the discretization bound exp(-A)), and ``head_states`` the number
+    of explicit busy-state weights behind the transform (its geometric tail
+    is summed in closed form).
+    """
 
     ts: np.ndarray
     values: np.ndarray
     provenance: str
     max_adjustment: float = 0.0
+    error_estimate: float = 0.0
+    head_states: int = 0
 
     def at(self, t: float) -> float:
         """Linear interpolation between grid points (0 left of the grid)."""
@@ -82,19 +101,25 @@ class CdfCurve:
 def eta_mm1(s, arrival_rate: float, mu: float):
     """Accreditation-interval transform for exponential service, closed form.
 
-    Continuous limit mu/(mu+s) as the accrediting arrival rate vanishes.
-    Accepts complex s (principal square root); real s >= 0 gives a real
-    value in (0, 1].
+    Equals mu/(mu+s) when the accrediting arrival rate is 0.  Accepts a
+    scalar or an ndarray of real or complex s with Re(s) >= 0 (numpy's
+    principal square root, the same branch as ``cmath.sqrt``); an ndarray
+    gives a complex ndarray, a complex scalar a complex, and a real scalar
+    s >= 0 a float in (0, 1].
     """
-    if arrival_rate < 1e-14:
-        val = mu / (mu + s)
-    else:
-        z = s + mu + arrival_rate
-        sq = cmath.sqrt(z * z - 4.0 * mu * arrival_rate)
-        val = (z - sq) / (2.0 * arrival_rate)
-    if isinstance(s, complex):
+    # eta is the root of a eta^2 - z eta + mu = 0 inside the unit disk,
+    # 2 mu / (z + sqrt(z^2 - 4 mu a)): unlike (z - sqrt(.)) / (2a) it does not
+    # cancel at large |z| / a.  With c = 2 sqrt(mu a), z - c = s + (sqrt(mu) -
+    # sqrt(a))^2 and z + c lie in the closed right half-plane, so
+    # sqrt(z - c) sqrt(z + c) is the principal root, and z^2 never overflows.
+    z = np.asarray(s, dtype=complex) + mu + arrival_rate
+    c = 2.0 * math.sqrt(mu * arrival_rate)
+    val = 2.0 * mu / (z + np.sqrt(z - c) * np.sqrt(z + c))
+    if isinstance(s, np.ndarray):
         return val
-    return float(val.real) if isinstance(val, complex) else float(val)
+    if isinstance(s, complex):
+        return complex(val)
+    return float(val.real)
 
 
 def _service_lst(service: ServiceKind, mu: float) -> Callable[[float], float]:
@@ -135,71 +160,111 @@ def eta_fixed_point(
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
 
-def _tail_weights(config: QueueConfig, tol: ToleranceConfig) -> np.ndarray:
-    rates = validate(config)
-    if config.service is not ServiceKind.EXPONENTIAL:
-        raise OutOfRange("class-2 transform machinery requires exponential service")
-    return busy_state_distribution(config, tol)
+def _shifted_tail_lst(config: QueueConfig, w: BusyWeights) -> Lst:
+    """Transform of the over-delay measure shifted back to the origin.
+
+    Inverting this gives H(u) = P[W2 - d <= u, W2 > d]; the shift avoids
+    the oscillatory exp(-s d) factor in the inversion.  With eta = eta(s)
+    and the weights' head w_1..w_n, the transform is evaluated by Horner's
+    rule as eta (w_1 + eta (w_2 + ... eta (w_n + eta T))), where
+    T = tail_next / (1 - rho eta) sums the geometric tail in closed form.
+    """
+    lam_acc = validate(config).lambda1_acc
+    mu = config.mu
+    head = w.head[::-1]
+
+    def fn(s):
+        e = eta_mm1(np.asarray(s, dtype=complex), lam_acc, mu)
+        acc = w.tail_next / (1.0 - w.rho * e)
+        for h in head:
+            acc = h + e * acc
+        return e * acc
+
+    return Lst(fn=fn, mass=w.total_mass(), atom_at_zero=0.0, label="class2-over-delay")
 
 
 def class2_tail_lst(config: QueueConfig, s, tol: ToleranceConfig = DEFAULT_TOL):
     """E[exp(-s W2) ; W2 > d] for the delayed APQ.
 
-    At s = 0 this is the probability the tagged class-2 customer is still
-    waiting when the delay expires.
+    This is exp(-s d) times the shifted over-delay transform.  At s = 0 it
+    is the probability the tagged class-2 customer is still waiting when
+    the delay expires.
     """
-    w = _tail_weights(config, tol)
-    rates = validate(config)
-    e = eta_mm1(complex(s), rates.lambda1_acc, config.mu)
-    val = cmath.exp(-complex(s) * config.d) * np.sum(w * e ** np.arange(1, len(w) + 1))
+    shifted = _shifted_tail_lst(config, busy_state_distribution(config, tol))
+    val = complex(np.exp(-complex(s) * config.d) * shifted(complex(s)))
     if isinstance(s, complex):
         return val
-    return float(val.real)
-
-
-def _shifted_tail_lst(config: QueueConfig, tol: ToleranceConfig) -> Lst:
-    """Transform of the over-delay measure shifted back to the origin.
-
-    Inverting this gives H(u) = P[W2 - d <= u, W2 > d]; the shift avoids
-    the oscillatory exp(-s d) factor in the inversion.
-    """
-    w = _tail_weights(config, tol)
-    rates = validate(config)
-    lam_acc = rates.lambda1_acc
-    mu = config.mu
-    js = np.arange(1, len(w) + 1)
-
-    def fn(s):
-        e = eta_mm1(complex(s), lam_acc, mu)
-        return complex(np.sum(w * e**js))
-
-    return Lst(fn=fn, mass=float(w.sum()), atom_at_zero=0.0, label="class2-over-delay")
+    return val.real
 
 
 # --------------------------------------------------------------------------
 # Euler-summation inversion
 # --------------------------------------------------------------------------
 
+# Grid points inverted per vectorised call: a block's complex temporaries
+# (points x contour nodes) stay near 1 MB however long the grid is.
+_BLOCK = 256
+
+
 def _euler_params(eps: float):
     a = max(18.5, -math.log(eps) + 2.3)
     return a, 45, 15  # contour constant, burn-in terms, averaged terms
 
 
-def _invert_point(transform: Lst, t: float, a: float, n_burn: int, n_avg: int):
-    """One Bromwich-contour evaluation; returns (value, error_estimate)."""
-    fhat = lambda s: transform.fn(s) / s
-    base = math.exp(a / 2.0) / t
-    terms = np.empty(n_burn + n_avg + 1)
-    terms[0] = 0.5 * base * complex(fhat(a / (2.0 * t))).real
-    for k in range(1, n_burn + n_avg + 1):
-        s = complex(a / (2.0 * t), k * math.pi / t)
-        terms[k] = base * ((-1) ** k) * complex(fhat(s)).real
-    partial = np.cumsum(terms)
+def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
+    """Invert fn(s)/s at every t > 0 in ``ts``; returns (values, worst estimate).
+
+    Each point's Bromwich contour Re(s) = A/(2t) is sampled at the nodes
+    s_k = A/(2t) + i k pi/t.  A block of points times all nodes goes to
+    ``fn`` in one call; the alternating partial sums run along the node
+    axis and are accelerated by binomial averaging.  The error estimate of
+    a point is the difference of its last two binomial averages.
+    """
+    a, n_burn, n_avg = _euler_params(tol.eps_invert)
+    k = np.arange(n_burn + n_avg + 1)
+    sign = np.where(k % 2 == 1, -1.0, 1.0)
+    sign[0] = 0.5  # the k = 0 term enters the trapezoidal sum halved
     binom = np.array([math.comb(n_avg, m) for m in range(n_avg + 1)], dtype=float)
     binom /= 2.0**n_avg
-    val = float(binom @ partial[n_burn : n_burn + n_avg + 1])
-    val_prev = float(binom @ partial[n_burn - 1 : n_burn + n_avg])
-    return val, abs(val - val_prev)
+    values = np.empty(len(ts))
+    estimates = np.zeros(len(ts))
+    for lo in range(0, len(ts), _BLOCK):
+        t = ts[lo : lo + _BLOCK, None]
+        s = a / (2.0 * t) + 1j * (k * math.pi / t)
+        terms = (math.exp(a / 2.0) / t) * sign * (fn(s) / s).real
+        partial = np.cumsum(terms, axis=1)
+        val = partial[:, n_burn:] @ binom
+        val_prev = partial[:, n_burn - 1 : -1] @ binom
+        values[lo : lo + _BLOCK] = val
+        estimates[lo : lo + _BLOCK] = np.abs(val - val_prev)
+    # np.max propagates NaN, so a non-finite evaluation fails the gate
+    return values, float(np.max(estimates, initial=0.0))
+
+
+def _certified_curve(
+    ts: np.ndarray, raw: np.ndarray, worst: float, tol: ToleranceConfig, head_states: int = 0
+) -> CdfCurve:
+    """Gate an inverted CDF on its error bound, then clip and monotonize it.
+
+    Raises AccuracyNotMet when the worst error estimate plus the contour
+    discretization bound exp(-A) exceeds eps_invert or is not a number.
+    """
+    error = worst + math.exp(-_euler_params(tol.eps_invert)[0])
+    if not error <= tol.eps_invert:
+        raise AccuracyNotMet(
+            f"inversion error estimate {error:.3e} exceeds "
+            f"eps_invert={tol.eps_invert:.3e}"
+        )
+    clipped = np.clip(raw, 0.0, 1.0)
+    iso = np.maximum.accumulate(clipped)
+    return CdfCurve(
+        ts=ts,
+        values=iso,
+        provenance="inverted",
+        max_adjustment=float(np.max(np.abs(iso - raw))),
+        error_estimate=error,
+        head_states=head_states,
+    )
 
 
 def invert_to_cdf(
@@ -212,34 +277,14 @@ def invert_to_cdf(
     eps_invert at any grid point.
     """
     grid = np.asarray(grid, dtype=float)
-    a, n_burn, n_avg = _euler_params(tol.eps_invert)
-    disc_err = math.exp(-a)
-    raw = np.empty_like(grid)
-    worst = 0.0
-    for i, t in enumerate(grid):
-        if t < 0:
-            raw[i] = 0.0
-        elif t == 0.0:
-            if transform.atom_at_zero is not None:
-                raw[i] = transform.atom_at_zero
-            else:
-                raw[i] = float(complex(transform.fn(1e12)).real)
-        else:
-            raw[i], est = _invert_point(transform, t, a, n_burn, n_avg)
-            worst = max(worst, est)
-    if worst + disc_err > tol.eps_invert:
-        raise AccuracyNotMet(
-            f"inversion error estimate {worst + disc_err:.3e} exceeds "
-            f"eps_invert={tol.eps_invert:.3e}"
-        )
-    clipped = np.clip(raw, 0.0, 1.0)
-    iso = np.maximum.accumulate(clipped)
-    return CdfCurve(
-        ts=grid,
-        values=iso,
-        provenance="inverted",
-        max_adjustment=float(np.max(np.abs(iso - raw))),
-    )
+    raw = np.zeros_like(grid)
+    positive = grid > 0.0
+    raw[positive], worst = _euler_invert(transform.fn, grid[positive], tol)
+    at_zero = grid == 0.0
+    if at_zero.any():
+        atom = transform.atom_at_zero
+        raw[at_zero] = transform.fn(np.array([1e12 + 0j]))[0].real if atom is None else atom
+    return _certified_curve(grid, raw, worst, tol)
 
 
 def default_grid(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -272,42 +317,22 @@ def class2_cdf_dapq(
     atom = 1.0 - rates.rho
     d = config.d
 
-    npq_lst = _shifted_tail_lst(config.replace(b=0.0, d=0.0), tol)
-    values = np.empty_like(ts)
-    a, n_burn, n_avg = _euler_params(tol.eps_invert)
-    disc_err = math.exp(-a)
-    worst = 0.0
+    npq_config = config.replace(b=0.0, d=0.0)
+    npq_lst = _shifted_tail_lst(npq_config, busy_state_distribution(npq_config, tol))
+    weights = busy_state_distribution(config, tol)
+    tail_lst = _shifted_tail_lst(config, weights)
 
-    def npq_cdf(t: float) -> float:
-        nonlocal worst
-        if t <= 0.0:
-            return atom
-        v, est = _invert_point(npq_lst, t, a, n_burn, n_avg)
-        worst = max(worst, est)
-        return atom + v
+    inside = (ts > 0.0) & (ts <= d)
+    beyond = ts > d
+    # F(d) rides along as the last point of the strict-priority batch
+    npq_ts = np.append(ts[inside], d) if d > 0 else ts[inside]
+    npq_vals, worst_inside = _euler_invert(npq_lst.fn, npq_ts, tol)
+    f_at_d = atom + npq_vals[-1] if d > 0 else atom
+    tail_vals, worst_beyond = _euler_invert(tail_lst.fn, ts[beyond] - d, tol)
 
-    f_at_d = npq_cdf(d) if d > 0 else atom
-    tail_lst = _shifted_tail_lst(config, tol)
-
-    for i, t in enumerate(ts):
-        if t < 0.0:
-            values[i] = 0.0
-        elif t <= d:
-            values[i] = npq_cdf(t)
-        else:
-            v, est = _invert_point(tail_lst, t - d, a, n_burn, n_avg)
-            worst = max(worst, est)
-            values[i] = f_at_d + v
-    if worst + disc_err > tol.eps_invert:
-        raise AccuracyNotMet(
-            f"inversion error estimate {worst + disc_err:.3e} exceeds "
-            f"eps_invert={tol.eps_invert:.3e}"
-        )
-    clipped = np.clip(values, 0.0, 1.0)
-    iso = np.maximum.accumulate(clipped)
-    return CdfCurve(
-        ts=ts,
-        values=iso,
-        provenance="inverted",
-        max_adjustment=float(np.max(np.abs(iso - values))),
-    )
+    values = np.zeros_like(ts)
+    values[ts == 0.0] = atom
+    values[inside] = atom + npq_vals[: np.count_nonzero(inside)]
+    values[beyond] = f_at_d + tail_vals
+    worst = float(np.max([worst_inside, worst_beyond]))  # keeps a NaN, unlike max()
+    return _certified_curve(ts, values, worst, tol, head_states=len(weights))

@@ -4,15 +4,30 @@ Everything here deliberately avoids the package's own recursions: chain
 products are explicit truncated matrix-vector iterations, the M/D/1 pmf
 comes from the departure-epoch chain recursion or the pgf expansion in
 extended precision, and the M/D/1 correction term is integrated one
-quadrature node at a time.
+quadrature node at a time.  The busy-horizon weights are a full
+reachability-sized vector and the class-2 CDF is inverted one scalar
+contour evaluation at a time; these share only the Poisson jump cut and
+the Euler parameters with the package.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
+
+from dapq.core import (
+    DEFAULT_TOL,
+    OutOfRange,
+    ServiceKind,
+    TruncationOverflow,
+    validate,
+)
+from dapq.markov import _poisson_horizon
+from dapq.transforms import _euler_params
 
 
 def x_rows_by_matrix(lam1, mu, rho, k_max, size=800):
@@ -113,3 +128,151 @@ def md1_correction_term_by_nodes(j, ell, lam1, pi, Tmat):
         I0 += wq * val
         I1 += wq * rr * val
     return math.exp(-lam1 * d) * (I1 + (j - 1) * I0)
+
+
+# --------------------------------------------------------------------------
+# busy-horizon weights and class-2 CDFs: the full-vector scalar path
+# --------------------------------------------------------------------------
+#
+# ``dapq.markov.busy_state_distribution`` returns an exact head plus a
+# closed geometric tail and ``dapq.transforms`` inverts whole grids at once.
+# The code below is the path they replaced: a state vector long enough for
+# rho^S to fall below eps_series, and one scalar complex evaluation per
+# contour node and grid point.
+
+
+def _state_cap(rho, n_poisson, tol):
+    # reachability: no path climbs more than one state per jump
+    base = 64 if rho == 0.0 else math.ceil(math.log(tol.eps_series) / math.log(rho))
+    need = max(64, base) + n_poisson
+    if need > tol.max_states:
+        raise TruncationOverflow(
+            f"uniformization needs {need} states but max_states={tol.max_states}"
+        )
+    return need
+
+
+def _chain_step(v, p_up, q_down):
+    out = np.zeros_like(v)
+    out[:-1] += q_down * v[1:]
+    out[1:] += p_up * v[:-1]
+    return out
+
+
+@dataclass(frozen=True)
+class SurvivalTransition:
+    """probs[i-1, j-1] = P[j ahead after d with the ahead-set never empty | i at 0].
+
+    Row sums are at most 1 (the deficit is absorption at the empty state) and
+    are nonincreasing in the horizon d.  ``d = 0`` gives the identity block.
+    """
+
+    probs: np.ndarray
+    max_initial: int
+    max_final: int
+    poisson_terms: int
+
+    def prob(self, i, j):
+        if not (1 <= i <= self.max_initial and 1 <= j <= self.max_final):
+            return 0.0
+        return float(self.probs[i - 1, j - 1])
+
+    def row_sum(self, i):
+        return float(self.probs[i - 1].sum())
+
+
+def survival_transition(config, tol=DEFAULT_TOL, max_initial=64):
+    """Busy-horizon transition law of the uniformized ahead-set chain, row by row."""
+    rates = validate(config)
+    if config.service is not ServiceKind.EXPONENTIAL:
+        raise OutOfRange("survival_transition requires exponential service")
+    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
+    S = _state_cap(rates.rho, len(pmf), tol)
+    max_initial = min(max_initial, S)
+    rows = np.zeros((max_initial, S))
+    for i in range(1, max_initial + 1):
+        v = np.zeros(S)
+        v[i - 1] = 1.0
+        acc = pmf[0] * v
+        for k in range(1, len(pmf)):
+            v = _chain_step(v, rates.p_up, rates.q_down)
+            acc = acc + pmf[k] * v
+        rows[i - 1] = acc
+    return SurvivalTransition(
+        probs=rows, max_initial=max_initial, max_final=S, poisson_terms=len(pmf)
+    )
+
+
+def busy_state_distribution(config, tol=DEFAULT_TOL):
+    """w[j-1] = P[j ahead after d, ahead-set never empty], as one long vector."""
+    rates = validate(config)
+    if config.service is not ServiceKind.EXPONENTIAL:
+        raise OutOfRange("busy_state_distribution requires exponential service")
+    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
+    S = _state_cap(rates.rho, len(pmf), tol)
+    rho = rates.rho
+    v = (1.0 - rho) * rho ** np.arange(1, S + 1)
+    acc = pmf[0] * v
+    for k in range(1, len(pmf)):
+        v = _chain_step(v, rates.p_up, rates.q_down)
+        acc = acc + pmf[k] * v
+    return acc
+
+
+def _eta_scalar(s, arrival_rate, mu):
+    # the smaller root of a eta^2 - z eta + mu = 0, written without the
+    # cancellation of (z - sqrt(z^2 - 4 mu a)) / (2a) at large |z| / a
+    z = s + mu + arrival_rate
+    return 2.0 * mu / (z + cmath.sqrt(z * z - 4.0 * mu * arrival_rate))
+
+
+def _invert_point(fn, t, a, n_burn, n_avg):
+    """One Bromwich-contour evaluation of fn(s)/s; returns (value, error_estimate)."""
+    fhat = lambda s: fn(s) / s
+    base = math.exp(a / 2.0) / t
+    terms = np.empty(n_burn + n_avg + 1)
+    terms[0] = 0.5 * base * complex(fhat(a / (2.0 * t))).real
+    for k in range(1, n_burn + n_avg + 1):
+        s = complex(a / (2.0 * t), k * math.pi / t)
+        terms[k] = base * ((-1) ** k) * complex(fhat(s)).real
+    partial = np.cumsum(terms)
+    binom = np.array([math.comb(n_avg, m) for m in range(n_avg + 1)], dtype=float)
+    binom /= 2.0**n_avg
+    val = float(binom @ partial[n_burn : n_burn + n_avg + 1])
+    val_prev = float(binom @ partial[n_burn - 1 : n_burn + n_avg])
+    return val, abs(val - val_prev)
+
+
+def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
+    """Clamped class-2 CDF, point by point from the full weight vector, and the worst estimate."""
+    rates = validate(config)
+    a, n_burn, n_avg = _euler_params(tol.eps_invert)
+
+    def shifted(cfg):
+        w = busy_state_distribution(cfg, tol)
+        lam_acc = validate(cfg).lambda1_acc
+        js = np.arange(1, len(w) + 1)
+        return lambda s: complex(np.sum(w * _eta_scalar(complex(s), lam_acc, cfg.mu) ** js))
+
+    atom = 1.0 - rates.rho
+    d = config.d
+    npq = shifted(config.replace(b=0.0, d=0.0))
+    tail = shifted(config)
+    worst = 0.0
+
+    def invert(fn, t):
+        nonlocal worst
+        v, est = _invert_point(fn, t, a, n_burn, n_avg)
+        worst = max(worst, est)
+        return v
+
+    f_at_d = atom + invert(npq, d) if d > 0 else atom
+    values = np.empty(len(ts))
+    for i, t in enumerate(ts):
+        if t < 0.0:
+            values[i] = 0.0
+        elif t <= d:
+            values[i] = atom if t <= 0.0 else atom + invert(npq, t)
+        else:
+            values[i] = f_at_d + invert(tail, t - d)
+    return np.maximum.accumulate(np.clip(values, 0.0, 1.0)), worst

@@ -205,3 +205,13 @@ def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     )
     assert code == 4
     assert "TruncationOverflow" in err
+
+
+def test_cdf_manifest_records_inversion_diagnostics(tmp_path):
+    out = tmp_path / "cdf.csv"
+    code = main(["cdf", "--kind", "dapq2", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5",
+                 "--d", "2", "--t-max", "5", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "cdf.csv.manifest.json").read_text())
+    assert 0.0 < manifest["inversion"]["error_estimate"] <= 1e-8
+    assert manifest["inversion"]["head_states"] > 0

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import md1_pi_embedded, md1_pi_exact
+import _oracles
+from _oracles import md1_pi_embedded, md1_pi_exact, survival_transition
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
 from dapq.markov import (
     busy_state_distribution,
     md1_stationary,
     md1_tail_ratio,
     mm1_stationary,
-    survival_transition,
 )
 
 EXP = ServiceKind.EXPONENTIAL
+
+
+def _dense(weights, size):
+    """w_1 .. w_size from a head-plus-geometric-tail weight record."""
+    n = len(weights)
+    tail = weights.tail_next * weights.rho ** np.arange(max(size - n, 0))
+    return np.concatenate([weights.head, tail])[:size]
 
 
 def test_mm1_stationary_geometric_values():
@@ -209,7 +216,7 @@ def test_survival_transition_matches_monte_carlo(lam1, mu, d):
 def test_busy_state_distribution_is_weighted_rows():
     cfg = QueueConfig(0.5, 0.3, 1.0, d=1.0, service=EXP)
     st = survival_transition(cfg, max_initial=200)
-    w = busy_state_distribution(cfg)
+    w = _dense(busy_state_distribution(cfg), st.max_final)
     rho = 0.8
     pi = (1 - rho) * rho ** np.arange(1, st.max_initial + 1)
     direct = pi @ st.probs
@@ -218,7 +225,7 @@ def test_busy_state_distribution_is_weighted_rows():
 
 def test_busy_state_distribution_zero_delay_is_busy_find():
     cfg = QueueConfig(0.5, 0.3, 1.0, d=0.0, service=EXP)
-    w = busy_state_distribution(cfg)
+    w = _dense(busy_state_distribution(cfg), 4000)
     assert w.sum() == pytest.approx(0.8, abs=1e-9)  # P[arrival finds system busy]
     assert w[0] == pytest.approx(0.2 * 0.8, abs=1e-12)
 
@@ -227,8 +234,8 @@ def test_busy_state_distribution_tight_tolerance_keeps_mass():
     # a Poisson tail taken as 1 - cumsum floors near 1e-16, which once cut
     # the jump sum at 0 terms here and returned mass 0.00198
     cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=4.0, service=EXP)
-    loose = busy_state_distribution(cfg).sum()
-    tight = busy_state_distribution(cfg, ToleranceConfig(eps_series=1e-17)).sum()
+    loose = busy_state_distribution(cfg).total_mass()
+    tight = busy_state_distribution(cfg, ToleranceConfig(eps_series=1e-17)).total_mass()
     assert loose == pytest.approx(0.478445816, abs=1e-9)
     assert tight == pytest.approx(loose, abs=1e-10)
 
@@ -237,6 +244,40 @@ def test_busy_state_distribution_unreachable_tolerance_raises():
     cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=4.0, service=EXP)
     with pytest.raises(TruncationOverflow):
         busy_state_distribution(cfg, ToleranceConfig(eps_series=1e-300))
+
+
+@pytest.mark.parametrize(
+    "lam1,lam2,b,d",
+    [(0.5, 0.3, 0.5, 2.0), (0.5, 0.45, 0.3, 3.0), (0.9, 0.09, 0.5, 10.0),
+     (0.1, 0.89, 0.9, 0.0), (0.05, 0.0, 0.9, 7.0), (0.0, 0.6, 0.2, 4.0)],
+)
+def test_busy_state_head_and_tail_match_full_vector(lam1, lam2, b, d):
+    cfg = QueueConfig(lam1, lam2, 1.0, b=b, d=d, service=EXP)
+    w = busy_state_distribution(cfg)
+    full = _oracles.busy_state_distribution(cfg)
+    # the oracle drops the flow into its last state, which after n jumps has
+    # corrupted its top n entries; every entry below them is exact
+    exact = len(full) - len(w)
+    assert np.max(np.abs(_dense(w, exact) - full[:exact])) <= 1e-15
+    assert w.total_mass() == pytest.approx(full.sum(), abs=1e-10)
+
+
+def test_busy_state_head_size_does_not_grow_with_rho():
+    sizes = {
+        len(busy_state_distribution(QueueConfig(0.5, lam2, 1.0, b=0.5, d=2.0, service=EXP)))
+        for lam2 in (0.1, 0.3, 0.45, 0.49)
+    }
+    assert len(sizes) == 1
+    # a vector reaching rho^S < eps_series would need 2,292 states at rho = 0.99
+    assert sizes.pop() < 30
+
+
+def test_busy_state_head_overflow_raises():
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP)
+    n = len(busy_state_distribution(cfg))
+    with pytest.raises(TruncationOverflow):
+        busy_state_distribution(cfg, ToleranceConfig(max_states=n - 1))
+    assert len(busy_state_distribution(cfg, ToleranceConfig(max_states=n))) == n
 
 
 def test_md1_stationary_matches_pasta_simulation():

@@ -1,10 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import class2_cdf_scalar
 from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
-from dapq.markov import mm1_stationary
+from dapq.markov import busy_state_distribution, mm1_stationary
 from dapq.mean_wait import dapq_means
 from dapq.transforms import (
     Lst,
@@ -78,7 +81,7 @@ def test_class2_tail_lst_b0_equals_npq_form():
     # with accumulation disabled the transform must match the strict-priority
     # form built directly from the full class-1 rate
     cfg = QueueConfig(0.5, 0.3, 1.0, b=0.0, d=2.0, service=EXP)
-    from dapq.markov import busy_state_distribution
+    from _oracles import busy_state_distribution
 
     w = busy_state_distribution(cfg)
     for s in (0.1, 0.7, 3.0):
@@ -87,6 +90,22 @@ def test_class2_tail_lst_b0_equals_npq_form():
             wj * eta**j for j, wj in enumerate(w, start=1)
         )
         assert class2_tail_lst(cfg, s) == pytest.approx(direct, rel=1e-10)
+
+
+def test_class2_tail_lst_complex_argument():
+    # the inversion contour evaluates the transform at complex s
+    from _oracles import busy_state_distribution
+
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.4, d=1.5, service=EXP)
+    w = busy_state_distribution(cfg)
+    for s in (complex(0.3, 2.0), complex(1.0, -7.5), complex(0.0, 0.4)):
+        z = s + 1.0 + 0.3
+        eta = (z - cmath.sqrt(z * z - 4.0 * 0.3)) / (2.0 * 0.3)
+        direct = cmath.exp(-s * 1.5) * sum(wj * eta**j for j, wj in enumerate(w, start=1))
+        got = class2_tail_lst(cfg, s)
+        assert isinstance(got, complex)
+        assert abs(got - direct) < 1e-12
+        assert np.asarray(eta_mm1(np.asarray(s), 0.3, 1.0)) == pytest.approx(eta, abs=1e-14)
 
 
 def test_class2_tail_lst_nonincreasing_and_log_convex():
@@ -205,3 +224,62 @@ def test_class2_cdf_mean_consistency():
     curve = class2_cdf_dapq(cfg, grid)
     mean = float(np.trapezoid(1.0 - curve.values, grid))
     assert mean == pytest.approx(want, abs=1e-4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rho=st.floats(min_value=0.05, max_value=0.99),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    b=st.floats(min_value=0.0, max_value=1.0),
+    # below t ~ 1e-150 the oracle's z^2 overflows at the contour's largest |s|
+    d=st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=10.0)),
+)
+def test_class2_cdf_matches_scalar_full_vector_path(rho, share, b, d):
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=b, d=d, service=EXP)
+    inside = [t for t in (d / 3.0, d - 0.4, d) if t > 0.0]
+    ts = np.array([0.0] + sorted(set(inside)) + [d + 0.05, d + 0.5, d + 2.0, d + 12.0])
+    curve = class2_cdf_dapq(cfg, ts)
+    want, _ = class2_cdf_scalar(cfg, ts)
+    assert np.max(np.abs(curve.values - want)) <= 1e-9
+
+
+def test_inversion_refuses_non_finite_values():
+    # at t = 1e-310 the contour scale exp(A/2)/t overflows; the NaN this
+    # produces must fail the accuracy gate, not be returned as a value
+    cfg = QueueConfig(0.25, 0.5, 1.0, b=0.5, d=1.0, service=EXP)
+    with np.errstate(all="ignore"), pytest.raises(AccuracyNotMet):
+        class2_cdf_dapq(cfg, np.array([0.0, 1e-310, 0.5, 2.0]))
+    with np.errstate(all="ignore"), pytest.raises(AccuracyNotMet):
+        invert_to_cdf(fcfs_lst(0.5, 1.0), np.array([1e-310]))
+
+
+def test_class2_cdf_tiny_abscissae():
+    # near 0 the CDF is the atom 1 - rho plus P[one ahead] * mu * t, since a
+    # wait that short needs exactly one service to finish; with a tiny
+    # accrediting rate the old (z - sqrt(.)) / (2a) form of eta lost every
+    # digit at the contour's |s| ~ 1e9 / t
+    cfg = QueueConfig(1e-7, 0.5, 1.0, b=0.0, d=1.0, service=EXP)
+    ts = np.array([1e-200, 1e-12, 1e-9])
+    curve = class2_cdf_dapq(cfg, ts)
+    rho = cfg.lambda1 + cfg.lambda2
+    assert np.allclose(curve.values - (1 - rho), (1 - rho) * rho * ts, rtol=0, atol=1e-15)
+
+
+def test_class2_cdf_reports_how_it_was_computed():
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP)
+    curve = class2_cdf_dapq(cfg, np.arange(0.0, 30.0, 0.1))
+    assert math.exp(-(-math.log(1e-8) + 2.3)) <= curve.error_estimate <= 1e-8
+    assert curve.head_states == len(busy_state_distribution(cfg))
+
+
+def test_class2_cdf_heavy_traffic_long_delay_default_grid():
+    # 27,611 points; the full-vector scalar path took minutes on this grid
+    cfg = QueueConfig(0.9, 0.09, 1.0, b=0.5, d=10.0, service=EXP)
+    curve = class2_cdf_dapq(cfg)
+    assert len(curve.ts) == 27_611
+    assert curve.values[0] == pytest.approx(0.01, abs=1e-8)
+    assert np.all(np.diff(curve.values) >= 0)
+    assert np.all((curve.values >= 0.0) & (curve.values <= 1.0))
+    assert curve.values[-1] > 0.999
+    assert curve.error_estimate <= 1e-8
+    assert curve.max_adjustment < 1e-7
