@@ -23,7 +23,7 @@ from .kpi import FeasibleRegion, PolicyPoint, b_star_class1, b_star_class2, feas
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio, mm1_stationary
 from .mean_wait import XTable, dapq_means, fcfs_mean, interpolated_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
-from .transforms import CdfCurve, Lst, class2_cdf_dapq, class2_tail_lst, eta_fixed_point, eta_mm1, invert_to_cdf
+from .transforms import CdfCurve, Lst, class2_cdf_dapq, class2_tail_lst, eta_mm1, invert_to_cdf
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "class2_tail_lst",
     "conservation_rhs",
     "dapq_means",
-    "eta_fixed_point",
     "eta_mm1",
     "fcfs_mean",
     "feasible_region",

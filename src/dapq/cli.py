@@ -380,10 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("mean", help="expected waiting times (sweepable over b and d)")
-    p.add_argument("--lam1", type=float, required=True)
-    p.add_argument("--lam2", type=float, required=True)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--service", choices=["exp", "det"], default="exp")
+    _add_queue_flags(p, need_b=False)
     p.add_argument("--b", type=str, default="0", help="value or sweep a:b:step")
     p.add_argument("--d", type=str, default="0", help="value or sweep a:b:step")
     _add_out_flags(p)

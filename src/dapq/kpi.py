@@ -32,8 +32,10 @@ from .core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
+    class1_mean_from_class2,
     validate,
 )
+from .markov import busy_state_distribution
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,16 @@ def _class2_cdf_at_w(config: QueueConfig, w: float, tol: ToleranceConfig) -> flo
 
 
 def _check_monotone(
-    f: Callable[[float], float], increasing: bool, slack: float, what: str
+    f: Callable[[float], float],
+    f0: float,
+    f1: float,
+    increasing: bool,
+    slack: float,
+    what: str,
 ) -> None:
+    """Check f on five rates in [0, 1]; f0 and f1 are the known values at 0 and 1."""
     bs = [0.0, 0.25, 0.5, 0.75, 1.0]
-    vals = [f(b) for b in bs]
+    vals = [f0] + [f(b) for b in bs[1:-1]] + [f1]
     diffs = np.diff(vals)
     ok = np.all(diffs >= -slack) if increasing else np.all(diffs <= slack)
     if not ok:
@@ -110,15 +118,20 @@ def _bisect_largest(f, m, lo, hi, eps):
 # --------------------------------------------------------------------------
 
 def _policy_point(
-    config: QueueConfig, b: float, feasible: bool, tol: ToleranceConfig
+    config: QueueConfig, b: float, feasible: bool, mean_w2: Callable[[float], float]
 ) -> PolicyPoint:
-    """The search result at rate b, with both exact class means there."""
-    summary = mean_wait.dapq_means(config.replace(b=b), tol)
+    """The search result at rate b, with both exact class means there.
+
+    ``mean_w2`` is the class-2 mean as a function of b at the config's
+    delay (``mean_wait.class2_mean_in_b``); the class-1 mean follows from
+    conservation, as in ``mean_wait.dapq_means``.
+    """
+    w2 = mean_w2(b)
     return PolicyPoint(
         d=config.d,
         b_star=b,
-        mean_w1=summary.mean_w1,
-        mean_w2=summary.mean_w2,
+        mean_w1=float(class1_mean_from_class2(config.replace(b=b), w2)),
+        mean_w2=float(w2),
         feasible=feasible,
     )
 
@@ -129,28 +142,38 @@ def b_star_class2(
     """Smallest accumulation rate meeting a class-2 KPI at the config's delay.
 
     The config's own ``b`` is ignored.  Returns b = 0 when strict priority
-    already complies and an infeasible point when even b = 1 fails.
+    already complies and an infeasible point when even b = 1 fails.  Both
+    busy-weight sets are b-free, so they are computed once and each step
+    of the search costs one inversion at the target wait.
     """
     if kpi.class_index != 2:
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
-    validate(config.replace(b=0.0))
+    base = config.replace(b=0.0)
+    validate(base)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class-2 CDF machinery requires exponential service")
     w, p = kpi.target_w, kpi.compliance_p
+    target = np.array([w])
+    npq_weights = busy_state_distribution(base.replace(d=0.0), tol)
+    weights = busy_state_distribution(base, tol)
+    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
 
     def constraint(b: float) -> float:
-        return _class2_cdf_at_w(config.replace(b=b), w, tol)
+        curve = transforms._class2_cdf_from_weights(
+            config.replace(b=b), target, npq_weights, weights, tol
+        )
+        return float(curve.values[0])
 
     f0 = constraint(0.0)
     if f0 >= p:
-        return _policy_point(config, 0.0, True, tol)
+        return _policy_point(config, 0.0, True, mean_w2)
     f1 = constraint(1.0)
     if f1 < p:
-        return _policy_point(config, 1.0, False, tol)
-    _check_monotone(constraint, increasing=True, slack=100 * tol.eps_invert,
+        return _policy_point(config, 1.0, False, mean_w2)
+    _check_monotone(constraint, f0, f1, increasing=True, slack=100 * tol.eps_invert,
                     what="class-2 compliance")
     b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
-    return _policy_point(config, b, True, tol)
+    return _policy_point(config, b, True, mean_w2)
 
 
 def b_star_class1(
@@ -160,26 +183,31 @@ def b_star_class1(
 
     The constraint is evaluated through the exact class-1 mean against the
     zero-inflated-exponential threshold, which makes the search exact given
-    the approximation (and fast).
+    the approximation (and fast).  The mean's correction sum is b-free, so
+    it is computed once and each step of the search costs a few float
+    operations.
     """
     if kpi.class_index != 1:
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
     rates = validate(config.replace(b=0.0))
     threshold = approx.kpi_mean_threshold(rates.rho, kpi)
+    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
 
     def mean1(b: float) -> float:
-        return mean_wait.dapq_means(config.replace(b=b), tol).mean_w1
+        return class1_mean_from_class2(config.replace(b=b), mean_w2(b))
 
     if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
-        return _policy_point(config, 1.0, True, tol)
-    if mean1(0.0) > threshold:
-        return _policy_point(config, 0.0, False, tol)
-    if mean1(1.0) <= threshold:
-        return _policy_point(config, 1.0, True, tol)
-    _check_monotone(mean1, increasing=True, slack=1e-9 * max(1.0, threshold),
+        return _policy_point(config, 1.0, True, mean_w2)
+    m0 = mean1(0.0)
+    if m0 > threshold:
+        return _policy_point(config, 0.0, False, mean_w2)
+    m1 = mean1(1.0)
+    if m1 <= threshold:
+        return _policy_point(config, 1.0, True, mean_w2)
+    _check_monotone(mean1, m0, m1, increasing=True, slack=1e-9 * max(1.0, threshold),
                     what="class-1 mean wait")
     b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
-    return _policy_point(config, b, True, tol)
+    return _policy_point(config, b, True, mean_w2)
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import (
     DEFAULT_TOL,
@@ -201,19 +201,33 @@ def stationary_for(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> S
 # uniformized busy-horizon state weights (exponential service)
 # --------------------------------------------------------------------------
 
+def _poisson_sf(k, m: float):
+    """P[N > k] for N ~ Poisson(m), elementwise over integer k.
+
+    ``pdtrc`` returns NaN for k < 0, where the survival function is 1.
+    """
+    k = np.asarray(k)
+    return np.where(k < 0, 1.0, pdtrc(np.maximum(k, 0), m))
+
+
+def _poisson_pmf(k, m: float):
+    """P[N = k] for N ~ Poisson(m), elementwise over integer k >= 0, in log space."""
+    return np.exp(xlogy(k, m) - gammaln(k + 1) - m)
+
+
 def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
     """Poisson(nu*d) pmf out to where the remaining tail mass is below eps."""
     if nu_d == 0.0:
         return np.array([1.0])
     hi = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
     ks = np.arange(hi + 1)
-    meets = poisson.sf(ks, nu_d) < eps  # sf[k] = P[N > k]
+    meets = _poisson_sf(ks, nu_d) < eps  # sf[k] = P[N > k]
     if not meets[-1]:
         raise TruncationOverflow(
             f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {hi} jumps"
         )
     cut = int(np.argmax(meets))  # first index meeting the bound
-    return poisson.pmf(ks[: cut + 1], nu_d)
+    return _poisson_pmf(ks[: cut + 1], nu_d)
 
 
 def _chain_step(v: np.ndarray, p_up: float, q_down: float) -> np.ndarray:

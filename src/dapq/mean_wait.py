@@ -8,6 +8,12 @@ sum over post-delay queue states of residual-service integrals against the
 M/D/1 stationary distribution.  Class-1 means always follow from the
 work-conserving conservation law.
 
+The accumulation rate b enters the mean only as the prefactor
+rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
+correction sum itself depends on (lambda1, lambda2, mu, d) alone.
+``class2_mean_in_b`` computes the sum once and then prices any number of b
+values, which is what a search over b (``dapq.kpi``) needs.
+
 Numerical notes
 ---------------
 * The x-table recursion needs values one index beyond the stored row; those
@@ -28,10 +34,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import gammaln
-from scipy.stats import poisson
 
 from .core import (
     DEFAULT_TOL,
@@ -46,7 +52,7 @@ from .core import (
     conservation_rhs,
     validate,
 )
-from .markov import md1_stationary
+from .markov import _poisson_pmf, _poisson_sf, md1_stationary
 
 
 # --------------------------------------------------------------------------
@@ -99,15 +105,22 @@ def _next_x_row(prev: np.ndarray, k: int, rho: float, rates: DerivedRates) -> np
     return row
 
 
+def _x_rows(rates: DerivedRates, K_max: int) -> Iterator[np.ndarray]:
+    """Rows 1..K_max of the recursion, in order."""
+    rho = rates.rho
+    row = np.array([rates.q_down * rho * rho])
+    yield row
+    for k in range(2, K_max + 1):
+        row = _next_x_row(row, k, rho, rates)
+        yield row
+
+
 def x_table(rates: DerivedRates, K_max: int) -> XTable:
     """Build rows 1..K_max of the recursion."""
     if K_max < 1:
         raise OutOfRange("K_max must be >= 1")
-    rho = rates.rho
-    rows = [np.array([rates.q_down * rho * rho])]
-    for k in range(2, K_max + 1):
-        rows.append(_next_x_row(rows[-1], k, rho, rates))
-    return XTable(rows=tuple(rows), p_up=rates.p_up, q_down=rates.q_down, r_coef=rates.r_coef)
+    rows = tuple(_x_rows(rates, K_max))
+    return XTable(rows=rows, p_up=rates.p_up, q_down=rates.q_down, r_coef=rates.r_coef)
 
 
 # --------------------------------------------------------------------------
@@ -119,49 +132,54 @@ def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -
 
     Remainder over k > K of pmf(k) * k(k+1)/2 * rho, using
     E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
+    The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20));
+    the bound is evaluated over a window of them at once, and the window
+    doubles until a candidate meets eps or the candidates reach max_states.
     """
     if nu_d == 0.0:
         return 0
-    K = int(nu_d)
-    while K < max_states:
+    first, step = int(nu_d), max(1, int(0.05 * nu_d))
+    window = 32
+    while True:
+        ks = np.arange(first, min(first + window * step, max_states), step)
         bound = 0.5 * rho * (
-            nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
+            nu_d**2 * _poisson_sf(ks - 2, nu_d) + 2.0 * nu_d * _poisson_sf(ks - 1, nu_d)
         )
-        if bound < eps:
-            return K
-        K += max(1, int(0.05 * nu_d))
-    raise TruncationOverflow(
-        f"Poisson k-sum did not meet its tail bound within max_states={max_states}"
-    )
+        meets = np.flatnonzero(bound < eps)
+        if meets.size:
+            return int(ks[meets[0]])
+        if first + window * step >= max_states:
+            raise TruncationOverflow(
+                f"Poisson k-sum did not meet its tail bound within max_states={max_states}"
+            )
+        window *= 2
+
+
+def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
+    """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
+
+    The x-table rows carry the non-geometric head of each product and a
+    closed form sums the geometric region over all k.
+    """
+    rho = rates.rho
+    r = rates.r_coef
+    nu_d = rates.nu * config.d
+    K = _poisson_ksum_cutoff(nu_d, rho, 0.5 * tol.eps_series, tol.max_states)
+    tot = 0.0
+    if K >= 1:
+        pmf = _poisson_pmf(np.arange(K + 1), nu_d)
+        for k, row in enumerate(_x_rows(rates, K), start=1):
+            tot += pmf[k] * float(np.arange(1, k + 1) @ row)
+    closed = rho * math.exp(-nu_d + r * nu_d) * (1.0 / (1.0 - rho) + r * nu_d)
+    return (1.0 - rho) * tot + closed
 
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Exact mean class-2 wait in the M/M/1 delayed APQ."""
-    rates = validate(config)
+    validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("mm1_dapq_class2_mean requires exponential service")
-    npq = npq_class2_mean(config)
-    if config.b == 0.0 or rates.rho1 == 0.0:
-        return npq
-
-    rho, mu = rates.rho, config.mu
-    r = rates.r_coef
-    nu_d = rates.nu * config.d
-    K = _poisson_ksum_cutoff(nu_d, rho, 0.5 * tol.eps_series, tol.max_states)
-
-    tot = 0.0
-    if K >= 1:
-        pmf = poisson.pmf(np.arange(K + 1), nu_d)
-        row = np.array([rates.q_down * rho * rho])
-        tot += pmf[1] * row[0]
-        for k in range(2, K + 1):
-            row = _next_x_row(row, k, rho, rates)
-            tot += pmf[k] * float(np.arange(1, k + 1) @ row)
-    closed = rho * math.exp(-nu_d + r * nu_d) * (1.0 / (1.0 - rho) + r * nu_d)
-    correction_sum = (1.0 - rho) * tot + closed
-
-    factor = rates.rho1 * config.b / (mu * (1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
-    return float(npq - factor * correction_sum)
+    return class2_mean_in_b(config, tol)(config.b)
 
 
 # --------------------------------------------------------------------------
@@ -230,26 +248,11 @@ def _md1_probempty_matrix(ell: int, lam1: float) -> np.ndarray:
     return T
 
 
-def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Exact mean class-2 wait in the M/D/1 delayed APQ (d = l/mu, integer l)."""
-    rates = validate(config)
-    if config.service is not ServiceKind.DETERMINISTIC:
-        raise OutOfRange("md1_dapq_class2_mean requires deterministic service")
-    npq = npq_class2_mean(config)
-    if config.b == 0.0 or rates.rho1 == 0.0:
-        return npq
-
-    rho = rates.rho
-    factor_dimless = (
-        rates.rho1 * config.b / ((1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
-    )
+def _md1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
+    """The b-free j-series of the M/D/1 correction, in mu = 1 units (d = l/mu, l >= 1)."""
     ell = int(round(config.d * config.mu))
-    if ell == 0:
-        return npq - factor_dimless * rho / (2.0 * config.mu * (1.0 - rho))
-
-    # work in mu = 1 units; divide the correction by mu at the end
     lam1 = rates.rho1
-    dist = md1_stationary(rho, tol)
+    dist = md1_stationary(rates.rho, tol)
     g = dist.tail_ratio
 
     jmax = tol.max_states
@@ -272,9 +275,58 @@ def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
             ratio = max(term / prev_term if prev_term > 0 else 0.0, g)
             ratio = min(ratio, 0.999)
             if term * ratio / (1.0 - ratio) < 0.5 * tol.eps_series:
-                break
+                return total
         prev_term = term
-    return float(npq - factor_dimless * total / config.mu)
+
+
+def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Exact mean class-2 wait in the M/D/1 delayed APQ (d = l/mu, integer l)."""
+    validate(config)
+    if config.service is not ServiceKind.DETERMINISTIC:
+        raise OutOfRange("md1_dapq_class2_mean requires deterministic service")
+    return class2_mean_in_b(config, tol)(config.b)
+
+
+# --------------------------------------------------------------------------
+# the class-2 mean as a function of b
+# --------------------------------------------------------------------------
+
+def class2_mean_in_b(
+    config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
+) -> Callable[[float], float]:
+    """Exact mean class-2 wait as a function of b at the config's rates and delay.
+
+    The accumulation rate enters only as the prefactor of a b-free
+    correction sum (the Poisson k-sum for exponential service, the j-series
+    for deterministic service).  The returned function computes that sum at
+    the first b that needs it and keeps it, so later calls cost a few float
+    operations; each value equals the one-shot mean of
+    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is ignored.
+    """
+    exponential = config.service is ServiceKind.EXPONENTIAL
+    correction_sum = None
+
+    def mean_w2(b: float) -> float:
+        nonlocal correction_sum
+        cfg = config.replace(b=b)
+        rates = validate(cfg)
+        npq = npq_class2_mean(cfg)
+        if b == 0.0 or rates.rho1 == 0.0:
+            return npq
+        if exponential:
+            if correction_sum is None:
+                correction_sum = _mm1_correction_sum(cfg, rates, tol)
+            factor = rates.rho1 * b / (cfg.mu * (1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
+            return float(npq - factor * correction_sum)
+        factor_dimless = rates.rho1 * b / ((1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
+        if round(cfg.d * cfg.mu) == 0:
+            return npq - factor_dimless * rates.rho / (2.0 * cfg.mu * (1.0 - rates.rho))
+        if correction_sum is None:
+            correction_sum = _md1_correction_sum(cfg, rates, tol)
+        # the series works in mu = 1 units; the correction scales by 1/mu
+        return float(npq - factor_dimless * correction_sum / cfg.mu)
+
+    return mean_w2
 
 
 # --------------------------------------------------------------------------

@@ -38,7 +38,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     AccuracyNotMet,
-    NonConvergence,
     OutOfRange,
     QueueConfig,
     ServiceKind,
@@ -122,40 +121,6 @@ def eta_mm1(s, arrival_rate: float, mu: float):
     return float(val.real)
 
 
-def _service_lst(service: ServiceKind, mu: float) -> Callable[[float], float]:
-    if service is ServiceKind.EXPONENTIAL:
-        return lambda u: mu / (mu + u)
-    return lambda u: math.exp(-u / mu)
-
-
-def eta_fixed_point(
-    s: float,
-    service: ServiceKind,
-    arrival_rate: float,
-    mu: float = 1.0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_iter: int = 200_000,
-) -> float:
-    """Accreditation-interval transform for either service kind.
-
-    Solves eta = F_S(s + a*(1 - eta)) by fixed-point iteration from 1,
-    where F_S is the service LST.  For exponential service this agrees
-    with the closed form to within eps_root-level accuracy.
-    """
-    if s < 0:
-        raise OutOfRange("s must be nonnegative")
-    fs = _service_lst(service, mu)
-    eta = 1.0
-    for _ in range(max_iter):
-        nxt = fs(s + arrival_rate * (1.0 - eta))
-        if abs(nxt - eta) < tol.eps_root:
-            return nxt
-        eta = nxt
-    raise NonConvergence(
-        f"accreditation fixed point did not converge at s={s}, rate={arrival_rate}"
-    )
-
-
 # --------------------------------------------------------------------------
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
@@ -201,9 +166,11 @@ def class2_tail_lst(config: QueueConfig, s, tol: ToleranceConfig = DEFAULT_TOL):
 # Euler-summation inversion
 # --------------------------------------------------------------------------
 
-# Grid points inverted per vectorised call: a block's complex temporaries
-# (points x contour nodes) stay near 1 MB however long the grid is.
-_BLOCK = 256
+# Grid points inverted per vectorised call.  A block's complex temporaries
+# (points x 61 contour nodes, 16 bytes each) stay under 128 KiB, glibc's
+# default mmap threshold, so they come from the heap and are not mapped
+# and unmapped afresh for every block of a long grid.
+_BLOCK = 128
 
 
 def _euler_params(eps: float):
@@ -310,16 +277,34 @@ def class2_cdf_dapq(
     (b = 0) reference, so those abscissae are served by the same machinery
     evaluated at b = 0; beyond d the over-delay inversion takes over.
     """
-    rates = validate(config)
+    validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
     ts = default_grid(config, tol) if grid is None else np.asarray(grid, dtype=float)
+    npq_weights = busy_state_distribution(config.replace(b=0.0, d=0.0), tol)
+    weights = busy_state_distribution(config, tol)
+    return _class2_cdf_from_weights(config, ts, npq_weights, weights, tol)
+
+
+def _class2_cdf_from_weights(
+    config: QueueConfig,
+    ts: np.ndarray,
+    npq_weights: BusyWeights,
+    weights: BusyWeights,
+    tol: ToleranceConfig,
+) -> CdfCurve:
+    """The class-2 CDF on ``ts`` from the strict-priority and delayed busy weights.
+
+    Both weight sets depend on (lambda1, lambda2, mu, d) but not on b, which
+    enters only through the accrediting rate inside eta; a search over b
+    computes them once (``busy_state_distribution`` of the config with
+    d = 0, and of the config) and calls this for each b.
+    """
+    rates = validate(config)
     atom = 1.0 - rates.rho
     d = config.d
 
-    npq_config = config.replace(b=0.0, d=0.0)
-    npq_lst = _shifted_tail_lst(npq_config, busy_state_distribution(npq_config, tol))
-    weights = busy_state_distribution(config, tol)
+    npq_lst = _shifted_tail_lst(config.replace(b=0.0, d=0.0), npq_weights)
     tail_lst = _shifted_tail_lst(config, weights)
 
     inside = (ts > 0.0) & (ts <= d)

@@ -7,7 +7,8 @@ extended precision, and the M/D/1 correction term is integrated one
 quadrature node at a time.  The busy-horizon weights are a full
 reachability-sized vector and the class-2 CDF is inverted one scalar
 contour evaluation at a time; these share only the Poisson jump cut and
-the Euler parameters with the package.
+the Euler parameters with the package.  Poisson tails and pmfs come from
+``scipy.stats``, and the KPI searches evaluate each b from scratch.
 """
 
 import cmath
@@ -19,15 +20,20 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
+from dapq import approx
 from dapq.core import (
     DEFAULT_TOL,
+    MonotonicityViolation,
+    NonConvergence,
     OutOfRange,
     ServiceKind,
     TruncationOverflow,
     validate,
 )
+from dapq.kpi import PolicyPoint, _bisect_largest, _bisect_smallest
 from dapq.markov import _poisson_horizon
-from dapq.transforms import _euler_params
+from dapq.mean_wait import dapq_means
+from dapq.transforms import _euler_params, class2_cdf_dapq
 
 
 def x_rows_by_matrix(lam1, mu, rho, k_max, size=800):
@@ -276,3 +282,118 @@ def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
         else:
             values[i] = f_at_d + invert(tail, t - d)
     return np.maximum.accumulate(np.clip(values, 0.0, 1.0)), worst
+
+
+# --------------------------------------------------------------------------
+# Poisson truncation: one scalar scipy.stats call per candidate
+# --------------------------------------------------------------------------
+
+
+def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):
+    """Smallest K whose k-sum remainder bound is below eps, one K at a time."""
+    if nu_d == 0.0:
+        return 0
+    K = int(nu_d)
+    while K < max_states:
+        bound = 0.5 * rho * (
+            nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
+        )
+        if bound < eps:
+            return K
+        K += max(1, int(0.05 * nu_d))
+    raise TruncationOverflow(
+        f"Poisson k-sum did not meet its tail bound within max_states={max_states}"
+    )
+
+
+# --------------------------------------------------------------------------
+# accreditation-interval transform by fixed-point iteration
+# --------------------------------------------------------------------------
+
+
+def _service_lst(service, mu):
+    if service is ServiceKind.EXPONENTIAL:
+        return lambda u: mu / (mu + u)
+    return lambda u: math.exp(-u / mu)
+
+
+def eta_fixed_point(s, service, arrival_rate, mu=1.0, tol=DEFAULT_TOL, max_iter=200_000):
+    """Accreditation-interval transform for either service kind.
+
+    Solves eta = F_S(s + a*(1 - eta)) by fixed-point iteration from 1,
+    where F_S is the service LST.
+    """
+    if s < 0:
+        raise OutOfRange("s must be nonnegative")
+    fs = _service_lst(service, mu)
+    eta = 1.0
+    for _ in range(max_iter):
+        nxt = fs(s + arrival_rate * (1.0 - eta))
+        if abs(nxt - eta) < tol.eps_root:
+            return nxt
+        eta = nxt
+    raise NonConvergence(
+        f"accreditation fixed point did not converge at s={s}, rate={arrival_rate}"
+    )
+
+
+# --------------------------------------------------------------------------
+# KPI searches that recompute every b from scratch
+# --------------------------------------------------------------------------
+
+
+def class1_mean_per_b(config, tol=DEFAULT_TOL):
+    """b -> exact class-1 mean, a full ``dapq_means`` per call."""
+    return lambda b: dapq_means(config.replace(b=b), tol).mean_w1
+
+
+def class2_cdf_per_b(config, w, tol=DEFAULT_TOL):
+    """b -> class-2 CDF at w, a full ``class2_cdf_dapq`` (both weight sets) per call."""
+    return lambda b: float(class2_cdf_dapq(config.replace(b=b), np.array([w]), tol).values[0])
+
+
+def _check_monotone_per_b(f, slack, what):
+    bs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    vals = [f(b) for b in bs]
+    if not np.all(np.diff(vals) >= -slack):
+        raise MonotonicityViolation(
+            f"{what} is not monotone in b on {bs}: {['%.8f' % v for v in vals]}"
+        )
+
+
+def _policy_point_per_b(config, b, feasible, tol):
+    summary = dapq_means(config.replace(b=b), tol)
+    return PolicyPoint(
+        d=config.d, b_star=b, mean_w1=summary.mean_w1, mean_w2=summary.mean_w2,
+        feasible=feasible,
+    )
+
+
+def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
+    """``dapq.kpi.b_star_class2`` with every constraint value computed from scratch."""
+    validate(config.replace(b=0.0))
+    w, p = kpi.target_w, kpi.compliance_p
+    constraint = class2_cdf_per_b(config, w, tol)
+    if constraint(0.0) >= p:
+        return _policy_point_per_b(config, 0.0, True, tol)
+    if constraint(1.0) < p:
+        return _policy_point_per_b(config, 1.0, False, tol)
+    _check_monotone_per_b(constraint, 100 * tol.eps_invert, "class-2 compliance")
+    b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
+    return _policy_point_per_b(config, b, True, tol)
+
+
+def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
+    """``dapq.kpi.b_star_class1`` with every class-1 mean computed from scratch."""
+    rates = validate(config.replace(b=0.0))
+    threshold = approx.kpi_mean_threshold(rates.rho, kpi)
+    mean1 = class1_mean_per_b(config, tol)
+    if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
+        return _policy_point_per_b(config, 1.0, True, tol)
+    if mean1(0.0) > threshold:
+        return _policy_point_per_b(config, 0.0, False, tol)
+    if mean1(1.0) <= threshold:
+        return _policy_point_per_b(config, 1.0, True, tol)
+    _check_monotone_per_b(mean1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
+    b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
+    return _policy_point_per_b(config, b, True, tol)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,3 +112,16 @@ def test_second_moment_consistency(lam1, lam2, service):
     es2 = service.second_moment(1.0)
     expected = rates.rho / (1 - rates.rho) * lam * es2 / 2
     assert conservation_rhs(cfg) == pytest.approx(expected, rel=1e-13)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time and memory of a fresh process;
+    # the library takes its Poisson tails and pmfs from scipy.special
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dapq, dapq.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import b_star_class1_per_b, b_star_class2_per_b, class1_mean_per_b, class2_cdf_per_b
 from dapq.approx import kpi_mean_threshold
-from dapq.core import Kpi, OutOfRange, QueueConfig
+from dapq.core import DEFAULT_TOL, DapqError, Kpi, OutOfRange, QueueConfig, ServiceKind
 from dapq.kpi import (
     b_star_class1,
     b_star_class2,
@@ -13,7 +15,9 @@ from dapq.kpi import (
     meets_extreme,
     policy_sweep,
 )
-from dapq.mean_wait import dapq_means
+from dapq.markov import busy_state_distribution
+from dapq.mean_wait import class2_mean_in_b, dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
+from dapq.transforms import _class2_cdf_from_weights, class2_cdf_dapq
 
 KPI2 = Kpi(4.0, 0.85, 2)
 KPI1 = Kpi(2.0, 0.9, 1)
@@ -184,3 +188,62 @@ def test_membership_spot_checks():
         assert in_tuning_region(l1, mid, 1.0, KPI2)
         checked += 1
     assert checked >= 4
+
+
+def _outcome(search, cfg, kpi):
+    """A search's PolicyPoint, or the type and text of the error it raised."""
+    try:
+        return search(cfg, kpi)
+    except DapqError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho=st.floats(min_value=0.05, max_value=0.99),
+    share=st.floats(min_value=0.05, max_value=0.95),
+    det=st.booleans(),
+    ell=st.sampled_from([0, 1, 2, 5]),
+    b_mid=st.floats(min_value=0.02, max_value=0.98),
+    b=st.floats(min_value=0.0, max_value=1.0),
+    w=st.floats(min_value=0.2, max_value=8.0),
+    u=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b, w, u):
+    if det:
+        # the deterministic-service j-series alone takes about a minute at
+        # occupancy 0.99, and each oracle search evaluates it ~40 times
+        rho = min(rho, 0.8)
+    service = ServiceKind.DETERMINISTIC if det else ServiceKind.EXPONENTIAL
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=b_mid, d=float(ell),
+                      service=service)
+
+    # the mean's correction sum, computed at b_mid, prices any other b
+    mean_w2 = class2_mean_in_b(cfg)
+    mean_w2(b_mid)
+    one_shot = md1_dapq_class2_mean if det else mm1_dapq_class2_mean
+    assert mean_w2(b) == one_shot(cfg.replace(b=b))
+
+    # a class-1 target whose threshold sits at the class-1 mean at b_mid
+    p1 = 1.0 - rho * u
+    w1 = class1_mean_per_b(cfg)(b_mid) * math.log(rho / (1.0 - p1)) / rho
+    kpi1 = Kpi(w1, p1, 1)
+    assert _outcome(b_star_class1, cfg, kpi1) == _outcome(b_star_class1_per_b, cfg, kpi1)
+    if det:
+        return
+
+    # busy weights from the config at b_mid serve the CDF at any other b
+    ts = np.array([0.0, 0.5 * w, w, ell + 0.5 * w, ell + w])
+    npq_weights = busy_state_distribution(cfg.replace(d=0.0))
+    weights = busy_state_distribution(cfg)
+    got = _class2_cdf_from_weights(cfg.replace(b=b), ts, npq_weights, weights, DEFAULT_TOL)
+    want = class2_cdf_dapq(cfg.replace(b=b), ts)
+    assert np.array_equal(got.values, want.values)
+    assert (got.max_adjustment, got.error_estimate, got.head_states) == (
+        want.max_adjustment, want.error_estimate, want.head_states)
+
+    # a class-2 target met exactly at b_mid
+    p2 = class2_cdf_per_b(cfg, w)(b_mid)
+    if 0.0 < p2 < 1.0:
+        kpi2 = Kpi(w, p2, 2)
+        assert _outcome(b_star_class2, cfg, kpi2) == _outcome(b_star_class2_per_b, cfg, kpi2)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import poisson
 
 import _oracles
 from _oracles import md1_pi_embedded, md1_pi_exact, survival_transition
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
 from dapq.markov import (
+    _poisson_pmf,
+    _poisson_sf,
     busy_state_distribution,
     md1_stationary,
     md1_tail_ratio,
@@ -308,3 +311,14 @@ def test_md1_stationary_matches_pasta_simulation():
         p_hat = counts[:, i].mean()
         se = counts[:, i].std(ddof=1) / math.sqrt(n_reps)
         assert abs(dist.pmf(i) - p_hat) < 3.0 * se
+
+
+@pytest.mark.parametrize("m", list(np.geomspace(1e-9, 2000.0, 25)) + [0.5, 6.3, 40.0])
+def test_poisson_helpers_equal_scipy_stats(m):
+    # pdtrc and the log-space pmf are what scipy.stats evaluates; the
+    # helpers add only the k < 0 survival value, where pdtrc returns NaN
+    ks = np.arange(-3, int(m + 12.0 * math.sqrt(m + 1.0) + 60.0))
+    assert np.array_equal(_poisson_sf(ks, m), poisson.sf(ks, m))
+    assert np.array_equal(_poisson_pmf(ks[3:], m), poisson.pmf(ks[3:], m))
+    for k in (-2, -1, 0, 1, int(m)):
+        assert float(_poisson_sf(k, m)) == float(poisson.sf(k, m))

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
-from _oracles import correction_by_matrix, md1_correction_term_by_nodes, x_rows_by_matrix
+from _oracles import (
+    correction_by_matrix,
+    md1_correction_term_by_nodes,
+    poisson_ksum_cutoff_scalar,
+    x_rows_by_matrix,
+)
 from dapq.core import (
     InvalidDelay,
     NoClass1,
     OutOfRange,
     QueueConfig,
     ServiceKind,
+    TruncationOverflow,
     validate,
 )
 from dapq.markov import md1_stationary
 from dapq.mean_wait import (
     _md1_correction_term,
     _md1_probempty_matrix,
+    _poisson_ksum_cutoff,
     dapq_means,
     fcfs_mean,
     interpolated_mean,
@@ -241,3 +248,20 @@ def test_interpolated_mean_endpoints_and_midpoint():
 def test_interpolated_mean_requires_valid_det_delay():
     with pytest.raises(InvalidDelay):
         interpolated_mean(QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.5, service=EXP), 0.5)
+
+
+@pytest.mark.parametrize("eps", [1e-17, 1e-12, 5e-11, 1e-8, 1e-6])
+@pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])
+def test_poisson_ksum_cutoff_matches_scalar_loop(rho, eps):
+    for nu_d in list(np.geomspace(1e-9, 2000.0, 30)) + [0.0, 1.0, 6.3, 20.0, 2047.5]:
+        want = poisson_ksum_cutoff_scalar(nu_d, rho, eps, 6000)
+        assert _poisson_ksum_cutoff(nu_d, rho, eps, 6000) == want
+
+
+@pytest.mark.parametrize("nu_d,max_states", [(50.0, 5), (20.0, 30), (2000.0, 2100), (6.3, 1)])
+def test_poisson_ksum_cutoff_overflow_matches_scalar_loop(nu_d, max_states):
+    with pytest.raises(TruncationOverflow) as want:
+        poisson_ksum_cutoff_scalar(nu_d, 0.8, 5e-11, max_states)
+    with pytest.raises(TruncationOverflow) as got:
+        _poisson_ksum_cutoff(nu_d, 0.8, 5e-11, max_states)
+    assert str(got.value) == str(want.value)

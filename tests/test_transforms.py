@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import class2_cdf_scalar
+from _oracles import class2_cdf_scalar, eta_fixed_point
 from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
 from dapq.markov import busy_state_distribution, mm1_stationary
 from dapq.mean_wait import dapq_means
@@ -14,7 +14,6 @@ from dapq.transforms import (
     class2_cdf_dapq,
     class2_tail_lst,
     default_grid,
-    eta_fixed_point,
     eta_mm1,
     invert_to_cdf,
 )
