@@ -133,9 +133,11 @@ def _write_output(rows: List[List], header: List[str], args, manifest: dict) -> 
 
 
 def _manifest(
-    subcommand: str, params: dict, tol: ToleranceConfig, t0: float, inversion=None
+    subcommand: str, params: dict, tol: ToleranceConfig, t0: float,
+    inversion=None, simulation=None,
 ) -> dict:
-    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics."""
+    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics
+    and ``simulation`` a simulated run's customer count and wall time."""
     manifest = {
         "subcommand": subcommand,
         "parameters": params,
@@ -150,7 +152,13 @@ def _manifest(
     }
     if inversion is not None:
         manifest["inversion"] = inversion
+    if simulation is not None:
+        manifest["simulation"] = simulation
     return manifest
+
+
+def _simulation_record(result: simulate.EmpiricalCdf) -> dict:
+    return {"customers": result.customers, "wall_s": round(result.wall_s, 6)}
 
 
 # --------------------------------------------------------------------------
@@ -199,7 +207,7 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     if kind in analytic_kinds and service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange(f"analytic curve {kind!r} requires exponential service")
 
-    inversion = None
+    inversion = simulation = None
     if kind == "fcfs":
         lam = cfg.lambda1 + cfg.lambda2
         values = 1.0 - rates.rho * np.exp(-(cfg.mu - lam) * grid)
@@ -215,13 +223,16 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
         z = approx.zexp_from_mean(rates.rho, summary.mean_w1)
         values = z.curve(grid).values
     elif kind in ("sim1", "sim2"):
+        cls = 1 if kind == "sim1" else 2
+        if not (cfg.lambda1, cfg.lambda2)[cls - 1] > 0:
+            raise OutOfRange(f"{kind} needs class-{cls} arrivals: lambda{cls} > 0")
         sim = simulate.SimConfig(
             queue=cfg, n_customers=args.n, burn_in=args.burn_in,
             replications=args.reps, seed=args.seed,
         )
         result = simulate.run_replicated(sim, grid)
-        cls = 1 if kind == "sim1" else 2
         values = result.curves[cls].values
+        simulation = _simulation_record(result)
     else:
         raise OutOfRange(f"unknown curve kind {kind!r}")
 
@@ -229,7 +240,7 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     params = {k: getattr(args, k) for k in
               ("kind", "lam1", "lam2", "mu", "service", "b", "d",
                "t_max", "dt", "n", "burn_in", "reps", "seed", "out")}
-    _write_output(rows, ["t", "F"], args, _manifest("cdf", params, tol, t0, inversion))
+    _write_output(rows, ["t", "F"], args, _manifest("cdf", params, tol, t0, inversion, simulation))
     return EXIT_OK
 
 
@@ -242,9 +253,7 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
         replications=args.reps, seed=args.seed,
     )
     grid = _cdf_grid(args, cfg, tol)
-    result = simulate.run_replicated(sim, grid)
-    if args.raw:
-        simulate.dump_raw_records(sim, args.raw)
+    result = simulate.run_replicated(sim, grid, raw_path=args.raw)
     rows = []
     for i, t in enumerate(grid):
         row = [t]
@@ -266,7 +275,7 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
         rows,
         ["t", "cdf1", "se1", "cdf2", "se2"],
         args,
-        _manifest("simulate", params, tol, t0),
+        _manifest("simulate", params, tol, t0, simulation=_simulation_record(result)),
     )
     if args.summary_out:
         with open(args.summary_out, "w", newline="") as fh:

@@ -173,9 +173,20 @@ def class2_tail_lst(config: QueueConfig, s, tol: ToleranceConfig = DEFAULT_TOL):
 _BLOCK = 128
 
 
+# Euler summation averages the partial sums over contour nodes _N_BURN to
+# _N_BURN + _N_AVG with binomial weights; the node signs and the weights
+# depend only on these two counts.
+_N_BURN, _N_AVG = 45, 15
+_NODES = np.arange(_N_BURN + _N_AVG + 1)
+_SIGN = np.where(_NODES % 2 == 1, -1.0, 1.0)
+_SIGN[0] = 0.5  # the k = 0 term enters the trapezoidal sum halved
+_BINOM = np.array([math.comb(_N_AVG, m) for m in range(_N_AVG + 1)], dtype=float)
+_BINOM /= 2.0**_N_AVG
+
+
 def _euler_params(eps: float):
     a = max(18.5, -math.log(eps) + 2.3)
-    return a, 45, 15  # contour constant, burn-in terms, averaged terms
+    return a, _N_BURN, _N_AVG  # contour constant, burn-in terms, averaged terms
 
 
 def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
@@ -187,21 +198,16 @@ def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     axis and are accelerated by binomial averaging.  The error estimate of
     a point is the difference of its last two binomial averages.
     """
-    a, n_burn, n_avg = _euler_params(tol.eps_invert)
-    k = np.arange(n_burn + n_avg + 1)
-    sign = np.where(k % 2 == 1, -1.0, 1.0)
-    sign[0] = 0.5  # the k = 0 term enters the trapezoidal sum halved
-    binom = np.array([math.comb(n_avg, m) for m in range(n_avg + 1)], dtype=float)
-    binom /= 2.0**n_avg
+    a = _euler_params(tol.eps_invert)[0]
     values = np.empty(len(ts))
     estimates = np.zeros(len(ts))
     for lo in range(0, len(ts), _BLOCK):
         t = ts[lo : lo + _BLOCK, None]
-        s = a / (2.0 * t) + 1j * (k * math.pi / t)
-        terms = (math.exp(a / 2.0) / t) * sign * (fn(s) / s).real
+        s = a / (2.0 * t) + 1j * (_NODES * math.pi / t)
+        terms = (math.exp(a / 2.0) / t) * _SIGN * (fn(s) / s).real
         partial = np.cumsum(terms, axis=1)
-        val = partial[:, n_burn:] @ binom
-        val_prev = partial[:, n_burn - 1 : -1] @ binom
+        val = partial[:, _N_BURN:] @ _BINOM
+        val_prev = partial[:, _N_BURN - 1 : -1] @ _BINOM
         values[lo : lo + _BLOCK] = val
         estimates[lo : lo + _BLOCK] = np.abs(val - val_prev)
     # np.max propagates NaN, so a non-finite evaluation fails the gate
@@ -304,20 +310,19 @@ def _class2_cdf_from_weights(
     atom = 1.0 - rates.rho
     d = config.d
 
-    npq_lst = _shifted_tail_lst(config.replace(b=0.0, d=0.0), npq_weights)
-    tail_lst = _shifted_tail_lst(config, weights)
-
     inside = (ts > 0.0) & (ts <= d)
     beyond = ts > d
-    # F(d) rides along as the last point of the strict-priority batch
-    npq_ts = np.append(ts[inside], d) if d > 0 else ts[inside]
-    npq_vals, worst_inside = _euler_invert(npq_lst.fn, npq_ts, tol)
-    f_at_d = atom + npq_vals[-1] if d > 0 else atom
-    tail_vals, worst_beyond = _euler_invert(tail_lst.fn, ts[beyond] - d, tol)
-
     values = np.zeros_like(ts)
     values[ts == 0.0] = atom
-    values[inside] = atom + npq_vals[: np.count_nonzero(inside)]
+    f_at_d, worst_inside = atom, 0.0
+    if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
+        # F(d) rides along as the last point of the strict-priority batch
+        npq_lst = _shifted_tail_lst(config.replace(b=0.0, d=0.0), npq_weights)
+        npq_vals, worst_inside = _euler_invert(npq_lst.fn, np.append(ts[inside], d), tol)
+        values[inside] = atom + npq_vals[:-1]
+        f_at_d = atom + npq_vals[-1]
+    tail_lst = _shifted_tail_lst(config, weights)
+    tail_vals, worst_beyond = _euler_invert(tail_lst.fn, ts[beyond] - d, tol)
     values[beyond] = f_at_d + tail_vals
     worst = float(np.max([worst_inside, worst_beyond]))  # keeps a NaN, unlike max()
     return _certified_curve(ts, values, worst, tol, head_states=len(weights))

@@ -8,11 +8,13 @@ quadrature node at a time.  The busy-horizon weights are a full
 reachability-sized vector and the class-2 CDF is inverted one scalar
 contour evaluation at a time; these share only the Poisson jump cut and
 the Euler parameters with the package.  Poisson tails and pmfs come from
-``scipy.stats``, and the KPI searches evaluate each b from scratch.
+``scipy.stats``, and the KPI searches evaluate each b from scratch.  The
+simulator makes one generator call per exponential draw.
 """
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -33,6 +35,7 @@ from dapq.core import (
 from dapq.kpi import PolicyPoint, _bisect_largest, _bisect_smallest
 from dapq.markov import _poisson_horizon
 from dapq.mean_wait import dapq_means
+from dapq.simulate import _rng_for
 from dapq.transforms import _euler_params, class2_cdf_dapq
 
 
@@ -397,3 +400,86 @@ def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
     _check_monotone_per_b(mean1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
     b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
     return _policy_point_per_b(config, b, True, tol)
+
+
+# --------------------------------------------------------------------------
+# simulation with one generator call per draw
+# --------------------------------------------------------------------------
+
+
+def run_single_by_events(sim, rep_index):
+    """``dapq.simulate.run_single`` as one ``exponential(scale)`` call per draw.
+
+    The event loop the chunked-draw loop replaced: the next event is the
+    ``min`` of the three event times, service times come from a closure,
+    and credits are compared through ``max``.  Same substream, same event
+    order, so the records must be equal with ``==``.
+    """
+    cfg = sim.queue
+    validate(cfg)
+    rng = _rng_for(sim.seed, rep_index)
+    lam1, lam2, mu = cfg.lambda1, cfg.lambda2, cfg.mu
+    b, d = cfg.b, cfg.d
+    det = cfg.service is ServiceKind.DETERMINISTIC
+
+    def svc():
+        return 1.0 / mu if det else rng.exponential(1.0 / mu)
+
+    next1 = rng.exponential(1.0 / lam1) if lam1 > 0 else math.inf
+    next2 = rng.exponential(1.0 / lam2) if lam2 > 0 else math.inf
+    q1 = deque()
+    q2 = deque()
+    completion = math.inf
+    idle = True
+    need = sim.burn_in + sim.n_customers
+    served = 0
+    records = []
+
+    while served < need:
+        t = min(next1, next2, completion)
+        if completion <= next1 and completion <= next2:
+            completion = math.inf
+            chosen = 0
+            if q1 and q2:
+                c1 = t - q1[0]
+                c2 = b * max(0.0, t - q2[0] - d)
+                if c1 > c2:
+                    chosen = 1
+                elif c2 > c1:
+                    chosen = 2
+                else:
+                    # ties: earlier arrival first, then class-1
+                    chosen = 1 if q1[0] <= q2[0] else 2
+            elif q1:
+                chosen = 1
+            elif q2:
+                chosen = 2
+            if chosen == 0:
+                idle = True
+            else:
+                arr = q1.popleft() if chosen == 1 else q2.popleft()
+                served += 1
+                if served > sim.burn_in:
+                    records.append((chosen, arr, t - arr))
+                completion = t + svc()
+        elif next1 <= next2:
+            if idle:
+                served += 1
+                if served > sim.burn_in:
+                    records.append((1, t, 0.0))
+                completion = t + svc()
+                idle = False
+            else:
+                q1.append(t)
+            next1 = t + rng.exponential(1.0 / lam1)
+        else:
+            if idle:
+                served += 1
+                if served > sim.burn_in:
+                    records.append((2, t, 0.0))
+                completion = t + svc()
+                idle = False
+            else:
+                q2.append(t)
+            next2 = t + rng.exponential(1.0 / lam2)
+    return records

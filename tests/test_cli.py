@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dapq import simulate
 from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 
 
@@ -114,6 +115,8 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["parameters"]["seed"] == 7
+    assert manifest["simulation"]["customers"] == 2 * (400 + 100)
+    assert 0.0 < manifest["simulation"]["wall_s"] <= manifest["duration_s"]
 
 
 def test_simulate_summary_and_raw(tmp_path):
@@ -131,6 +134,53 @@ def test_simulate_summary_and_raw(tmp_path):
     cls2 = lines[2].split(",")
     assert float(cls2[1]) == pytest.approx(4.0, abs=4 * float(cls2[2]))
     assert raw.read_text().splitlines()[0] == "rep,class,arrival,wait"
+
+
+def test_simulate_raw_simulates_each_replication_once(tmp_path, monkeypatch):
+    args = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "1",
+            "--n", "300", "--burn-in", "50", "--reps", "3", "--seed", "5",
+            "--t-max", "10", "--dt", "0.5"]
+    plain = tmp_path / "plain.csv"
+    assert main(args + ["--out", str(plain)]) == EXIT_OK
+    real = simulate.run_single
+    calls = []
+
+    def counted(sim, r):
+        calls.append(r)
+        return real(sim, r)
+
+    monkeypatch.setattr(simulate, "run_single", counted)
+    out, raw = tmp_path / "cdf.csv", tmp_path / "raw.csv"
+    assert main(args + ["--out", str(out), "--raw", str(raw)]) == EXIT_OK
+    assert len(calls) == 3
+    assert len(raw.read_text().splitlines()) == 1 + 3 * 300
+    assert out.read_bytes() == plain.read_bytes()
+
+
+def test_simulate_rejects_empty_queue(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--lam1", "0", "--lam2", "0",
+                           "--n", "10", "--burn-in", "1", "--reps", "1")
+    assert code == EXIT_INVALID
+    assert "OutOfRange" in err
+
+
+def test_cdf_sim_rejects_class_without_arrivals(capsys):
+    code, _, err = run_cli(capsys, "cdf", "--kind", "sim1", "--lam1", "0", "--lam2", "0.5",
+                           "--n", "50", "--burn-in", "10", "--reps", "1", "--t-max", "1")
+    assert code == EXIT_INVALID
+    assert "OutOfRange" in err
+
+
+def test_cdf_sim_manifest_records_simulation(tmp_path):
+    out = tmp_path / "sim2.csv"
+    code = main(["cdf", "--kind", "sim2", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5",
+                 "--d", "2", "--n", "200", "--burn-in", "50", "--reps", "2",
+                 "--t-max", "5", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "sim2.csv.manifest.json").read_text())
+    assert manifest["simulation"]["customers"] == 2 * (200 + 50)
+    assert manifest["simulation"]["wall_s"] > 0.0
+    assert "inversion" not in manifest
 
 
 def test_kpi_left_of_region_b_zero_exit_ok(capsys):

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
+from _oracles import run_single_by_events
+
+from dapq import simulate
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, conservation_rhs
 from dapq.mean_wait import fcfs_mean, npq_class2_mean
-from dapq.simulate import SimConfig, dump_raw_records, run_replicated, run_single
+from dapq.simulate import SimConfig, run_replicated, run_single
 
 EXP = ServiceKind.EXPONENTIAL
 DET = ServiceKind.DETERMINISTIC
@@ -118,7 +122,7 @@ def test_raw_dump_format(tmp_path):
     sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0), n_customers=50,
                     burn_in=10, replications=2, seed=37)
     path = tmp_path / "raw.csv"
-    dump_raw_records(sim, str(path))
+    run_replicated(sim, GRID, raw_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "rep,class,arrival,wait"
     assert len(lines) == 1 + 2 * 50
@@ -126,3 +130,104 @@ def test_raw_dump_format(tmp_path):
     assert rep == "0"
     assert cls in ("1", "2")
     assert float(wait) >= 0.0
+
+
+def test_empty_queue_rejected_before_simulating():
+    # with no arrivals the event loop could never record a service
+    with pytest.raises(OutOfRange):
+        SimConfig(queue=QueueConfig(0.0, 0.0, 1.0))
+
+
+# configs for the chunked-draw loop against the per-draw oracle
+ORACLE_CASES = [
+    (QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP), 200),
+    (QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=DET), 200),
+    (QueueConfig(0.0, 0.8, 1.0, b=0.5, d=1.0, service=EXP), 200),
+    (QueueConfig(0.8, 0.0, 1.0, b=0.5, d=1.0, service=DET), 200),
+    (QueueConfig(0.5, 0.3, 1.0, b=0.0, d=0.0, service=EXP), 200),
+    (QueueConfig(0.5, 0.3, 1.0, b=1.0, d=0.0, service=EXP), 200),
+    (QueueConfig(0.5, 0.3, 1.0, b=1.0, d=0.0, service=DET), 200),
+    (QueueConfig(0.5, 0.49, 1.0, b=0.5, d=2.0, service=EXP), 200),
+    (QueueConfig(0.5, 0.49, 1.0, b=0.5, d=2.0, service=DET), 200),
+    (QueueConfig(0.4, 0.4, 2.0, b=0.25, d=3.0, service=EXP), 0),
+    (QueueConfig(0.4, 0.4, 2.0, b=0.25, d=3.0, service=DET), 0),
+]
+
+
+@pytest.mark.parametrize("cfg,burn_in", ORACLE_CASES)
+def test_run_single_equals_per_draw_oracle(cfg, burn_in):
+    # 3,000 services draw about 6,000 exponentials: several 1,024-value refills
+    sim = SimConfig(queue=cfg, n_customers=3000, burn_in=burn_in, replications=2, seed=41)
+    for r in range(2):
+        assert run_single(sim, r) == run_single_by_events(sim, r)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_run_single_equals_oracle_across_refills(monkeypatch, chunk):
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    for cfg, _ in ORACLE_CASES[:2]:
+        sim = SimConfig(queue=cfg, n_customers=500, burn_in=0, replications=1, seed=43)
+        assert run_single(sim, 0) == run_single_by_events(sim, 0)
+
+
+class _LatticeRng:
+    """Unit "exponentials" from {0.5, 1, 1.5}: event times and credits tie exactly."""
+
+    def __init__(self, seed, rep_index):
+        self._ints = np.random.default_rng([seed, rep_index])
+
+    def _unit(self):
+        return 0.5 * float(self._ints.integers(1, 4))
+
+    def exponential(self, scale):
+        return scale * self._unit()
+
+    def standard_exponential(self, size):
+        return np.array([self._unit() for _ in range(size)])
+
+
+@pytest.mark.parametrize("b,d", [(1.0, 0.0), (0.5, 1.0), (0.0, 0.0)])
+@pytest.mark.parametrize("service", [EXP, DET])
+def test_run_single_equals_oracle_on_ties(monkeypatch, b, d, service):
+    # equal completion and arrival times, equal arrival times and equal
+    # credits all occur, so every tie-breaking rule is exercised
+    monkeypatch.setattr(simulate, "_rng_for", _LatticeRng)
+    monkeypatch.setattr(_oracles, "_rng_for", _LatticeRng)
+    sim = SimConfig(queue=QueueConfig(0.5, 0.25, 1.0, b=b, d=d, service=service),
+                    n_customers=2000, burn_in=0, replications=1, seed=59)
+    assert run_single(sim, 0) == run_single_by_events(sim, 0)
+
+
+def test_run_replicated_equals_oracle_records(monkeypatch):
+    sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0), n_customers=1000,
+                    burn_in=200, replications=4, seed=47)
+    fast = run_replicated(sim, GRID)
+    monkeypatch.setattr(simulate, "run_single", run_single_by_events)
+    slow = run_replicated(sim, GRID)
+    assert fast.means == slow.means and fast.mean_se == slow.mean_se
+    for cls in (1, 2):
+        assert np.array_equal(fast.curves[cls].values, slow.curves[cls].values)
+        assert np.array_equal(fast.curve_se[cls], slow.curve_se[cls])
+    assert fast.customers == slow.customers == 4 * 1200
+    assert fast.wall_s > 0.0
+
+
+def test_run_replicated_writes_raw_from_the_same_replications(tmp_path, monkeypatch):
+    sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0), n_customers=300,
+                    burn_in=50, replications=3, seed=53)
+    calls = []
+
+    def counted(sim_, r):
+        calls.append(r)
+        return run_single(sim_, r)
+
+    monkeypatch.setattr(simulate, "run_single", counted)
+    raw = tmp_path / "raw.csv"
+    with_raw = run_replicated(sim, GRID, raw_path=str(raw))
+    assert calls == [0, 1, 2]  # each replication simulated once
+    want = ["rep,class,arrival,wait"] + [
+        f"{r},{c},{a:.12g},{w:.12g}" for r in range(3) for c, a, w in run_single(sim, r)
+    ]
+    assert raw.read_text().splitlines() == want
+    plain = run_replicated(sim, GRID)
+    assert with_raw.means == plain.means and with_raw.mean_se == plain.mean_se
