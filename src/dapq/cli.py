@@ -41,7 +41,6 @@ from .core import (
     Kpi,
     MonotonicityViolation,
     NonConvergence,
-    NumericalInstability,
     OutOfRange,
     QueueConfig,
     RootBracketFailure,
@@ -61,7 +60,6 @@ _VALIDATION_ERRORS = (OutOfRange, UnstableSystem, InvalidDelay)
 _NUMERICAL_ERRORS = (
     AccuracyNotMet,
     TruncationOverflow,
-    NumericalInstability,
     NonConvergence,
     RootBracketFailure,
     MonotonicityViolation,

@@ -45,10 +45,6 @@ class RootBracketFailure(DapqError):
     """A bracketing root search could not locate a sign change."""
 
 
-class NumericalInstability(DapqError):
-    """A computation would lose all significant digits at the working precision."""
-
-
 class NonConvergence(DapqError):
     """An iterative scheme failed to converge within its iteration cap."""
 

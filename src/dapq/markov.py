@@ -25,7 +25,8 @@ it cannot be the ratio directly.  It is the pgf's dominant pole, which
 Truncations stop on absolute tail mass and raise ``TruncationOverflow``
 when the tolerance cannot be met: the M/D/1 head within ``max_states``
 terms, the Poisson jump sum within its horizon (the tail is the Poisson
-survival function, which stays accurate far below 1e-16), and the
+survival function of ``_poisson_table``, accurate to about 1e-15 relative
+down to 1e-300), and the
 busy-state head within ``max_states`` states.
 """
 
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .core import (
     DEFAULT_TOL,
@@ -189,30 +189,66 @@ def md1_stationary(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> Stationary
     return StationaryDist(probs=probs[: K + 1].copy(), tail_ratio=g, truncation_K=K)
 
 
-def stationary_for(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
-    """Queue-length pmf seen by an arrival, per the config's service kind."""
-    rates = validate(config)
-    if config.service is ServiceKind.EXPONENTIAL:
-        return mm1_stationary(rates.rho, tol)
-    return md1_stationary(rates.rho, tol)
-
-
 # --------------------------------------------------------------------------
 # uniformized busy-horizon state weights (exponential service)
 # --------------------------------------------------------------------------
 
-def _poisson_sf(k, m: float):
-    """P[N > k] for N ~ Poisson(m), elementwise over integer k.
+def _poisson_mode_pmf(m: float, k0: int) -> float:
+    """P[N = k0] for N ~ Poisson(m) at k0 = floor(m) >= 16, to a few ulps.
 
-    ``pdtrc`` returns NaN for k < 0, where the survival function is 1.
+    Loader's saddle-point form exp(-stirlerr(k0) - bd0(k0, m)) / sqrt(2 pi k0)
+    ("Fast and accurate computation of binomial probabilities", 2000): with
+    |k0 - m| < 1 both exponent terms are small and computed without
+    cancellation, where the log-space exp(k log m - m - log k!) would lose
+    about k log m ulps.
     """
-    k = np.asarray(k)
-    return np.where(k < 0, 1.0, pdtrc(np.maximum(k, 0), m))
+    nn = float(k0) * k0
+    stirlerr = (
+        1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn
+    ) / k0
+    # bd0 = k0 log(k0/m) + m - k0 by its series in v = (k0 - m)/(k0 + m), |v| < 1/32
+    v = (k0 - m) / (k0 + m)
+    bd0 = (k0 - m) * v
+    term = 2.0 * k0 * v
+    j = 1
+    while True:
+        term *= v * v
+        nxt = bd0 + term / (2 * j + 1)
+        if nxt == bd0:
+            break
+        bd0, j = nxt, j + 1
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * k0)
 
 
-def _poisson_pmf(k, m: float):
-    """P[N = k] for N ~ Poisson(m), elementwise over integer k >= 0, in log space."""
-    return np.exp(xlogy(k, m) - gammaln(k + 1) - m)
+def _poisson_table(m: float, hi: int) -> tuple:
+    """(pmf, sf) over k = 0..hi for N ~ Poisson(m): P[N = k] and P[N > k].
+
+    The pmf is one product chain out of the mode, by the ratios m/k upward
+    and k/m downward, started from exp(-m) at k = 0 when m < 16 and from
+    ``_poisson_mode_pmf`` otherwise.  Each step adds about one ulp of
+    rounding, so relative errors grow like the square root of the distance
+    from the mode: a tail probability of 1e-300 keeps about 15 digits,
+    where exp(k log m - m - log k!) keeps 11 to 13.  The survival function
+    sums the pmf from past the top of the table down, smallest terms first,
+    and the table runs 12 sqrt(m) + 40 terms past max(hi, m), so the mass
+    it omits is below 1e-30 of every returned tail.
+    """
+    k0 = int(m)
+    top = max(hi, k0) + int(12.0 * math.sqrt(m)) + 40
+    pmf = np.arange(top + 1, dtype=float)
+    if k0 < 16:
+        np.divide(m, pmf[1:], out=pmf[1:])
+        pmf[0] = math.exp(-m)
+        np.cumprod(pmf, out=pmf)
+    else:
+        # pmf[k] = pmf[k+1] (k+1)/m below the mode and pmf[k-1] m/k above it
+        down = pmf[1 : k0 + 1] / m
+        np.divide(m, pmf[k0 + 1 :], out=pmf[k0 + 1 :])
+        pmf[k0] = _poisson_mode_pmf(m, k0)
+        np.cumprod(pmf[k0:], out=pmf[k0:])
+        pmf[:k0] = pmf[k0] * np.cumprod(down[::-1])[::-1]
+    tail = np.cumsum(pmf[:0:-1])[::-1]  # tail[k] = P[N > k]
+    return pmf[: hi + 1], tail[: hi + 1]
 
 
 def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
@@ -220,14 +256,14 @@ def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
     if nu_d == 0.0:
         return np.array([1.0])
     hi = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
-    ks = np.arange(hi + 1)
-    meets = _poisson_sf(ks, nu_d) < eps  # sf[k] = P[N > k]
+    pmf, sf = _poisson_table(nu_d, hi)
+    meets = sf < eps  # sf[k] = P[N > k]
     if not meets[-1]:
         raise TruncationOverflow(
             f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {hi} jumps"
         )
     cut = int(np.argmax(meets))  # first index meeting the bound
-    return _poisson_pmf(ks[: cut + 1], nu_d)
+    return pmf[: cut + 1]
 
 
 def _chain_step(v: np.ndarray, p_up: float, q_down: float) -> np.ndarray:

@@ -3,13 +3,14 @@
 Everything here deliberately avoids the package's own recursions: chain
 products are explicit truncated matrix-vector iterations, the M/D/1 pmf
 comes from the departure-epoch chain recursion or the pgf expansion in
-extended precision, and the M/D/1 correction term is integrated one
-quadrature node at a time.  The busy-horizon weights are a full
-reachability-sized vector and the class-2 CDF is inverted one scalar
-contour evaluation at a time; these share only the Poisson jump cut and
-the Euler parameters with the package.  Poisson tails and pmfs come from
-``scipy.stats``, and the KPI searches evaluate each b from scratch.  The
-simulator makes one generator call per exponential draw.
+extended precision, and the M/D/1 correction is the j-series the closed
+form replaced, each term integrated one quadrature node at a time.  The
+busy-horizon weights are a full reachability-sized vector and the class-2
+CDF is inverted one scalar contour evaluation at a time; these share only
+the Poisson jump cut and the Euler parameters with the package.  Poisson
+tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
+and the KPI searches evaluate each b from scratch.  The simulator makes
+one generator call per exponential draw.
 """
 
 import cmath
@@ -33,7 +34,7 @@ from dapq.core import (
     validate,
 )
 from dapq.kpi import PolicyPoint, _bisect_largest, _bisect_smallest
-from dapq.markov import _poisson_horizon
+from dapq.markov import _poisson_horizon, md1_stationary
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
 from dapq.transforms import _euler_params, class2_cdf_dapq
@@ -108,12 +109,30 @@ def md1_pi_embedded(rho, n_max):
         return [float(x) for x in ps]
 
 
+def md1_probempty_by_factorials(ell, lam1):
+    """T[k-2, m-2] = (lam1 (m-1))^(m-k)/(m-k)! (k-1)/(m-1) for 2 <= k <= m <= ell.
+
+    The first-emptying coefficients without their exp(-lam1 (m-1)) factor,
+    as the j-series used them; they overflow once ell reaches about 150.
+    """
+    T = np.zeros((ell - 1, ell - 1))
+    for k in range(2, ell + 1):
+        for m in range(k, ell + 1):
+            T[k - 2, m - 2] = (
+                (lam1 * (m - 1)) ** (m - k) / math.factorial(m - k) * ((k - 1) / (m - 1))
+            )
+    return T
+
+
 def md1_correction_term_by_nodes(j, ell, lam1, pi, Tmat):
     """One j-term of the M/D/1 correction, one quadrature node at a time.
 
-    The scalar per-node loop that the vectorised
-    ``dapq.mean_wait._md1_correction_term`` replaced: a convolution with pi
-    and a first-emptying matrix-vector product per Gauss--Legendre node.
+    Integrates the wait-weighted joint density of the residual service,
+    the post-delay ahead count j and survival of the ahead-set over the
+    residual's support (0, 1), in mu = 1 units: a convolution with pi and
+    a first-emptying matrix-vector product per Gauss--Legendre node.  The
+    integrand, without exp(-lam1 d), is a polynomial of degree < j + ell,
+    so the rule is exact.  ``Tmat`` is ``md1_probempty_by_factorials``.
     """
     kmax = j + ell
     d = float(ell)
@@ -137,6 +156,35 @@ def md1_correction_term_by_nodes(j, ell, lam1, pi, Tmat):
         I0 += wq * val
         I1 += wq * rr * val
     return math.exp(-lam1 * d) * (I1 + (j - 1) * I0)
+
+
+def md1_correction_sum_by_series(ell, lam1, rho, tol=DEFAULT_TOL):
+    """The M/D/1 correction as the j-series over the post-delay ahead count.
+
+    Sums ``md1_correction_term_by_nodes`` over j >= 1 and stops on the
+    ratio test the library used before its closed form: once
+    term * q/(1-q) < eps_series/2, with q the observed ratio of
+    consecutive terms floored at the pmf's tail ratio and capped at 0.999.
+    There is no proven bound; at a tight eps_series it is a reference.
+    """
+    dist = md1_stationary(rho, tol)
+    g = dist.tail_ratio
+    pi = dist.pmf_array(ell + 64)
+    T = md1_probempty_by_factorials(ell, lam1) if ell >= 2 else None
+    total = 0.0
+    prev_term = math.inf
+    for j in range(1, tol.max_states + 1):
+        if j + ell + 1 > len(pi):
+            pi = dist.pmf_array(2 * (j + ell) + 8)
+        term = md1_correction_term_by_nodes(j, ell, lam1, pi, T)
+        total += term
+        if j >= ell + 4 and term < prev_term:
+            ratio = max(term / prev_term if prev_term > 0 else 0.0, g)
+            ratio = min(ratio, 0.999)
+            if term * ratio / (1.0 - ratio) < 0.5 * tol.eps_series:
+                return total
+        prev_term = term
+    raise TruncationOverflow(f"j-series exceeded max_states={tol.max_states}")
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +338,26 @@ def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
 # --------------------------------------------------------------------------
 # Poisson truncation: one scalar scipy.stats call per candidate
 # --------------------------------------------------------------------------
+
+
+def poisson_by_mpmath(m, k_max, dps=50):
+    """(pmf, sf) of Poisson(m) for k = 0..k_max, rounded from ``dps`` digits.
+
+    The pmf runs the recurrence pmf(k) = pmf(k-1) m/k from exp(-m), and the
+    survival function P[N > k] sums it downward from 40 sqrt(m) + 200 terms
+    past k_max, where the omitted mass is far below 1e-300 of every tail.
+    """
+    with mp.workdps(dps):
+        mm = mp.mpf(m)
+        top = k_max + int(40 * math.sqrt(m)) + 200
+        pmf = [mp.exp(-mm)]
+        for k in range(1, top + 1):
+            pmf.append(pmf[-1] * mm / k)
+        tail = [mp.mpf(0)] * (top + 2)
+        for k in range(top, -1, -1):
+            tail[k] = tail[k + 1] + pmf[k]
+        return (np.array([float(v) for v in pmf[: k_max + 1]]),
+                np.array([float(tail[k + 1]) for k in range(k_max + 1)]))
 
 
 def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):

@@ -115,13 +115,14 @@ def test_second_moment_consistency(lam1, lam2, service):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time and memory of a fresh process;
-    # the library takes its Poisson tails and pmfs from scipy.special
+    # numpy is the only runtime dependency: scipy.special alone was half the
+    # import time and memory of a fresh process
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dapq, dapq.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, dapq, dapq.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -210,10 +210,6 @@ def _outcome(search, cfg, kpi):
     u=st.floats(min_value=0.05, max_value=0.95),
 )
 def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b, w, u):
-    if det:
-        # the deterministic-service j-series alone takes about a minute at
-        # occupancy 0.99, and each oracle search evaluates it ~40 times
-        rho = min(rho, 0.8)
     service = ServiceKind.DETERMINISTIC if det else ServiceKind.EXPONENTIAL
     cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=b_mid, d=float(ell),
                       service=service)

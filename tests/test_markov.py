@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 import _oracles
-from _oracles import md1_pi_embedded, md1_pi_exact, survival_transition
+from _oracles import md1_pi_embedded, md1_pi_exact, poisson_by_mpmath, survival_transition
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
 from dapq.markov import (
-    _poisson_pmf,
-    _poisson_sf,
+    _poisson_table,
     busy_state_distribution,
     md1_stationary,
     md1_tail_ratio,
@@ -313,12 +312,23 @@ def test_md1_stationary_matches_pasta_simulation():
         assert abs(dist.pmf(i) - p_hat) < 3.0 * se
 
 
+def _worst_tail_error(values, exact, above):
+    # largest relative error over the tail points, where the cuts compare
+    return float(np.max(np.abs(values[above] - exact[above]) / exact[above]))
+
+
 @pytest.mark.parametrize("m", list(np.geomspace(1e-9, 2000.0, 25)) + [0.5, 6.3, 40.0])
 def test_poisson_helpers_equal_scipy_stats(m):
-    # pdtrc and the log-space pmf are what scipy.stats evaluates; the
-    # helpers add only the k < 0 survival value, where pdtrc returns NaN
-    ks = np.arange(-3, int(m + 12.0 * math.sqrt(m + 1.0) + 60.0))
-    assert np.array_equal(_poisson_sf(ks, m), poisson.sf(ks, m))
-    assert np.array_equal(_poisson_pmf(ks[3:], m), poisson.pmf(ks[3:], m))
-    for k in (-2, -1, 0, 1, int(m)):
-        assert float(_poisson_sf(k, m)) == float(poisson.sf(k, m))
+    # the helpers agree with scipy.stats.poisson to its own accuracy, and
+    # against a 50-digit oracle they are at least as accurate as scipy in
+    # the tails the Poisson cuts use: above the mean, values >= 1e-300
+    ks = np.arange(int(m + 12.0 * math.sqrt(m + 1.0) + 60.0))
+    pmf, sf = poisson_by_mpmath(m, int(ks[-1]))
+    ours_pmf, ours_sf = _poisson_table(m, int(ks[-1]))
+    np.testing.assert_allclose(ours_sf, poisson.sf(ks, m), rtol=1e-11, atol=1e-300)
+    np.testing.assert_allclose(ours_pmf, poisson.pmf(ks, m), rtol=1e-11, atol=1e-300)
+    for exact, ours, theirs in ((sf, ours_sf, poisson.sf(ks, m)),
+                                (pmf, ours_pmf, poisson.pmf(ks, m))):
+        above = (ks > m) & (exact >= 1e-300)
+        assert above.sum() >= 10
+        assert _worst_tail_error(ours, exact, above) <= _worst_tail_error(theirs, exact, above)

@@ -1,24 +1,31 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     correction_by_matrix,
-    md1_correction_term_by_nodes,
+    md1_correction_sum_by_series,
+    md1_probempty_by_factorials,
     poisson_ksum_cutoff_scalar,
     x_rows_by_matrix,
 )
 from dapq.core import (
+    DEFAULT_TOL,
     InvalidDelay,
     NoClass1,
     OutOfRange,
     QueueConfig,
     ServiceKind,
+    ToleranceConfig,
     TruncationOverflow,
     validate,
 )
-from dapq.markov import md1_stationary
 from dapq.mean_wait import (
-    _md1_correction_term,
+    _log_factorials,
+    _md1_correction_sum,
     _md1_probempty_matrix,
     _poisson_ksum_cutoff,
     dapq_means,
@@ -144,15 +151,80 @@ def test_md1_reference_values():
         assert got < npq_class2_mean(cfg)
 
 
-@pytest.mark.parametrize("ell", [1, 2, 8])
-@pytest.mark.parametrize("rho,lam1", [(0.8, 0.5), (0.9, 0.05)])
-def test_md1_correction_term_matches_per_node_loop(rho, lam1, ell):
-    pi = md1_stationary(rho).pmf_array(300)
-    T = _md1_probempty_matrix(ell, lam1) if ell >= 2 else None
-    for j in (1, 2, 3, 7, 20, 60, 140):
-        fast = _md1_correction_term(j, ell, lam1, pi, T)
-        slow = md1_correction_term_by_nodes(j, ell, lam1, pi, T)
-        assert fast == pytest.approx(slow, rel=1e-14, abs=0.0)
+@settings(max_examples=12, deadline=None)
+@given(
+    rho=st.floats(min_value=0.05, max_value=0.9),
+    share=st.floats(min_value=1e-9, max_value=1.0),
+    ell=st.integers(min_value=1, max_value=10),
+)
+def test_md1_closed_form_matches_series(rho, share, ell):
+    # the j-series it replaced, one quadrature node at a time, summed far
+    # past its default stopping point
+    tol = ToleranceConfig(eps_series=1e-15)
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=0.5, d=float(ell), service=DET)
+    rates = validate(cfg)
+    want = md1_correction_sum_by_series(ell, rates.rho1, rates.rho, tol)
+    got = _md1_correction_sum(cfg, rates, tol)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("ell", [2, 5, 20])
+@pytest.mark.parametrize("lam1", [0.05, 0.5, 0.9])
+def test_md1_probempty_matrix_folds_arrival_factor(lam1, ell):
+    ms = np.arange(1, ell + 1)
+    T = _md1_probempty_matrix(lam1, ms, _log_factorials(ell))
+    assert T[0, 0] == 1.0 and not T[0, 1:].any() and not T[1:, 0].any()
+    scaled = md1_probempty_by_factorials(ell, lam1) * np.exp(-lam1 * (ms[1:] - 1.0))
+    np.testing.assert_allclose(T[1:, 1:], scaled, rtol=1e-13, atol=0.0)
+
+
+def test_md1_probempty_matrix_bounded_at_long_delays():
+    # the unscaled coefficients overflow from about l = 150
+    ms = np.arange(1, 1001)
+    T = _md1_probempty_matrix(0.9, ms, _log_factorials(1000))
+    assert np.all(np.isfinite(T)) and T.min() >= 0.0 and T.max() <= 1.0
+
+
+@pytest.mark.parametrize("ell", [1, 8, 30])
+@pytest.mark.parametrize("share", [0.05, 0.5, 0.95])
+def test_md1_heavy_traffic(share, ell):
+    # at occupancy 0.99 the j-series needed about 80 s for one mean
+    cfg = QueueConfig(0.99 * share, 0.99 * (1.0 - share), 1.0, b=0.7, d=float(ell), service=DET)
+    rates = validate(cfg)
+    start = time.perf_counter()
+    mean = md1_dapq_class2_mean(cfg)
+    assert time.perf_counter() - start < 0.25
+    npq = npq_class2_mean(cfg)
+    assert fcfs_mean(cfg) <= mean <= npq * (1.0 + 1e-12)
+    coarse = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=32)
+    fine = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=64)
+    assert abs(coarse - fine) <= 1e-13 * max(1.0, fine)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.99])
+@pytest.mark.parametrize("share", [0.1, 0.9])
+def test_md1_long_delays_tend_to_npq(rho, share):
+    # l = d*mu from about 150 used to overflow the first-emptying coefficients
+    gaps = []
+    for ell in (150, 400, 1000):
+        cfg = QueueConfig(rho * share, rho * (1.0 - share), 1.0, b=1.0, d=float(ell), service=DET)
+        mean = md1_dapq_class2_mean(cfg)
+        npq = npq_class2_mean(cfg)
+        assert math.isfinite(mean)
+        assert fcfs_mean(cfg) <= mean <= npq * (1.0 + 1e-12)
+        gaps.append(npq - mean)
+    slack = 1e-12 * npq
+    assert gaps[0] + slack >= gaps[1] and gaps[1] + slack >= gaps[2]
+    assert gaps[2] <= 0.2 * gaps[0] + slack
+
+
+def test_md1_long_delay_above_state_cap_is_typed():
+    cfg = QueueConfig(0.45, 0.05, 1.0, b=1.0, d=200.0, service=DET)
+    assert md1_dapq_class2_mean(cfg) <= npq_class2_mean(cfg)
+    with pytest.raises(TruncationOverflow):
+        md1_dapq_class2_mean(cfg, ToleranceConfig(max_states=150))
+    with pytest.raises(TruncationOverflow):
+        md1_dapq_class2_mean(cfg.replace(d=7000.0))
 
 
 def test_md1_mu_rescaling():
