@@ -21,7 +21,7 @@ from .core import (
 from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_cdf, zexp_from_mean
 from .kpi import FeasibleRegion, PolicyPoint, b_star_class1, b_star_class2, feasible_region, policy_sweep
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio, mm1_stationary
-from .mean_wait import XTable, dapq_means, fcfs_mean, interpolated_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
+from .mean_wait import XTable, dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
 from .transforms import CdfCurve, Lst, class2_cdf_dapq, class2_tail_lst, eta_mm1, invert_to_cdf
 
@@ -57,7 +57,6 @@ __all__ = [
     "eta_mm1",
     "fcfs_mean",
     "feasible_region",
-    "interpolated_mean",
     "invert_to_cdf",
     "kpi_mean_threshold",
     "md1_dapq_class2_mean",

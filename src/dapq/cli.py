@@ -40,7 +40,6 @@ from .core import (
     InvalidDelay,
     Kpi,
     MonotonicityViolation,
-    NonConvergence,
     OutOfRange,
     QueueConfig,
     RootBracketFailure,
@@ -60,7 +59,6 @@ _VALIDATION_ERRORS = (OutOfRange, UnstableSystem, InvalidDelay)
 _NUMERICAL_ERRORS = (
     AccuracyNotMet,
     TruncationOverflow,
-    NonConvergence,
     RootBracketFailure,
     MonotonicityViolation,
 )
@@ -132,10 +130,11 @@ def _write_output(rows: List[List], header: List[str], args, manifest: dict) -> 
 
 def _manifest(
     subcommand: str, params: dict, tol: ToleranceConfig, t0: float,
-    inversion=None, simulation=None,
+    inversion=None, simulation=None, search=None,
 ) -> dict:
-    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics
-    and ``simulation`` a simulated run's customer count and wall time."""
+    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics,
+    ``simulation`` a simulated run's customer count and wall time, and
+    ``search`` how a KPI search was computed."""
     manifest = {
         "subcommand": subcommand,
         "parameters": params,
@@ -152,6 +151,8 @@ def _manifest(
         manifest["inversion"] = inversion
     if simulation is not None:
         manifest["simulation"] = simulation
+    if search is not None:
+        manifest["search"] = search
     return manifest
 
 
@@ -289,13 +290,16 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     params = {k: getattr(args, k) for k in
               ("cls", "w", "p", "lam1", "lam2", "mu", "d", "sweep_d",
                "region", "resolution", "out")}
-    manifest = lambda: _manifest("kpi", params, tol, t0)
+    manifest = lambda search: _manifest("kpi", params, tol, t0, search=search)
 
     if args.region:
         region = kpi_mod.feasible_region(target, mu=args.mu, resolution=args.resolution, tol=tol)
         rows = [["lower", l1, l2] for l1, l2 in region.lower_boundary]
         rows += [["upper", l1, l2] for l1, l2 in region.upper_boundary]
-        _write_output(rows, ["boundary", "lambda1", "lambda2"], args, manifest())
+        search = {"inversion_calls": region.inversion_calls,
+                  "rows_inverted": region.rows_inverted,
+                  "error_estimate": region.error_estimate}
+        _write_output(rows, ["boundary", "lambda1", "lambda2"], args, manifest(search))
         return EXIT_OK
 
     if args.lam1 is None or args.lam2 is None:
@@ -306,7 +310,8 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     rows = [
         [pt.d, pt.b_star, pt.mean_w1, pt.mean_w2, int(pt.feasible)] for pt in points
     ]
-    _write_output(rows, ["d", "b_star", "mean_w1", "mean_w2", "feasible"], args, manifest())
+    search = {"error_estimates": [pt.error_estimate for pt in points]}
+    _write_output(rows, ["d", "b_star", "mean_w1", "mean_w2", "feasible"], args, manifest(search))
     if not any(pt.feasible for pt in points):
         return EXIT_INFEASIBLE
     return EXIT_OK

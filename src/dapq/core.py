@@ -45,10 +45,6 @@ class RootBracketFailure(DapqError):
     """A bracketing root search could not locate a sign change."""
 
 
-class NonConvergence(DapqError):
-    """An iterative scheme failed to converge within its iteration cap."""
-
-
 class AccuracyNotMet(DapqError):
     """A numerical inversion could not certify the requested accuracy."""
 

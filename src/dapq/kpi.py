@@ -13,19 +13,31 @@ favorable extreme discipline (strict priority for class-2 targets, FCFS
 for class-1 targets) already complies, no tuning is needed; where even the
 unfavorable extreme fails, no tuning can help.  ``feasible_region`` traces
 both frontiers over arrival-rate pairs.
+
+Every search runs in lockstep over rows: the lambda1 values of a region,
+or the delays of a sweep (a single search is the one-row case).  Each
+probe is one batched inversion over the rows still searching
+(``transforms._invert_over_delay_rows``), and each row bisects its own
+bracket, so it sees the same midpoints and values as a search of that row
+alone.  The b-free parts of a sweep (busy weights, the mean's correction
+sum, the strict-priority F(d)) are computed once per delay.  Each row's
+inversions are gated on their own error bound; a row that fails retires
+and the others go on, and the search then raises the error of the first
+failed row, the one a row-by-row loop would have raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import approx, mean_wait, transforms
 from .core import (
     DEFAULT_TOL,
+    DapqError,
     Kpi,
     MonotonicityViolation,
     OutOfRange,
@@ -40,13 +52,20 @@ from .markov import busy_state_distribution
 
 @dataclass(frozen=True)
 class PolicyPoint:
-    """Result of one accumulation-rate search at a fixed delay."""
+    """Result of one accumulation-rate search at a fixed delay.
+
+    ``error_estimate`` is the largest certified inversion error (Euler
+    estimate plus exp(-A)) over the search's probes: 0 for a class-1
+    search, which inverts nothing.  It describes how the point was found
+    and takes no part in comparisons.
+    """
 
     d: float
     b_star: float
     mean_w1: float
     mean_w2: float
     feasible: bool
+    error_estimate: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -55,85 +74,337 @@ class FeasibleRegion:
 
     ``lower_boundary`` and ``upper_boundary`` are (lambda1, lambda2) arrays;
     between them the KPI is unmet by the favorable extreme discipline yet
-    met by the unfavorable one, so (d, b) tuning is nontrivial.
+    met by the unfavorable one, so (d, b) tuning is nontrivial.  A class-2
+    region also says how it was traced: ``inversion_calls`` batched
+    inversions over ``rows_inverted`` rows in all, with ``error_estimate``
+    the largest certified inversion error among them.
     """
 
     kpi: Kpi
     lower_boundary: np.ndarray
     upper_boundary: np.ndarray
+    inversion_calls: int = 0
+    rows_inverted: int = 0
+    error_estimate: float = 0.0
+
+
+# --------------------------------------------------------------------------
+# lockstep rows
+# --------------------------------------------------------------------------
+
+class _Rows:
+    """Outcome bookkeeping of a lockstep search over n rows.
+
+    A row that hits a DapqError keeps its first one and retires; the other
+    rows go on.  ``raise_first`` raises the error of the lowest failed row:
+    for a region the lowest lambda1, for a sweep the first delay in the
+    order given.  ``worst`` holds each row's largest certified inversion
+    error, ``calls`` and ``rows_inverted`` the batched inversions counted by
+    the probes that report them.
+    """
+
+    def __init__(self, n: int, tol: ToleranceConfig):
+        self.tol = tol
+        self.errors = {}
+        self.worst = np.zeros(n)
+        self.calls = 0
+        self.rows_inverted = 0
+
+    def fail(self, row, exc: DapqError) -> None:
+        self.errors.setdefault(int(row), exc)
+
+    def alive(self, rows) -> np.ndarray:
+        return np.array([r for r in rows if r not in self.errors], dtype=int)
+
+    def certify(self, rows: np.ndarray, raw: np.ndarray, worst: np.ndarray):
+        """Gate one batch of CDF values row by row, as ``transforms._certified_curve`` does.
+
+        ``worst`` is each row's largest Euler estimate; a row whose estimate
+        plus exp(-A) exceeds eps_invert, or is not a number, fails with
+        AccuracyNotMet.  Returns the values clipped to [0, 1] and the mask
+        of rows that passed.
+        """
+        error = worst + transforms._discretization_bound(self.tol)
+        ok = error <= self.tol.eps_invert
+        for r, e in zip(rows[~ok], error[~ok]):
+            self.fail(r, transforms._accuracy_not_met(e, self.tol))
+        self.worst[rows[ok]] = np.maximum(self.worst[rows[ok]], error[ok])
+        return np.clip(raw, 0.0, 1.0), ok
+
+    def raise_first(self) -> None:
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
+def _bisect_rows(probe, up, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: float):
+    """Bisect [lo[r], hi[r]] for every row r in ``rows`` in lockstep; returns (lo, hi).
+
+    ``probe(mid, rows)`` evaluates the active rows at their midpoints and
+    returns (values, ok), ``ok`` False for rows whose probe failed, which
+    retire; ``up(values, rows)`` is True where the crossing lies above mid,
+    so lo moves up, else hi moves down.  A row also retires once its own
+    width hi - lo is at most eps, so it sees exactly the midpoints of a
+    bisection of its own bracket.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    rows = rows[hi[rows] - lo[rows] > eps]
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        values, ok = probe(mid, rows)
+        rows, mid = rows[ok], mid[ok]
+        above = up(values[ok], rows)
+        lo[rows[above]] = mid[above]
+        hi[rows[~above]] = mid[~above]
+        rows = rows[hi[rows] - lo[rows] > eps]
+    return lo, hi
+
+
+_MONOTONE_RATES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _check_monotone(state: _Rows, rows, f0, f1, probe, slack, what: str) -> np.ndarray:
+    """Check each row's constraint for increase on five rates in [0, 1].
+
+    ``f0`` and ``f1`` are the known values at 0 and 1 (indexed by row),
+    ``probe(b, rows)`` returns (values, ok) at one rate and ``slack`` is a
+    float or one value per row.  A row that fails a probe or falls by more
+    than its slack fails; returns the rows that pass.
+    """
+    table = np.empty((len(f0), len(_MONOTONE_RATES)))
+    table[:, 0], table[:, -1] = f0, f1
+    for j, b in enumerate(_MONOTONE_RATES[1:-1], start=1):
+        values, ok = probe(b, rows)
+        rows = rows[ok]
+        table[rows, j] = values[ok]
+    slack = np.broadcast_to(slack, len(f0))[rows]
+    ok = np.all(np.diff(table[rows], axis=1) >= -slack[:, None], axis=1)
+    for r in rows[~ok]:
+        state.fail(r, MonotonicityViolation(
+            f"{what} is not monotone in b on {_MONOTONE_RATES}: "
+            f"{['%.8f' % v for v in table[r]]}"
+        ))
+    return rows[ok]
 
 
 # --------------------------------------------------------------------------
 # constraint evaluations
 # --------------------------------------------------------------------------
 
-def _class2_cdf_at_w(config: QueueConfig, w: float, tol: ToleranceConfig) -> float:
-    curve = transforms.class2_cdf_dapq(config, np.array([w]), tol)
-    return float(curve.values[0])
+class _Class2Rows:
+    """The class-2 CDF at the KPI's target wait for configs that differ only in d.
 
+    Per row it keeps the busy weights and the mean function, and the
+    strict-priority F(d): it is b-free, so it is inverted once, for all
+    rows together.  ``probe(b, rows)`` then costs one batched inversion of
+    the over-delay transforms.  Rows with w <= d have a b-free constraint,
+    F(w) under strict priority: ``free`` lists them and ``free_values``
+    holds their uncertified values, inverted with F(d) as the two points
+    of one row, as ``transforms._class2_cdf_from_weights`` inverts them.
+    """
 
-def _check_monotone(
-    f: Callable[[float], float],
-    f0: float,
-    f1: float,
-    increasing: bool,
-    slack: float,
-    what: str,
-) -> None:
-    """Check f on five rates in [0, 1]; f0 and f1 are the known values at 0 and 1."""
-    bs = [0.0, 0.25, 0.5, 0.75, 1.0]
-    vals = [f0] + [f(b) for b in bs[1:-1]] + [f1]
-    diffs = np.diff(vals)
-    ok = np.all(diffs >= -slack) if increasing else np.all(diffs <= slack)
-    if not ok:
-        raise MonotonicityViolation(
-            f"{what} is not monotone in b on {bs}: {['%.8f' % v for v in vals]}"
+    def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
+        tol = state.tol
+        n = len(configs)
+        self.state = state
+        self.means = [None] * n
+        weights = [None] * n
+        npq_weights = None
+        for r, cfg in enumerate(configs):
+            try:
+                base = cfg.replace(b=0.0)
+                validate(base)
+                if cfg.service is not ServiceKind.EXPONENTIAL:
+                    raise OutOfRange("class-2 CDF machinery requires exponential service")
+                if npq_weights is None:
+                    npq_weights = busy_state_distribution(base.replace(d=0.0), tol)
+                weights[r] = busy_state_distribution(base, tol)
+                self.means[r] = mean_wait.class2_mean_in_b(cfg, tol)
+            except DapqError as exc:
+                state.fail(r, exc)
+        live = state.alive(range(n))
+        self.w = kpi.target_w
+        self.ds = np.array([cfg.d for cfg in configs], dtype=float)
+        self.f_at_d = np.zeros(n)
+        self.fixed_est = np.zeros(n)  # each row's b-free Euler estimate
+        self.free = live[self.w <= self.ds[live]]
+        self.dep = live[self.w > self.ds[live]]
+        self.free_values = np.zeros(0)
+        if not live.size:
+            return
+        base = configs[live[0]].replace(b=0.0)
+        self.lambda1, self.mu = base.lambda1, base.mu
+        atom = 1.0 - validate(base).rho
+        self.f_at_d[:] = atom
+        npq_fn = transforms._shifted_tail_lst(base.replace(d=0.0), npq_weights).fn
+        delayed = self.dep[self.ds[self.dep] > 0]
+        if delayed.size:
+            vals, est = transforms._euler_invert(npq_fn, self.ds[delayed][:, None], tol)
+            self.f_at_d[delayed] = atom + vals[:, 0]
+            self.fixed_est[delayed] = est[:, 0]
+        if self.free.size:
+            ts = np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]])
+            vals, est = transforms._euler_invert(npq_fn, ts, tol)
+            self.free_values = atom + vals[:, 0]
+            self.fixed_est[self.free] = np.max(est, axis=1)
+        self.position = np.zeros(n, dtype=int)
+        self.position[self.dep] = np.arange(len(self.dep))
+        self.weights = transforms._StackedWeights.of([weights[r] for r in self.dep])
+
+    def probe(self, b, rows: np.ndarray):
+        """Certified F(w) at rate b (a float or one per row) for rows with w > d."""
+        if not rows.size:
+            return np.zeros(0), np.zeros(0, dtype=bool)
+        vals, est = transforms._invert_over_delay_rows(
+            (self.w - self.ds[rows])[:, None],
+            self.lambda1 * (1.0 - b),
+            self.mu,
+            self.weights.take(self.position[rows]),
+            self.state.tol,
         )
+        worst = np.maximum(self.fixed_est[rows], est[:, 0])
+        return self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
 
 
-def _bisect_smallest(f, p, lo, hi, eps):
-    """Smallest b in [lo,hi] with f(b) >= p, given f(lo) < p <= f(hi)."""
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= p:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _npq_meets(lam1: np.ndarray, lam2: np.ndarray, mu: float, kpi: Kpi,
+               state: _Rows, rows: np.ndarray):
+    """Whether strict priority meets a class-2 KPI at (lam1[i], lam2[i]) for each row.
 
-
-def _bisect_largest(f, m, lo, hi, eps):
-    """Largest b in [lo,hi] with f(b) <= m, given f(lo) <= m < f(hi)."""
-    while hi - lo > eps:
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= m:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    One batched inversion at the target wait, counted in ``state``.  With
+    b = d = 0 the busy weights are the bare geometric tail
+    (``_StackedWeights.geometric``).  Returns (meets, ok) per row.
+    """
+    if not rows.size:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
+    state.calls += 1
+    state.rows_inverted += len(rows)
+    rho = lam1 / mu + lam2 / mu
+    vals, est = transforms._invert_over_delay_rows(
+        np.full((len(rows), 1), kpi.target_w), lam1, mu,
+        transforms._StackedWeights.geometric(rho), state.tol,
+    )
+    values, ok = state.certify(rows, (1.0 - rho) + vals[:, 0], est[:, 0])
+    return values >= kpi.compliance_p, ok
 
 
 # --------------------------------------------------------------------------
 # optimal accumulation rates
 # --------------------------------------------------------------------------
 
-def _policy_point(
-    config: QueueConfig, b: float, feasible: bool, mean_w2: Callable[[float], float]
-) -> PolicyPoint:
-    """The search result at rate b, with both exact class means there.
+def _points(configs, outcome: dict, means, state: _Rows) -> list:
+    """Each row's PolicyPoint at its (b, feasible) outcome; raises the first failed row's error.
 
-    ``mean_w2`` is the class-2 mean as a function of b at the config's
-    delay (``mean_wait.class2_mean_in_b``); the class-1 mean follows from
+    ``means[r]`` is the row's class-2 mean as a function of b
+    (``mean_wait.class2_mean_in_b``); the class-1 mean follows from
     conservation, as in ``mean_wait.dapq_means``.
     """
-    w2 = mean_w2(b)
-    return PolicyPoint(
-        d=config.d,
-        b_star=b,
-        mean_w1=float(class1_mean_from_class2(config.replace(b=b), w2)),
-        mean_w2=float(w2),
-        feasible=feasible,
-    )
+    points = []
+    for r, cfg in enumerate(configs):
+        if r in state.errors:
+            continue
+        b, feasible = outcome[r]
+        try:
+            w2 = means[r](b)
+            w1 = class1_mean_from_class2(cfg.replace(b=b), w2)
+        except DapqError as exc:
+            state.fail(r, exc)
+            continue
+        points.append(PolicyPoint(d=cfg.d, b_star=b, mean_w1=float(w1), mean_w2=float(w2),
+                                  feasible=feasible, error_estimate=float(state.worst[r])))
+    state.raise_first()
+    return points
+
+
+def _b_star_class2_rows(
+    configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
+) -> list:
+    """``b_star_class2`` for configs that differ only in d, in lockstep."""
+    if kpi.class_index != 2:
+        raise OutOfRange("b_star_class2 requires a class-2 KPI")
+    n, p = len(configs), kpi.compliance_p
+    state = _Rows(n, tol)
+    rows = _Class2Rows(configs, kpi, state)
+    outcome = {}
+    values, ok = state.certify(rows.free, rows.free_values, rows.fixed_est[rows.free])
+    for r, v in zip(rows.free[ok], values[ok]):
+        outcome[r] = (0.0, True) if v >= p else (1.0, False)
+
+    f0, f1 = np.zeros(n), np.zeros(n)
+    live = rows.dep
+    for b, f in ((0.0, f0), (1.0, f1)):
+        if not live.size:
+            break
+        values, ok = rows.probe(b, live)
+        live, values = live[ok], values[ok]
+        f[live] = values
+        done = values >= p if b == 0.0 else values < p
+        for r in live[done]:
+            outcome[r] = (b, b == 0.0)
+        live = live[~done]
+
+    live = _check_monotone(state, live, f0, f1, rows.probe, 100 * tol.eps_invert,
+                           "class-2 compliance")
+    _, hi = _bisect_rows(rows.probe, lambda values, rr: values < p,
+                         live, np.zeros(n), np.ones(n), tol.eps_root)
+    for r in state.alive(live):
+        outcome[r] = (float(hi[r]), True)
+    return _points(configs, outcome, rows.means, state)
+
+
+def _b_star_class1_rows(
+    configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
+) -> list:
+    """``b_star_class1`` for configs that differ only in d, in lockstep.
+
+    A step prices every row's rate at once: the class-2 mean is
+    npq - g(b) num / den over the rows' b-free (num, den), and the class-1
+    mean follows by ``class1_mean_from_class2`` on the arrays, in the
+    operation order of the one-row mean.
+    """
+    if kpi.class_index != 1:
+        raise OutOfRange("b_star_class1 requires a class-1 KPI")
+    n = len(configs)
+    state = _Rows(n, tol)
+    means = [None] * n
+    threshold = np.zeros(n)
+    num, den = np.zeros(n), np.ones(n)
+    outcome = {}
+    live = []
+    for r, cfg in enumerate(configs):
+        try:
+            rates = validate(cfg.replace(b=0.0))
+            threshold[r] = approx.kpi_mean_threshold(rates.rho, kpi)
+            means[r] = mean_wait.class2_mean_in_b(cfg, tol)
+            if math.isinf(threshold[r]):  # approx.ALWAYS_SATISFIED
+                outcome[r] = (1.0, True)
+                continue
+            if class1_mean_from_class2(cfg.replace(b=0.0), means[r](0.0)) > threshold[r]:
+                outcome[r] = (0.0, False)
+                continue
+            num[r], den[r] = means[r].correction()
+            live.append(r)
+        except DapqError as exc:
+            state.fail(r, exc)
+    live = np.array(live, dtype=int)
+    if live.size:
+        base = configs[live[0]].replace(b=0.0)
+        npq = mean_wait.npq_class2_mean(base)
+
+        def mean1(b, rr):
+            w2 = npq - mean_wait._correction_prefactor(base, b) * num[rr] / den[rr]
+            return class1_mean_from_class2(base, w2), np.ones(len(rr), dtype=bool)
+
+        m0, m1 = np.full(n, class1_mean_from_class2(base, npq)), np.zeros(n)
+        m1[live] = mean1(1.0, live)[0]
+        done = m1[live] <= threshold[live]
+        for r in live[done]:
+            outcome[r] = (1.0, True)
+        live = _check_monotone(state, live[~done], m0, m1, mean1,
+                               1e-9 * np.maximum(1.0, threshold), "class-1 mean wait")
+        lo, _ = _bisect_rows(mean1, lambda values, rr: values <= threshold[rr],
+                             live, np.zeros(n), np.ones(n), tol.eps_root)
+        for r in live:
+            outcome[r] = (float(lo[r]), True)
+    return _points(configs, outcome, means, state)
 
 
 def b_star_class2(
@@ -143,37 +414,11 @@ def b_star_class2(
 
     The config's own ``b`` is ignored.  Returns b = 0 when strict priority
     already complies and an infeasible point when even b = 1 fails.  Both
-    busy-weight sets are b-free, so they are computed once and each step
-    of the search costs one inversion at the target wait.
+    busy-weight sets and the strict-priority F(d) are b-free, so they are
+    computed once and each step of the search costs one inversion at the
+    target wait.  This is the one-row case of ``policy_sweep``.
     """
-    if kpi.class_index != 2:
-        raise OutOfRange("b_star_class2 requires a class-2 KPI")
-    base = config.replace(b=0.0)
-    validate(base)
-    if config.service is not ServiceKind.EXPONENTIAL:
-        raise OutOfRange("class-2 CDF machinery requires exponential service")
-    w, p = kpi.target_w, kpi.compliance_p
-    target = np.array([w])
-    npq_weights = busy_state_distribution(base.replace(d=0.0), tol)
-    weights = busy_state_distribution(base, tol)
-    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
-
-    def constraint(b: float) -> float:
-        curve = transforms._class2_cdf_from_weights(
-            config.replace(b=b), target, npq_weights, weights, tol
-        )
-        return float(curve.values[0])
-
-    f0 = constraint(0.0)
-    if f0 >= p:
-        return _policy_point(config, 0.0, True, mean_w2)
-    f1 = constraint(1.0)
-    if f1 < p:
-        return _policy_point(config, 1.0, False, mean_w2)
-    _check_monotone(constraint, f0, f1, increasing=True, slack=100 * tol.eps_invert,
-                    what="class-2 compliance")
-    b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
-    return _policy_point(config, b, True, mean_w2)
+    return _b_star_class2_rows([config], kpi, tol)[0]
 
 
 def b_star_class1(
@@ -185,29 +430,9 @@ def b_star_class1(
     zero-inflated-exponential threshold, which makes the search exact given
     the approximation (and fast).  The mean's correction sum is b-free, so
     it is computed once and each step of the search costs a few float
-    operations.
+    operations.  This is the one-row case of ``policy_sweep``.
     """
-    if kpi.class_index != 1:
-        raise OutOfRange("b_star_class1 requires a class-1 KPI")
-    rates = validate(config.replace(b=0.0))
-    threshold = approx.kpi_mean_threshold(rates.rho, kpi)
-    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
-
-    def mean1(b: float) -> float:
-        return class1_mean_from_class2(config.replace(b=b), mean_w2(b))
-
-    if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
-        return _policy_point(config, 1.0, True, mean_w2)
-    m0 = mean1(0.0)
-    if m0 > threshold:
-        return _policy_point(config, 0.0, False, mean_w2)
-    m1 = mean1(1.0)
-    if m1 <= threshold:
-        return _policy_point(config, 1.0, True, mean_w2)
-    _check_monotone(mean1, m0, m1, increasing=True, slack=1e-9 * max(1.0, threshold),
-                    what="class-1 mean wait")
-    b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
-    return _policy_point(config, b, True, mean_w2)
+    return _b_star_class1_rows([config], kpi, tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +470,11 @@ def meets_extreme(
     discipline: str,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> bool:
-    """Whether FCFS or NPQ meets the KPI at the given rates (exact CDFs)."""
+    """Whether FCFS or NPQ meets the KPI at the given rates (exact CDFs).
+
+    A class-2 KPI under NPQ is the one-row case of ``feasible_region``'s
+    probe.
+    """
     rho = (lam1 + lam2) / mu
     if rho >= 1.0:
         return False
@@ -256,8 +485,11 @@ def meets_extreme(
         raise OutOfRange(f"unknown discipline {discipline!r}")
     if kpi.class_index == 1:
         return _npq1_cdf_at(rho, lam1, mu, w) >= p
-    cfg = QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu, b=0.0, d=0.0)
-    return _class2_cdf_at_w(cfg, w, tol) >= p
+    validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu))
+    state = _Rows(1, tol)
+    meets, _ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
+    state.raise_first()
+    return bool(meets[0])
 
 
 def in_tuning_region(
@@ -276,6 +508,10 @@ def in_tuning_region(
     )
 
 
+def _pairs(pairs: list) -> np.ndarray:
+    return np.array(pairs) if pairs else np.empty((0, 2))
+
+
 def feasible_region(
     kpi: Kpi,
     mu: float = 1.0,
@@ -287,44 +523,20 @@ def feasible_region(
     For each lambda1 on the grid the boundary lambda2 where the relevant
     extreme discipline exactly meets the KPI is found by bisection (class-2
     strict-priority boundary) or in closed form (pure-occupancy FCFS
-    boundary and the class-1 strict-priority boundary).
+    boundary and the class-1 strict-priority boundary).  The class-2
+    bisections run in lockstep over lambda1: each probe is one batched
+    inversion over the rows still searching.  When rows fail, the error of
+    the lowest lambda1 is raised.
     """
     if resolution <= 0:
         raise OutOfRange("resolution must be positive")
     w, p = kpi.target_w, kpi.compliance_p
     rho_fcfs = _fcfs_boundary_rho(kpi, mu, tol.eps_root)
-    # boundary probes stay below this occupancy; frontiers beyond it are
-    # clipped (the transform state space grows like log(eps)/log(rho))
-    rho_probe_cap = 0.995
     lam1s = np.arange(resolution, mu, resolution)
-    lower, upper = [], []
 
-    for lam1 in lam1s:
-        if kpi.class_index == 2:
-            # lower: strict priority exactly meets; CDF decreasing in lambda2.
-            # The crossing lies strictly below the FCFS frontier (NPQ treats
-            # class-2 worse), which keeps the probed occupancies moderate.
-            f = lambda lam2: meets_extreme(lam1, lam2, mu, kpi, "npq", tol)
-            hi_l2 = min(rho_probe_cap * mu, rho_fcfs * mu + 0.05 * mu) - lam1 - 1e-9
-            if hi_l2 <= 0:
-                continue
-            if not f(1e-9):
-                lower.append((lam1, 0.0))  # fails even with a trace of class-2 load
-            elif f(hi_l2):
-                lower.append((lam1, hi_l2))
-            else:
-                lo, hi = 1e-9, hi_l2
-                while hi - lo > 1e-4:
-                    mid = 0.5 * (lo + hi)
-                    if f(mid):
-                        lo = mid
-                    else:
-                        hi = mid
-                lower.append((lam1, 0.5 * (lo + hi)))
-            lam2_up = rho_fcfs * mu - lam1
-            if lam2_up > 0:
-                upper.append((lam1, lam2_up))
-        else:
+    if kpi.class_index == 1:
+        lower, upper = [], []
+        for lam1 in lam1s:
             lam2_lo = rho_fcfs * mu - lam1
             if lam2_lo > 0:
                 lower.append((lam1, lam2_lo))
@@ -333,10 +545,38 @@ def feasible_region(
             lam2_up = min(rho_up * mu - lam1, mu - lam1 - 1e-9)
             if lam2_up > 0:
                 upper.append((lam1, lam2_up))
+        return FeasibleRegion(kpi=kpi, lower_boundary=_pairs(lower), upper_boundary=_pairs(upper))
+
+    # lower: strict priority exactly meets; CDF decreasing in lambda2.  The
+    # crossing lies strictly below the FCFS frontier (NPQ treats class-2
+    # worse), which keeps the probed occupancies moderate; probes stay below
+    # the cap and frontiers beyond it are clipped (the transform state space
+    # grows like log(eps)/log(rho))
+    rho_probe_cap = 0.995
+    hi_l2 = min(rho_probe_cap * mu, rho_fcfs * mu + 0.05 * mu) - lam1s - 1e-9
+    lam1s, hi_l2 = lam1s[hi_l2 > 0], hi_l2[hi_l2 > 0]
+    n = len(lam1s)
+    state = _Rows(n, tol)
+    lower = np.zeros(n)  # fails even with a trace of class-2 load
+    rows = np.arange(n)
+    lo = np.full(n, 1e-9)
+    meets, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
+    rows = rows[ok & meets]
+    meets, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
+    lower[rows[ok & meets]] = hi_l2[rows[ok & meets]]
+    rows = rows[ok & ~meets]
+    lo, hi = _bisect_rows(lambda mid, rr: _npq_meets(lam1s[rr], mid, mu, kpi, state, rr),
+                          lambda meets, rr: meets, rows, lo, hi_l2, 1e-4)
+    rows = state.alive(rows)
+    lower[rows] = 0.5 * (lo[rows] + hi[rows])
+    state.raise_first()
     return FeasibleRegion(
         kpi=kpi,
-        lower_boundary=np.array(lower) if lower else np.empty((0, 2)),
-        upper_boundary=np.array(upper) if upper else np.empty((0, 2)),
+        lower_boundary=np.column_stack([lam1s, lower]),
+        upper_boundary=_pairs([(l1, l2) for l1, l2 in zip(lam1s, rho_fcfs * mu - lam1s) if l2 > 0]),
+        inversion_calls=state.calls,
+        rows_inverted=state.rows_inverted,
+        error_estimate=float(state.worst.max(initial=0.0)),
     )
 
 
@@ -352,18 +592,18 @@ def policy_sweep(
 ) -> list:
     """Optimal-b search across delay levels, with trend verification.
 
+    The searches of all delays run in lockstep (see the module notes); when
+    several fail, the error of the first delay in ``d_values`` is raised.
     For class-2 KPIs the class-1 mean must be nondecreasing along
     (d, b*(d)); for class-1 KPIs the class-2 mean must be constant (to
     1e-4) wherever b* is interior.  Violations raise MonotonicityViolation
     since downstream conclusions rest on these trends.
     """
-    points = []
-    for d in d_values:
-        cfg = config.replace(d=float(d))
-        if kpi.class_index == 2:
-            points.append(b_star_class2(cfg, kpi, tol))
-        else:
-            points.append(b_star_class1(cfg, kpi, tol))
+    configs = [config.replace(d=float(d)) for d in d_values]
+    if kpi.class_index == 2:
+        points = _b_star_class2_rows(configs, kpi, tol)
+    else:
+        points = _b_star_class1_rows(configs, kpi, tol)
     feas = [pt for pt in points if pt.feasible]
     if kpi.class_index == 2:
         w1s = [pt.mean_w1 for pt in feas]

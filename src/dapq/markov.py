@@ -319,7 +319,15 @@ def busy_state_distribution(
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
-    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
+    nu_d = rates.nu * config.d
+    # the cut n has P[N > n] < eps/2 < 1/2, so n is at least the Poisson
+    # median, which is at least nu d - ln 2: reject before building the table
+    if nu_d - 1.0 > tol.max_states:
+        raise TruncationOverflow(
+            f"busy-state head needs more than nu*d - 1 = {nu_d - 1.0:.6g} states "
+            f"but max_states={tol.max_states}"
+        )
+    pmf = _poisson_horizon(nu_d, 0.5 * tol.eps_series)
     n = len(pmf) - 1
     if n > tol.max_states:
         raise TruncationOverflow(

@@ -338,6 +338,63 @@ def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 # the class-2 mean as a function of b
 # --------------------------------------------------------------------------
 
+def _correction_quotient(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> tuple:
+    """The b-free part of the class-2 correction as a quotient (num, den).
+
+    The mean at rate b is npq - g(b) num / den with g = ``_correction_prefactor``:
+    num is the correction sum (the Poisson k-sum for exponential service, a
+    closed form for deterministic service) and den 1 or mu, which keeps the
+    operation order of each service kind's formula; a deterministic delay
+    below one service has the closed form rho / (2 mu (1 - rho)).
+    """
+    if config.service is ServiceKind.EXPONENTIAL:
+        return _mm1_correction_sum(config, rates, tol), 1.0
+    if round(config.d * config.mu) == 0:
+        return rates.rho, 2.0 * config.mu * (1.0 - rates.rho)
+    # the closed form works in mu = 1 units; the correction scales by 1/mu
+    return _md1_correction_sum(config, rates, tol), config.mu
+
+
+def _correction_prefactor(config: QueueConfig, b):
+    """g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for exponential service.
+
+    Elementwise in b, so a search prices many rates at once; the config's
+    own b is not used.
+    """
+    rho1 = config.lambda1 / config.mu
+    rho1_acc = config.lambda1 * (1.0 - b) / config.mu
+    if config.service is ServiceKind.EXPONENTIAL:
+        return rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
+    return rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
+
+
+class _MeanInB:
+    """b -> exact E[W2] at fixed rates and delay (see ``class2_mean_in_b``)."""
+
+    def __init__(self, config: QueueConfig, tol: ToleranceConfig):
+        self._config = config
+        self._tol = tol
+        self._quotient = None
+
+    def correction(self) -> tuple:
+        """The b-free (num, den) of ``_correction_quotient``, computed on first use."""
+        if self._quotient is None:
+            cfg = self._config.replace(b=0.0)
+            self._quotient = _correction_quotient(cfg, validate(cfg), self._tol)
+        return self._quotient
+
+    def __call__(self, b: float) -> float:
+        cfg = self._config.replace(b=b)
+        rates = validate(cfg)
+        npq = npq_class2_mean(cfg)
+        if b == 0.0 or rates.rho1 == 0.0:
+            return npq
+        if self._quotient is None:  # the rates are b-free where the quotient uses them
+            self._quotient = _correction_quotient(cfg, rates, self._tol)
+        num, den = self._quotient
+        return float(npq - _correction_prefactor(cfg, b) * num / den)
+
+
 def class2_mean_in_b(
     config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Callable[[float], float]:
@@ -349,35 +406,14 @@ def class2_mean_in_b(
     the first b that needs it and keeps it, so later calls cost a few float
     operations; each value equals the one-shot mean of
     ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is ignored.
+    Its ``correction()`` gives the kept sum, from which ``dapq.kpi`` prices
+    the rates of several delays at once with ``_correction_prefactor``.
     """
-    exponential = config.service is ServiceKind.EXPONENTIAL
-    correction_sum = None
-
-    def mean_w2(b: float) -> float:
-        nonlocal correction_sum
-        cfg = config.replace(b=b)
-        rates = validate(cfg)
-        npq = npq_class2_mean(cfg)
-        if b == 0.0 or rates.rho1 == 0.0:
-            return npq
-        if exponential:
-            if correction_sum is None:
-                correction_sum = _mm1_correction_sum(cfg, rates, tol)
-            factor = rates.rho1 * b / (cfg.mu * (1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
-            return float(npq - factor * correction_sum)
-        factor_dimless = rates.rho1 * b / ((1.0 - rates.rho1_acc) * (1.0 - rates.rho1))
-        if round(cfg.d * cfg.mu) == 0:
-            return npq - factor_dimless * rates.rho / (2.0 * cfg.mu * (1.0 - rates.rho))
-        if correction_sum is None:
-            correction_sum = _md1_correction_sum(cfg, rates, tol)
-        # the closed form works in mu = 1 units; the correction scales by 1/mu
-        return float(npq - factor_dimless * correction_sum / cfg.mu)
-
-    return mean_w2
+    return _MeanInB(config, tol)
 
 
 # --------------------------------------------------------------------------
-# dispatch and interpolation
+# dispatch
 # --------------------------------------------------------------------------
 
 def dapq_means(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> WaitSummary:
@@ -392,26 +428,3 @@ def dapq_means(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> WaitS
     return WaitSummary(
         mean_w1=float(mean_w1), mean_w2=float(mean_w2), conservation_residual=float(resid)
     )
-
-
-def interpolated_mean(
-    config: QueueConfig, scv: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> WaitSummary:
-    """Convex blend of the exponential and deterministic means.
-
-    ``scv`` is the squared coefficient of variation of the intended service
-    distribution; 1 recovers exponential, 0 deterministic.  An approximation
-    for intermediate service variability, not an exact result.
-    """
-    if not 0.0 <= scv <= 1.0:
-        raise OutOfRange(f"scv must lie in [0,1], got {scv}")
-    exp_s = dapq_means(config.replace(service=ServiceKind.EXPONENTIAL), tol)
-    det_s = dapq_means(config.replace(service=ServiceKind.DETERMINISTIC), tol)
-    rates = validate(config)
-    w1 = scv * exp_s.mean_w1 + (1.0 - scv) * det_s.mean_w1
-    w2 = scv * exp_s.mean_w2 + (1.0 - scv) * det_s.mean_w2
-    # rhs for a service law with E[S^2] = (1+scv)/mu^2
-    lam = config.lambda1 + config.lambda2
-    rhs = rates.rho / (1.0 - rates.rho) * lam * (1.0 + scv) / (2.0 * config.mu**2)
-    resid = abs(rates.rho1 * w1 + rates.rho2 * w2 - rhs)
-    return WaitSummary(mean_w1=w1, mean_w2=w2, conservation_residual=resid)

@@ -9,8 +9,10 @@ busy-horizon weights are a full reachability-sized vector and the class-2
 CDF is inverted one scalar contour evaluation at a time; these share only
 the Poisson jump cut and the Euler parameters with the package.  Poisson
 tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
-and the KPI searches evaluate each b from scratch.  The simulator makes
-one generator call per exponential draw.
+and the KPI searches evaluate each b from scratch.  The row-by-row KPI
+searches the lockstep ones replaced (one delay or one lambda1 at a time,
+one single-point inversion per probe) are kept as oracles too.  The
+simulator makes one generator call per exponential draw.
 """
 
 import cmath
@@ -23,21 +25,27 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from dapq import approx
+from dapq import approx, mean_wait, transforms
 from dapq.core import (
     DEFAULT_TOL,
+    DapqError,
     MonotonicityViolation,
-    NonConvergence,
     OutOfRange,
+    QueueConfig,
     ServiceKind,
     TruncationOverflow,
+    class1_mean_from_class2,
     validate,
 )
-from dapq.kpi import PolicyPoint, _bisect_largest, _bisect_smallest
-from dapq.markov import _poisson_horizon, md1_stationary
+from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho, _fcfs_cdf_at, _npq1_cdf_at
+from dapq.markov import _poisson_horizon, busy_state_distribution as dapq_busy_weights, md1_stationary
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
 from dapq.transforms import _euler_params, class2_cdf_dapq
+
+
+class NonConvergence(DapqError):
+    """An iterative scheme failed to converge within its iteration cap."""
 
 
 def x_rows_by_matrix(lam1, mu, rho, k_max, size=800):
@@ -468,6 +476,181 @@ def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
     _check_monotone_per_b(mean1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
     b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
     return _policy_point_per_b(config, b, True, tol)
+
+
+# --------------------------------------------------------------------------
+# KPI searches one row at a time: a single-point inversion per probe
+# --------------------------------------------------------------------------
+
+
+def _bisect_smallest(f, p, lo, hi, eps):
+    """Smallest b in [lo,hi] with f(b) >= p, given f(lo) < p <= f(hi)."""
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if f(mid) >= p:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _bisect_largest(f, m, lo, hi, eps):
+    """Largest b in [lo,hi] with f(b) <= m, given f(lo) <= m < f(hi)."""
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _check_monotone_known_ends(f, f0, f1, slack, what):
+    bs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    vals = [f0] + [f(b) for b in bs[1:-1]] + [f1]
+    if not np.all(np.diff(vals) >= -slack):
+        raise MonotonicityViolation(
+            f"{what} is not monotone in b on {bs}: {['%.8f' % v for v in vals]}"
+        )
+
+
+def _class2_cdf_at_w(config, w, tol):
+    return float(class2_cdf_dapq(config, np.array([w]), tol).values[0])
+
+
+def npq_meets_by_probe(lam1, lam2, mu, kpi, tol=DEFAULT_TOL):
+    """Whether strict priority meets a class-2 KPI, by one ``class2_cdf_dapq`` call."""
+    if (lam1 + lam2) / mu >= 1.0:
+        return False
+    cfg = QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu, b=0.0, d=0.0)
+    return _class2_cdf_at_w(cfg, kpi.target_w, tol) >= kpi.compliance_p
+
+
+def feasible_region_by_probes(kpi, mu=1.0, resolution=0.02, tol=DEFAULT_TOL):
+    """``dapq.kpi.feasible_region`` one lambda1 at a time, one inversion per probe."""
+    w, p = kpi.target_w, kpi.compliance_p
+    rho_fcfs = _fcfs_boundary_rho(kpi, mu, tol.eps_root)
+    rho_probe_cap = 0.995
+    lower, upper = [], []
+    for lam1 in np.arange(resolution, mu, resolution):
+        if kpi.class_index == 2:
+            f = lambda lam2: npq_meets_by_probe(lam1, lam2, mu, kpi, tol)
+            hi_l2 = min(rho_probe_cap * mu, rho_fcfs * mu + 0.05 * mu) - lam1 - 1e-9
+            if hi_l2 <= 0:
+                continue
+            if not f(1e-9):
+                lower.append((lam1, 0.0))
+            elif f(hi_l2):
+                lower.append((lam1, hi_l2))
+            else:
+                lo, hi = 1e-9, hi_l2
+                while hi - lo > 1e-4:
+                    mid = 0.5 * (lo + hi)
+                    if f(mid):
+                        lo = mid
+                    else:
+                        hi = mid
+                lower.append((lam1, 0.5 * (lo + hi)))
+            lam2_up = rho_fcfs * mu - lam1
+            if lam2_up > 0:
+                upper.append((lam1, lam2_up))
+        else:
+            lam2_lo = rho_fcfs * mu - lam1
+            if lam2_lo > 0:
+                lower.append((lam1, lam2_lo))
+            rho_up = (1.0 - p) * math.exp((mu - lam1) * w)
+            lam2_up = min(rho_up * mu - lam1, mu - lam1 - 1e-9)
+            if lam2_up > 0:
+                upper.append((lam1, lam2_up))
+    return FeasibleRegion(
+        kpi=kpi,
+        lower_boundary=np.array(lower) if lower else np.empty((0, 2)),
+        upper_boundary=np.array(upper) if upper else np.empty((0, 2)),
+    )
+
+
+def _policy_point_from_mean(config, b, feasible, mean_w2, error_estimate):
+    w2 = mean_w2(b)
+    return PolicyPoint(
+        d=config.d, b_star=b,
+        mean_w1=float(class1_mean_from_class2(config.replace(b=b), w2)),
+        mean_w2=float(w2), feasible=feasible, error_estimate=error_estimate,
+    )
+
+
+def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL):
+    """One delay's class-2 search: hoisted busy weights, one ``_class2_cdf_from_weights``
+    call (F(d) re-inverted) per probe; the point carries the worst certified error."""
+    base = config.replace(b=0.0)
+    validate(base)
+    if config.service is not ServiceKind.EXPONENTIAL:
+        raise OutOfRange("class-2 CDF machinery requires exponential service")
+    w, p = kpi.target_w, kpi.compliance_p
+    npq_weights = dapq_busy_weights(base.replace(d=0.0), tol)
+    weights = dapq_busy_weights(base, tol)
+    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
+    worst = 0.0
+
+    def constraint(b):
+        nonlocal worst
+        curve = transforms._class2_cdf_from_weights(
+            config.replace(b=b), np.array([w]), npq_weights, weights, tol)
+        worst = max(worst, curve.error_estimate)
+        return float(curve.values[0])
+
+    f0 = constraint(0.0)
+    if f0 >= p:
+        return _policy_point_from_mean(config, 0.0, True, mean_w2, worst)
+    f1 = constraint(1.0)
+    if f1 < p:
+        return _policy_point_from_mean(config, 1.0, False, mean_w2, worst)
+    _check_monotone_known_ends(constraint, f0, f1, 100 * tol.eps_invert, "class-2 compliance")
+    b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
+    return _policy_point_from_mean(config, b, True, mean_w2, worst)
+
+
+def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL):
+    """One delay's class-1 search, a scalar class-1 mean (replace and validate) per step."""
+    rates = validate(config.replace(b=0.0))
+    threshold = approx.kpi_mean_threshold(rates.rho, kpi)
+    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
+
+    def mean1(b):
+        return class1_mean_from_class2(config.replace(b=b), mean_w2(b))
+
+    if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
+        return _policy_point_from_mean(config, 1.0, True, mean_w2, 0.0)
+    m0 = mean1(0.0)
+    if m0 > threshold:
+        return _policy_point_from_mean(config, 0.0, False, mean_w2, 0.0)
+    m1 = mean1(1.0)
+    if m1 <= threshold:
+        return _policy_point_from_mean(config, 1.0, True, mean_w2, 0.0)
+    _check_monotone_known_ends(mean1, m0, m1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
+    b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
+    return _policy_point_from_mean(config, b, True, mean_w2, 0.0)
+
+
+def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL):
+    """``dapq.kpi.policy_sweep`` one delay after another, with the same trend checks."""
+    search = b_star_class2_by_probes if kpi.class_index == 2 else b_star_class1_by_steps
+    points = [search(config.replace(d=float(d)), kpi, tol) for d in d_values]
+    feas = [pt for pt in points if pt.feasible]
+    if kpi.class_index == 2:
+        w1s = [pt.mean_w1 for pt in feas]
+        if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
+            raise MonotonicityViolation(
+                f"class-1 mean not nondecreasing along the sweep: {w1s}"
+            )
+    else:
+        interior = [pt for pt in feas if 0.0 < pt.b_star < 1.0]
+        if interior:
+            w2s = [pt.mean_w2 for pt in interior]
+            if max(w2s) - min(w2s) > 1e-4:
+                raise MonotonicityViolation(
+                    f"class-2 mean not constant along the sweep: {w2s}"
+                )
+    return points
 
 
 # --------------------------------------------------------------------------

@@ -265,3 +265,28 @@ def test_cdf_manifest_records_inversion_diagnostics(tmp_path):
     manifest = json.loads((tmp_path / "cdf.csv.manifest.json").read_text())
     assert 0.0 < manifest["inversion"]["error_estimate"] <= 1e-8
     assert manifest["inversion"]["head_states"] > 0
+
+
+def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
+    out = tmp_path / "region.csv"
+    code = main(["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--region",
+                 "--resolution", "0.05", "--out", str(out)])
+    assert code == EXIT_OK
+    search = json.loads((tmp_path / "region.csv.manifest.json").read_text())["search"]
+    assert 0 < search["inversion_calls"] <= 20
+    assert search["rows_inverted"] >= search["inversion_calls"]
+    assert 0.0 < search["error_estimate"] <= 1e-8
+
+    for cls, w, p, lam1, lam2, inverted in ((2, "4", "0.85", "0.4", "0.18", True),
+                                            (1, "2", "0.9", "0.05", "0.6", False)):
+        out = tmp_path / f"sweep{cls}.csv"
+        code = main(["kpi", "--class", str(cls), "--w", w, "--p", p, "--lam1", lam1,
+                     "--lam2", lam2, "--sweep-d", "0:3", "--out", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / f"sweep{cls}.csv.manifest.json").read_text())
+        estimates = manifest["search"]["error_estimates"]
+        assert len(estimates) == 4 and "duration_s" in manifest
+        if inverted:
+            assert all(0.0 < e <= 1e-8 for e in estimates)
+        else:
+            assert estimates == [0.0] * 4

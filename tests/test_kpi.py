@@ -4,9 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import b_star_class1_per_b, b_star_class2_per_b, class1_mean_per_b, class2_cdf_per_b
+from _oracles import (
+    b_star_class1_per_b,
+    b_star_class2_per_b,
+    class1_mean_per_b,
+    class2_cdf_per_b,
+    feasible_region_by_probes,
+    npq_meets_by_probe,
+    policy_sweep_by_delay,
+)
+from dapq import kpi, transforms
 from dapq.approx import kpi_mean_threshold
-from dapq.core import DEFAULT_TOL, DapqError, Kpi, OutOfRange, QueueConfig, ServiceKind
+from dapq.core import (
+    DEFAULT_TOL,
+    AccuracyNotMet,
+    DapqError,
+    Kpi,
+    OutOfRange,
+    QueueConfig,
+    ServiceKind,
+    ToleranceConfig,
+)
 from dapq.kpi import (
     b_star_class1,
     b_star_class2,
@@ -243,3 +261,220 @@ def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b
     if 0.0 < p2 < 1.0:
         kpi2 = Kpi(w, p2, 2)
         assert _outcome(b_star_class2, cfg, kpi2) == _outcome(b_star_class2_per_b, cfg, kpi2)
+
+
+# --------------------------------------------------------------------------
+# lockstep searches against the row-by-row oracles
+# --------------------------------------------------------------------------
+
+REGION_KPIS = (KPI2, Kpi(2.0, 0.8, 2), Kpi(6.0, 0.95, 2), Kpi(1.0, 0.6, 2),
+               Kpi(3.0, 0.9, 2), KPI1)
+
+
+@pytest.mark.parametrize("resolution", [0.02, 0.05, 0.013])
+@pytest.mark.parametrize("target", REGION_KPIS)
+def test_lockstep_region_equals_probe_by_probe_region(target, resolution):
+    got = feasible_region(target, resolution=resolution)
+    want = feasible_region_by_probes(target, resolution=resolution)
+    assert np.array_equal(got.lower_boundary, want.lower_boundary)
+    assert np.array_equal(got.upper_boundary, want.upper_boundary)
+
+
+@pytest.mark.parametrize("mu,tol", [
+    (2.0, DEFAULT_TOL),
+    (1.0, ToleranceConfig(eps_series=1e-12, eps_root=1e-12, eps_invert=1e-10)),
+    (0.5, ToleranceConfig(eps_invert=1e-6)),
+])
+def test_lockstep_region_equals_oracle_at_other_rates_and_tolerances(mu, tol):
+    for target in (KPI2, Kpi(2.0, 0.8, 2)):
+        got = feasible_region(target, mu=mu, resolution=0.04 * mu, tol=tol)
+        want = feasible_region_by_probes(target, mu=mu, resolution=0.04 * mu, tol=tol)
+        assert np.array_equal(got.lower_boundary, want.lower_boundary)
+        assert np.array_equal(got.upper_boundary, want.upper_boundary)
+        assert 0.0 < got.error_estimate <= tol.eps_invert
+
+
+def test_meets_extreme_npq_is_the_one_row_region_probe():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        lam1, lam2 = rng.uniform(0.01, 0.6, size=2)
+        target = Kpi(rng.uniform(0.5, 6.0), rng.uniform(0.3, 0.97), 2)
+        assert meets_extreme(lam1, lam2, 1.0, target, "npq") == npq_meets_by_probe(
+            lam1, lam2, 1.0, target)
+
+
+def _sweep_outcome(search, cfg, target, ds):
+    """A sweep's points with their error estimates, or the type and text of its error."""
+    try:
+        points = search(cfg, target, ds)
+    except DapqError as exc:
+        return type(exc), str(exc)
+    return points, [pt.error_estimate for pt in points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(min_value=0.3, max_value=0.92),
+    share=st.floats(min_value=0.1, max_value=0.9),
+    cls=st.sampled_from([1, 2]),
+    det=st.booleans(),
+    w=st.floats(min_value=0.3, max_value=6.0),
+    ks=st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=6, unique=True),
+    anchor=st.integers(min_value=0, max_value=5),
+    b_mid=st.floats(min_value=0.05, max_value=0.95),
+    u=st.one_of(st.none(), st.floats(min_value=0.02, max_value=0.98)),
+)
+def test_lockstep_sweep_equals_delay_by_delay_sweep(rho, share, cls, det, w, ks, anchor, b_mid,
+                                                    u):
+    # delays at multiples of w/4, so a class-2 sweep can hold rows with
+    # d >= w, where the constraint is b-free; the target is met exactly at
+    # b_mid at one anchor delay (d < w when there is one), which puts an
+    # interior b* among b* = 0, b* = 1, infeasible and b-free rows, or it is
+    # drawn freely when u is given
+    service = ServiceKind.DETERMINISTIC if det and cls == 1 else ServiceKind.EXPONENTIAL
+    if service is ServiceKind.DETERMINISTIC:
+        d_values = sorted(float(k) for k in ks)
+    else:
+        d_values = sorted(w * k / 4 for k in ks)
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, service=service)
+    below_w = [d for d in d_values if d < w] or d_values
+    d_anchor = below_w[anchor % len(below_w)]
+    if cls == 2:
+        p = u if u is not None else class2_cdf_per_b(cfg.replace(d=d_anchor), w)(b_mid)
+        if not 0.0 < p < 1.0:
+            return
+        target = Kpi(w, p, 2)
+    elif u is not None:
+        target = Kpi(w, u, 1)
+    else:
+        p1 = 1.0 - 0.5 * rho
+        mean1 = class1_mean_per_b(cfg.replace(d=d_anchor))(b_mid)
+        target = Kpi(mean1 * math.log(rho / (1.0 - p1)) / rho, p1, 1)
+    got = _sweep_outcome(policy_sweep, cfg, target, d_values)
+    assert got == _sweep_outcome(policy_sweep_by_delay, cfg, target, d_values)
+
+
+def test_sweep_mixes_every_class2_outcome():
+    # one sweep with an interior b*, an infeasible delay and a b-free delay
+    # (d >= w); and one where strict priority complies at every delay
+    cfg = QueueConfig(0.4, 0.18, 1.0)
+    ds = [0.0, 1.0, 3.0, 4.0, 6.0]
+    points = policy_sweep(cfg, KPI2, ds)
+    assert points == policy_sweep_by_delay(cfg, KPI2, ds)
+    assert 0.0 < points[0].b_star < 1.0 and not points[-1].feasible
+    assert [pt.b_star for pt in policy_sweep(cfg, Kpi(4.0, 0.5, 2), ds)] == [0.0] * len(ds)
+
+
+def test_sweep_mixes_every_class1_outcome():
+    ds = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
+    outcomes = []
+    for cfg, target in ((QueueConfig(0.05, 0.6, 1.0), Kpi(2.5, 0.9, 1)),
+                        (QueueConfig(0.1, 0.6, 1.0), KPI1),
+                        (QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1))):
+        points = policy_sweep(cfg, target, ds)
+        assert points == policy_sweep_by_delay(cfg, target, ds)
+        outcomes.append(points)
+    interior, npq_fails, atom_complies = outcomes
+    # interior b* until b = 1 meets the threshold at long delays
+    assert 0.0 < interior[0].b_star < 1.0 and interior[-1].b_star == 1.0
+    assert all(pt.feasible for pt in interior)
+    # even strict priority fails; the zero-wait atom alone complies
+    assert {(pt.b_star, pt.feasible) for pt in npq_fails} == {(0.0, False)}
+    assert {(pt.b_star, pt.feasible) for pt in atom_complies} == {(1.0, True)}
+
+
+@pytest.mark.parametrize("lam", [(0.4, 0.18), (0.2, 0.5), (0.6, 0.3)])
+def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
+    # delays with mixed head lengths (d = 0 has none), each row at its own b
+    cfg = QueueConfig(lam[0], lam[1], 1.0)
+    w = 3.0
+    configs = [cfg.replace(d=d) for d in (2.5, 0.0, 7.0, 1.0, 3.0, 0.5, 4.5)]
+    state = kpi._Rows(len(configs), DEFAULT_TOL)
+    rows = kpi._Class2Rows(configs, Kpi(w, 0.9, 2), state)
+    assert len(set(rows.weights.lengths)) > 2
+
+    def one_row(c, b):
+        npq = busy_state_distribution(c.replace(d=0.0))
+        return _class2_cdf_from_weights(c.replace(b=b), np.array([w]), npq,
+                                        busy_state_distribution(c), DEFAULT_TOL)
+
+    bs = np.linspace(0.0, 1.0, len(rows.dep))
+    values, ok = rows.probe(bs, rows.dep)
+    assert ok.all()
+    for r, b, v in zip(rows.dep, bs, values):
+        curve = one_row(configs[r], b)
+        assert v == curve.values[0] and state.worst[r] == curve.error_estimate
+    values, ok = state.certify(rows.free, rows.free_values, rows.fixed_est[rows.free])
+    assert ok.all() and len(rows.free) == 3
+    for r, v in zip(rows.free, values):
+        curve = one_row(configs[r], 0.3)
+        assert v == curve.values[0] and state.worst[r] == curve.error_estimate
+
+
+def test_geometric_rows_are_the_zero_delay_busy_weights():
+    weights = [busy_state_distribution(QueueConfig(0.3 * x, 0.7 * x, 1.0))
+               for x in np.random.default_rng(2).uniform(1e-6, 0.999, 200)]
+    stacked = transforms._StackedWeights.geometric([w.rho for w in weights])
+    assert all(len(w) == 0 for w in weights)
+    assert np.array_equal(stacked.tail_next[:, 0, 0], [w.tail_next for w in weights])
+
+
+def test_too_tight_eps_invert_fails_a_batch():
+    tol = ToleranceConfig(eps_invert=1e-15)
+    cfg = QueueConfig(0.4, 0.18, 1.0)
+    with pytest.raises(AccuracyNotMet):
+        feasible_region(KPI2, resolution=0.05, tol=tol)
+    with pytest.raises(AccuracyNotMet):
+        policy_sweep(cfg, KPI2, [0.0, 1.0, 2.0], tol)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatch):
+    cfg = QueueConfig(0.4, 0.18, 1.0)
+    spoiled = busy_state_distribution(cfg.replace(d=2.0)).tail_next
+    horner = transforms._horner
+
+    def nan_row(e, rho, tail_next, steps, begun=None):
+        out = horner(e, rho, tail_next, steps, begun)
+        return np.where(np.asarray(tail_next) == spoiled, np.nan, out)
+
+    monkeypatch.setattr(transforms, "_horner", nan_row)
+    for ds, error in (([0.0, 1.0, 2.0, 3.0, -1.0], AccuracyNotMet),
+                      ([0.0, -1.0, 2.0, -3.0], OutOfRange)):
+        got = _sweep_outcome(policy_sweep, cfg, KPI2, ds)
+        assert got == _sweep_outcome(policy_sweep_by_delay, cfg, KPI2, ds)
+        assert got[0] is error
+    assert "nan" in _sweep_outcome(policy_sweep, cfg, KPI2, [0.0, 2.0])[1]
+
+    # a region row whose every probe is NaN: the lowest such lambda1 is raised
+    lam1s = np.arange(0.05, 1.0, 0.05)
+    eta = transforms.eta_mm1
+    monkeypatch.setattr(transforms, "_horner", horner)
+    monkeypatch.setattr(transforms, "eta_mm1", lambda s, rate, mu: np.where(
+        np.isin(rate, lam1s[[4, 2]]), np.nan, eta(s, rate, mu)))
+    with pytest.raises(AccuracyNotMet, match="nan"):
+        feasible_region(KPI2, resolution=0.05)
+    with pytest.raises(AccuracyNotMet, match="nan"):
+        feasible_region_by_probes(KPI2, resolution=0.05)
+
+
+def _count_inversions(monkeypatch):
+    calls = []
+    invert = transforms._euler_invert
+
+    def counted(fn, ts, tol):
+        calls.append(np.shape(ts))
+        return invert(fn, ts, tol)
+
+    monkeypatch.setattr(transforms, "_euler_invert", counted)
+    return calls
+
+
+def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    region = feasible_region(Kpi(4.0, 0.85, 2), resolution=0.02)
+    assert len(calls) == region.inversion_calls <= 20
+    assert region.rows_inverted == sum(shape[0] for shape in calls)
+    calls.clear()
+    policy_sweep(QueueConfig(0.4, 0.18, 1.0), KPI2, [float(d) for d in range(9)])
+    assert len(calls) <= 50

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +282,29 @@ def test_busy_state_head_overflow_raises():
     with pytest.raises(TruncationOverflow):
         busy_state_distribution(cfg, ToleranceConfig(max_states=n - 1))
     assert len(busy_state_distribution(cfg, ToleranceConfig(max_states=n))) == n
+
+
+def test_busy_state_head_overflow_is_rejected_before_the_poisson_table():
+    # nu*d = 1.5e6: the head cannot fit max_states, and the check comes
+    # before any array of about nu*d entries is built
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1e6, service=EXP)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    with pytest.raises(TruncationOverflow):
+        busy_state_distribution(cfg)
+    elapsed = time.perf_counter() - t0
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert elapsed < 0.010
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("lam1", [0.05, 0.5, 0.9])
+def test_busy_state_head_is_at_least_the_early_bound(lam1):
+    # the early rejection rests on n >= nu*d - ln 2 for the Poisson cut n
+    for d in np.geomspace(1e-3, 2000.0, 40):
+        cfg = QueueConfig(lam1, 0.05, 1.0, b=0.5, d=float(d), service=EXP)
+        assert len(busy_state_distribution(cfg)) >= (1.0 + lam1) * d - math.log(2.0)
 
 
 def test_md1_stationary_matches_pasta_simulation():

@@ -30,7 +30,6 @@ from dapq.mean_wait import (
     _poisson_ksum_cutoff,
     dapq_means,
     fcfs_mean,
-    interpolated_mean,
     md1_dapq_class2_mean,
     mm1_dapq_class2_mean,
     npq_class2_mean,
@@ -304,22 +303,6 @@ def test_md1_below_mm1_at_equal_parameters():
             det_cfg = QueueConfig(0.5, 0.3, 1.0, b=b, d=d, service=DET)
             assert dapq_means(det_cfg).mean_w2 <= dapq_means(exp_cfg).mean_w2 + 1e-12
             assert dapq_means(det_cfg).mean_w1 <= dapq_means(exp_cfg).mean_w1 + 1e-12
-
-
-def test_interpolated_mean_endpoints_and_midpoint():
-    cfg = QueueConfig(0.5, 0.3, 1.0, b=1.0, d=0.0, service=EXP)
-    exp_s = dapq_means(cfg.replace(service=EXP))
-    det_s = dapq_means(cfg.replace(service=DET))
-    assert interpolated_mean(cfg, 1.0).mean_w2 == pytest.approx(exp_s.mean_w2, abs=1e-12)
-    assert interpolated_mean(cfg, 0.0).mean_w2 == pytest.approx(det_s.mean_w2, abs=1e-12)
-    mid = interpolated_mean(cfg, 0.5)
-    assert mid.mean_w2 == pytest.approx(0.5 * (exp_s.mean_w2 + det_s.mean_w2), abs=1e-12)
-    assert mid.conservation_residual < 1e-10
-
-
-def test_interpolated_mean_requires_valid_det_delay():
-    with pytest.raises(InvalidDelay):
-        interpolated_mean(QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.5, service=EXP), 0.5)
 
 
 @pytest.mark.parametrize("eps", [1e-17, 1e-12, 5e-11, 1e-8, 1e-6])
