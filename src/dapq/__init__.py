@@ -20,10 +20,10 @@ from .core import (
 )
 from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_cdf, zexp_from_mean
 from .kpi import FeasibleRegion, PolicyPoint, b_star_class1, b_star_class2, feasible_region, policy_sweep
-from .markov import StationaryDist, md1_stationary, md1_tail_ratio, mm1_stationary
+from .markov import StationaryDist, md1_stationary, md1_tail_ratio
 from .mean_wait import XTable, dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
-from .transforms import CdfCurve, Lst, class2_cdf_dapq, class2_tail_lst, eta_mm1, invert_to_cdf
+from .transforms import CdfCurve, Lst, class2_cdf_dapq, eta_mm1, invert_to_cdf
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,6 @@ __all__ = [
     "cdf_sup_diff",
     "class1_mean_from_class2",
     "class2_cdf_dapq",
-    "class2_tail_lst",
     "conservation_rhs",
     "dapq_means",
     "eta_mm1",
@@ -63,7 +62,6 @@ __all__ = [
     "md1_stationary",
     "md1_tail_ratio",
     "mm1_dapq_class2_mean",
-    "mm1_stationary",
     "npq_class2_mean",
     "policy_sweep",
     "run_replicated",

@@ -23,7 +23,7 @@ DAPQ_EPS_SERIES, DAPQ_EPS_ROOT, DAPQ_EPS_INVERT, and DAPQ_MAX_STATES.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import math
 import os
@@ -64,12 +64,6 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _tol_from_env() -> ToleranceConfig:
     kwargs = {}
     for env, field, conv in (
@@ -108,12 +102,22 @@ def _service(text: str) -> ServiceKind:
     return ServiceKind(text)
 
 
-def _write_output(rows: List[List], header: List[str], args, manifest: dict) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    payload = buf.getvalue()
+def _csv_cells(column) -> list:
+    """One column as CSV cells: floats (``np.float64`` included) with 12
+    significant digits, anything else through ``str``."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [format(v, ".12g") if isinstance(v, float) else str(v) for v in values]
+
+
+def _csv_text(header: List[str], columns: list) -> str:
+    """CSV text of ``header`` and one line per row of the equal-length ``columns``."""
+    lines = [",".join(header)]
+    lines += map(",".join, zip(*map(_csv_cells, columns)))
+    return "\n".join(lines) + "\n"
+
+
+def _write_output(header: List[str], columns: list, args, manifest: dict) -> None:
+    payload = _csv_text(header, columns)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", newline="") as fh:
@@ -169,20 +173,21 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     service = _service(args.service)
     bs = _parse_sweep(args.b)
     ds = _parse_sweep(args.d)
-    rows = []
-    for d in ds:
-        for b in bs:
-            cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=b, d=d, service=service)
-            summary = mean_wait.dapq_means(cfg, tol)
-            rows.append(
-                [args.lam1, args.lam2, args.mu, service.value, b, d,
-                 summary.mean_w1, summary.mean_w2, summary.conservation_residual]
-            )
+    b_col = bs * len(ds)
+    d_col = [d for d in ds for _ in bs]
+    summaries = [
+        mean_wait.dapq_means(
+            QueueConfig(args.lam1, args.lam2, args.mu, b=b, d=d, service=service), tol)
+        for b, d in zip(b_col, d_col)
+    ]
+    n = len(summaries)
     params = {k: getattr(args, k) for k in ("lam1", "lam2", "mu", "service", "b", "d", "out")}
     _write_output(
-        rows,
         ["lambda1", "lambda2", "mu", "service", "b", "d",
          "mean_w1", "mean_w2", "conservation_residual"],
+        [[args.lam1] * n, [args.lam2] * n, [args.mu] * n, [service.value] * n, b_col, d_col,
+         [s.mean_w1 for s in summaries], [s.mean_w2 for s in summaries],
+         [s.conservation_residual for s in summaries]],
         args,
         _manifest("mean", params, tol, t0),
     )
@@ -235,11 +240,11 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     else:
         raise OutOfRange(f"unknown curve kind {kind!r}")
 
-    rows = [[t, v] for t, v in zip(grid, values)]
     params = {k: getattr(args, k) for k in
               ("kind", "lam1", "lam2", "mu", "service", "b", "d",
                "t_max", "dt", "n", "burn_in", "reps", "seed", "out")}
-    _write_output(rows, ["t", "F"], args, _manifest("cdf", params, tol, t0, inversion, simulation))
+    _write_output(["t", "F"], [grid, values], args,
+                  _manifest("cdf", params, tol, t0, inversion, simulation))
     return EXIT_OK
 
 
@@ -253,34 +258,31 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
     )
     grid = _cdf_grid(args, cfg, tol)
     result = simulate.run_replicated(sim, grid, raw_path=args.raw)
-    rows = []
-    for i, t in enumerate(grid):
-        row = [t]
-        for cls in (1, 2):
-            if cls in result.curves:
-                row += [result.curves[cls].values[i], result.curve_se[cls][i]]
-            else:
-                row += [math.nan, math.nan]
-        rows.append(row)
-    summary_rows = [
-        [cls, result.means.get(cls, math.nan), result.mean_se.get(cls, math.nan),
-         result.replications]
-        for cls in (1, 2)
-    ]
+    columns = [grid]
+    for cls in (1, 2):
+        if cls in result.curves:
+            columns += [result.curves[cls].values, result.curve_se[cls]]
+        else:
+            columns += [[math.nan] * len(grid)] * 2
     params = {k: getattr(args, k) for k in
               ("lam1", "lam2", "mu", "service", "b", "d", "n", "burn_in",
                "reps", "seed", "t_max", "dt", "out", "raw", "summary_out")}
     _write_output(
-        rows,
         ["t", "cdf1", "se1", "cdf2", "se2"],
+        columns,
         args,
         _manifest("simulate", params, tol, t0, simulation=_simulation_record(result)),
     )
     if args.summary_out:
+        summary = _csv_text(
+            ["class", "mean", "se", "replications"],
+            [[1, 2],
+             [result.means.get(cls, math.nan) for cls in (1, 2)],
+             [result.mean_se.get(cls, math.nan) for cls in (1, 2)],
+             [result.replications] * 2],
+        )
         with open(args.summary_out, "w", newline="") as fh:
-            fh.write("class,mean,se,replications\n")
-            for row in summary_rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(summary)
     return EXIT_OK
 
 
@@ -294,12 +296,14 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
 
     if args.region:
         region = kpi_mod.feasible_region(target, mu=args.mu, resolution=args.resolution, tol=tol)
-        rows = [["lower", l1, l2] for l1, l2 in region.lower_boundary]
-        rows += [["upper", l1, l2] for l1, l2 in region.upper_boundary]
+        lower, upper = region.lower_boundary, region.upper_boundary
+        columns = [["lower"] * len(lower) + ["upper"] * len(upper),
+                   lower[:, 0].tolist() + upper[:, 0].tolist(),
+                   lower[:, 1].tolist() + upper[:, 1].tolist()]
         search = {"inversion_calls": region.inversion_calls,
                   "rows_inverted": region.rows_inverted,
                   "error_estimate": region.error_estimate}
-        _write_output(rows, ["boundary", "lambda1", "lambda2"], args, manifest(search))
+        _write_output(["boundary", "lambda1", "lambda2"], columns, args, manifest(search))
         return EXIT_OK
 
     if args.lam1 is None or args.lam2 is None:
@@ -307,11 +311,12 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     cfg = QueueConfig(args.lam1, args.lam2, args.mu)
     d_values = _parse_sweep(args.sweep_d) if args.sweep_d else [args.d]
     points = kpi_mod.policy_sweep(cfg, target, d_values, tol)
-    rows = [
-        [pt.d, pt.b_star, pt.mean_w1, pt.mean_w2, int(pt.feasible)] for pt in points
-    ]
+    columns = [[pt.d for pt in points], [pt.b_star for pt in points],
+               [pt.mean_w1 for pt in points], [pt.mean_w2 for pt in points],
+               [int(pt.feasible) for pt in points]]
     search = {"error_estimates": [pt.error_estimate for pt in points]}
-    _write_output(rows, ["d", "b_star", "mean_w1", "mean_w2", "feasible"], args, manifest(search))
+    _write_output(["d", "b_star", "mean_w1", "mean_w2", "feasible"], columns, args,
+                  manifest(search))
     if not any(pt.feasible for pt in points):
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -380,7 +385,10 @@ def _add_out_flags(p: argparse.ArgumentParser) -> None:
                    help="manifest path (default <out>.manifest.json)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``dapq`` argument parser, built once per process: parsing leaves
+    it unchanged, so ``main`` and ``rerun`` share it."""
     parser = argparse.ArgumentParser(
         prog="dapq",
         description="Waiting times and KPI optimization for two-class delayed "
@@ -448,8 +456,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         tol = _tol_from_env()
         return _DISPATCH[args.subcommand](args, tol)

@@ -147,8 +147,9 @@ class Kpi:
 class WaitSummary:
     """Exact expected waits for both classes plus the conservation residual.
 
-    ``conservation_residual`` is |rho1*E[W1] + rho2*E[W2] - conservation_rhs|;
-    it is carried on every result so downstream consumers can self-check.
+    ``conservation_residual`` is |rho1*E[W1] + rho2*E[W2] - conservation_rhs|.
+    ``dapq_means`` derives E[W1] from that law, so the residual is roundoff
+    by construction: it checks the arithmetic, not the class-2 mean.
     """
 
     mean_w1: float

@@ -3,8 +3,8 @@
 Two kinds of object live here:
 
 * the distribution of the number of customers an arrival finds in system,
-  for M/M/1 (geometric) and M/D/1 (FFT inversion of the pole-subtracted
-  Pollaczek--Khinchine pgf, with a geometric tail continuation), and
+  for M/D/1 (FFT inversion of the pole-subtracted Pollaczek--Khinchine
+  pgf, with a geometric tail continuation), and
 
 * the busy-horizon state weights: the probability of "``j`` customers
   ahead after ``d`` time units and the ahead-set never emptied" for a
@@ -82,19 +82,6 @@ class StationaryDist:
         g = self.tail_ratio
         tail = self.probs[self.truncation_K] * g / (1.0 - g) if g > 0 else 0.0
         return float(self.probs.sum() + tail)
-
-
-def mm1_stationary(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
-    """Geometric M/M/1 queue-length pmf, truncated where the tail mass < eps_series."""
-    if not 0.0 <= rho < 1.0:
-        raise OutOfRange(f"rho must lie in [0,1), got {rho}")
-    if rho == 0.0:
-        return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
-    # tail mass beyond K is rho**(K+1)
-    K = max(1, math.ceil(math.log(tol.eps_series) / math.log(rho)) - 1)
-    K = min(K, tol.max_states)
-    probs = (1.0 - rho) * rho ** np.arange(K + 1)
-    return StationaryDist(probs=probs, tail_ratio=rho, truncation_K=K)
 
 
 def md1_tail_ratio(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:

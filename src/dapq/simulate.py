@@ -25,6 +25,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -34,6 +35,9 @@ from .transforms import CdfCurve
 
 # Unit exponentials drawn per refill of a replication's buffer.
 _CHUNK = 1024
+
+# Fields of a WaitRecord, read with C-level ``map`` when records are split by class.
+_CLASS, _WAIT = itemgetter(0), itemgetter(2)
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,10 @@ def run_replicated(
             records = run_single(sim, r)
             if raw is not None:
                 raw.writerows([r, c, f"{a:.12g}", f"{w:.12g}"] for c, a, w in records)
+            classes = np.frombuffer(bytes(map(_CLASS, records)), np.uint8)
+            every_wait = np.fromiter(map(_WAIT, records), float, len(records))
             for cls in (1, 2):
-                waits = np.array([w for c, _, w in records if c == cls])
+                waits = every_wait[classes == cls]
                 if len(waits) == 0:
                     continue
                 waits.sort()

@@ -264,20 +264,6 @@ def _invert_over_delay_rows(
     return values[back], estimates[back]
 
 
-def class2_tail_lst(config: QueueConfig, s, tol: ToleranceConfig = DEFAULT_TOL):
-    """E[exp(-s W2) ; W2 > d] for the delayed APQ.
-
-    This is exp(-s d) times the shifted over-delay transform.  At s = 0 it
-    is the probability the tagged class-2 customer is still waiting when
-    the delay expires.
-    """
-    shifted = _shifted_tail_lst(config, busy_state_distribution(config, tol))
-    val = complex(np.exp(-complex(s) * config.d) * shifted(complex(s)))
-    if isinstance(s, complex):
-        return val
-    return val.real
-
-
 # --------------------------------------------------------------------------
 # Euler-summation inversion
 # --------------------------------------------------------------------------

@@ -12,10 +12,15 @@ tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
 and the KPI searches evaluate each b from scratch.  The row-by-row KPI
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too.  The
-simulator makes one generator call per exponential draw.
+simulator makes one generator call per exponential draw, and its waits
+are split by class with a comprehension.  The command line's CSV is
+built one row at a time, each value formatted on its own.  Two public
+functions only the tests used, the geometric M/M/1 pmf and the class-2
+tail transform, live here too.
 """
 
 import cmath
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -25,10 +30,11 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from dapq import approx, mean_wait, transforms
+from dapq import approx, cli, kpi as kpi_mod, mean_wait, simulate, transforms
 from dapq.core import (
     DEFAULT_TOL,
     DapqError,
+    Kpi,
     MonotonicityViolation,
     OutOfRange,
     QueueConfig,
@@ -38,10 +44,15 @@ from dapq.core import (
     validate,
 )
 from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho, _fcfs_cdf_at, _npq1_cdf_at
-from dapq.markov import _poisson_horizon, busy_state_distribution as dapq_busy_weights, md1_stationary
+from dapq.markov import (
+    StationaryDist,
+    _poisson_horizon,
+    busy_state_distribution as dapq_busy_weights,
+    md1_stationary,
+)
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
-from dapq.transforms import _euler_params, class2_cdf_dapq
+from dapq.transforms import _euler_params, _shifted_tail_lst, class2_cdf_dapq
 
 
 class NonConvergence(DapqError):
@@ -103,6 +114,19 @@ def md1_pi_exact(rho, n):
             for m in range(n)
         )
         return float((1 - r) * (s1 - s2))
+
+
+def mm1_stationary(rho, tol=DEFAULT_TOL):
+    """Geometric M/M/1 queue-length pmf, truncated where the tail mass < eps_series."""
+    if not 0.0 <= rho < 1.0:
+        raise OutOfRange(f"rho must lie in [0,1), got {rho}")
+    if rho == 0.0:
+        return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
+    # tail mass beyond K is rho**(K+1)
+    K = max(1, math.ceil(math.log(tol.eps_series) / math.log(rho)) - 1)
+    K = min(K, tol.max_states)
+    probs = (1.0 - rho) * rho ** np.arange(K + 1)
+    return StationaryDist(probs=probs, tail_ratio=rho, truncation_K=K)
 
 
 def md1_pi_embedded(rho, n_max):
@@ -282,6 +306,20 @@ def busy_state_distribution(config, tol=DEFAULT_TOL):
         v = _chain_step(v, rates.p_up, rates.q_down)
         acc = acc + pmf[k] * v
     return acc
+
+
+def class2_tail_lst(config, s, tol=DEFAULT_TOL):
+    """E[exp(-s W2) ; W2 > d] for the delayed APQ.
+
+    This is exp(-s d) times the package's shifted over-delay transform.
+    At s = 0 it is the probability the tagged class-2 customer is still
+    waiting when the delay expires.
+    """
+    shifted = _shifted_tail_lst(config, dapq_busy_weights(config, tol))
+    val = complex(np.exp(-complex(s) * config.d) * shifted(complex(s)))
+    if isinstance(s, complex):
+        return val
+    return val.real
 
 
 def _eta_scalar(s, arrival_rate, mu):
@@ -734,3 +772,119 @@ def run_single_by_events(sim, rep_index):
                 q2.append(t)
             next2 = t + rng.exponential(1.0 / lam2)
     return records
+
+
+def run_replicated_by_comprehension(sim, grid):
+    """(averaged CDFs, means) by class, as ``dapq.simulate.run_replicated``
+    built them with one comprehension per class over each replication's
+    records."""
+    cdfs, means = {1: [], 2: []}, {1: [], 2: []}
+    for r in range(sim.replications):
+        records = simulate.run_single(sim, r)
+        for cls in (1, 2):
+            waits = np.array([w for c, _, w in records if c == cls])
+            if len(waits):
+                waits.sort()
+                cdfs[cls].append(np.searchsorted(waits, grid, side="right") / len(waits))
+                means[cls].append(waits.mean())
+    return ({cls: np.vstack(v).mean(axis=0) for cls, v in cdfs.items() if v},
+            {cls: float(np.array(v).mean()) for cls, v in means.items() if v})
+
+
+# --------------------------------------------------------------------------
+# command-line CSV built row by row
+# --------------------------------------------------------------------------
+
+
+def _fmt(x):
+    if isinstance(x, float):
+        return f"{x:.12g}"
+    return str(x)
+
+
+def csv_payload_by_rows(header, rows):
+    """CSV text as ``dapq.cli`` wrote it before its column writer: one row
+    at a time, each value through ``_fmt``."""
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(_fmt(v) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def _cdf_values(args, cfg, grid, tol):
+    rates = validate(cfg)
+    kind = args.kind
+    if kind == "fcfs":
+        return 1.0 - rates.rho * np.exp(-(cfg.mu - (cfg.lambda1 + cfg.lambda2)) * grid)
+    if kind == "npq1":
+        return 1.0 - rates.rho * np.exp(-(cfg.mu - cfg.lambda1) * grid)
+    if kind in ("npq2", "dapq2"):
+        curve_cfg = cfg.replace(b=0.0, d=0.0) if kind == "npq2" else cfg
+        return transforms.class2_cdf_dapq(curve_cfg, grid, tol).values
+    if kind == "zexp1":
+        summary = mean_wait.dapq_means(cfg, tol)
+        return approx.zexp_from_mean(rates.rho, summary.mean_w1).curve(grid).values
+    sim = simulate.SimConfig(queue=cfg, n_customers=args.n, burn_in=args.burn_in,
+                             replications=args.reps, seed=args.seed)
+    return simulate.run_replicated(sim, grid).curves[1 if kind == "sim1" else 2].values
+
+
+def cli_csv_by_rows(argv):
+    """(CSV text, ``--summary-out`` text or None) of ``dapq <argv>`` with the
+    rows each subcommand built before the column writer (not ``rerun``)."""
+    args = cli._build_parser().parse_args(argv)
+    tol = cli._tol_from_env()
+    summary = None
+    if args.subcommand == "mean":
+        service = ServiceKind(args.service)
+        rows = []
+        for d in cli._parse_sweep(args.d):
+            for b in cli._parse_sweep(args.b):
+                cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=b, d=d, service=service)
+                s = dapq_means(cfg, tol)
+                rows.append([args.lam1, args.lam2, args.mu, service.value, b, d,
+                             s.mean_w1, s.mean_w2, s.conservation_residual])
+        header = ["lambda1", "lambda2", "mu", "service", "b", "d",
+                  "mean_w1", "mean_w2", "conservation_residual"]
+    elif args.subcommand == "cdf":
+        cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d,
+                          service=ServiceKind(args.service))
+        grid = cli._cdf_grid(args, cfg, tol)
+        rows = [[t, v] for t, v in zip(grid, _cdf_values(args, cfg, grid, tol))]
+        header = ["t", "F"]
+    elif args.subcommand == "simulate":
+        cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d,
+                          service=ServiceKind(args.service))
+        sim = simulate.SimConfig(queue=cfg, n_customers=args.n, burn_in=args.burn_in,
+                                 replications=args.reps, seed=args.seed)
+        grid = cli._cdf_grid(args, cfg, tol)
+        result = simulate.run_replicated(sim, grid)
+        rows = []
+        for i, t in enumerate(grid):
+            row = [t]
+            for cls in (1, 2):
+                if cls in result.curves:
+                    row += [result.curves[cls].values[i], result.curve_se[cls][i]]
+                else:
+                    row += [math.nan, math.nan]
+            rows.append(row)
+        header = ["t", "cdf1", "se1", "cdf2", "se2"]
+        summary = csv_payload_by_rows(
+            ["class", "mean", "se", "replications"],
+            [[cls, result.means.get(cls, math.nan), result.mean_se.get(cls, math.nan),
+              result.replications] for cls in (1, 2)])
+    elif args.region:
+        target = Kpi(target_w=args.w, compliance_p=args.p, class_index=args.cls)
+        region = kpi_mod.feasible_region(target, mu=args.mu, resolution=args.resolution, tol=tol)
+        rows = [["lower", l1, l2] for l1, l2 in region.lower_boundary]
+        rows += [["upper", l1, l2] for l1, l2 in region.upper_boundary]
+        header = ["boundary", "lambda1", "lambda2"]
+    else:
+        target = Kpi(target_w=args.w, compliance_p=args.p, class_index=args.cls)
+        d_values = cli._parse_sweep(args.sweep_d) if args.sweep_d else [args.d]
+        points = kpi_mod.policy_sweep(QueueConfig(args.lam1, args.lam2, args.mu), target,
+                                      d_values, tol)
+        rows = [[pt.d, pt.b_star, pt.mean_w1, pt.mean_w2, int(pt.feasible)] for pt in points]
+        header = ["d", "b_star", "mean_w1", "mean_w2", "feasible"]
+    return csv_payload_by_rows(header, rows), summary

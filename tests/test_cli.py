@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dapq import simulate
+from _oracles import cli_csv_by_rows, csv_payload_by_rows
+from dapq import cli, simulate
 from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
+from dapq.core import QueueConfig, ServiceKind
 
 
 def run_cli(capsys, *argv):
@@ -290,3 +294,182 @@ def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
             assert all(0.0 < e <= 1e-8 for e in estimates)
         else:
             assert estimates == [0.0] * 4
+
+
+# --------------------------------------------------------------------------
+# the column writer against the row-by-row oracle
+# --------------------------------------------------------------------------
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e-300,
+                1e16, 0.1, 123456789012.5, 1.0 / 3.0]
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+_scalars = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.integers(min_value=-10**20, max_value=10**20),
+    st.booleans(),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _column(draw, n):
+    """One CSV column of ``n`` values: a float64, int or bool array, or a list
+    of Python floats, ``np.float64`` values, ints, bools, strings or a mix."""
+    kind = draw(st.sampled_from(["f64 array", "int array", "bool array", "floats",
+                                 "np.float64", "ints", "bools", "strings", "mixed"]))
+    if kind == "f64 array":
+        return np.array(draw(st.lists(_floats, min_size=n, max_size=n)), dtype=np.float64)
+    if kind == "int array":
+        return np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    if kind == "bool array":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    element = {"floats": _floats, "np.float64": _floats.map(np.float64),
+               "ints": st.integers(), "bools": st.booleans(), "strings": st.text(max_size=6),
+               "mixed": _scalars}[kind]
+    return draw(st.lists(element, min_size=n, max_size=n))
+
+
+@st.composite
+def _table(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=5))
+    header = draw(st.lists(st.text(alphabet="abcxyz_12", min_size=1, max_size=5),
+                           min_size=width, max_size=width))
+    return header, [draw(_column(n)) for _ in range(width)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table())
+@example((["t", "F"], [np.array(_EDGE_FLOATS), [np.float64(x) for x in _EDGE_FLOATS]]))
+@example((["a", "b", "c"], [[1, True, "x"], [2.5, np.float64(-0.0), False], np.arange(3)]))
+@example((["t", "F"], [np.array([]), []]))
+def test_column_writer_equals_row_writer(table):
+    header, columns = table
+    rows = list(zip(*columns))  # what the subcommands used to build
+    assert cli._csv_text(header, columns) == csv_payload_by_rows(header, rows)
+
+
+_SIM = ["--n", "300", "--burn-in", "60", "--reps", "3", "--seed", "13"]
+_CLI_BATTERY = {
+    "mean-exp": ["mean", "--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:4:2"],
+    "mean-det": ["mean", "--lam1", "0.4", "--lam2", "0.3", "--service", "det",
+                 "--b", "0:1:0.5", "--d", "0:2"],
+    **{f"cdf-{kind}": ["cdf", "--kind", kind, "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5",
+                       "--d", "2", "--t-max", "12", "--dt", "0.25"]
+       for kind in ("fcfs", "npq1", "npq2", "dapq2", "zexp1")},
+    "cdf-dapq2-default-grid": ["cdf", "--kind", "dapq2", "--lam1", "0.5", "--lam2", "0.45",
+                               "--b", "0.3", "--d", "3"],
+    **{f"cdf-{kind}-{service}": ["cdf", "--kind", kind, "--lam1", "0.5", "--lam2", "0.3",
+                                 "--b", "0.5", "--d", "2", "--service", service,
+                                 "--t-max", "10", *_SIM]
+       for kind in ("sim1", "sim2") for service in ("exp", "det")},
+    "kpi-sweep-class2": ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
+                         "--lam2", "0.18", "--sweep-d", "0:8"],
+    "kpi-sweep-class1": ["kpi", "--class", "1", "--w", "2", "--p", "0.9", "--lam1", "0.05",
+                         "--lam2", "0.6", "--sweep-d", "0:6"],
+    "kpi-region": ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--region",
+                   "--resolution", "0.05"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLI_BATTERY))
+def test_cli_csv_equals_row_by_row_oracle(name, tmp_path, capsys):
+    argv = _CLI_BATTERY[name]
+    want, _ = cli_csv_by_rows(argv)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
+     "--t-max", "10", "--dt", "0.5", *_SIM],
+    ["simulate", "--lam1", "0", "--lam2", "0.8", "--service", "det", "--t-max", "20", *_SIM],
+    ["simulate", "--lam1", "0.6", "--lam2", "0", "--t-max", "8", *_SIM],
+])
+def test_simulate_files_equal_row_by_row_oracle(argv, tmp_path):
+    want, want_summary = cli_csv_by_rows(argv)
+    out, raw, summary = tmp_path / "sim.csv", tmp_path / "raw.csv", tmp_path / "summary.csv"
+    assert main(argv + ["--out", str(out), "--raw", str(raw),
+                        "--summary-out", str(summary)]) == EXIT_OK
+    assert out.read_bytes() == want.encode()
+    assert summary.read_bytes() == want_summary.encode()
+    args = cli._build_parser().parse_args(argv)
+    queue = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d,
+                        service=ServiceKind(args.service))
+    sim = simulate.SimConfig(queue=queue, n_customers=args.n, burn_in=args.burn_in,
+                             replications=args.reps, seed=args.seed)
+    want_raw = ["rep,class,arrival,wait"] + [
+        f"{r},{c},{a:.12g},{w:.12g}" for r in range(3) for c, a, w in simulate.run_single(sim, r)
+    ]
+    assert raw.read_text().splitlines() == want_raw
+
+
+@pytest.mark.parametrize("name", ["mean-det", "cdf-dapq2", "cdf-sim2-exp", "kpi-sweep-class2",
+                                  "kpi-region"])
+def test_rerun_csv_equals_row_by_row_oracle(name, tmp_path):
+    argv = _CLI_BATTERY[name]
+    first = tmp_path / "first.csv"
+    assert main(argv + ["--out", str(first)]) == EXIT_OK
+    again = tmp_path / "again.csv"
+    assert main(["rerun", str(first) + ".manifest.json", "--out", str(again)]) == EXIT_OK
+    assert again.read_bytes() == cli_csv_by_rows(argv)[0].encode()
+
+
+# --------------------------------------------------------------------------
+# one parser per process
+# --------------------------------------------------------------------------
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    source = tmp_path / "source.csv"
+    assert main(_CLI_BATTERY["kpi-sweep-class2"] + ["--out", str(source)]) == EXIT_OK
+    capsys.readouterr()
+    unknown_kind = ["cdf", "--kind", "nope", "--lam1", "0.5", "--lam2", "0.3"]
+    missing_lam2 = ["mean", "--lam1", "0.5"]
+    calls = [
+        _CLI_BATTERY["mean-exp"],
+        _CLI_BATTERY["cdf-npq1"],
+        unknown_kind,
+        _CLI_BATTERY["kpi-sweep-class1"],
+        ["--version"],
+        ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--t-max", "2", *_SIM],
+        missing_lam2,
+        ["rerun", str(source) + ".manifest.json", "--out", str(tmp_path / "rerun.csv")],
+        _CLI_BATTERY["cdf-dapq2"],
+        ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.45", "--lam2", "0.45"],
+    ]
+    parseable = [argv for argv in calls if argv not in (unknown_kind, missing_lam2, ["--version"])]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            if argv[0] == "rerun":
+                out = (tmp_path / "rerun.csv").read_text()
+            results.append((code, out, err))
+        return results
+
+    shared = run_all()
+    assert cli._build_parser() is cli._build_parser()
+    parsed = [cli._build_parser().parse_args(argv) for argv in parseable]
+
+    fresh_parser = cli._build_parser.__wrapped__
+    monkeypatch.setattr(cli, "_build_parser", fresh_parser)
+    assert fresh_parser() is not fresh_parser()
+    assert run_all() == shared
+    assert parsed == [fresh_parser().parse_args(argv) for argv in parseable]
+    assert [code for code, _, _ in shared] == [
+        EXIT_OK, EXIT_OK, ("exit", 2), EXIT_OK, ("exit", 0), EXIT_OK, ("exit", 2), EXIT_OK,
+        EXIT_OK, EXIT_INFEASIBLE]
+    assert shared[4][1] == "dapq 0.1.0\n"
+    assert "invalid choice: 'nope'" in shared[2][2]

@@ -8,14 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 import _oracles
-from _oracles import md1_pi_embedded, md1_pi_exact, poisson_by_mpmath, survival_transition
+from _oracles import (
+    md1_pi_embedded,
+    md1_pi_exact,
+    mm1_stationary,
+    poisson_by_mpmath,
+    survival_transition,
+)
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
 from dapq.markov import (
     _poisson_table,
     busy_state_distribution,
     md1_stationary,
     md1_tail_ratio,
-    mm1_stationary,
 )
 
 EXP = ServiceKind.EXPONENTIAL

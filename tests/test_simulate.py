@@ -212,6 +212,20 @@ def test_run_replicated_equals_oracle_records(monkeypatch):
     assert fast.wall_s > 0.0
 
 
+@pytest.mark.parametrize("lam1, lam2, service", [
+    (0.5, 0.3, EXP), (0.4, 0.4, DET), (0.0, 0.8, EXP), (0.7, 0.0, DET),
+])
+def test_run_replicated_splits_classes_as_the_comprehension_did(lam1, lam2, service):
+    sim = SimConfig(queue=QueueConfig(lam1, lam2, 1.0, b=0.5, d=1.0, service=service),
+                    n_customers=900, burn_in=100, replications=3, seed=61)
+    curves, means = _oracles.run_replicated_by_comprehension(sim, GRID)
+    result = run_replicated(sim, GRID)
+    assert result.means == means
+    assert sorted(result.curves) == sorted(curves)
+    for cls, curve in curves.items():
+        assert np.array_equal(result.curves[cls].values, curve)
+
+
 def test_run_replicated_writes_raw_from_the_same_replications(tmp_path, monkeypatch):
     sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0), n_customers=300,
                     burn_in=50, replications=3, seed=53)

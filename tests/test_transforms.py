@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import class2_cdf_scalar, eta_fixed_point
+from _oracles import class2_cdf_scalar, class2_tail_lst, eta_fixed_point, mm1_stationary
 from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
-from dapq.markov import busy_state_distribution, mm1_stationary
+from dapq.markov import busy_state_distribution
 from dapq.mean_wait import dapq_means
 from dapq.transforms import (
     Lst,
     class2_cdf_dapq,
-    class2_tail_lst,
     default_grid,
     eta_mm1,
     invert_to_cdf,
