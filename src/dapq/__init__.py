@@ -19,7 +19,7 @@ from .core import (
     validate,
 )
 from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_cdf, zexp_from_mean
-from .kpi import FeasibleRegion, PolicyPoint, b_star_class1, b_star_class2, feasible_region, policy_sweep
+from .kpi import FeasibleRegion, PolicyPoint, PolicySweep, b_star_class1, b_star_class2, feasible_region, policy_sweep
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio
 from .mean_wait import XTable, dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
@@ -38,6 +38,7 @@ __all__ = [
     "Kpi",
     "Lst",
     "PolicyPoint",
+    "PolicySweep",
     "QueueConfig",
     "ServiceKind",
     "SimConfig",

@@ -74,21 +74,25 @@ def _tol_from_env() -> ToleranceConfig:
     ):
         raw = os.environ.get(env)
         if raw is not None:
-            kwargs[field] = conv(raw)
+            try:
+                kwargs[field] = conv(raw)
+            except ValueError:
+                raise OutOfRange(f"cannot parse {env}={raw!r} as {conv.__name__}") from None
     return ToleranceConfig(**kwargs)
 
 
 def _parse_sweep(text: str) -> List[float]:
-    """'a:b[:step]' inclusive sweep, or a single value."""
-    if ":" not in text:
-        return [float(text)]
+    """'a:b[:step]' inclusive sweep, or a single value; every number finite."""
     parts = text.split(":")
-    if len(parts) == 2:
-        lo, hi, step = float(parts[0]), float(parts[1]), 1.0
-    elif len(parts) == 3:
-        lo, hi, step = float(parts[0]), float(parts[1]), float(parts[2])
-    else:
-        raise OutOfRange(f"cannot parse sweep {text!r}")
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise OutOfRange(f"cannot parse sweep {text!r}") from None
+    if len(parts) > 3 or not all(math.isfinite(v) for v in values):
+        raise OutOfRange(f"cannot parse sweep {text!r}: want finite a or a:b[:step]")
+    if len(parts) == 1:
+        return values
+    lo, hi, step = values if len(parts) == 3 else values + [1.0]
     if step <= 0 or hi < lo:
         raise OutOfRange(f"cannot parse sweep {text!r}")
     n = int(round((hi - lo) / step))
@@ -196,6 +200,9 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
 
 def _cdf_grid(args, cfg: QueueConfig, tol: ToleranceConfig) -> np.ndarray:
     if args.t_max is not None:
+        if not (0.0 <= args.t_max < math.inf and 0.0 < args.dt < math.inf):
+            raise OutOfRange(f"want finite --t-max >= 0 and --dt > 0, got "
+                             f"{args.t_max} and {args.dt}")
         return np.arange(0.0, args.t_max + 1e-12, args.dt)
     return transforms.default_grid(cfg, tol)
 
@@ -314,7 +321,10 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     columns = [[pt.d for pt in points], [pt.b_star for pt in points],
                [pt.mean_w1 for pt in points], [pt.mean_w2 for pt in points],
                [int(pt.feasible) for pt in points]]
-    search = {"error_estimates": [pt.error_estimate for pt in points]}
+    search = {"error_estimates": [pt.error_estimate for pt in points],
+              "probes": [pt.probes for pt in points],
+              "inversion_calls": points.inversion_calls,
+              "rows_inverted": points.rows_inverted}
     _write_output(["d", "b_star", "mean_w1", "mean_w2", "feasible"], columns, args,
                   manifest(search))
     if not any(pt.feasible for pt in points):

@@ -7,6 +7,7 @@ this module is safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,8 +85,8 @@ class QueueConfig:
 
     Class-1 customers accumulate priority credit at rate 1 from arrival;
     class-2 customers accumulate at rate ``b`` starting ``d`` time units
-    after arrival.  ``b = 1, d = 0`` is FCFS; ``b = 0`` (or ``d = inf``)
-    is the non-preemptive priority queue.
+    after arrival.  ``b = 1, d = 0`` is FCFS; ``b = 0`` is the
+    non-preemptive priority queue, and so is the limit as d → ∞.
     """
 
     lambda1: float
@@ -135,8 +136,8 @@ class Kpi:
     class_index: int = 2
 
     def __post_init__(self):
-        if self.target_w <= 0:
-            raise OutOfRange(f"target_w must be positive, got {self.target_w}")
+        if not 0.0 < self.target_w < math.inf:
+            raise OutOfRange(f"target_w must be positive and finite, got {self.target_w}")
         if not 0.0 < self.compliance_p < 1.0:
             raise OutOfRange(f"compliance_p must be in (0,1), got {self.compliance_p}")
         if self.class_index not in (1, 2):
@@ -175,10 +176,12 @@ class ToleranceConfig:
     grid: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.eps_series <= 0 or self.eps_root <= 0 or self.eps_invert <= 0:
-            raise OutOfRange("all tolerances must be positive")
-        if self.max_states < 1:
-            raise OutOfRange("max_states must be >= 1")
+        for name in ("eps_series", "eps_root", "eps_invert"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise OutOfRange(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 1 <= self.max_states < math.inf:
+            raise OutOfRange(f"max_states must be >= 1 and finite, got {self.max_states}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -191,16 +194,19 @@ DEFAULT_TOL = ToleranceConfig()
 def validate(config: QueueConfig) -> DerivedRates:
     """Check every invariant of ``config`` and return its derived rates.
 
-    Raises OutOfRange, UnstableSystem, or InvalidDelay.
+    Raises OutOfRange, UnstableSystem, or InvalidDelay.  Every range test
+    is negated, so NaN fails it.
     """
-    if config.lambda1 < 0 or config.lambda2 < 0:
-        raise OutOfRange("arrival rates must be nonnegative")
-    if config.mu <= 0:
-        raise OutOfRange("service rate mu must be positive")
+    if not (0.0 <= config.lambda1 < math.inf and 0.0 <= config.lambda2 < math.inf):
+        raise OutOfRange(
+            f"arrival rates must be nonnegative and finite, got "
+            f"{config.lambda1}, {config.lambda2}")
+    if not 0.0 < config.mu < math.inf:
+        raise OutOfRange(f"service rate mu must be positive and finite, got {config.mu}")
     if not 0.0 <= config.b <= 1.0:
         raise OutOfRange(f"accumulation ratio b must lie in [0,1], got {config.b}")
-    if config.d < 0:
-        raise OutOfRange(f"delay d must be nonnegative, got {config.d}")
+    if not 0.0 <= config.d < math.inf:
+        raise OutOfRange(f"delay d must be nonnegative and finite, got {config.d}")
 
     rho1 = config.lambda1 / config.mu
     rho2 = config.lambda2 / config.mu

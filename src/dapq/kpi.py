@@ -5,7 +5,7 @@ waiting-time CDF meets the compliance target at the given delay (smaller b
 is always better for class-1); for a class-1 KPI it finds the *largest*
 rate whose exact class-1 mean stays under the zero-inflated-exponential
 threshold.  Both constraint functions are monotone in b; monotonicity is
-checked empirically on a coarse grid before each bisection rather than
+checked empirically on a coarse grid before each search rather than
 assumed.
 
 A KPI needs parameter tuning only between two extremes: where the
@@ -17,8 +17,14 @@ both frontiers over arrival-rate pairs.
 Every search runs in lockstep over rows: the lambda1 values of a region,
 or the delays of a sweep (a single search is the one-row case).  Each
 probe is one batched inversion over the rows still searching
-(``transforms._invert_over_delay_rows``), and each row bisects its own
-bracket, so it sees the same midpoints and values as a search of that row
+(``transforms._invert_over_delay_rows``).  Each row narrows its own
+bracket by the ITP method (``_itp_rows``): a regula-falsi point from the
+signed residuals at the bracket ends, truncated towards the midpoint and
+projected so that the row never takes more than one probe beyond
+bisection's worst case.  A row stops, as bisection would, once its bracket
+is at most eps wide, and returns the end that meets the KPI (the midpoint
+for a region frontier).  So each result lies within eps of the bisection
+result, and every row sees the points and values of a search of that row
 alone.  The b-free parts of a sweep (busy weights, the mean's correction
 sum, the strict-priority F(d)) are computed once per delay.  Each row's
 inversions are gated on their own error bound; a row that fails retires
@@ -56,8 +62,9 @@ class PolicyPoint:
 
     ``error_estimate`` is the largest certified inversion error (Euler
     estimate plus exp(-A)) over the search's probes: 0 for a class-1
-    search, which inverts nothing.  It describes how the point was found
-    and takes no part in comparisons.
+    search, which inverts nothing.  ``probes`` is the number of times the
+    search evaluated the point's constraint.  Both describe how the point
+    was found and take no part in comparisons.
     """
 
     d: float
@@ -66,6 +73,21 @@ class PolicyPoint:
     mean_w2: float
     feasible: bool
     error_estimate: float = field(default=0.0, compare=False)
+    probes: int = field(default=0, compare=False)
+
+
+class PolicySweep(list):
+    """The PolicyPoints of a delay sweep, one per delay, in the order given.
+
+    It also says how they were found: ``inversion_calls`` batched
+    inversions over ``rows_inverted`` rows in all (0 for a class-1 sweep,
+    which inverts nothing).  It compares as the list of its points.
+    """
+
+    def __init__(self, points=(), inversion_calls: int = 0, rows_inverted: int = 0):
+        super().__init__(points)
+        self.inversion_calls = inversion_calls
+        self.rows_inverted = rows_inverted
 
 
 @dataclass(frozen=True)
@@ -76,8 +98,9 @@ class FeasibleRegion:
     between them the KPI is unmet by the favorable extreme discipline yet
     met by the unfavorable one, so (d, b) tuning is nontrivial.  A class-2
     region also says how it was traced: ``inversion_calls`` batched
-    inversions over ``rows_inverted`` rows in all, with ``error_estimate``
-    the largest certified inversion error among them.
+    inversions over ``rows_inverted`` rows in all (two bracket-end probes,
+    then one per ITP step), with ``error_estimate`` the largest certified
+    inversion error among them.
     """
 
     kpi: Kpi
@@ -99,16 +122,22 @@ class _Rows:
     rows go on.  ``raise_first`` raises the error of the lowest failed row:
     for a region the lowest lambda1, for a sweep the first delay in the
     order given.  ``worst`` holds each row's largest certified inversion
-    error, ``calls`` and ``rows_inverted`` the batched inversions counted by
-    the probes that report them.
+    error, ``probes`` each row's constraint evaluations, and ``calls`` and
+    ``rows_inverted`` the batched inversions, counted by ``inverted``.
     """
 
     def __init__(self, n: int, tol: ToleranceConfig):
         self.tol = tol
         self.errors = {}
         self.worst = np.zeros(n)
+        self.probes = np.zeros(n, dtype=int)
         self.calls = 0
         self.rows_inverted = 0
+
+    def inverted(self, n_rows: int) -> None:
+        """Count one batched inversion over ``n_rows`` rows."""
+        self.calls += 1
+        self.rows_inverted += n_rows
 
     def fail(self, row, exc: DapqError) -> None:
         self.errors.setdefault(int(row), exc)
@@ -136,26 +165,66 @@ class _Rows:
             raise self.errors[min(self.errors)]
 
 
-def _bisect_rows(probe, up, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: float):
-    """Bisect [lo[r], hi[r]] for every row r in ``rows`` in lockstep; returns (lo, hi).
+# ITP constants (Oliveira & Takahashi, ACM TOMS 2020): the truncation step
+# is _ITP_KAPPA1 / (initial width) * width**_ITP_KAPPA2, and the projection
+# allows _ITP_N0 probes beyond bisection's worst case.
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2
+_ITP_N0 = 1
 
-    ``probe(mid, rows)`` evaluates the active rows at their midpoints and
-    returns (values, ok), ``ok`` False for rows whose probe failed, which
-    retire; ``up(values, rows)`` is True where the crossing lies above mid,
-    so lo moves up, else hi moves down.  A row also retires once its own
-    width hi - lo is at most eps, so it sees exactly the midpoints of a
-    bisection of its own bracket.
+
+def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              f_lo: np.ndarray, f_hi: np.ndarray, eps: float, ties_lo: bool):
+    """ITP search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep; returns (lo, hi).
+
+    ``f_lo`` and ``f_hi`` are the signed residuals at the bracket ends, at
+    most 0 at lo and at least 0 at hi, not both 0.  ``probe(x, rows)``
+    evaluates the active rows at one point each and returns (residuals,
+    ok), ``ok`` False for rows whose probe failed, which retire.  A
+    negative residual moves lo up, a positive one moves hi down, and a zero
+    one moves lo when ``ties_lo`` and hi otherwise.  A row retires once its
+    own width hi - lo is at most eps.
+
+    Each step takes the regula-falsi point of the row's bracket, moves it
+    towards the midpoint by kappa1 * width**kappa2 (kappa1 = 0.2 / initial
+    width), and projects it into [hi - bound, lo + bound], which keeps the
+    width after step j at most bound = eps * 2**(n_max - j - 1), where n_max
+    is bisection's count of halvings plus ``_ITP_N0``.  The bound keeps a
+    slack of a few ulps of the bracket's magnitude in hand, so rounding
+    cannot carry a row past it: no row takes more than n_max probes,
+    whatever its residuals, given eps well above that slack.  On a smooth
+    residual the steps converge superlinearly.  A row's points depend on
+    its own values and on the step count alone, so it sees the points of a
+    search of that row alone.
     """
-    lo, hi = lo.copy(), hi.copy()
+    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
     rows = rows[hi[rows] - lo[rows] > eps]
+    width0 = hi[rows] - lo[rows]
+    kappa1, slack = np.zeros(len(lo)), np.zeros(len(lo))
+    n_max = np.zeros(len(lo), dtype=int)
+    kappa1[rows] = _ITP_KAPPA1 / width0
+    slack[rows] = 4.0 * np.spacing(4.0 * np.maximum(np.abs(lo[rows]), np.abs(hi[rows])))
+    # bisection's halvings: the least n with eps * 2**n >= width0, exactly
+    (m_w, e_w), (m_e, e_e) = np.frexp(width0), math.frexp(eps)
+    n_max[rows] = e_w - e_e + (m_w > m_e) + _ITP_N0
+    step = 0
     while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        values, ok = probe(mid, rows)
-        rows, mid = rows[ok], mid[ok]
-        above = up(values[ok], rows)
-        lo[rows[above]] = mid[above]
-        hi[rows[~above]] = mid[~above]
+        a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+        width = b - a
+        half = 0.5 * (a + b)
+        falsi = (fb * a - fa * b) / (fb - fa)
+        delta = kappa1[rows] * width**_ITP_KAPPA2
+        x = np.where(delta <= np.abs(half - falsi),
+                     falsi + np.sign(half - falsi) * delta, half)
+        bound = np.ldexp(eps - 2.0 * slack[rows], n_max[rows] - step - 1) + slack[rows]
+        x = np.clip(x, np.maximum(a, b - bound), np.minimum(b, a + bound))
+        values, ok = probe(x, rows)
+        rows, x, values = rows[ok], x[ok], values[ok]
+        up = values <= 0.0 if ties_lo else values < 0.0
+        lo[rows[up]], f_lo[rows[up]] = x[up], values[up]
+        hi[rows[~up]], f_hi[rows[~up]] = x[~up], values[~up]
         rows = rows[hi[rows] - lo[rows] > eps]
+        step += 1
     return lo, hi
 
 
@@ -199,7 +268,9 @@ class _Class2Rows:
     the over-delay transforms.  Rows with w <= d have a b-free constraint,
     F(w) under strict priority: ``free`` lists them and ``free_values``
     holds their uncertified values, inverted with F(d) as the two points
-    of one row, as ``transforms._class2_cdf_from_weights`` inverts them.
+    of one row, as ``transforms._class2_cdf_from_weights`` inverts them,
+    which counts as the one probe of such a row.  Every inversion is
+    counted in the state.
     """
 
     def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
@@ -238,10 +309,13 @@ class _Class2Rows:
         npq_fn = transforms._shifted_tail_lst(base.replace(d=0.0), npq_weights).fn
         delayed = self.dep[self.ds[self.dep] > 0]
         if delayed.size:
+            state.inverted(len(delayed))
             vals, est = transforms._euler_invert(npq_fn, self.ds[delayed][:, None], tol)
             self.f_at_d[delayed] = atom + vals[:, 0]
             self.fixed_est[delayed] = est[:, 0]
         if self.free.size:
+            state.inverted(len(self.free))
+            state.probes[self.free] += 1
             ts = np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]])
             vals, est = transforms._euler_invert(npq_fn, ts, tol)
             self.free_values = atom + vals[:, 0]
@@ -254,6 +328,8 @@ class _Class2Rows:
         """Certified F(w) at rate b (a float or one per row) for rows with w > d."""
         if not rows.size:
             return np.zeros(0), np.zeros(0, dtype=bool)
+        self.state.inverted(len(rows))
+        self.state.probes[rows] += 1
         vals, est = transforms._invert_over_delay_rows(
             (self.w - self.ds[rows])[:, None],
             self.lambda1 * (1.0 - b),
@@ -271,26 +347,26 @@ def _npq_meets(lam1: np.ndarray, lam2: np.ndarray, mu: float, kpi: Kpi,
 
     One batched inversion at the target wait, counted in ``state``.  With
     b = d = 0 the busy weights are the bare geometric tail
-    (``_StackedWeights.geometric``).  Returns (meets, ok) per row.
+    (``_StackedWeights.geometric``).  Returns (meets, values, ok) per row,
+    ``values`` the certified F(w).
     """
     if not rows.size:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)
-    state.calls += 1
-    state.rows_inverted += len(rows)
+        return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=bool)
+    state.inverted(len(rows))
     rho = lam1 / mu + lam2 / mu
     vals, est = transforms._invert_over_delay_rows(
         np.full((len(rows), 1), kpi.target_w), lam1, mu,
         transforms._StackedWeights.geometric(rho), state.tol,
     )
     values, ok = state.certify(rows, (1.0 - rho) + vals[:, 0], est[:, 0])
-    return values >= kpi.compliance_p, ok
+    return values >= kpi.compliance_p, values, ok
 
 
 # --------------------------------------------------------------------------
 # optimal accumulation rates
 # --------------------------------------------------------------------------
 
-def _points(configs, outcome: dict, means, state: _Rows) -> list:
+def _points(configs, outcome: dict, means, state: _Rows) -> PolicySweep:
     """Each row's PolicyPoint at its (b, feasible) outcome; raises the first failed row's error.
 
     ``means[r]`` is the row's class-2 mean as a function of b
@@ -309,14 +385,15 @@ def _points(configs, outcome: dict, means, state: _Rows) -> list:
             state.fail(r, exc)
             continue
         points.append(PolicyPoint(d=cfg.d, b_star=b, mean_w1=float(w1), mean_w2=float(w2),
-                                  feasible=feasible, error_estimate=float(state.worst[r])))
+                                  feasible=feasible, error_estimate=float(state.worst[r]),
+                                  probes=int(state.probes[r])))
     state.raise_first()
-    return points
+    return PolicySweep(points, state.calls, state.rows_inverted)
 
 
 def _b_star_class2_rows(
     configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
-) -> list:
+) -> PolicySweep:
     """``b_star_class2`` for configs that differ only in d, in lockstep."""
     if kpi.class_index != 2:
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
@@ -343,8 +420,13 @@ def _b_star_class2_rows(
 
     live = _check_monotone(state, live, f0, f1, rows.probe, 100 * tol.eps_invert,
                            "class-2 compliance")
-    _, hi = _bisect_rows(rows.probe, lambda values, rr: values < p,
-                         live, np.zeros(n), np.ones(n), tol.eps_root)
+
+    def residual(b, rr):
+        values, ok = rows.probe(b, rr)
+        return values - p, ok
+
+    _, hi = _itp_rows(residual, live, np.zeros(n), np.ones(n), f0 - p, f1 - p,
+                      tol.eps_root, ties_lo=False)
     for r in state.alive(live):
         outcome[r] = (float(hi[r]), True)
     return _points(configs, outcome, rows.means, state)
@@ -352,7 +434,7 @@ def _b_star_class2_rows(
 
 def _b_star_class1_rows(
     configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
-) -> list:
+) -> PolicySweep:
     """``b_star_class1`` for configs that differ only in d, in lockstep.
 
     A step prices every row's rate at once: the class-2 mean is
@@ -365,7 +447,7 @@ def _b_star_class1_rows(
     n = len(configs)
     state = _Rows(n, tol)
     means = [None] * n
-    threshold = np.zeros(n)
+    threshold, m0, m1 = np.zeros(n), np.zeros(n), np.zeros(n)
     num, den = np.zeros(n), np.ones(n)
     outcome = {}
     live = []
@@ -377,7 +459,9 @@ def _b_star_class1_rows(
             if math.isinf(threshold[r]):  # approx.ALWAYS_SATISFIED
                 outcome[r] = (1.0, True)
                 continue
-            if class1_mean_from_class2(cfg.replace(b=0.0), means[r](0.0)) > threshold[r]:
+            state.probes[r] += 1
+            m0[r] = class1_mean_from_class2(cfg.replace(b=0.0), means[r](0.0))
+            if m0[r] > threshold[r]:
                 outcome[r] = (0.0, False)
                 continue
             num[r], den[r] = means[r].correction()
@@ -390,18 +474,22 @@ def _b_star_class1_rows(
         npq = mean_wait.npq_class2_mean(base)
 
         def mean1(b, rr):
+            state.probes[rr] += 1
             w2 = npq - mean_wait._correction_prefactor(base, b) * num[rr] / den[rr]
             return class1_mean_from_class2(base, w2), np.ones(len(rr), dtype=bool)
 
-        m0, m1 = np.full(n, class1_mean_from_class2(base, npq)), np.zeros(n)
+        def residual(b, rr):
+            values, ok = mean1(b, rr)
+            return values - threshold[rr], ok
+
         m1[live] = mean1(1.0, live)[0]
         done = m1[live] <= threshold[live]
         for r in live[done]:
             outcome[r] = (1.0, True)
         live = _check_monotone(state, live[~done], m0, m1, mean1,
                                1e-9 * np.maximum(1.0, threshold), "class-1 mean wait")
-        lo, _ = _bisect_rows(mean1, lambda values, rr: values <= threshold[rr],
-                             live, np.zeros(n), np.ones(n), tol.eps_root)
+        lo, _ = _itp_rows(residual, live, np.zeros(n), np.ones(n), m0 - threshold,
+                          m1 - threshold, tol.eps_root, ties_lo=True)
         for r in live:
             outcome[r] = (float(lo[r]), True)
     return _points(configs, outcome, means, state)
@@ -487,7 +575,7 @@ def meets_extreme(
         return _npq1_cdf_at(rho, lam1, mu, w) >= p
     validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu))
     state = _Rows(1, tol)
-    meets, _ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
+    meets, _, _ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
     state.raise_first()
     return bool(meets[0])
 
@@ -521,15 +609,21 @@ def feasible_region(
     """Trace the two lambda-space frontiers of the KPI tuning region.
 
     For each lambda1 on the grid the boundary lambda2 where the relevant
-    extreme discipline exactly meets the KPI is found by bisection (class-2
-    strict-priority boundary) or in closed form (pure-occupancy FCFS
-    boundary and the class-1 strict-priority boundary).  The class-2
-    bisections run in lockstep over lambda1: each probe is one batched
-    inversion over the rows still searching.  When rows fail, the error of
-    the lowest lambda1 is raised.
+    extreme discipline exactly meets the KPI is found by an ITP search
+    (class-2 strict-priority boundary) or in closed form (pure-occupancy
+    FCFS boundary and the class-1 strict-priority boundary).  The class-2
+    searches run in lockstep over lambda1: each probe is one batched
+    inversion over the rows still searching.  The two probes at the
+    bracket ends give each row its residuals p - F(w) there; each row then
+    narrows its bracket to 1e-4 in at most one probe more than bisection
+    would take, and its frontier is the bracket's midpoint, within 1e-4 of
+    the bisection midpoint.  When rows fail, the error of the lowest
+    lambda1 is raised.
     """
-    if resolution <= 0:
-        raise OutOfRange("resolution must be positive")
+    if not 0.0 < resolution < math.inf:
+        raise OutOfRange(f"resolution must be positive and finite, got {resolution}")
+    if not 0.0 < mu < math.inf:
+        raise OutOfRange(f"service rate mu must be positive and finite, got {mu}")
     w, p = kpi.target_w, kpi.compliance_p
     rho_fcfs = _fcfs_boundary_rho(kpi, mu, tol.eps_root)
     lam1s = np.arange(resolution, mu, resolution)
@@ -560,13 +654,20 @@ def feasible_region(
     lower = np.zeros(n)  # fails even with a trace of class-2 load
     rows = np.arange(n)
     lo = np.full(n, 1e-9)
-    meets, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
+    f_lo, f_hi = np.zeros(n), np.zeros(n)  # residuals p - F(w) at the bracket ends
+    meets, values, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
+    f_lo[rows] = p - values
     rows = rows[ok & meets]
-    meets, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
+    meets, values, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
+    f_hi[rows] = p - values
     lower[rows[ok & meets]] = hi_l2[rows[ok & meets]]
     rows = rows[ok & ~meets]
-    lo, hi = _bisect_rows(lambda mid, rr: _npq_meets(lam1s[rr], mid, mu, kpi, state, rr),
-                          lambda meets, rr: meets, rows, lo, hi_l2, 1e-4)
+
+    def residual(lam2, rr):
+        _, values, ok = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr)
+        return p - values, ok
+
+    lo, hi = _itp_rows(residual, rows, lo, hi_l2, f_lo, f_hi, 1e-4, ties_lo=True)
     rows = state.alive(rows)
     lower[rows] = 0.5 * (lo[rows] + hi[rows])
     state.raise_first()
@@ -589,7 +690,7 @@ def policy_sweep(
     kpi: Kpi,
     d_values: Sequence[float],
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> list:
+) -> PolicySweep:
     """Optimal-b search across delay levels, with trend verification.
 
     The searches of all delays run in lockstep (see the module notes); when
@@ -597,7 +698,8 @@ def policy_sweep(
     For class-2 KPIs the class-1 mean must be nondecreasing along
     (d, b*(d)); for class-1 KPIs the class-2 mean must be constant (to
     1e-4) wherever b* is interior.  Violations raise MonotonicityViolation
-    since downstream conclusions rest on these trends.
+    since downstream conclusions rest on these trends.  Returns a
+    ``PolicySweep``: the points, with the sweep's inversion counts.
     """
     configs = [config.replace(d=float(d)) for d in d_values]
     if kpi.class_index == 2:

@@ -11,7 +11,9 @@ the Poisson jump cut and the Euler parameters with the package.  Poisson
 tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
 and the KPI searches evaluate each b from scratch.  The row-by-row KPI
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
-one single-point inversion per probe) are kept as oracles too.  The
+one single-point inversion per probe) are kept as oracles too, each on a
+scalar ITP search written from the published pseudo-code or, on request,
+on the bisection the ITP search replaced.  The
 simulator makes one generator call per exponential draw, and its waits
 are split by class with a comprehension.  The command line's CSV is
 built one row at a time, each value formatted on its own.  Two public
@@ -491,12 +493,14 @@ def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
     validate(config.replace(b=0.0))
     w, p = kpi.target_w, kpi.compliance_p
     constraint = class2_cdf_per_b(config, w, tol)
-    if constraint(0.0) >= p:
+    f0 = constraint(0.0)
+    if f0 >= p:
         return _policy_point_per_b(config, 0.0, True, tol)
-    if constraint(1.0) < p:
+    f1 = constraint(1.0)
+    if f1 < p:
         return _policy_point_per_b(config, 1.0, False, tol)
     _check_monotone_per_b(constraint, 100 * tol.eps_invert, "class-2 compliance")
-    b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
+    b = _smallest(constraint, p, f0, f1, tol.eps_root)
     return _policy_point_per_b(config, b, True, tol)
 
 
@@ -507,12 +511,14 @@ def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
     mean1 = class1_mean_per_b(config, tol)
     if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
         return _policy_point_per_b(config, 1.0, True, tol)
-    if mean1(0.0) > threshold:
+    m0 = mean1(0.0)
+    if m0 > threshold:
         return _policy_point_per_b(config, 0.0, False, tol)
-    if mean1(1.0) <= threshold:
+    m1 = mean1(1.0)
+    if m1 <= threshold:
         return _policy_point_per_b(config, 1.0, True, tol)
     _check_monotone_per_b(mean1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
-    b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
+    b = _largest(mean1, threshold, m0, m1, tol.eps_root)
     return _policy_point_per_b(config, b, True, tol)
 
 
@@ -543,6 +549,61 @@ def _bisect_largest(f, m, lo, hi, eps):
     return lo
 
 
+def itp_bracket(g, lo, hi, g_lo, g_hi, eps, ties_lo):
+    """Scalar ITP search (Oliveira & Takahashi, ACM TOMS 2020, Algorithm 1).
+
+    Narrows [lo, hi], with g(lo) = g_lo <= 0 <= g_hi = g(hi), until
+    hi - lo <= eps, with kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1.
+    A zero residual moves lo when ``ties_lo``, else hi.  The projection
+    onto |x - x_half| <= r is written as the clip to [hi - bound,
+    lo + bound], bound = r + (hi - lo) / 2 = eps * 2**(n_max - j - 1),
+    with eps lowered by twice a slack of four ulps of 4 max(|lo|, |hi|)
+    and the slack added back, so that rounding cannot widen a bracket past
+    the bound.  Returns (lo, hi, probes).
+    """
+    kappa1 = 0.2 / (hi - lo)
+    slack = 4.0 * math.ulp(4.0 * max(abs(lo), abs(hi)))
+    n_half = 0
+    while math.ldexp(eps, n_half) < hi - lo:
+        n_half += 1
+    n_max = n_half + 1
+    j = probes = 0
+    while hi - lo > eps:
+        # interpolation
+        x_half = 0.5 * (lo + hi)
+        x_f = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
+        # truncation
+        sigma = 0.0 if x_half == x_f else math.copysign(1.0, x_half - x_f)
+        delta = kappa1 * ((hi - lo) * (hi - lo))
+        x_t = x_f + sigma * delta if delta <= abs(x_half - x_f) else x_half
+        # projection
+        bound = math.ldexp(eps - 2.0 * slack, n_max - j - 1) + slack
+        x = min(max(x_t, lo, hi - bound), hi, lo + bound)
+        # update
+        y = g(x)
+        probes += 1
+        if y < 0.0 or (ties_lo and y == 0.0):
+            lo, g_lo = x, y
+        else:
+            hi, g_hi = x, y
+        j += 1
+    return lo, hi, probes
+
+
+def _smallest(f, p, f0, f1, eps, bisect=False):
+    """Smallest b in [0, 1] with f(b) >= p, given f(0) = f0 < p <= f(1) = f1."""
+    if bisect:
+        return _bisect_smallest(f, p, 0.0, 1.0, eps)
+    return itp_bracket(lambda b: f(b) - p, 0.0, 1.0, f0 - p, f1 - p, eps, False)[1]
+
+
+def _largest(f, m, m0, m1, eps, bisect=False):
+    """Largest b in [0, 1] with f(b) <= m, given f(0) = m0 <= m < f(1) = m1."""
+    if bisect:
+        return _bisect_largest(f, m, 0.0, 1.0, eps)
+    return itp_bracket(lambda b: f(b) - m, 0.0, 1.0, m0 - m, m1 - m, eps, True)[0]
+
+
 def _check_monotone_known_ends(f, f0, f1, slack, what):
     bs = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = [f0] + [f(b) for b in bs[1:-1]] + [f1]
@@ -556,38 +617,51 @@ def _class2_cdf_at_w(config, w, tol):
     return float(class2_cdf_dapq(config, np.array([w]), tol).values[0])
 
 
+def npq_cdf_by_probe(lam1, lam2, mu, kpi, tol=DEFAULT_TOL):
+    """Strict-priority class-2 CDF at the KPI's target wait, by one ``class2_cdf_dapq`` call."""
+    cfg = QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu, b=0.0, d=0.0)
+    return _class2_cdf_at_w(cfg, kpi.target_w, tol)
+
+
 def npq_meets_by_probe(lam1, lam2, mu, kpi, tol=DEFAULT_TOL):
     """Whether strict priority meets a class-2 KPI, by one ``class2_cdf_dapq`` call."""
     if (lam1 + lam2) / mu >= 1.0:
         return False
-    cfg = QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu, b=0.0, d=0.0)
-    return _class2_cdf_at_w(cfg, kpi.target_w, tol) >= kpi.compliance_p
+    return npq_cdf_by_probe(lam1, lam2, mu, kpi, tol) >= kpi.compliance_p
 
 
-def feasible_region_by_probes(kpi, mu=1.0, resolution=0.02, tol=DEFAULT_TOL):
-    """``dapq.kpi.feasible_region`` one lambda1 at a time, one inversion per probe."""
+def feasible_region_by_probes(kpi, mu=1.0, resolution=0.02, tol=DEFAULT_TOL, bisect=False):
+    """``dapq.kpi.feasible_region`` one lambda1 at a time, one inversion per probe.
+
+    The class-2 frontier is the midpoint of a scalar ITP bracket, or of a
+    bisection bracket with ``bisect``."""
     w, p = kpi.target_w, kpi.compliance_p
     rho_fcfs = _fcfs_boundary_rho(kpi, mu, tol.eps_root)
     rho_probe_cap = 0.995
     lower, upper = [], []
     for lam1 in np.arange(resolution, mu, resolution):
         if kpi.class_index == 2:
-            f = lambda lam2: npq_meets_by_probe(lam1, lam2, mu, kpi, tol)
+            g = lambda lam2: p - npq_cdf_by_probe(lam1, lam2, mu, kpi, tol)
             hi_l2 = min(rho_probe_cap * mu, rho_fcfs * mu + 0.05 * mu) - lam1 - 1e-9
             if hi_l2 <= 0:
                 continue
-            if not f(1e-9):
+            g_lo = g(1e-9)
+            g_hi = g(hi_l2) if g_lo <= 0.0 else None
+            if g_lo > 0.0:
                 lower.append((lam1, 0.0))
-            elif f(hi_l2):
+            elif g_hi <= 0.0:
                 lower.append((lam1, hi_l2))
-            else:
+            elif bisect:
                 lo, hi = 1e-9, hi_l2
                 while hi - lo > 1e-4:
                     mid = 0.5 * (lo + hi)
-                    if f(mid):
+                    if g(mid) <= 0.0:
                         lo = mid
                     else:
                         hi = mid
+                lower.append((lam1, 0.5 * (lo + hi)))
+            else:
+                lo, hi, _ = itp_bracket(g, 1e-9, hi_l2, g_lo, g_hi, 1e-4, True)
                 lower.append((lam1, 0.5 * (lo + hi)))
             lam2_up = rho_fcfs * mu - lam1
             if lam2_up > 0:
@@ -607,18 +681,19 @@ def feasible_region_by_probes(kpi, mu=1.0, resolution=0.02, tol=DEFAULT_TOL):
     )
 
 
-def _policy_point_from_mean(config, b, feasible, mean_w2, error_estimate):
+def _policy_point_from_mean(config, b, feasible, mean_w2, error_estimate, probes):
     w2 = mean_w2(b)
     return PolicyPoint(
         d=config.d, b_star=b,
         mean_w1=float(class1_mean_from_class2(config.replace(b=b), w2)),
-        mean_w2=float(w2), feasible=feasible, error_estimate=error_estimate,
+        mean_w2=float(w2), feasible=feasible, error_estimate=error_estimate, probes=probes,
     )
 
 
-def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL):
+def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL, bisect=False):
     """One delay's class-2 search: hoisted busy weights, one ``_class2_cdf_from_weights``
-    call (F(d) re-inverted) per probe; the point carries the worst certified error."""
+    call (F(d) re-inverted) per probe; the point carries the worst certified error and
+    its probe count.  A scalar ITP search, or bisection with ``bisect``."""
     base = config.replace(b=0.0)
     validate(base)
     if config.service is not ServiceKind.EXPONENTIAL:
@@ -627,52 +702,61 @@ def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL):
     npq_weights = dapq_busy_weights(base.replace(d=0.0), tol)
     weights = dapq_busy_weights(base, tol)
     mean_w2 = mean_wait.class2_mean_in_b(config, tol)
-    worst = 0.0
+    worst, probes = 0.0, 0
 
     def constraint(b):
-        nonlocal worst
+        nonlocal worst, probes
+        probes += 1
         curve = transforms._class2_cdf_from_weights(
             config.replace(b=b), np.array([w]), npq_weights, weights, tol)
         worst = max(worst, curve.error_estimate)
         return float(curve.values[0])
 
+    def point(b, feasible):
+        return _policy_point_from_mean(config, b, feasible, mean_w2, worst, probes)
+
     f0 = constraint(0.0)
     if f0 >= p:
-        return _policy_point_from_mean(config, 0.0, True, mean_w2, worst)
+        return point(0.0, True)
     f1 = constraint(1.0)
     if f1 < p:
-        return _policy_point_from_mean(config, 1.0, False, mean_w2, worst)
+        return point(1.0, False)
     _check_monotone_known_ends(constraint, f0, f1, 100 * tol.eps_invert, "class-2 compliance")
-    b = _bisect_smallest(constraint, p, 0.0, 1.0, tol.eps_root)
-    return _policy_point_from_mean(config, b, True, mean_w2, worst)
+    return point(_smallest(constraint, p, f0, f1, tol.eps_root, bisect), True)
 
 
-def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL):
-    """One delay's class-1 search, a scalar class-1 mean (replace and validate) per step."""
+def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL, bisect=False):
+    """One delay's class-1 search, a scalar class-1 mean (replace and validate) per step;
+    the point carries its probe count.  A scalar ITP search, or bisection with ``bisect``."""
     rates = validate(config.replace(b=0.0))
     threshold = approx.kpi_mean_threshold(rates.rho, kpi)
     mean_w2 = mean_wait.class2_mean_in_b(config, tol)
+    probes = 0
 
     def mean1(b):
+        nonlocal probes
+        probes += 1
         return class1_mean_from_class2(config.replace(b=b), mean_w2(b))
 
+    def point(b, feasible):
+        return _policy_point_from_mean(config, b, feasible, mean_w2, 0.0, probes)
+
     if threshold is approx.ALWAYS_SATISFIED or math.isinf(threshold):
-        return _policy_point_from_mean(config, 1.0, True, mean_w2, 0.0)
+        return point(1.0, True)
     m0 = mean1(0.0)
     if m0 > threshold:
-        return _policy_point_from_mean(config, 0.0, False, mean_w2, 0.0)
+        return point(0.0, False)
     m1 = mean1(1.0)
     if m1 <= threshold:
-        return _policy_point_from_mean(config, 1.0, True, mean_w2, 0.0)
+        return point(1.0, True)
     _check_monotone_known_ends(mean1, m0, m1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
-    b = _bisect_largest(mean1, threshold, 0.0, 1.0, tol.eps_root)
-    return _policy_point_from_mean(config, b, True, mean_w2, 0.0)
+    return point(_largest(mean1, threshold, m0, m1, tol.eps_root, bisect), True)
 
 
-def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL):
+def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False):
     """``dapq.kpi.policy_sweep`` one delay after another, with the same trend checks."""
     search = b_star_class2_by_probes if kpi.class_index == 2 else b_star_class1_by_steps
-    points = [search(config.replace(d=float(d)), kpi, tol) for d in d_values]
+    points = [search(config.replace(d=float(d)), kpi, tol, bisect) for d in d_values]
     feas = [pt for pt in points if pt.feasible]
     if kpi.class_index == 2:
         w1s = [pt.mean_w1 for pt in feas]

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import cli_csv_by_rows, csv_payload_by_rows
-from dapq import cli, simulate
+from dapq import cli, kpi, simulate
 from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
-from dapq.core import QueueConfig, ServiceKind
+from dapq.core import Kpi, QueueConfig, ServiceKind
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +294,67 @@ def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
             assert all(0.0 < e <= 1e-8 for e in estimates)
         else:
             assert estimates == [0.0] * 4
+
+
+def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
+    cfg, target, ds = QueueConfig(0.4, 0.18, 1.0), Kpi(4.0, 0.85, 2), [0.0, 1.0, 2.0, 3.0, 4.0]
+    points = kpi.policy_sweep(cfg, target, ds)
+    out = tmp_path / "sweep.csv"
+    assert main(["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
+                 "--lam2", "0.18", "--sweep-d", "0:4", "--out", str(out)]) == EXIT_OK
+    search = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["search"]
+    assert search["probes"] == [pt.probes for pt in points]
+    assert (search["inversion_calls"], search["rows_inverted"]) == (
+        points.inversion_calls, points.rows_inverted)
+    assert 0 < search["inversion_calls"] <= 20 and search["probes"][0] > 5
+
+    out = tmp_path / "sweep1.csv"
+    assert main(["kpi", "--class", "1", "--w", "2", "--p", "0.9", "--lam1", "0.05",
+                 "--lam2", "0.6", "--sweep-d", "0:1", "--out", str(out)]) == EXIT_OK
+    search = json.loads((tmp_path / "sweep1.csv.manifest.json").read_text())["search"]
+    assert (search["inversion_calls"], search["rows_inverted"]) == (0, 0)
+    assert all(p > 5 for p in search["probes"])
+
+
+_QUEUE = ["--lam1", "0.4", "--lam2", "0.18"]
+_REGION = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--region"]
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["mean", "--lam1", "nan", "--lam2", "0.3"], {}),
+    (["mean", "--lam1", "inf", "--lam2", "0.3"], {}),
+    (["mean", *_QUEUE, "--mu", "nan"], {}),
+    (["mean", *_QUEUE, "--d", "inf"], {}),
+    (["mean", *_QUEUE, "--b", "0:inf"], {}),
+    (["mean", *_QUEUE, "--b", "nan:1"], {}),
+    (["mean", *_QUEUE, "--d", "0:2:nan"], {}),
+    (["mean", *_QUEUE, "--b", "zero"], {}),
+    (["cdf", "--kind", "dapq2", *_QUEUE, "--d", "nan"], {}),
+    (["cdf", "--kind", "fcfs", *_QUEUE, "--t-max", "nan"], {}),
+    (["cdf", "--kind", "fcfs", *_QUEUE, "--t-max", "5", "--dt", "0"], {}),
+    (["cdf", "--kind", "fcfs", *_QUEUE, "--t-max", "5", "--dt", "-1"], {}),
+    (["kpi", "--class", "2", "--w", "4", "--p", "0.85", *_QUEUE, "--d", "inf"], {}),
+    (["kpi", "--class", "2", "--w", "4", "--p", "nan", *_QUEUE], {}),
+    (["kpi", "--class", "1", "--w", "2", "--p", "0.9", *_QUEUE, "--sweep-d", "0:inf"], {}),
+    (["kpi", "--class", "2", "--w", "nan", "--p", "0.85", "--region"], {}),
+    ([*_REGION, "--resolution", "nan"], {}),
+    ([*_REGION, "--resolution", "inf"], {}),
+    ([*_REGION, "--mu", "inf"], {}),
+    (["mean", *_QUEUE], {"DAPQ_EPS_ROOT": "abc"}),
+    (["mean", *_QUEUE], {"DAPQ_MAX_STATES": "1.5"}),
+    (["mean", *_QUEUE], {"DAPQ_EPS_INVERT": "nan"}),
+    (["mean", *_QUEUE], {"DAPQ_EPS_SERIES": "inf"}),
+])
+def test_bad_numbers_are_rejected_with_one_error_line(argv, env, tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == EXIT_INVALID
+    assert err.startswith("error: OutOfRange: ") and err.count("\n") == 1, err
+    assert stdout == "" and not out.exists()
+    for name in env:
+        assert name in err or name.removeprefix("DAPQ_").lower() in err
 
 
 # --------------------------------------------------------------------------

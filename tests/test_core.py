@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from dapq.core import (
     InvalidDelay,
+    Kpi,
     NoClass1,
     OutOfRange,
     QueueConfig,
     ServiceKind,
+    ToleranceConfig,
     UnstableSystem,
     class1_mean_from_class2,
     conservation_rhs,
@@ -56,6 +59,36 @@ def test_validate_rejects_bad_delay():
 def test_validate_rejects_out_of_range(kwargs):
     with pytest.raises(OutOfRange):
         validate(QueueConfig(**kwargs))
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "mu", "b", "d"])
+def test_validate_rejects_non_finite(name, value):
+    cfg = QueueConfig(0.1, 0.3, 1.0, b=0.5, d=1.0).replace(**{name: value})
+    what = {"lambda1": "arrival", "lambda2": "arrival", "mu": "service rate",
+            "b": "accumulation", "d": "delay"}[name]
+    with pytest.raises(OutOfRange, match=what):
+        validate(cfg)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(target_w=math.nan, compliance_p=0.85), dict(target_w=math.inf, compliance_p=0.85),
+    dict(target_w=4.0, compliance_p=math.nan), dict(target_w=4.0, compliance_p=math.inf),
+    dict(target_w=-math.inf, compliance_p=0.85),
+])
+def test_kpi_rejects_non_finite(kwargs):
+    with pytest.raises(OutOfRange):
+        Kpi(**kwargs)
+
+
+@pytest.mark.parametrize("value", NON_FINITE + [0.0, -1e-10])
+@pytest.mark.parametrize("name", ["eps_series", "eps_root", "eps_invert", "max_states"])
+def test_tolerances_reject_non_finite_and_non_positive(name, value):
+    with pytest.raises(OutOfRange, match=name):
+        ToleranceConfig(**{name: value})
 
 
 def test_conservation_rhs_values():

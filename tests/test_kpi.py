@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from _oracles import (
     class1_mean_per_b,
     class2_cdf_per_b,
     feasible_region_by_probes,
+    itp_bracket,
     npq_meets_by_probe,
     policy_sweep_by_delay,
 )
@@ -24,6 +26,7 @@ from dapq.core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
+    validate,
 )
 from dapq.kpi import (
     b_star_class1,
@@ -304,12 +307,14 @@ def test_meets_extreme_npq_is_the_one_row_region_probe():
 
 
 def _sweep_outcome(search, cfg, target, ds):
-    """A sweep's points with their error estimates, or the type and text of its error."""
+    """A sweep's points with their error estimates and the probe counts of its
+    interior points, or the type and text of its error."""
     try:
         points = search(cfg, target, ds)
     except DapqError as exc:
         return type(exc), str(exc)
-    return points, [pt.error_estimate for pt in points]
+    return (points, [pt.error_estimate for pt in points],
+            [pt.probes for pt in points if 0.0 < pt.b_star < 1.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -476,5 +481,195 @@ def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
     assert len(calls) == region.inversion_calls <= 20
     assert region.rows_inverted == sum(shape[0] for shape in calls)
     calls.clear()
-    policy_sweep(QueueConfig(0.4, 0.18, 1.0), KPI2, [float(d) for d in range(9)])
-    assert len(calls) <= 50
+    points = policy_sweep(QueueConfig(0.4, 0.18, 1.0), KPI2, [float(d) for d in range(9)])
+    assert len(calls) == points.inversion_calls <= 20
+    assert points.rows_inverted == sum(shape[0] for shape in calls)
+
+
+# --------------------------------------------------------------------------
+# ITP against the bisection it replaced, and its worst case
+# --------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rho=st.floats(min_value=0.3, max_value=0.92),
+    share=st.floats(min_value=0.1, max_value=0.9),
+    cls=st.sampled_from([1, 2]),
+    det=st.booleans(),
+    w=st.floats(min_value=0.3, max_value=6.0),
+    ks=st.lists(st.integers(min_value=0, max_value=8), min_size=1, max_size=4, unique=True),
+    b_mid=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks, b_mid):
+    # bisection (the slow path) and ITP bracket the same crossing to eps_root,
+    # and ITP returns the end of its bracket that meets the KPI
+    service = ServiceKind.DETERMINISTIC if det and cls == 1 else ServiceKind.EXPONENTIAL
+    step = 1.0 if service is ServiceKind.DETERMINISTIC else w / 4
+    d_values = sorted(step * k for k in ks)
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, service=service)
+    d_anchor = d_values[0]
+    if cls == 2:
+        p = class2_cdf_per_b(cfg.replace(d=d_anchor), w)(b_mid)
+        if not 0.0 < p < 1.0:
+            return
+        target = Kpi(w, p, 2)
+    else:
+        p1 = 1.0 - 0.5 * rho
+        mean1 = class1_mean_per_b(cfg.replace(d=d_anchor))(b_mid)
+        target = Kpi(mean1 * math.log(rho / (1.0 - p1)) / rho, p1, 1)
+    try:
+        bisected = policy_sweep_by_delay(cfg, target, d_values, bisect=True)
+    except DapqError as exc:
+        # a trend check's message prints means at b* to every digit
+        assert _sweep_outcome(policy_sweep, cfg, target, d_values)[0] is type(exc)
+        return
+    got = policy_sweep(cfg, target, d_values)
+    assert len(got) == len(bisected)
+    interior = 0
+    for pt, ref in zip(got, bisected):
+        assert (pt.d, pt.feasible) == (ref.d, ref.feasible)
+        assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
+        if not 0.0 < ref.b_star < 1.0:
+            assert pt == ref
+            continue
+        interior += 1
+        at = cfg.replace(d=pt.d)
+        if cls == 2:
+            assert class2_cdf_per_b(at, w)(pt.b_star) >= target.compliance_p
+        else:
+            threshold = kpi_mean_threshold(validate(at).rho, target)
+            assert class1_mean_per_b(at)(pt.b_star) <= threshold
+        assert pt.probes <= ref.probes + 1
+    assert interior or not any(0.0 < pt.b_star < 1.0 for pt in got)
+
+
+@pytest.mark.parametrize("target", REGION_KPIS[:-1])
+def test_itp_region_frontier_is_within_1e4_of_bisection(target):
+    got = feasible_region(target, resolution=0.05)
+    want = feasible_region_by_probes(target, resolution=0.05, bisect=True)
+    assert np.array_equal(got.upper_boundary, want.upper_boundary)
+    assert np.array_equal(got.lower_boundary[:, 0], want.lower_boundary[:, 0])
+    assert np.max(np.abs(got.lower_boundary[:, 1] - want.lower_boundary[:, 1])) <= 1e-4
+
+
+def _adversarial_residuals():
+    """Monotone residuals that defeat interpolation: (name, g, lo, hi, eps, ties_lo)."""
+    return [
+        ("step", lambda x: np.where(x < 0.3, -1.0, 1.0), 0.0, 1.0, 1e-10, False),
+        ("step at a dyadic point", lambda x: np.where(x < 0.5, -1.0, 1.0), 0.0, 1.0, 1e-10, True),
+        ("tiny step", lambda x: np.where(x < 0.7123, -1e-300, 1e300), 0.0, 1.0, 1e-10, False),
+        ("flat then steep", lambda x: np.where(x < 0.999, -1e-9, 1e6 * (x - 0.999) - 1e-9),
+         0.0, 1.0, 1e-10, False),
+        ("steep then flat", lambda x: np.where(x < 1e-3, 1e6 * (x - 1e-3), 1e-9),
+         0.0, 1.0, 1e-10, True),
+        ("root at hi", lambda x: x - 1.0, 0.0, 1.0, 1e-10, False),
+        ("root at lo", lambda x: x, 0.0, 1.0, 1e-10, True),
+        ("zero at lo, steep", lambda x: np.where(x > 0.0, 1.0, 0.0), 0.0, 1.0, 1e-10, True),
+        ("cubic", lambda x: (x - 0.2) ** 3, 0.0, 0.7, 1e-4, True),
+        ("wide bracket", lambda x: np.tanh(x - 3.0), 1e-9, 12.5, 1e-4, True),
+    ]
+
+
+def test_itp_worst_case_on_adversarial_residuals():
+    # each row alone, then all rows in one lockstep search: at most one
+    # probe beyond bisection's count, the crossing kept in the final bracket,
+    # and each row bit for bit the scalar ITP of the oracles
+    cases = _adversarial_residuals()
+    singles = []
+    for name, g, lo, hi, eps, ties_lo in cases:
+        probes = []
+        limit = math.ceil(math.log2((hi - lo) / eps)) + 1
+
+        def probe(x, rows):
+            probes.append(len(rows))
+            assert len(probes) <= limit, name  # fail fast rather than crawl
+            return g(x), np.ones(len(rows), dtype=bool)
+
+        got_lo, got_hi = kpi._itp_rows(probe, np.arange(1), np.array([lo]), np.array([hi]),
+                                       g(np.array([lo])), g(np.array([hi])), eps, ties_lo)
+        a, b = float(got_lo[0]), float(got_hi[0])
+        assert lo <= a <= b <= hi and b - a <= eps, name
+        ga, gb = g(np.array([a, b]))
+        assert (ga <= 0.0 if ties_lo else ga < 0.0) or a == lo, name
+        assert (gb > 0.0 if ties_lo else gb >= 0.0) or b == hi, name
+        scalar = itp_bracket(lambda x: float(g(np.array([x]))[0]), lo, hi,
+                             float(g(np.array([lo]))[0]), float(g(np.array([hi]))[0]),
+                             eps, ties_lo)
+        assert (a, b, len(probes)) == scalar, name
+        singles.append((a, b))
+
+    for ties_lo, eps in {(case[5], case[4]) for case in cases}:
+        rows = [r for r, case in enumerate(cases) if (case[5], case[4]) == (ties_lo, eps)]
+        lo = np.array([case[2] for case in cases])
+        hi = np.array([case[3] for case in cases])
+        f_lo = np.array([float(case[1](np.array([case[2]]))[0]) for case in cases])
+        f_hi = np.array([float(case[1](np.array([case[3]]))[0]) for case in cases])
+
+        def probe(x, rr):
+            return (np.array([float(cases[r][1](np.array([xi]))[0]) for r, xi in zip(rr, x)]),
+                    np.ones(len(rr), dtype=bool))
+
+        got_lo, got_hi = kpi._itp_rows(probe, np.array(rows), lo, hi, f_lo, f_hi,
+                                       eps, ties_lo)
+        for r in rows:
+            assert (got_lo[r], got_hi[r]) == singles[r], cases[r][0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.floats(min_value=0.0, max_value=1.0),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    eps_exp=st.integers(min_value=-14, max_value=-2),
+    low=st.floats(min_value=1e-6, max_value=1e6),
+    high=st.floats(min_value=1e-6, max_value=1e6),
+    power=st.sampled_from([1, 3, 15]),
+    ties_lo=st.booleans(),
+)
+def test_itp_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, high, power,
+                                                     ties_lo):
+    # a jump of arbitrary height at an arbitrary point, on top of an odd power
+    eps = 10.0 ** eps_exp * width
+    root = c * width
+
+    def g(x):
+        t = (x - root) / width
+        return np.where(x < root, -low, high) * (1e-3 + np.abs(t) ** power)
+
+    probes = []
+
+    def probe(x, rows):
+        probes.append(1)
+        assert len(probes) <= math.ceil(math.log2(width / eps)) + 1
+        return g(x), np.ones(len(rows), dtype=bool)
+
+    lo, hi = kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
+                           g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+    assert hi[0] - lo[0] <= eps
+    assert lo[0] <= root <= hi[0] or root in (0.0, width)
+
+
+# --------------------------------------------------------------------------
+# how each point was found
+# --------------------------------------------------------------------------
+
+def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+    cfg = QueueConfig(0.4, 0.18, 1.0)
+    ds = [0.0, 1.0, 3.0, 4.0, 6.0]  # interior, interior, infeasible, b-free, b-free
+    points = policy_sweep(cfg, KPI2, ds)
+    assert isinstance(points, kpi.PolicySweep) and points == list(points)
+    assert points.inversion_calls == len(calls)
+    assert points.rows_inverted == sum(shape[0] for shape in calls)
+    probes = [pt.probes for pt in points]
+    # two ends, three monotonicity rates, then ITP steps; b = 1 fails after
+    # two probes; a row with d >= w has one b-free probe
+    assert all(6 <= n <= 5 + 35 for n in probes[:2])
+    assert probes[2:] == [2, 1, 1]
+    assert sum(probes) == points.rows_inverted - 2  # F(d) at d = 1 and 3, once each
+    assert replace(points[0], probes=0, error_estimate=0.0) == points[0]
+
+    # a class-1 sweep inverts nothing; its probes are mean evaluations
+    points = policy_sweep(QueueConfig(0.05, 0.6, 1.0), KPI1, [0.0, 1.0])
+    assert (points.inversion_calls, points.rows_inverted) == (0, 0)
+    assert all(6 <= pt.probes <= 5 + 35 for pt in points)
+    assert b_star_class1(QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1)).probes == 0
