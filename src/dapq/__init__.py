@@ -21,9 +21,9 @@ from .core import (
 from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_cdf, zexp_from_mean
 from .kpi import FeasibleRegion, PolicyPoint, PolicySweep, b_star_class1, b_star_class2, feasible_region, policy_sweep
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio
-from .mean_wait import XTable, dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean, x_table
+from .mean_wait import dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
-from .transforms import CdfCurve, Lst, class2_cdf_dapq, eta_mm1, invert_to_cdf
+from .transforms import CdfCurve, class2_cdf_dapq, eta_mm1
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "EmpiricalCdf",
     "FeasibleRegion",
     "Kpi",
-    "Lst",
     "PolicyPoint",
     "PolicySweep",
     "QueueConfig",
@@ -45,7 +44,6 @@ __all__ = [
     "StationaryDist",
     "ToleranceConfig",
     "WaitSummary",
-    "XTable",
     "ZExp",
     "b_star_class1",
     "b_star_class2",
@@ -57,7 +55,6 @@ __all__ = [
     "eta_mm1",
     "fcfs_mean",
     "feasible_region",
-    "invert_to_cdf",
     "kpi_mean_threshold",
     "md1_dapq_class2_mean",
     "md1_stationary",
@@ -68,7 +65,6 @@ __all__ = [
     "run_replicated",
     "run_single",
     "validate",
-    "x_table",
     "zexp_cdf",
     "zexp_from_mean",
 ]

@@ -306,7 +306,7 @@ class _Class2Rows:
         self.lambda1, self.mu = base.lambda1, base.mu
         atom = 1.0 - validate(base).rho
         self.f_at_d[:] = atom
-        npq_fn = transforms._shifted_tail_lst(base.replace(d=0.0), npq_weights).fn
+        npq_fn = transforms._shifted_tail_fn(base.replace(d=0.0), npq_weights)
         delayed = self.dep[self.ds[self.dep] > 0]
         if delayed.size:
             state.inverted(len(delayed))

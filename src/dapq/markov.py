@@ -13,7 +13,10 @@ Two kinds of object live here:
   powers of the absorbing chain's positive part applied to the busy part
   of the geometric M/M/1 law).  Beyond the Poisson jump cut the weights
   are exactly geometric in ``j`` with ratio rho, so only a head whose size
-  is set by ``d`` is computed and the tail is kept in closed form.
+  is set by ``d`` is computed and the tail is kept in closed form.  The
+  class-2 CDFs cut the jump sum by mass; the M/M/1 mean takes the weights'
+  first moment from the same loop (``_busy_weights``) with a cut weighted
+  by the ahead count.
 
 On the M/D/1 geometric tail: the decay of consecutive probabilities is the
 *reciprocal* of the nontrivial root ``sigma > 1`` of ``exp(rho*sigma)/sigma
@@ -39,6 +42,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DerivedRates,
     OutOfRange,
     QueueConfig,
     RootBracketFailure,
@@ -253,15 +257,16 @@ def _poisson_horizon(nu_d: float, eps: float) -> np.ndarray:
     return pmf[: cut + 1]
 
 
-def _chain_step(v: np.ndarray, p_up: float, q_down: float) -> np.ndarray:
-    """One step of the positive part of the absorbing ahead-set chain.
+def _chain_step(v: np.ndarray, p_up: float, q_down: float, out: np.ndarray) -> np.ndarray:
+    """One step of the positive part of the absorbing ahead-set chain, into ``out``.
 
     State j receives q from j+1 and p from j-1; state 1 receives only from 2
-    (mass flowing to the absorbing empty state is dropped).
+    (mass flowing to the absorbing empty state is dropped).  ``out`` must
+    not overlap ``v``; writing into it spares the loop an allocation.
     """
-    out = np.zeros_like(v)
+    out[0] = 0.0
+    np.multiply(v[:-1], p_up, out=out[1:])
     out[:-1] += q_down * v[1:]
-    out[1:] += p_up * v[:-1]
     return out
 
 
@@ -286,21 +291,52 @@ class BusyWeights:
         """P[ahead-set never empties within d], head plus closed-form tail."""
         return float(self.head.sum() + self.tail_next / (1.0 - self.rho))
 
+    def first_moment(self) -> float:
+        """sum_l l w_l: the head's dot product with 1..n plus the closed-form tail.
+
+        The tail is sum_{l>n} l ``tail_next`` rho**(l-n-1)
+        = ``tail_next`` ((n+1)/(1-rho) + rho/(1-rho)**2).
+        """
+        n, rho = len(self.head), self.rho
+        tail = self.tail_next * ((n + 1) / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+        return float(np.arange(1, n + 1) @ self.head + tail)
+
+
+def _busy_weights(rates: DerivedRates, pmf: np.ndarray) -> BusyWeights:
+    """The busy weights of a Poisson jump sum cut after ``pmf[-1]``.
+
+    The initial state is the stationary arriving-customer count (PASTA),
+    restricted to busy finds: pi_+ with (pi_+)_l = (1-rho) rho^l.  After k
+    steps of the uniformized chain every state l > k still holds exactly
+    (1-rho) rho^(l-k) r^k with r = p_up + q_down rho^2 (one step maps that
+    geometric profile onto itself times r), so with the jump sum cut at
+    n = len(pmf) - 1 every state l > n carries C rho^l, C = (1-rho) sum_k
+    pmf_k (r/rho)^k.  Only the first 2n states are iterated: the missing
+    flow from above corrupts one more top state per step, so after n steps
+    states 1..n are still exact.
+    """
+    n = len(pmf) - 1
+    rho = rates.rho
+    # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
+    ks = np.arange(n + 1)
+    tail_next = float((1.0 - rho) * (pmf * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
+    v = (1.0 - rho) * rho ** np.arange(1, 2 * n + 1)
+    acc = pmf[0] * v
+    spare = np.empty_like(v)
+    for k in range(1, n + 1):
+        v, spare = _chain_step(v, rates.p_up, rates.q_down, spare), v
+        acc += pmf[k] * v
+    return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)
+
 
 def busy_state_distribution(
     config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 ) -> BusyWeights:
     """Busy-horizon state weights: an exact head plus a closed geometric tail.
 
-    The initial state is the stationary arriving-customer count (PASTA),
-    restricted to busy finds: pi_+ with (pi_+)_l = (1-rho) rho^l.  After k
-    steps of the uniformized chain every state l > k still holds exactly
-    (1-rho) rho^(l-k) r^k with r = p_up + q_down rho^2 (one step maps that
-    geometric profile onto itself times r), so with the Poisson jump sum
-    cut at n every state l > n carries C rho^l, C = (1-rho) sum_k
-    pmf_k (r/rho)^k.  Only the first 2n states are iterated: the missing
-    flow from above corrupts one more top state per step, so after n steps
-    states 1..n are still exact.  The state count depends on the delay
+    The Poisson jump sum stops once its remaining mass is below
+    eps_series/2 (``_poisson_horizon``), and ``_busy_weights`` iterates
+    the chain over that cut, so the state count depends on the delay
     horizon, not on rho.
     """
     rates = validate(config)
@@ -320,13 +356,4 @@ def busy_state_distribution(
         raise TruncationOverflow(
             f"busy-state head needs {n} states but max_states={tol.max_states}"
         )
-    rho = rates.rho
-    # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
-    ks = np.arange(n + 1)
-    tail_next = float((1.0 - rho) * (pmf * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
-    v = (1.0 - rho) * rho ** np.arange(1, 2 * n + 1)
-    acc = pmf[0] * v
-    for k in range(1, n + 1):
-        v = _chain_step(v, rates.p_up, rates.q_down)
-        acc += pmf[k] * v
-    return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)
+    return _busy_weights(rates, pmf)

@@ -1,12 +1,13 @@
 """Exact expected waiting times under FCFS, NPQ, APQ, and delayed APQ.
 
 The class-2 delayed-APQ mean is the NPQ mean minus a correction that prices
-the slower accreditation: for exponential service the correction is a
-Poisson-weighted sum over the uniformized ahead-set chain (``x_table``),
-plus a closed-form geometric-region term; for deterministic service the sum
-over post-delay queue states of residual-service integrals against the M/D/1
-stationary distribution has a closed form.  Class-1 means always follow from
-the work-conserving conservation law.
+the slower accreditation: for exponential service the correction is the
+first moment of the busy-horizon state weights (``dapq.markov``), a
+Poisson-weighted sum over the uniformized ahead-set chain; for
+deterministic service the sum over post-delay queue states of
+residual-service integrals against the M/D/1 stationary distribution has a
+closed form.  Class-1 means always follow from the work-conserving
+conservation law.
 
 The accumulation rate b enters the mean only as the prefactor
 rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
@@ -16,13 +17,11 @@ values, which is what a search over b (``dapq.kpi``) needs.
 
 Numerical notes
 ---------------
-* The x-table recursion needs values one index beyond the stored row; those
-  come from the exact geometric region (pi_+ P_+^k)_l = (1-rho) rho^(l-k) r^k
-  for l > k.  The first-column base case is x_1^(2) = q*rho*r, which is what
-  the recursion and the explicit matrix products both give.
-* Every entry of the normalized chain vectors is bounded by rho, so the
-  truncated Poisson k-sum carries an explicit remainder bound
-  (rho/2) * [m^2 P(N >= K-1) + 2 m P(N >= K)] for N ~ Poisson(m = nu*d).
+* The exponential-service correction iterates the same chain as the
+  class-2 CDFs' busy weights, but cuts the Poisson jump sum where an
+  explicit bound on the first moment's remainder, not on the mass, falls
+  below eps_series/2 (``_poisson_ksum_cutoff``).  Beyond the cut the
+  weights are exactly geometric, so their moment has a closed form.
 * The deterministic-service correction is summed over every post-delay
   state at once: by the binomial theorem on the residual- and delay-side
   Poisson weights, the sum over states is a partial expectation of
@@ -40,10 +39,8 @@ Numerical notes
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -60,7 +57,7 @@ from .core import (
     conservation_rhs,
     validate,
 )
-from .markov import _poisson_table, md1_stationary
+from .markov import _busy_weights, _poisson_table, md1_stationary
 
 
 # --------------------------------------------------------------------------
@@ -82,64 +79,22 @@ def npq_class2_mean(config: QueueConfig) -> float:
 
 
 # --------------------------------------------------------------------------
-# x-table: the non-geometric head of pi_+ P_+^k
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class XTable:
-    """Rows x_1^(k) .. x_k^(k) of the uniformized-chain products.
-
-    Row k equals (pi_+ P_+^k)_l / (1-rho) for l = 1..k; beyond l = k the
-    product continues as rho^(l-k) r^k exactly.
-    """
-
-    rows: tuple
-    p_up: float
-    q_down: float
-    r_coef: float
-
-    def row(self, k: int) -> np.ndarray:
-        return self.rows[k - 1]
-
-
-def _next_x_row(prev: np.ndarray, k: int, rho: float, rates: DerivedRates) -> np.ndarray:
-    """Row k from row k-1, extending the previous row into its geometric region."""
-    p, q, r = rates.p_up, rates.q_down, rates.r_coef
-    geo = r ** (k - 1)
-    ext = np.concatenate([prev, [rho * geo, rho * rho * geo]])  # l = k, k+1
-    row = np.empty(k)
-    row[0] = q * ext[1]
-    row[1:] = p * ext[0 : k - 1] + q * ext[2 : k + 1]
-    return row
-
-
-def _x_rows(rates: DerivedRates, K_max: int) -> Iterator[np.ndarray]:
-    """Rows 1..K_max of the recursion, in order."""
-    rho = rates.rho
-    row = np.array([rates.q_down * rho * rho])
-    yield row
-    for k in range(2, K_max + 1):
-        row = _next_x_row(row, k, rho, rates)
-        yield row
-
-
-def x_table(rates: DerivedRates, K_max: int) -> XTable:
-    """Build rows 1..K_max of the recursion."""
-    if K_max < 1:
-        raise OutOfRange("K_max must be >= 1")
-    rows = tuple(_x_rows(rates, K_max))
-    return XTable(rows=rows, p_up=rates.p_up, q_down=rates.q_down, r_coef=rates.r_coef)
-
-
-# --------------------------------------------------------------------------
 # M/M/1 delayed APQ
 # --------------------------------------------------------------------------
 
 def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -> int:
     """Smallest K whose k-sum remainder bound is below eps.
 
-    Remainder over k > K of pmf(k) * k(k+1)/2 * rho, using
-    E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
+    The first moment of the busy weights with the jump sum cut at K misses
+    the steps k > K, N ~ Poisson(m = nu d).  Their head states l <= k hold
+    at most rho each and their geometric states l > k hold (1-rho)
+    rho^(l-k) r^k with r <= 1, which sum against l to at most
+    rho (k + 1/(1-rho)).  So the remainder is at most
+
+        rho [ E[N(N+1)/2; N > K] + E[N; N > K] + P(N > K)/(1-rho) ]
+        = rho [ m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho) ]
+
+    using E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
     The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20));
     the bound is evaluated over a window of them at once, and the window
     doubles until a candidate meets eps or the candidates reach max_states.
@@ -153,7 +108,8 @@ def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -
         if ks.size:
             _, sf = _poisson_table(nu_d, int(ks[-1]))
             sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
-            bound = 0.5 * rho * (nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1])
+            head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
+            bound = rho * (head + sf[ks + 2] / (1.0 - rho))
             meets = np.flatnonzero(bound < eps)
             if meets.size:
                 return int(ks[meets[0]])
@@ -167,20 +123,13 @@ def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -
 def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
     """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
 
-    The x-table rows carry the non-geometric head of each product and a
-    closed form sums the geometric region over all k.
+    This is the first moment sum_l l w_l of the busy weights, with the
+    jump sum cut at ``_poisson_ksum_cutoff``: a cut by mass alone, as the
+    CDFs use, does not weight the missed steps by l.
     """
-    rho = rates.rho
-    r = rates.r_coef
     nu_d = rates.nu * config.d
-    K = _poisson_ksum_cutoff(nu_d, rho, 0.5 * tol.eps_series, tol.max_states)
-    tot = 0.0
-    if K >= 1:
-        pmf, _ = _poisson_table(nu_d, K)
-        for k, row in enumerate(_x_rows(rates, K), start=1):
-            tot += pmf[k] * float(np.arange(1, k + 1) @ row)
-    closed = rho * math.exp(-nu_d + r * nu_d) * (1.0 / (1.0 - rho) + r * nu_d)
-    return (1.0 - rho) * tot + closed
+    K = _poisson_ksum_cutoff(nu_d, rates.rho, 0.5 * tol.eps_series, tol.max_states)
+    return _busy_weights(rates, _poisson_table(nu_d, K)[0]).first_moment()
 
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -17,9 +17,9 @@ on the contour Re(s) = A/(2t), giving a discretization error below
 exp(-A) for functions bounded by 1, and the alternating series is
 accelerated by binomial averaging.  The difference between the last two
 binomial averages serves as the error estimate.  The inversion runs on
-whole blocks of grid points at once: transforms (``Lst.fn``) take an
-ndarray of complex s, here points x contour nodes, and the partial sums
-and averages run along the node axis.
+whole blocks of grid points at once: a transform maps an ndarray of
+complex s, here points x contour nodes, elementwise, and the partial
+sums and averages run along the node axis.
 
 The same inversion serves many configurations in one call.  A batch has
 one row per configuration, each with its own abscissae and its own
@@ -44,7 +44,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -58,26 +58,6 @@ from .core import (
     validate,
 )
 from .markov import BusyWeights, busy_state_distribution
-
-
-@dataclass(frozen=True)
-class Lst:
-    """An evaluatable Laplace-Stieltjes transform with its mass metadata.
-
-    ``fn`` maps an ndarray of complex s with Re(s) >= 0 to the transform
-    values elementwise: the inversion passes a whole block of grid points
-    times contour nodes in one call.  ``mass`` is the value at s = 0 (1 for
-    proper laws, the tail probability for tail transforms); ``atom_at_zero``
-    is P[X = 0] when known, used for CDF values at t = 0.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    mass: float
-    atom_at_zero: Optional[float] = None
-    label: str = ""
-
-    def __call__(self, s):
-        return self.fn(s)
 
 
 @dataclass(frozen=True)
@@ -162,12 +142,13 @@ def _horner(e, rho, tail_next, steps, begun=None):
     return e * acc
 
 
-def _shifted_tail_lst(config: QueueConfig, w: BusyWeights) -> Lst:
+def _shifted_tail_fn(config: QueueConfig, w: BusyWeights):
     """Transform of the over-delay measure shifted back to the origin.
 
     Inverting this gives H(u) = P[W2 - d <= u, W2 > d]; the shift avoids
     the oscillatory exp(-s d) factor in the inversion.  With eta = eta(s),
-    the transform is ``_horner`` of eta over the weights' head and tail.
+    the transform is ``_horner`` of eta over the weights' head and tail;
+    the returned function maps an ndarray of complex s elementwise.
     """
     lam_acc = validate(config).lambda1_acc
     mu = config.mu
@@ -177,7 +158,7 @@ def _shifted_tail_lst(config: QueueConfig, w: BusyWeights) -> Lst:
         e = eta_mm1(np.asarray(s, dtype=complex), lam_acc, mu)
         return _horner(e, w.rho, w.tail_next, steps)
 
-    return Lst(fn=fn, mass=w.total_mass(), atom_at_zero=0.0, label="class2-over-delay")
+    return fn
 
 
 @dataclass(frozen=True)
@@ -361,28 +342,6 @@ def _certified_curve(
     )
 
 
-def invert_to_cdf(
-    transform: Lst, grid: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-) -> CdfCurve:
-    """Pointwise CDF recovery from an LST, monotonized by isotonic clamping.
-
-    Raises AccuracyNotMet when the inversion error estimate (successive
-    binomial averages plus the contour discretization bound) exceeds
-    eps_invert at any grid point.
-    """
-    grid = np.asarray(grid, dtype=float)
-    raw = np.zeros_like(grid)
-    positive = grid > 0.0
-    raw[positive], estimates = _euler_invert(transform.fn, grid[positive], tol)
-    # np.max propagates NaN, so a non-finite evaluation fails the gate
-    worst = float(np.max(estimates, initial=0.0))
-    at_zero = grid == 0.0
-    if at_zero.any():
-        atom = transform.atom_at_zero
-        raw[at_zero] = transform.fn(np.array([1e12 + 0j]))[0].real if atom is None else atom
-    return _certified_curve(grid, raw, worst, tol)
-
-
 def default_grid(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """0.05/mu-spaced abscissae out to where the FCFS survival is below 1e-6."""
     if tol.grid is not None:
@@ -440,13 +399,13 @@ def _class2_cdf_from_weights(
     f_at_d, worst_inside = atom, 0.0
     if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
         # F(d) rides along as the last point of the strict-priority batch
-        npq_lst = _shifted_tail_lst(config.replace(b=0.0, d=0.0), npq_weights)
-        npq_vals, npq_est = _euler_invert(npq_lst.fn, np.append(ts[inside], d), tol)
+        npq_fn = _shifted_tail_fn(config.replace(b=0.0, d=0.0), npq_weights)
+        npq_vals, npq_est = _euler_invert(npq_fn, np.append(ts[inside], d), tol)
         values[inside] = atom + npq_vals[:-1]
         f_at_d = atom + npq_vals[-1]
         worst_inside = np.max(npq_est)
-    tail_lst = _shifted_tail_lst(config, weights)
-    tail_vals, tail_est = _euler_invert(tail_lst.fn, ts[beyond] - d, tol)
+    tail_fn = _shifted_tail_fn(config, weights)
+    tail_vals, tail_est = _euler_invert(tail_fn, ts[beyond] - d, tol)
     values[beyond] = f_at_d + tail_vals
     # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate
     worst = float(np.max(tail_est, initial=worst_inside))

@@ -16,9 +16,10 @@ scalar ITP search written from the published pseudo-code or, on request,
 on the bisection the ITP search replaced.  The
 simulator makes one generator call per exponential draw, and its waits
 are split by class with a comprehension.  The command line's CSV is
-built one row at a time, each value formatted on its own.  Two public
-functions only the tests used, the geometric M/M/1 pmf and the class-2
-tail transform, live here too.
+built one row at a time, each value formatted on its own.  Public names
+only the tests used live here too: the geometric M/M/1 pmf, the class-2
+tail transform, and ``Lst`` with ``invert_to_cdf``, which invert a
+stand-alone transform through the package's own inversion and gate.
 """
 
 import cmath
@@ -54,7 +55,13 @@ from dapq.markov import (
 )
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
-from dapq.transforms import _euler_params, _shifted_tail_lst, class2_cdf_dapq
+from dapq.transforms import (
+    _certified_curve,
+    _euler_invert,
+    _euler_params,
+    _shifted_tail_fn,
+    class2_cdf_dapq,
+)
 
 
 class NonConvergence(DapqError):
@@ -317,11 +324,53 @@ def class2_tail_lst(config, s, tol=DEFAULT_TOL):
     At s = 0 it is the probability the tagged class-2 customer is still
     waiting when the delay expires.
     """
-    shifted = _shifted_tail_lst(config, dapq_busy_weights(config, tol))
+    shifted = _shifted_tail_fn(config, dapq_busy_weights(config, tol))
     val = complex(np.exp(-complex(s) * config.d) * shifted(complex(s)))
     if isinstance(s, complex):
         return val
     return val.real
+
+
+@dataclass(frozen=True)
+class Lst:
+    """An evaluatable Laplace-Stieltjes transform with its mass metadata.
+
+    ``fn`` maps an ndarray of complex s with Re(s) >= 0 to the transform
+    values elementwise: the inversion passes a whole block of grid points
+    times contour nodes in one call.  ``mass`` is the value at s = 0 (1 for
+    proper laws, the tail probability for tail transforms); ``atom_at_zero``
+    is P[X = 0] when known, used for CDF values at t = 0.
+    """
+
+    fn: object
+    mass: float
+    atom_at_zero: object = None
+    label: str = ""
+
+    def __call__(self, s):
+        return self.fn(s)
+
+
+def invert_to_cdf(transform, grid, tol=DEFAULT_TOL):
+    """Pointwise CDF recovery from an LST, monotonized by isotonic clamping.
+
+    The package's block inversion (``transforms._euler_invert``) and its
+    accuracy gate (``transforms._certified_curve``) applied to a
+    stand-alone transform: raises AccuracyNotMet when the inversion error
+    estimate plus the contour discretization bound exceeds eps_invert at
+    any grid point.
+    """
+    grid = np.asarray(grid, dtype=float)
+    raw = np.zeros_like(grid)
+    positive = grid > 0.0
+    raw[positive], estimates = _euler_invert(transform.fn, grid[positive], tol)
+    # np.max propagates NaN, so a non-finite evaluation fails the gate
+    worst = float(np.max(estimates, initial=0.0))
+    at_zero = grid == 0.0
+    if at_zero.any():
+        atom = transform.atom_at_zero
+        raw[at_zero] = transform.fn(np.array([1e12 + 0j]))[0].real if atom is None else atom
+    return _certified_curve(grid, raw, worst, tol)
 
 
 def _eta_scalar(s, arrival_rate, mu):
@@ -409,14 +458,18 @@ def poisson_by_mpmath(m, k_max, dps=50):
 
 
 def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):
-    """Smallest K whose k-sum remainder bound is below eps, one K at a time."""
+    """Smallest K whose k-sum remainder bound is below eps, one K at a time.
+
+    The bound is rho [m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho)]
+    for N ~ Poisson(m = nu_d): the head states' part and the geometric
+    states' part of the steps k > K.
+    """
     if nu_d == 0.0:
         return 0
     K = int(nu_d)
     while K < max_states:
-        bound = 0.5 * rho * (
-            nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
-        )
+        head = 0.5 * nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
+        bound = rho * (head + poisson.sf(K, nu_d) / (1.0 - rho))
         if bound < eps:
             return K
         K += max(1, int(0.05 * nu_d))

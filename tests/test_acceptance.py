@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import md1_pi_exact, x_rows_by_matrix
+from _oracles import Lst, invert_to_cdf, md1_pi_exact, x_rows_by_matrix
 from dapq.core import Kpi, QueueConfig, ServiceKind, validate
 from dapq.approx import kpi_mean_threshold, zexp_from_mean, cdf_sup_diff
 from dapq.kpi import b_star_class1, b_star_class2, feasible_region, in_tuning_region
-from dapq.markov import md1_stationary, md1_tail_ratio
-from dapq.mean_wait import dapq_means, fcfs_mean, npq_class2_mean, x_table
+from dapq.markov import _chain_step, md1_stationary, md1_tail_ratio
+from dapq.mean_wait import dapq_means, fcfs_mean, npq_class2_mean
 from dapq.simulate import SimConfig, run_replicated
-from dapq.transforms import Lst, class2_cdf_dapq, invert_to_cdf
+from dapq.transforms import class2_cdf_dapq
 from dapq.cli import main as cli_main
 
 EXP = ServiceKind.EXPONENTIAL
@@ -95,11 +95,14 @@ def test_criterion_04_x_table_matrix_oracle():
     for lam1 in (0.5, 0.2):
         rho = lam1 + 0.3
         rates = validate(QueueConfig(lam1, 0.3, 1.0, service=EXP))
-        table = x_table(rates, 25)
         oracle = x_rows_by_matrix(lam1, 1.0, rho, 25)
+        # the package's chain step from rho**l on 50 states: the first k
+        # states are exact after k steps
+        v = rho ** np.arange(1, 51)
         for k in range(1, 26):
-            worst = max(worst, float(np.max(np.abs(table.row(k) - oracle[k - 1]))))
-    _report(4, "x-table equals explicit truncated matrix products", worst < 1e-12,
+            v = _chain_step(v, rates.p_up, rates.q_down, np.empty_like(v))
+            worst = max(worst, float(np.max(np.abs(v[:k] - oracle[k - 1]))))
+    _report(4, "chain rows equal explicit truncated matrix products", worst < 1e-12,
             f"(worst entry deviation {worst:.2e})")
 
 

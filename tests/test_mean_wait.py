@@ -23,17 +23,18 @@ from dapq.core import (
     TruncationOverflow,
     validate,
 )
+from dapq.markov import _chain_step
 from dapq.mean_wait import (
     _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
+    _mm1_correction_sum,
     _poisson_ksum_cutoff,
     dapq_means,
     fcfs_mean,
     md1_dapq_class2_mean,
     mm1_dapq_class2_mean,
     npq_class2_mean,
-    x_table,
 )
 
 EXP = ServiceKind.EXPONENTIAL
@@ -54,23 +55,37 @@ def test_npq_class2_mean_values():
     assert npq_class2_mean(cfg) == pytest.approx(fcfs_mean(cfg), abs=1e-14)
 
 
+def chain_rows(rates, k_max):
+    """x rows 1..k_max: (pi_+ P_+^k)_l / (1-rho) for l = 1..k.
+
+    ``markov._chain_step`` iterated from rho**l on 2 k_max states, where
+    after k steps the first 2 k_max - k states are exact.
+    """
+    v = rates.rho ** np.arange(1, 2 * k_max + 1)
+    rows = []
+    for k in range(1, k_max + 1):
+        v = _chain_step(v, rates.p_up, rates.q_down, np.empty_like(v))
+        rows.append(v[:k])
+    return rows
+
+
 def test_x_table_first_entry_and_edge():
     rates = validate(QueueConfig(0.5, 0.3, 1.0, service=EXP))
-    table = x_table(rates, 10)
+    rows = chain_rows(rates, 10)
     q, r, p = rates.q_down, rates.r_coef, rates.p_up
-    assert table.row(1)[0] == pytest.approx(q * 0.8**2, abs=1e-15)
-    assert table.row(1)[0] == pytest.approx(r - p, abs=1e-15)
+    assert rows[0][0] == pytest.approx(q * 0.8**2, abs=1e-15)
+    assert rows[0][0] == pytest.approx(r - p, abs=1e-15)
     for k in range(1, 11):
-        assert table.row(k)[-1] == pytest.approx(r**k - p**k, rel=1e-12)
+        assert rows[k - 1][-1] == pytest.approx(r**k - p**k, rel=1e-12)
 
 
 def test_x_table_base_case_follows_matrix_not_typo():
     # the recursion-consistent second-row head is q*rho*r
     rates = validate(QueueConfig(0.5, 0.3, 1.0, service=EXP))
-    table = x_table(rates, 3)
+    rows = chain_rows(rates, 3)
     q, r, p = rates.q_down, rates.r_coef, rates.p_up
-    assert table.row(2)[0] == pytest.approx(q * 0.8 * r, rel=1e-14)
-    assert table.row(2)[0] != pytest.approx(q * r * p, rel=1e-3)
+    assert rows[1][0] == pytest.approx(q * 0.8 * r, rel=1e-14)
+    assert rows[1][0] != pytest.approx(q * r * p, rel=1e-3)
 
 
 @pytest.mark.parametrize("lam1", [0.5, 0.2])
@@ -78,10 +93,22 @@ def test_x_table_matches_matrix_oracle(lam1):
     lam2 = 0.3
     rho = lam1 + lam2
     rates = validate(QueueConfig(lam1, lam2, 1.0, service=EXP))
-    table = x_table(rates, 25)
+    rows = chain_rows(rates, 25)
     oracle = x_rows_by_matrix(lam1, 1.0, rho, 25)
     for k in range(1, 26):
-        assert np.max(np.abs(table.row(k) - oracle[k - 1])) < 1e-12
+        assert np.max(np.abs(rows[k - 1] - oracle[k - 1])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "lam1,lam2,d", [(0.5, 0.3, 2.0), (0.9, 0.09, 0.1), (0.02, 0.97, 0.1), (0.02, 0.97, 0.5)]
+)
+def test_mm1_correction_sum_within_half_eps_series(lam1, lam2, d):
+    # the cut must bound the geometric states of the missed steps too: at
+    # occupancy 0.99 and a short delay they dominate the remainder
+    cfg = QueueConfig(lam1, lam2, 1.0, d=d, service=EXP)
+    want = correction_by_matrix(lam1, 1.0, lam1 + lam2, d, size=6000)
+    got = _mm1_correction_sum(cfg, validate(cfg), DEFAULT_TOL)
+    assert abs(got - want) <= 0.5 * DEFAULT_TOL.eps_series
 
 
 def test_mm1_reduces_to_npq_at_b_zero():

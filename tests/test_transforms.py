@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import class2_cdf_scalar, class2_tail_lst, eta_fixed_point, mm1_stationary
+from _oracles import (
+    Lst,
+    class2_cdf_scalar,
+    class2_tail_lst,
+    eta_fixed_point,
+    invert_to_cdf,
+    mm1_stationary,
+)
 from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
 from dapq.markov import busy_state_distribution
 from dapq.mean_wait import dapq_means
-from dapq.transforms import (
-    Lst,
-    class2_cdf_dapq,
-    default_grid,
-    eta_mm1,
-    invert_to_cdf,
-)
+from dapq.transforms import class2_cdf_dapq, default_grid, eta_mm1
 
 EXP = ServiceKind.EXPONENTIAL
 DET = ServiceKind.DETERMINISTIC
