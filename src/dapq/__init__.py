@@ -18,7 +18,7 @@ from .core import (
     conservation_rhs,
     validate,
 )
-from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_cdf, zexp_from_mean
+from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_from_mean
 from .kpi import FeasibleRegion, PolicyPoint, PolicySweep, b_star_class1, b_star_class2, feasible_region, policy_sweep
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio
 from .mean_wait import dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean
@@ -65,6 +65,5 @@ __all__ = [
     "run_replicated",
     "run_single",
     "validate",
-    "zexp_cdf",
     "zexp_from_mean",
 ]

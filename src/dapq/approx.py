@@ -32,7 +32,9 @@ class ZExp:
         return self.rho_mass / self.alpha
 
     def cdf(self, t: float) -> float:
-        return zexp_cdf(self, t)
+        if t < 0.0:
+            raise OutOfRange("t must be nonnegative")
+        return 1.0 - self.rho_mass * math.exp(-self.alpha * t)
 
     def curve(self, grid: np.ndarray) -> CdfCurve:
         ts = np.asarray(grid, dtype=float)
@@ -50,12 +52,6 @@ def zexp_from_mean(rho: float, mean_w: float) -> ZExp:
     if mean_w <= 0.0:
         raise DegenerateMean(f"mean_w must be positive when rho > 0, got {mean_w}")
     return ZExp(rho_mass=rho, alpha=rho / mean_w)
-
-
-def zexp_cdf(z: ZExp, t: float) -> float:
-    if t < 0.0:
-        raise OutOfRange("t must be nonnegative")
-    return 1.0 - z.rho_mass * math.exp(-z.alpha * t)
 
 
 def cdf_sup_diff(a: CdfCurve, b: CdfCurve) -> Tuple[float, float]:

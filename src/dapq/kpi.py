@@ -191,8 +191,10 @@ def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     width after step j at most bound = eps * 2**(n_max - j - 1), where n_max
     is bisection's count of halvings plus ``_ITP_N0``.  The bound keeps a
     slack of a few ulps of the bracket's magnitude in hand, so rounding
-    cannot carry a row past it: no row takes more than n_max probes,
-    whatever its residuals, given eps well above that slack.  On a smooth
+    cannot carry a row past it.  With eps within a few slacks of it, that
+    interval can come out empty, and the step then bisects, which halves
+    the width as fast as the bound shrinks: no row takes more than n_max
+    probes, whatever its residuals.  On a smooth
     residual the steps converge superlinearly.  A row's points depend on
     its own values and on the step count alone, so it sees the points of a
     search of that row alone.
@@ -217,7 +219,9 @@ def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         x = np.where(delta <= np.abs(half - falsi),
                      falsi + np.sign(half - falsi) * delta, half)
         bound = np.ldexp(eps - 2.0 * slack[rows], n_max[rows] - step - 1) + slack[rows]
-        x = np.clip(x, np.maximum(a, b - bound), np.minimum(b, a + bound))
+        lower, upper = np.maximum(a, b - bound), np.minimum(b, a + bound)
+        # the slack can leave no room (eps near it): bisect, which keeps the count
+        x = np.where(lower <= upper, np.clip(x, lower, upper), half)
         values, ok = probe(x, rows)
         rows, x, values = rows[ok], x[ok], values[ok]
         up = values <= 0.0 if ties_lo else values < 0.0
@@ -264,13 +268,14 @@ class _Class2Rows:
 
     Per row it keeps the busy weights and the mean function, and the
     strict-priority F(d): it is b-free, so it is inverted once, for all
-    rows together.  ``probe(b, rows)`` then costs one batched inversion of
-    the over-delay transforms.  Rows with w <= d have a b-free constraint,
-    F(w) under strict priority: ``free`` lists them and ``free_values``
-    holds their uncertified values, inverted with F(d) as the two points
-    of one row, as ``transforms._class2_cdf_from_weights`` inverts them,
-    which counts as the one probe of such a row.  Every inversion is
-    counted in the state.
+    rows together, over the headless geometric weights at lambda1
+    (``_StackedWeights.geometric``).  ``probe(b, rows)`` then costs one
+    batched inversion of the over-delay transforms.  Rows with w <= d have
+    a b-free constraint, F(w) under strict priority: ``free`` lists them
+    and ``free_values`` holds their uncertified values, inverted with F(d)
+    as the two points of one row, as ``transforms.class2_cdf_dapq``
+    inverts them, which counts as the one probe of such a row.  Every
+    inversion is counted in the state.
     """
 
     def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
@@ -279,15 +284,12 @@ class _Class2Rows:
         self.state = state
         self.means = [None] * n
         weights = [None] * n
-        npq_weights = None
         for r, cfg in enumerate(configs):
             try:
                 base = cfg.replace(b=0.0)
                 validate(base)
                 if cfg.service is not ServiceKind.EXPONENTIAL:
                     raise OutOfRange("class-2 CDF machinery requires exponential service")
-                if npq_weights is None:
-                    npq_weights = busy_state_distribution(base.replace(d=0.0), tol)
                 weights[r] = busy_state_distribution(base, tol)
                 self.means[r] = mean_wait.class2_mean_in_b(cfg, tol)
             except DapqError as exc:
@@ -304,20 +306,24 @@ class _Class2Rows:
             return
         base = configs[live[0]].replace(b=0.0)
         self.lambda1, self.mu = base.lambda1, base.mu
-        atom = 1.0 - validate(base).rho
+        rho = validate(base).rho
+        atom = 1.0 - rho
         self.f_at_d[:] = atom
-        npq_fn = transforms._shifted_tail_fn(base.replace(d=0.0), npq_weights)
+
+        def npq(ts):
+            geometric = transforms._StackedWeights.geometric(np.full(len(ts), rho))
+            return transforms._invert_over_delay_rows(ts, self.lambda1, self.mu, geometric, tol)
+
         delayed = self.dep[self.ds[self.dep] > 0]
         if delayed.size:
             state.inverted(len(delayed))
-            vals, est = transforms._euler_invert(npq_fn, self.ds[delayed][:, None], tol)
+            vals, est = npq(self.ds[delayed][:, None])
             self.f_at_d[delayed] = atom + vals[:, 0]
             self.fixed_est[delayed] = est[:, 0]
         if self.free.size:
             state.inverted(len(self.free))
             state.probes[self.free] += 1
-            ts = np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]])
-            vals, est = transforms._euler_invert(npq_fn, ts, tol)
+            vals, est = npq(np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]]))
             self.free_values = atom + vals[:, 0]
             self.fixed_est[self.free] = np.max(est, axis=1)
         self.position = np.zeros(n, dtype=int)

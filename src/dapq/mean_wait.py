@@ -39,6 +39,7 @@ Numerical notes
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable
 
@@ -82,8 +83,8 @@ def npq_class2_mean(config: QueueConfig) -> float:
 # M/M/1 delayed APQ
 # --------------------------------------------------------------------------
 
-def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -> int:
-    """Smallest K whose k-sum remainder bound is below eps.
+def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -> np.ndarray:
+    """Poisson(nu d) pmf out to the smallest K whose k-sum remainder bound is below eps.
 
     The first moment of the busy weights with the jump sum cut at K misses
     the steps k > K, N ~ Poisson(m = nu d).  Their head states l <= k hold
@@ -95,29 +96,27 @@ def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -
         = rho [ m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho) ]
 
     using E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
-    The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20));
-    the bound is evaluated over a window of them at once, and the window
-    doubles until a candidate meets eps or the candidates reach max_states.
+    The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20)),
+    below max_states and out to the end of one Poisson table, m + 12
+    sqrt(m + 1) + 40 as in ``_poisson_horizon``; the bound is evaluated at
+    all of them at once.
     """
     if nu_d == 0.0:
-        return 0
-    first, step = int(nu_d), max(1, int(0.05 * nu_d))
-    window = 32
-    while True:
-        ks = np.arange(first, min(first + window * step, max_states), step)
-        if ks.size:
-            _, sf = _poisson_table(nu_d, int(ks[-1]))
-            sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
-            head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
-            bound = rho * (head + sf[ks + 2] / (1.0 - rho))
-            meets = np.flatnonzero(bound < eps)
-            if meets.size:
-                return int(ks[meets[0]])
-        if first + window * step >= max_states:
-            raise TruncationOverflow(
-                f"Poisson k-sum did not meet its tail bound within max_states={max_states}"
-            )
-        window *= 2
+        return np.array([1.0])
+    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states - 1)
+    ks = np.arange(int(nu_d), hi + 1, max(1, int(0.05 * nu_d)))
+    if ks.size:
+        pmf, sf = _poisson_table(nu_d, hi)
+        sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
+        head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
+        bound = rho * (head + sf[ks + 2] / (1.0 - rho))
+        meets = np.flatnonzero(bound < eps)
+        if meets.size:
+            return pmf[: ks[meets[0]] + 1]
+    raise TruncationOverflow(
+        f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
+        f"through {hi} jumps (max_states={max_states})"
+    )
 
 
 def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
@@ -127,9 +126,9 @@ def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: Tolerance
     jump sum cut at ``_poisson_ksum_cutoff``: a cut by mass alone, as the
     CDFs use, does not weight the missed steps by l.
     """
-    nu_d = rates.nu * config.d
-    K = _poisson_ksum_cutoff(nu_d, rates.rho, 0.5 * tol.eps_series, tol.max_states)
-    return _busy_weights(rates, _poisson_table(nu_d, K)[0]).first_moment()
+    pmf = _poisson_ksum_cutoff(rates.nu * config.d, rates.rho, 0.5 * tol.eps_series,
+                               tol.max_states)
+    return _busy_weights(rates, pmf).first_moment()
 
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:

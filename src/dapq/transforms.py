@@ -21,17 +21,19 @@ whole blocks of grid points at once: a transform maps an ndarray of
 complex s, here points x contour nodes, elementwise, and the partial
 sums and averages run along the node axis.
 
-The same inversion serves many configurations in one call.  A batch has
-one row per configuration, each with its own abscissae and its own
-transform parameters: the accrediting rate, rho, the busy-weight head
-and ``tail_next``, held as (rows, 1, 1) arrays that broadcast over the
-row's points and contour nodes (``_StackedWeights``).  Rows go longest
-head first, and a row with a shorter head keeps its tail term until its
-own head starts, so Horner's rule updates a prefix of the rows at each
-step; the binomial averages are one matrix-vector product per row.  Every
-row of a batch therefore equals its one-row inversion bit for bit.  The
-KPI searches in :mod:`dapq.kpi` invert all their rows this way, one call
-per bisection step.
+Every inversion is a batch of rows (``_invert_over_delay_rows``), one
+row per configuration, each with its own abscissae and its own transform
+parameters: the accrediting rate, rho, the busy-weight head and
+``tail_next``, held as (rows, 1, 1) arrays that broadcast over the row's
+points and contour nodes (``_StackedWeights``).  Rows go longest head
+first, and a row with a shorter head keeps its tail term until its own
+head starts, so Horner's rule updates a prefix of the rows at each step;
+the binomial averages are one matrix-vector product per row.  Every row
+of a batch therefore equals its one-row inversion bit for bit.  A single
+curve is the one-row case, and strict priority (b = d = 0) is the
+headless geometric weights at the accrediting rate lambda1
+(``_StackedWeights.geometric``).  The KPI searches in :mod:`dapq.kpi`
+invert all their rows this way, one call per root-finding step.
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -41,7 +43,6 @@ APQ waits to within Monte Carlo noise.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -57,7 +58,7 @@ from .core import (
     ToleranceConfig,
     validate,
 )
-from .markov import BusyWeights, busy_state_distribution
+from .markov import busy_state_distribution
 
 
 @dataclass(frozen=True)
@@ -119,46 +120,25 @@ def eta_mm1(s, arrival_rate: float, mu: float):
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
 
-def _horner(e, rho, tail_next, steps, begun=None):
+def _horner(e, rho, tail_next, steps, starts):
     """sum_j w_j e^j for busy weights w: a head by Horner's rule, a closed geometric tail.
 
     Evaluates e (w_1 + e (w_2 + ... e (w_n + e T))) with
-    T = tail_next / (1 - rho e), the tail sum in closed form; ``steps`` are
-    the head's coefficients w_n .. w_1 in the order Horner's rule takes
-    them.  A batch of rows with heads of different lengths comes longest
-    head first, each step holding every row's coefficient right-aligned,
-    and ``begun[i]`` counts the rows whose head has begun by step i: the
-    rest keep their tail term, so each row gets exactly its one-row value.
+    T = tail_next / (1 - rho e), the tail sum in closed form, for a batch
+    of rows in place.  ``steps`` are the heads' coefficients w_n .. w_1 in
+    the order Horner's rule takes them: rows come longest head first, each
+    step holding every row's coefficient right-aligned, and row r's head
+    begins at step ``starts[r]`` (``starts`` ends with n).  From there to
+    the next row's start, rows 0..r take the steps and the rest keep their
+    tail term, so each row gets exactly its one-row value.
     """
     acc = tail_next / (1.0 - rho * e)
-    if begun is None:
-        for h in steps:
-            acc = h + e * acc
-    else:
-        for h, k in zip(steps, begun):
-            part = acc[:k]
-            np.multiply(e[:k], part, out=part)
-            np.add(h[:k], part, out=part)
+    for r in range(len(starts) - 1):
+        part, er = acc[: r + 1], e[: r + 1]
+        for h in steps[starts[r] : starts[r + 1], : r + 1]:
+            np.multiply(er, part, out=part)
+            np.add(h, part, out=part)
     return e * acc
-
-
-def _shifted_tail_fn(config: QueueConfig, w: BusyWeights):
-    """Transform of the over-delay measure shifted back to the origin.
-
-    Inverting this gives H(u) = P[W2 - d <= u, W2 > d]; the shift avoids
-    the oscillatory exp(-s d) factor in the inversion.  With eta = eta(s),
-    the transform is ``_horner`` of eta over the weights' head and tail;
-    the returned function maps an ndarray of complex s elementwise.
-    """
-    lam_acc = validate(config).lambda1_acc
-    mu = config.mu
-    steps = w.head[::-1]
-
-    def fn(s):
-        e = eta_mm1(np.asarray(s, dtype=complex), lam_acc, mu)
-        return _horner(e, w.rho, w.tail_next, steps)
-
-    return fn
 
 
 @dataclass(frozen=True)
@@ -201,6 +181,7 @@ class _StackedWeights:
 
     def take(self, rows: np.ndarray) -> "_StackedWeights":
         """The rows ``rows``, with the steps before the longest of their heads dropped."""
+        rows = np.asarray(rows, dtype=int)
         lengths = self.lengths[rows]
         first = len(self.steps) - int(lengths.max(initial=0))
         return _StackedWeights(
@@ -216,28 +197,27 @@ def _invert_over_delay_rows(
 ):
     """Invert each row's shifted over-delay transform at the row's abscissae.
 
-    ``ts`` is (rows, points), ``lam_acc`` the rows' accrediting rates (or
+    The transform is sum_j w_j eta(s)^j, the over-delay measure shifted
+    back to the origin: inverting it gives H(u) = P[W2 - d <= u, W2 > d],
+    and the shift avoids the oscillatory exp(-s d) factor.  ``ts`` is
+    (rows, points), ``lam_acc`` the rows' accrediting rates (or
     one for all) and ``weights`` their busy weights; returns
     ``_euler_invert``'s (values, estimates), both (rows, points).  The
     rows are inverted longest head first, so the heads that have begun
     form a prefix at every Horner step, and the results are put back in
     order.
     """
-    # sorted in Python: numpy's argsort and searchsorted would page in
-    # about half a MiB of sorting code for a few dozen rows
+    # sorted in Python: numpy's argsort would page in its sorting code for
+    # a few dozen rows
     lengths = weights.lengths.tolist()
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     w = weights.take(order)
-    lam = np.broadcast_to(np.reshape(np.asarray(lam_acc, dtype=float), (-1, 1, 1)),
-                          (len(order), 1, 1))[order]
+    lam = (np.zeros(len(order)) + lam_acc)[order, None, None]
     n = len(w.steps)
-    begun = None
-    if lengths and min(lengths) < n:
-        ascending = [-lengths[r] for r in order]
-        begun = [bisect.bisect_right(ascending, i - n) for i in range(n)]
+    starts = [n - lengths[r] for r in order] + [n]
 
     def fn(s):
-        return _horner(eta_mm1(s, lam, mu), w.rho, w.tail_next, w.steps, begun)
+        return _horner(eta_mm1(s, lam, mu), w.rho, w.tail_next, w.steps, starts)
 
     values, estimates = _euler_invert(fn, ts[order], tol)
     back = np.empty(len(order), dtype=int)
@@ -276,17 +256,14 @@ def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     """Invert fn(s)/s at every t > 0 in ``ts``; returns (values, estimates) shaped like ts.
 
     Each point's Bromwich contour Re(s) = A/(2t) is sampled at the nodes
-    s_k = A/(2t) + i k pi/t.  A block of points times all nodes goes to
-    ``fn`` in one call; the alternating partial sums run along the node
-    axis and are accelerated by binomial averaging.  The error estimate of
-    a point is the difference of its last two binomial averages.
-
-    A 1-D ``ts`` is one configuration's grid, inverted ``_BLOCK`` points at
-    a time.  A (rows, points) ``ts`` is a batch: row r holds the abscissae
-    of configuration r, ``fn`` gets s as (rows, points, nodes) and
-    broadcasts its parameters as (rows, 1, 1), and each row's averages are
-    their own matrix-vector product, so a row's values equal those of a
-    call on that row alone.
+    s_k = A/(2t) + i k pi/t.  ``ts`` may have any leading shape, a batch
+    being (rows, points): ``fn`` gets s as ts's shape plus a node axis,
+    ``_BLOCK`` points of the last axis at a time, and broadcasts its
+    parameters as (rows, 1, 1).  The alternating partial sums run along
+    the node axis and are accelerated by binomial averaging, each row's
+    averages their own matrix-vector product, so a row's values equal
+    those of a call on that row alone.  The error estimate of a point is
+    the difference of its last two binomial averages.
     """
     a = _euler_params(tol.eps_invert)[0]
     values = np.empty(ts.shape)
@@ -362,33 +339,17 @@ def class2_cdf_dapq(
     """Waiting-time CDF of class-2 customers in the delayed APQ (M/M/1).
 
     Within the delay horizon the law coincides with the strict-priority
-    (b = 0) reference, so those abscissae are served by the same machinery
-    evaluated at b = 0; beyond d the over-delay inversion takes over.
+    (b = 0) reference, whose busy weights are the headless geometric
+    weights at the accrediting rate lambda1; beyond d the over-delay
+    transform of the config's busy weights takes over.  Each part is a
+    one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
+    depend on b, which enters only through the accrediting rate.
     """
-    validate(config)
+    rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
     ts = default_grid(config, tol) if grid is None else np.asarray(grid, dtype=float)
-    npq_weights = busy_state_distribution(config.replace(b=0.0, d=0.0), tol)
     weights = busy_state_distribution(config, tol)
-    return _class2_cdf_from_weights(config, ts, npq_weights, weights, tol)
-
-
-def _class2_cdf_from_weights(
-    config: QueueConfig,
-    ts: np.ndarray,
-    npq_weights: BusyWeights,
-    weights: BusyWeights,
-    tol: ToleranceConfig,
-) -> CdfCurve:
-    """The class-2 CDF on ``ts`` from the strict-priority and delayed busy weights.
-
-    Both weight sets depend on (lambda1, lambda2, mu, d) but not on b, which
-    enters only through the accrediting rate inside eta; a search over b
-    computes them once (``busy_state_distribution`` of the config with
-    d = 0, and of the config) and calls this for each b.
-    """
-    rates = validate(config)
     atom = 1.0 - rates.rho
     d = config.d
 
@@ -398,15 +359,19 @@ def _class2_cdf_from_weights(
     values[ts == 0.0] = atom
     f_at_d, worst_inside = atom, 0.0
     if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
-        # F(d) rides along as the last point of the strict-priority batch
-        npq_fn = _shifted_tail_fn(config.replace(b=0.0, d=0.0), npq_weights)
-        npq_vals, npq_est = _euler_invert(npq_fn, np.append(ts[inside], d), tol)
-        values[inside] = atom + npq_vals[:-1]
-        f_at_d = atom + npq_vals[-1]
+        # F(d) rides along as the last point of the strict-priority row
+        npq_vals, npq_est = _invert_over_delay_rows(
+            np.append(ts[inside], d)[None, :], config.lambda1, config.mu,
+            _StackedWeights.geometric([rates.rho]), tol,
+        )
+        values[inside] = atom + npq_vals[0, :-1]
+        f_at_d = atom + npq_vals[0, -1]
         worst_inside = np.max(npq_est)
-    tail_fn = _shifted_tail_fn(config, weights)
-    tail_vals, tail_est = _euler_invert(tail_fn, ts[beyond] - d, tol)
-    values[beyond] = f_at_d + tail_vals
+    tail_vals, tail_est = _invert_over_delay_rows(
+        (ts[beyond] - d)[None, :], rates.lambda1_acc, config.mu,
+        _StackedWeights.of([weights]), tol,
+    )
+    values[beyond] = f_at_d + tail_vals[0]
     # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate
     worst = float(np.max(tail_est, initial=worst_inside))
     return _certified_curve(ts, values, worst, tol, head_states=len(weights))

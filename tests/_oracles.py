@@ -13,7 +13,8 @@ and the KPI searches evaluate each b from scratch.  The row-by-row KPI
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
-on the bisection the ITP search replaced.  The
+on the bisection the ITP search replaced.  So is the one-curve class-2
+path the batched row inverter replaced (``class2_cdf_by_grid``).  The
 simulator makes one generator call per exponential draw, and its waits
 are split by class with a comprehension.  The command line's CSV is
 built one row at a time, each value formatted on its own.  Public names
@@ -59,8 +60,9 @@ from dapq.transforms import (
     _certified_curve,
     _euler_invert,
     _euler_params,
-    _shifted_tail_fn,
     class2_cdf_dapq,
+    default_grid,
+    eta_mm1,
 )
 
 
@@ -320,15 +322,70 @@ def busy_state_distribution(config, tol=DEFAULT_TOL):
 def class2_tail_lst(config, s, tol=DEFAULT_TOL):
     """E[exp(-s W2) ; W2 > d] for the delayed APQ.
 
-    This is exp(-s d) times the package's shifted over-delay transform.
-    At s = 0 it is the probability the tagged class-2 customer is still
+    This is exp(-s d) sum_j w_j eta(s)^j over the package's busy weights,
+    the polynomial summed term by term with the closed geometric tail.  At
+    s = 0 it is the probability the tagged class-2 customer is still
     waiting when the delay expires.
     """
-    shifted = _shifted_tail_fn(config, dapq_busy_weights(config, tol))
-    val = complex(np.exp(-complex(s) * config.d) * shifted(complex(s)))
+    w = dapq_busy_weights(config, tol)
+    e = complex(eta_mm1(complex(s), validate(config).lambda1_acc, config.mu))
+    n = len(w)
+    poly = sum(h * e ** (l + 1) for l, h in enumerate(w.head))
+    poly += w.tail_next * e ** (n + 1) / (1.0 - w.rho * e)
+    val = cmath.exp(-complex(s) * config.d) * poly
     if isinstance(s, complex):
         return val
     return val.real
+
+
+def _shifted_tail_by_horner(lam_acc, mu, w):
+    """The over-delay transform sum_j w_j eta(s)^j as a closure: its own Horner loop."""
+    steps = w.head[::-1]
+
+    def fn(s):
+        e = eta_mm1(np.asarray(s, dtype=complex), lam_acc, mu)
+        acc = w.tail_next / (1.0 - w.rho * e)
+        for h in steps:
+            acc = h + e * acc
+        return e * acc
+
+    return fn
+
+
+def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL):
+    """The class-2 CDF by the one-curve path the batched row inverter replaced.
+
+    The strict-priority part inverts the busy weights of the config at
+    d = 0 (and b = 0), the over-delay part the config's own, each through a
+    per-config closure with its own Horner loop and ``_euler_invert`` on
+    the 1-D grid; F(d) rides along as the last strict-priority point, and
+    ``_certified_curve`` gates the result.
+    """
+    rates = validate(config)
+    if config.service is not ServiceKind.EXPONENTIAL:
+        raise OutOfRange("class2_cdf_dapq requires exponential service")
+    ts = default_grid(config, tol) if grid is None else np.asarray(grid, dtype=float)
+    npq_config = config.replace(b=0.0, d=0.0)
+    npq_weights = dapq_busy_weights(npq_config, tol)
+    weights = dapq_busy_weights(config, tol)
+    atom = 1.0 - rates.rho
+    d = config.d
+    inside = (ts > 0.0) & (ts <= d)
+    beyond = ts > d
+    values = np.zeros_like(ts)
+    values[ts == 0.0] = atom
+    f_at_d, worst_inside = atom, 0.0
+    if d > 0:
+        npq_fn = _shifted_tail_by_horner(validate(npq_config).lambda1_acc, config.mu, npq_weights)
+        npq_vals, npq_est = _euler_invert(npq_fn, np.append(ts[inside], d), tol)
+        values[inside] = atom + npq_vals[:-1]
+        f_at_d = atom + npq_vals[-1]
+        worst_inside = np.max(npq_est)
+    tail_fn = _shifted_tail_by_horner(rates.lambda1_acc, config.mu, weights)
+    tail_vals, tail_est = _euler_invert(tail_fn, ts[beyond] - d, tol)
+    values[beyond] = f_at_d + tail_vals
+    worst = float(np.max(tail_est, initial=worst_inside))
+    return _certified_curve(ts, values, worst, tol, head_states=len(weights))
 
 
 @dataclass(frozen=True)
@@ -462,19 +519,22 @@ def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):
 
     The bound is rho [m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho)]
     for N ~ Poisson(m = nu_d): the head states' part and the geometric
-    states' part of the steps k > K.
+    states' part of the steps k > K.  K stays below max_states and within
+    m + 12 sqrt(m + 1) + 40, the end of the package's Poisson table.
     """
     if nu_d == 0.0:
         return 0
+    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states - 1)
     K = int(nu_d)
-    while K < max_states:
+    while K <= hi:
         head = 0.5 * nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
         bound = rho * (head + poisson.sf(K, nu_d) / (1.0 - rho))
         if bound < eps:
             return K
         K += max(1, int(0.05 * nu_d))
     raise TruncationOverflow(
-        f"Poisson k-sum did not meet its tail bound within max_states={max_states}"
+        f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
+        f"through {hi} jumps (max_states={max_states})"
     )
 
 
@@ -744,24 +804,22 @@ def _policy_point_from_mean(config, b, feasible, mean_w2, error_estimate, probes
 
 
 def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL, bisect=False):
-    """One delay's class-2 search: hoisted busy weights, one ``_class2_cdf_from_weights``
-    call (F(d) re-inverted) per probe; the point carries the worst certified error and
-    its probe count.  A scalar ITP search, or bisection with ``bisect``."""
+    """One delay's class-2 search, one ``class2_cdf_dapq`` call (busy weights and
+    F(d) recomputed) per probe; the point carries the worst certified error and its
+    probe count.  A scalar ITP search, or bisection with ``bisect``."""
     base = config.replace(b=0.0)
     validate(base)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class-2 CDF machinery requires exponential service")
     w, p = kpi.target_w, kpi.compliance_p
-    npq_weights = dapq_busy_weights(base.replace(d=0.0), tol)
-    weights = dapq_busy_weights(base, tol)
+    dapq_busy_weights(base, tol)  # the busy weights fail before the mean, as in the search
     mean_w2 = mean_wait.class2_mean_in_b(config, tol)
     worst, probes = 0.0, 0
 
     def constraint(b):
         nonlocal worst, probes
         probes += 1
-        curve = transforms._class2_cdf_from_weights(
-            config.replace(b=b), np.array([w]), npq_weights, weights, tol)
+        curve = class2_cdf_dapq(config.replace(b=b), np.array([w]), tol)
         worst = max(worst, curve.error_estimate)
         return float(curve.values[0])
 

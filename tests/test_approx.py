@@ -9,7 +9,6 @@ from dapq.approx import (
     ZExp,
     cdf_sup_diff,
     kpi_mean_threshold,
-    zexp_cdf,
     zexp_from_mean,
 )
 from dapq.core import DegenerateMean, EmptyOverlap, Kpi, OutOfRange
@@ -45,11 +44,11 @@ def test_zexp_rejects_degenerate_mean():
 
 def test_zexp_cdf_values():
     z = ZExp(0.8, 0.2)
-    assert zexp_cdf(z, 0.0) == pytest.approx(0.2, abs=1e-15)
-    assert zexp_cdf(z, 4.0) == pytest.approx(1 - 0.8 * math.exp(-0.8), abs=1e-12)
-    assert zexp_cdf(z, 1e6) == pytest.approx(1.0, abs=1e-12)
+    assert z.cdf(0.0) == pytest.approx(0.2, abs=1e-15)
+    assert z.cdf(4.0) == pytest.approx(1 - 0.8 * math.exp(-0.8), abs=1e-12)
+    assert z.cdf(1e6) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(OutOfRange):
-        zexp_cdf(z, -0.1)
+        z.cdf(-0.1)
 
 
 def test_cdf_sup_diff_identical_curves():
@@ -80,7 +79,7 @@ def test_kpi_mean_threshold_reference():
     assert thr == pytest.approx(1.6 / math.log(8.0), rel=1e-12)
     # a ZExp with exactly this mean sits exactly on the compliance level
     z = zexp_from_mean(0.8, thr)
-    assert zexp_cdf(z, 2.0) == pytest.approx(0.9, abs=1e-12)
+    assert z.cdf(2.0) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_kpi_mean_threshold_atom_boundary():
@@ -109,7 +108,7 @@ def test_kpi_threshold_equivalence_randomized():
         p = rng.uniform(0.05, 0.95)
         kpi = Kpi(w, p, 1)
         thr = kpi_mean_threshold(rho, kpi)
-        complies = zexp_cdf(zexp_from_mean(rho, m), w) >= p
+        complies = zexp_from_mean(rho, m).cdf(w) >= p
         assert complies == (m <= thr)
 
 
@@ -126,7 +125,7 @@ def test_zexp_ordering_by_mean(rho, lo, hi):
         return
     za, zb = zexp_from_mean(rho, m1), zexp_from_mean(rho, m2)
     for t in (0.0, 0.3, 1.0, 4.0, 20.0):
-        assert zexp_cdf(za, t) >= zexp_cdf(zb, t) - 1e-12
+        assert za.cdf(t) >= zb.cdf(t) - 1e-12
 
 
 def test_class1_zexp_bracketed_by_extremes():
@@ -144,7 +143,7 @@ def test_class1_zexp_bracketed_by_extremes():
         z_npq = zexp_from_mean(0.8, npq_mean)
         z_fcfs = zexp_from_mean(0.8, fcfs_mean(cfg))
         for t in (0.0, 0.5, 2.0, 8.0):
-            assert zexp_cdf(z_fcfs, t) - 1e-12 <= zexp_cdf(z, t) <= zexp_cdf(z_npq, t) + 1e-12
+            assert z_fcfs.cdf(t) - 1e-12 <= z.cdf(t) <= z_npq.cdf(t) + 1e-12
 
 
 def test_apq_class1_error_caps_near_five_percent():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
     b_star_class1_per_b,
@@ -38,7 +38,7 @@ from dapq.kpi import (
 )
 from dapq.markov import busy_state_distribution
 from dapq.mean_wait import class2_mean_in_b, dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
-from dapq.transforms import _class2_cdf_from_weights, class2_cdf_dapq
+from dapq.transforms import class2_cdf_dapq
 
 KPI2 = Kpi(4.0, 0.85, 2)
 KPI1 = Kpi(2.0, 0.9, 1)
@@ -249,15 +249,9 @@ def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b
     if det:
         return
 
-    # busy weights from the config at b_mid serve the CDF at any other b
-    ts = np.array([0.0, 0.5 * w, w, ell + 0.5 * w, ell + w])
-    npq_weights = busy_state_distribution(cfg.replace(d=0.0))
-    weights = busy_state_distribution(cfg)
-    got = _class2_cdf_from_weights(cfg.replace(b=b), ts, npq_weights, weights, DEFAULT_TOL)
-    want = class2_cdf_dapq(cfg.replace(b=b), ts)
-    assert np.array_equal(got.values, want.values)
-    assert (got.max_adjustment, got.error_estimate, got.head_states) == (
-        want.max_adjustment, want.error_estimate, want.head_states)
+    # the busy weights are b-free: the config at b_mid gives those of any other b
+    here, there = busy_state_distribution(cfg), busy_state_distribution(cfg.replace(b=b))
+    assert np.array_equal(here.head, there.head) and here.tail_next == there.tail_next
 
     # a class-2 target met exactly at b_mid
     p2 = class2_cdf_per_b(cfg, w)(b_mid)
@@ -399,9 +393,7 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
     assert len(set(rows.weights.lengths)) > 2
 
     def one_row(c, b):
-        npq = busy_state_distribution(c.replace(d=0.0))
-        return _class2_cdf_from_weights(c.replace(b=b), np.array([w]), npq,
-                                        busy_state_distribution(c), DEFAULT_TOL)
+        return class2_cdf_dapq(c.replace(b=b), np.array([w]))
 
     bs = np.linspace(0.0, 1.0, len(rows.dep))
     values, ok = rows.probe(bs, rows.dep)
@@ -439,8 +431,8 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
     spoiled = busy_state_distribution(cfg.replace(d=2.0)).tail_next
     horner = transforms._horner
 
-    def nan_row(e, rho, tail_next, steps, begun=None):
-        out = horner(e, rho, tail_next, steps, begun)
+    def nan_row(e, rho, tail_next, steps, starts):
+        out = horner(e, rho, tail_next, steps, starts)
         return np.where(np.asarray(tail_next) == spoiled, np.nan, out)
 
     monkeypatch.setattr(transforms, "_horner", nan_row)
@@ -616,6 +608,9 @@ def test_itp_worst_case_on_adversarial_residuals():
 
 
 @settings(max_examples=200, deadline=None)
+# eps = 1e-14 on [0, 1] is within three slacks (4 ulps of 4): the projection
+# interval comes out empty, and only a bisecting step ends the search
+@example(c=1.0, width=1.0, eps_exp=-14, low=1.0, high=1.0, power=1, ties_lo=False)
 @given(
     c=st.floats(min_value=0.0, max_value=1.0),
     width=st.floats(min_value=1e-3, max_value=1e3),

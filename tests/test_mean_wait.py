@@ -337,7 +337,7 @@ def test_md1_below_mm1_at_equal_parameters():
 def test_poisson_ksum_cutoff_matches_scalar_loop(rho, eps):
     for nu_d in list(np.geomspace(1e-9, 2000.0, 30)) + [0.0, 1.0, 6.3, 20.0, 2047.5]:
         want = poisson_ksum_cutoff_scalar(nu_d, rho, eps, 6000)
-        assert _poisson_ksum_cutoff(nu_d, rho, eps, 6000) == want
+        assert len(_poisson_ksum_cutoff(nu_d, rho, eps, 6000)) - 1 == want
 
 
 @pytest.mark.parametrize("nu_d,max_states", [(50.0, 5), (20.0, 30), (2000.0, 2100), (6.3, 1)])

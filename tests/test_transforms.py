@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     Lst,
+    class2_cdf_by_grid,
     class2_cdf_scalar,
     class2_tail_lst,
     eta_fixed_point,
@@ -240,6 +241,23 @@ def test_class2_cdf_matches_scalar_full_vector_path(rho, share, b, d):
     curve = class2_cdf_dapq(cfg, ts)
     want, _ = class2_cdf_scalar(cfg, ts)
     assert np.max(np.abs(curve.values - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("points", [1, 2, 127, 128, 129, 1000])
+@pytest.mark.parametrize("where", ["zero", "on_point", "between", "past_end"])
+def test_class2_cdf_equals_one_curve_path_bit_for_bit(points, where):
+    # the one-row batch against the per-config closure on the 1-D grid it replaced
+    rng = np.random.default_rng(points)
+    ts = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, points - 1))))
+    k = max(points // 2, 1)
+    d = {"zero": 0.0, "on_point": ts[points // 2], "past_end": ts[-1] + 1.5,
+         "between": 0.5 * (ts[k - 1] + ts[k]) if points > 1 else 0.7}[where]
+    for lam1, lam2, b in ((0.5, 0.3, 0.6), (0.2, 0.7, 0.1), (0.9, 0.05, 0.9)):
+        cfg = QueueConfig(lam1, lam2, 1.0, b=b, d=float(d))
+        got, want = class2_cdf_dapq(cfg, ts), class2_cdf_by_grid(cfg, ts)
+        assert np.array_equal(got.values, want.values)
+        assert (got.error_estimate, got.max_adjustment, got.head_states, got.provenance) == (
+            want.error_estimate, want.max_adjustment, want.head_states, want.provenance)
 
 
 def test_inversion_refuses_non_finite_values():
