@@ -209,16 +209,19 @@ def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     # bisection's halvings: the least n with eps * 2**n >= width0, exactly
     (m_w, e_w), (m_e, e_e) = np.frexp(width0), math.frexp(eps)
     n_max[rows] = e_w - e_e + (m_w > m_e) + _ITP_N0
+    reach = eps - 2.0 * slack
     step = 0
     while rows.size:
         a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
         width = b - a
         half = 0.5 * (a + b)
-        falsi = (fb * a - fa * b) / (fb - fa)
+        # equal end residuals (both 0 after a tie) have no secant: take the midpoint
+        flat = fb == fa
+        falsi = np.where(flat, half, (fb * a - fa * b) / np.where(flat, 1.0, fb - fa))
         delta = kappa1[rows] * width**_ITP_KAPPA2
-        x = np.where(delta <= np.abs(half - falsi),
-                     falsi + np.sign(half - falsi) * delta, half)
-        bound = np.ldexp(eps - 2.0 * slack[rows], n_max[rows] - step - 1) + slack[rows]
+        gap = half - falsi
+        x = np.where(delta <= np.abs(gap), falsi + np.sign(gap) * delta, half)
+        bound = np.ldexp(reach[rows], n_max[rows] - (step + 1)) + slack[rows]
         lower, upper = np.maximum(a, b - bound), np.minimum(b, a + bound)
         # the slack can leave no room (eps near it): bisect, which keeps the count
         x = np.where(lower <= upper, np.clip(x, lower, upper), half)

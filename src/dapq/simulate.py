@@ -7,26 +7,35 @@ grows at rate 1 from arrival and class-2 credit at rate b starting d time
 units after arrival.  Credit order within a class is arrival order, so the
 selection reduces to comparing the two queue heads.
 
+The loop takes one step per service.  Two facts make that exact.  Within a
+class customers are served in arrival order (Stanford, Taylor & Ziedins
+2014), so a class's queue is a head index into the list of its arrival
+times, and the wait of a customer is its service start minus the arrival at
+that index.  And the server is work-conserving with i.i.d. service times,
+so the timeline of arrivals, starts and completions, and the order in which
+its times are drawn, do not depend on which class is served: a step admits
+the arrivals that come before the server frees, picks a class and draws
+one service time.  Each step records only the start time, negated for
+class 2; the class, arrival and wait columns are built from those starts
+and the arrival lists afterwards.
+
 Replications draw from independent substreams spawned off one root seed
 (SeedSequence spawn keys), so results are deterministic given the seed and
 independent of execution order.  Within a replication every inter-arrival
 and service time comes from its substream in event order.  The unit
 exponentials are drawn in chunks and scaled one at a time, which gives
-exactly the values of one ``exponential(scale)`` call per event; the event
-loop is a flat comparison of the next arrival and completion times.
+exactly the values of one ``exponential(scale)`` call per event.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import operator
 import time
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain, islice, repeat
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,8 +45,8 @@ from .transforms import CdfCurve
 # Unit exponentials drawn per refill of a replication's buffer.
 _CHUNK = 1024
 
-# Fields of a WaitRecord, read with C-level ``map`` when records are split by class.
-_CLASS, _WAIT = itemgetter(0), itemgetter(2)
+# One line of the ``--raw`` dump: rep and class through ``str``, floats to 12 digits.
+_RAW_LINE = "{},{},{:.12g},{:.12g}\n"
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,9 @@ class SimConfig:
     """Replicated-run protocol: who to simulate, how long, and the seed.
 
     ``n_customers`` services are recorded per replication after the first
-    ``burn_in`` services are discarded.
+    ``burn_in`` services are discarded.  The four counts must be integers
+    (anything ``operator.index`` accepts, stored as ``int``) and the seed
+    nonnegative.
     """
 
     queue: QueueConfig
@@ -55,10 +66,18 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_customers", "burn_in", "replications", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
         if self.burn_in < 0 or self.n_customers <= self.burn_in:
             raise OutOfRange("need n_customers > burn_in >= 0")
         if self.replications < 1:
             raise OutOfRange("replications must be >= 1")
+        if self.seed < 0:
+            raise OutOfRange("seed must be >= 0")
         if not (self.queue.lambda1 > 0 or self.queue.lambda2 > 0):
             # nobody would ever arrive, so no service could be recorded
             raise OutOfRange("simulation needs lambda1 > 0 or lambda2 > 0")
@@ -82,9 +101,6 @@ class EmpiricalCdf:
     wall_s: float = 0.0
 
 
-WaitRecord = Tuple[int, float, float]  # (class, arrival time, wait)
-
-
 def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=(rep_index,))
     return np.random.Generator(np.random.Philox(ss))
@@ -102,14 +118,15 @@ def _exponentials(rng: np.random.Generator) -> Callable[[], float]:
     return chain.from_iterable(chunks).__next__
 
 
-def run_single(sim: SimConfig, rep_index: int) -> List[WaitRecord]:
-    """Simulate one replication; returns post-burn-in (class, arrival, wait).
+def run_single(sim: SimConfig, rep_index: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate one replication; returns the post-burn-in columns (class, arrival, wait).
 
-    Events at equal times: a completion goes before an arrival, and a
-    class-1 arrival before a class-2 one.  At equal credit the earlier
-    arrival is served first, then class 1.  An arrival that finds the
-    server idle draws its service time before its class's next
-    inter-arrival time.
+    The columns are in service order: class as ``uint8`` (1 or 2), arrival
+    time and wait as float64.  Events at equal times: a completion goes
+    before an arrival, and a class-1 arrival before a class-2 one.  At
+    equal credit the earlier arrival is served first, then class 1.  An
+    arrival that finds the server idle draws its service time before its
+    class's next inter-arrival time.
     """
     cfg = sim.queue
     validate(cfg)
@@ -122,60 +139,70 @@ def run_single(sim: SimConfig, rep_index: int) -> List[WaitRecord]:
     scale2 = 1.0 / lam2 if lam2 > 0 else 0.0
     next1 = draw() * scale1 if lam1 > 0 else inf
     next2 = draw() * scale2 if lam2 > 0 else inf
-    q1: deque = deque()
-    q2: deque = deque()
-    push1, pop1, push2, pop2 = q1.append, q1.popleft, q2.append, q2.popleft
-    records: List[WaitRecord] = []
-    record = records.append
-    burn_in = sim.burn_in
-    need = burn_in + sim.n_customers
-    served = 0
-    completion = inf  # inf exactly when the server is idle
+    # every arrival drawn so far; the last entry is the one still to come
+    a1, a2 = [next1], [next2]
+    push1, push2 = a1.append, a2.append
+    i1 = i2 = 0  # queue heads: the first unserved arrival of each class
+    starts: list = []  # service start times, negated for class 2
+    record = starts.append
+    free = 0.0  # when the server finishes its current service
 
-    while served < need:
-        if completion <= next1 and completion <= next2:
-            t = completion
-            if q1 and q2:
-                h1, h2 = q1[0], q2[0]
-                c1 = t - h1
-                late = t - h2 - d
+    for _ in range(sim.burn_in + sim.n_customers):
+        while next1 < free or next2 < free:
+            if next1 <= next2:
+                next1 += draw() * scale1
+                push1(next1)
+            else:
+                next2 += draw() * scale2
+                push2(next2)
+        h1, h2 = a1[i1], a2[i2]
+        if h1 < free:
+            if h2 < free:
+                c1 = free - h1
+                late = free - h2 - d
                 c2 = b * late if late > 0.0 else 0.0
                 if c1 > c2 or (c1 == c2 and h1 <= h2):
-                    cls, arr = 1, pop1()
+                    i1 += 1
+                    record(free)
                 else:
-                    cls, arr = 2, pop2()
-            elif q1:
-                cls, arr = 1, pop1()
-            elif q2:
-                cls, arr = 2, pop2()
+                    i2 += 1
+                    record(-free)
             else:
-                completion = inf
-                continue
-            served += 1
-            if served > burn_in:
-                record((cls, arr, t - arr))
-            completion = t + draw() * svc_mean if exp_service else t + svc_mean
+                i1 += 1
+                record(free)
+        elif h2 < free:
+            i2 += 1
+            record(-free)
         elif next1 <= next2:
-            t = next1
-            if completion == inf:
-                served += 1
-                if served > burn_in:
-                    record((1, t, 0.0))
-                completion = t + draw() * svc_mean if exp_service else t + svc_mean
-            else:
-                push1(t)
-            next1 = t + draw() * scale1
+            # nobody waits: serve the next arrival at once, service time first
+            i1 += 1
+            free = next1
+            record(free)
+            free = free + draw() * svc_mean if exp_service else free + svc_mean
+            next1 += draw() * scale1
+            push1(next1)
+            continue
         else:
-            t = next2
-            if completion == inf:
-                served += 1
-                if served > burn_in:
-                    record((2, t, 0.0))
-                completion = t + draw() * svc_mean if exp_service else t + svc_mean
-            else:
-                push2(t)
-            next2 = t + draw() * scale2
-    return records
+            i2 += 1
+            free = next2
+            record(-free)
+            free = free + draw() * svc_mean if exp_service else free + svc_mean
+            next2 += draw() * scale2
+            push2(next2)
+            continue
+        free = free + draw() * svc_mean if exp_service else free + svc_mean
+
+    # the recorded services' class-k arrivals are the last ones served of
+    # class k; |start| - arrival is the subtraction an event loop makes
+    n = sim.n_customers
+    start = np.fromiter(islice(starts, sim.burn_in, None), np.float64, n)
+    second = np.signbit(start)
+    k2 = int(np.count_nonzero(second))
+    arrival = np.empty(n)
+    arrival[~second] = a1[i1 - (n - k2):i1]
+    arrival[second] = a2[i2 - k2:i2]
+    wait = np.abs(start) - arrival
+    return np.where(second, np.uint8(2), np.uint8(1)), arrival, wait
 
 
 def run_replicated(
@@ -183,9 +210,9 @@ def run_replicated(
 ) -> EmpiricalCdf:
     """Averaged per-class empirical CDFs on ``grid`` with replication SEs.
 
-    With ``raw_path``, the records each replication is summarised from are
+    With ``raw_path``, the columns each replication is summarised from are
     also written there as CSV: header ``rep,class,arrival,wait``, floats
-    with 12 significant digits.
+    with 12 significant digits, lines ended by ``\\n``.
     """
     t0 = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
@@ -193,17 +220,15 @@ def run_replicated(
     cdf_acc = {1: [], 2: []}
     mean_acc = {1: [], 2: []}
     with open(raw_path, "w", newline="") if raw_path else nullcontext() as fh:
-        raw = csv.writer(fh) if fh is not None else None
-        if raw is not None:
-            raw.writerow(["rep", "class", "arrival", "wait"])
+        if fh is not None:
+            fh.write("rep,class,arrival,wait\n")
         for r in range(reps):
-            records = run_single(sim, r)
-            if raw is not None:
-                raw.writerows([r, c, f"{a:.12g}", f"{w:.12g}"] for c, a, w in records)
-            classes = np.frombuffer(bytes(map(_CLASS, records)), np.uint8)
-            every_wait = np.fromiter(map(_WAIT, records), float, len(records))
+            classes, arrival, wait = run_single(sim, r)
+            if fh is not None:
+                fh.writelines(map(_RAW_LINE.format, repeat(r), classes.tolist(),
+                                  arrival.tolist(), wait.tolist()))
             for cls in (1, 2):
-                waits = every_wait[classes == cls]
+                waits = wait[classes == cls]
                 if len(waits) == 0:
                     continue
                 waits.sort()

@@ -15,8 +15,9 @@ one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
 on the bisection the ITP search replaced.  So is the one-curve class-2
 path the batched row inverter replaced (``class2_cdf_by_grid``).  The
-simulator makes one generator call per exponential draw, and its waits
-are split by class with a comprehension.  The command line's CSV is
+simulator moves customers event by event through two deques, makes one
+generator call per exponential draw, and its waits are split by class
+with a comprehension.  The command line's CSV is
 built one row at a time, each value formatted on its own.  Public names
 only the tests used live here too: the geometric M/M/1 pmf, the class-2
 tail transform, and ``Lst`` with ``invert_to_cdf``, which invert a
@@ -892,12 +893,14 @@ def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False):
 
 
 def run_single_by_events(sim, rep_index):
-    """``dapq.simulate.run_single`` as one ``exponential(scale)`` call per draw.
+    """``dapq.simulate.run_single`` event by event, one ``exponential(scale)``
+    call per draw; returns (class, arrival, wait) tuples in service order.
 
-    The event loop the chunked-draw loop replaced: the next event is the
-    ``min`` of the three event times, service times come from a closure,
-    and credits are compared through ``max``.  Same substream, same event
-    order, so the records must be equal with ``==``.
+    The next event is the ``min`` of the three event times, each class
+    waits in a deque, service times come from a closure, and credits are
+    compared through ``max``.  Same substream and same event order as the
+    one-step-per-service loop, so ``columns(records)`` must equal its
+    columns exactly.
     """
     cfg = sim.queue
     validate(cfg)
@@ -969,13 +972,22 @@ def run_single_by_events(sim, rep_index):
     return records
 
 
+def columns(records):
+    """(class, arrival, wait) records as the columns ``dapq.simulate.run_single``
+    returns: class as uint8, arrival and wait as float64."""
+    classes = [c for c, _, _ in records]
+    arrival = [a for _, a, _ in records]
+    wait = [w for _, _, w in records]
+    return np.array(classes, np.uint8), np.array(arrival, float), np.array(wait, float)
+
+
 def run_replicated_by_comprehension(sim, grid):
     """(averaged CDFs, means) by class, as ``dapq.simulate.run_replicated``
     built them with one comprehension per class over each replication's
-    records."""
+    records, here those of ``run_single_by_events``."""
     cdfs, means = {1: [], 2: []}, {1: [], 2: []}
     for r in range(sim.replications):
-        records = simulate.run_single(sim, r)
+        records = run_single_by_events(sim, r)
         for cls in (1, 2):
             waits = np.array([w for c, _, w in records if c == cls])
             if len(waits):

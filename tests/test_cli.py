@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from _oracles import cli_csv_by_rows, csv_payload_by_rows
+from _oracles import cli_csv_by_rows, csv_payload_by_rows, run_single_by_events
 from dapq import cli, kpi, simulate
 from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
 from dapq.core import Kpi, QueueConfig, ServiceKind
@@ -166,6 +166,13 @@ def test_simulate_rejects_empty_queue(capsys):
                            "--n", "10", "--burn-in", "1", "--reps", "1")
     assert code == EXIT_INVALID
     assert "OutOfRange" in err
+
+
+def test_simulate_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--lam1", "0.5", "--lam2", "0.3",
+                           "--n", "10", "--burn-in", "1", "--reps", "1", "--seed", "-1")
+    assert code == EXIT_INVALID
+    assert "OutOfRange" in err and "seed" in err
 
 
 def test_cdf_sim_rejects_class_without_arrivals(capsys):
@@ -465,10 +472,10 @@ def test_simulate_files_equal_row_by_row_oracle(argv, tmp_path):
                         service=ServiceKind(args.service))
     sim = simulate.SimConfig(queue=queue, n_customers=args.n, burn_in=args.burn_in,
                              replications=args.reps, seed=args.seed)
-    want_raw = ["rep,class,arrival,wait"] + [
-        f"{r},{c},{a:.12g},{w:.12g}" for r in range(3) for c, a, w in simulate.run_single(sim, r)
-    ]
-    assert raw.read_text().splitlines() == want_raw
+    want_raw = csv_payload_by_rows(["rep", "class", "arrival", "wait"], [
+        [r, c, a, w] for r in range(3) for c, a, w in run_single_by_events(sim, r)
+    ])
+    assert raw.read_bytes() == want_raw.encode()  # "\n" line ends, no "\r"
 
 
 @pytest.mark.parametrize("name", ["mean-det", "cdf-dapq2", "cdf-sim2-exp", "kpi-sweep-class2",

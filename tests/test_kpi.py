@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -607,24 +608,10 @@ def test_itp_worst_case_on_adversarial_residuals():
             assert (got_lo[r], got_hi[r]) == singles[r], cases[r][0]
 
 
-@settings(max_examples=200, deadline=None)
-# eps = 1e-14 on [0, 1] is within three slacks (4 ulps of 4): the projection
-# interval comes out empty, and only a bisecting step ends the search
-@example(c=1.0, width=1.0, eps_exp=-14, low=1.0, high=1.0, power=1, ties_lo=False)
-@given(
-    c=st.floats(min_value=0.0, max_value=1.0),
-    width=st.floats(min_value=1e-3, max_value=1e3),
-    eps_exp=st.integers(min_value=-14, max_value=-2),
-    low=st.floats(min_value=1e-6, max_value=1e6),
-    high=st.floats(min_value=1e-6, max_value=1e6),
-    power=st.sampled_from([1, 3, 15]),
-    ties_lo=st.booleans(),
-)
-def test_itp_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, high, power,
-                                                     ties_lo):
-    # a jump of arbitrary height at an arbitrary point, on top of an odd power
-    eps = 10.0 ** eps_exp * width
-    root = c * width
+def _itp_on_jump_residual(root, width, eps, low, high, power, ties_lo):
+    """(lo, hi) of an ITP search of [0, width] with the residual a jump of
+    heights ``low`` and ``high`` at ``root`` on top of an odd power, checking
+    each probe against bisection's count; a RuntimeWarning raises."""
 
     def g(x):
         t = (x - root) / width
@@ -637,10 +624,59 @@ def test_itp_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, hi
         assert len(probes) <= math.ceil(math.log2(width / eps)) + 1
         return g(x), np.ones(len(rows), dtype=bool)
 
-    lo, hi = kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
-                           g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
+                             g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+
+
+@settings(max_examples=200, deadline=None)
+# eps = 1e-14 on [0, 1] is within three slacks (4 ulps of 4): the projection
+# interval comes out empty, and only a bisecting step ends the search
+@example(c=1.0, width=1.0, eps_exp=-14, low=1.0, high=1.0, power=1, ties_lo=False)
+@given(
+    c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_subnormal=False),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    eps_exp=st.integers(min_value=-14, max_value=-2),
+    low=st.floats(min_value=1e-6, max_value=1e6),
+    high=st.floats(min_value=1e-6, max_value=1e6),
+    power=st.sampled_from([1, 3, 15]),
+    ties_lo=st.booleans(),
+)
+def test_itp_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, high, power,
+                                                     ties_lo):
+    # c > 0 and normal keeps root = c * width > 0, so the residual at lo is
+    # negative, as _itp_rows requires
+    eps = 10.0 ** eps_exp * width
+    root = c * width
+    lo, hi = _itp_on_jump_residual(root, width, eps, low, high, power, ties_lo)
     assert hi[0] - lo[0] <= eps
-    assert lo[0] <= root <= hi[0] or root in (0.0, width)
+    assert lo[0] <= root <= hi[0] or root == width
+
+
+@pytest.mark.parametrize("power", [3, 15])
+@pytest.mark.parametrize("ties_lo", [False, True])
+def test_itp_ends_quietly_with_the_root_at_lo(power, ties_lo):
+    # c = 0 breaks the precondition: the residual at lo is positive, every
+    # probe moves hi down, and near lo the end residuals round to one value
+    lo, hi = _itp_on_jump_residual(0.0, 1.0, 1e-14, 1.0, 1.0, power, ties_lo)
+    assert hi[0] - lo[0] <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+def test_itp_takes_the_midpoint_between_equal_residuals():
+    # a residual flat at 0 beyond 0.3: with ties going to lo, lo reaches the
+    # flat part and both ends read 0, where regula falsi would divide 0 by 0
+    probes = []
+
+    def probe(x, rows):
+        probes.append(x[0])
+        return np.where(x < 0.3, x - 0.3, 0.0), np.ones(len(rows), dtype=bool)
+
+    lo, hi = kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
+                           np.full(1, -0.3), np.zeros(1), 1e-6, ties_lo=True)
+    assert hi[0] - lo[0] <= 1e-6 and 0.3 <= lo[0]
+    assert len(probes) <= math.ceil(math.log2(1e6)) + kpi._ITP_N0
 
 
 # --------------------------------------------------------------------------

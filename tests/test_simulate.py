@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _oracles import run_single_by_events
+from _oracles import columns, csv_payload_by_rows, run_single_by_events
 
 from dapq import simulate
 from dapq.core import OutOfRange, QueueConfig, ServiceKind, conservation_rhs
@@ -17,6 +17,18 @@ DET = ServiceKind.DETERMINISTIC
 GRID = np.arange(0.0, 30.0, 0.1)
 
 
+def assert_columns_equal(got, want):
+    assert len(got) == len(want) == 3
+    assert got[0].dtype == np.uint8 and got[1].dtype == got[2].dtype == np.float64
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def assert_equals_oracle(sim, rep_index):
+    assert_columns_equal(run_single(sim, rep_index),
+                         columns(run_single_by_events(sim, rep_index)))
+
+
 def test_sim_config_invariants():
     cfg = QueueConfig(0.5, 0.3, 1.0)
     with pytest.raises(OutOfRange):
@@ -25,12 +37,28 @@ def test_sim_config_invariants():
         SimConfig(queue=cfg, replications=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_customers", math.nan), ("n_customers", 4000.0), ("burn_in", math.nan),
+    ("burn_in", 10.0), ("replications", 2.5), ("replications", "3"), ("seed", 1.5),
+    ("seed", None), ("seed", -1),
+])
+def test_sim_config_rejects_non_integer_counts_and_negative_seeds(field, value):
+    with pytest.raises(OutOfRange, match=field):
+        SimConfig(queue=QueueConfig(0.5, 0.3, 1.0), **{field: value})
+
+
+def test_sim_config_takes_numpy_integers_as_ints():
+    sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0), n_customers=np.int64(300),
+                    burn_in=np.int32(50), replications=np.uint8(2), seed=np.int64(7))
+    counts = (sim.n_customers, sim.burn_in, sim.replications, sim.seed)
+    assert counts == (300, 50, 2, 7) and all(type(v) is int for v in counts)
+    assert run_replicated(sim, GRID).customers == 2 * 350
+
+
 def test_determinism_bitwise():
     sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0), n_customers=500,
                     burn_in=100, replications=3, seed=7)
-    a = run_single(sim, 1)
-    b = run_single(sim, 1)
-    assert a == b
+    assert_columns_equal(run_single(sim, 1), run_single(sim, 1))
     ra = run_replicated(sim, GRID)
     rb = run_replicated(sim, GRID)
     for cls in (1, 2):
@@ -43,7 +71,7 @@ def test_replications_are_order_independent_substreams():
                     replications=4, seed=11)
     r2_first = run_single(sim, 2)
     run_single(sim, 0)  # unrelated draw must not shift substream 2
-    assert run_single(sim, 2) == r2_first
+    assert_columns_equal(run_single(sim, 2), r2_first)
 
 
 def test_single_class_fcfs_mean():
@@ -114,8 +142,8 @@ def test_se_shrinks_with_replications():
 def test_burn_in_counts_served_customers():
     sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0), n_customers=100, burn_in=50,
                     replications=1, seed=31)
-    records = run_single(sim, 0)
-    assert len(records) == 100  # recorded services, burn-in excluded
+    # recorded services, burn-in excluded
+    assert [len(column) for column in run_single(sim, 0)] == [100, 100, 100]
 
 
 def test_raw_dump_format(tmp_path):
@@ -159,7 +187,7 @@ def test_run_single_equals_per_draw_oracle(cfg, burn_in):
     # 3,000 services draw about 6,000 exponentials: several 1,024-value refills
     sim = SimConfig(queue=cfg, n_customers=3000, burn_in=burn_in, replications=2, seed=41)
     for r in range(2):
-        assert run_single(sim, r) == run_single_by_events(sim, r)
+        assert_equals_oracle(sim, r)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -167,7 +195,7 @@ def test_run_single_equals_oracle_across_refills(monkeypatch, chunk):
     monkeypatch.setattr(simulate, "_CHUNK", chunk)
     for cfg, _ in ORACLE_CASES[:2]:
         sim = SimConfig(queue=cfg, n_customers=500, burn_in=0, replications=1, seed=43)
-        assert run_single(sim, 0) == run_single_by_events(sim, 0)
+        assert_equals_oracle(sim, 0)
 
 
 class _LatticeRng:
@@ -195,14 +223,15 @@ def test_run_single_equals_oracle_on_ties(monkeypatch, b, d, service):
     monkeypatch.setattr(_oracles, "_rng_for", _LatticeRng)
     sim = SimConfig(queue=QueueConfig(0.5, 0.25, 1.0, b=b, d=d, service=service),
                     n_customers=2000, burn_in=0, replications=1, seed=59)
-    assert run_single(sim, 0) == run_single_by_events(sim, 0)
+    assert_equals_oracle(sim, 0)
 
 
 def test_run_replicated_equals_oracle_records(monkeypatch):
     sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0), n_customers=1000,
                     burn_in=200, replications=4, seed=47)
     fast = run_replicated(sim, GRID)
-    monkeypatch.setattr(simulate, "run_single", run_single_by_events)
+    monkeypatch.setattr(simulate, "run_single",
+                        lambda sim_, r: columns(run_single_by_events(sim_, r)))
     slow = run_replicated(sim, GRID)
     assert fast.means == slow.means and fast.mean_se == slow.mean_se
     for cls in (1, 2):
@@ -239,9 +268,9 @@ def test_run_replicated_writes_raw_from_the_same_replications(tmp_path, monkeypa
     raw = tmp_path / "raw.csv"
     with_raw = run_replicated(sim, GRID, raw_path=str(raw))
     assert calls == [0, 1, 2]  # each replication simulated once
-    want = ["rep,class,arrival,wait"] + [
-        f"{r},{c},{a:.12g},{w:.12g}" for r in range(3) for c, a, w in run_single(sim, r)
-    ]
-    assert raw.read_text().splitlines() == want
+    want = csv_payload_by_rows(["rep", "class", "arrival", "wait"], [
+        [r, c, a, w] for r in range(3) for c, a, w in run_single_by_events(sim, r)
+    ])
+    assert raw.read_bytes() == want.encode()  # "\n" line ends, no "\r"
     plain = run_replicated(sim, GRID)
     assert with_raw.means == plain.means and with_raw.mean_se == plain.mean_se
