@@ -324,7 +324,9 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     search = {"error_estimates": [pt.error_estimate for pt in points],
               "probes": [pt.probes for pt in points],
               "inversion_calls": points.inversion_calls,
-              "rows_inverted": points.rows_inverted}
+              "rows_inverted": points.rows_inverted,
+              "chain_runs": points.chain_runs,
+              "chain_steps": points.chain_steps}
     _write_output(["d", "b_star", "mean_w1", "mean_w2", "feasible"], columns, args,
                   manifest(search))
     if not any(pt.feasible for pt in points):

@@ -245,7 +245,11 @@ def conservation_rhs(config: QueueConfig) -> float:
     Equals rho/(1-rho) * lambda*E[S^2]/2 for any work-conserving,
     non-preemptive discipline; independent of ``b`` and ``d``.
     """
-    rates = validate(config)
+    return _conservation_rhs(config, validate(config))
+
+
+def _conservation_rhs(config: QueueConfig, rates: DerivedRates) -> float:
+    """``conservation_rhs`` of a config already validated into ``rates``."""
     lam = config.lambda1 + config.lambda2
     es2 = config.service.second_moment(config.mu)
     return rates.rho / (1.0 - rates.rho) * lam * es2 / 2.0
@@ -253,7 +257,15 @@ def conservation_rhs(config: QueueConfig) -> float:
 
 def class1_mean_from_class2(config: QueueConfig, mean_w2: float) -> float:
     """Recover the class-1 mean wait from the class-2 mean via conservation."""
-    rates = validate(config)
+    return _class1_mean_from_class2(config, validate(config), mean_w2)
+
+
+def _class1_mean_from_class2(config: QueueConfig, rates: DerivedRates, mean_w2):
+    """``class1_mean_from_class2`` of a config already validated into ``rates``.
+
+    Elementwise in ``mean_w2``; only the b-free occupancies of ``rates``
+    are read, so any b of the config will do.
+    """
     if rates.rho1 == 0.0:
         raise NoClass1("lambda1 = 0: class-1 mean is undefined")
-    return (conservation_rhs(config) - rates.rho2 * mean_w2) / rates.rho1
+    return (_conservation_rhs(config, rates) - rates.rho2 * mean_w2) / rates.rho1

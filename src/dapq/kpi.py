@@ -26,7 +26,9 @@ is at most eps wide, and returns the end that meets the KPI (the midpoint
 for a region frontier).  So each result lies within eps of the bisection
 result, and every row sees the points and values of a search of that row
 alone.  The b-free parts of a sweep (busy weights, the mean's correction
-sum, the strict-priority F(d)) are computed once per delay.  Each row's
+sum, the strict-priority F(d)) are computed once per delay, and the busy
+weights and exponential-service correction sums of all delays come from
+one run of the ahead-set chain (``_b_free_rows``).  Each row's
 inversions are gated on their own error bound; a row that fails retires
 and the others go on, and the search then raises the error of the first
 failed row, the one a row-by-row loop would have raised.
@@ -50,10 +52,10 @@ from .core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
-    class1_mean_from_class2,
+    _class1_mean_from_class2,
     validate,
 )
-from .markov import busy_state_distribution
+from .markov import _busy_weights_rows, _head_jumps, _poisson_ksum_cutoff
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,20 @@ class PolicySweep(list):
 
     It also says how they were found: ``inversion_calls`` batched
     inversions over ``rows_inverted`` rows in all (0 for a class-1 sweep,
-    which inverts nothing).  It compares as the list of its points.
+    which inverts nothing), and ``chain_runs`` runs of the ahead-set chain
+    (``markov._busy_weights_rows``) of ``chain_steps`` steps in all, which
+    give the busy weights and the exponential-service correction sums (one
+    run for a sweep of any length; none for deterministic service).  It
+    compares as the list of its points.
     """
 
-    def __init__(self, points=(), inversion_calls: int = 0, rows_inverted: int = 0):
+    def __init__(self, points=(), inversion_calls: int = 0, rows_inverted: int = 0,
+                 chain_runs: int = 0, chain_steps: int = 0):
         super().__init__(points)
         self.inversion_calls = inversion_calls
         self.rows_inverted = rows_inverted
+        self.chain_runs = chain_runs
+        self.chain_steps = chain_steps
 
 
 @dataclass(frozen=True)
@@ -122,8 +131,9 @@ class _Rows:
     rows go on.  ``raise_first`` raises the error of the lowest failed row:
     for a region the lowest lambda1, for a sweep the first delay in the
     order given.  ``worst`` holds each row's largest certified inversion
-    error, ``probes`` each row's constraint evaluations, and ``calls`` and
-    ``rows_inverted`` the batched inversions, counted by ``inverted``.
+    error, ``probes`` each row's constraint evaluations, ``calls`` and
+    ``rows_inverted`` the batched inversions, counted by ``inverted``, and
+    ``chain_runs`` and ``chain_steps`` the runs of the ahead-set chain.
     """
 
     def __init__(self, n: int, tol: ToleranceConfig):
@@ -133,6 +143,8 @@ class _Rows:
         self.probes = np.zeros(n, dtype=int)
         self.calls = 0
         self.rows_inverted = 0
+        self.chain_runs = 0
+        self.chain_steps = 0
 
     def inverted(self, n_rows: int) -> None:
         """Count one batched inversion over ``n_rows`` rows."""
@@ -266,13 +278,72 @@ def _check_monotone(state: _Rows, rows, f0, f1, probe, slack, what: str) -> np.n
 # constraint evaluations
 # --------------------------------------------------------------------------
 
+def _b_free_rows(configs: Sequence[QueueConfig], state: _Rows, heads: bool) -> tuple:
+    """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
+
+    The busy weights and the exponential-service correction sums of all
+    rows come from one run of the ahead-set chain
+    (``markov._busy_weights_rows``): a row's head is its sum at the mass
+    cut (``markov._head_jumps``) and its correction the first moment at the
+    moment cut (``markov._poisson_ksum_cutoff``), both cut from one Poisson
+    table, so each equals its one-row value bit for bit.  A row fails in
+    ``state`` before the run when its config is invalid or, with
+    ``heads``, when its service is not exponential or its head needs more
+    than max_states states.  A moment cut that fails is kept in the row's
+    mean function, which raises it only when a b > 0 needs the correction,
+    as ``mean_wait.class2_mean_in_b`` would.  Deterministic service computes
+    its closed-form correction on first use.  Returns (rates, means,
+    weights) lists, with None in the failed rows.
+    """
+    tol = state.tol
+    n = len(configs)
+    rates, quotients, weights = [None] * n, [None] * n, [None] * n
+    batch, pmfs, cuts = [], [], []
+    for r, cfg in enumerate(configs):
+        exponential = cfg.service is ServiceKind.EXPONENTIAL
+        try:
+            rates[r] = validate(cfg.replace(b=0.0))
+            if heads and not exponential:
+                raise OutOfRange("class-2 CDF machinery requires exponential service")
+            nu_d = rates[r].nu * cfg.d
+            pmf, table = _head_jumps(nu_d, tol) if heads else (None, None)
+        except DapqError as exc:
+            state.fail(r, exc)
+            continue
+        row_cuts = [len(pmf) - 1] if heads else []
+        if exponential:
+            try:
+                moment = _poisson_ksum_cutoff(nu_d, rates[r].rho, 0.5 * tol.eps_series,
+                                              tol.max_states, table)
+                row_cuts.append(len(moment) - 1)
+                pmf = moment if pmf is None or len(moment) > len(pmf) else pmf
+            except DapqError as exc:
+                quotients[r] = exc
+        if row_cuts:
+            batch.append(r)
+            pmfs.append(pmf)
+            cuts.append(row_cuts)
+    if batch:
+        state.chain_runs += 1
+        state.chain_steps += max(max(row_cuts) for row_cuts in cuts)
+        for r, row in zip(batch, _busy_weights_rows([rates[r] for r in batch], pmfs, cuts)):
+            if heads:
+                weights[r] = row[0]
+            if quotients[r] is None:  # the moment cut is the row's last
+                quotients[r] = (row[-1].first_moment(), 1.0)
+    means = [None if r in state.errors else mean_wait._MeanInB(cfg, rates[r], tol, quotients[r])
+             for r, cfg in enumerate(configs)]
+    return rates, means, weights
+
+
 class _Class2Rows:
     """The class-2 CDF at the KPI's target wait for configs that differ only in d.
 
-    Per row it keeps the busy weights and the mean function, and the
-    strict-priority F(d): it is b-free, so it is inverted once, for all
-    rows together, over the headless geometric weights at lambda1
-    (``_StackedWeights.geometric``).  ``probe(b, rows)`` then costs one
+    Per row it keeps the busy weights and the mean function
+    (``_b_free_rows``), and the strict-priority F(d): it is b-free, so it
+    is inverted once, for all rows together, over the headless geometric
+    weights at lambda1 (``_StackedWeights.geometric``).  ``probe(b, rows)``
+    then costs one
     batched inversion of the over-delay transforms.  Rows with w <= d have
     a b-free constraint, F(w) under strict priority: ``free`` lists them
     and ``free_values`` holds their uncertified values, inverted with F(d)
@@ -285,18 +356,7 @@ class _Class2Rows:
         tol = state.tol
         n = len(configs)
         self.state = state
-        self.means = [None] * n
-        weights = [None] * n
-        for r, cfg in enumerate(configs):
-            try:
-                base = cfg.replace(b=0.0)
-                validate(base)
-                if cfg.service is not ServiceKind.EXPONENTIAL:
-                    raise OutOfRange("class-2 CDF machinery requires exponential service")
-                weights[r] = busy_state_distribution(base, tol)
-                self.means[r] = mean_wait.class2_mean_in_b(cfg, tol)
-            except DapqError as exc:
-                state.fail(r, exc)
+        self.rates, self.means, weights = _b_free_rows(configs, state, heads=True)
         live = state.alive(range(n))
         self.w = kpi.target_w
         self.ds = np.array([cfg.d for cfg in configs], dtype=float)
@@ -307,9 +367,8 @@ class _Class2Rows:
         self.free_values = np.zeros(0)
         if not live.size:
             return
-        base = configs[live[0]].replace(b=0.0)
-        self.lambda1, self.mu = base.lambda1, base.mu
-        rho = validate(base).rho
+        self.lambda1, self.mu = configs[live[0]].lambda1, configs[live[0]].mu
+        rho = self.rates[live[0]].rho
         atom = 1.0 - rho
         self.f_at_d[:] = atom
 
@@ -375,11 +434,11 @@ def _npq_meets(lam1: np.ndarray, lam2: np.ndarray, mu: float, kpi: Kpi,
 # optimal accumulation rates
 # --------------------------------------------------------------------------
 
-def _points(configs, outcome: dict, means, state: _Rows) -> PolicySweep:
+def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
     """Each row's PolicyPoint at its (b, feasible) outcome; raises the first failed row's error.
 
-    ``means[r]`` is the row's class-2 mean as a function of b
-    (``mean_wait.class2_mean_in_b``); the class-1 mean follows from
+    ``rates[r]`` and ``means[r]`` are the row's rates and class-2 mean as a
+    function of b (``_b_free_rows``); the class-1 mean follows from
     conservation, as in ``mean_wait.dapq_means``.
     """
     points = []
@@ -389,7 +448,7 @@ def _points(configs, outcome: dict, means, state: _Rows) -> PolicySweep:
         b, feasible = outcome[r]
         try:
             w2 = means[r](b)
-            w1 = class1_mean_from_class2(cfg.replace(b=b), w2)
+            w1 = _class1_mean_from_class2(cfg, rates[r], w2)
         except DapqError as exc:
             state.fail(r, exc)
             continue
@@ -397,7 +456,8 @@ def _points(configs, outcome: dict, means, state: _Rows) -> PolicySweep:
                                   feasible=feasible, error_estimate=float(state.worst[r]),
                                   probes=int(state.probes[r])))
     state.raise_first()
-    return PolicySweep(points, state.calls, state.rows_inverted)
+    return PolicySweep(points, state.calls, state.rows_inverted, state.chain_runs,
+                       state.chain_steps)
 
 
 def _b_star_class2_rows(
@@ -438,7 +498,7 @@ def _b_star_class2_rows(
                       tol.eps_root, ties_lo=False)
     for r in state.alive(live):
         outcome[r] = (float(hi[r]), True)
-    return _points(configs, outcome, rows.means, state)
+    return _points(configs, outcome, rows.rates, rows.means, state)
 
 
 def _b_star_class1_rows(
@@ -455,21 +515,20 @@ def _b_star_class1_rows(
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
     n = len(configs)
     state = _Rows(n, tol)
-    means = [None] * n
+    rates, means, _ = _b_free_rows(configs, state, heads=False)
     threshold, m0, m1 = np.zeros(n), np.zeros(n), np.zeros(n)
     num, den = np.zeros(n), np.ones(n)
     outcome = {}
     live = []
-    for r, cfg in enumerate(configs):
+    for r in state.alive(range(n)):
+        cfg = configs[r]
         try:
-            rates = validate(cfg.replace(b=0.0))
-            threshold[r] = approx.kpi_mean_threshold(rates.rho, kpi)
-            means[r] = mean_wait.class2_mean_in_b(cfg, tol)
+            threshold[r] = approx.kpi_mean_threshold(rates[r].rho, kpi)
             if math.isinf(threshold[r]):  # approx.ALWAYS_SATISFIED
                 outcome[r] = (1.0, True)
                 continue
             state.probes[r] += 1
-            m0[r] = class1_mean_from_class2(cfg.replace(b=0.0), means[r](0.0))
+            m0[r] = _class1_mean_from_class2(cfg, rates[r], means[r](0.0))
             if m0[r] > threshold[r]:
                 outcome[r] = (0.0, False)
                 continue
@@ -479,13 +538,13 @@ def _b_star_class1_rows(
             state.fail(r, exc)
     live = np.array(live, dtype=int)
     if live.size:
-        base = configs[live[0]].replace(b=0.0)
-        npq = mean_wait.npq_class2_mean(base)
+        base, base_rates = configs[live[0]], rates[live[0]]
+        npq = mean_wait._npq_class2_mean(base, base_rates)
 
         def mean1(b, rr):
             state.probes[rr] += 1
             w2 = npq - mean_wait._correction_prefactor(base, b) * num[rr] / den[rr]
-            return class1_mean_from_class2(base, w2), np.ones(len(rr), dtype=bool)
+            return _class1_mean_from_class2(base, base_rates, w2), np.ones(len(rr), dtype=bool)
 
         def residual(b, rr):
             values, ok = mean1(b, rr)
@@ -501,7 +560,7 @@ def _b_star_class1_rows(
                           m1 - threshold, tol.eps_root, ties_lo=True)
         for r in live:
             outcome[r] = (float(lo[r]), True)
-    return _points(configs, outcome, means, state)
+    return _points(configs, outcome, rates, means, state)
 
 
 def b_star_class2(
@@ -708,7 +767,8 @@ def policy_sweep(
     (d, b*(d)); for class-1 KPIs the class-2 mean must be constant (to
     1e-4) wherever b* is interior.  Violations raise MonotonicityViolation
     since downstream conclusions rest on these trends.  Returns a
-    ``PolicySweep``: the points, with the sweep's inversion counts.
+    ``PolicySweep``: the points, with the sweep's inversion and chain
+    counts.
     """
     configs = [config.replace(d=float(d)) for d in d_values]
     if kpi.class_index == 2:

@@ -18,10 +18,18 @@ values, which is what a search over b (``dapq.kpi``) needs.
 Numerical notes
 ---------------
 * The exponential-service correction iterates the same chain as the
-  class-2 CDFs' busy weights, but cuts the Poisson jump sum where an
+  class-2 CDFs' busy weights, in the same loop
+  (``markov._busy_weights_rows``, one row here; ``dapq.kpi`` runs all the
+  delays of a sweep in one call), but cuts the Poisson jump sum where an
   explicit bound on the first moment's remainder, not on the mass, falls
-  below eps_series/2 (``_poisson_ksum_cutoff``).  Beyond the cut the
-  weights are exactly geometric, so their moment has a closed form.
+  below eps_series/2 (``markov._poisson_ksum_cutoff``).  Beyond the cut
+  the weights are exactly geometric, so their moment has a closed form.
+* A mean validates its config once and works from the ``DerivedRates``
+  that validation returned: ``dapq_means``, the two class-2 means and the
+  function ``class2_mean_in_b`` returns hand them to private helpers
+  (``_MeanInB``, ``core._class1_mean_from_class2``,
+  ``core._conservation_rhs``), whose expressions and operation order are
+  those of the public functions, so every value is the same bit for bit.
 * The deterministic-service correction is summed over every post-delay
   state at once: by the binomial theorem on the residual- and delay-side
   Poisson weights, the sum over states is a partial expectation of
@@ -39,7 +47,6 @@ Numerical notes
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable
 
@@ -47,6 +54,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DapqError,
     DerivedRates,
     OutOfRange,
     QueueConfig,
@@ -54,11 +62,11 @@ from .core import (
     ToleranceConfig,
     TruncationOverflow,
     WaitSummary,
-    class1_mean_from_class2,
-    conservation_rhs,
+    _class1_mean_from_class2,
+    _conservation_rhs,
     validate,
 )
-from .markov import _busy_weights, _poisson_table, md1_stationary
+from .markov import _busy_weights_rows, _poisson_ksum_cutoff, _poisson_table, md1_stationary
 
 
 # --------------------------------------------------------------------------
@@ -74,7 +82,11 @@ def fcfs_mean(config: QueueConfig) -> float:
 
 def npq_class2_mean(config: QueueConfig) -> float:
     """Mean class-2 wait under strict (non-preemptive) priority."""
-    rates = validate(config)
+    return _npq_class2_mean(config, validate(config))
+
+
+def _npq_class2_mean(config: QueueConfig, rates: DerivedRates) -> float:
+    """``npq_class2_mean`` of a config already validated into ``rates``."""
     base = rates.rho / (config.mu * (1.0 - rates.rho1) * (1.0 - rates.rho))
     return base if config.service is ServiceKind.EXPONENTIAL else 0.5 * base
 
@@ -83,60 +95,26 @@ def npq_class2_mean(config: QueueConfig) -> float:
 # M/M/1 delayed APQ
 # --------------------------------------------------------------------------
 
-def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int) -> np.ndarray:
-    """Poisson(nu d) pmf out to the smallest K whose k-sum remainder bound is below eps.
-
-    The first moment of the busy weights with the jump sum cut at K misses
-    the steps k > K, N ~ Poisson(m = nu d).  Their head states l <= k hold
-    at most rho each and their geometric states l > k hold (1-rho)
-    rho^(l-k) r^k with r <= 1, which sum against l to at most
-    rho (k + 1/(1-rho)).  So the remainder is at most
-
-        rho [ E[N(N+1)/2; N > K] + E[N; N > K] + P(N > K)/(1-rho) ]
-        = rho [ m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho) ]
-
-    using E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
-    The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20)),
-    below max_states and out to the end of one Poisson table, m + 12
-    sqrt(m + 1) + 40 as in ``_poisson_horizon``; the bound is evaluated at
-    all of them at once.
-    """
-    if nu_d == 0.0:
-        return np.array([1.0])
-    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states - 1)
-    ks = np.arange(int(nu_d), hi + 1, max(1, int(0.05 * nu_d)))
-    if ks.size:
-        pmf, sf = _poisson_table(nu_d, hi)
-        sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
-        head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
-        bound = rho * (head + sf[ks + 2] / (1.0 - rho))
-        meets = np.flatnonzero(bound < eps)
-        if meets.size:
-            return pmf[: ks[meets[0]] + 1]
-    raise TruncationOverflow(
-        f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-        f"through {hi} jumps (max_states={max_states})"
-    )
-
-
 def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
     """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
 
     This is the first moment sum_l l w_l of the busy weights, with the
-    jump sum cut at ``_poisson_ksum_cutoff``: a cut by mass alone, as the
-    CDFs use, does not weight the missed steps by l.
+    jump sum cut at ``markov._poisson_ksum_cutoff``: a cut by mass alone, as
+    the CDFs use, does not weight the missed steps by l.  It is the one-row
+    case of ``markov._busy_weights_rows``.
     """
     pmf = _poisson_ksum_cutoff(rates.nu * config.d, rates.rho, 0.5 * tol.eps_series,
                                tol.max_states)
-    return _busy_weights(rates, pmf).first_moment()
+    [(weights,)] = _busy_weights_rows([rates], [pmf], [(len(pmf) - 1,)])
+    return weights.first_moment()
 
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Exact mean class-2 wait in the M/M/1 delayed APQ."""
-    validate(config)
+    rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("mm1_dapq_class2_mean requires exponential service")
-    return class2_mean_in_b(config, tol)(config.b)
+    return _MeanInB(config, rates, tol)(config.b)
 
 
 # --------------------------------------------------------------------------
@@ -276,10 +254,10 @@ def _md1_correction_sum(
 
 def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Exact mean class-2 wait in the M/D/1 delayed APQ (d = l/mu, integer l)."""
-    validate(config)
+    rates = validate(config)
     if config.service is not ServiceKind.DETERMINISTIC:
         raise OutOfRange("md1_dapq_class2_mean requires deterministic service")
-    return class2_mean_in_b(config, tol)(config.b)
+    return _MeanInB(config, rates, tol)(config.b)
 
 
 # --------------------------------------------------------------------------
@@ -317,30 +295,38 @@ def _correction_prefactor(config: QueueConfig, b):
 
 
 class _MeanInB:
-    """b -> exact E[W2] at fixed rates and delay (see ``class2_mean_in_b``)."""
+    """b -> exact E[W2] at fixed rates and delay (see ``class2_mean_in_b``).
 
-    def __init__(self, config: QueueConfig, tol: ToleranceConfig):
+    ``rates`` are those ``validate`` gave the config at any b: only their
+    b-free fields are read.  ``quotient`` is the b-free (num, den) when the
+    caller has computed it (``dapq.kpi`` does, for all delays of a sweep at
+    once), or the ``DapqError`` computing it raised, which a call that needs
+    the correction raises; None computes it on first use.
+    """
+
+    def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
+                 quotient=None):
         self._config = config
+        self._rates = rates
         self._tol = tol
-        self._quotient = None
+        self._quotient = quotient
+        self._npq = _npq_class2_mean(config, rates)
 
     def correction(self) -> tuple:
         """The b-free (num, den) of ``_correction_quotient``, computed on first use."""
         if self._quotient is None:
-            cfg = self._config.replace(b=0.0)
-            self._quotient = _correction_quotient(cfg, validate(cfg), self._tol)
+            self._quotient = _correction_quotient(self._config, self._rates, self._tol)
+        if isinstance(self._quotient, DapqError):
+            raise self._quotient
         return self._quotient
 
     def __call__(self, b: float) -> float:
-        cfg = self._config.replace(b=b)
-        rates = validate(cfg)
-        npq = npq_class2_mean(cfg)
-        if b == 0.0 or rates.rho1 == 0.0:
-            return npq
-        if self._quotient is None:  # the rates are b-free where the quotient uses them
-            self._quotient = _correction_quotient(cfg, rates, self._tol)
-        num, den = self._quotient
-        return float(npq - _correction_prefactor(cfg, b) * num / den)
+        if not 0.0 <= b <= 1.0:
+            raise OutOfRange(f"accumulation ratio b must lie in [0,1], got {b}")
+        if b == 0.0 or self._rates.rho1 == 0.0:
+            return self._npq
+        num, den = self.correction()
+        return float(self._npq - _correction_prefactor(self._config, b) * num / den)
 
 
 def class2_mean_in_b(
@@ -353,11 +339,12 @@ def class2_mean_in_b(
     for deterministic service).  The returned function computes that sum at
     the first b that needs it and keeps it, so later calls cost a few float
     operations; each value equals the one-shot mean of
-    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is ignored.
-    Its ``correction()`` gives the kept sum, from which ``dapq.kpi`` prices
-    the rates of several delays at once with ``_correction_prefactor``.
+    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is ignored;
+    the rest of it is validated here, once.  Its ``correction()`` gives the
+    kept sum, from which ``dapq.kpi`` prices the rates of several delays at
+    once with ``_correction_prefactor``.
     """
-    return _MeanInB(config, tol)
+    return _MeanInB(config, validate(config.replace(b=0.0)), tol)
 
 
 # --------------------------------------------------------------------------
@@ -365,14 +352,15 @@ def class2_mean_in_b(
 # --------------------------------------------------------------------------
 
 def dapq_means(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> WaitSummary:
-    """Exact mean waits for both classes, with the conservation residual."""
+    """Exact mean waits for both classes, with the conservation residual.
+
+    The config is validated once; the class-2 mean of either service kind
+    and the conservation law then work from its rates.
+    """
     rates = validate(config)
-    if config.service is ServiceKind.EXPONENTIAL:
-        mean_w2 = mm1_dapq_class2_mean(config, tol)
-    else:
-        mean_w2 = md1_dapq_class2_mean(config, tol)
-    mean_w1 = class1_mean_from_class2(config, mean_w2)
-    resid = abs(rates.rho1 * mean_w1 + rates.rho2 * mean_w2 - conservation_rhs(config))
+    mean_w2 = _MeanInB(config, rates, tol)(config.b)
+    mean_w1 = _class1_mean_from_class2(config, rates, mean_w2)
+    resid = abs(rates.rho1 * mean_w1 + rates.rho2 * mean_w2 - _conservation_rhs(config, rates))
     return WaitSummary(
         mean_w1=float(mean_w1), mean_w2=float(mean_w2), conservation_residual=float(resid)
     )

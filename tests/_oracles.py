@@ -18,8 +18,11 @@ path the batched row inverter replaced (``class2_cdf_by_grid``).  The
 simulator moves customers event by event through two deques, makes one
 generator call per exponential draw, and its waits are split by class
 with a comprehension.  The command line's CSV is
-built one row at a time, each value formatted on its own.  Public names
-only the tests used live here too: the geometric M/M/1 pmf, the class-2
+built one row at a time, each value formatted on its own.  The one-row
+chain loop that the batched ``markov._busy_weights_rows`` replaced is kept
+as ``busy_weights_by_loop``.  Public names only the tests used live here
+too: the geometric M/M/1 pmf, the pmf and total mass of a
+``StationaryDist`` (``stationary_pmf``, ``stationary_mass``), the class-2
 tail transform, and ``Lst`` with ``invert_to_cdf``, which invert a
 stand-alone transform through the package's own inversion and gate.
 """
@@ -50,6 +53,7 @@ from dapq.core import (
 )
 from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho, _fcfs_cdf_at, _npq1_cdf_at
 from dapq.markov import (
+    BusyWeights,
     StationaryDist,
     _poisson_horizon,
     busy_state_distribution as dapq_busy_weights,
@@ -139,6 +143,22 @@ def mm1_stationary(rho, tol=DEFAULT_TOL):
     K = min(K, tol.max_states)
     probs = (1.0 - rho) * rho ** np.arange(K + 1)
     return StationaryDist(probs=probs, tail_ratio=rho, truncation_K=K)
+
+
+def stationary_pmf(dist, i):
+    """pi_i of a ``StationaryDist``: the stored head, then its geometric continuation."""
+    if i < 0:
+        return 0.0
+    if i <= dist.truncation_K:
+        return float(dist.probs[i])
+    return float(dist.probs[dist.truncation_K] * dist.tail_ratio ** (i - dist.truncation_K))
+
+
+def stationary_mass(dist):
+    """Total mass of a ``StationaryDist``: the stored head plus the closed-form tail."""
+    g = dist.tail_ratio
+    tail = dist.probs[dist.truncation_K] * g / (1.0 - g) if g > 0 else 0.0
+    return float(dist.probs.sum() + tail)
 
 
 def md1_pi_embedded(rho, n_max):
@@ -318,6 +338,32 @@ def busy_state_distribution(config, tol=DEFAULT_TOL):
         v = _chain_step(v, rates.p_up, rates.q_down)
         acc = acc + pmf[k] * v
     return acc
+
+
+def _chain_step_into(v, p_up, q_down, out):
+    out[0] = 0.0
+    np.multiply(v[:-1], p_up, out=out[1:])
+    out[:-1] += q_down * v[1:]
+    return out
+
+
+def busy_weights_by_loop(rates, pmf):
+    """The busy weights of one jump sum cut after ``pmf[-1]``, by the one-row loop.
+
+    This is the loop ``dapq.markov._busy_weights_rows`` replaced: the chain
+    of one row on 2n states, n = len(pmf) - 1, accumulated step by step.
+    """
+    n = len(pmf) - 1
+    rho = rates.rho
+    ks = np.arange(n + 1)
+    tail_next = float((1.0 - rho) * (pmf * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
+    v = (1.0 - rho) * rho ** np.arange(1, 2 * n + 1)
+    acc = pmf[0] * v
+    spare = np.empty_like(v)
+    for k in range(1, n + 1):
+        v, spare = _chain_step_into(v, rates.p_up, rates.q_down, spare), v
+        acc += pmf[k] * v
+    return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)
 
 
 def class2_tail_lst(config, s, tol=DEFAULT_TOL):

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import Lst, invert_to_cdf, md1_pi_exact, x_rows_by_matrix
+from _oracles import Lst, invert_to_cdf, md1_pi_exact, stationary_mass, x_rows_by_matrix
 from dapq.core import Kpi, QueueConfig, ServiceKind, validate
 from dapq.approx import kpi_mean_threshold, zexp_from_mean, cdf_sup_diff
 from dapq.kpi import b_star_class1, b_star_class2, feasible_region, in_tuning_region
-from dapq.markov import _chain_step, md1_stationary, md1_tail_ratio
+from dapq.markov import _busy_weights_rows, md1_stationary, md1_tail_ratio
 from dapq.mean_wait import dapq_means, fcfs_mean, npq_class2_mean
 from dapq.simulate import SimConfig, run_replicated
 from dapq.transforms import class2_cdf_dapq
@@ -96,12 +96,13 @@ def test_criterion_04_x_table_matrix_oracle():
         rho = lam1 + 0.3
         rates = validate(QueueConfig(lam1, 0.3, 1.0, service=EXP))
         oracle = x_rows_by_matrix(lam1, 1.0, rho, 25)
-        # the package's chain step from rho**l on 50 states: the first k
-        # states are exact after k steps
-        v = rho ** np.arange(1, 51)
-        for k in range(1, 26):
-            v = _chain_step(v, rates.p_up, rates.q_down, np.empty_like(v))
-            worst = max(worst, float(np.max(np.abs(v[:k] - oracle[k - 1]))))
+        # the package's chain, one run: row k weights only step k and is cut
+        # there, so its head is the state after k steps, states 1..k
+        run = _busy_weights_rows([rates] * 25, [np.eye(k + 1)[k] for k in range(1, 26)],
+                                 [(k,) for k in range(1, 26)])
+        for k, (weights,) in enumerate(run, start=1):
+            x_row = weights.head / (1.0 - rho)
+            worst = max(worst, float(np.max(np.abs(x_row - oracle[k - 1]))))
     _report(4, "chain rows equal explicit truncated matrix products", worst < 1e-12,
             f"(worst entry deviation {worst:.2e})")
 
@@ -111,7 +112,7 @@ def test_criterion_05_md1_stationary():
     worst_ratio = 0.0
     for rho in (0.5, 0.8, 0.9):
         dist = md1_stationary(rho)
-        worst_mass = max(worst_mass, abs(dist.total_mass() - 1.0))
+        worst_mass = max(worst_mass, abs(stationary_mass(dist) - 1.0))
         g = md1_tail_ratio(rho)
         for i in range(15, 26):
             ratio = md1_pi_exact(rho, i + 1) / md1_pi_exact(rho, i)

@@ -314,12 +314,16 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
     assert (search["inversion_calls"], search["rows_inverted"]) == (
         points.inversion_calls, points.rows_inverted)
     assert 0 < search["inversion_calls"] <= 20 and search["probes"][0] > 5
+    # one chain run gives the busy weights and correction sums of every delay
+    assert (search["chain_runs"], search["chain_steps"]) == (1, points.chain_steps)
+    assert points.chain_runs == 1 and points.chain_steps > 0
 
     out = tmp_path / "sweep1.csv"
     assert main(["kpi", "--class", "1", "--w", "2", "--p", "0.9", "--lam1", "0.05",
                  "--lam2", "0.6", "--sweep-d", "0:1", "--out", str(out)]) == EXIT_OK
     search = json.loads((tmp_path / "sweep1.csv.manifest.json").read_text())["search"]
     assert (search["inversion_calls"], search["rows_inverted"]) == (0, 0)
+    assert search["chain_runs"] == 1 and search["chain_steps"] > 0
     assert all(p > 5 for p in search["probes"])
 
 

@@ -16,7 +16,7 @@ from _oracles import (
     npq_meets_by_probe,
     policy_sweep_by_delay,
 )
-from dapq import kpi, transforms
+from dapq import kpi, markov, mean_wait, transforms
 from dapq.approx import kpi_mean_threshold
 from dapq.core import (
     DEFAULT_TOL,
@@ -27,6 +27,7 @@ from dapq.core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
+    TruncationOverflow,
     validate,
 )
 from dapq.kpi import (
@@ -37,7 +38,7 @@ from dapq.kpi import (
     meets_extreme,
     policy_sweep,
 )
-from dapq.markov import busy_state_distribution
+from dapq.markov import _head_jumps, _poisson_ksum_cutoff, busy_state_distribution
 from dapq.mean_wait import class2_mean_in_b, dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
 from dapq.transforms import class2_cdf_dapq
 
@@ -704,3 +705,74 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
     assert (points.inversion_calls, points.rows_inverted) == (0, 0)
     assert all(6 <= pt.probes <= 5 + 35 for pt in points)
     assert b_star_class1(QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1)).probes == 0
+
+
+# --------------------------------------------------------------------------
+# one chain run per sweep
+# --------------------------------------------------------------------------
+
+def _count_chain_runs(monkeypatch):
+    """Record the step count of every batched chain run a search makes, and
+    fail on a one-row busy-weight or correction-sum path."""
+    steps = []
+    run = kpi._busy_weights_rows
+
+    def counted(rates, pmfs, cuts):
+        steps.append(max(max(row_cuts) for row_cuts in cuts))
+        return run(rates, pmfs, cuts)
+
+    def one_row(*args):
+        raise AssertionError("a sweep ran a one-row chain")
+
+    monkeypatch.setattr(kpi, "_busy_weights_rows", counted)
+    monkeypatch.setattr(markov, "busy_state_distribution", one_row)
+    monkeypatch.setattr(mean_wait, "_mm1_correction_sum", one_row)
+    return steps
+
+
+def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
+    # the benchmark's class-2 sweep: the busy weights and correction sums of
+    # all nine delays come from one run, as long as the longest cut of any
+    # delay (the moment cut at d = 8)
+    cfg, ds = QueueConfig(0.4, 0.18, 1.0), [float(d) for d in range(9)]
+    rates, eps = validate(cfg), 0.5 * DEFAULT_TOL.eps_series
+    cuts = [(len(_head_jumps(rates.nu * d, DEFAULT_TOL)[0]) - 1,
+             len(_poisson_ksum_cutoff(rates.nu * d, rates.rho, eps, DEFAULT_TOL.max_states)) - 1)
+            for d in ds]
+    want = policy_sweep_by_delay(cfg, KPI2, ds)
+    steps = _count_chain_runs(monkeypatch)
+    points = policy_sweep(cfg, KPI2, ds)
+    assert steps == [max(max(c) for c in cuts)] == [44]
+    assert (points.chain_runs, points.chain_steps) == (1, 44)
+    assert points == want
+
+    # a class-1 sweep needs only the moments: one run too; deterministic
+    # service sums its correction in closed form and runs no chain
+    steps.clear()
+    points = policy_sweep(QueueConfig(0.05, 0.6, 1.0), KPI1, [0.0, 1.0, 2.0])
+    assert len(steps) == 1 and (points.chain_runs, points.chain_steps) == (1, steps[0])
+    det = QueueConfig(0.05, 0.6, 1.0, service=ServiceKind.DETERMINISTIC)
+    points = policy_sweep(det, KPI1, [0.0, 1.0, 2.0])
+    assert len(steps) == 1 and (points.chain_runs, points.chain_steps) == (0, 0)
+
+
+@pytest.mark.parametrize("target,ds,max_states,error", [
+    # d = 1's moment cut overflows (b* > 0 needs it) before d = 2's head does
+    (KPI2, [0.0, 1.0, 2.0, 4.0, 6.0], 15, "Poisson(1.4) k-sum bound"),
+    (KPI2, [0.0, 1.0, 2.0, 4.0, 6.0], 17, "busy-state head needs 19 states"),
+    (KPI2, [4.0, 6.0, 8.0], 28, "Poisson(5.6) k-sum bound"),
+    # strict priority complies, so no delay needs the correction it cannot sum
+    (Kpi(4.0, 0.5, 2), [0.0, 1.0], 15, None),
+    (KPI1, [0.0, 1.0, 2.0, 4.0], 15, "k-sum bound"),
+])
+def test_a_sweep_raises_the_truncation_overflow_of_its_first_failed_delay(
+        target, ds, max_states, error):
+    tol = ToleranceConfig(max_states=max_states)
+    cfg = QueueConfig(0.4, 0.18, 1.0) if target.class_index == 2 else QueueConfig(0.05, 0.6, 1.0)
+    got = _sweep_outcome(lambda c, t, d: policy_sweep(c, t, d, tol), cfg, target, ds)
+    assert got == _sweep_outcome(lambda c, t, d: policy_sweep_by_delay(c, t, d, tol),
+                                 cfg, target, ds)
+    if error is None:
+        assert [pt.b_star for pt in got[0]] == [0.0] * len(ds)
+    else:
+        assert got[0] is TruncationOverflow and error in got[1]

@@ -13,10 +13,22 @@ from _oracles import (
     md1_pi_exact,
     mm1_stationary,
     poisson_by_mpmath,
+    stationary_mass,
+    stationary_pmf,
     survival_transition,
 )
-from dapq.core import OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, TruncationOverflow
+from dapq.core import (
+    OutOfRange,
+    QueueConfig,
+    ServiceKind,
+    ToleranceConfig,
+    TruncationOverflow,
+    validate,
+)
 from dapq.markov import (
+    _busy_weights_rows,
+    _head_jumps,
+    _poisson_ksum_cutoff,
     _poisson_table,
     busy_state_distribution,
     md1_stationary,
@@ -35,16 +47,16 @@ def _dense(weights, size):
 
 def test_mm1_stationary_geometric_values():
     dist = mm1_stationary(0.8)
-    assert dist.pmf(0) == pytest.approx(0.2, abs=1e-15)
-    assert dist.pmf(1) == pytest.approx(0.16, abs=1e-15)
-    assert dist.pmf(2) == pytest.approx(0.128, abs=1e-15)
+    assert stationary_pmf(dist, 0) == pytest.approx(0.2, abs=1e-15)
+    assert stationary_pmf(dist, 1) == pytest.approx(0.16, abs=1e-15)
+    assert stationary_pmf(dist, 2) == pytest.approx(0.128, abs=1e-15)
     assert dist.tail_ratio == 0.8
 
 
 def test_mm1_stationary_empty_system():
     dist = mm1_stationary(0.0)
-    assert dist.pmf(0) == 1.0
-    assert dist.pmf(3) == 0.0
+    assert stationary_pmf(dist, 0) == 1.0
+    assert stationary_pmf(dist, 3) == 0.0
 
 
 def test_mm1_truncation_meets_tail_bound():
@@ -58,8 +70,8 @@ def test_mm1_truncation_meets_tail_bound():
 def test_mm1_mass_and_head():
     for rho in (0.3, 0.8, 0.93):
         dist = mm1_stationary(rho)
-        assert dist.pmf(0) == pytest.approx(1 - rho, abs=1e-15)
-        assert dist.total_mass() == pytest.approx(1.0, abs=1e-10)
+        assert stationary_pmf(dist, 0) == pytest.approx(1 - rho, abs=1e-15)
+        assert stationary_mass(dist) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_md1_pi_low_order_closed_forms():
@@ -78,8 +90,8 @@ def test_md1_pi_matches_embedded_chain(rho):
 @pytest.mark.parametrize("rho", [0.5, 0.8, 0.9])
 def test_md1_stationary_mass(rho):
     dist = md1_stationary(rho)
-    assert dist.pmf(0) == pytest.approx(1 - rho, abs=1e-15)
-    assert dist.total_mass() == pytest.approx(1.0, abs=1e-8)
+    assert stationary_pmf(dist, 0) == pytest.approx(1 - rho, abs=1e-15)
+    assert stationary_mass(dist) == pytest.approx(1.0, abs=1e-8)
     assert np.all(dist.probs >= 0)
 
 
@@ -105,7 +117,7 @@ def test_md1_stationary_light_traffic(rho):
     dist = md1_stationary(rho)
     oracle = np.array(md1_pi_embedded(rho, 20)[:21])
     assert np.max(np.abs(dist.pmf_array(20) - oracle)) <= 1e-15
-    assert dist.total_mass() == pytest.approx(1.0, abs=1e-14)
+    assert stationary_mass(dist) == pytest.approx(1.0, abs=1e-14)
 
 
 # stopping indices of the term-by-term extended-precision pmf (md1_pi_exact)
@@ -271,6 +283,64 @@ def test_busy_state_head_and_tail_match_full_vector(lam1, lam2, b, d):
     assert w.total_mass() == pytest.approx(full.sum(), abs=1e-10)
 
 
+def _row_cuts(rates, d, tol):
+    """A delay's jump pmf and its mass and moment cuts, as a KPI sweep takes them;
+    a cut that raises is left out."""
+    nu_d = rates.nu * d
+    try:
+        pmf, table = _head_jumps(nu_d, tol)
+        cuts = [len(pmf) - 1]
+    except TruncationOverflow:
+        pmf, table, cuts = np.zeros(0), None, []
+    eps = 0.5 * tol.eps_series
+    try:
+        moment = _poisson_ksum_cutoff(nu_d, rates.rho, eps, tol.max_states, table)
+    except TruncationOverflow:
+        return pmf, cuts
+    # the shared table gives the cut that a table of the moment's own gives
+    assert np.array_equal(moment, _poisson_ksum_cutoff(nu_d, rates.rho, eps, tol.max_states))
+    return (moment if len(moment) > len(pmf) else pmf), cuts + [len(moment) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.9)),
+                  st.floats(min_value=0.0, max_value=0.9),
+                  st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.0, 8.0, 20.0])),
+        min_size=1, max_size=6),
+    shared=st.booleans(),
+    max_states=st.one_of(st.just(6000), st.integers(min_value=8, max_value=90)),
+)
+def test_busy_weights_rows_equal_the_one_row_loop_bit_for_bit(rows, shared, max_states):
+    # rows with their own rates, or (as in a sweep) the first row's rates at
+    # every delay; d = 0, lambda1 = 0 and repeated delays are drawn, and a
+    # small max_states shortens the moment's Poisson table or drops a cut
+    tol = ToleranceConfig(max_states=max_states)
+    rates, pmfs, cuts = [], [], []
+    for lam1, lam2, d in rows:
+        if shared:
+            lam1, lam2 = rows[0][0], rows[0][1]
+        if lam1 + lam2 >= 0.99:
+            lam2 = 0.98 - lam1
+        row_rates = validate(QueueConfig(lam1, lam2, 1.0, d=d, service=EXP))
+        pmf, row_cuts = _row_cuts(row_rates, d, tol)
+        if row_cuts:
+            rates.append(row_rates)
+            pmfs.append(pmf)
+            cuts.append(tuple(row_cuts))
+    if not rates:
+        return
+    run = _busy_weights_rows(rates, pmfs, cuts)
+    assert [len(row) for row in run] == [len(c) for c in cuts]
+    for row_rates, pmf, row_cuts, row in zip(rates, pmfs, cuts, run):
+        for n, got in zip(row_cuts, row):
+            want = _oracles.busy_weights_by_loop(row_rates, pmf[: n + 1])
+            assert np.array_equal(got.head, want.head)
+            assert got.tail_next == want.tail_next and got.rho == want.rho
+            assert got.first_moment() == want.first_moment()
+
+
 def test_busy_state_head_size_does_not_grow_with_rho():
     sizes = {
         len(busy_state_distribution(QueueConfig(0.5, lam2, 1.0, b=0.5, d=2.0, service=EXP)))
@@ -339,7 +409,7 @@ def test_md1_stationary_matches_pasta_simulation():
     for i in range(8):
         p_hat = counts[:, i].mean()
         se = counts[:, i].std(ddof=1) / math.sqrt(n_reps)
-        assert abs(dist.pmf(i) - p_hat) < 3.0 * se
+        assert abs(stationary_pmf(dist, i) - p_hat) < 3.0 * se
 
 
 def _worst_tail_error(values, exact, above):

@@ -21,15 +21,18 @@ from dapq.core import (
     ServiceKind,
     ToleranceConfig,
     TruncationOverflow,
+    class1_mean_from_class2,
+    conservation_rhs,
     validate,
 )
-from dapq.markov import _chain_step
+from dapq import mean_wait
+from dapq.markov import _busy_weights_rows, _poisson_ksum_cutoff
 from dapq.mean_wait import (
     _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
     _mm1_correction_sum,
-    _poisson_ksum_cutoff,
+    class2_mean_in_b,
     dapq_means,
     fcfs_mean,
     md1_dapq_class2_mean,
@@ -58,15 +61,14 @@ def test_npq_class2_mean_values():
 def chain_rows(rates, k_max):
     """x rows 1..k_max: (pi_+ P_+^k)_l / (1-rho) for l = 1..k.
 
-    ``markov._chain_step`` iterated from rho**l on 2 k_max states, where
-    after k steps the first 2 k_max - k states are exact.
+    One run of ``markov._busy_weights_rows`` with row k's jump weights the
+    unit vector at step k, cut at k: its head is the chain's state after k
+    steps, states 1..k, which are exact however many states the run keeps.
     """
-    v = rates.rho ** np.arange(1, 2 * k_max + 1)
-    rows = []
-    for k in range(1, k_max + 1):
-        v = _chain_step(v, rates.p_up, rates.q_down, np.empty_like(v))
-        rows.append(v[:k])
-    return rows
+    steps = range(1, k_max + 1)
+    run = _busy_weights_rows([rates] * k_max, [np.eye(k + 1)[k] for k in steps],
+                             [(k,) for k in steps])
+    return [weights.head / (1.0 - rates.rho) for (weights,) in run]
 
 
 def test_x_table_first_entry_and_edge():
@@ -347,3 +349,54 @@ def test_poisson_ksum_cutoff_overflow_matches_scalar_loop(nu_d, max_states):
     with pytest.raises(TruncationOverflow) as got:
         _poisson_ksum_cutoff(nu_d, 0.8, 5e-11, max_states)
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.floats(min_value=0.01, max_value=0.98),
+    share=st.floats(min_value=0.0, max_value=1.0),
+    det=st.booleans(),
+    b=st.floats(min_value=0.0, max_value=1.0),
+    ell=st.sampled_from([0, 1, 3, 8]),
+)
+def test_means_validate_once_and_equal_the_public_pieces(rho, share, det, b, ell):
+    # dapq_means and the class-2 means validate the config once and work
+    # from its rates; every value equals the one built from the public
+    # functions, each of which validates for itself, bit for bit
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=b, d=float(ell),
+                      service=DET if det else EXP)
+    one_shot = md1_dapq_class2_mean if det else mm1_dapq_class2_mean
+    w2 = one_shot(cfg)
+    try:
+        w1 = class1_mean_from_class2(cfg, w2)
+    except NoClass1:
+        w1 = None
+    npq = npq_class2_mean(cfg)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mean_wait, "validate",
+                      lambda config: calls.append(config) or validate(config))
+        assert one_shot(cfg) == w2 and len(calls) == 1
+        calls.clear()
+        in_b = class2_mean_in_b(cfg.replace(b=0.5))
+        assert [in_b(x) for x in (b, 0.0, b)] == [w2, npq, w2]
+        assert len(calls) == 1
+        calls.clear()
+        if w1 is None:
+            with pytest.raises(NoClass1):
+                dapq_means(cfg)
+            return
+        summary = dapq_means(cfg)
+    assert len(calls) == 1
+    assert (summary.mean_w1, summary.mean_w2) == (w1, w2)
+    assert summary.conservation_residual == abs(
+        cfg.lambda1 * w1 + cfg.lambda2 * w2 - conservation_rhs(cfg))
+
+
+@pytest.mark.parametrize("b", [-0.1, 1.5, math.nan])
+def test_mean_in_b_keeps_the_rate_check(b):
+    in_b = class2_mean_in_b(QueueConfig(0.5, 0.3, 1.0, d=2.0))
+    with pytest.raises(OutOfRange, match="accumulation ratio b"):
+        in_b(b)
+    with pytest.raises(OutOfRange):
+        class2_mean_in_b(QueueConfig(0.5, 0.3, 1.0, d=-1.0))

@@ -13,6 +13,7 @@ from _oracles import (
     eta_fixed_point,
     invert_to_cdf,
     mm1_stationary,
+    stationary_pmf,
 )
 from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
 from dapq.markov import busy_state_distribution
@@ -68,7 +69,7 @@ def test_class2_tail_lst_zero_delay_reduces_to_busy_sum():
     dist = mm1_stationary(0.8)
     for s in (0.2, 1.0, 4.0):
         eta = eta_mm1(s, 0.25, 1.0)
-        direct = sum(dist.pmf(j) * eta**j for j in range(1, 400))
+        direct = sum(stationary_pmf(dist, j) * eta**j for j in range(1, 400))
         assert class2_tail_lst(cfg, s) == pytest.approx(direct, abs=1e-10)
 
 
