@@ -198,13 +198,13 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     return EXIT_OK
 
 
-def _cdf_grid(args, cfg: QueueConfig, tol: ToleranceConfig) -> np.ndarray:
+def _cdf_grid(args, cfg: QueueConfig) -> np.ndarray:
     if args.t_max is not None:
         if not (0.0 <= args.t_max < math.inf and 0.0 < args.dt < math.inf):
             raise OutOfRange(f"want finite --t-max >= 0 and --dt > 0, got "
                              f"{args.t_max} and {args.dt}")
         return np.arange(0.0, args.t_max + 1e-12, args.dt)
-    return transforms.default_grid(cfg, tol)
+    return transforms.default_grid(cfg)
 
 
 def cmd_cdf(args, tol: ToleranceConfig) -> int:
@@ -213,7 +213,7 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d, service=service)
     rates = validate(cfg)
     kind = args.kind
-    grid = _cdf_grid(args, cfg, tol)
+    grid = _cdf_grid(args, cfg)
     analytic_kinds = {"fcfs", "npq1", "npq2", "dapq2", "zexp1"}
     if kind in analytic_kinds and service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange(f"analytic curve {kind!r} requires exponential service")
@@ -221,9 +221,9 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     inversion = simulation = None
     if kind == "fcfs":
         lam = cfg.lambda1 + cfg.lambda2
-        values = 1.0 - rates.rho * np.exp(-(cfg.mu - lam) * grid)
+        values = approx.ZExp(rates.rho, cfg.mu - lam).curve(grid).values
     elif kind == "npq1":
-        values = 1.0 - rates.rho * np.exp(-(cfg.mu - cfg.lambda1) * grid)
+        values = approx.ZExp(rates.rho, cfg.mu - cfg.lambda1).curve(grid).values
     elif kind in ("npq2", "dapq2"):
         curve_cfg = cfg.replace(b=0.0, d=0.0) if kind == "npq2" else cfg
         curve = transforms.class2_cdf_dapq(curve_cfg, grid, tol)
@@ -263,7 +263,7 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
         queue=cfg, n_customers=args.n, burn_in=args.burn_in,
         replications=args.reps, seed=args.seed,
     )
-    grid = _cdf_grid(args, cfg, tol)
+    grid = _cdf_grid(args, cfg)
     result = simulate.run_replicated(sim, grid, raw_path=args.raw)
     columns = [grid]
     for cls in (1, 2):

@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 
 # --------------------------------------------------------------------------
@@ -166,14 +163,12 @@ class ToleranceConfig:
     eps_root     root-finder / bisection tolerance
     eps_invert   target absolute accuracy of transform inversion
     max_states   hard cap on truncated state spaces
-    grid         optional fixed abscissae for CDF evaluation
     """
 
     eps_series: float = 1e-10
     eps_root: float = 1e-10
     eps_invert: float = 1e-8
     max_states: int = 6000
-    grid: Optional[np.ndarray] = field(default=None, compare=False)
 
     def __post_init__(self):
         for name in ("eps_series", "eps_root", "eps_invert"):

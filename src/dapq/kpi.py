@@ -52,10 +52,11 @@ from .core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
+    UnstableSystem,
     _class1_mean_from_class2,
     validate,
 )
-from .markov import _busy_weights_rows, _head_jumps, _poisson_ksum_cutoff
+from .markov import _delay_weights
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class PolicySweep(list):
     It also says how they were found: ``inversion_calls`` batched
     inversions over ``rows_inverted`` rows in all (0 for a class-1 sweep,
     which inverts nothing), and ``chain_runs`` runs of the ahead-set chain
-    (``markov._busy_weights_rows``) of ``chain_steps`` steps in all, which
+    (``markov._delay_weights``) of ``chain_steps`` steps in all, which
     give the busy weights and the exponential-service correction sums (one
     run for a sweep of any length; none for deterministic service).  It
     compares as the list of its points.
@@ -281,56 +282,40 @@ def _check_monotone(state: _Rows, rows, f0, f1, probe, slack, what: str) -> np.n
 def _b_free_rows(configs: Sequence[QueueConfig], state: _Rows, heads: bool) -> tuple:
     """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
 
-    The busy weights and the exponential-service correction sums of all
-    rows come from one run of the ahead-set chain
-    (``markov._busy_weights_rows``): a row's head is its sum at the mass
-    cut (``markov._head_jumps``) and its correction the first moment at the
-    moment cut (``markov._poisson_ksum_cutoff``), both cut from one Poisson
-    table, so each equals its one-row value bit for bit.  A row fails in
-    ``state`` before the run when its config is invalid or, with
-    ``heads``, when its service is not exponential or its head needs more
-    than max_states states.  A moment cut that fails is kept in the row's
-    mean function, which raises it only when a b > 0 needs the correction,
-    as ``mean_wait.class2_mean_in_b`` would.  Deterministic service computes
+    The rows are configs that differ only in d.  Their busy weights and
+    exponential-service correction sums come from one run of the ahead-set
+    chain (``markov._delay_weights``), each equal to its one-row value bit
+    for bit.  A row fails in ``state`` when its config is invalid or, with
+    ``heads``, when its service is not exponential or its head cannot be
+    cut within max_states.  A correction sum that cannot be cut is kept in
+    the row's mean function, which raises it only when a b > 0 needs the
+    correction, as the one-row mean would.  Deterministic service computes
     its closed-form correction on first use.  Returns (rates, means,
     weights) lists, with None in the failed rows.
     """
     tol = state.tol
     n = len(configs)
     rates, quotients, weights = [None] * n, [None] * n, [None] * n
-    batch, pmfs, cuts = [], [], []
+    batch = []
     for r, cfg in enumerate(configs):
-        exponential = cfg.service is ServiceKind.EXPONENTIAL
         try:
             rates[r] = validate(cfg.replace(b=0.0))
-            if heads and not exponential:
+            if heads and cfg.service is not ServiceKind.EXPONENTIAL:
                 raise OutOfRange("class-2 CDF machinery requires exponential service")
-            nu_d = rates[r].nu * cfg.d
-            pmf, table = _head_jumps(nu_d, tol) if heads else (None, None)
+            batch.append(r)
         except DapqError as exc:
             state.fail(r, exc)
-            continue
-        row_cuts = [len(pmf) - 1] if heads else []
-        if exponential:
-            try:
-                moment = _poisson_ksum_cutoff(nu_d, rates[r].rho, 0.5 * tol.eps_series,
-                                              tol.max_states, table)
-                row_cuts.append(len(moment) - 1)
-                pmf = moment if pmf is None or len(moment) > len(pmf) else pmf
-            except DapqError as exc:
-                quotients[r] = exc
-        if row_cuts:
-            batch.append(r)
-            pmfs.append(pmf)
-            cuts.append(row_cuts)
-    if batch:
-        state.chain_runs += 1
-        state.chain_steps += max(max(row_cuts) for row_cuts in cuts)
-        for r, row in zip(batch, _busy_weights_rows([rates[r] for r in batch], pmfs, cuts)):
-            if heads:
-                weights[r] = row[0]
-            if quotients[r] is None:  # the moment cut is the row's last
-                quotients[r] = (row[-1].first_moment(), 1.0)
+    if batch and configs[batch[0]].service is ServiceKind.EXPONENTIAL:
+        rows, steps = _delay_weights(rates[batch[0]], [configs[r].d for r in batch], tol, heads)
+        if steps is not None:
+            state.chain_runs += 1
+            state.chain_steps += steps
+        for r, (w, moment) in zip(batch, rows):
+            if isinstance(w, DapqError):
+                state.fail(r, w)
+                continue
+            weights[r] = w
+            quotients[r] = moment if isinstance(moment, DapqError) else (moment, 1.0)
     means = [None if r in state.errors else mean_wait._MeanInB(cfg, rates[r], tol, quotients[r])
              for r, cfg in enumerate(configs)]
     return rates, means, weights
@@ -595,23 +580,17 @@ def b_star_class1(
 # feasible regions
 # --------------------------------------------------------------------------
 
-def _fcfs_cdf_at(rho: float, mu: float, w: float) -> float:
-    return 1.0 - rho * math.exp(-mu * (1.0 - rho) * w)
-
-
-def _npq1_cdf_at(rho: float, lam1: float, mu: float, w: float) -> float:
-    # strict-priority class-1 wait is exactly ZExp(rho, mu - lam1)
-    return 1.0 - rho * math.exp(-(mu - lam1) * w)
-
-
 def _fcfs_boundary_rho(kpi: Kpi, mu: float, eps: float) -> float:
     """Occupancy where the FCFS wait exactly meets the KPI (CDF decreasing in rho)."""
+    def meets(rho):
+        return approx.ZExp(rho, mu * (1.0 - rho)).cdf(kpi.target_w) >= kpi.compliance_p
+
     lo, hi = 1e-9, 1.0 - 1e-9
-    if _fcfs_cdf_at(hi, mu, kpi.target_w) >= kpi.compliance_p:
+    if meets(hi):
         return hi
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
-        if _fcfs_cdf_at(mid, mu, kpi.target_w) >= kpi.compliance_p:
+        if meets(mid):
             lo = mid
         else:
             hi = mid
@@ -628,20 +607,26 @@ def meets_extreme(
 ) -> bool:
     """Whether FCFS or NPQ meets the KPI at the given rates (exact CDFs).
 
-    A class-2 KPI under NPQ is the one-row case of ``feasible_region``'s
-    probe.
+    False for an unstable pair; OutOfRange, as ``validate`` raises it, for
+    a rate that is negative or not finite or a mu that is not positive.
+    Class-1 waits under either discipline and FCFS waits are exactly
+    zero-inflated exponential (``approx.ZExp``).  A class-2 KPI under NPQ
+    is the one-row case of ``feasible_region``'s probe.
     """
+    if discipline not in ("fcfs", "npq"):
+        raise OutOfRange(f"unknown discipline {discipline!r}")
+    try:
+        validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu))
+    except UnstableSystem:
+        return False
     rho = (lam1 + lam2) / mu
     if rho >= 1.0:
         return False
     w, p = kpi.target_w, kpi.compliance_p
     if discipline == "fcfs":
-        return _fcfs_cdf_at(rho, mu, w) >= p
-    if discipline != "npq":
-        raise OutOfRange(f"unknown discipline {discipline!r}")
+        return approx.ZExp(rho, mu * (1.0 - rho)).cdf(w) >= p
     if kpi.class_index == 1:
-        return _npq1_cdf_at(rho, lam1, mu, w) >= p
-    validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu))
+        return approx.ZExp(rho, mu - lam1).cdf(w) >= p
     state = _Rows(1, tol)
     meets, _, _ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
     state.raise_first()
@@ -652,9 +637,8 @@ def in_tuning_region(
     lam1: float, lam2: float, mu: float, kpi: Kpi, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
     """True when the KPI needs (d, b) tuning: favorable extreme fails to
-    dominate, unfavorable extreme still has room."""
-    if (lam1 + lam2) / mu >= 1.0:
-        return False
+    dominate, unfavorable extreme still has room.  False for an unstable
+    pair, where neither extreme meets the KPI."""
     if kpi.class_index == 2:
         return meets_extreme(lam1, lam2, mu, kpi, "fcfs", tol) and not meets_extreme(
             lam1, lam2, mu, kpi, "npq", tol

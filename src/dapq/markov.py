@@ -14,13 +14,14 @@ Two kinds of object live here:
   of the geometric M/M/1 law).  Beyond the Poisson jump cut the weights
   are exactly geometric in ``j`` with ratio rho, so only a head whose size
   is set by ``d`` is computed and the tail is kept in closed form.  The
-  class-2 CDFs cut the jump sum by mass (``_head_jumps``); the M/M/1 mean
-  takes the weights' first moment with a cut weighted by the ahead count
-  (``_poisson_ksum_cutoff``).  Both cuts of a delay can be read off one
-  Poisson table, and one loop (``_busy_weights_rows``) runs the chain for
-  any number of rows, snapshotting each row's head at each of its cuts: a
-  KPI sweep gets every delay's head and first moment from one run, and a
-  single curve or mean is the one-row case.
+  rule for cutting a delay's jump sum lives in ``_jump_cuts`` alone: by
+  mass for the class-2 CDFs' heads, by a bound weighted by the ahead
+  count for the M/M/1 mean's first moment, both read off one Poisson
+  table.  One loop (``_busy_weights_rows``) runs the chain of one config
+  for any number of jump sums, snapshotting each at each of its cuts, and
+  ``_delay_weights`` feeds it the cuts of a list of delays: a KPI sweep
+  gets every delay's head and first moment from one run, and a single
+  curve or mean is the one-delay case.
 
 On the M/D/1 geometric tail: the decay of consecutive probabilities is the
 *reciprocal* of the nontrivial root ``sigma > 1`` of ``exp(rho*sigma)/sigma
@@ -31,10 +32,9 @@ it cannot be the ratio directly.  It is the pgf's dominant pole, which
 
 Truncations stop on absolute tail mass and raise ``TruncationOverflow``
 when the tolerance cannot be met: the M/D/1 head within ``max_states``
-terms, the Poisson jump sum within its horizon (the tail is the Poisson
+terms, the Poisson jump sum within its table (the tail is the Poisson
 survival function of ``_poisson_table``, accurate to about 1e-15 relative
-down to 1e-300), and the
-busy-state head within ``max_states`` states.
+down to 1e-300), and the busy-state head within ``max_states`` states.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    DapqError,
     DerivedRates,
     OutOfRange,
     QueueConfig,
@@ -234,95 +235,70 @@ def _poisson_table(m: float, hi: int) -> tuple:
     return pmf[: hi + 1], tail[: hi + 1]
 
 
-def _poisson_top(nu_d: float) -> int:
-    """Last index of the Poisson(nu d) table both jump cuts read.
+def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
+               moment: bool = True) -> tuple:
+    """The Poisson(nu d) jump pmf of one delay and where its jump sum is cut.
 
-    It lies 12 sqrt(nu d + 1) + 40 past the mean.
-    """
-    return int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
+    Returns (pmf, mass cut, moment cut).  Each cut is an int, None when not
+    asked for, or the ``TruncationOverflow`` that says why it cannot be met;
+    the pmf runs to the larger cut that was met.  Both cuts read one table,
+    ``_poisson_table`` out to 12 sqrt(nu d + 1) + 40 past the mean, which is
+    not built when neither cut can lie within max_states.
 
-
-def _poisson_horizon(nu_d: float, eps: float, table=None) -> np.ndarray:
-    """Poisson(nu*d) pmf out to where the remaining tail mass is below eps.
-
-    ``table`` is the (pmf, sf) of ``_poisson_table(nu_d, _poisson_top(nu_d))``
-    when the caller has built it already.
-    """
-    if nu_d == 0.0:
-        return np.array([1.0])
-    hi = _poisson_top(nu_d)
-    pmf, sf = _poisson_table(nu_d, hi) if table is None else table
-    meets = sf < eps  # sf[k] = P[N > k]
-    if not meets[-1]:
-        raise TruncationOverflow(
-            f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {hi} jumps"
-        )
-    cut = int(np.argmax(meets))  # first index meeting the bound
-    return pmf[: cut + 1]
-
-
-def _poisson_ksum_cutoff(nu_d: float, rho: float, eps: float, max_states: int,
-                         table=None) -> np.ndarray:
-    """Poisson(nu d) pmf out to the smallest K whose k-sum remainder bound is below eps.
-
-    The first moment of the busy weights with the jump sum cut at K misses
-    the steps k > K, N ~ Poisson(m = nu d).  Their head states l <= k hold
-    at most rho each and their geometric states l > k hold (1-rho)
-    rho^(l-k) r^k with r <= 1, which sum against l to at most
-    rho (k + 1/(1-rho)).  So the remainder is at most
+    The mass cut, which sets the head of the class-2 CDFs' busy weights, is
+    the least n with P[N > n] < eps_series/2 for N ~ Poisson(m = nu d), and
+    at most max_states.  The moment cut, for the weights' first moment, is the
+    least K whose remainder bound is below eps_series/2: the steps k > K
+    hold at most rho in each head state l <= k and (1-rho) rho^(l-k) r^k,
+    r <= 1, in each geometric state l > k, which sum against l to at most
+    rho (k + 1/(1-rho)), so they miss at most
 
         rho [ E[N(N+1)/2; N > K] + E[N; N > K] + P(N > K)/(1-rho) ]
         = rho [ m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho) ]
 
     using E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
-    The candidates K run from int(nu_d) in steps of max(1, int(nu_d/20)),
-    below max_states and out to the end of one Poisson table,
-    ``_poisson_top``; the bound is evaluated at all of them at once.  A
-    ``table`` as in ``_poisson_horizon`` is read when max_states does not
-    shorten that table; otherwise one out to max_states - 1 is built, so the
-    cut does not depend on whether a table was passed.
+    Its candidates run from int(m) in steps of max(1, int(m/20)), below
+    max_states and out to the end of the table, all evaluated at once.
     """
     if nu_d == 0.0:
-        return np.array([1.0])
-    top = _poisson_top(nu_d)
-    hi = min(top, max_states - 1)
-    ks = np.arange(int(nu_d), hi + 1, max(1, int(0.05 * nu_d)))
-    if ks.size:
-        pmf, sf = table if table is not None and hi == top else _poisson_table(nu_d, hi)
-        sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
-        head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
-        bound = rho * (head + sf[ks + 2] / (1.0 - rho))
-        meets = np.flatnonzero(bound < eps)
-        if meets.size:
-            return pmf[: ks[meets[0]] + 1]
-    raise TruncationOverflow(
-        f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-        f"through {hi} jumps (max_states={max_states})"
-    )
-
-
-def _head_jumps(nu_d: float, tol: ToleranceConfig) -> tuple:
-    """The Poisson(nu d) pmf of a busy-weight head and the table it was cut from.
-
-    The jump sum stops once its remaining mass is below eps_series/2
-    (``_poisson_horizon``); a cut beyond max_states raises
-    ``TruncationOverflow``.  The table is None at d = 0, where the pmf is [1].
-    """
-    # the cut n has P[N > n] < eps/2 < 1/2, so n is at least the Poisson
+        return np.array([1.0]), 0 if mass else None, 0 if moment else None
+    eps = 0.5 * tol.eps_series
+    top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
+    hi = min(top, tol.max_states - 1)
+    ks = np.arange(int(nu_d), hi + 1, max(1, int(0.05 * nu_d))) if moment else ()
+    # the mass cut has P[N > n] < eps < 1/2, so n is at least the Poisson
     # median, which is at least nu d - ln 2: reject before building the table
-    if nu_d - 1.0 > tol.max_states:
-        raise TruncationOverflow(
+    head_fits = mass and nu_d - 1.0 <= tol.max_states
+    pmf, sf = _poisson_table(nu_d, top) if head_fits or len(ks) else (np.zeros(0), None)
+    cut_mass = cut_moment = None
+    if mass and not head_fits:
+        cut_mass = TruncationOverflow(
             f"busy-state head needs more than nu*d - 1 = {nu_d - 1.0:.6g} states "
             f"but max_states={tol.max_states}"
         )
-    table = _poisson_table(nu_d, _poisson_top(nu_d)) if nu_d > 0.0 else None
-    pmf = _poisson_horizon(nu_d, 0.5 * tol.eps_series, table)
-    n = len(pmf) - 1
-    if n > tol.max_states:
-        raise TruncationOverflow(
-            f"busy-state head needs {n} states but max_states={tol.max_states}"
+    elif mass:
+        meets = sf < eps  # sf[k] = P[N > k]
+        cut_mass = int(np.argmax(meets))  # first index meeting the bound
+        if not meets[-1]:
+            cut_mass = TruncationOverflow(
+                f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {top} jumps"
+            )
+        elif cut_mass > tol.max_states:
+            cut_mass = TruncationOverflow(
+                f"busy-state head needs {cut_mass} states but max_states={tol.max_states}"
+            )
+    if moment:
+        below = ()
+        if len(ks):
+            sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
+            head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
+            below = np.flatnonzero(rho * (head + sf[ks + 2] / (1.0 - rho)) < eps)
+        cut_moment = int(ks[below[0]]) if len(below) else TruncationOverflow(
+            f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
+            f"through {hi} jumps (max_states={tol.max_states})"
         )
-    return pmf, table
+    met = [c for c in (cut_mass, cut_moment) if isinstance(c, int)]
+    return pmf[: max(met, default=-1) + 1], cut_mass, cut_moment
 
 
 @dataclass(frozen=True)
@@ -357,72 +333,16 @@ class BusyWeights:
         return float(np.arange(1, n + 1) @ self.head + tail)
 
 
-def _chain_views(v: np.ndarray, K: int) -> tuple:
-    """The views of a (chains, 2K + 1) chain state that one step reads or writes.
+def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
+                       cuts: Sequence[Sequence[int]]) -> list:
+    """The busy weights of several Poisson jump sums of one chain, from one run.
 
-    Column 0 is the absorbing empty state, held at 0, and column l state l:
-    (sources of the up-moves, sources of the down-moves, targets of the
-    up-moves, targets of the down-moves, states 1..K).
-    """
-    return v[:, :-1], v[:, 2:], v[:, 1:], v[:, 1:-1], v[:, 1 : K + 1]
-
-
-def _chain_heads(rates: Sequence[DerivedRates], pmfs: Sequence[np.ndarray],
-                 cuts: Sequence[tuple], K: int) -> list:
-    """Each row's jump sum of the chain's states 1..n at each of its cuts n (see
-    ``_busy_weights_rows``), from one run of K >= 1 steps."""
-    chain_of = {}  # (rho, p_up, q_down) -> its chain's index
-    chain = [chain_of.setdefault((rt.rho, rt.p_up, rt.q_down), len(chain_of)) for rt in rates]
-    v = np.zeros((len(chain_of), 2 * K + 1))
-    states = np.arange(1, 2 * K + 1)
-    for c, (rho, _, _) in enumerate(chain_of):
-        v[c, 1:] = (1.0 - rho) * rho**states
-    if len(chain_of) == 1:
-        # one chain for every row: scalar rates, and its states broadcast over the rows
-        chain, (_, p_up, q_down) = None, next(iter(chain_of))
-    else:
-        chain = np.array(chain)
-        p_up, q_down = (np.array([key[i] for key in chain_of])[:, None] for i in (1, 2))
-    weight = np.zeros((K + 1, len(rates), 1))  # weight[k] = step k's column of pmfs
-    due = {}  # step -> the (row, slot) whose cut it is
-    for r, (pmf, row_cuts) in enumerate(zip(pmfs, cuts)):
-        top = max(row_cuts) + 1
-        weight[:top, r, 0] = pmf[:top]
-        for slot, n in enumerate(row_cuts):
-            due.setdefault(n, []).append((r, slot))
-    heads = [[None] * len(row_cuts) for row_cuts in cuts]
-    src, dst = _chain_views(v, K), _chain_views(np.zeros_like(v), K)
-    acc = weight[0] * (src[4] if chain is None else src[4][chain])
-    for r, slot in due.get(0, ()):
-        heads[r][slot] = acc[r, :0].copy()
-    down, term = np.empty((len(chain_of), 2 * K - 1)), np.empty_like(acc)
-    mul, add = np.multiply, np.add
-    for k in range(1, K + 1):
-        # state l gets p from l-1 and q from l+1; state 1 gets 0 from the
-        # empty state and the top state nothing from above
-        mul(src[0], p_up, out=dst[2])
-        mul(src[1], q_down, out=down)
-        add(dst[3], down, out=dst[3])
-        mul(weight[k], dst[4] if chain is None else dst[4][chain], out=term)
-        add(acc, term, out=acc)
-        src, dst = dst, src
-        if k in due:
-            for r, slot in due[k]:
-                heads[r][slot] = acc[r, :k].copy()
-    return heads
-
-
-def _busy_weights_rows(rates: Sequence[DerivedRates], pmfs: Sequence[np.ndarray],
-                       cuts: Sequence[tuple]) -> list:
-    """The busy weights of several Poisson jump sums, from one run of the chain.
-
-    Row r runs the uniformized chain of ``rates[r]`` (its own p_up and
-    q_down) from the stationary arriving-customer count restricted to busy
-    finds (PASTA): pi_+ with (pi_+)_l = (1-rho) rho^l.  Its sum weights the
-    state after k steps by ``pmfs[r][k]``, and each cut n in ``cuts[r]``
-    gives the busy weights of that sum cut after step n: the head is the
-    sum's states 1..n at step n.  Returns, per row, a tuple of
-    ``BusyWeights``, one per cut, in order.
+    The uniformized chain of ``rates`` starts from the stationary
+    arriving-customer count restricted to busy finds (PASTA): pi_+ with
+    (pi_+)_l = (1-rho) rho^l.  Row r's sum weights the state after k steps
+    by ``pmfs[r][k]``, and each cut n in ``cuts[r]`` gives the busy weights
+    of that sum cut after step n: the head is the sum's states 1..n at step
+    n.  Returns, per row, a tuple of ``BusyWeights``, one per cut, in order.
 
     After k steps every state l > k still holds exactly (1-rho) rho^(l-k) r^k
     with r = p_up + q_down rho^2 (one step maps that geometric profile onto
@@ -430,30 +350,92 @@ def _busy_weights_rows(rates: Sequence[DerivedRates], pmfs: Sequence[np.ndarray]
     carries C rho^l, C = (1-rho) sum_k pmf_k (r/rho)^k.  So only the first
     2K states are iterated, K the largest cut of all rows: the missing flow
     from above corrupts one more top state per step, so after n <= K steps
-    states 1..n are still exact, whatever the number of states.  Rows with
-    the same rates (the delays of a sweep) share one chain and differ only
-    in their jump weights, which are 0 past a row's largest cut, so from
-    there on its sum gains exact zeros.  Each row's weights therefore equal
-    those of a run of that row alone, bit for bit, and a sweep over delays
-    pays for one chain of K steps.  With K = 0 every head is empty and no
-    chain runs.
+    states 1..n are still exact, whatever the number of states.  The rows
+    (the delays of a sweep) differ only in their jump weights, which are 0
+    past a row's largest cut, so from there on its sum gains exact zeros.
+    Each row's weights therefore equal those of a run of that row alone,
+    bit for bit, and a sweep over delays pays for one chain of K steps.
+    With K = 0 every head is empty and no step runs.
     """
     K = max(max(row_cuts) for row_cuts in cuts)
+    rho, p_up, q_down = rates.rho, rates.p_up, rates.q_down
+    heads = [[np.zeros(0)] * len(row_cuts) for row_cuts in cuts]  # the heads of cuts at 0
     if K:
-        heads = _chain_heads(rates, pmfs, cuts, K)
-    else:
-        heads = [[np.zeros(0)] * len(row_cuts) for row_cuts in cuts]
+        # state 0 is the absorbing empty state, held at 0, and state l is entry l
+        v = np.zeros(2 * K + 1)
+        v[1:] = (1.0 - rho) * rho ** np.arange(1, 2 * K + 1)
+        # per state array, the views a step reads or writes: sources of the
+        # up-moves and of the down-moves, their targets, and states 1..K
+        src, dst = [(x[:-1], x[2:], x[1:], x[1:-1], x[1 : K + 1]) for x in (v, np.zeros_like(v))]
+        weight = np.zeros((K + 1, len(pmfs), 1))  # weight[k] = step k's column of pmfs
+        due = {}  # step -> the (row, slot) whose cut it is
+        for r, (pmf, row_cuts) in enumerate(zip(pmfs, cuts)):
+            top = max(row_cuts) + 1
+            weight[:top, r, 0] = pmf[:top]
+            for slot, n in enumerate(row_cuts):
+                due.setdefault(n, []).append((r, slot))
+        acc = weight[0] * src[4]
+        down, term = np.empty_like(src[1]), np.empty_like(acc)
+        mul, add = np.multiply, np.add
+        for k in range(1, K + 1):
+            # state l gets p from l-1 and q from l+1; state 1 gets 0 from the
+            # empty state and the top state nothing from above
+            mul(src[0], p_up, out=dst[2])
+            mul(src[1], q_down, out=down)
+            add(dst[3], down, out=dst[3])
+            mul(weight[k], dst[4], out=term)
+            add(acc, term, out=acc)
+            src, dst = dst, src
+            if k in due:
+                for r, slot in due[k]:
+                    heads[r][slot] = acc[r, :k].copy()
     out = []
-    for rt, pmf, row_cuts, row_heads in zip(rates, pmfs, cuts, heads):
+    for pmf, row_cuts, row_heads in zip(pmfs, cuts, heads):
         weights = []
         for n, head in zip(row_cuts, row_heads):
             # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
             ks = np.arange(n + 1)
-            tail_next = float((1.0 - rt.rho)
-                              * (pmf[: n + 1] * rt.r_coef**ks * rt.rho ** (n + 1 - ks)).sum())
-            weights.append(BusyWeights(head=head, rho=rt.rho, tail_next=tail_next))
+            tail_next = float((1.0 - rho)
+                              * (pmf[: n + 1] * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
+            weights.append(BusyWeights(head=head, rho=rho, tail_next=tail_next))
         out.append(tuple(weights))
     return out
+
+
+def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfig,
+                   heads: bool = True, moments: bool = True) -> tuple:
+    """Busy weights and their first moments at several delays of one config.
+
+    Each delay's jump sum is cut by ``_jump_cuts``: with ``heads`` its busy
+    weights are the sum at the mass cut, and with ``moments`` its first
+    moment is taken at the moment cut.  All of them come from one run of
+    ``_busy_weights_rows``, to the largest cut that was met, so each equals
+    its one-delay value bit for bit.  Returns (rows, steps): per delay, the
+    pair (``BusyWeights``, first moment), each None when not asked for or
+    the ``TruncationOverflow`` of a cut that cannot be met; with ``heads``
+    a delay whose mass cut fails keeps out of the run, and its moment is
+    None.  ``steps`` is the run's step count, None when no delay joined it.
+    """
+    rows, batch, pmfs, cuts = [], [], [], []
+    for d in ds:
+        pmf, mass, moment = _jump_cuts(rates.nu * d, rates.rho, tol, heads, moments)
+        if isinstance(mass, DapqError):
+            moment = None
+        met = [c for c in (mass, moment) if isinstance(c, int)]
+        if met:
+            batch.append(len(rows))
+            pmfs.append(pmf)
+            cuts.append(met)
+        rows.append([mass, moment])
+    if not batch:
+        return rows, None
+    for r, weights in zip(batch, _busy_weights_rows(rates, pmfs, cuts)):
+        row = rows[r]  # a met mass cut is the first of the row's cuts, a moment cut the last
+        if isinstance(row[0], int):
+            row[0] = weights[0]
+        if isinstance(row[1], int):
+            row[1] = weights[-1].first_moment()
+    return rows, max(max(c) for c in cuts)
 
 
 def busy_state_distribution(
@@ -462,13 +444,14 @@ def busy_state_distribution(
     """Busy-horizon state weights: an exact head plus a closed geometric tail.
 
     The Poisson jump sum stops once its remaining mass is below
-    eps_series/2 (``_head_jumps``), and the chain runs to that cut, so the
-    state count depends on the delay horizon, not on rho.  This is the
-    one-row case of ``_busy_weights_rows``.
+    eps_series/2 (the mass cut of ``_jump_cuts``), and the chain runs to
+    that cut, so the state count depends on the delay horizon, not on rho.
+    This is the one-delay case of ``_delay_weights``.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
-    pmf, _ = _head_jumps(rates.nu * config.d, tol)
-    [(weights,)] = _busy_weights_rows([rates], [pmf], [(len(pmf) - 1,)])
+    [(weights, _)], _ = _delay_weights(rates, [config.d], tol, moments=False)
+    if isinstance(weights, DapqError):
+        raise weights
     return weights

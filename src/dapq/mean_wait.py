@@ -12,22 +12,22 @@ conservation law.
 The accumulation rate b enters the mean only as the prefactor
 rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
 correction sum itself depends on (lambda1, lambda2, mu, d) alone.
-``class2_mean_in_b`` computes the sum once and then prices any number of b
+``_MeanInB`` computes the sum once and then prices any number of b
 values, which is what a search over b (``dapq.kpi``) needs.
 
 Numerical notes
 ---------------
 * The exponential-service correction iterates the same chain as the
-  class-2 CDFs' busy weights, in the same loop
-  (``markov._busy_weights_rows``, one row here; ``dapq.kpi`` runs all the
-  delays of a sweep in one call), but cuts the Poisson jump sum where an
+  class-2 CDFs' busy weights, through the same call
+  (``markov._delay_weights``, one delay here; ``dapq.kpi`` passes all the
+  delays of a sweep at once), but cuts the Poisson jump sum where an
   explicit bound on the first moment's remainder, not on the mass, falls
-  below eps_series/2 (``markov._poisson_ksum_cutoff``).  Beyond the cut
-  the weights are exactly geometric, so their moment has a closed form.
+  below eps_series/2 (the moment cut of ``markov._jump_cuts``).  Beyond
+  the cut the weights are exactly geometric, so their moment has a closed
+  form.
 * A mean validates its config once and works from the ``DerivedRates``
-  that validation returned: ``dapq_means``, the two class-2 means and the
-  function ``class2_mean_in_b`` returns hand them to private helpers
-  (``_MeanInB``, ``core._class1_mean_from_class2``,
+  that validation returned: ``dapq_means`` and the two class-2 means hand
+  them to private helpers (``_MeanInB``, ``core._class1_mean_from_class2``,
   ``core._conservation_rhs``), whose expressions and operation order are
   those of the public functions, so every value is the same bit for bit.
 * The deterministic-service correction is summed over every post-delay
@@ -48,7 +48,6 @@ Numerical notes
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -66,7 +65,7 @@ from .core import (
     _conservation_rhs,
     validate,
 )
-from .markov import _busy_weights_rows, _poisson_ksum_cutoff, _poisson_table, md1_stationary
+from .markov import _delay_weights, _poisson_table, md1_stationary
 
 
 # --------------------------------------------------------------------------
@@ -99,14 +98,14 @@ def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: Tolerance
     """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
 
     This is the first moment sum_l l w_l of the busy weights, with the
-    jump sum cut at ``markov._poisson_ksum_cutoff``: a cut by mass alone, as
-    the CDFs use, does not weight the missed steps by l.  It is the one-row
-    case of ``markov._busy_weights_rows``.
+    jump sum cut at the moment cut of ``markov._jump_cuts``: a cut by mass
+    alone, as the CDFs use, does not weight the missed steps by l.  It is
+    the one-delay case of ``markov._delay_weights``.
     """
-    pmf = _poisson_ksum_cutoff(rates.nu * config.d, rates.rho, 0.5 * tol.eps_series,
-                               tol.max_states)
-    [(weights,)] = _busy_weights_rows([rates], [pmf], [(len(pmf) - 1,)])
-    return weights.first_moment()
+    [(_, moment)], _ = _delay_weights(rates, [config.d], tol, heads=False)
+    if isinstance(moment, DapqError):
+        raise moment
+    return moment
 
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -295,13 +294,18 @@ def _correction_prefactor(config: QueueConfig, b):
 
 
 class _MeanInB:
-    """b -> exact E[W2] at fixed rates and delay (see ``class2_mean_in_b``).
+    """b -> exact E[W2] at fixed rates and delay.
 
-    ``rates`` are those ``validate`` gave the config at any b: only their
-    b-free fields are read.  ``quotient`` is the b-free (num, den) when the
-    caller has computed it (``dapq.kpi`` does, for all delays of a sweep at
-    once), or the ``DapqError`` computing it raised, which a call that needs
-    the correction raises; None computes it on first use.
+    The accumulation rate enters only as the prefactor of the b-free
+    correction (``_correction_quotient``), which is computed at the first
+    b that needs it and kept, so later calls cost a few float operations;
+    each value equals the one-shot mean of ``config.replace(b=b)`` bit for
+    bit.  The config's own ``b`` is ignored.  ``rates`` are those
+    ``validate`` gave the config at any b: only their b-free fields are
+    read.  ``quotient`` is the b-free (num, den) when the caller has
+    computed it (``dapq.kpi`` does, for all delays of a sweep at once), or
+    the ``DapqError`` computing it raised, which a call that needs the
+    correction raises; None computes it on first use.
     """
 
     def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
@@ -327,24 +331,6 @@ class _MeanInB:
             return self._npq
         num, den = self.correction()
         return float(self._npq - _correction_prefactor(self._config, b) * num / den)
-
-
-def class2_mean_in_b(
-    config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
-) -> Callable[[float], float]:
-    """Exact mean class-2 wait as a function of b at the config's rates and delay.
-
-    The accumulation rate enters only as the prefactor of a b-free
-    correction sum (the Poisson k-sum for exponential service, a closed form
-    for deterministic service).  The returned function computes that sum at
-    the first b that needs it and keeps it, so later calls cost a few float
-    operations; each value equals the one-shot mean of
-    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is ignored;
-    the rest of it is validated here, once.  Its ``correction()`` gives the
-    kept sum, from which ``dapq.kpi`` prices the rates of several delays at
-    once with ``_correction_prefactor``.
-    """
-    return _MeanInB(config, validate(config.replace(b=0.0)), tol)
 
 
 # --------------------------------------------------------------------------

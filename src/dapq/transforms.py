@@ -80,12 +80,6 @@ class CdfCurve:
     error_estimate: float = 0.0
     head_states: int = 0
 
-    def at(self, t: float) -> float:
-        """Linear interpolation between grid points (0 left of the grid)."""
-        if t < self.ts[0]:
-            return 0.0
-        return float(np.interp(t, self.ts, self.values))
-
 
 # --------------------------------------------------------------------------
 # accreditation-interval transforms
@@ -319,10 +313,8 @@ def _certified_curve(
     )
 
 
-def default_grid(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def default_grid(config: QueueConfig) -> np.ndarray:
     """0.05/mu-spaced abscissae out to where the FCFS survival is below 1e-6."""
-    if tol.grid is not None:
-        return np.asarray(tol.grid, dtype=float)
     rates = validate(config)
     mu = config.mu
     rho = max(rates.rho, 1e-6)
@@ -348,7 +340,7 @@ def class2_cdf_dapq(
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
-    ts = default_grid(config, tol) if grid is None else np.asarray(grid, dtype=float)
+    ts = default_grid(config) if grid is None else np.asarray(grid, dtype=float)
     weights = busy_state_distribution(config, tol)
     atom = 1.0 - rates.rho
     d = config.d

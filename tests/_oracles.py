@@ -23,7 +23,8 @@ chain loop that the batched ``markov._busy_weights_rows`` replaced is kept
 as ``busy_weights_by_loop``.  Public names only the tests used live here
 too: the geometric M/M/1 pmf, the pmf and total mass of a
 ``StationaryDist`` (``stationary_pmf``, ``stationary_mass``), the class-2
-tail transform, and ``Lst`` with ``invert_to_cdf``, which invert a
+tail transform, the class-2 mean as a function of b
+(``class2_mean_in_b``), and ``Lst`` with ``invert_to_cdf``, which invert a
 stand-alone transform through the package's own inversion and gate.
 """
 
@@ -51,11 +52,11 @@ from dapq.core import (
     class1_mean_from_class2,
     validate,
 )
-from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho, _fcfs_cdf_at, _npq1_cdf_at
+from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho
 from dapq.markov import (
     BusyWeights,
     StationaryDist,
-    _poisson_horizon,
+    _jump_cuts,
     busy_state_distribution as dapq_busy_weights,
     md1_stationary,
 )
@@ -273,6 +274,14 @@ def _state_cap(rho, n_poisson, tol):
     return need
 
 
+def _mass_cut_pmf(rates, d, tol):
+    """The package's Poisson jump pmf of a busy-weight head, cut by mass."""
+    pmf, cut, _ = _jump_cuts(rates.nu * d, rates.rho, tol, moment=False)
+    if isinstance(cut, DapqError):
+        raise cut
+    return pmf
+
+
 def _chain_step(v, p_up, q_down):
     out = np.zeros_like(v)
     out[:-1] += q_down * v[1:]
@@ -307,7 +316,7 @@ def survival_transition(config, tol=DEFAULT_TOL, max_initial=64):
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("survival_transition requires exponential service")
-    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
+    pmf = _mass_cut_pmf(rates, config.d, tol)
     S = _state_cap(rates.rho, len(pmf), tol)
     max_initial = min(max_initial, S)
     rows = np.zeros((max_initial, S))
@@ -329,7 +338,7 @@ def busy_state_distribution(config, tol=DEFAULT_TOL):
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
-    pmf = _poisson_horizon(rates.nu * config.d, 0.5 * tol.eps_series)
+    pmf = _mass_cut_pmf(rates, config.d, tol)
     S = _state_cap(rates.rho, len(pmf), tol)
     rho = rates.rho
     v = (1.0 - rho) * rho ** np.arange(1, S + 1)
@@ -411,7 +420,7 @@ def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL):
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
-    ts = default_grid(config, tol) if grid is None else np.asarray(grid, dtype=float)
+    ts = default_grid(config) if grid is None else np.asarray(grid, dtype=float)
     npq_config = config.replace(b=0.0, d=0.0)
     npq_weights = dapq_busy_weights(npq_config, tol)
     weights = dapq_busy_weights(config, tol)
@@ -559,6 +568,23 @@ def poisson_by_mpmath(m, k_max, dps=50):
             tail[k] = tail[k + 1] + pmf[k]
         return (np.array([float(v) for v in pmf[: k_max + 1]]),
                 np.array([float(tail[k + 1]) for k in range(k_max + 1)]))
+
+
+def poisson_horizon_scalar(nu_d, eps):
+    """Smallest n with P[N > n] < eps for N ~ Poisson(nu_d), one n at a time.
+
+    n stays within nu_d + 12 sqrt(nu_d + 1) + 40, the end of the package's
+    Poisson table.
+    """
+    if nu_d == 0.0:
+        return 0
+    top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
+    for n in range(top + 1):
+        if poisson.sf(n, nu_d) < eps:
+            return n
+    raise TruncationOverflow(
+        f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {top} jumps"
+    )
 
 
 def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):
@@ -841,6 +867,16 @@ def feasible_region_by_probes(kpi, mu=1.0, resolution=0.02, tol=DEFAULT_TOL, bis
     )
 
 
+def class2_mean_in_b(config, tol=DEFAULT_TOL):
+    """Exact mean class-2 wait as a function of b at the config's rates and delay.
+
+    The config is validated once, at b = 0, through the name ``mean_wait``
+    binds, as the package's means are; the returned function computes the
+    b-free correction sum at the first b that needs it and keeps it.
+    """
+    return mean_wait._MeanInB(config, mean_wait.validate(config.replace(b=0.0)), tol)
+
+
 def _policy_point_from_mean(config, b, feasible, mean_w2, error_estimate, probes):
     w2 = mean_w2(b)
     return PolicyPoint(
@@ -860,7 +896,7 @@ def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL, bisect=False):
         raise OutOfRange("class-2 CDF machinery requires exponential service")
     w, p = kpi.target_w, kpi.compliance_p
     dapq_busy_weights(base, tol)  # the busy weights fail before the mean, as in the search
-    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
+    mean_w2 = class2_mean_in_b(config, tol)
     worst, probes = 0.0, 0
 
     def constraint(b):
@@ -888,7 +924,7 @@ def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL, bisect=False):
     the point carries its probe count.  A scalar ITP search, or bisection with ``bisect``."""
     rates = validate(config.replace(b=0.0))
     threshold = approx.kpi_mean_threshold(rates.rho, kpi)
-    mean_w2 = mean_wait.class2_mean_in_b(config, tol)
+    mean_w2 = class2_mean_in_b(config, tol)
     probes = 0
 
     def mean1(b):
@@ -1103,7 +1139,7 @@ def cli_csv_by_rows(argv):
     elif args.subcommand == "cdf":
         cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d,
                           service=ServiceKind(args.service))
-        grid = cli._cdf_grid(args, cfg, tol)
+        grid = cli._cdf_grid(args, cfg)
         rows = [[t, v] for t, v in zip(grid, _cdf_values(args, cfg, grid, tol))]
         header = ["t", "F"]
     elif args.subcommand == "simulate":
@@ -1111,7 +1147,7 @@ def cli_csv_by_rows(argv):
                           service=ServiceKind(args.service))
         sim = simulate.SimConfig(queue=cfg, n_customers=args.n, burn_in=args.burn_in,
                                  replications=args.reps, seed=args.seed)
-        grid = cli._cdf_grid(args, cfg, tol)
+        grid = cli._cdf_grid(args, cfg)
         result = simulate.run_replicated(sim, grid)
         rows = []
         for i, t in enumerate(grid):

@@ -11,6 +11,7 @@ from _oracles import (
     b_star_class2_per_b,
     class1_mean_per_b,
     class2_cdf_per_b,
+    class2_mean_in_b,
     feasible_region_by_probes,
     itp_bracket,
     npq_meets_by_probe,
@@ -38,8 +39,8 @@ from dapq.kpi import (
     meets_extreme,
     policy_sweep,
 )
-from dapq.markov import _head_jumps, _poisson_ksum_cutoff, busy_state_distribution
-from dapq.mean_wait import class2_mean_in_b, dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
+from dapq.markov import _jump_cuts, busy_state_distribution
+from dapq.mean_wait import dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
 from dapq.transforms import class2_cdf_dapq
 
 KPI2 = Kpi(4.0, 0.85, 2)
@@ -300,6 +301,27 @@ def test_meets_extreme_npq_is_the_one_row_region_probe():
         target = Kpi(rng.uniform(0.5, 6.0), rng.uniform(0.3, 0.97), 2)
         assert meets_extreme(lam1, lam2, 1.0, target, "npq") == npq_meets_by_probe(
             lam1, lam2, 1.0, target)
+
+
+@pytest.mark.parametrize("lam1,lam2,mu,unstable", [
+    (-0.5, 0.3, 1.0, False), (0.2, -0.3, 1.0, False), (math.nan, 0.3, 1.0, False),
+    (0.2, math.inf, 1.0, False), (0.2, 0.3, -1.0, False), (0.2, 0.3, 0.0, False),
+    (0.2, 0.3, math.nan, False), (0.2, 0.3, math.inf, False),
+    (0.6, 0.4, 1.0, True), (0.9, 0.3, 1.0, True), (0.0, 1.0, 1.0, True),
+])
+@pytest.mark.parametrize("target", [KPI2, Kpi(2.0, 0.9, 1)])
+def test_extremes_reject_rates_that_are_not_rates(lam1, lam2, mu, unstable, target):
+    # a rate that is not a rate raises on every branch; a valid but
+    # unstable pair meets the KPI under neither extreme
+    checks = [lambda: meets_extreme(lam1, lam2, mu, target, "fcfs"),
+              lambda: meets_extreme(lam1, lam2, mu, target, "npq"),
+              lambda: in_tuning_region(lam1, lam2, mu, target)]
+    for check in checks:
+        if unstable:
+            assert check() is False
+        else:
+            with pytest.raises(OutOfRange):
+                check()
 
 
 def _sweep_outcome(search, cfg, target, ds):
@@ -715,7 +737,7 @@ def _count_chain_runs(monkeypatch):
     """Record the step count of every batched chain run a search makes, and
     fail on a one-row busy-weight or correction-sum path."""
     steps = []
-    run = kpi._busy_weights_rows
+    run = markov._busy_weights_rows
 
     def counted(rates, pmfs, cuts):
         steps.append(max(max(row_cuts) for row_cuts in cuts))
@@ -724,7 +746,7 @@ def _count_chain_runs(monkeypatch):
     def one_row(*args):
         raise AssertionError("a sweep ran a one-row chain")
 
-    monkeypatch.setattr(kpi, "_busy_weights_rows", counted)
+    monkeypatch.setattr(markov, "_busy_weights_rows", counted)
     monkeypatch.setattr(markov, "busy_state_distribution", one_row)
     monkeypatch.setattr(mean_wait, "_mm1_correction_sum", one_row)
     return steps
@@ -735,10 +757,8 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     # all nine delays come from one run, as long as the longest cut of any
     # delay (the moment cut at d = 8)
     cfg, ds = QueueConfig(0.4, 0.18, 1.0), [float(d) for d in range(9)]
-    rates, eps = validate(cfg), 0.5 * DEFAULT_TOL.eps_series
-    cuts = [(len(_head_jumps(rates.nu * d, DEFAULT_TOL)[0]) - 1,
-             len(_poisson_ksum_cutoff(rates.nu * d, rates.rho, eps, DEFAULT_TOL.max_states)) - 1)
-            for d in ds]
+    rates = validate(cfg)
+    cuts = [_jump_cuts(rates.nu * d, rates.rho, DEFAULT_TOL)[1:] for d in ds]
     want = policy_sweep_by_delay(cfg, KPI2, ds)
     steps = _count_chain_runs(monkeypatch)
     points = policy_sweep(cfg, KPI2, ds)

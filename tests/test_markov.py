@@ -27,8 +27,8 @@ from dapq.core import (
 )
 from dapq.markov import (
     _busy_weights_rows,
-    _head_jumps,
-    _poisson_ksum_cutoff,
+    _delay_weights,
+    _jump_cuts,
     _poisson_table,
     busy_state_distribution,
     md1_stationary,
@@ -284,61 +284,66 @@ def test_busy_state_head_and_tail_match_full_vector(lam1, lam2, b, d):
 
 
 def _row_cuts(rates, d, tol):
-    """A delay's jump pmf and its mass and moment cuts, as a KPI sweep takes them;
-    a cut that raises is left out."""
-    nu_d = rates.nu * d
-    try:
-        pmf, table = _head_jumps(nu_d, tol)
-        cuts = [len(pmf) - 1]
-    except TruncationOverflow:
-        pmf, table, cuts = np.zeros(0), None, []
-    eps = 0.5 * tol.eps_series
-    try:
-        moment = _poisson_ksum_cutoff(nu_d, rates.rho, eps, tol.max_states, table)
-    except TruncationOverflow:
-        return pmf, cuts
-    # the shared table gives the cut that a table of the moment's own gives
-    assert np.array_equal(moment, _poisson_ksum_cutoff(nu_d, rates.rho, eps, tol.max_states))
-    return (moment if len(moment) > len(pmf) else pmf), cuts + [len(moment) - 1]
+    """A delay's jump pmf and those of its mass and moment cuts that were met."""
+    pmf, *cuts = _jump_cuts(rates.nu * d, rates.rho, tol)
+    return pmf, [n for n in cuts if isinstance(n, int)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    rows=st.lists(
-        st.tuples(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.9)),
-                  st.floats(min_value=0.0, max_value=0.9),
-                  st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.0, 8.0, 20.0])),
-        min_size=1, max_size=6),
-    shared=st.booleans(),
+    lam1=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=0.9)),
+    lam2=st.floats(min_value=0.0, max_value=0.9),
+    ds=st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.0, 8.0, 20.0]), min_size=1, max_size=6),
     max_states=st.one_of(st.just(6000), st.integers(min_value=8, max_value=90)),
 )
-def test_busy_weights_rows_equal_the_one_row_loop_bit_for_bit(rows, shared, max_states):
-    # rows with their own rates, or (as in a sweep) the first row's rates at
-    # every delay; d = 0, lambda1 = 0 and repeated delays are drawn, and a
-    # small max_states shortens the moment's Poisson table or drops a cut
+def test_busy_weights_rows_equal_the_one_row_loop_bit_for_bit(lam1, lam2, ds, max_states):
+    # one config's rates at every delay, as in a sweep; d = 0, lambda1 = 0
+    # and repeated delays are drawn, and a small max_states drops a cut
     tol = ToleranceConfig(max_states=max_states)
-    rates, pmfs, cuts = [], [], []
-    for lam1, lam2, d in rows:
-        if shared:
-            lam1, lam2 = rows[0][0], rows[0][1]
-        if lam1 + lam2 >= 0.99:
-            lam2 = 0.98 - lam1
-        row_rates = validate(QueueConfig(lam1, lam2, 1.0, d=d, service=EXP))
-        pmf, row_cuts = _row_cuts(row_rates, d, tol)
+    if lam1 + lam2 >= 0.99:
+        lam2 = 0.98 - lam1
+    rates = validate(QueueConfig(lam1, lam2, 1.0, service=EXP))
+    pmfs, cuts = [], []
+    for d in ds:
+        pmf, row_cuts = _row_cuts(rates, d, tol)
         if row_cuts:
-            rates.append(row_rates)
             pmfs.append(pmf)
             cuts.append(tuple(row_cuts))
-    if not rates:
+    if not cuts:
         return
     run = _busy_weights_rows(rates, pmfs, cuts)
     assert [len(row) for row in run] == [len(c) for c in cuts]
-    for row_rates, pmf, row_cuts, row in zip(rates, pmfs, cuts, run):
+    for pmf, row_cuts, row in zip(pmfs, cuts, run):
         for n, got in zip(row_cuts, row):
-            want = _oracles.busy_weights_by_loop(row_rates, pmf[: n + 1])
+            want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
             assert np.array_equal(got.head, want.head)
             assert got.tail_next == want.tail_next and got.rho == want.rho
             assert got.first_moment() == want.first_moment()
+
+
+@pytest.mark.parametrize("heads,moments", [(True, True), (True, False), (False, True)])
+@pytest.mark.parametrize("max_states", [6000, 15, 9])
+def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_states):
+    # every delay's weights, moment or error is that of a call for it alone;
+    # with heads, a delay whose head overflows keeps out of the run, and at
+    # max_states 15 the head of d = 1 fits where its moment cut does not
+    tol = ToleranceConfig(max_states=max_states)
+    rates = validate(QueueConfig(0.4, 0.18, 1.0))
+    ds = [0.0, 3.0, 1.0, 8.0, 0.5, 3.0]
+    rows, steps = _delay_weights(rates, ds, tol, heads, moments)
+    singles = [_delay_weights(rates, [d], tol, heads, moments) for d in ds]
+    joined = [s for _, s in singles if s is not None]
+    assert steps == (max(joined) if joined else None)
+    for got, ((want,), _) in zip(rows, singles):
+        for g, w in zip(got, want):
+            if isinstance(w, TruncationOverflow):
+                assert type(g) is type(w) and str(g) == str(w)
+            elif w is None or isinstance(w, float):
+                assert g == w
+            else:
+                assert np.array_equal(g.head, w.head) and g.tail_next == w.tail_next
+        assert (got[0] is None) == (not heads)
+        assert (got[1] is None) == (not moments or isinstance(got[0], TruncationOverflow))
 
 
 def test_busy_state_head_size_does_not_grow_with_rho():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    class2_mean_in_b,
     correction_by_matrix,
     md1_correction_sum_by_series,
     md1_probempty_by_factorials,
+    poisson_horizon_scalar,
     poisson_ksum_cutoff_scalar,
     x_rows_by_matrix,
 )
@@ -26,13 +28,12 @@ from dapq.core import (
     validate,
 )
 from dapq import mean_wait
-from dapq.markov import _busy_weights_rows, _poisson_ksum_cutoff
+from dapq.markov import _busy_weights_rows, _jump_cuts
 from dapq.mean_wait import (
     _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
     _mm1_correction_sum,
-    class2_mean_in_b,
     dapq_means,
     fcfs_mean,
     md1_dapq_class2_mean,
@@ -66,8 +67,7 @@ def chain_rows(rates, k_max):
     steps, states 1..k, which are exact however many states the run keeps.
     """
     steps = range(1, k_max + 1)
-    run = _busy_weights_rows([rates] * k_max, [np.eye(k + 1)[k] for k in steps],
-                             [(k,) for k in steps])
+    run = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in steps], [(k,) for k in steps])
     return [weights.head / (1.0 - rates.rho) for (weights,) in run]
 
 
@@ -337,9 +337,21 @@ def test_md1_below_mm1_at_equal_parameters():
 @pytest.mark.parametrize("eps", [1e-17, 1e-12, 5e-11, 1e-8, 1e-6])
 @pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])
 def test_poisson_ksum_cutoff_matches_scalar_loop(rho, eps):
+    # both cuts of one Poisson table: the moment cut, and (rho-free) the mass cut
+    tol = ToleranceConfig(eps_series=2.0 * eps)
     for nu_d in list(np.geomspace(1e-9, 2000.0, 30)) + [0.0, 1.0, 6.3, 20.0, 2047.5]:
-        want = poisson_ksum_cutoff_scalar(nu_d, rho, eps, 6000)
-        assert len(_poisson_ksum_cutoff(nu_d, rho, eps, 6000)) - 1 == want
+        _, mass, moment = _jump_cuts(nu_d, rho, tol)
+        assert moment == poisson_ksum_cutoff_scalar(nu_d, rho, eps, 6000)
+        if rho == 0.8:
+            assert mass == poisson_horizon_scalar(nu_d, eps)
+
+
+def _moment_cut(nu_d, rho, eps, max_states):
+    tol = ToleranceConfig(eps_series=2.0 * eps, max_states=max_states)
+    cut = _jump_cuts(nu_d, rho, tol, mass=False)[2]
+    if isinstance(cut, TruncationOverflow):
+        raise cut
+    return cut
 
 
 @pytest.mark.parametrize("nu_d,max_states", [(50.0, 5), (20.0, 30), (2000.0, 2100), (6.3, 1)])
@@ -347,8 +359,24 @@ def test_poisson_ksum_cutoff_overflow_matches_scalar_loop(nu_d, max_states):
     with pytest.raises(TruncationOverflow) as want:
         poisson_ksum_cutoff_scalar(nu_d, 0.8, 5e-11, max_states)
     with pytest.raises(TruncationOverflow) as got:
-        _poisson_ksum_cutoff(nu_d, 0.8, 5e-11, max_states)
+        _moment_cut(nu_d, 0.8, 5e-11, max_states)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])
+def test_moment_cut_below_the_table_end_matches_scalar_loop(rho):
+    # max_states - 1 below the end of the Poisson table: the candidates stop
+    # there, and the cut reads the table the mass cut reads
+    for nu_d in (1.0, 6.3, 20.0, 55.0, 140.0):
+        top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
+        for max_states in range(int(nu_d) + 1, top + 1, 3):
+            outcomes = []
+            for cut in (poisson_ksum_cutoff_scalar, _moment_cut):
+                try:
+                    outcomes.append(cut(nu_d, rho, 5e-11, max_states))
+                except TruncationOverflow as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=60, deadline=None)
