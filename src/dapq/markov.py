@@ -85,30 +85,34 @@ def md1_tail_ratio(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Geometric decay ratio of the M/D/1 queue-length pmf, in (0,1).
 
     Solves exp(rho*sigma)/sigma = exp(rho) for the unique root sigma > 1/rho
-    by safeguarded bisection (sigma = 1 always solves it and is rejected);
-    the pmf ratio pi_{i+1}/pi_i tends to 1/sigma.
+    (sigma = 1 always solves it and is rejected); the pmf ratio
+    pi_{i+1}/pi_i tends to 1/sigma.  In u = sigma - 1 the log of the
+    equation is g(u) = rho u - log1p(u) = 0, which keeps its digits in
+    heavy traffic, where the root nears 1 and g's slope there nears 0.  g
+    is convex and increasing past u = 1/rho - 1, so Newton's method from a
+    point where g > 0 falls monotonically to the root; it stops where an
+    iterate no longer falls, at the floating-point root, so the ratio
+    needs no tolerance and ``tol`` is not read.
     """
     if not 0.0 < rho < 1.0:
         raise OutOfRange(f"rho must lie in (0,1), got {rho}")
-    g = lambda s: rho * s - math.log(s) - rho  # log of the defining equation
-    lo = 1.0 / rho  # location of the minimum; g(lo) < 0 for rho < 1
+    g = lambda u: rho * u - math.log1p(u)
+    lo = 1.0 / rho - 1.0  # location of the minimum; g(lo) < 0 for rho < 1
     if g(lo) >= 0.0:
         raise RootBracketFailure(f"no bracket above 1/rho for rho = {rho}")
-    hi = lo
+    sigma = 1.0 / rho
     for _ in range(200):
-        hi *= 2.0
-        if g(hi) > 0.0:
+        sigma *= 2.0
+        if g(sigma - 1.0) > 0.0:
             break
     else:
         raise RootBracketFailure(f"upper bracket not found for rho = {rho}")
-    while hi - lo > tol.eps_root * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    sigma = 0.5 * (lo + hi)
-    return 1.0 / sigma
+    u = sigma - 1.0
+    while True:
+        fallen = u - g(u) / (rho - 1.0 / (1.0 + u))
+        if not fallen < u:
+            return 1.0 / (1.0 + u)
+        u = fallen
 
 
 def _md1_pmf_fft(rho: float, g: float, c: float, n: int) -> np.ndarray:

@@ -9,17 +9,24 @@ and ``eta`` the accreditation-interval transform.  The weights are an
 explicit head w_1..w_n plus an exact geometric tail C rho^j, so the sum is
 a degree-n polynomial in eta (Horner's rule) plus the closed form
 C (rho eta)^(n+1) / (1 - rho eta); n is set by the delay horizon, not by
-the occupancy.
+the occupancy.  eta takes one square root: z^2 - 4 mu a factors as
+(s + alpha)(s + beta) with alpha, beta >= 0, both factors lie in the
+closed right half-plane for Re(s) >= 0, so the principal root of their
+product is the branch wanted (see ``eta_mm1``).
 
 CDFs are recovered with the Euler-summation Fourier-series inversion
 (Abate--Whitt style): the Bromwich integral is discretized with step pi/t
 on the contour Re(s) = A/(2t), giving a discretization error below
 exp(-A) for functions bounded by 1, and the alternating series is
 accelerated by binomial averaging.  The difference between the last two
-binomial averages serves as the error estimate.  The inversion runs on
-whole blocks of grid points at once: a transform maps an ndarray of
-complex s, here points x contour nodes, elementwise, and the partial
-sums and averages run along the node axis.
+binomial averages serves as the error estimate.  The nodes are
+s_k = (A/2 + i k pi)/t, so t s_k does not depend on t and the term
+exp(A/2)/t sign_k Re(G(s_k)/s_k) is Re(G(s_k) C_k) with a t-free constant
+C_k: t cancels, and no node divides by s.  Partial sums and averages are
+linear in the terms, so each point's value and estimate are two fixed
+weighted sums over its nodes.  The inversion runs on whole blocks of grid
+points at once: a transform maps an ndarray of complex s, here points x
+contour nodes, elementwise, in work arrays allocated once per call.
 
 Every inversion is a batch of rows (``_invert_over_delay_rows``), one
 row per configuration, each with its own abscissae and its own transform
@@ -27,9 +34,10 @@ parameters: the accrediting rate, rho, the busy-weight head and
 ``tail_next``, held as (rows, 1, 1) arrays that broadcast over the row's
 points and contour nodes (``_StackedWeights``).  Rows go longest head
 first, and a row with a shorter head keeps its tail term until its own
-head starts, so Horner's rule updates a prefix of the rows at each step;
-the binomial averages are one matrix-vector product per row.  Every row
-of a batch therefore equals its one-row inversion bit for bit.  A single
+head starts, so Horner's rule updates a prefix of the rows at each step,
+and every point's weighted sums are its own.  Every row of a batch
+therefore equals its one-row inversion bit for bit, and every point its
+one-point inversion.  A single
 curve is the one-row case, and strict priority (b = d = 0) is the
 headless geometric weights at the accrediting rate lambda1
 (``_StackedWeights.geometric``).  The KPI searches in :mod:`dapq.kpi`
@@ -43,6 +51,7 @@ APQ waits to within Monte Carlo noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -89,20 +98,25 @@ def eta_mm1(s, arrival_rate: float, mu: float):
     """Accreditation-interval transform for exponential service, closed form.
 
     Equals mu/(mu+s) when the accrediting arrival rate is 0.  Accepts a
-    scalar or an ndarray of real or complex s with Re(s) >= 0 (numpy's
-    principal square root, the same branch as ``cmath.sqrt``); an ndarray
+    scalar or an ndarray of real or complex s with Re(s) >= 0; an ndarray
     gives a complex ndarray, a complex scalar a complex, and a real scalar
     s >= 0 a float in (0, 1].  With an ndarray s the arrival rate may be an
     ndarray too (one rate per row of a batch), broadcasting against s.
+
+    eta is the root of a eta^2 - z eta + mu = 0 inside the unit disk,
+    z = s + mu + a, written 2 mu / (z + sqrt((s + alpha)(s + beta))) with
+    alpha = (sqrt(mu) - sqrt(a))^2 and beta = (sqrt(mu) + sqrt(a))^2, since
+    z^2 - 4 mu a = (s + alpha)(s + beta).  Both factors lie in the closed
+    right half-plane, so one principal square root of their product (numpy's,
+    the branch of ``cmath.sqrt``) is the root of the quadratic with
+    Re >= 0, and unlike (z - sqrt(.)) / (2a) nothing cancels at large
+    |z| / a.  alpha is formed as ((mu - a) / (sqrt(mu) + sqrt(a)))^2, which
+    keeps its digits when a is close to mu.  Where |s| > about 1e154 the
+    product overflows; there the root equals z to double precision and z is
+    used, without a warning.
     """
-    # eta is the root of a eta^2 - z eta + mu = 0 inside the unit disk,
-    # 2 mu / (z + sqrt(z^2 - 4 mu a)): unlike (z - sqrt(.)) / (2a) it does not
-    # cancel at large |z| / a.  With c = 2 sqrt(mu a), z - c = s + (sqrt(mu) -
-    # sqrt(a))^2 and z + c lie in the closed right half-plane, so
-    # sqrt(z - c) sqrt(z + c) is the principal root, and z^2 never overflows.
-    z = np.asarray(s, dtype=complex) + mu + arrival_rate
-    c = 2.0 * np.sqrt(mu * arrival_rate)
-    val = 2.0 * mu / (z + np.sqrt(z - c) * np.sqrt(z + c))
+    shape = np.broadcast_shapes(np.shape(s), np.shape(arrival_rate))
+    val = _eta_into(s, arrival_rate, mu, np.empty(shape, complex), np.empty(shape, complex))
     if isinstance(s, np.ndarray):
         return val
     if isinstance(s, complex):
@@ -110,29 +124,54 @@ def eta_mm1(s, arrival_rate: float, mu: float):
     return float(val.real)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """eta(s) (see ``eta_mm1``) written into ``root``, with ``work`` as scratch space.
+
+    Both arrays have the broadcast shape of s and the arrival rate; s is
+    left as it is.  Returns ``root``.
+    """
+    sqrt_mu, sqrt_a = math.sqrt(mu), np.sqrt(arrival_rate)
+    low = (mu - arrival_rate) / (sqrt_mu + sqrt_a)
+    high = sqrt_mu + sqrt_a
+    np.add(s, low * low, out=root)
+    np.add(s, high * high, out=work)
+    np.multiply(root, work, out=root)
+    np.sqrt(root, out=root)
+    np.add(s, mu + arrival_rate, out=work)  # z
+    finite = np.isfinite(root)
+    if not finite.all():
+        np.copyto(root, work, where=~finite)
+    np.add(root, work, out=root)
+    return np.divide(2.0 * mu, root, out=root)
+
+
 # --------------------------------------------------------------------------
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
 
-def _horner(e, rho, tail_next, steps, starts):
+def _horner(e, rho, tail_next, steps, starts, acc):
     """sum_j w_j e^j for busy weights w: a head by Horner's rule, a closed geometric tail.
 
     Evaluates e (w_1 + e (w_2 + ... e (w_n + e T))) with
     T = tail_next / (1 - rho e), the tail sum in closed form, for a batch
-    of rows in place.  ``steps`` are the heads' coefficients w_n .. w_1 in
-    the order Horner's rule takes them: rows come longest head first, each
-    step holding every row's coefficient right-aligned, and row r's head
-    begins at step ``starts[r]`` (``starts`` ends with n).  From there to
-    the next row's start, rows 0..r take the steps and the rest keep their
-    tail term, so each row gets exactly its one-row value.
+    of rows in ``acc`` (shaped like e), which it returns.  ``steps`` are
+    the heads' coefficients w_n .. w_1 in the order Horner's rule takes
+    them: rows come longest head first, each step holding every row's
+    coefficient right-aligned, and row r's head begins at step
+    ``starts[r]`` (``starts`` ends with n).  From there to the next row's
+    start, rows 0..r take the steps and the rest keep their tail term, so
+    each row gets exactly its one-row value.
     """
-    acc = tail_next / (1.0 - rho * e)
+    np.multiply(rho, e, out=acc)
+    np.subtract(1.0, acc, out=acc)
+    np.divide(tail_next, acc, out=acc)
     for r in range(len(starts) - 1):
         part, er = acc[: r + 1], e[: r + 1]
         for h in steps[starts[r] : starts[r + 1], : r + 1]:
             np.multiply(er, part, out=part)
             np.add(h, part, out=part)
-    return e * acc
+    return np.multiply(e, acc, out=acc)
 
 
 @dataclass(frozen=True)
@@ -199,7 +238,8 @@ def _invert_over_delay_rows(
     ``_euler_invert``'s (values, estimates), both (rows, points).  The
     rows are inverted longest head first, so the heads that have begun
     form a prefix at every Horner step, and the results are put back in
-    order.
+    order.  eta and the Horner sum work in two arrays of one block,
+    allocated here in one piece and reused by every block.
     """
     # sorted in Python: numpy's argsort would page in its sorting code for
     # a few dozen rows
@@ -209,9 +249,11 @@ def _invert_over_delay_rows(
     lam = (np.zeros(len(order)) + lam_acc)[order, None, None]
     n = len(w.steps)
     starts = [n - lengths[r] for r in order] + [n]
+    eta_work, acc_work = _block_arrays(2, ts.shape)
 
     def fn(s):
-        return _horner(eta_mm1(s, lam, mu), w.rho, w.tail_next, w.steps, starts)
+        e = _eta_into(s, lam, mu, _front(eta_work, s.shape), acc := _front(acc_work, s.shape))
+        return _horner(e, w.rho, w.tail_next, w.steps, starts, acc)
 
     values, estimates = _euler_invert(fn, ts[order], tol)
     back = np.empty(len(order), dtype=int)
@@ -223,10 +265,8 @@ def _invert_over_delay_rows(
 # Euler-summation inversion
 # --------------------------------------------------------------------------
 
-# Grid points inverted per vectorised call.  A block's complex temporaries
-# (points x 61 contour nodes, 16 bytes each) stay under 128 KiB, glibc's
-# default mmap threshold, so they come from the heap and are not mapped
-# and unmapped afresh for every block of a long grid.
+# Grid points inverted per block: a work array of one block holds points x
+# 61 contour nodes of 16 bytes, 122 KiB for one row.
 _BLOCK = 128
 
 
@@ -239,6 +279,12 @@ _SIGN = np.where(_NODES % 2 == 1, -1.0, 1.0)
 _SIGN[0] = 0.5  # the k = 0 term enters the trapezoidal sum halved
 _BINOM = np.array([math.comb(_N_AVG, m) for m in range(_N_AVG + 1)], dtype=float)
 _BINOM /= 2.0**_N_AVG
+# The last binomial average, sum_m binom_m (partial sum to node _N_BURN + m),
+# weights term k by the binomial mass of the averaged sums that include it;
+# its difference from the average one node earlier weights term _N_BURN + m
+# by binom_m alone.
+_AVERAGE = np.ones(len(_NODES))
+_AVERAGE[_N_BURN:] = np.cumsum(_BINOM[::-1])[::-1]
 
 
 def _euler_params(eps: float):
@@ -246,33 +292,72 @@ def _euler_params(eps: float):
     return a, _N_BURN, _N_AVG  # contour constant, burn-in terms, averaged terms
 
 
+def _block_arrays(count: int, ts_shape) -> np.ndarray:
+    """``count`` flat complex work arrays, each one block of ts's points times the contour nodes."""
+    points = min(ts_shape[-1], _BLOCK)
+    return np.empty((count, math.prod(ts_shape[:-1]) * points * len(_NODES)), dtype=complex)
+
+
+def _front(flat: np.ndarray, shape) -> np.ndarray:
+    """The first elements of a flat work array, viewed as a contiguous array of ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _euler_constants(a: float):
+    """The t-free constants of the contour A: t s_k, and the weights of the value and estimate.
+
+    t s_k = A/2 + i k pi.  Term k is Re(fn(s_k) C_k) = fn.real C.real -
+    fn.imag C.imag with C_k = exp(A/2) sign_k / (A/2 + i k pi); the value
+    weights it by ``_AVERAGE`` and the estimate, from node _N_BURN on, by
+    ``_BINOM``, each weight given per (real, imaginary) part of fn(s_k).
+    """
+    scaled_nodes = a / 2.0 + 1j * math.pi * _NODES
+    c = math.exp(a / 2.0) * _SIGN / scaled_nodes
+    parts = np.stack([c.real, -c.imag], axis=-1)
+    constants = (scaled_nodes, (parts * _AVERAGE[:, None]).ravel(),
+                 (parts[_N_BURN:] * _BINOM[:, None]).ravel())
+    for array in constants:
+        array.flags.writeable = False  # shared by every call with this A
+    return constants
+
+
 def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     """Invert fn(s)/s at every t > 0 in ``ts``; returns (values, estimates) shaped like ts.
 
     Each point's Bromwich contour Re(s) = A/(2t) is sampled at the nodes
-    s_k = A/(2t) + i k pi/t.  ``ts`` may have any leading shape, a batch
+    s_k = (A/2 + i k pi)/t.  ``ts`` may have any leading shape, a batch
     being (rows, points): ``fn`` gets s as ts's shape plus a node axis,
-    ``_BLOCK`` points of the last axis at a time, and broadcasts its
-    parameters as (rows, 1, 1).  The alternating partial sums run along
-    the node axis and are accelerated by binomial averaging, each row's
-    averages their own matrix-vector product, so a row's values equal
-    those of a call on that row alone.  The error estimate of a point is
-    the difference of its last two binomial averages.
+    ``_BLOCK`` points of the last axis at a time, broadcasts its
+    parameters as (rows, 1, 1) and returns an array that does not share
+    memory with s.  The Euler term of node k is
+    exp(A/2)/t sign_k Re(fn(s_k)/s_k), and t s_k is A/2 + i k pi, so the
+    term is Re(fn(s_k) C_k) with the t-free constant
+    C_k = exp(A/2) sign_k / (A/2 + i k pi).  The partial sums and their
+    binomial averages are linear in the terms, so the value and the error
+    estimate (the difference of the last two binomial averages) are each
+    one weighted sum of the real and imaginary parts of fn(s_k) along the
+    node axis (``_euler_constants``).  numpy sums each point's products on
+    its own, so a point's value and estimate do not depend on the other
+    points or rows of the call, nor on where its block starts.  s lives in
+    one array allocated per call, and once fn has returned, the products
+    are written over it; the short last block uses its leading part.
     """
-    a = _euler_params(tol.eps_invert)[0]
+    scaled_nodes, average, change = _euler_constants(_euler_params(tol.eps_invert)[0])
+    (s_work,) = _block_arrays(1, ts.shape)
     values = np.empty(ts.shape)
-    estimates = np.zeros(ts.shape)
+    estimates = np.empty(ts.shape)
     for lo in range(0, ts.shape[-1], _BLOCK):
         block = (..., slice(lo, lo + _BLOCK))
         t = ts[block][..., None]
-        s = a / (2.0 * t) + 1j * (_NODES * math.pi / t)
-        terms = (math.exp(a / 2.0) / t) * _SIGN * (fn(s) / s).real
-        partial = np.cumsum(terms, axis=-1)
-        val = partial[..., _N_BURN:] @ _BINOM
-        val_prev = partial[..., _N_BURN - 1 : -1] @ _BINOM
-        values[block] = val
-        estimates[block] = np.abs(val - val_prev)
-    return values, estimates
+        s = _front(s_work, t.shape[:-1] + (len(_NODES),))
+        np.multiply(scaled_nodes, 1.0 / t, out=s)
+        g = np.ascontiguousarray(fn(s), dtype=complex).view(float)
+        products = _front(s_work.view(float), g.shape)  # s is spent
+        np.add.reduce(np.multiply(g, average, out=products), axis=-1, out=values[block])
+        late = np.multiply(g[..., -len(change) :], change, out=products[..., : len(change)])
+        np.add.reduce(late, axis=-1, out=estimates[block])
+    return values, np.abs(estimates, out=estimates)
 
 
 def _accuracy_not_met(error: float, tol: ToleranceConfig) -> Optional[AccuracyNotMet]:

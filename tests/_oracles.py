@@ -14,7 +14,9 @@ searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
 on the bisection the ITP search replaced.  So is the one-curve class-2
-path the batched row inverter replaced (``class2_cdf_by_grid``).  The
+path the batched row inverter replaced (``class2_cdf_by_grid``), and the
+inversion kernel before its one-root eta and t-free Euler weights
+(``eta_by_two_roots``, ``euler_invert_by_division``).  The
 simulator moves customers event by event through two deques, makes one
 generator call per exponential draw, and its waits are split by class
 with a comprehension.  The command line's CSV is
@@ -108,6 +110,17 @@ def correction_by_matrix(lam1, mu, rho, d, size=2500):
         v = w
         tot += pmf[k] * (v @ J)
     return tot
+
+
+def md1_tail_ratio_by_lambert_w(rho, dps=50):
+    """1/sigma for the root sigma > 1/rho of exp(rho sigma)/sigma = exp(rho), at ``dps`` digits.
+
+    With x = -rho sigma the equation is x e^x = -rho e^(-rho), whose root
+    below -1 is the lower branch of Lambert's W, so 1/sigma = -rho / W_{-1}(-rho e^(-rho)).
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(rho)
+        return float(-r / mp.re(mp.lambertw(-r * mp.exp(-r), -1)))
 
 
 def md1_pi_exact(rho, n):
@@ -394,12 +407,12 @@ def class2_tail_lst(config, s, tol=DEFAULT_TOL):
     return val.real
 
 
-def _shifted_tail_by_horner(lam_acc, mu, w):
+def _shifted_tail_by_horner(lam_acc, mu, w, eta=eta_mm1):
     """The over-delay transform sum_j w_j eta(s)^j as a closure: its own Horner loop."""
     steps = w.head[::-1]
 
     def fn(s):
-        e = eta_mm1(np.asarray(s, dtype=complex), lam_acc, mu)
+        e = eta(np.asarray(s, dtype=complex), lam_acc, mu)
         acc = w.tail_next / (1.0 - w.rho * e)
         for h in steps:
             acc = h + e * acc
@@ -408,14 +421,16 @@ def _shifted_tail_by_horner(lam_acc, mu, w):
     return fn
 
 
-def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL):
+def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=_euler_invert):
     """The class-2 CDF by the one-curve path the batched row inverter replaced.
 
     The strict-priority part inverts the busy weights of the config at
     d = 0 (and b = 0), the over-delay part the config's own, each through a
-    per-config closure with its own Horner loop and ``_euler_invert`` on
-    the 1-D grid; F(d) rides along as the last strict-priority point, and
-    ``_certified_curve`` gates the result.
+    per-config closure with its own Horner loop and ``invert`` on the 1-D
+    grid; F(d) rides along as the last strict-priority point, and
+    ``_certified_curve`` gates the result.  With ``eta=eta_by_two_roots``
+    and ``invert=euler_invert_by_division`` it is the curve of the kernel
+    the package used before its one-root eta and t-free Euler weights.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
@@ -432,16 +447,58 @@ def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL):
     values[ts == 0.0] = atom
     f_at_d, worst_inside = atom, 0.0
     if d > 0:
-        npq_fn = _shifted_tail_by_horner(validate(npq_config).lambda1_acc, config.mu, npq_weights)
-        npq_vals, npq_est = _euler_invert(npq_fn, np.append(ts[inside], d), tol)
+        npq_fn = _shifted_tail_by_horner(
+            validate(npq_config).lambda1_acc, config.mu, npq_weights, eta)
+        npq_vals, npq_est = invert(npq_fn, np.append(ts[inside], d), tol)
         values[inside] = atom + npq_vals[:-1]
         f_at_d = atom + npq_vals[-1]
         worst_inside = np.max(npq_est)
-    tail_fn = _shifted_tail_by_horner(rates.lambda1_acc, config.mu, weights)
-    tail_vals, tail_est = _euler_invert(tail_fn, ts[beyond] - d, tol)
+    tail_fn = _shifted_tail_by_horner(rates.lambda1_acc, config.mu, weights, eta)
+    tail_vals, tail_est = invert(tail_fn, ts[beyond] - d, tol)
     values[beyond] = f_at_d + tail_vals
     worst = float(np.max(tail_est, initial=worst_inside))
     return _certified_curve(ts, values, worst, tol, head_states=len(weights))
+
+
+def eta_by_two_roots(s, arrival_rate, mu):
+    """eta_mm1 as the package computed it before: 2 mu / (z + sqrt(z - c) sqrt(z + c)).
+
+    z = s + mu + a and c = 2 sqrt(mu a), two principal roots per s; z - c
+    loses digits when a is close to mu.  Takes and returns an ndarray.
+    """
+    z = np.asarray(s, dtype=complex) + mu + arrival_rate
+    c = 2.0 * np.sqrt(mu * arrival_rate)
+    return 2.0 * mu / (z + np.sqrt(z - c) * np.sqrt(z + c))
+
+
+def euler_invert_by_division(fn, ts, tol=DEFAULT_TOL):
+    """The block Euler inversion as the package ran it before its t-free weights.
+
+    Like ``transforms._euler_invert``, but each block of 128 points forms
+    the terms exp(A/2)/t sign_k Re(fn(s_k)/s_k), dividing by s_k, then
+    their partial sums and the last two binomial averages of those, with
+    fresh arrays for every block; returns (values, estimates) shaped like
+    ts.  Only A and the two term counts come from the package.
+    """
+    a, n_burn, n_avg = _euler_params(tol.eps_invert)
+    nodes = np.arange(n_burn + n_avg + 1)
+    sign = np.where(nodes % 2 == 1, -1.0, 1.0)
+    sign[0] = 0.5
+    binom = np.array([math.comb(n_avg, m) for m in range(n_avg + 1)], dtype=float) / 2.0**n_avg
+    block = 128
+    values = np.empty(ts.shape)
+    estimates = np.zeros(ts.shape)
+    for lo in range(0, ts.shape[-1], block):
+        cut = (..., slice(lo, lo + block))
+        t = ts[cut][..., None]
+        s = a / (2.0 * t) + 1j * (nodes * math.pi / t)
+        terms = (math.exp(a / 2.0) / t) * sign * (fn(s) / s).real
+        partial = np.cumsum(terms, axis=-1)
+        val = partial[..., n_burn:] @ binom
+        val_prev = partial[..., n_burn - 1 : -1] @ binom
+        values[cut] = val
+        estimates[cut] = np.abs(val - val_prev)
+    return values, estimates
 
 
 @dataclass(frozen=True)

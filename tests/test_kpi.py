@@ -455,8 +455,8 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
     spoiled = busy_state_distribution(cfg.replace(d=2.0)).tail_next
     horner = transforms._horner
 
-    def nan_row(e, rho, tail_next, steps, starts):
-        out = horner(e, rho, tail_next, steps, starts)
+    def nan_row(e, rho, tail_next, steps, starts, acc):
+        out = horner(e, rho, tail_next, steps, starts, acc)
         return np.where(np.asarray(tail_next) == spoiled, np.nan, out)
 
     monkeypatch.setattr(transforms, "_horner", nan_row)
@@ -469,10 +469,10 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
 
     # a region row whose every probe is NaN: the lowest such lambda1 is raised
     lam1s = np.arange(0.05, 1.0, 0.05)
-    eta = transforms.eta_mm1
+    eta = transforms._eta_into
     monkeypatch.setattr(transforms, "_horner", horner)
-    monkeypatch.setattr(transforms, "eta_mm1", lambda s, rate, mu: np.where(
-        np.isin(rate, lam1s[[4, 2]]), np.nan, eta(s, rate, mu)))
+    monkeypatch.setattr(transforms, "_eta_into", lambda s, rate, mu, root, work: np.where(
+        np.isin(rate, lam1s[[4, 2]]), np.nan, eta(s, rate, mu, root, work)))
     with pytest.raises(AccuracyNotMet, match="nan"):
         feasible_region(KPI2, resolution=0.05)
     with pytest.raises(AccuracyNotMet, match="nan"):

@@ -11,6 +11,7 @@ import _oracles
 from _oracles import (
     md1_pi_embedded,
     md1_pi_exact,
+    md1_tail_ratio_by_lambert_w,
     mm1_stationary,
     poisson_by_mpmath,
     stationary_mass,
@@ -150,6 +151,13 @@ def test_md1_tail_ratio_rejects_trivial_root():
         g = md1_tail_ratio(rho)
         assert 0.0 < g < 1.0
         assert abs(1.0 / g - 1.0) > 1e-3  # sigma = 1 is always a root; must not return it
+
+
+def test_md1_tail_ratio_matches_lambert_w():
+    # Newton's method runs to the floating-point root, heavy traffic included
+    for rho in np.concatenate([np.linspace(0.001, 0.999, 999), [1e-9, 0.9999, 0.99999]]):
+        want = md1_tail_ratio_by_lambert_w(rho)
+        assert abs(md1_tail_ratio(float(rho)) - want) <= 1e-15 * want
 
 
 def test_md1_tail_ratio_heavy_traffic_limit():

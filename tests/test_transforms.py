@@ -1,6 +1,8 @@
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,17 @@ from _oracles import (
     class2_cdf_by_grid,
     class2_cdf_scalar,
     class2_tail_lst,
+    eta_by_two_roots,
     eta_fixed_point,
+    euler_invert_by_division,
     invert_to_cdf,
     mm1_stationary,
     stationary_pmf,
 )
-from dapq.core import AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig
+from dapq import transforms
+from dapq.core import (
+    DEFAULT_TOL, AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, validate,
+)
 from dapq.markov import busy_state_distribution
 from dapq.mean_wait import dapq_means
 from dapq.transforms import class2_cdf_dapq, default_grid, eta_mm1
@@ -50,6 +57,49 @@ def test_eta_mm1_monotone_and_log_convex():
     assert np.all(np.diff(vals) < 0)
     logs = np.log(vals)
     assert np.all(np.diff(logs, 2) > -1e-12)
+
+
+def _eta_by_mpmath(s, a, mu):
+    # the quadratic's root inside the unit disk, 2 mu / (z + sqrt(s + alpha) sqrt(s + beta)),
+    # at 60 digits from the binary inputs
+    with mp.workdps(60):
+        s, a, mu = mp.mpc(s.real, s.imag), mp.mpf(a), mp.mpf(mu)
+        alpha, beta = (mp.sqrt(mu) - mp.sqrt(a)) ** 2, (mp.sqrt(mu) + mp.sqrt(a)) ** 2
+        return complex(2 * mu / (s + mu + a + mp.sqrt(s + alpha) * mp.sqrt(s + beta)))
+
+
+def test_eta_mm1_matches_extended_precision():
+    # Re s >= 0 on a log grid that takes in the imaginary axis, |s| up to
+    # 1e300 (past the overflow of the root's argument near 1e154), and
+    # accrediting rates 0, below mu, at mu, one ulp below mu and above mu
+    mags = [0.0, 1e-300, 1e-12, 1e-3, 0.37, 1.0, 3.0, 1e3, 1e8, 1e77, 1e153, 1e155, 1e200, 1e300]
+    ss = np.array([complex(x, y) for x in mags for y in mags]
+                  + [complex(x, -y) for x in mags for y in mags if y])
+    for mu in (1.0, 0.37):
+        for a in (0.0, 0.3 * mu, mu, np.nextafter(mu, 0.0), 2.5 * mu):
+            want = np.array([_eta_by_mpmath(s, a, mu) for s in ss])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = eta_mm1(ss, a, mu)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+            if a == mu:
+                # the two-root form it replaced loses digits in z - 2 sqrt(mu a)
+                old = eta_by_two_roots(ss, a, mu)
+                assert np.max(np.abs(old - want) / np.abs(want)) > 1e-12
+
+
+def test_eta_mm1_return_types():
+    real, cplx = eta_mm1(0.5, 0.3, 1.0), eta_mm1(0.5 + 2.0j, 0.3, 1.0)
+    assert type(real) is float and 0.0 < real <= 1.0
+    assert type(cplx) is complex
+    assert real == eta_mm1(np.array([0.5]), 0.3, 1.0)[0].real
+    assert cplx == eta_mm1(np.array([0.5 + 2.0j]), 0.3, 1.0)[0]
+    batch = eta_mm1(np.ones((1, 4, 3)), np.array([0.1, 0.3])[:, None, None], 1.0)
+    assert batch.dtype == complex and batch.shape == (2, 4, 3)
+    assert type(eta_mm1(1e300, 0.5, 1.0)) is float
+    assert eta_mm1(1e300, 0.5, 1.0) == pytest.approx(1e-300, rel=1e-15)
 
 
 def test_eta_fixed_point_matches_closed_form():
@@ -259,6 +309,61 @@ def test_class2_cdf_equals_one_curve_path_bit_for_bit(points, where):
         assert np.array_equal(got.values, want.values)
         assert (got.error_estimate, got.max_adjustment, got.head_states, got.provenance) == (
             want.error_estimate, want.max_adjustment, want.head_states, want.provenance)
+
+
+def _rows_of(configs):
+    """Each config's over-delay inversion inputs: accrediting rate and stacked busy weights."""
+    return ([validate(cfg).lambda1_acc for cfg in configs],
+            [busy_state_distribution(cfg) for cfg in configs])
+
+
+@pytest.mark.parametrize("points", [1, 127, 128, 129, 256, 257])
+def test_curves_equal_their_per_point_inversions_bit_for_bit(points):
+    # the work arrays are reused from block to block and the last block
+    # views their front, yet no point depends on its block or neighbours
+    ts = np.sort(np.random.default_rng(points).uniform(1e-3, 15.0, points))[None, :]
+    lams, weights = _rows_of([QueueConfig(0.5, 0.3, 1.0, b=0.6, d=2.0),
+                              QueueConfig(0.9, 0.05, 1.0, b=0.9, d=7.0)])
+    for lam, w in zip(lams, weights):
+        for stacked in (transforms._StackedWeights.of([w]),
+                        transforms._StackedWeights.geometric([w.rho])):
+            vals, est = transforms._invert_over_delay_rows(ts, lam, 1.0, stacked, DEFAULT_TOL)
+            for i in range(points):
+                one = transforms._invert_over_delay_rows(ts[:, [i]], lam, 1.0, stacked, DEFAULT_TOL)
+                assert (one[0][0, 0], one[1][0, 0]) == (vals[0, i], est[0, i])
+
+
+def test_a_ragged_batch_equals_its_one_row_inversions_bit_for_bit():
+    # heads of 0 to about 50 states, each row with its own rate and abscissae,
+    # on two full blocks and a short last one
+    configs = [QueueConfig(0.5, 0.3, 1.0, b=0.6, d=2.0), QueueConfig(0.2, 0.7, 1.0, b=0.1),
+               QueueConfig(0.9, 0.05, 1.0, b=0.9, d=9.0), QueueConfig(0.4, 0.18, 1.0, b=0.3, d=0.5),
+               QueueConfig(0.6, 0.3, 1.0, b=0.5, d=4.0)]
+    lams, weights = _rows_of(configs)
+    assert len({len(w) for w in weights}) == len(configs)
+    rng = np.random.default_rng(11)
+    ts = np.sort(rng.uniform(1e-3, 20.0, (len(configs), 2 * 128 + 37)), axis=1)
+    vals, est = transforms._invert_over_delay_rows(
+        ts, np.array(lams), 1.0, transforms._StackedWeights.of(weights), DEFAULT_TOL)
+    for r, (lam, w) in enumerate(zip(lams, weights)):
+        one = transforms._invert_over_delay_rows(
+            ts[[r]], lam, 1.0, transforms._StackedWeights.of([w]), DEFAULT_TOL)
+        assert np.array_equal(one[0][0], vals[r]) and np.array_equal(one[1][0], est[r])
+
+
+@pytest.mark.parametrize("cfg, grid", [
+    (QueueConfig(0.5, 0.3, 1.0, b=0.55, d=3.27), None),
+    (QueueConfig(0.5, 0.45, 1.0, b=0.35, d=2.2), None),
+    (QueueConfig(0.9, 0.09, 1.0, b=0.5, d=10.0), np.arange(0.0, 19.6 + 1e-12, 0.4)),
+])
+def test_kernel_agrees_with_the_two_root_division_kernel(cfg, grid):
+    # the one-root eta and t-free Euler weights against the kernel they
+    # replaced, which divided fn(s) by s and took two roots per eta
+    got = class2_cdf_dapq(cfg, grid)
+    old = class2_cdf_by_grid(cfg, grid, eta=eta_by_two_roots, invert=euler_invert_by_division)
+    assert np.max(np.abs(got.values - old.values)) <= 1e-11
+    assert abs(got.error_estimate - old.error_estimate) <= 1e-11
+    assert got.head_states == old.head_states
 
 
 def test_inversion_refuses_non_finite_values():
