@@ -14,16 +14,14 @@ from .core import (
     ServiceKind,
     ToleranceConfig,
     WaitSummary,
-    class1_mean_from_class2,
-    conservation_rhs,
     validate,
 )
 from .approx import ALWAYS_SATISFIED, ZExp, cdf_sup_diff, kpi_mean_threshold, zexp_from_mean
 from .kpi import FeasibleRegion, PolicyPoint, PolicySweep, b_star_class1, b_star_class2, feasible_region, policy_sweep
 from .markov import StationaryDist, md1_stationary, md1_tail_ratio
-from .mean_wait import dapq_means, fcfs_mean, md1_dapq_class2_mean, mm1_dapq_class2_mean, npq_class2_mean
+from .mean_wait import dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
 from .simulate import EmpiricalCdf, SimConfig, run_replicated, run_single
-from .transforms import CdfCurve, class2_cdf_dapq, eta_mm1
+from .transforms import CdfCurve, class2_cdf_dapq
 
 __version__ = "0.1.0"
 
@@ -48,19 +46,14 @@ __all__ = [
     "b_star_class1",
     "b_star_class2",
     "cdf_sup_diff",
-    "class1_mean_from_class2",
     "class2_cdf_dapq",
-    "conservation_rhs",
     "dapq_means",
-    "eta_mm1",
-    "fcfs_mean",
     "feasible_region",
     "kpi_mean_threshold",
     "md1_dapq_class2_mean",
     "md1_stationary",
     "md1_tail_ratio",
     "mm1_dapq_class2_mean",
-    "npq_class2_mean",
     "policy_sweep",
     "run_replicated",
     "run_single",

@@ -58,8 +58,11 @@ def cdf_sup_diff(a: CdfCurve, b: CdfCurve) -> Tuple[float, float]:
     """Maximum absolute difference between two curves and where it occurs.
 
     Curves are compared on the union of their abscissae over the common
-    interval, with linear interpolation in between.
+    interval, with linear interpolation in between.  A curve with no points
+    shares no interval, so it raises EmptyOverlap.
     """
+    if not (len(a.ts) and len(b.ts)):
+        raise EmptyOverlap("a CDF curve has no abscissae")
     lo = max(a.ts[0], b.ts[0])
     hi = min(a.ts[-1], b.ts[-1])
     if hi < lo:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -145,7 +146,8 @@ class Kpi:
 class WaitSummary:
     """Exact expected waits for both classes plus the conservation residual.
 
-    ``conservation_residual`` is |rho1*E[W1] + rho2*E[W2] - conservation_rhs|.
+    ``conservation_residual`` is |rho1*E[W1] + rho2*E[W2] - rhs|, with rhs
+    the discipline-free value of the conservation law (``_conservation_rhs``).
     ``dapq_means`` derives E[W1] from that law, so the residual is roundoff
     by construction: it checks the arithmetic, not the class-2 mean.
     """
@@ -162,7 +164,8 @@ class ToleranceConfig:
     eps_series   absolute truncation tolerance for infinite sums
     eps_root     root-finder / bisection tolerance
     eps_invert   target absolute accuracy of transform inversion
-    max_states   hard cap on truncated state spaces
+    max_states   hard cap on truncated state spaces, an integer (anything
+                 ``operator.index`` accepts, stored as ``int``)
     """
 
     eps_series: float = 1e-10
@@ -175,8 +178,12 @@ class ToleranceConfig:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise OutOfRange(
                     f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 1 <= self.max_states < math.inf:
-            raise OutOfRange(f"max_states must be >= 1 and finite, got {self.max_states}")
+        try:
+            object.__setattr__(self, "max_states", operator.index(self.max_states))
+        except TypeError:
+            raise OutOfRange(f"max_states must be an integer, got {self.max_states!r}") from None
+        if self.max_states < 1:
+            raise OutOfRange(f"max_states must be >= 1, got {self.max_states}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -234,32 +241,23 @@ def validate(config: QueueConfig) -> DerivedRates:
     )
 
 
-def conservation_rhs(config: QueueConfig) -> float:
-    """Discipline-free value of rho1*E[W1] + rho2*E[W2].
+def _conservation_rhs(config: QueueConfig, rates: DerivedRates) -> float:
+    """Discipline-free value of rho1*E[W1] + rho2*E[W2], from the config's ``rates``.
 
     Equals rho/(1-rho) * lambda*E[S^2]/2 for any work-conserving,
     non-preemptive discipline; independent of ``b`` and ``d``.
     """
-    return _conservation_rhs(config, validate(config))
-
-
-def _conservation_rhs(config: QueueConfig, rates: DerivedRates) -> float:
-    """``conservation_rhs`` of a config already validated into ``rates``."""
     lam = config.lambda1 + config.lambda2
     es2 = config.service.second_moment(config.mu)
     return rates.rho / (1.0 - rates.rho) * lam * es2 / 2.0
 
 
-def class1_mean_from_class2(config: QueueConfig, mean_w2: float) -> float:
-    """Recover the class-1 mean wait from the class-2 mean via conservation."""
-    return _class1_mean_from_class2(config, validate(config), mean_w2)
-
-
 def _class1_mean_from_class2(config: QueueConfig, rates: DerivedRates, mean_w2):
-    """``class1_mean_from_class2`` of a config already validated into ``rates``.
+    """Recover the class-1 mean wait from the class-2 mean via conservation.
 
-    Elementwise in ``mean_w2``; only the b-free occupancies of ``rates``
-    are read, so any b of the config will do.
+    ``rates`` are those ``validate`` gave the config.  Elementwise in
+    ``mean_w2``; only the b-free occupancies of ``rates`` are read, so any
+    b of the config will do.
     """
     if rates.rho1 == 0.0:
         raise NoClass1("lambda1 = 0: class-1 mean is undefined")

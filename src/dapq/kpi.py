@@ -159,17 +159,15 @@ class _Rows:
         return np.array([r for r in rows if r not in self.errors], dtype=int)
 
     def certify(self, rows: np.ndarray, raw: np.ndarray, worst: np.ndarray):
-        """Gate one batch of CDF values row by row, as ``transforms._certified_curve`` does.
+        """Gate one batch of CDF values row by row (``transforms._accuracy_gate``).
 
-        ``worst`` is each row's largest Euler estimate; a row whose estimate
-        plus exp(-A) exceeds eps_invert, or is not a number, fails with
-        AccuracyNotMet.  Returns the values clipped to [0, 1] and the mask
-        of rows that passed.
+        ``worst`` is each row's largest Euler estimate; a row that fails the
+        gate fails with its AccuracyNotMet.  Returns the values clipped to
+        [0, 1] and the mask of rows that passed.
         """
-        error = worst + transforms._discretization_bound(self.tol)
-        ok = error <= self.tol.eps_invert
-        for r, e in zip(rows[~ok], error[~ok]):
-            self.fail(r, transforms._accuracy_not_met(e, self.tol))
+        error, ok, failures = transforms._accuracy_gate(worst, self.tol)
+        for r, exc in zip(rows[~ok], failures):
+            self.fail(r, exc)
         self.worst[rows[ok]] = np.maximum(self.worst[rows[ok]], error[ok])
         return np.clip(raw, 0.0, 1.0), ok
 
@@ -492,9 +490,9 @@ def _b_star_class1_rows(
     """``b_star_class1`` for configs that differ only in d, in lockstep.
 
     A step prices every row's rate at once: the class-2 mean is
-    npq - g(b) num / den over the rows' b-free (num, den), and the class-1
-    mean follows by ``class1_mean_from_class2`` on the arrays, in the
-    operation order of the one-row mean.
+    ``mean_wait._priced_mean`` over the rows' b-free (num, den), and the
+    class-1 mean follows by ``core._class1_mean_from_class2`` on the
+    arrays, as the one-row mean does.
     """
     if kpi.class_index != 1:
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
@@ -528,7 +526,7 @@ def _b_star_class1_rows(
 
         def mean1(b, rr):
             state.probes[rr] += 1
-            w2 = npq - mean_wait._correction_prefactor(base, b) * num[rr] / den[rr]
+            w2 = mean_wait._priced_mean(base, npq, b, num[rr], den[rr])
             return _class1_mean_from_class2(base, base_rates, w2), np.ones(len(rr), dtype=bool)
 
         def residual(b, rr):

@@ -1,4 +1,4 @@
-"""Exact expected waiting times under FCFS, NPQ, APQ, and delayed APQ.
+"""Exact expected waiting times in the delayed APQ, with FCFS, NPQ and APQ as its cases.
 
 The class-2 delayed-APQ mean is the NPQ mean minus a correction that prices
 the slower accreditation: for exponential service the correction is the
@@ -26,10 +26,10 @@ Numerical notes
   the cut the weights are exactly geometric, so their moment has a closed
   form.
 * A mean validates its config once and works from the ``DerivedRates``
-  that validation returned: ``dapq_means`` and the two class-2 means hand
-  them to private helpers (``_MeanInB``, ``core._class1_mean_from_class2``,
-  ``core._conservation_rhs``), whose expressions and operation order are
-  those of the public functions, so every value is the same bit for bit.
+  that validation returned: the strict-priority mean, the conservation law
+  (``core._conservation_rhs``, ``core._class1_mean_from_class2``) and the
+  class-2 mean in b (``_MeanInB``) each have one implementation, and each
+  takes those rates.
 * The deterministic-service correction is summed over every post-delay
   state at once: by the binomial theorem on the residual- and delay-side
   Poisson weights, the sum over states is a partial expectation of
@@ -69,23 +69,14 @@ from .markov import _delay_weights, _poisson_table, md1_stationary
 
 
 # --------------------------------------------------------------------------
-# closed-form boundary disciplines
+# strict priority
 # --------------------------------------------------------------------------
 
-def fcfs_mean(config: QueueConfig) -> float:
-    """Mean FCFS wait: rho/(mu(1-rho)), halved for deterministic service."""
-    rates = validate(config)
-    base = rates.rho / (config.mu * (1.0 - rates.rho))
-    return base if config.service is ServiceKind.EXPONENTIAL else 0.5 * base
-
-
-def npq_class2_mean(config: QueueConfig) -> float:
-    """Mean class-2 wait under strict (non-preemptive) priority."""
-    return _npq_class2_mean(config, validate(config))
-
-
 def _npq_class2_mean(config: QueueConfig, rates: DerivedRates) -> float:
-    """``npq_class2_mean`` of a config already validated into ``rates``."""
+    """Mean class-2 wait under strict (non-preemptive) priority, from the config's ``rates``.
+
+    rho/(mu(1-rho1)(1-rho)), halved for deterministic service.
+    """
     base = rates.rho / (config.mu * (1.0 - rates.rho1) * (1.0 - rates.rho))
     return base if config.service is ServiceKind.EXPONENTIAL else 0.5 * base
 
@@ -266,9 +257,9 @@ def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 def _correction_quotient(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> tuple:
     """The b-free part of the class-2 correction as a quotient (num, den).
 
-    The mean at rate b is npq - g(b) num / den with g = ``_correction_prefactor``:
-    num is the correction sum (the Poisson k-sum for exponential service, a
-    closed form for deterministic service) and den 1 or mu, which keeps the
+    The mean at rate b is npq - g(b) num / den (``_priced_mean``): num is
+    the correction sum (the Poisson k-sum for exponential service, a closed
+    form for deterministic service) and den 1 or mu, which keeps the
     operation order of each service kind's formula; a deterministic delay
     below one service has the closed form rho / (2 mu (1 - rho)).
     """
@@ -280,17 +271,21 @@ def _correction_quotient(config: QueueConfig, rates: DerivedRates, tol: Toleranc
     return _md1_correction_sum(config, rates, tol), config.mu
 
 
-def _correction_prefactor(config: QueueConfig, b):
-    """g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for exponential service.
+def _priced_mean(config: QueueConfig, npq, b, num, den):
+    """The class-2 mean npq - g(b) num / den at rate b, elementwise in b, num and den.
 
-    Elementwise in b, so a search prices many rates at once; the config's
-    own b is not used.
+    g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for exponential
+    service, prices the b-free correction quotient (num, den) of
+    ``_correction_quotient``; npq is the strict-priority mean.  A search
+    prices many rates or rows at once; the config's own b is not used.
     """
     rho1 = config.lambda1 / config.mu
     rho1_acc = config.lambda1 * (1.0 - b) / config.mu
     if config.service is ServiceKind.EXPONENTIAL:
-        return rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
-    return rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
+        g = rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
+    else:
+        g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
+    return npq - g * num / den
 
 
 class _MeanInB:
@@ -330,7 +325,7 @@ class _MeanInB:
         if b == 0.0 or self._rates.rho1 == 0.0:
             return self._npq
         num, den = self.correction()
-        return float(self._npq - _correction_prefactor(self._config, b) * num / den)
+        return float(_priced_mean(self._config, self._npq, b, num, den))
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ C (rho eta)^(n+1) / (1 - rho eta); n is set by the delay horizon, not by
 the occupancy.  eta takes one square root: z^2 - 4 mu a factors as
 (s + alpha)(s + beta) with alpha, beta >= 0, both factors lie in the
 closed right half-plane for Re(s) >= 0, so the principal root of their
-product is the branch wanted (see ``eta_mm1``).
+product is the branch wanted (see ``_eta_into``).
 
 CDFs are recovered with the Euler-summation Fourier-series inversion
 (Abate--Whitt style): the Bromwich integral is discretized with step pi/t
@@ -94,14 +94,15 @@ class CdfCurve:
 # accreditation-interval transforms
 # --------------------------------------------------------------------------
 
-def eta_mm1(s, arrival_rate: float, mu: float):
-    """Accreditation-interval transform for exponential service, closed form.
+@np.errstate(over="ignore", invalid="ignore")
+def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Accreditation-interval transform eta(s) for exponential service, written into ``root``.
 
-    Equals mu/(mu+s) when the accrediting arrival rate is 0.  Accepts a
-    scalar or an ndarray of real or complex s with Re(s) >= 0; an ndarray
-    gives a complex ndarray, a complex scalar a complex, and a real scalar
-    s >= 0 a float in (0, 1].  With an ndarray s the arrival rate may be an
-    ndarray too (one rate per row of a batch), broadcasting against s.
+    Equals mu/(mu+s) when the accrediting arrival rate is 0.  s is a scalar
+    or an ndarray of real or complex s with Re(s) >= 0, and the arrival rate
+    a scalar or an ndarray (one rate per row of a batch) broadcasting
+    against it; ``root`` and ``work`` are complex arrays of the broadcast
+    shape, ``work`` scratch space.  s is left as it is.  Returns ``root``.
 
     eta is the root of a eta^2 - z eta + mu = 0 inside the unit disk,
     z = s + mu + a, written 2 mu / (z + sqrt((s + alpha)(s + beta))) with
@@ -114,22 +115,6 @@ def eta_mm1(s, arrival_rate: float, mu: float):
     keeps its digits when a is close to mu.  Where |s| > about 1e154 the
     product overflows; there the root equals z to double precision and z is
     used, without a warning.
-    """
-    shape = np.broadcast_shapes(np.shape(s), np.shape(arrival_rate))
-    val = _eta_into(s, arrival_rate, mu, np.empty(shape, complex), np.empty(shape, complex))
-    if isinstance(s, np.ndarray):
-        return val
-    if isinstance(s, complex):
-        return complex(val)
-    return float(val.real)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """eta(s) (see ``eta_mm1``) written into ``root``, with ``work`` as scratch space.
-
-    Both arrays have the broadcast shape of s and the arrival rate; s is
-    left as it is.  Returns ``root``.
     """
     sqrt_mu, sqrt_a = math.sqrt(mu), np.sqrt(arrival_rate)
     low = (mu - arrival_rate) / (sqrt_mu + sqrt_a)
@@ -360,39 +345,41 @@ def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     return values, np.abs(estimates, out=estimates)
 
 
-def _accuracy_not_met(error: float, tol: ToleranceConfig) -> Optional[AccuracyNotMet]:
-    """The error for a certified inversion error above eps_invert or not a number, else None."""
-    if error <= tol.eps_invert:
-        return None
-    return AccuracyNotMet(
-        f"inversion error estimate {error:.3e} exceeds eps_invert={tol.eps_invert:.3e}"
-    )
+def _accuracy_gate(worst, tol: ToleranceConfig):
+    """The accuracy gate of every inversion, elementwise in ``worst``.
 
-
-def _discretization_bound(tol: ToleranceConfig) -> float:
-    """exp(-A): the contour discretization error added to every Euler estimate."""
-    return math.exp(-_euler_params(tol.eps_invert)[0])
+    ``worst`` is a worst Euler error estimate, a float or one per row.  The
+    certified error adds exp(-A), the contour discretization bound, and
+    passes when it is at most eps_invert, so a NaN fails.  Returns (error,
+    ok, failures): the certified errors, the pass mask and one
+    AccuracyNotMet per failed entry, in order.
+    """
+    error = worst + math.exp(-_euler_params(tol.eps_invert)[0])
+    ok = error <= tol.eps_invert
+    failures = [
+        AccuracyNotMet(f"inversion error estimate {e:.3e} exceeds eps_invert={tol.eps_invert:.3e}")
+        for e in np.atleast_1d(error)[~np.atleast_1d(ok)]
+    ]
+    return error, ok, failures
 
 
 def _certified_curve(
     ts: np.ndarray, raw: np.ndarray, worst: float, tol: ToleranceConfig, head_states: int = 0
 ) -> CdfCurve:
-    """Gate an inverted CDF on its error bound, then clip and monotonize it.
+    """Gate an inverted CDF on its error bound (``_accuracy_gate``), then clip and monotonize it.
 
-    Raises AccuracyNotMet when the worst error estimate plus the contour
-    discretization bound exp(-A) exceeds eps_invert or is not a number.
+    Raises the gate's AccuracyNotMet when the curve fails it.
     """
-    error = worst + _discretization_bound(tol)
-    failure = _accuracy_not_met(error, tol)
-    if failure is not None:
-        raise failure
+    error, _, failures = _accuracy_gate(worst, tol)
+    if failures:
+        raise failures[0]
     clipped = np.clip(raw, 0.0, 1.0)
     iso = np.maximum.accumulate(clipped)
     return CdfCurve(
         ts=ts,
         values=iso,
         provenance="inverted",
-        max_adjustment=float(np.max(np.abs(iso - raw))),
+        max_adjustment=float(np.max(np.abs(iso - raw), initial=0.0)),
         error_estimate=error,
         head_states=head_states,
     )
@@ -420,12 +407,16 @@ def class2_cdf_dapq(
     weights at the accrediting rate lambda1; beyond d the over-delay
     transform of the config's busy weights takes over.  Each part is a
     one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
-    depend on b, which enters only through the accrediting rate.
+    depend on b, which enters only through the accrediting rate.  An empty
+    grid gives an empty curve; an abscissa that is not finite raises
+    OutOfRange.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
     ts = default_grid(config) if grid is None else np.asarray(grid, dtype=float)
+    if not np.isfinite(ts).all():
+        raise OutOfRange("grid abscissae must be finite")
     weights = busy_state_distribution(config, tol)
     atom = 1.0 - rates.rho
     d = config.d

@@ -27,7 +27,12 @@ too: the geometric M/M/1 pmf, the pmf and total mass of a
 ``StationaryDist`` (``stationary_pmf``, ``stationary_mass``), the class-2
 tail transform, the class-2 mean as a function of b
 (``class2_mean_in_b``), and ``Lst`` with ``invert_to_cdf``, which invert a
-stand-alone transform through the package's own inversion and gate.
+stand-alone transform through the package's own inversion and gate.  So
+do ``eta_mm1``, ``conservation_rhs`` and ``class1_mean_from_class2``,
+each validating its config and calling the package's one implementation,
+while the boundary means ``fcfs_mean`` (Pollaczek--Khinchine) and
+``npq_class2_mean`` (Cobham) are closed forms written from the textbook,
+not from the package.
 """
 
 import cmath
@@ -51,7 +56,8 @@ from dapq.core import (
     QueueConfig,
     ServiceKind,
     TruncationOverflow,
-    class1_mean_from_class2,
+    _class1_mean_from_class2,
+    _conservation_rhs,
     validate,
 )
 from dapq.kpi import FeasibleRegion, PolicyPoint, _fcfs_boundary_rho
@@ -66,16 +72,67 @@ from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
 from dapq.transforms import (
     _certified_curve,
+    _eta_into,
     _euler_invert,
     _euler_params,
     class2_cdf_dapq,
     default_grid,
-    eta_mm1,
 )
 
 
 class NonConvergence(DapqError):
     """An iterative scheme failed to converge within its iteration cap."""
+
+
+# --------------------------------------------------------------------------
+# the boundary means and the conservation law
+# --------------------------------------------------------------------------
+
+
+def fcfs_mean(config):
+    """Mean FCFS wait by Pollaczek--Khinchine: lambda E[S^2] / (2 (1 - rho))."""
+    validate(config)
+    lam = config.lambda1 + config.lambda2
+    rho = lam / config.mu
+    return lam * config.service.second_moment(config.mu) / (2.0 * (1.0 - rho))
+
+
+def npq_class2_mean(config):
+    """Mean class-2 wait under strict priority by Cobham: W0 / ((1 - rho1)(1 - rho)).
+
+    W0 = lambda E[S^2] / 2 is the mean residual work found by an arrival.
+    """
+    validate(config)
+    lam = config.lambda1 + config.lambda2
+    w0 = lam * config.service.second_moment(config.mu) / 2.0
+    rho1 = config.lambda1 / config.mu
+    return w0 / ((1.0 - rho1) * (1.0 - lam / config.mu))
+
+
+def conservation_rhs(config):
+    """rho1 E[W1] + rho2 E[W2] for any work-conserving discipline, through the package."""
+    return _conservation_rhs(config, validate(config))
+
+
+def class1_mean_from_class2(config, mean_w2):
+    """The class-1 mean from the class-2 mean by conservation, through the package."""
+    return _class1_mean_from_class2(config, validate(config), mean_w2)
+
+
+def eta_mm1(s, arrival_rate, mu):
+    """The package's eta (``transforms._eta_into``) of a scalar or an ndarray s.
+
+    An ndarray s gives a complex ndarray, a complex scalar a complex, and a
+    real scalar s >= 0 a float in (0, 1].  With an ndarray s the arrival
+    rate may be an ndarray too, broadcasting against s.
+    """
+    shape = np.broadcast_shapes(np.shape(s), np.shape(arrival_rate))
+    val = _eta_into(s, arrival_rate, mu, np.empty(shape, complex), np.empty(shape, complex))
+    if isinstance(s, np.ndarray):
+        return val
+    if isinstance(s, complex):
+        return complex(val)
+    return float(val.real)
 
 
 def x_rows_by_matrix(lam1, mu, rho, k_max, size=800):

@@ -12,12 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import Lst, invert_to_cdf, md1_pi_exact, stationary_mass, x_rows_by_matrix
+from _oracles import (
+    Lst,
+    fcfs_mean,
+    invert_to_cdf,
+    md1_pi_exact,
+    npq_class2_mean,
+    stationary_mass,
+    x_rows_by_matrix,
+)
 from dapq.core import Kpi, QueueConfig, ServiceKind, validate
 from dapq.approx import kpi_mean_threshold, zexp_from_mean, cdf_sup_diff
 from dapq.kpi import b_star_class1, b_star_class2, feasible_region, in_tuning_region
 from dapq.markov import _busy_weights_rows, md1_stationary, md1_tail_ratio
-from dapq.mean_wait import dapq_means, fcfs_mean, npq_class2_mean
+from dapq.mean_wait import dapq_means
 from dapq.simulate import SimConfig, run_replicated
 from dapq.transforms import class2_cdf_dapq
 from dapq.cli import main as cli_main

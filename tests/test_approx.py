@@ -74,6 +74,14 @@ def test_cdf_sup_diff_empty_overlap():
         cdf_sup_diff(a, b)
 
 
+def test_cdf_sup_diff_curve_without_points():
+    a = CdfCurve(ts=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]), provenance="x")
+    empty = CdfCurve(ts=np.zeros(0), values=np.zeros(0), provenance="y")
+    for pair in ((a, empty), (empty, a), (empty, empty)):
+        with pytest.raises(EmptyOverlap):
+            cdf_sup_diff(*pair)
+
+
 def test_kpi_mean_threshold_reference():
     thr = kpi_mean_threshold(0.8, Kpi(2.0, 0.9, 1))
     assert thr == pytest.approx(1.6 / math.log(8.0), rel=1e-12)
@@ -131,8 +139,9 @@ def test_zexp_ordering_by_mean(rho, lo, hi):
 def test_class1_zexp_bracketed_by_extremes():
     # the approximate class-1 law sits between the exact strict-priority and
     # FCFS zero-inflated exponentials, since its mean does
+    from _oracles import fcfs_mean
     from dapq.core import QueueConfig, ServiceKind
-    from dapq.mean_wait import dapq_means, fcfs_mean
+    from dapq.mean_wait import dapq_means
 
     for b, d in [(0.3, 0.0), (0.5, 2.0), (0.8, 1.0)]:
         cfg = QueueConfig(0.5, 0.3, 1.0, b=b, d=d, service=ServiceKind.EXPONENTIAL)

@@ -258,6 +258,19 @@ def test_rerun_reproduces_output(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_rerun_rejects_a_fractional_state_cap(tmp_path, capsys):
+    first = tmp_path / "first.csv"
+    assert main(["mean", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5",
+                 "--d", "2", "--out", str(first)]) == EXIT_OK
+    manifest = tmp_path / "first.csv.manifest.json"
+    record = json.loads(manifest.read_text())
+    record["tolerances"]["max_states"] = 40.5
+    manifest.write_text(json.dumps(record))
+    code = main(["rerun", str(manifest), "--out", str(tmp_path / "second.csv")])
+    assert code == EXIT_INVALID
+    assert "OutOfRange" in capsys.readouterr().err
+
+
 def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DAPQ_MAX_STATES", "3")
     code, _, err = run_cli(

@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import class1_mean_from_class2, conservation_rhs
 from dapq.core import (
     InvalidDelay,
     Kpi,
@@ -15,8 +17,6 @@ from dapq.core import (
     ServiceKind,
     ToleranceConfig,
     UnstableSystem,
-    class1_mean_from_class2,
-    conservation_rhs,
     validate,
 )
 
@@ -89,6 +89,19 @@ def test_kpi_rejects_non_finite(kwargs):
 def test_tolerances_reject_non_finite_and_non_positive(name, value):
     with pytest.raises(OutOfRange, match=name):
         ToleranceConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [40.5, 40.0, "40"])
+def test_tolerances_reject_a_state_cap_that_is_not_an_integer(value):
+    # the truncated sums index arrays by the cap, so a fractional one would
+    # fail there with a bare IndexError
+    with pytest.raises(OutOfRange, match="max_states must be an integer"):
+        ToleranceConfig(max_states=value)
+
+
+def test_tolerances_store_an_integer_state_cap_as_int():
+    tol = ToleranceConfig(max_states=np.int64(40))
+    assert tol.max_states == 40 and type(tol.max_states) is int
 
 
 def test_conservation_rhs_values():

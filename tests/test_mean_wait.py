@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    class1_mean_from_class2,
     class2_mean_in_b,
+    conservation_rhs,
     correction_by_matrix,
+    fcfs_mean,
     md1_correction_sum_by_series,
     md1_probempty_by_factorials,
+    npq_class2_mean,
     poisson_horizon_scalar,
     poisson_ksum_cutoff_scalar,
     x_rows_by_matrix,
@@ -23,8 +27,6 @@ from dapq.core import (
     ServiceKind,
     ToleranceConfig,
     TruncationOverflow,
-    class1_mean_from_class2,
-    conservation_rhs,
     validate,
 )
 from dapq import mean_wait
@@ -35,10 +37,8 @@ from dapq.mean_wait import (
     _md1_probempty_matrix,
     _mm1_correction_sum,
     dapq_means,
-    fcfs_mean,
     md1_dapq_class2_mean,
     mm1_dapq_class2_mean,
-    npq_class2_mean,
 )
 
 EXP = ServiceKind.EXPONENTIAL
@@ -389,8 +389,9 @@ def test_moment_cut_below_the_table_end_matches_scalar_loop(rho):
 )
 def test_means_validate_once_and_equal_the_public_pieces(rho, share, det, b, ell):
     # dapq_means and the class-2 means validate the config once and work
-    # from its rates; every value equals the one built from the public
-    # functions, each of which validates for itself, bit for bit
+    # from its rates; every value equals the one built from functions that
+    # each validate for themselves, bit for bit (at mu = 1 Cobham's form of
+    # the strict-priority mean rounds as the package's does)
     cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=b, d=float(ell),
                       service=DET if det else EXP)
     one_shot = md1_dapq_class2_mean if det else mm1_dapq_class2_mean

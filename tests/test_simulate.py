@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 import _oracles
-from _oracles import columns, csv_payload_by_rows, run_single_by_events
+from _oracles import (
+    columns,
+    conservation_rhs,
+    csv_payload_by_rows,
+    fcfs_mean,
+    npq_class2_mean,
+    run_single_by_events,
+)
 
 from dapq import simulate
-from dapq.core import OutOfRange, QueueConfig, ServiceKind, conservation_rhs
-from dapq.mean_wait import fcfs_mean, npq_class2_mean
+from dapq.core import OutOfRange, QueueConfig, ServiceKind
 from dapq.simulate import SimConfig, run_replicated, run_single
 
 EXP = ServiceKind.EXPONENTIAL

@@ -14,6 +14,7 @@ from _oracles import (
     class2_tail_lst,
     eta_by_two_roots,
     eta_fixed_point,
+    eta_mm1,
     euler_invert_by_division,
     invert_to_cdf,
     mm1_stationary,
@@ -25,7 +26,7 @@ from dapq.core import (
 )
 from dapq.markov import busy_state_distribution
 from dapq.mean_wait import dapq_means
-from dapq.transforms import class2_cdf_dapq, default_grid, eta_mm1
+from dapq.transforms import class2_cdf_dapq, default_grid
 
 EXP = ServiceKind.EXPONENTIAL
 DET = ServiceKind.DETERMINISTIC
@@ -374,6 +375,45 @@ def test_inversion_refuses_non_finite_values():
         class2_cdf_dapq(cfg, np.array([0.0, 1e-310, 0.5, 2.0]))
     with np.errstate(all="ignore"), pytest.raises(AccuracyNotMet):
         invert_to_cdf(fcfs_lst(0.5, 1.0), np.array([1e-310]))
+
+
+@pytest.mark.parametrize("d", [0.0, 2.0])
+def test_class2_cdf_on_an_empty_grid_is_an_empty_curve(d):
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=d, service=EXP)
+    curve = class2_cdf_dapq(cfg, np.zeros(0))
+    assert curve.ts.shape == curve.values.shape == (0,)
+    assert curve.max_adjustment == 0.0
+    assert 0.0 < curve.error_estimate <= DEFAULT_TOL.eps_invert
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_class2_cdf_rejects_non_finite_abscissae(bad):
+    # NaN compares false with 0 and d, so it would land in no part of the
+    # curve and read F = 0
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP)
+    with pytest.raises(OutOfRange, match="finite"):
+        class2_cdf_dapq(cfg, np.array([0.0, 1.0, bad, 3.0]))
+
+
+def test_accuracy_gate_is_one_for_curves_and_rows():
+    # the curve path and the KPI rows certify through the same gate: the
+    # worst estimate plus exp(-A) against eps_invert, NaN failing
+    tol = DEFAULT_TOL
+    floor = math.exp(-transforms._euler_params(tol.eps_invert)[0])
+    worst = np.array([0.0, tol.eps_invert - floor, tol.eps_invert, math.nan])
+    error, ok, failures = transforms._accuracy_gate(worst, tol)
+    assert np.array_equal(error[:2], worst[:2] + floor)
+    assert ok.tolist() == [True, True, False, False]
+    assert [type(f) for f in failures] == [AccuracyNotMet, AccuracyNotMet]
+    assert "nan" in str(failures[1])
+    for w, passes in zip(worst.tolist(), ok.tolist()):
+        ts, raw = np.array([1.0]), np.array([0.5])
+        if passes:
+            curve = transforms._certified_curve(ts, raw, w, tol)
+            assert curve.error_estimate == w + floor
+        else:
+            with pytest.raises(AccuracyNotMet):
+                transforms._certified_curve(ts, raw, w, tol)
 
 
 def test_class2_cdf_tiny_abscissae():
