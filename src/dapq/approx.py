@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import DegenerateMean, EmptyOverlap, Kpi, OutOfRange
-from .transforms import CdfCurve
+from .transforms import CdfCurve, _abscissae
 
 #: Sentinel for KPI constraints met by the zero-wait atom alone.
 ALWAYS_SATISFIED = math.inf
@@ -59,18 +59,21 @@ def cdf_sup_diff(a: CdfCurve, b: CdfCurve) -> Tuple[float, float]:
 
     Curves are compared on the union of their abscissae over the common
     interval, with linear interpolation in between.  A curve with no points
-    shares no interval, so it raises EmptyOverlap.
+    shares no interval, so it raises EmptyOverlap; an abscissa that is not
+    finite or out of order raises OutOfRange, since the interpolation
+    assumes increasing abscissae.
     """
-    if not (len(a.ts) and len(b.ts)):
+    ta, tb = _abscissae(a.ts), _abscissae(b.ts)
+    if not (len(ta) and len(tb)):
         raise EmptyOverlap("a CDF curve has no abscissae")
-    lo = max(a.ts[0], b.ts[0])
-    hi = min(a.ts[-1], b.ts[-1])
+    lo = max(ta[0], tb[0])
+    hi = min(ta[-1], tb[-1])
     if hi < lo:
         raise EmptyOverlap("CDF curves share no common abscissae")
-    ts = np.union1d(a.ts, b.ts)
+    ts = np.union1d(ta, tb)
     ts = ts[(ts >= lo) & (ts <= hi)]
-    va = np.interp(ts, a.ts, a.values)
-    vb = np.interp(ts, b.ts, b.values)
+    va = np.interp(ts, ta, a.values)
+    vb = np.interp(ts, tb, b.values)
     diffs = np.abs(va - vb)
     i = int(np.argmax(diffs))
     return float(diffs[i]), float(ts[i])

@@ -137,15 +137,16 @@ def _write_output(header: List[str], columns: list, args, manifest: dict) -> Non
 
 
 def _manifest(
-    subcommand: str, params: dict, tol: ToleranceConfig, t0: float,
-    inversion=None, simulation=None, search=None,
+    args, tol: ToleranceConfig, t0: float, inversion=None, simulation=None, search=None,
 ) -> dict:
-    """Run record; ``inversion`` holds an inverted curve's accuracy diagnostics,
-    ``simulation`` a simulated run's customer count and wall time, and
-    ``search`` how a KPI search was computed."""
+    """Run record: the parsed flags of ``args`` but the manifest path, which
+    ``rerun`` replays, and the tolerances.  ``inversion`` holds an inverted
+    curve's accuracy diagnostics, ``simulation`` a simulated run's customer
+    count and wall time, and ``search`` how a KPI search was computed."""
     manifest = {
-        "subcommand": subcommand,
-        "parameters": params,
+        "subcommand": args.subcommand,
+        "parameters": {k: v for k, v in vars(args).items()
+                       if k not in ("subcommand", "manifest")},
         "tolerances": {
             "eps_series": tol.eps_series,
             "eps_root": tol.eps_root,
@@ -185,7 +186,6 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
         for b, d in zip(b_col, d_col)
     ]
     n = len(summaries)
-    params = {k: getattr(args, k) for k in ("lam1", "lam2", "mu", "service", "b", "d", "out")}
     _write_output(
         ["lambda1", "lambda2", "mu", "service", "b", "d",
          "mean_w1", "mean_w2", "conservation_residual"],
@@ -193,7 +193,7 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
          [s.mean_w1 for s in summaries], [s.mean_w2 for s in summaries],
          [s.conservation_residual for s in summaries]],
         args,
-        _manifest("mean", params, tol, t0),
+        _manifest(args, tol, t0),
     )
     return EXIT_OK
 
@@ -247,11 +247,8 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     else:
         raise OutOfRange(f"unknown curve kind {kind!r}")
 
-    params = {k: getattr(args, k) for k in
-              ("kind", "lam1", "lam2", "mu", "service", "b", "d",
-               "t_max", "dt", "n", "burn_in", "reps", "seed", "out")}
     _write_output(["t", "F"], [grid, values], args,
-                  _manifest("cdf", params, tol, t0, inversion, simulation))
+                  _manifest(args, tol, t0, inversion, simulation))
     return EXIT_OK
 
 
@@ -271,14 +268,11 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
             columns += [result.curves[cls].values, result.curve_se[cls]]
         else:
             columns += [[math.nan] * len(grid)] * 2
-    params = {k: getattr(args, k) for k in
-              ("lam1", "lam2", "mu", "service", "b", "d", "n", "burn_in",
-               "reps", "seed", "t_max", "dt", "out", "raw", "summary_out")}
     _write_output(
         ["t", "cdf1", "se1", "cdf2", "se2"],
         columns,
         args,
-        _manifest("simulate", params, tol, t0, simulation=_simulation_record(result)),
+        _manifest(args, tol, t0, simulation=_simulation_record(result)),
     )
     if args.summary_out:
         summary = _csv_text(
@@ -296,10 +290,7 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
 def cmd_kpi(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
     target = Kpi(target_w=args.w, compliance_p=args.p, class_index=args.cls)
-    params = {k: getattr(args, k) for k in
-              ("cls", "w", "p", "lam1", "lam2", "mu", "d", "sweep_d",
-               "region", "resolution", "out")}
-    manifest = lambda search: _manifest("kpi", params, tol, t0, search=search)
+    manifest = lambda search: _manifest(args, tol, t0, search=search)
 
     if args.region:
         region = kpi_mod.feasible_region(target, mu=args.mu, resolution=args.resolution, tol=tol)

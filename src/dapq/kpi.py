@@ -324,22 +324,21 @@ class _Class2Rows:
 
     Per row it keeps the busy weights and the mean function
     (``_b_free_rows``), and the strict-priority F(d): it is b-free, so it
-    is inverted once, for all rows together, over the headless geometric
-    weights at lambda1 (``_StackedWeights.geometric``).  ``probe(b, rows)``
-    then costs one
-    batched inversion of the over-delay transforms.  Rows with w <= d have
-    a b-free constraint, F(w) under strict priority: ``free`` lists them
-    and ``free_values`` holds their uncertified values, inverted with F(d)
-    as the two points of one row, as ``transforms.class2_cdf_dapq``
-    inverts them, which counts as the one probe of such a row.  Every
-    inversion is counted in the state.
+    is inverted once, for all rows together
+    (``transforms._npq_cdf_rows``).  ``probe(b, rows)`` then costs one
+    batched inversion of the rows' over-delay transforms.  Rows with
+    w <= d have a b-free constraint, F(w) under strict priority: ``free``
+    lists them and ``free_values`` holds their uncertified values,
+    inverted with F(d) as the two points of one row, as
+    ``transforms.class2_cdf_dapq`` inverts them, which counts as the one
+    probe of such a row.  Every inversion is counted in the state.
     """
 
     def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
         tol = state.tol
         n = len(configs)
         self.state = state
-        self.rates, self.means, weights = _b_free_rows(configs, state, heads=True)
+        self.rates, self.means, self.weights = _b_free_rows(configs, state, heads=True)
         live = state.alive(range(n))
         self.w = kpi.target_w
         self.ds = np.array([cfg.d for cfg in configs], dtype=float)
@@ -352,28 +351,22 @@ class _Class2Rows:
             return
         self.lambda1, self.mu = configs[live[0]].lambda1, configs[live[0]].mu
         rho = self.rates[live[0]].rho
-        atom = 1.0 - rho
-        self.f_at_d[:] = atom
-
-        def npq(ts):
-            geometric = transforms._StackedWeights.geometric(np.full(len(ts), rho))
-            return transforms._invert_over_delay_rows(ts, self.lambda1, self.mu, geometric, tol)
-
+        self.f_at_d[:] = 1.0 - rho
         delayed = self.dep[self.ds[self.dep] > 0]
         if delayed.size:
             state.inverted(len(delayed))
-            vals, est = npq(self.ds[delayed][:, None])
-            self.f_at_d[delayed] = atom + vals[:, 0]
+            vals, est = transforms._npq_cdf_rows(
+                self.ds[delayed][:, None], self.lambda1, rho, self.mu, tol)
+            self.f_at_d[delayed] = vals[:, 0]
             self.fixed_est[delayed] = est[:, 0]
         if self.free.size:
             state.inverted(len(self.free))
             state.probes[self.free] += 1
-            vals, est = npq(np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]]))
-            self.free_values = atom + vals[:, 0]
+            vals, est = transforms._npq_cdf_rows(
+                np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]]),
+                self.lambda1, rho, self.mu, tol)
+            self.free_values = vals[:, 0]
             self.fixed_est[self.free] = np.max(est, axis=1)
-        self.position = np.zeros(n, dtype=int)
-        self.position[self.dep] = np.arange(len(self.dep))
-        self.weights = transforms._StackedWeights.of([weights[r] for r in self.dep])
 
     def probe(self, b, rows: np.ndarray):
         """Certified F(w) at rate b (a float or one per row) for rows with w > d."""
@@ -385,7 +378,7 @@ class _Class2Rows:
             (self.w - self.ds[rows])[:, None],
             self.lambda1 * (1.0 - b),
             self.mu,
-            self.weights.take(self.position[rows]),
+            [self.weights[r] for r in rows],
             self.state.tol,
         )
         worst = np.maximum(self.fixed_est[rows], est[:, 0])
@@ -396,20 +389,16 @@ def _npq_meets(lam1: np.ndarray, lam2: np.ndarray, mu: float, kpi: Kpi,
                state: _Rows, rows: np.ndarray):
     """Whether strict priority meets a class-2 KPI at (lam1[i], lam2[i]) for each row.
 
-    One batched inversion at the target wait, counted in ``state``.  With
-    b = d = 0 the busy weights are the bare geometric tail
-    (``_StackedWeights.geometric``).  Returns (meets, values, ok) per row,
-    ``values`` the certified F(w).
+    One batched inversion at the target wait (``transforms._npq_cdf_rows``),
+    counted in ``state``.  Returns (meets, values, ok) per row, ``values``
+    the certified F(w).
     """
     if not rows.size:
         return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=bool)
     state.inverted(len(rows))
-    rho = lam1 / mu + lam2 / mu
-    vals, est = transforms._invert_over_delay_rows(
-        np.full((len(rows), 1), kpi.target_w), lam1, mu,
-        transforms._StackedWeights.geometric(rho), state.tol,
-    )
-    values, ok = state.certify(rows, (1.0 - rho) + vals[:, 0], est[:, 0])
+    vals, est = transforms._npq_cdf_rows(
+        np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol)
+    values, ok = state.certify(rows, vals[:, 0], est[:, 0])
     return values >= kpi.compliance_p, values, ok
 
 

@@ -81,7 +81,7 @@ class StationaryDist:
         return np.concatenate([self.probs, ext])
 
 
-def md1_tail_ratio(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def md1_tail_ratio(rho: float) -> float:
     """Geometric decay ratio of the M/D/1 queue-length pmf, in (0,1).
 
     Solves exp(rho*sigma)/sigma = exp(rho) for the unique root sigma > 1/rho
@@ -92,7 +92,7 @@ def md1_tail_ratio(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     is convex and increasing past u = 1/rho - 1, so Newton's method from a
     point where g > 0 falls monotonically to the root; it stops where an
     iterate no longer falls, at the floating-point root, so the ratio
-    needs no tolerance and ``tol`` is not read.
+    needs no tolerance.
     """
     if not 0.0 < rho < 1.0:
         raise OutOfRange(f"rho must lie in (0,1), got {rho}")
@@ -157,7 +157,7 @@ def md1_stationary(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> Stationary
         raise OutOfRange(f"rho must lie in [0,1), got {rho}")
     if rho == 0.0:
         return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
-    g = md1_tail_ratio(rho, tol)
+    g = md1_tail_ratio(rho)
     sigma = 1.0 / g
     c = (1.0 - rho) * (sigma - 1.0) / (rho * sigma - 1.0)
     # pi_i ~ c g^i, so the stopping index is about log(eps (1-g)/(2 c g)) / log(g);
@@ -318,6 +318,13 @@ class BusyWeights:
     head: np.ndarray
     rho: float
     tail_next: float
+
+    @classmethod
+    def geometric(cls, rhos: Sequence[float]) -> list:
+        """The weights at d = 0, one per rho, sharing one empty head: w_l = (1-rho) rho**l,
+        so tail_next = (1-rho) rho, as ``busy_state_distribution`` gives them."""
+        head = np.zeros(0)
+        return [cls(head, rho, (1.0 - rho) * rho) for rho in rhos]
 
     def __len__(self) -> int:
         return len(self.head)

@@ -29,19 +29,18 @@ points at once: a transform maps an ndarray of complex s, here points x
 contour nodes, elementwise, in work arrays allocated once per call.
 
 Every inversion is a batch of rows (``_invert_over_delay_rows``), one
-row per configuration, each with its own abscissae and its own transform
-parameters: the accrediting rate, rho, the busy-weight head and
-``tail_next``, held as (rows, 1, 1) arrays that broadcast over the row's
-points and contour nodes (``_StackedWeights``).  Rows go longest head
-first, and a row with a shorter head keeps its tail term until its own
-head starts, so Horner's rule updates a prefix of the rows at each step,
-and every point's weighted sums are its own.  Every row of a batch
-therefore equals its one-row inversion bit for bit, and every point its
-one-point inversion.  A single
-curve is the one-row case, and strict priority (b = d = 0) is the
-headless geometric weights at the accrediting rate lambda1
-(``_StackedWeights.geometric``).  The KPI searches in :mod:`dapq.kpi`
-invert all their rows this way, one call per root-finding step.
+row per configuration, each with its own abscissae, accrediting rate and
+``BusyWeights``; the kernel stacks their parameters into (rows, 1, 1)
+arrays that broadcast over the row's points and contour nodes.  Rows go
+longest head first, and a row with a shorter head keeps its tail term
+until its own head starts, so Horner's rule updates a prefix of the rows
+at each step, and every point's weighted sums are its own.  Every row of
+a batch therefore equals its one-row inversion bit for bit, and every
+point its one-point inversion.  A single curve is the one-row case, and
+strict priority (b = d = 0) is the headless geometric weights at the
+accrediting rate lambda1 (``_npq_cdf_rows``).  The KPI searches in
+:mod:`dapq.kpi` invert all their rows this way, one call per
+root-finding step.
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -54,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +66,7 @@ from .core import (
     ToleranceConfig,
     validate,
 )
-from .markov import busy_state_distribution
+from .markov import BusyWeights, busy_state_distribution
 
 
 @dataclass(frozen=True)
@@ -159,91 +158,60 @@ def _horner(e, rho, tail_next, steps, starts, acc):
     return np.multiply(e, acc, out=acc)
 
 
-@dataclass(frozen=True)
-class _StackedWeights:
-    """Busy weights of several configurations, one per row of a batch.
-
-    ``rho`` and ``tail_next`` are (rows, 1, 1) arrays and ``lengths`` the
-    rows' head sizes; ``steps`` holds the Horner coefficients
-    (n, rows, 1, 1), each row's head w_n .. w_1 right-aligned in its last
-    ``lengths[r]`` steps.
-    """
-
-    rho: np.ndarray
-    tail_next: np.ndarray
-    steps: np.ndarray
-    lengths: np.ndarray
-
-    @classmethod
-    def of(cls, weights) -> "_StackedWeights":
-        lengths = np.array([len(w) for w in weights], dtype=int)
-        n = int(lengths.max(initial=0))
-        steps = np.zeros((n, len(weights), 1, 1))
-        for r, w in enumerate(weights):
-            steps[n - len(w) :, r, 0, 0] = w.head[::-1]
-        column = lambda xs: np.array(xs, dtype=float)[:, None, None]
-        return cls(
-            rho=column([w.rho for w in weights]),
-            tail_next=column([w.tail_next for w in weights]),
-            steps=steps,
-            lengths=lengths,
-        )
-
-    @classmethod
-    def geometric(cls, rho: np.ndarray) -> "_StackedWeights":
-        """The busy weights at d = 0 of each row's rho: no head and
-        tail_next = (1 - rho) rho, as ``busy_state_distribution`` gives them."""
-        rho = np.asarray(rho, dtype=float)[:, None, None]
-        return cls(rho=rho, tail_next=(1.0 - rho) * rho,
-                   steps=np.zeros((0, len(rho), 1, 1)), lengths=np.zeros(len(rho), dtype=int))
-
-    def take(self, rows: np.ndarray) -> "_StackedWeights":
-        """The rows ``rows``, with the steps before the longest of their heads dropped."""
-        rows = np.asarray(rows, dtype=int)
-        lengths = self.lengths[rows]
-        first = len(self.steps) - int(lengths.max(initial=0))
-        return _StackedWeights(
-            rho=self.rho[rows],
-            tail_next=self.tail_next[rows],
-            steps=self.steps[first:, rows],
-            lengths=lengths,
-        )
-
-
 def _invert_over_delay_rows(
-    ts: np.ndarray, lam_acc, mu: float, weights: _StackedWeights, tol: ToleranceConfig,
+    ts: np.ndarray, lam_acc, mu: float, weights: Sequence[BusyWeights], tol: ToleranceConfig,
 ):
     """Invert each row's shifted over-delay transform at the row's abscissae.
 
     The transform is sum_j w_j eta(s)^j, the over-delay measure shifted
     back to the origin: inverting it gives H(u) = P[W2 - d <= u, W2 > d],
     and the shift avoids the oscillatory exp(-s d) factor.  ``ts`` is
-    (rows, points), ``lam_acc`` the rows' accrediting rates (or
-    one for all) and ``weights`` their busy weights; returns
-    ``_euler_invert``'s (values, estimates), both (rows, points).  The
-    rows are inverted longest head first, so the heads that have begun
-    form a prefix at every Horner step, and the results are put back in
-    order.  eta and the Horner sum work in two arrays of one block,
-    allocated here in one piece and reused by every block.
+    (rows, points), ``lam_acc`` the rows' accrediting rates (or one for
+    all) and ``weights`` their busy weights, one ``BusyWeights`` per row;
+    returns ``_euler_invert``'s (values, estimates), both (rows, points).
+    The rows are inverted longest head first, each row's head w_n .. w_1
+    right-aligned in the Horner steps, so the heads that have begun form
+    a prefix at every step, and the results are put back in order.  eta
+    and the Horner sum work in two arrays of one block, allocated here in
+    one piece and reused by every block.
     """
     # sorted in Python: numpy's argsort would page in its sorting code for
     # a few dozen rows
-    lengths = weights.lengths.tolist()
+    lengths = [len(w.head) for w in weights]
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
-    w = weights.take(order)
+    n = max(lengths, default=0)
+    steps = np.zeros((n, len(order), 1, 1))
+    for i, r in enumerate(order[: len(order) - lengths.count(0)]):  # the rows with a head
+        steps[n - lengths[r] :, i, 0, 0] = weights[r].head[::-1]
+    rho = np.array([weights[r].rho for r in order])[:, None, None]
+    tail_next = np.array([weights[r].tail_next for r in order])[:, None, None]
     lam = (np.zeros(len(order)) + lam_acc)[order, None, None]
-    n = len(w.steps)
     starts = [n - lengths[r] for r in order] + [n]
     eta_work, acc_work = _block_arrays(2, ts.shape)
 
     def fn(s):
         e = _eta_into(s, lam, mu, _front(eta_work, s.shape), acc := _front(acc_work, s.shape))
-        return _horner(e, w.rho, w.tail_next, w.steps, starts, acc)
+        return _horner(e, rho, tail_next, steps, starts, acc)
 
     values, estimates = _euler_invert(fn, ts[order], tol)
     back = np.empty(len(order), dtype=int)
     back[order] = np.arange(len(order))
     return values[back], estimates[back]
+
+
+def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig):
+    """The strict-priority (b = d = 0) class-2 CDF at each row's abscissae, and its estimates.
+
+    F(t) = (1 - rho) + H(t), H inverted over the headless geometric
+    weights at the accrediting rate lambda1 (``BusyWeights.geometric``).
+    ``ts`` is (rows, points); ``lambda1`` and ``rho`` are floats shared by
+    the rows or one per row.  Returns the uncertified values and the Euler
+    estimates, both (rows, points).
+    """
+    rhos = np.broadcast_to(rho, len(ts))
+    values, estimates = _invert_over_delay_rows(
+        ts, lambda1, mu, BusyWeights.geometric(rhos.tolist()), tol)
+    return (1.0 - rhos)[:, None] + values, estimates
 
 
 # --------------------------------------------------------------------------
@@ -395,6 +363,14 @@ def default_grid(config: QueueConfig) -> np.ndarray:
     return np.arange(0.0, t_end, 0.05 / mu)
 
 
+def _abscissae(grid) -> np.ndarray:
+    """``grid`` as a float array, checked finite and nondecreasing (OutOfRange otherwise)."""
+    ts = np.asarray(grid, dtype=float)
+    if not (np.isfinite(ts).all() and (np.diff(ts) >= 0.0).all()):
+        raise OutOfRange("grid abscissae must be finite and nondecreasing")
+    return ts
+
+
 def class2_cdf_dapq(
     config: QueueConfig,
     grid: Optional[np.ndarray] = None,
@@ -403,20 +379,17 @@ def class2_cdf_dapq(
     """Waiting-time CDF of class-2 customers in the delayed APQ (M/M/1).
 
     Within the delay horizon the law coincides with the strict-priority
-    (b = 0) reference, whose busy weights are the headless geometric
-    weights at the accrediting rate lambda1; beyond d the over-delay
+    (b = 0) reference (``_npq_cdf_rows``); beyond d the over-delay
     transform of the config's busy weights takes over.  Each part is a
     one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
     depend on b, which enters only through the accrediting rate.  An empty
-    grid gives an empty curve; an abscissa that is not finite raises
-    OutOfRange.
+    grid gives an empty curve; an abscissa that is not finite or out of
+    order raises OutOfRange.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
-    ts = default_grid(config) if grid is None else np.asarray(grid, dtype=float)
-    if not np.isfinite(ts).all():
-        raise OutOfRange("grid abscissae must be finite")
+    ts = default_grid(config) if grid is None else _abscissae(grid)
     weights = busy_state_distribution(config, tol)
     atom = 1.0 - rates.rho
     d = config.d
@@ -428,17 +401,13 @@ def class2_cdf_dapq(
     f_at_d, worst_inside = atom, 0.0
     if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
         # F(d) rides along as the last point of the strict-priority row
-        npq_vals, npq_est = _invert_over_delay_rows(
-            np.append(ts[inside], d)[None, :], config.lambda1, config.mu,
-            _StackedWeights.geometric([rates.rho]), tol,
-        )
-        values[inside] = atom + npq_vals[0, :-1]
-        f_at_d = atom + npq_vals[0, -1]
+        npq_vals, npq_est = _npq_cdf_rows(
+            np.append(ts[inside], d)[None, :], config.lambda1, rates.rho, config.mu, tol)
+        values[inside] = npq_vals[0, :-1]
+        f_at_d = npq_vals[0, -1]
         worst_inside = np.max(npq_est)
     tail_vals, tail_est = _invert_over_delay_rows(
-        (ts[beyond] - d)[None, :], rates.lambda1_acc, config.mu,
-        _StackedWeights.of([weights]), tol,
-    )
+        (ts[beyond] - d)[None, :], rates.lambda1_acc, config.mu, [weights], tol)
     values[beyond] = f_at_d + tail_vals[0]
     # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate
     worst = float(np.max(tail_est, initial=worst_inside))

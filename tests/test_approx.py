@@ -82,6 +82,17 @@ def test_cdf_sup_diff_curve_without_points():
             cdf_sup_diff(*pair)
 
 
+@pytest.mark.parametrize("ts", [[0.0, 2.0, 1.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf]])
+def test_cdf_sup_diff_rejects_bad_abscissae(ts):
+    # the interpolation assumes increasing abscissae
+    good = CdfCurve(ts=np.array([0.0, 1.0, 2.0]), values=np.array([0.2, 0.5, 0.9]),
+                    provenance="x")
+    bad = CdfCurve(ts=np.array(ts), values=np.array([0.2, 0.5, 0.9]), provenance="y")
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(OutOfRange, match="nondecreasing"):
+            cdf_sup_diff(*pair)
+
+
 def test_kpi_mean_threshold_reference():
     thr = kpi_mean_threshold(0.8, Kpi(2.0, 0.9, 1))
     assert thr == pytest.approx(1.6 / math.log(8.0), rel=1e-12)

@@ -116,6 +116,9 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     assert main(args + ["--out", str(out1)]) == EXIT_OK
     assert main(args + ["--out", str(out2)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+    out3 = tmp_path / "c.csv"
+    assert main(["rerun", str(tmp_path / "a.csv.manifest.json"), "--out", str(out3)]) == EXIT_OK
+    assert out1.read_bytes() == out3.read_bytes()
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["parameters"]["seed"] == 7
@@ -504,6 +507,19 @@ def test_rerun_csv_equals_row_by_row_oracle(name, tmp_path):
     again = tmp_path / "again.csv"
     assert main(["rerun", str(first) + ".manifest.json", "--out", str(again)]) == EXIT_OK
     assert again.read_bytes() == cli_csv_by_rows(argv)[0].encode()
+
+
+@pytest.mark.parametrize("argv", [
+    _CLI_BATTERY["mean-det"], _CLI_BATTERY["cdf-npq1"], _CLI_BATTERY["kpi-sweep-class1"],
+    ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--t-max", "2", *_SIM],
+])
+def test_manifest_records_every_flag_but_the_manifest_path(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+    subparsers = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
+    flags = {a.dest for a in subparsers.choices[argv[0]]._actions} - {"help", "manifest"}
+    assert manifest["subcommand"] == argv[0] and set(manifest["parameters"]) == flags
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dapq.kpi import (
     meets_extreme,
     policy_sweep,
 )
-from dapq.markov import _jump_cuts, busy_state_distribution
+from dapq.markov import BusyWeights, _jump_cuts, busy_state_distribution
 from dapq.mean_wait import dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
 from dapq.transforms import class2_cdf_dapq
 
@@ -414,7 +414,7 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
     configs = [cfg.replace(d=d) for d in (2.5, 0.0, 7.0, 1.0, 3.0, 0.5, 4.5)]
     state = kpi._Rows(len(configs), DEFAULT_TOL)
     rows = kpi._Class2Rows(configs, Kpi(w, 0.9, 2), state)
-    assert len(set(rows.weights.lengths)) > 2
+    assert len({len(rows.weights[r]) for r in rows.dep}) > 2
 
     def one_row(c, b):
         return class2_cdf_dapq(c.replace(b=b), np.array([w]))
@@ -435,9 +435,9 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
 def test_geometric_rows_are_the_zero_delay_busy_weights():
     weights = [busy_state_distribution(QueueConfig(0.3 * x, 0.7 * x, 1.0))
                for x in np.random.default_rng(2).uniform(1e-6, 0.999, 200)]
-    stacked = transforms._StackedWeights.geometric([w.rho for w in weights])
-    assert all(len(w) == 0 for w in weights)
-    assert np.array_equal(stacked.tail_next[:, 0, 0], [w.tail_next for w in weights])
+    geometric = BusyWeights.geometric([w.rho for w in weights])
+    assert all(len(w) == 0 for w in weights + geometric)
+    assert [g.tail_next for g in geometric] == [w.tail_next for w in weights]
 
 
 def test_too_tight_eps_invert_fails_a_batch():

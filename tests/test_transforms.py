@@ -24,7 +24,7 @@ from dapq import transforms
 from dapq.core import (
     DEFAULT_TOL, AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, validate,
 )
-from dapq.markov import busy_state_distribution
+from dapq.markov import BusyWeights, busy_state_distribution
 from dapq.mean_wait import dapq_means
 from dapq.transforms import class2_cdf_dapq, default_grid
 
@@ -313,7 +313,7 @@ def test_class2_cdf_equals_one_curve_path_bit_for_bit(points, where):
 
 
 def _rows_of(configs):
-    """Each config's over-delay inversion inputs: accrediting rate and stacked busy weights."""
+    """Each config's over-delay inversion inputs: accrediting rate and busy weights."""
     return ([validate(cfg).lambda1_acc for cfg in configs],
             [busy_state_distribution(cfg) for cfg in configs])
 
@@ -326,11 +326,10 @@ def test_curves_equal_their_per_point_inversions_bit_for_bit(points):
     lams, weights = _rows_of([QueueConfig(0.5, 0.3, 1.0, b=0.6, d=2.0),
                               QueueConfig(0.9, 0.05, 1.0, b=0.9, d=7.0)])
     for lam, w in zip(lams, weights):
-        for stacked in (transforms._StackedWeights.of([w]),
-                        transforms._StackedWeights.geometric([w.rho])):
-            vals, est = transforms._invert_over_delay_rows(ts, lam, 1.0, stacked, DEFAULT_TOL)
+        for row in ([w], BusyWeights.geometric([w.rho])):
+            vals, est = transforms._invert_over_delay_rows(ts, lam, 1.0, row, DEFAULT_TOL)
             for i in range(points):
-                one = transforms._invert_over_delay_rows(ts[:, [i]], lam, 1.0, stacked, DEFAULT_TOL)
+                one = transforms._invert_over_delay_rows(ts[:, [i]], lam, 1.0, row, DEFAULT_TOL)
                 assert (one[0][0, 0], one[1][0, 0]) == (vals[0, i], est[0, i])
 
 
@@ -345,10 +344,9 @@ def test_a_ragged_batch_equals_its_one_row_inversions_bit_for_bit():
     rng = np.random.default_rng(11)
     ts = np.sort(rng.uniform(1e-3, 20.0, (len(configs), 2 * 128 + 37)), axis=1)
     vals, est = transforms._invert_over_delay_rows(
-        ts, np.array(lams), 1.0, transforms._StackedWeights.of(weights), DEFAULT_TOL)
+        ts, np.array(lams), 1.0, weights, DEFAULT_TOL)
     for r, (lam, w) in enumerate(zip(lams, weights)):
-        one = transforms._invert_over_delay_rows(
-            ts[[r]], lam, 1.0, transforms._StackedWeights.of([w]), DEFAULT_TOL)
+        one = transforms._invert_over_delay_rows(ts[[r]], lam, 1.0, [w], DEFAULT_TOL)
         assert np.array_equal(one[0][0], vals[r]) and np.array_equal(one[1][0], est[r])
 
 
@@ -393,6 +391,17 @@ def test_class2_cdf_rejects_non_finite_abscissae(bad):
     cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP)
     with pytest.raises(OutOfRange, match="finite"):
         class2_cdf_dapq(cfg, np.array([0.0, 1.0, bad, 3.0]))
+
+
+def test_class2_cdf_rejects_out_of_order_abscissae():
+    # the clamp runs in array order, so [5, 1] would read F(5) at t = 1
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=EXP)
+    with pytest.raises(OutOfRange, match="nondecreasing"):
+        class2_cdf_dapq(cfg, np.array([5.0, 1.0]))
+    # equal abscissae stay valid and read the same value
+    repeated = class2_cdf_dapq(cfg, np.array([1.0, 1.0, 5.0, 5.0]))
+    once = class2_cdf_dapq(cfg, np.array([1.0, 5.0]))
+    assert np.array_equal(repeated.values, np.repeat(once.values, 2))
 
 
 def test_accuracy_gate_is_one_for_curves_and_rows():
