@@ -132,8 +132,7 @@ def _write_output(header: List[str], columns: list, args, manifest: dict) -> Non
         manifest_path = getattr(args, "manifest", None)
     if manifest_path:
         with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _manifest(
@@ -180,11 +179,17 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     ds = _parse_sweep(args.d)
     b_col = bs * len(ds)
     d_col = [d for d in ds for _ in bs]
-    summaries = [
-        mean_wait.dapq_means(
-            QueueConfig(args.lam1, args.lam2, args.mu, b=b, d=d, service=service), tol)
-        for b, d in zip(b_col, d_col)
-    ]
+    # one class-2 mean function of b per delay, as a KPI sweep builds them: every
+    # exponential-service correction comes from one chain run
+    base = QueueConfig(args.lam1, args.lam2, args.mu, service=service)
+    _, means, _ = kpi_mod._b_free_rows([base.replace(d=d) for d in ds],
+                                       kpi_mod._Rows(len(ds), tol), heads=False)
+    summaries = []
+    for d, mean_in_b in zip(ds, means):
+        for b in bs:
+            point = base.replace(b=b, d=d)
+            rates = validate(point)  # the first invalid point raises, as in dapq_means
+            summaries.append(mean_wait._wait_summary(point, rates, mean_in_b(b)))
     n = len(summaries)
     _write_output(
         ["lambda1", "lambda2", "mu", "service", "b", "d",
@@ -329,12 +334,13 @@ def cmd_rerun(args, _env_tol: ToleranceConfig) -> int:
     with open(args.manifest_file) as fh:
         manifest = json.load(fh)
     sub = manifest["subcommand"]
-    params = dict(manifest["parameters"])
-    params["out"] = args.out
+    params = manifest["parameters"]
     tol = ToleranceConfig(**manifest["tolerances"])  # recorded set, not the env
     argv = [sub]
     for key, val in params.items():
-        if val is None or key == "out":
+        # a rerun writes only its own CSV and manifest: the first run's
+        # simulation dump and summary file are not replayed
+        if val is None or key in ("out", "raw", "summary_out"):
             continue
         if isinstance(val, bool):
             if val:

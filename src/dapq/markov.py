@@ -344,6 +344,11 @@ class BusyWeights:
         return float(np.arange(1, n + 1) @ self.head + tail)
 
 
+# floats a block of chain steps holds at most, its states and its sums together,
+# unless one step's alone exceed it
+_CHAIN_BLOCK_FLOATS = 1 << 18
+
+
 def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
                        cuts: Sequence[Sequence[int]]) -> list:
     """The busy weights of several Poisson jump sums of one chain, from one run.
@@ -367,17 +372,16 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
     Each row's weights therefore equal those of a run of that row alone,
     bit for bit, and a sweep over delays pays for one chain of K steps.
     With K = 0 every head is empty and no step runs.
+
+    A step only moves the chain, into the next row of a block of steps.
+    The sums are taken per block: one multiply by the block's jump weights,
+    then one ``np.add.accumulate`` along the steps from the previous block's
+    last sum, which adds in step order, as a step-by-step sum would.
     """
     K = max(max(row_cuts) for row_cuts in cuts)
     rho, p_up, q_down = rates.rho, rates.p_up, rates.q_down
     heads = [[np.zeros(0)] * len(row_cuts) for row_cuts in cuts]  # the heads of cuts at 0
     if K:
-        # state 0 is the absorbing empty state, held at 0, and state l is entry l
-        v = np.zeros(2 * K + 1)
-        v[1:] = (1.0 - rho) * rho ** np.arange(1, 2 * K + 1)
-        # per state array, the views a step reads or writes: sources of the
-        # up-moves and of the down-moves, their targets, and states 1..K
-        src, dst = [(x[:-1], x[2:], x[1:], x[1:-1], x[1 : K + 1]) for x in (v, np.zeros_like(v))]
         weight = np.zeros((K + 1, len(pmfs), 1))  # weight[k] = step k's column of pmfs
         due = {}  # step -> the (row, slot) whose cut it is
         for r, (pmf, row_cuts) in enumerate(zip(pmfs, cuts)):
@@ -385,21 +389,35 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
             weight[:top, r, 0] = pmf[:top]
             for slot, n in enumerate(row_cuts):
                 due.setdefault(n, []).append((r, slot))
-        acc = weight[0] * src[4]
-        down, term = np.empty_like(src[1]), np.empty_like(acc)
+        # row 0 of a block carries the previous block's last states and sums;
+        # state 0 is the absorbing empty state, held at 0, and state l is entry l
+        size = min(K, max(1, _CHAIN_BLOCK_FLOATS // ((len(pmfs) + 2) * K + 1) - 1))
+        states = np.zeros((size + 1, 2 * K + 1))
+        sums = np.empty((size + 1, len(pmfs), K))
+        states[0, 1:] = (1.0 - rho) * rho ** np.arange(1, 2 * K + 1)
+        np.multiply(weight[0], states[0, 1 : K + 1], out=sums[0])
+        down = np.empty(2 * K - 1)
         mul, add = np.multiply, np.add
-        for k in range(1, K + 1):
-            # state l gets p from l-1 and q from l+1; state 1 gets 0 from the
-            # empty state and the top state nothing from above
-            mul(src[0], p_up, out=dst[2])
-            mul(src[1], q_down, out=down)
-            add(dst[3], down, out=dst[3])
-            mul(weight[k], dst[4], out=term)
-            add(acc, term, out=acc)
-            src, dst = dst, src
-            if k in due:
-                for r, slot in due[k]:
-                    heads[r][slot] = acc[r, :k].copy()
+        done = 0
+        while done < K:
+            n = min(size, K - done)
+            # per step, the sources of the up- and the down-moves in one row
+            # and their targets in the next
+            for up, dn, up_to, dn_to in zip(states[:n, :-1], states[:n, 2:],
+                                            states[1 : n + 1, 1:], states[1 : n + 1, 1:-1]):
+                # state l gets p from l-1 and q from l+1; state 1 gets 0 from the
+                # empty state and the top state nothing from above
+                mul(up, p_up, out=up_to)
+                mul(dn, q_down, out=down)
+                add(dn_to, down, out=dn_to)
+            mul(weight[done + 1 : done + n + 1], states[1 : n + 1, None, 1 : K + 1],
+                out=sums[1 : n + 1])
+            np.add.accumulate(sums[: n + 1], axis=0, out=sums[: n + 1])
+            for k, slots in due.items():
+                for r, slot in slots if done < k <= done + n else ():
+                    heads[r][slot] = sums[k - done, r, :k].copy()
+            states[0], sums[0] = states[n], sums[n]
+            done += n
     out = []
     for pmf, row_cuts, row_heads in zip(pmfs, cuts, heads):
         weights = []

@@ -13,7 +13,8 @@ The accumulation rate b enters the mean only as the prefactor
 rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
 correction sum itself depends on (lambda1, lambda2, mu, d) alone.
 ``_MeanInB`` computes the sum once and then prices any number of b
-values, which is what a search over b (``dapq.kpi``) needs.
+values, which is what a search over b (``dapq.kpi``) and a b sweep of
+``dapq mean`` need.
 
 Numerical notes
 ---------------
@@ -36,10 +37,11 @@ Numerical notes
   S = N + Poisson(lambda1 d) (N the M/D/1 queue length, with mean
   rho + rho^2/(2(1-rho))) over S <= l, less one integral over the residual
   service r in (0, 1/mu) of first-emptying terms.  That integrand is smooth,
-  and a fixed 64-node Gauss--Legendre rule evaluates it to roundoff (32
-  nodes agree to 1e-13 at occupancy 0.99).  Inside it, the tails
-  P[Poisson(z) >= a] have z < a, so they are summed upward from their
-  first term with every summand positive.  Only pi_1..pi_l and l x l
+  and a fixed 32-node Gauss--Legendre rule evaluates it to roundoff: over
+  162 configs (occupancy 0.1-0.99, class-1 share 0.05-0.95, l = 1-500) it
+  agrees with 64 nodes to 4.4e-16 times max(1, |value|) or better.  Inside
+  it, the tails P[Poisson(z) >= a] have z < a, so they are summed upward
+  from their first term with every summand positive.  Only pi_1..pi_l and l x l
   first-emptying coefficients enter, so the cost depends on the delay
   l = d*mu, not on the occupancy, and a delay above ``max_states`` raises
   ``TruncationOverflow``.
@@ -111,9 +113,9 @@ def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 # M/D/1 delayed APQ
 # --------------------------------------------------------------------------
 
-# Gauss--Legendre nodes of the residual-service integral; 32 nodes already
-# agree with 64 to 1e-13 at occupancy 0.99
-_MD1_NODES = 64
+# Gauss--Legendre nodes of the residual-service integral: exact to degree 63,
+# past the degree-29 band polynomial of its integrand
+_MD1_NODES = 32
 # first-emptying columns handled at once: memory grows as l times this
 _MD1_BLOCK = 128
 # r-side Poisson weights kept; beyond them (lam1 r)^n/n! < 1/30! = 4e-33
@@ -167,20 +169,25 @@ def _upper_poisson_moment(
 ) -> np.ndarray:
     """sum_{p >= a} (r + p - a) Pois(z; p) elementwise, for integers a >= 1 and 0 < z < a.
 
-    Summed upward from p = a, 16 terms at a time.  Every ratio z/(p+1) of
-    consecutive terms is below 1 and falls with p, so once the last term
-    times (r+i+1) q/(1-q)^2 is below 1e-17 of the sum, the rest is too.
+    Summed upward from p = a, 16 terms at a time, into buffers allocated
+    once.  Every ratio z/(p+1) of consecutive terms is below 1 and falls
+    with p, so once the last term times (r+i+1) q/(1-q)^2 is below 1e-17
+    of the sum, the rest is too.
     """
     t = np.exp(a * np.log(z) - z - log_fact[a])
     out = r * t
     steps = np.arange(1.0, 17.0)
+    ratios, terms, weighted = (np.empty(z.shape + (16,)) for _ in range(3))
     done = 0
     while True:
-        ratios = z[..., None] / (a[:, None] + (done + steps))
-        terms = t[..., None] * np.cumprod(ratios, axis=-1)
-        out = out + ((r[..., None] + (done + steps)) * terms).sum(axis=-1)
+        np.divide(z[..., None], a[:, None] + (done + steps), out=ratios)
+        np.cumprod(ratios, axis=-1, out=terms)
+        np.multiply(t[..., None], terms, out=terms)
+        np.add(r[..., None], done + steps, out=weighted)
+        np.multiply(weighted, terms, out=weighted)
+        out += weighted.sum(axis=-1)
         done += 16
-        t, q = terms[..., -1], ratios[..., -1]
+        t, q = terms[..., -1].copy(), ratios[..., -1]
         if np.all(t * (r + done + 1) * q <= 1e-17 * (1.0 - q) ** 2 * out):
             return out
 
@@ -198,9 +205,9 @@ def _md1_emptying_integral(ell: int, lam1: float, pi: np.ndarray, nodes: int) ->
     log_fact = _log_factorials(ell)
     band = min(ell, _MD1_BAND)
     # numres[q, k-1] = sum_{n < min(k, band)} pi_{k-n} (lam1 r_q)^n/n!, by a
-    # product with the banded Toeplitz matrix toep[n, k-1] = pi_{k-n}
+    # product with the banded Toeplitz matrix toep[n, k-1] = pi_{k-n}, 0 for k <= n
     padded = np.concatenate([np.zeros(band - 1), pi[1 : ell + 1]])
-    toep = np.lib.stride_tricks.sliding_window_view(padded, ell)[::-1]
+    toep = padded[np.arange(band - 1, -1, -1)[:, None] + np.arange(ell)]
     numres = _poisson_weights(lam1 * r, band) @ toep
     rc = r[:, None]
     total = np.zeros_like(r)
@@ -339,7 +346,11 @@ def dapq_means(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> WaitS
     and the conservation law then work from its rates.
     """
     rates = validate(config)
-    mean_w2 = _MeanInB(config, rates, tol)(config.b)
+    return _wait_summary(config, rates, _MeanInB(config, rates, tol)(config.b))
+
+
+def _wait_summary(config: QueueConfig, rates: DerivedRates, mean_w2: float) -> WaitSummary:
+    """Both means and the conservation residual, from the class-2 mean of ``config``."""
     mean_w1 = _class1_mean_from_class2(config, rates, mean_w2)
     resid = abs(rates.rho1 * mean_w1 + rates.rho2 * mean_w2 - _conservation_rhs(config, rates))
     return WaitSummary(

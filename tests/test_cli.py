@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import cli_csv_by_rows, csv_payload_by_rows, run_single_by_events
-from dapq import cli, kpi, simulate
-from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main
-from dapq.core import Kpi, QueueConfig, ServiceKind
+from dapq import cli, kpi, markov, mean_wait, simulate
+from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
+from dapq.core import DapqError, Kpi, QueueConfig, ServiceKind, TruncationOverflow
 
 
 def run_cli(capsys, *argv):
@@ -507,6 +507,59 @@ def test_rerun_csv_equals_row_by_row_oracle(name, tmp_path):
     again = tmp_path / "again.csv"
     assert main(["rerun", str(first) + ".manifest.json", "--out", str(again)]) == EXIT_OK
     assert again.read_bytes() == cli_csv_by_rows(argv)[0].encode()
+
+
+def test_rerun_of_a_simulation_leaves_its_dump_and_summary_alone(tmp_path):
+    argv = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--t-max", "2", *_SIM]
+    first, raw, summary = tmp_path / "a.csv", tmp_path / "raw.csv", tmp_path / "summary.csv"
+    assert main(argv + ["--out", str(first), "--raw", str(raw),
+                        "--summary-out", str(summary)]) == EXIT_OK
+    before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in (raw, summary)}
+    again = tmp_path / "b.csv"
+    assert main(["rerun", str(first) + ".manifest.json", "--out", str(again)]) == EXIT_OK
+    assert again.read_bytes() == first.read_bytes()
+    assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in before} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a.csv", "a.csv.manifest.json", "b.csv", "b.csv.manifest.json", "raw.csv", "summary.csv"]
+
+
+@pytest.mark.parametrize("service", ["exp", "det"])
+def test_mean_sweep_computes_one_correction_per_delay(service, monkeypatch, tmp_path):
+    # exponential service runs one chain for every delay, deterministic
+    # service one closed form per delay, whatever the number of b values
+    argv = ["mean", "--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2",
+            "--service", service]
+    want, _ = cli_csv_by_rows(argv)
+    calls = []
+    for module, name in ((markov, "_busy_weights_rows"), (mean_wait, "_md1_correction_sum")):
+        def counted(*args, _run=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == want.encode()
+    # det: d = 0 has a closed form, so d = 2, 4, 6, 8 compute one sum each
+    assert calls == (["_busy_weights_rows"] if service == "exp" else ["_md1_correction_sum"] * 4)
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--service", "det", "--b", "0:1:0.5", "--d", "0:2:0.5"], None),
+    (["--b", "0:1.5:0.5", "--d", "0:2"], None),
+    (["--b", "0:1:0.5", "--d", "0:30:10"], "40"),
+    (["--service", "det", "--b", "0:1:0.5", "--d", "0:300:100"], "150"),
+    (["--lam1", "0", "--b", "0:1:0.5", "--d", "0:2"], None),
+])
+def test_mean_sweep_fails_at_the_first_failing_point(argv, env, monkeypatch, capsys):
+    # the sweep raises what the per-point loop raised first, with its exit code
+    argv = ["mean", "--lam1", "0.5", "--lam2", "0.3", *argv]
+    if env:
+        monkeypatch.setenv("DAPQ_MAX_STATES", env)
+    with pytest.raises(DapqError) as want:
+        cli_csv_by_rows(argv)
+    code, _, err = run_cli(capsys, *argv)
+    assert err == f"error: {type(want.value).__name__}: {want.value}\n"
+    assert code == (EXIT_NUMERICAL if isinstance(want.value, TruncationOverflow) else EXIT_INVALID)
 
 
 @pytest.mark.parametrize("argv", [

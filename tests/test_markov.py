@@ -27,6 +27,7 @@ from dapq.core import (
     validate,
 )
 from dapq.markov import (
+    _CHAIN_BLOCK_FLOATS,
     _busy_weights_rows,
     _delay_weights,
     _jump_cuts,
@@ -326,6 +327,31 @@ def test_busy_weights_rows_equal_the_one_row_loop_bit_for_bit(lam1, lam2, ds, ma
             want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
             assert np.array_equal(got.head, want.head)
             assert got.tail_next == want.tail_next and got.rho == want.rho
+            assert got.first_moment() == want.first_moment()
+
+
+def test_busy_weights_rows_over_many_blocks_equal_the_loop_in_bounded_memory():
+    # twelve delays with cuts up to K = 2338: a block holds 7 steps, so the
+    # sums cross 334 blocks; summing every step of every row at once would
+    # take (K+1) x 12 x K floats, 500 MiB
+    rates = validate(QueueConfig(0.5, 0.3, 1.0))
+    ds = [0.5, 3.0, 40.0, 300.0, 700.0, 1000.0, 1300.0, 1300.0, 200.0, 900.0, 1100.0, 60.0]
+    pmfs, cuts = [], []
+    for d in ds:
+        pmf, *row_cuts = _jump_cuts(rates.nu * d, rates.rho, ToleranceConfig())
+        pmfs.append(pmf)
+        cuts.append(tuple(row_cuts))
+    K = max(max(c) for c in cuts)
+    assert K == 2338
+    tracemalloc.start()
+    run = _busy_weights_rows(rates, pmfs, cuts)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 3 * 8 * _CHAIN_BLOCK_FLOATS < (K + 1) * len(ds) * K * 8 / 50
+    for pmf, row_cuts, row in zip(pmfs, cuts, run):
+        for n, got in zip(row_cuts, row):
+            want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
+            assert np.array_equal(got.head, want.head) and got.tail_next == want.tail_next
             assert got.first_moment() == want.first_moment()
 
 

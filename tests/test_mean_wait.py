@@ -32,6 +32,7 @@ from dapq.core import (
 from dapq import mean_wait
 from dapq.markov import _busy_weights_rows, _jump_cuts
 from dapq.mean_wait import (
+    _MD1_NODES,
     _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
@@ -227,6 +228,20 @@ def test_md1_heavy_traffic(share, ell):
     coarse = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=32)
     fine = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=64)
     assert abs(coarse - fine) <= 1e-13 * max(1.0, fine)
+
+
+@pytest.mark.parametrize("ell", [1, 8, 30, 200, 500])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.99])
+def test_md1_default_rule_agrees_with_64_nodes(rho, ell):
+    # the default residual-service rule has 32 nodes; the worst measured
+    # gap to 64 nodes over these configs is 1.9e-16 relative
+    assert _MD1_NODES == 32
+    for share in (0.05, 0.5, 0.95):
+        cfg = QueueConfig(rho * share, rho * (1.0 - share), 1.0, b=0.5, d=float(ell), service=DET)
+        rates = validate(cfg)
+        got = _md1_correction_sum(cfg, rates, DEFAULT_TOL)
+        fine = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=64)
+        assert abs(got - fine) <= 1e-14 * max(1.0, abs(fine))
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.99])

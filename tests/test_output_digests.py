@@ -15,8 +15,14 @@ def test_output_digests_are_one_repeatable_line_per_output():
     lines = _digests(ROOT)
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
-    assert (kinds.count("means"), kinds.count("cdf"), kinds.count("kpi")) == (64, 3, 3)
+    counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean")]
+    assert counts == [64, 3, 3, 2]
     for line in lines:
+        if line.startswith("mean "):
+            _, service, code, digest = line.split()
+            assert service in ("service=exp", "service=det") and code == "exit=0"
+            assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
+            continue
         fields = line.split(" ", 3)[3]
         if line.startswith("means"):
             w1, w2 = (float.fromhex(f.split("=")[1]) for f in fields.split())

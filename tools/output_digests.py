@@ -7,8 +7,11 @@ The script runs the ``means``, ``cdf`` and ``kpi`` specs of
 ``TREE/perfbench/workloads.py`` on each seed with TREE's ``dapq`` and
 prints one line per output: for ``means`` the float hex of both means, for
 ``cdf`` and ``kpi`` the exit code, the CSV's sha256 and the manifest
-without ``duration_s`` and the output path.  CSVs go to a temporary
-directory and no bytecode is written, so nothing is written inside TREE.
+without ``duration_s`` and the output path.  It then prints the exit code
+and CSV sha256 of one fixed ``dapq mean`` sweep over b and d per service
+kind (``MEAN_SWEEP``), which covers the command line's mean path.  CSVs go
+to a temporary directory and no bytecode is written, so nothing is
+written inside TREE.
 Diffing the output for two trees shows whether any output changed.
 """
 
@@ -22,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("means", "cdf", "kpi")
+MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -48,6 +52,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import dapq
+    import dapq.cli
     import workloads
 
     for module in (dapq, workloads):
@@ -61,6 +66,11 @@ def main(argv=None) -> int:
                     path = Path(scratch) / f"{name}-{seed}-{i}.csv"
                     print(f"{name} seed={seed} op={i} {_digest(name, workload.run(spec, path), path)}",
                           flush=True)
+        for service in ("exp", "det"):
+            path = Path(scratch) / f"mean-{service}.csv"
+            code = dapq.cli.main(["mean", *MEAN_SWEEP, "--service", service, "--out", str(path)])
+            print(f"mean service={service} exit={code} "
+                  f"sha256={hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
     return 0
 
 
