@@ -47,6 +47,7 @@ from .core import (
     ToleranceConfig,
     TruncationOverflow,
     UnstableSystem,
+    _check_count,
     validate,
 )
 
@@ -95,6 +96,7 @@ def _parse_sweep(text: str) -> List[float]:
     lo, hi, step = values if len(parts) == 3 else values + [1.0]
     if step <= 0 or hi < lo:
         raise OutOfRange(f"cannot parse sweep {text!r}")
+    _check_count((hi - lo) / step + 1.0, f"sweep {text!r}")
     n = int(round((hi - lo) / step))
     vals = [lo + i * step for i in range(n + 1)]
     if vals[-1] > hi + 1e-12:
@@ -177,6 +179,7 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     service = _service(args.service)
     bs = _parse_sweep(args.b)
     ds = _parse_sweep(args.d)
+    _check_count(len(bs) * len(ds), "the b x d grid")
     b_col = bs * len(ds)
     d_col = [d for d in ds for _ in bs]
     # one class-2 mean function of b per delay, as a KPI sweep builds them: every
@@ -208,6 +211,7 @@ def _cdf_grid(args, cfg: QueueConfig) -> np.ndarray:
         if not (0.0 <= args.t_max < math.inf and 0.0 < args.dt < math.inf):
             raise OutOfRange(f"want finite --t-max >= 0 and --dt > 0, got "
                              f"{args.t_max} and {args.dt}")
+        _check_count((args.t_max + 1e-12) / args.dt, "the --t-max/--dt grid")
         return np.arange(0.0, args.t_max + 1e-12, args.dt)
     return transforms.default_grid(cfg)
 

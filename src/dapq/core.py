@@ -188,6 +188,15 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+# the most values a sweep, grid or region may hold
+_MAX_VALUES = 10**6
+
+
+def _check_count(count: float, what: str) -> None:
+    """Raise OutOfRange before building ``count`` values (a float, maybe inf) above _MAX_VALUES."""
+    if not count <= _MAX_VALUES:
+        raise OutOfRange(f"{what} would hold {count:.6g} values, more than {_MAX_VALUES}")
+
 
 # --------------------------------------------------------------------------
 # operations

@@ -4,9 +4,10 @@ For a class-2 KPI the search finds the *smallest* accumulation rate whose
 waiting-time CDF meets the compliance target at the given delay (smaller b
 is always better for class-1); for a class-1 KPI it finds the *largest*
 rate whose exact class-1 mean stays under the zero-inflated-exponential
-threshold.  Both constraint functions are monotone in b; monotonicity is
-checked empirically on a coarse grid before each search rather than
-assumed.
+threshold.  Both constraint functions are monotone in b.  The class-2
+search checks that empirically on a coarse grid before it searches; the
+class-1 rate is a closed form, and conservation makes its monotonicity
+exact (``b_star_class1``).
 
 A KPI needs parameter tuning only between two extremes: where the
 favorable extreme discipline (strict priority for class-2 targets, FCFS
@@ -14,9 +15,9 @@ for class-1 targets) already complies, no tuning is needed; where even the
 unfavorable extreme fails, no tuning can help.  ``feasible_region`` traces
 both frontiers over arrival-rate pairs.
 
-Every search runs in lockstep over rows: the lambda1 values of a region,
-or the delays of a sweep (a single search is the one-row case).  Each
-probe is one batched inversion over the rows still searching
+Every class-2 search runs in lockstep over rows: the lambda1 values of a
+region, or the delays of a sweep (a single search is the one-row case).
+Each probe is one batched inversion over the rows still searching
 (``transforms._invert_over_delay_rows``).  Each row narrows its own
 bracket by the ITP method (``_itp_rows``): a regula-falsi point from the
 signed residuals at the bracket ends, truncated towards the midpoint and
@@ -53,7 +54,9 @@ from .core import (
     ServiceKind,
     ToleranceConfig,
     UnstableSystem,
+    _check_count,
     _class1_mean_from_class2,
+    _conservation_rhs,
     validate,
 )
 from .markov import _delay_weights
@@ -66,8 +69,10 @@ class PolicyPoint:
     ``error_estimate`` is the largest certified inversion error (Euler
     estimate plus exp(-A)) over the search's probes: 0 for a class-1
     search, which inverts nothing.  ``probes`` is the number of times the
-    search evaluated the point's constraint.  Both describe how the point
-    was found and take no part in comparisons.
+    search evaluated the point's constraint: for a class-1 KPI the means
+    at b = 0 and 1, then each mean of the step-down from the closed-form
+    b*.  Both describe how the point was found and take no part in
+    comparisons.
     """
 
     d: float
@@ -249,13 +254,13 @@ def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 _MONOTONE_RATES = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def _check_monotone(state: _Rows, rows, f0, f1, probe, slack, what: str) -> np.ndarray:
+def _check_monotone(state: _Rows, rows, f0, f1, probe, slack: float, what: str) -> np.ndarray:
     """Check each row's constraint for increase on five rates in [0, 1].
 
-    ``f0`` and ``f1`` are the known values at 0 and 1 (indexed by row),
-    ``probe(b, rows)`` returns (values, ok) at one rate and ``slack`` is a
-    float or one value per row.  A row that fails a probe or falls by more
-    than its slack fails; returns the rows that pass.
+    ``f0`` and ``f1`` are the known values at 0 and 1 (indexed by row) and
+    ``probe(b, rows)`` returns (values, ok) at one rate.  A row that fails
+    a probe or falls by more than ``slack`` fails; returns the rows that
+    pass.
     """
     table = np.empty((len(f0), len(_MONOTONE_RATES)))
     table[:, 0], table[:, -1] = f0, f1
@@ -263,8 +268,7 @@ def _check_monotone(state: _Rows, rows, f0, f1, probe, slack, what: str) -> np.n
         values, ok = probe(b, rows)
         rows = rows[ok]
         table[rows, j] = values[ok]
-    slack = np.broadcast_to(slack, len(f0))[rows]
-    ok = np.all(np.diff(table[rows], axis=1) >= -slack[:, None], axis=1)
+    ok = np.all(np.diff(table[rows], axis=1) >= -slack, axis=1)
     for r in rows[~ok]:
         state.fail(r, MonotonicityViolation(
             f"{what} is not monotone in b on {_MONOTONE_RATES}: "
@@ -293,7 +297,7 @@ def _b_free_rows(configs: Sequence[QueueConfig], state: _Rows, heads: bool) -> t
     """
     tol = state.tol
     n = len(configs)
-    rates, quotients, weights = [None] * n, [None] * n, [None] * n
+    rates, moments, weights = [None] * n, [None] * n, [None] * n
     batch = []
     for r, cfg in enumerate(configs):
         try:
@@ -313,8 +317,8 @@ def _b_free_rows(configs: Sequence[QueueConfig], state: _Rows, heads: bool) -> t
                 state.fail(r, w)
                 continue
             weights[r] = w
-            quotients[r] = moment if isinstance(moment, DapqError) else (moment, 1.0)
-    means = [None if r in state.errors else mean_wait._MeanInB(cfg, rates[r], tol, quotients[r])
+            moments[r] = moment
+    means = [None if r in state.errors else mean_wait._MeanInB(cfg, rates[r], tol, moments[r])
              for r, cfg in enumerate(configs)]
     return rates, means, weights
 
@@ -476,62 +480,50 @@ def _b_star_class2_rows(
 def _b_star_class1_rows(
     configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
 ) -> PolicySweep:
-    """``b_star_class1`` for configs that differ only in d, in lockstep.
+    """``b_star_class1`` for configs that differ only in d, each row in closed form.
 
-    A step prices every row's rate at once: the class-2 mean is
-    ``mean_wait._priced_mean`` over the rows' b-free (num, den), and the
-    class-1 mean follows by ``core._class1_mean_from_class2`` on the
-    arrays, as the one-row mean does.
+    With threshold thr, conservation makes the class-1 mean meet thr
+    exactly where the class-2 mean is m2* = (rhs - rho1 thr) / rho2, and
+    ``mean_wait._MeanInB.rate_for`` solves that for b.  The class-2 mean is
+    npq less g(b) times a b-free correction, and g increases in b, so the
+    class-1 mean is monotone in b, its direction fixed by the correction's
+    sign; m1(0) <= thr < m1(1) makes it increasing, so the rows meeting the
+    KPI are b <= b*, and no monotonicity probe is needed.  Roundoff can
+    leave the mean at the root a few ulps above thr: the search steps down
+    from it in gaps of doubling size (an ulp, two, ...) until the mean,
+    computed as ``mean_wait.dapq_means`` computes it, meets thr, which
+    b = 0 does.  At every interior b* the class-2 mean is m2* to roundoff,
+    which depends on no delay: this is the trend a class-1 sweep shows.
     """
     if kpi.class_index != 1:
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
     n = len(configs)
     state = _Rows(n, tol)
     rates, means, _ = _b_free_rows(configs, state, heads=False)
-    threshold, m0, m1 = np.zeros(n), np.zeros(n), np.zeros(n)
-    num, den = np.zeros(n), np.ones(n)
     outcome = {}
-    live = []
     for r in state.alive(range(n)):
-        cfg = configs[r]
-        try:
-            threshold[r] = approx.kpi_mean_threshold(rates[r].rho, kpi)
-            if math.isinf(threshold[r]):  # approx.ALWAYS_SATISFIED
-                outcome[r] = (1.0, True)
-                continue
+        cfg, rt, mean_w2 = configs[r], rates[r], means[r]
+
+        def mean1(b):
             state.probes[r] += 1
-            m0[r] = _class1_mean_from_class2(cfg, rates[r], means[r](0.0))
-            if m0[r] > threshold[r]:
+            return _class1_mean_from_class2(cfg, rt, mean_w2(b))
+
+        try:
+            threshold = approx.kpi_mean_threshold(rt.rho, kpi)
+            if math.isinf(threshold):  # approx.ALWAYS_SATISFIED
+                outcome[r] = (1.0, True)
+            elif mean1(0.0) > threshold:
                 outcome[r] = (0.0, False)
-                continue
-            num[r], den[r] = means[r].correction()
-            live.append(r)
+            elif mean1(1.0) <= threshold:
+                outcome[r] = (1.0, True)
+            else:
+                b = mean_w2.rate_for((_conservation_rhs(cfg, rt) - rt.rho1 * threshold) / rt.rho2)
+                gap = math.ulp(b)
+                while mean1(b) > threshold:
+                    b, gap = max(0.0, b - gap), 2.0 * gap
+                outcome[r] = (b, True)
         except DapqError as exc:
             state.fail(r, exc)
-    live = np.array(live, dtype=int)
-    if live.size:
-        base, base_rates = configs[live[0]], rates[live[0]]
-        npq = mean_wait._npq_class2_mean(base, base_rates)
-
-        def mean1(b, rr):
-            state.probes[rr] += 1
-            w2 = mean_wait._priced_mean(base, npq, b, num[rr], den[rr])
-            return _class1_mean_from_class2(base, base_rates, w2), np.ones(len(rr), dtype=bool)
-
-        def residual(b, rr):
-            values, ok = mean1(b, rr)
-            return values - threshold[rr], ok
-
-        m1[live] = mean1(1.0, live)[0]
-        done = m1[live] <= threshold[live]
-        for r in live[done]:
-            outcome[r] = (1.0, True)
-        live = _check_monotone(state, live[~done], m0, m1, mean1,
-                               1e-9 * np.maximum(1.0, threshold), "class-1 mean wait")
-        lo, _ = _itp_rows(residual, live, np.zeros(n), np.ones(n), m0 - threshold,
-                          m1 - threshold, tol.eps_root, ties_lo=True)
-        for r in live:
-            outcome[r] = (float(lo[r]), True)
     return _points(configs, outcome, rates, means, state)
 
 
@@ -554,11 +546,12 @@ def b_star_class1(
 ) -> PolicyPoint:
     """Largest accumulation rate meeting a class-1 KPI at the config's delay.
 
-    The constraint is evaluated through the exact class-1 mean against the
-    zero-inflated-exponential threshold, which makes the search exact given
-    the approximation (and fast).  The mean's correction sum is b-free, so
-    it is computed once and each step of the search costs a few float
-    operations.  This is the one-row case of ``policy_sweep``.
+    The constraint is the exact class-1 mean against the
+    zero-inflated-exponential threshold, which makes the result exact given
+    the approximation.  b* is a closed form, stepped down where roundoff
+    leaves its mean above the threshold (``_b_star_class1_rows``), and
+    ``probes`` counts the means evaluated: at b = 0 and 1, then each of
+    the step-down.  This is the one-row case of ``policy_sweep``.
     """
     return _b_star_class1_rows([config], kpi, tol)[0]
 
@@ -657,12 +650,14 @@ def feasible_region(
     narrows its bracket to 1e-4 in at most one probe more than bisection
     would take, and its frontier is the bracket's midpoint, within 1e-4 of
     the bisection midpoint.  When rows fail, the error of the lowest
-    lambda1 is raised.
+    lambda1 is raised.  A resolution that would give more than
+    ``core._MAX_VALUES`` lambda1 values raises OutOfRange.
     """
     if not 0.0 < resolution < math.inf:
         raise OutOfRange(f"resolution must be positive and finite, got {resolution}")
     if not 0.0 < mu < math.inf:
         raise OutOfRange(f"service rate mu must be positive and finite, got {mu}")
+    _check_count(mu / resolution, "the lambda1 grid")
     w, p = kpi.target_w, kpi.compliance_p
     rho_fcfs = _fcfs_boundary_rho(kpi, mu, tol.eps_root)
     lam1s = np.arange(resolution, mu, resolution)
@@ -735,30 +730,20 @@ def policy_sweep(
     The searches of all delays run in lockstep (see the module notes); when
     several fail, the error of the first delay in ``d_values`` is raised.
     For class-2 KPIs the class-1 mean must be nondecreasing along
-    (d, b*(d)); for class-1 KPIs the class-2 mean must be constant (to
-    1e-4) wherever b* is interior.  Violations raise MonotonicityViolation
-    since downstream conclusions rest on these trends.  Returns a
+    (d, b*(d)), and a violation raises MonotonicityViolation since
+    downstream conclusions rest on that trend.  For class-1 KPIs the
+    class-2 mean is the same at every interior b*, by conservation (see
+    ``_b_star_class1_rows``), so there is nothing to check.  Returns a
     ``PolicySweep``: the points, with the sweep's inversion and chain
     counts.
     """
     configs = [config.replace(d=float(d)) for d in d_values]
-    if kpi.class_index == 2:
-        points = _b_star_class2_rows(configs, kpi, tol)
-    else:
-        points = _b_star_class1_rows(configs, kpi, tol)
-    feas = [pt for pt in points if pt.feasible]
-    if kpi.class_index == 2:
-        w1s = [pt.mean_w1 for pt in feas]
-        if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
-            raise MonotonicityViolation(
-                f"class-1 mean not nondecreasing along the sweep: {w1s}"
-            )
-    else:
-        interior = [pt for pt in feas if 0.0 < pt.b_star < 1.0]
-        if interior:
-            w2s = [pt.mean_w2 for pt in interior]
-            if max(w2s) - min(w2s) > 1e-4:
-                raise MonotonicityViolation(
-                    f"class-2 mean not constant along the sweep: {w2s}"
-                )
+    if kpi.class_index == 1:
+        return _b_star_class1_rows(configs, kpi, tol)
+    points = _b_star_class2_rows(configs, kpi, tol)
+    w1s = [pt.mean_w1 for pt in points if pt.feasible]
+    if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
+        raise MonotonicityViolation(
+            f"class-1 mean not nondecreasing along the sweep: {w1s}"
+        )
     return points

@@ -14,7 +14,9 @@ rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
 correction sum itself depends on (lambda1, lambda2, mu, d) alone.
 ``_MeanInB`` computes the sum once and then prices any number of b
 values, which is what a search over b (``dapq.kpi``) and a b sweep of
-``dapq mean`` need.
+``dapq mean`` need.  The prefactor is linear-fractional in b, so the rate
+that gives a class-2 mean, and through conservation a class-1 mean, is
+one closed form (``_MeanInB.rate_for``).
 
 Numerical notes
 ---------------
@@ -261,67 +263,42 @@ def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 # the class-2 mean as a function of b
 # --------------------------------------------------------------------------
 
-def _correction_quotient(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> tuple:
-    """The b-free part of the class-2 correction as a quotient (num, den).
-
-    The mean at rate b is npq - g(b) num / den (``_priced_mean``): num is
-    the correction sum (the Poisson k-sum for exponential service, a closed
-    form for deterministic service) and den 1 or mu, which keeps the
-    operation order of each service kind's formula; a deterministic delay
-    below one service has the closed form rho / (2 mu (1 - rho)).
-    """
-    if config.service is ServiceKind.EXPONENTIAL:
-        return _mm1_correction_sum(config, rates, tol), 1.0
-    if round(config.d * config.mu) == 0:
-        return rates.rho, 2.0 * config.mu * (1.0 - rates.rho)
-    # the closed form works in mu = 1 units; the correction scales by 1/mu
-    return _md1_correction_sum(config, rates, tol), config.mu
-
-
-def _priced_mean(config: QueueConfig, npq, b, num, den):
-    """The class-2 mean npq - g(b) num / den at rate b, elementwise in b, num and den.
-
-    g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for exponential
-    service, prices the b-free correction quotient (num, den) of
-    ``_correction_quotient``; npq is the strict-priority mean.  A search
-    prices many rates or rows at once; the config's own b is not used.
-    """
-    rho1 = config.lambda1 / config.mu
-    rho1_acc = config.lambda1 * (1.0 - b) / config.mu
-    if config.service is ServiceKind.EXPONENTIAL:
-        g = rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
-    else:
-        g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
-    return npq - g * num / den
-
-
 class _MeanInB:
-    """b -> exact E[W2] at fixed rates and delay.
+    """b -> exact E[W2] at fixed rates and delay, and back.
 
-    The accumulation rate enters only as the prefactor of the b-free
-    correction (``_correction_quotient``), which is computed at the first
-    b that needs it and kept, so later calls cost a few float operations;
-    each value equals the one-shot mean of ``config.replace(b=b)`` bit for
-    bit.  The config's own ``b`` is ignored.  ``rates`` are those
-    ``validate`` gave the config at any b: only their b-free fields are
-    read.  ``quotient`` is the b-free (num, den) when the caller has
-    computed it (``dapq.kpi`` does, for all delays of a sweep at once), or
-    the ``DapqError`` computing it raised, which a call that needs the
-    correction raises; None computes it on first use.
+    The mean at rate b is npq - g(b) num / den: npq is the strict-priority
+    mean, g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for
+    exponential service, and the b-free quotient (num, den) is computed at
+    the first b that needs it and kept, so later calls cost a few float
+    operations; each value equals the one-shot mean of
+    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is
+    ignored, and of ``rates``, which ``validate`` gave the config at any b,
+    only the b-free fields are read.  ``moment`` is the exponential-service
+    correction sum when the caller has it (``dapq.kpi`` computes those of
+    all delays of a sweep at once), or the ``DapqError`` computing it
+    raised, which a call that needs the correction raises; None computes
+    it on first use.
     """
 
     def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
-                 quotient=None):
+                 moment=None):
         self._config = config
         self._rates = rates
         self._tol = tol
-        self._quotient = quotient
+        # a caller's exponential-service sum is the quotient (sum, 1); its error is kept
+        self._quotient = (moment, 1.0) if isinstance(moment, float) else moment
         self._npq = _npq_class2_mean(config, rates)
 
-    def correction(self) -> tuple:
-        """The b-free (num, den) of ``_correction_quotient``, computed on first use."""
+    def _correction(self) -> tuple:
+        """The b-free (num, den): correction sum and 1 or mu, in each kind's operation order."""
         if self._quotient is None:
-            self._quotient = _correction_quotient(self._config, self._rates, self._tol)
+            config, rates, tol = self._config, self._rates, self._tol
+            if config.service is ServiceKind.EXPONENTIAL:
+                self._quotient = _mm1_correction_sum(config, rates, tol), 1.0
+            elif round(config.d * config.mu) == 0:  # below one service: rho / (2 mu (1 - rho))
+                self._quotient = rates.rho, 2.0 * config.mu * (1.0 - rates.rho)
+            else:  # the closed form works in mu = 1 units; the correction scales by 1/mu
+                self._quotient = _md1_correction_sum(config, rates, tol), config.mu
         if isinstance(self._quotient, DapqError):
             raise self._quotient
         return self._quotient
@@ -331,8 +308,29 @@ class _MeanInB:
             raise OutOfRange(f"accumulation ratio b must lie in [0,1], got {b}")
         if b == 0.0 or self._rates.rho1 == 0.0:
             return self._npq
-        num, den = self.correction()
-        return float(_priced_mean(self._config, self._npq, b, num, den))
+        num, den = self._correction()
+        config, rho1 = self._config, self._rates.rho1
+        rho1_acc = config.lambda1 * (1.0 - b) / config.mu
+        if config.service is ServiceKind.EXPONENTIAL:
+            g = rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
+        else:
+            g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
+        return float(self._npq - g * num / den)
+
+    def rate_for(self, mean_w2: float) -> float:
+        """The rate in [0, 1] whose class-2 mean is ``mean_w2``, to roundoff.
+
+        The mean must vary with b.  g(b) = c b / (1 - rho1 (1 - b)) with
+        c = g(1), so g(b) = G at b = G (1 - rho1) / (c - G rho1), where
+        G = (npq - mean_w2) den / num.
+        """
+        num, den = self._correction()
+        rho1 = self._rates.rho1
+        c = rho1 / (1.0 - rho1)
+        if self._config.service is ServiceKind.EXPONENTIAL:
+            c /= self._config.mu
+        big_g = (self._npq - mean_w2) * den / num
+        return min(1.0, max(0.0, big_g * (1.0 - rho1) / (c - big_g * rho1)))
 
 
 # --------------------------------------------------------------------------

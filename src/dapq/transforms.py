@@ -240,9 +240,9 @@ _AVERAGE = np.ones(len(_NODES))
 _AVERAGE[_N_BURN:] = np.cumsum(_BINOM[::-1])[::-1]
 
 
-def _euler_params(eps: float):
-    a = max(18.5, -math.log(eps) + 2.3)
-    return a, _N_BURN, _N_AVG  # contour constant, burn-in terms, averaged terms
+def _euler_params(eps: float) -> float:
+    """The contour constant A for inversion accuracy ``eps``."""
+    return max(18.5, -math.log(eps) + 2.3)
 
 
 def _block_arrays(count: int, ts_shape) -> np.ndarray:
@@ -296,7 +296,7 @@ def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     one array allocated per call, and once fn has returned, the products
     are written over it; the short last block uses its leading part.
     """
-    scaled_nodes, average, change = _euler_constants(_euler_params(tol.eps_invert)[0])
+    scaled_nodes, average, change = _euler_constants(_euler_params(tol.eps_invert))
     (s_work,) = _block_arrays(1, ts.shape)
     values = np.empty(ts.shape)
     estimates = np.empty(ts.shape)
@@ -322,7 +322,7 @@ def _accuracy_gate(worst, tol: ToleranceConfig):
     ok, failures): the certified errors, the pass mask and one
     AccuracyNotMet per failed entry, in order.
     """
-    error = worst + math.exp(-_euler_params(tol.eps_invert)[0])
+    error = worst + math.exp(-_euler_params(tol.eps_invert))
     ok = error <= tol.eps_invert
     failures = [
         AccuracyNotMet(f"inversion error estimate {e:.3e} exceeds eps_invert={tol.eps_invert:.3e}")

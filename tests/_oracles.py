@@ -9,7 +9,9 @@ busy-horizon weights are a full reachability-sized vector and the class-2
 CDF is inverted one scalar contour evaluation at a time; these share only
 the Poisson jump cut and the Euler parameters with the package.  Poisson
 tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
-and the KPI searches evaluate each b from scratch.  The row-by-row KPI
+and the KPI searches evaluate each b from scratch; so does the bisection
+that places a class-1 crossing to float resolution
+(``class1_crossing_by_bisection``).  The row-by-row KPI
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
@@ -71,6 +73,8 @@ from dapq.markov import (
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
 from dapq.transforms import (
+    _N_AVG,
+    _N_BURN,
     _certified_curve,
     _eta_into,
     _euler_invert,
@@ -537,7 +541,7 @@ def euler_invert_by_division(fn, ts, tol=DEFAULT_TOL):
     fresh arrays for every block; returns (values, estimates) shaped like
     ts.  Only A and the two term counts come from the package.
     """
-    a, n_burn, n_avg = _euler_params(tol.eps_invert)
+    a, n_burn, n_avg = _euler_params(tol.eps_invert), _N_BURN, _N_AVG
     nodes = np.arange(n_burn + n_avg + 1)
     sign = np.where(nodes % 2 == 1, -1.0, 1.0)
     sign[0] = 0.5
@@ -627,7 +631,7 @@ def _invert_point(fn, t, a, n_burn, n_avg):
 def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
     """Clamped class-2 CDF, point by point from the full weight vector, and the worst estimate."""
     rates = validate(config)
-    a, n_burn, n_avg = _euler_params(tol.eps_invert)
+    a, n_burn, n_avg = _euler_params(tol.eps_invert), _N_BURN, _N_AVG
 
     def shifted(cfg):
         w = busy_state_distribution(cfg, tol)
@@ -820,6 +824,24 @@ def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
     _check_monotone_per_b(mean1, 1e-9 * max(1.0, threshold), "class-1 mean wait")
     b = _largest(mean1, threshold, m0, m1, tol.eps_root)
     return _policy_point_per_b(config, b, True, tol)
+
+
+def class1_crossing_by_bisection(config, kpi, tol=DEFAULT_TOL):
+    """The last b whose class-1 mean meets the KPI's threshold in a bisection
+    of [0, 1] down to adjacent floats, a full ``dapq_means`` per probe.
+
+    Wants a mean at most the threshold at b = 0 and above it at b = 1.
+    """
+    threshold = approx.kpi_mean_threshold(validate(config.replace(b=0.0)).rho, kpi)
+    mean1 = class1_mean_per_b(config, tol)
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mean1(mid) <= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # --------------------------------------------------------------------------

@@ -371,6 +371,10 @@ _REGION = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--region"]
     (["mean", *_QUEUE], {"DAPQ_MAX_STATES": "1.5"}),
     (["mean", *_QUEUE], {"DAPQ_EPS_INVERT": "nan"}),
     (["mean", *_QUEUE], {"DAPQ_EPS_SERIES": "inf"}),
+    # counts too large to build: each is counted, and refused, before anything is allocated
+    (["mean", *_QUEUE, "--d", "0:1:1e-320"], {}),
+    (["cdf", "--kind", "dapq2", *_QUEUE, "--t-max", "1e300", "--dt", "1e-300"], {}),
+    ([*_REGION, "--resolution", "1e-300"], {}),
 ])
 def test_bad_numbers_are_rejected_with_one_error_line(argv, env, tmp_path, monkeypatch, capsys):
     for name, value in env.items():

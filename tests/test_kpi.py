@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from _oracles import (
     b_star_class1_per_b,
     b_star_class2_per_b,
+    class1_crossing_by_bisection,
     class1_mean_per_b,
     class2_cdf_per_b,
     class2_mean_in_b,
+    conservation_rhs,
     feasible_region_by_probes,
     itp_bracket,
     npq_meets_by_probe,
@@ -32,6 +34,7 @@ from dapq.core import (
     validate,
 )
 from dapq.kpi import (
+    PolicyPoint,
     b_star_class1,
     b_star_class2,
     feasible_region,
@@ -222,6 +225,43 @@ def _outcome(search, cfg, kpi):
         return type(exc), str(exc)
 
 
+def _class1_outcomes_match(cfg, target, got, want):
+    """Class-1 search outcomes against the ITP oracle's ``want``: a point, a
+    list of points at the delays of a sweep of ``cfg``, or an error's type
+    and text, which must be equal.  A point whose b* is 0 or 1 or whose KPI
+    is infeasible must equal the oracle's.  At an interior b* (feasible and
+    below 1) the closed form's rate must meet the threshold, lie within
+    1e-13 of the crossing found by bisection to float resolution, tighter
+    than the oracle's eps_root, and carry the means of ``dapq_means`` at b*
+    bit for bit.  Where the class-1 mean is so flat in b that rounding
+    blurs the crossing over more than 1e-13, the mean at b* must instead
+    be within four rounding errors of the mean at the bisection's crossing,
+    one rounding error being eps * rhs / rho1, that of a mean from
+    conservation: there floats cannot tell the two rates apart more
+    finely."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+        return
+    if isinstance(want, PolicyPoint):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for pt, ref in zip(got, want):
+        assert (pt.d, pt.feasible, pt.b_star < 1.0) == (ref.d, ref.feasible, ref.b_star < 1.0)
+        if not (ref.feasible and ref.b_star < 1.0):
+            assert pt == ref and pt.error_estimate == ref.error_estimate == 0.0
+            continue
+        at = cfg.replace(d=pt.d)
+        threshold = kpi_mean_threshold(validate(at).rho, target)
+        mean1 = class1_mean_per_b(at)
+        assert mean1(pt.b_star) <= threshold
+        crossing = class1_crossing_by_bisection(at, target)
+        rounding = np.finfo(float).eps * conservation_rhs(at) * at.mu / at.lambda1
+        assert (abs(pt.b_star - crossing) <= 1e-13
+                or abs(mean1(pt.b_star) - mean1(crossing)) <= 4.0 * rounding)
+        means = dapq_means(at.replace(b=pt.b_star))
+        assert (pt.mean_w1, pt.mean_w2) == (means.mean_w1, means.mean_w2)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     rho=st.floats(min_value=0.05, max_value=0.99),
@@ -248,7 +288,8 @@ def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b
     p1 = 1.0 - rho * u
     w1 = class1_mean_per_b(cfg)(b_mid) * math.log(rho / (1.0 - p1)) / rho
     kpi1 = Kpi(w1, p1, 1)
-    assert _outcome(b_star_class1, cfg, kpi1) == _outcome(b_star_class1_per_b, cfg, kpi1)
+    _class1_outcomes_match(cfg, kpi1, _outcome(b_star_class1, cfg, kpi1),
+                           _outcome(b_star_class1_per_b, cfg, kpi1))
     if det:
         return
 
@@ -373,6 +414,10 @@ def test_lockstep_sweep_equals_delay_by_delay_sweep(rho, share, cls, det, w, ks,
         p1 = 1.0 - 0.5 * rho
         mean1 = class1_mean_per_b(cfg.replace(d=d_anchor))(b_mid)
         target = Kpi(mean1 * math.log(rho / (1.0 - p1)) / rho, p1, 1)
+    if cls == 1:
+        sweep = lambda search: _outcome(lambda c, k: search(c, k, d_values), cfg, target)
+        _class1_outcomes_match(cfg, target, sweep(policy_sweep), sweep(policy_sweep_by_delay))
+        return
     got = _sweep_outcome(policy_sweep, cfg, target, d_values)
     assert got == _sweep_outcome(policy_sweep_by_delay, cfg, target, d_values)
 
@@ -395,7 +440,7 @@ def test_sweep_mixes_every_class1_outcome():
                         (QueueConfig(0.1, 0.6, 1.0), KPI1),
                         (QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1))):
         points = policy_sweep(cfg, target, ds)
-        assert points == policy_sweep_by_delay(cfg, target, ds)
+        _class1_outcomes_match(cfg, target, points, policy_sweep_by_delay(cfg, target, ds))
         outcomes.append(points)
     interior, npq_fails, atom_complies = outcomes
     # interior b* until b = 1 meets the threshold at long delays
@@ -404,6 +449,48 @@ def test_sweep_mixes_every_class1_outcome():
     # even strict priority fails; the zero-wait atom alone complies
     assert {(pt.b_star, pt.feasible) for pt in npq_fails} == {(0.0, False)}
     assert {(pt.b_star, pt.feasible) for pt in atom_complies} == {(1.0, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rho=st.floats(min_value=0.05, max_value=0.95),
+    share=st.floats(min_value=0.05, max_value=0.95),
+    mu=st.sampled_from([0.7, 3.0]),
+    det=st.booleans(),
+    ell=st.integers(min_value=0, max_value=20),
+    b_mid=st.floats(min_value=0.01, max_value=0.99),
+    u=st.floats(min_value=0.05, max_value=0.95),
+)
+def test_closed_form_class1_rate_meets_the_kpi_at_the_crossing(rho, share, mu, det, ell, b_mid,
+                                                              u):
+    # a threshold at the class-1 mean at b_mid puts b* inside (0, 1); the
+    # delay is ell services (deterministic) or ell time units (exponential)
+    service = ServiceKind.DETERMINISTIC if det else ServiceKind.EXPONENTIAL
+    cfg = QueueConfig(share * rho * mu, (1.0 - share) * rho * mu, mu,
+                      d=ell / mu if det else float(ell), service=service)
+    p1 = 1.0 - rho * u
+    w1 = class1_mean_per_b(cfg)(b_mid) * math.log(rho / (1.0 - p1)) / rho
+    target = Kpi(w1, p1, 1)
+    _class1_outcomes_match(cfg, target, _outcome(b_star_class1, cfg, target),
+                           _outcome(b_star_class1_per_b, cfg, target))
+
+
+@pytest.mark.parametrize("service", list(ServiceKind))
+@pytest.mark.parametrize("mu", [0.7, 1.0, 3.0])
+def test_interior_class1_points_have_the_conserved_class2_mean(service, mu):
+    # conservation pins the class-2 mean wherever the class-1 mean sits at
+    # the threshold: m2* = (rhs - rho1 thr) / rho2 at every interior b*,
+    # whatever the delay (the trend a class-1 sweep once checked at runtime)
+    cfg = QueueConfig(0.05 * mu, 0.6 * mu, mu, service=service)
+    # deterministic service halves the means, and the target with them
+    target = Kpi((2.0 if service is ServiceKind.EXPONENTIAL else 1.0) / mu, 0.9, 1)
+    points = policy_sweep(cfg, target, [k / mu for k in (0, 1, 2, 4, 8, 16)])
+    interior = [pt for pt in points if pt.feasible and 0.0 < pt.b_star < 1.0]
+    assert len(interior) >= 4
+    rho1, rho2 = cfg.lambda1 / mu, cfg.lambda2 / mu
+    m2_star = (conservation_rhs(cfg) - rho1 * kpi_mean_threshold(rho1 + rho2, target)) / rho2
+    for pt in interior:
+        assert pt.mean_w2 == pytest.approx(m2_star, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("lam", [(0.4, 0.18), (0.2, 0.5), (0.6, 0.3)])
@@ -722,10 +809,13 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
     assert sum(probes) == points.rows_inverted - 2  # F(d) at d = 1 and 3, once each
     assert replace(points[0], probes=0, error_estimate=0.0) == points[0]
 
-    # a class-1 sweep inverts nothing; its probes are mean evaluations
+    # a class-1 sweep inverts nothing; its probes are mean evaluations: two
+    # ends, then the closed-form b* and each step down from it, whose gaps
+    # double from one ulp, so they pass b* (an ulp being 2**-52 of it) and
+    # reach b = 0 within 53 steps
     points = policy_sweep(QueueConfig(0.05, 0.6, 1.0), KPI1, [0.0, 1.0])
     assert (points.inversion_calls, points.rows_inverted) == (0, 0)
-    assert all(6 <= pt.probes <= 5 + 35 for pt in points)
+    assert all(3 <= pt.probes <= 3 + 53 for pt in points)
     assert b_star_class1(QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1)).probes == 0
 
 

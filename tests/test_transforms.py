@@ -408,7 +408,7 @@ def test_accuracy_gate_is_one_for_curves_and_rows():
     # the curve path and the KPI rows certify through the same gate: the
     # worst estimate plus exp(-A) against eps_invert, NaN failing
     tol = DEFAULT_TOL
-    floor = math.exp(-transforms._euler_params(tol.eps_invert)[0])
+    floor = math.exp(-transforms._euler_params(tol.eps_invert))
     worst = np.array([0.0, tol.eps_invert - floor, tol.eps_invert, math.nan])
     error, ok, failures = transforms._accuracy_gate(worst, tol)
     assert np.array_equal(error[:2], worst[:2] + floor)
