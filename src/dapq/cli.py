@@ -323,6 +323,7 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
                [int(pt.feasible) for pt in points]]
     search = {"error_estimates": [pt.error_estimate for pt in points],
               "probes": [pt.probes for pt in points],
+              "root_widths": [pt.root_width for pt in points],
               "inversion_calls": points.inversion_calls,
               "rows_inverted": points.rows_inverted,
               "chain_runs": points.chain_runs,

@@ -57,7 +57,7 @@ class DegenerateMean(DapqError):
 
 
 class MonotonicityViolation(DapqError):
-    """An empirically-verified monotonicity assumption failed; bisection aborted."""
+    """A trend that downstream conclusions rest on failed: the class-1 mean fell along a class-2 sweep."""
 
 
 # --------------------------------------------------------------------------

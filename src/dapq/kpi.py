@@ -4,10 +4,10 @@ For a class-2 KPI the search finds the *smallest* accumulation rate whose
 waiting-time CDF meets the compliance target at the given delay (smaller b
 is always better for class-1); for a class-1 KPI it finds the *largest*
 rate whose exact class-1 mean stays under the zero-inflated-exponential
-threshold.  Both constraint functions are monotone in b.  The class-2
-search checks that empirically on a coarse grid before it searches; the
-class-1 rate is a closed form, and conservation makes its monotonicity
-exact (``b_star_class1``).
+threshold.  Both constraint functions are monotone in b, and neither is
+probed for it: the class-2 CDF by stochastic ordering
+(``_b_star_class2_rows``), the class-1 mean by conservation, which also
+makes its rate a closed form (``_b_star_class1_rows``).
 
 A KPI needs parameter tuning only between two extremes: where the
 favorable extreme discipline (strict priority for class-2 targets, FCFS
@@ -18,21 +18,24 @@ both frontiers over arrival-rate pairs.
 Every class-2 search runs in lockstep over rows: the lambda1 values of a
 region, or the delays of a sweep (a single search is the one-row case).
 Each probe is one batched inversion over the rows still searching
-(``transforms._invert_over_delay_rows``).  Each row narrows its own
-bracket by the ITP method (``_itp_rows``): a regula-falsi point from the
-signed residuals at the bracket ends, truncated towards the midpoint and
-projected so that the row never takes more than one probe beyond
-bisection's worst case.  A row stops, as bisection would, once its bracket
-is at most eps wide, and returns the end that meets the KPI (the midpoint
-for a region frontier).  So each result lies within eps of the bisection
-result, and every row sees the points and values of a search of that row
-alone.  The b-free parts of a sweep (busy weights, the mean's correction
-sum, the strict-priority F(d)) are computed once per delay, and the busy
-weights and exponential-service correction sums of all delays come from
-one run of the ahead-set chain (``_b_free_rows``).  Each row's
-inversions are gated on their own error bound; a row that fails retires
-and the others go on, and the search then raises the error of the first
-failed row, the one a row-by-row loop would have raised.
+(``transforms._invert_over_delay_rows``), which also inverts the CDF's
+derivative in the searched parameter.  Each row narrows its own bracket by
+a safeguarded Newton search (``_newton_rows``): a regula-falsi point from
+the signed residuals at the bracket ends, then Newton steps, a last probe
+aimed just beyond the predicted root so that the bracket closes, and
+bisection wherever a step is not trustworthy, so that no row takes more
+than a few probes beyond bisection's worst case.  A row stops, as
+bisection would, once its bracket is at most eps wide, and returns the end
+that meets the KPI (the midpoint for a region frontier).  So each result
+lies within eps of the bisection result, and every row sees the points and
+values of a search of that row alone.  The b-free parts of a sweep (busy
+weights, the mean's correction sum, the strict-priority F(d)) are computed
+once per delay, and the busy weights and exponential-service correction
+sums of all delays come from one run of the ahead-set chain
+(``_b_free_rows``).  Each row's inversions are gated on their own error
+bound; a row that fails retires and the others go on, and the search then
+raises the error of the first failed row, the one a row-by-row loop would
+have raised.
 """
 
 from __future__ import annotations
@@ -69,9 +72,16 @@ class PolicyPoint:
     ``error_estimate`` is the largest certified inversion error (Euler
     estimate plus exp(-A)) over the search's probes: 0 for a class-1
     search, which inverts nothing.  ``probes`` is the number of times the
-    search evaluated the point's constraint: for a class-1 KPI the means
-    at b = 0 and 1, then each mean of the step-down from the closed-form
-    b*.  Both describe how the point was found and take no part in
+    search evaluated the point's constraint: for a class-2 KPI the bracket
+    ends b = 0 and 1, then each Newton or bisection step; for a class-1 KPI
+    the means at b = 0 and 1, then each mean of the step-down from the
+    closed-form b*.  ``root_width`` says how sharply an interior b* is
+    pinned: how far b may move before the constraint moves by its own
+    error, the certified inversion error over dF/db at b* for class 2, one
+    rounding of the class-1 mean (eps rhs / rho1) over its slope in b for
+    class 1, and inf where that slope is not resolved; it is 0 at b* = 0
+    or 1 and at an infeasible point, which no root search found.  These
+    fields describe how the point was found and take no part in
     comparisons.
     """
 
@@ -82,6 +92,7 @@ class PolicyPoint:
     feasible: bool
     error_estimate: float = field(default=0.0, compare=False)
     probes: int = field(default=0, compare=False)
+    root_width: float = field(default=0.0, compare=False)
 
 
 class PolicySweep(list):
@@ -89,11 +100,12 @@ class PolicySweep(list):
 
     It also says how they were found: ``inversion_calls`` batched
     inversions over ``rows_inverted`` rows in all (0 for a class-1 sweep,
-    which inverts nothing), and ``chain_runs`` runs of the ahead-set chain
-    (``markov._delay_weights``) of ``chain_steps`` steps in all, which
-    give the busy weights and the exponential-service correction sums (one
-    run for a sweep of any length; none for deterministic service).  It
-    compares as the list of its points.
+    which inverts nothing; a class-2 sweep makes one per lockstep probe,
+    bracket ends and Newton steps alike), and ``chain_runs`` runs of the
+    ahead-set chain (``markov._delay_weights``) of ``chain_steps`` steps in
+    all, which give the busy weights and the exponential-service correction
+    sums (one run for a sweep of any length; none for deterministic
+    service).  It compares as the list of its points.
     """
 
     def __init__(self, points=(), inversion_calls: int = 0, rows_inverted: int = 0,
@@ -114,8 +126,8 @@ class FeasibleRegion:
     met by the unfavorable one, so (d, b) tuning is nontrivial.  A class-2
     region also says how it was traced: ``inversion_calls`` batched
     inversions over ``rows_inverted`` rows in all (two bracket-end probes,
-    then one per ITP step), with ``error_estimate`` the largest certified
-    inversion error among them.
+    then one per Newton or bisection step of the lockstep search), with
+    ``error_estimate`` the largest certified inversion error among them.
     """
 
     kpi: Kpi
@@ -137,9 +149,10 @@ class _Rows:
     rows go on.  ``raise_first`` raises the error of the lowest failed row:
     for a region the lowest lambda1, for a sweep the first delay in the
     order given.  ``worst`` holds each row's largest certified inversion
-    error, ``probes`` each row's constraint evaluations, ``calls`` and
-    ``rows_inverted`` the batched inversions, counted by ``inverted``, and
-    ``chain_runs`` and ``chain_steps`` the runs of the ahead-set chain.
+    error, ``probes`` each row's constraint evaluations, ``widths`` each
+    row's ``PolicyPoint.root_width``, ``calls`` and ``rows_inverted`` the
+    batched inversions, counted by ``inverted``, and ``chain_runs`` and
+    ``chain_steps`` the runs of the ahead-set chain.
     """
 
     def __init__(self, n: int, tol: ToleranceConfig):
@@ -147,6 +160,7 @@ class _Rows:
         self.errors = {}
         self.worst = np.zeros(n)
         self.probes = np.zeros(n, dtype=int)
+        self.widths = np.zeros(n)
         self.calls = 0
         self.rows_inverted = 0
         self.chain_runs = 0
@@ -181,100 +195,72 @@ class _Rows:
             raise self.errors[min(self.errors)]
 
 
-# ITP constants (Oliveira & Takahashi, ACM TOMS 2020): the truncation step
-# is _ITP_KAPPA1 / (initial width) * width**_ITP_KAPPA2, and the projection
-# allows _ITP_N0 probes beyond bisection's worst case.
-_ITP_KAPPA1 = 0.2
-_ITP_KAPPA2 = 2
-_ITP_N0 = 1
+# probes a Newton search may take beyond bisection's worst case
+_NEWTON_N0 = 3
 
 
-def _itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-              f_lo: np.ndarray, f_hi: np.ndarray, eps: float, ties_lo: bool):
-    """ITP search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep; returns (lo, hi).
+def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 f_lo: np.ndarray, f_hi: np.ndarray, eps: float, ties_lo: bool):
+    """Safeguarded Newton search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep.
 
-    ``f_lo`` and ``f_hi`` are the signed residuals at the bracket ends, at
-    most 0 at lo and at least 0 at hi, not both 0.  ``probe(x, rows)``
-    evaluates the active rows at one point each and returns (residuals,
-    ok), ``ok`` False for rows whose probe failed, which retire.  A
-    negative residual moves lo up, a positive one moves hi down, and a zero
-    one moves lo when ``ties_lo`` and hi otherwise.  A row retires once its
-    own width hi - lo is at most eps.
+    The residual increases: ``f_lo`` and ``f_hi`` are its values at the
+    bracket ends, at most 0 at lo and at least 0 at hi, not both 0.
+    ``probe(x, rows)`` evaluates the active rows at one point each and
+    returns (residuals, slopes, ok), ``ok`` False for rows whose probe
+    failed, which retire.  A negative residual moves lo up, a positive one
+    moves hi down, and a zero one moves lo when ``ties_lo`` and hi
+    otherwise.  A row retires once its own width hi - lo is at most eps.
+    Returns (lo, hi, slope), ``slope`` each row's slope at its last probe.
 
-    Each step takes the regula-falsi point of the row's bracket, moves it
-    towards the midpoint by kappa1 * width**kappa2 (kappa1 = 0.2 / initial
-    width), and projects it into [hi - bound, lo + bound], which keeps the
-    width after step j at most bound = eps * 2**(n_max - j - 1), where n_max
-    is bisection's count of halvings plus ``_ITP_N0``.  The bound keeps a
-    slack of a few ulps of the bracket's magnitude in hand, so rounding
-    cannot carry a row past it.  With eps within a few slacks of it, that
-    interval can come out empty, and the step then bisects, which halves
-    the width as fast as the bound shrinks: no row takes more than n_max
-    probes, whatever its residuals.  On a smooth
-    residual the steps converge superlinearly.  A row's points depend on
-    its own values and on the step count alone, so it sees the points of a
-    search of that row alone.
+    The first probe is the regula-falsi point of the end residuals (the
+    midpoint between equal ones); each later one is the Newton point
+    x - f/f' of the last probe x.  Once that step is at most 3 eps / 4,
+    the probe is aimed eps / 4 beyond the predicted root, away from x, so
+    that the crossing lies between x and it and the bracket closes to eps.
+    Safeguard: a point that is not finite (a slope that is 0, NaN, or not
+    positive gives none), does not lie strictly inside the bracket, or
+    could leave it wider than bound = eps * 2**(n_max - j - 1) after probe
+    j, is replaced by the midpoint.  n_max is bisection's count of halvings
+    plus ``_NEWTON_N0``, and the midpoint halves the width as fast as the
+    bound shrinks, so no row takes more than n_max probes, whatever its
+    residuals and slopes.  The bound keeps a slack of a few ulps of the
+    bracket's magnitude in hand, so rounding cannot carry a row past it;
+    with eps within a few slacks of it only midpoints remain.  A row's
+    points depend on its own values and on the step count alone, so it
+    sees the points of a search of that row alone.
     """
-    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    lo, hi = lo.copy(), hi.copy()
+    slope = np.full(len(lo), np.nan)
     rows = rows[hi[rows] - lo[rows] > eps]
-    width0 = hi[rows] - lo[rows]
-    kappa1, slack = np.zeros(len(lo)), np.zeros(len(lo))
-    n_max = np.zeros(len(lo), dtype=int)
-    kappa1[rows] = _ITP_KAPPA1 / width0
-    slack[rows] = 4.0 * np.spacing(4.0 * np.maximum(np.abs(lo[rows]), np.abs(hi[rows])))
-    # bisection's halvings: the least n with eps * 2**n >= width0, exactly
-    (m_w, e_w), (m_e, e_e) = np.frexp(width0), math.frexp(eps)
-    n_max[rows] = e_w - e_e + (m_w > m_e) + _ITP_N0
+    a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+    flat = fb == fa
+    x = np.where(flat, 0.5 * (a + b), (fb * a - fa * b) / np.where(flat, 1.0, fb - fa))
+    slack, n_max = np.zeros(len(lo)), np.zeros(len(lo), dtype=int)
+    slack[rows] = 4.0 * np.spacing(4.0 * np.maximum(np.abs(a), np.abs(b)))
+    # bisection's halvings: the least n with eps * 2**n >= width, exactly
+    (m_w, e_w), (m_e, e_e) = np.frexp(b - a), math.frexp(eps)
+    n_max[rows] = e_w - e_e + (m_w > m_e) + _NEWTON_N0
     reach = eps - 2.0 * slack
     step = 0
     while rows.size:
-        a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
-        width = b - a
-        half = 0.5 * (a + b)
-        # equal end residuals (both 0 after a tie) have no secant: take the midpoint
-        flat = fb == fa
-        falsi = np.where(flat, half, (fb * a - fa * b) / np.where(flat, 1.0, fb - fa))
-        delta = kappa1[rows] * width**_ITP_KAPPA2
-        gap = half - falsi
-        x = np.where(delta <= np.abs(gap), falsi + np.sign(gap) * delta, half)
+        a, b = lo[rows], hi[rows]
         bound = np.ldexp(reach[rows], n_max[rows] - (step + 1)) + slack[rows]
-        lower, upper = np.maximum(a, b - bound), np.minimum(b, a + bound)
-        # the slack can leave no room (eps near it): bisect, which keeps the count
-        x = np.where(lower <= upper, np.clip(x, lower, upper), half)
-        values, ok = probe(x, rows)
-        rows, x, values = rows[ok], x[ok], values[ok]
+        safe = (a < x) & (x < b) & (b - bound <= x) & (x <= a + bound)
+        x = np.where(safe, x, 0.5 * (a + b))
+        values, slopes, ok = probe(x, rows)
+        rows, x, values, slopes = rows[ok], x[ok], values[ok], slopes[ok]
         up = values <= 0.0 if ties_lo else values < 0.0
-        lo[rows[up]], f_lo[rows[up]] = x[up], values[up]
-        hi[rows[~up]], f_hi[rows[~up]] = x[~up], values[~up]
-        rows = rows[hi[rows] - lo[rows] > eps]
+        lo[rows[up]] = x[up]
+        hi[rows[~up]] = x[~up]
+        slope[rows] = slopes
         step += 1
-    return lo, hi
-
-
-_MONOTONE_RATES = [0.0, 0.25, 0.5, 0.75, 1.0]
-
-
-def _check_monotone(state: _Rows, rows, f0, f1, probe, slack: float, what: str) -> np.ndarray:
-    """Check each row's constraint for increase on five rates in [0, 1].
-
-    ``f0`` and ``f1`` are the known values at 0 and 1 (indexed by row) and
-    ``probe(b, rows)`` returns (values, ok) at one rate.  A row that fails
-    a probe or falls by more than ``slack`` fails; returns the rows that
-    pass.
-    """
-    table = np.empty((len(f0), len(_MONOTONE_RATES)))
-    table[:, 0], table[:, -1] = f0, f1
-    for j, b in enumerate(_MONOTONE_RATES[1:-1], start=1):
-        values, ok = probe(b, rows)
-        rows = rows[ok]
-        table[rows, j] = values[ok]
-    ok = np.all(np.diff(table[rows], axis=1) >= -slack, axis=1)
-    for r in rows[~ok]:
-        state.fail(r, MonotonicityViolation(
-            f"{what} is not monotone in b on {_MONOTONE_RATES}: "
-            f"{['%.8f' % v for v in table[r]]}"
-        ))
-    return rows[ok]
+        going = hi[rows] - lo[rows] > eps
+        rows, x, values, slopes, up = rows[going], x[going], values[going], slopes[going], up[going]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = np.where(slopes > 0.0, -values / slopes, np.nan)
+        close = np.abs(newton) <= 0.75 * eps
+        x = x + newton + np.where(close, np.where(up, 0.25 * eps, -0.25 * eps), 0.0)
+    return lo, hi, slope
 
 
 # --------------------------------------------------------------------------
@@ -372,38 +358,49 @@ class _Class2Rows:
             self.free_values = vals[:, 0]
             self.fixed_est[self.free] = np.max(est, axis=1)
 
-    def probe(self, b, rows: np.ndarray):
-        """Certified F(w) at rate b (a float or one per row) for rows with w > d."""
+    def probe(self, b, rows: np.ndarray, slope: bool = False):
+        """Certified F(w) at rate b (a float or one per row) for rows with w > d.
+
+        Returns (values, ok) and, with ``slope``, (values, slopes, ok),
+        ``slopes`` dF/db = -lambda1 dF/da (NaN where unresolved) from the
+        same inversion (``transforms._invert_over_delay_rows``).
+        """
         if not rows.size:
-            return np.zeros(0), np.zeros(0, dtype=bool)
+            empty = np.zeros(0)
+            return (empty, empty, empty.astype(bool)) if slope else (empty, empty.astype(bool))
         self.state.inverted(len(rows))
         self.state.probes[rows] += 1
-        vals, est = transforms._invert_over_delay_rows(
+        vals, est, *dfda = transforms._invert_over_delay_rows(
             (self.w - self.ds[rows])[:, None],
             self.lambda1 * (1.0 - b),
             self.mu,
             [self.weights[r] for r in rows],
             self.state.tol,
+            slope,
         )
         worst = np.maximum(self.fixed_est[rows], est[:, 0])
-        return self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
+        values, ok = self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
+        if not slope:
+            return values, ok
+        return values, -self.lambda1 * dfda[0][:, 0], ok
 
 
-def _npq_meets(lam1: np.ndarray, lam2: np.ndarray, mu: float, kpi: Kpi,
-               state: _Rows, rows: np.ndarray):
+def _npq_meets(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray,
+               slope: bool = False):
     """Whether strict priority meets a class-2 KPI at (lam1[i], lam2[i]) for each row.
 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
     counted in ``state``.  Returns (meets, values, ok) per row, ``values``
-    the certified F(w).
+    the certified F(w), and with ``slope`` also dF/dlambda2 = dF/drho / mu.
     """
     if not rows.size:
-        return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0, dtype=bool)
+        empty = np.zeros(0)
+        return (empty.astype(bool), empty, empty.astype(bool)) + ((empty,) if slope else ())
     state.inverted(len(rows))
-    vals, est = transforms._npq_cdf_rows(
-        np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol)
+    vals, est, *dfdrho = transforms._npq_cdf_rows(
+        np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol, slope)
     values, ok = state.certify(rows, vals[:, 0], est[:, 0])
-    return values >= kpi.compliance_p, values, ok
+    return (values >= kpi.compliance_p, values, ok) + tuple(d[:, 0] / mu for d in dfdrho)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +427,8 @@ def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
             continue
         points.append(PolicyPoint(d=cfg.d, b_star=b, mean_w1=float(w1), mean_w2=float(w2),
                                   feasible=feasible, error_estimate=float(state.worst[r]),
-                                  probes=int(state.probes[r])))
+                                  probes=int(state.probes[r]),
+                                  root_width=float(state.widths[r])))
     state.raise_first()
     return PolicySweep(points, state.calls, state.rows_inverted, state.chain_runs,
                        state.chain_steps)
@@ -439,7 +437,21 @@ def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
 def _b_star_class2_rows(
     configs: Sequence[QueueConfig], kpi: Kpi, tol: ToleranceConfig
 ) -> PolicySweep:
-    """``b_star_class2`` for configs that differ only in d, in lockstep."""
+    """``b_star_class2`` for configs that differ only in d, in lockstep.
+
+    F2(w; b) is nondecreasing in b, so no monotonicity probe is needed.
+    Up to d the wait is the strict-priority one, and F(d) and the busy
+    weights do not depend on b.  Beyond d the wait is the first passage to
+    0 of a birth-death walk with birth rate a = lambda1 (1 - b) and death
+    rate mu, started from the busy weights.  Thinning the births of a walk
+    at rate a gives one at any lower rate on the same path, which never
+    lies above it, so its passage time is never later: the passage time is
+    stochastically increasing in a, and so decreasing in b.  Rows with
+    F(w) >= p at b = 0 (b* = 0) or F(w) < p at b = 1 (infeasible) are
+    settled by those two probes; the others are searched
+    (``_newton_rows``) with the derivative dF/db from each probe, and b*
+    is the end of the final bracket that meets the KPI.
+    """
     if kpi.class_index != 2:
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
     n, p = len(configs), kpi.compliance_p
@@ -463,17 +475,15 @@ def _b_star_class2_rows(
             outcome[r] = (b, b == 0.0)
         live = live[~done]
 
-    live = _check_monotone(state, live, f0, f1, rows.probe, 100 * tol.eps_invert,
-                           "class-2 compliance")
-
     def residual(b, rr):
-        values, ok = rows.probe(b, rr)
-        return values - p, ok
+        values, slopes, ok = rows.probe(b, rr, slope=True)
+        return values - p, slopes, ok
 
-    _, hi = _itp_rows(residual, live, np.zeros(n), np.ones(n), f0 - p, f1 - p,
-                      tol.eps_root, ties_lo=False)
+    _, hi, slope = _newton_rows(residual, live, np.zeros(n), np.ones(n), f0 - p, f1 - p,
+                                tol.eps_root, ties_lo=False)
     for r in state.alive(live):
         outcome[r] = (float(hi[r]), True)
+        state.widths[r] = state.worst[r] / slope[r] if slope[r] > 0.0 else math.inf
     return _points(configs, outcome, rows.rates, rows.means, state)
 
 
@@ -517,11 +527,16 @@ def _b_star_class1_rows(
             elif mean1(1.0) <= threshold:
                 outcome[r] = (1.0, True)
             else:
-                b = mean_w2.rate_for((_conservation_rhs(cfg, rt) - rt.rho1 * threshold) / rt.rho2)
+                rhs = _conservation_rhs(cfg, rt)
+                b = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
                 gap = math.ulp(b)
                 while mean1(b) > threshold:
                     b, gap = max(0.0, b - gap), 2.0 * gap
                 outcome[r] = (b, True)
+                # conservation: m1' = -(rho2 / rho1) m2', and a rounding of m1 is eps rhs / rho1
+                slope1 = abs(rt.rho2 * mean_w2.slope(b))
+                rounding = np.finfo(float).eps * rhs
+                state.widths[r] = rounding / slope1 if slope1 > 0.0 else math.inf
         except DapqError as exc:
             state.fail(r, exc)
     return _points(configs, outcome, rates, means, state)
@@ -641,16 +656,20 @@ def feasible_region(
     """Trace the two lambda-space frontiers of the KPI tuning region.
 
     For each lambda1 on the grid the boundary lambda2 where the relevant
-    extreme discipline exactly meets the KPI is found by an ITP search
-    (class-2 strict-priority boundary) or in closed form (pure-occupancy
-    FCFS boundary and the class-1 strict-priority boundary).  The class-2
-    searches run in lockstep over lambda1: each probe is one batched
-    inversion over the rows still searching.  The two probes at the
+    extreme discipline exactly meets the KPI is found by a safeguarded
+    Newton search (class-2 strict-priority boundary, ``_newton_rows``) or
+    in closed form (pure-occupancy FCFS boundary and the class-1
+    strict-priority boundary).  The strict-priority F(w) falls as lambda2
+    grows with lambda1 fixed: added class-2 arrivals only add work ahead of
+    a tagged class-2 customer, path by path, and the accrediting rate
+    lambda1 does not change.  The class-2 searches run in lockstep over
+    lambda1: each probe is one batched inversion of F(w) and its derivative
+    in lambda2 over the rows still searching.  The two probes at the
     bracket ends give each row its residuals p - F(w) there; each row then
-    narrows its bracket to 1e-4 in at most one probe more than bisection
-    would take, and its frontier is the bracket's midpoint, within 1e-4 of
-    the bisection midpoint.  When rows fail, the error of the lowest
-    lambda1 is raised.  A resolution that would give more than
+    narrows its bracket to 1e-4 in at most ``_NEWTON_N0`` probes more than
+    bisection would take, and its frontier is the bracket's midpoint,
+    within 1e-4 of the bisection midpoint.  When rows fail, the error of
+    the lowest lambda1 is raised.  A resolution that would give more than
     ``core._MAX_VALUES`` lambda1 values raises OutOfRange.
     """
     if not 0.0 < resolution < math.inf:
@@ -698,10 +717,10 @@ def feasible_region(
     rows = rows[ok & ~meets]
 
     def residual(lam2, rr):
-        _, values, ok = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr)
-        return p - values, ok
+        _, values, ok, slopes = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr, slope=True)
+        return p - values, -slopes, ok
 
-    lo, hi = _itp_rows(residual, rows, lo, hi_l2, f_lo, f_hi, 1e-4, ties_lo=True)
+    lo, hi, _ = _newton_rows(residual, rows, lo, hi_l2, f_lo, f_hi, 1e-4, ties_lo=True)
     rows = state.alive(rows)
     lower[rows] = 0.5 * (lo[rows] + hi[rows])
     state.raise_first()

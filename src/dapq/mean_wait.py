@@ -16,7 +16,8 @@ correction sum itself depends on (lambda1, lambda2, mu, d) alone.
 values, which is what a search over b (``dapq.kpi``) and a b sweep of
 ``dapq mean`` need.  The prefactor is linear-fractional in b, so the rate
 that gives a class-2 mean, and through conservation a class-1 mean, is
-one closed form (``_MeanInB.rate_for``).
+one closed form (``_MeanInB.rate_for``), and so is the mean's slope in b
+(``_MeanInB.slope``).
 
 Numerical notes
 ---------------
@@ -317,6 +318,14 @@ class _MeanInB:
             g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
         return float(self._npq - g * num / den)
 
+    def _g_at_one(self) -> float:
+        """c = g(1) = rho1 / (1 - rho1), over mu for exponential service."""
+        rho1 = self._rates.rho1
+        c = rho1 / (1.0 - rho1)
+        if self._config.service is ServiceKind.EXPONENTIAL:
+            c /= self._config.mu
+        return c
+
     def rate_for(self, mean_w2: float) -> float:
         """The rate in [0, 1] whose class-2 mean is ``mean_w2``, to roundoff.
 
@@ -326,11 +335,14 @@ class _MeanInB:
         """
         num, den = self._correction()
         rho1 = self._rates.rho1
-        c = rho1 / (1.0 - rho1)
-        if self._config.service is ServiceKind.EXPONENTIAL:
-            c /= self._config.mu
         big_g = (self._npq - mean_w2) * den / num
-        return min(1.0, max(0.0, big_g * (1.0 - rho1) / (c - big_g * rho1)))
+        return min(1.0, max(0.0, big_g * (1.0 - rho1) / (self._g_at_one() - big_g * rho1)))
+
+    def slope(self, b: float) -> float:
+        """dE[W2]/db at rate b: -g'(b) num / den, g'(b) = c (1 - rho1) / (1 - rho1 (1 - b))^2."""
+        num, den = self._correction()
+        rho1 = self._rates.rho1
+        return -self._g_at_one() * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * num / den
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,9 @@ point its one-point inversion.  A single curve is the one-row case, and
 strict priority (b = d = 0) is the headless geometric weights at the
 accrediting rate lambda1 (``_npq_cdf_rows``).  The KPI searches in
 :mod:`dapq.kpi` invert all their rows this way, one call per
-root-finding step.
+root-finding step, and each such call also inverts the derivative of the
+CDF in the searched parameter, as a second half of the same contour sums
+(``_invert_pair``), without changing a value.
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -113,7 +115,8 @@ def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) ->
     |z| / a.  alpha is formed as ((mu - a) / (sqrt(mu) + sqrt(a)))^2, which
     keeps its digits when a is close to mu.  Where |s| > about 1e154 the
     product overflows; there the root equals z to double precision and z is
-    used, without a warning.
+    used, without a warning.  ``work`` is left holding z, which the
+    derivative in a reads (``_invert_over_delay_rows``).
     """
     sqrt_mu, sqrt_a = math.sqrt(mu), np.sqrt(arrival_rate)
     low = (mu - arrival_rate) / (sqrt_mu + sqrt_a)
@@ -134,7 +137,7 @@ def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) ->
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
 
-def _horner(e, rho, tail_next, steps, starts, acc):
+def _horner(e, rho, tail_next, steps, starts, acc, slope=None):
     """sum_j w_j e^j for busy weights w: a head by Horner's rule, a closed geometric tail.
 
     Evaluates e (w_1 + e (w_2 + ... e (w_n + e T))) with
@@ -145,21 +148,64 @@ def _horner(e, rho, tail_next, steps, starts, acc):
     coefficient right-aligned, and row r's head begins at step
     ``starts[r]`` (``starts`` ends with n).  From there to the next row's
     start, rows 0..r take the steps and the rest keep their tail term, so
-    each row gets exactly its one-row value.
+    each row gets exactly its one-row value.  With ``slope`` (shaped like
+    e) the derivative in e rides along: T' = rho T / (1 - rho e), each step
+    takes the running derivative to e d + acc before acc becomes h + e acc,
+    and the sum's derivative is acc + e d.  The sum is computed by the same
+    operations either way.
     """
     np.multiply(rho, e, out=acc)
     np.subtract(1.0, acc, out=acc)
+    if slope is not None:
+        np.divide(rho, acc, out=slope)
     np.divide(tail_next, acc, out=acc)
+    if slope is not None:
+        np.multiply(slope, acc, out=slope)
     for r in range(len(starts) - 1):
         part, er = acc[: r + 1], e[: r + 1]
+        d = None if slope is None else slope[: r + 1]
         for h in steps[starts[r] : starts[r + 1], : r + 1]:
+            if d is not None:
+                np.multiply(er, d, out=d)
+                np.add(d, part, out=d)
             np.multiply(er, part, out=part)
             np.add(h, part, out=part)
+    if slope is not None:
+        np.multiply(e, slope, out=slope)
+        np.add(slope, acc, out=slope)
     return np.multiply(e, acc, out=acc)
+
+
+def _invert_pair(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool):
+    """Invert a transform at ``ts`` and, with ``slope``, its derivative in a parameter, in one call.
+
+    ``transform(s, out)`` returns G(s) and, with ``slope``, dG/dx, stacked
+    as an array shaped like ``out``, a work array of one block shaped
+    (1 or 2,) + s.shape that it may return.  The derivative rides as a
+    leading axis of 2 on the abscissae: ``_euler_invert`` sees both halves
+    of s, equal, and the transform reads the first, so eta is computed
+    once.  Inversion is linear, so the second half inverts to dF/dx, and
+    every value equals that of the value-only call bit for bit.  Returns
+    the values and their Euler estimates, shaped like ts, and with
+    ``slope`` the derivatives, NaN where a derivative is not larger than
+    its own Euler estimate (it only steers a search, so it takes no part
+    in the accuracy gate).
+    """
+    pair = (2 if slope else 1,)
+    (out_work,) = _block_arrays(1, pair + ts.shape)
+
+    def fn(s):
+        return transform(s[0], _front(out_work, s.shape))
+
+    values, estimates = _euler_invert(fn, np.broadcast_to(ts, pair + ts.shape), tol)
+    if not slope:
+        return values[0], estimates[0]
+    return values[0], estimates[0], np.where(np.abs(values[1]) > estimates[1], values[1], np.nan)
 
 
 def _invert_over_delay_rows(
     ts: np.ndarray, lam_acc, mu: float, weights: Sequence[BusyWeights], tol: ToleranceConfig,
+    slope: bool = False,
 ):
     """Invert each row's shifted over-delay transform at the row's abscissae.
 
@@ -168,12 +214,16 @@ def _invert_over_delay_rows(
     and the shift avoids the oscillatory exp(-s d) factor.  ``ts`` is
     (rows, points), ``lam_acc`` the rows' accrediting rates (or one for
     all) and ``weights`` their busy weights, one ``BusyWeights`` per row;
-    returns ``_euler_invert``'s (values, estimates), both (rows, points).
+    returns ``_invert_pair``'s (values, estimates), both (rows, points),
+    and with ``slope`` dH/da as well, a the accrediting rate.  b enters
+    only through a, and the weights do not depend on it, so
+    dG/da = P'(eta) deta/da, P'(eta) from Horner's rule (``_horner``) and
+    deta/da = eta (1 - eta) / (2 a eta - z) from a eta^2 - z eta + mu = 0.
     The rows are inverted longest head first, each row's head w_n .. w_1
     right-aligned in the Horner steps, so the heads that have begun form
     a prefix at every step, and the results are put back in order.  eta
-    and the Horner sum work in two arrays of one block, allocated here in
-    one piece and reused by every block.
+    works in an array of one block, allocated here and reused by every
+    block, and the Horner sum in the output block.
     """
     # sorted in Python: numpy's argsort would page in its sorting code for
     # a few dozen rows
@@ -187,31 +237,65 @@ def _invert_over_delay_rows(
     tail_next = np.array([weights[r].tail_next for r in order])[:, None, None]
     lam = (np.zeros(len(order)) + lam_acc)[order, None, None]
     starts = [n - lengths[r] for r in order] + [n]
-    eta_work, acc_work = _block_arrays(2, ts.shape)
+    work = _block_arrays(2 if slope else 1, ts.shape)
 
-    def fn(s):
-        e = _eta_into(s, lam, mu, _front(eta_work, s.shape), acc := _front(acc_work, s.shape))
-        return _horner(e, rho, tail_next, steps, starts, acc)
+    def transform(s, out):
+        # the last output block is eta's scratch, which leaves z in it
+        e = _eta_into(s, lam, mu, _front(work[0], s.shape), out[-1])
+        if not slope:
+            return _horner(e, rho, tail_next, steps, starts, out[0])[None]
+        den = _front(work[1], s.shape)
+        np.multiply(e, 2.0 * lam, out=den)
+        np.subtract(den, out[1], out=den)  # 2 a eta - z
+        d = out[1]
+        out[0] = _horner(e, rho, tail_next, steps, starts, out[0], d)
+        np.multiply(d, e, out=d)
+        np.divide(d, den, out=d)
+        np.subtract(1.0, e, out=den)
+        np.multiply(d, den, out=d)
+        return out
 
-    values, estimates = _euler_invert(fn, ts[order], tol)
     back = np.empty(len(order), dtype=int)
     back[order] = np.arange(len(order))
-    return values[back], estimates[back]
+    return tuple(x[back] for x in _invert_pair(transform, ts[order], tol, slope))
 
 
-def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig):
+def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig,
+                  slope: bool = False):
     """The strict-priority (b = d = 0) class-2 CDF at each row's abscissae, and its estimates.
 
     F(t) = (1 - rho) + H(t), H inverted over the headless geometric
-    weights at the accrediting rate lambda1 (``BusyWeights.geometric``).
-    ``ts`` is (rows, points); ``lambda1`` and ``rho`` are floats shared by
-    the rows or one per row.  Returns the uncertified values and the Euler
-    estimates, both (rows, points).
+    weights w_l = (1 - rho) rho^l at the accrediting rate lambda1: the
+    transform of H is eta T(eta), T = (1 - rho) rho / (1 - rho eta)
+    (``_horner`` with no head steps), and that of F is
+    (1 - rho) / (1 - rho eta).  ``ts`` is (rows, points); ``lambda1`` and
+    ``rho`` are floats shared by the rows or one per row.  Returns the
+    uncertified values and the Euler estimates, both (rows, points), and
+    with ``slope`` dF/drho as well, inverted from
+    d/drho (1 - rho) / (1 - rho eta) = (eta - 1) / (1 - rho eta)^2.
     """
-    rhos = np.broadcast_to(rho, len(ts))
-    values, estimates = _invert_over_delay_rows(
-        ts, lambda1, mu, BusyWeights.geometric(rhos.tolist()), tol)
-    return (1.0 - rhos)[:, None] + values, estimates
+    rhos = np.broadcast_to(np.asarray(rho, dtype=float), len(ts))
+    r = rhos[:, None, None]
+    tail_next = (1.0 - r) * r
+    lam = (np.zeros(len(ts)) + lambda1)[:, None, None]
+    (eta_work,) = _block_arrays(1, ts.shape)
+
+    def transform(s, out):
+        e = _eta_into(s, lam, mu, _front(eta_work, s.shape), out[0])
+        value = _horner(e, r, tail_next, (), [0], out[0])
+        if not slope:
+            return value[None]
+        out[0] = value
+        d = out[1]
+        np.multiply(r, e, out=d)
+        np.subtract(1.0, d, out=d)
+        np.multiply(d, d, out=d)
+        np.subtract(e, 1.0, out=e)
+        np.divide(e, d, out=d)
+        return out
+
+    values, *rest = _invert_pair(transform, ts, tol, slope)
+    return ((1.0 - rhos)[:, None] + values, *rest)
 
 
 # --------------------------------------------------------------------------

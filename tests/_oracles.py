@@ -15,7 +15,9 @@ that places a class-1 crossing to float resolution
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
-on the bisection the ITP search replaced.  So is the one-curve class-2
+on the bisection the ITP search replaced; so is the lockstep ITP search
+(``itp_rows``) that the package's safeguarded Newton search replaced.
+So is the one-curve class-2
 path the batched row inverter replaced (``class2_cdf_by_grid``), and the
 inversion kernel before its one-root eta and t-free Euler weights
 (``eta_by_two_roots``, ``euler_invert_by_division``).  The
@@ -910,6 +912,80 @@ def itp_bracket(g, lo, hi, g_lo, g_hi, eps, ties_lo):
             hi, g_hi = x, y
         j += 1
     return lo, hi, probes
+
+
+# ITP constants (Oliveira & Takahashi, ACM TOMS 2020): the truncation step
+# is _ITP_KAPPA1 / (initial width) * width**_ITP_KAPPA2, and the projection
+# allows _ITP_N0 probes beyond bisection's worst case.
+_ITP_KAPPA1 = 0.2
+_ITP_KAPPA2 = 2
+_ITP_N0 = 1
+
+
+def itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+             f_lo: np.ndarray, f_hi: np.ndarray, eps: float, ties_lo: bool):
+    """ITP search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep; returns (lo, hi).
+
+    The lockstep search the class-2 KPI searches used before the
+    safeguarded Newton search (``dapq.kpi._newton_rows``), kept beside its
+    scalar form ``itp_bracket``.
+
+    ``f_lo`` and ``f_hi`` are the signed residuals at the bracket ends, at
+    most 0 at lo and at least 0 at hi, not both 0.  ``probe(x, rows)``
+    evaluates the active rows at one point each and returns (residuals,
+    ok), ``ok`` False for rows whose probe failed, which retire.  A
+    negative residual moves lo up, a positive one moves hi down, and a zero
+    one moves lo when ``ties_lo`` and hi otherwise.  A row retires once its
+    own width hi - lo is at most eps.
+
+    Each step takes the regula-falsi point of the row's bracket, moves it
+    towards the midpoint by kappa1 * width**kappa2 (kappa1 = 0.2 / initial
+    width), and projects it into [hi - bound, lo + bound], which keeps the
+    width after step j at most bound = eps * 2**(n_max - j - 1), where n_max
+    is bisection's count of halvings plus ``_ITP_N0``.  The bound keeps a
+    slack of a few ulps of the bracket's magnitude in hand, so rounding
+    cannot carry a row past it.  With eps within a few slacks of it, that
+    interval can come out empty, and the step then bisects, which halves
+    the width as fast as the bound shrinks: no row takes more than n_max
+    probes, whatever its residuals.  On a smooth
+    residual the steps converge superlinearly.  A row's points depend on
+    its own values and on the step count alone, so it sees the points of a
+    search of that row alone.
+    """
+    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
+    rows = rows[hi[rows] - lo[rows] > eps]
+    width0 = hi[rows] - lo[rows]
+    kappa1, slack = np.zeros(len(lo)), np.zeros(len(lo))
+    n_max = np.zeros(len(lo), dtype=int)
+    kappa1[rows] = _ITP_KAPPA1 / width0
+    slack[rows] = 4.0 * np.spacing(4.0 * np.maximum(np.abs(lo[rows]), np.abs(hi[rows])))
+    # bisection's halvings: the least n with eps * 2**n >= width0, exactly
+    (m_w, e_w), (m_e, e_e) = np.frexp(width0), math.frexp(eps)
+    n_max[rows] = e_w - e_e + (m_w > m_e) + _ITP_N0
+    reach = eps - 2.0 * slack
+    step = 0
+    while rows.size:
+        a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
+        width = b - a
+        half = 0.5 * (a + b)
+        # equal end residuals (both 0 after a tie) have no secant: take the midpoint
+        flat = fb == fa
+        falsi = np.where(flat, half, (fb * a - fa * b) / np.where(flat, 1.0, fb - fa))
+        delta = kappa1[rows] * width**_ITP_KAPPA2
+        gap = half - falsi
+        x = np.where(delta <= np.abs(gap), falsi + np.sign(gap) * delta, half)
+        bound = np.ldexp(reach[rows], n_max[rows] - (step + 1)) + slack[rows]
+        lower, upper = np.maximum(a, b - bound), np.minimum(b, a + bound)
+        # the slack can leave no room (eps near it): bisect, which keeps the count
+        x = np.where(lower <= upper, np.clip(x, lower, upper), half)
+        values, ok = probe(x, rows)
+        rows, x, values = rows[ok], x[ok], values[ok]
+        up = values <= 0.0 if ties_lo else values < 0.0
+        lo[rows[up]], f_lo[rows[up]] = x[up], values[up]
+        hi[rows[~up]], f_hi[rows[~up]] = x[~up], values[~up]
+        rows = rows[hi[rows] - lo[rows] > eps]
+        step += 1
+    return lo, hi
 
 
 def _smallest(f, p, f0, f1, eps, bisect=False):

@@ -327,6 +327,8 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
                  "--lam2", "0.18", "--sweep-d", "0:4", "--out", str(out)]) == EXIT_OK
     search = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["search"]
     assert search["probes"] == [pt.probes for pt in points]
+    assert search["root_widths"] == [pt.root_width for pt in points]
+    assert 0.0 < search["root_widths"][0] < 1e-6 and search["root_widths"][-1] == 0.0
     assert (search["inversion_calls"], search["rows_inverted"]) == (
         points.inversion_calls, points.rows_inverted)
     assert 0 < search["inversion_calls"] <= 20 and search["probes"][0] > 5
@@ -341,6 +343,7 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
     assert (search["inversion_calls"], search["rows_inverted"]) == (0, 0)
     assert search["chain_runs"] == 1 and search["chain_steps"] > 0
     assert all(p > 5 for p in search["probes"])
+    assert all(0.0 < width < 1e-12 for width in search["root_widths"])
 
 
 _QUEUE = ["--lam1", "0.4", "--lam2", "0.18"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
+    _check_monotone_per_b,
     b_star_class1_per_b,
     b_star_class2_per_b,
     class1_crossing_by_bisection,
@@ -16,6 +17,8 @@ from _oracles import (
     conservation_rhs,
     feasible_region_by_probes,
     itp_bracket,
+    itp_rows,
+    npq_cdf_by_probe,
     npq_meets_by_probe,
     policy_sweep_by_delay,
 )
@@ -26,6 +29,7 @@ from dapq.core import (
     AccuracyNotMet,
     DapqError,
     Kpi,
+    MonotonicityViolation,
     OutOfRange,
     QueueConfig,
     ServiceKind,
@@ -262,6 +266,65 @@ def _class1_outcomes_match(cfg, target, got, want):
         assert (pt.mean_w1, pt.mean_w2) == (means.mean_w1, means.mean_w2)
 
 
+def _class2_outcomes_match(cfg, target, got, want):
+    """Class-2 search outcomes against the ITP oracle's ``want``: a point, a
+    list of points at the delays of a sweep of ``cfg``, or an error's type
+    and text, which must be equal; a sweep's trend check prints the means
+    at b* to every digit, so of its MonotonicityViolation only the type is
+    compared.  Each point must have the oracle's delay and outcome (b* = 0,
+    interior, or b* = 1 infeasible), and a point whose b* is 0 or 1 must
+    equal the oracle's, with its error estimate where the oracle carries
+    one.  An interior b* must meet the KPI and lie at the oracle's crossing
+    (``_class2_crossing_matches``), and carry the means of ``dapq_means`` at
+    b* bit for bit."""
+    if isinstance(want, tuple) and want[0] is MonotonicityViolation:
+        assert isinstance(got, tuple) and got[0] is MonotonicityViolation
+        return
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+        return
+    if isinstance(want, PolicyPoint):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for pt, ref in zip(got, want):
+        interior = pt.feasible and 0.0 < pt.b_star < 1.0
+        assert (pt.d, pt.feasible, interior) == (ref.d, ref.feasible,
+                                                 ref.feasible and 0.0 < ref.b_star < 1.0)
+        if not interior:
+            assert pt == ref
+            assert pt.error_estimate == ref.error_estimate or ref.error_estimate == 0.0
+            continue
+        at = cfg.replace(d=pt.d)
+        _class2_crossing_matches(at, target, pt.b_star, ref.b_star)
+        means = dapq_means(at.replace(b=pt.b_star))
+        assert (pt.mean_w1, pt.mean_w2) == (means.mean_w1, means.mean_w2)
+
+
+def _class2_crossing_matches(config, target, b_star, ref):
+    """An interior class-2 b* against an oracle's ``ref``: F(w) from scratch
+    (``class2_cdf_dapq``) meets the KPI at b*, and b* lies within eps_root
+    of ``ref`` plus the width in b of F's rounding band, two Euler roundoff
+    floors (2**-52 exp(A/2), 7e-12 at the default eps_invert) over dF/db:
+    within that band F's rounding can put the float crossing anywhere,
+    and two searches that probe different points find different ones (a
+    drawn config with dF/db = 5.5e-4 put them 1.03e-10 apart)."""
+    cdf = class2_cdf_per_b(config, target.target_w)
+    assert cdf(b_star) >= target.compliance_p
+    lo, hi = max(0.0, b_star - 1e-6), min(1.0, b_star + 1e-6)
+    slope = (cdf(hi) - cdf(lo)) / (hi - lo)
+    floor = math.ulp(1.0) * math.exp(transforms._euler_params(DEFAULT_TOL.eps_invert) / 2.0)
+    assert slope <= 0.0 or abs(b_star - ref) <= DEFAULT_TOL.eps_root + 2.0 * floor / slope
+
+
+def _regions_match(got, want):
+    """A lockstep region against the ITP oracle's: the same lambda1 grid and
+    upper frontier, and each lower frontier within 1e-4, both being
+    midpoints of brackets at most 1e-4 wide around the same crossing."""
+    assert np.array_equal(got.upper_boundary, want.upper_boundary)
+    assert np.array_equal(got.lower_boundary[:, 0], want.lower_boundary[:, 0])
+    assert np.all(np.abs(got.lower_boundary[:, 1] - want.lower_boundary[:, 1]) <= 1e-4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     rho=st.floats(min_value=0.05, max_value=0.99),
@@ -301,7 +364,8 @@ def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b
     p2 = class2_cdf_per_b(cfg, w)(b_mid)
     if 0.0 < p2 < 1.0:
         kpi2 = Kpi(w, p2, 2)
-        assert _outcome(b_star_class2, cfg, kpi2) == _outcome(b_star_class2_per_b, cfg, kpi2)
+        _class2_outcomes_match(cfg, kpi2, _outcome(b_star_class2, cfg, kpi2),
+                               _outcome(b_star_class2_per_b, cfg, kpi2))
 
 
 # --------------------------------------------------------------------------
@@ -315,10 +379,8 @@ REGION_KPIS = (KPI2, Kpi(2.0, 0.8, 2), Kpi(6.0, 0.95, 2), Kpi(1.0, 0.6, 2),
 @pytest.mark.parametrize("resolution", [0.02, 0.05, 0.013])
 @pytest.mark.parametrize("target", REGION_KPIS)
 def test_lockstep_region_equals_probe_by_probe_region(target, resolution):
-    got = feasible_region(target, resolution=resolution)
-    want = feasible_region_by_probes(target, resolution=resolution)
-    assert np.array_equal(got.lower_boundary, want.lower_boundary)
-    assert np.array_equal(got.upper_boundary, want.upper_boundary)
+    _regions_match(feasible_region(target, resolution=resolution),
+                   feasible_region_by_probes(target, resolution=resolution))
 
 
 @pytest.mark.parametrize("mu,tol", [
@@ -329,9 +391,8 @@ def test_lockstep_region_equals_probe_by_probe_region(target, resolution):
 def test_lockstep_region_equals_oracle_at_other_rates_and_tolerances(mu, tol):
     for target in (KPI2, Kpi(2.0, 0.8, 2)):
         got = feasible_region(target, mu=mu, resolution=0.04 * mu, tol=tol)
-        want = feasible_region_by_probes(target, mu=mu, resolution=0.04 * mu, tol=tol)
-        assert np.array_equal(got.lower_boundary, want.lower_boundary)
-        assert np.array_equal(got.upper_boundary, want.upper_boundary)
+        _regions_match(got, feasible_region_by_probes(target, mu=mu, resolution=0.04 * mu,
+                                                      tol=tol))
         assert 0.0 < got.error_estimate <= tol.eps_invert
 
 
@@ -414,12 +475,9 @@ def test_lockstep_sweep_equals_delay_by_delay_sweep(rho, share, cls, det, w, ks,
         p1 = 1.0 - 0.5 * rho
         mean1 = class1_mean_per_b(cfg.replace(d=d_anchor))(b_mid)
         target = Kpi(mean1 * math.log(rho / (1.0 - p1)) / rho, p1, 1)
-    if cls == 1:
-        sweep = lambda search: _outcome(lambda c, k: search(c, k, d_values), cfg, target)
-        _class1_outcomes_match(cfg, target, sweep(policy_sweep), sweep(policy_sweep_by_delay))
-        return
-    got = _sweep_outcome(policy_sweep, cfg, target, d_values)
-    assert got == _sweep_outcome(policy_sweep_by_delay, cfg, target, d_values)
+    sweep = lambda search: _outcome(lambda c, k: search(c, k, d_values), cfg, target)
+    match = _class1_outcomes_match if cls == 1 else _class2_outcomes_match
+    match(cfg, target, sweep(policy_sweep), sweep(policy_sweep_by_delay))
 
 
 def test_sweep_mixes_every_class2_outcome():
@@ -428,7 +486,7 @@ def test_sweep_mixes_every_class2_outcome():
     cfg = QueueConfig(0.4, 0.18, 1.0)
     ds = [0.0, 1.0, 3.0, 4.0, 6.0]
     points = policy_sweep(cfg, KPI2, ds)
-    assert points == policy_sweep_by_delay(cfg, KPI2, ds)
+    _class2_outcomes_match(cfg, KPI2, points, policy_sweep_by_delay(cfg, KPI2, ds))
     assert 0.0 < points[0].b_star < 1.0 and not points[-1].feasible
     assert [pt.b_star for pt in policy_sweep(cfg, Kpi(4.0, 0.5, 2), ds)] == [0.0] * len(ds)
 
@@ -542,8 +600,8 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
     spoiled = busy_state_distribution(cfg.replace(d=2.0)).tail_next
     horner = transforms._horner
 
-    def nan_row(e, rho, tail_next, steps, starts, acc):
-        out = horner(e, rho, tail_next, steps, starts, acc)
+    def nan_row(e, rho, tail_next, steps, starts, acc, slope=None):
+        out = horner(e, rho, tail_next, steps, starts, acc, slope)
         return np.where(np.asarray(tail_next) == spoiled, np.nan, out)
 
     monkeypatch.setattr(transforms, "_horner", nan_row)
@@ -579,18 +637,21 @@ def _count_inversions(monkeypatch):
 
 
 def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
+    # a search probe inverts F and its derivative in one call, as a leading
+    # axis of 2; the region takes 7 calls and the sweep 8, and one more
+    # each is allowed (the ITP search they replaced took 8 and 16)
     calls = _count_inversions(monkeypatch)
     region = feasible_region(Kpi(4.0, 0.85, 2), resolution=0.02)
-    assert len(calls) == region.inversion_calls <= 20
-    assert region.rows_inverted == sum(shape[0] for shape in calls)
+    assert len(calls) == region.inversion_calls <= 7 + 1
+    assert region.rows_inverted == sum(shape[-2] for shape in calls)
     calls.clear()
     points = policy_sweep(QueueConfig(0.4, 0.18, 1.0), KPI2, [float(d) for d in range(9)])
-    assert len(calls) == points.inversion_calls <= 20
-    assert points.rows_inverted == sum(shape[0] for shape in calls)
+    assert len(calls) == points.inversion_calls <= 8 + 1
+    assert points.rows_inverted == sum(shape[-2] for shape in calls)
 
 
 # --------------------------------------------------------------------------
-# ITP against the bisection it replaced, and its worst case
+# the search against the bisection it replaced, and the ITP oracle's worst case
 # --------------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
@@ -604,8 +665,9 @@ def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
     b_mid=st.floats(min_value=0.05, max_value=0.95),
 )
 def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks, b_mid):
-    # bisection (the slow path) and ITP bracket the same crossing to eps_root,
-    # and ITP returns the end of its bracket that meets the KPI
+    # bisection (the slow path) and the search bracket the same crossing to
+    # eps_root, and the search returns the end of its bracket that meets the
+    # KPI, in at most _NEWTON_N0 probes beyond bisection's count
     service = ServiceKind.DETERMINISTIC if det and cls == 1 else ServiceKind.EXPONENTIAL
     step = 1.0 if service is ServiceKind.DETERMINISTIC else w / 4
     d_values = sorted(step * k for k in ks)
@@ -631,18 +693,18 @@ def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks,
     interior = 0
     for pt, ref in zip(got, bisected):
         assert (pt.d, pt.feasible) == (ref.d, ref.feasible)
-        assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
         if not 0.0 < ref.b_star < 1.0:
             assert pt == ref
             continue
         interior += 1
         at = cfg.replace(d=pt.d)
         if cls == 2:
-            assert class2_cdf_per_b(at, w)(pt.b_star) >= target.compliance_p
+            _class2_crossing_matches(at, target, pt.b_star, ref.b_star)
         else:
+            assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
             threshold = kpi_mean_threshold(validate(at).rho, target)
             assert class1_mean_per_b(at)(pt.b_star) <= threshold
-        assert pt.probes <= ref.probes + 1
+        assert pt.probes <= ref.probes + kpi._NEWTON_N0
     assert interior or not any(0.0 < pt.b_star < 1.0 for pt in got)
 
 
@@ -688,8 +750,8 @@ def test_itp_worst_case_on_adversarial_residuals():
             assert len(probes) <= limit, name  # fail fast rather than crawl
             return g(x), np.ones(len(rows), dtype=bool)
 
-        got_lo, got_hi = kpi._itp_rows(probe, np.arange(1), np.array([lo]), np.array([hi]),
-                                       g(np.array([lo])), g(np.array([hi])), eps, ties_lo)
+        got_lo, got_hi = itp_rows(probe, np.arange(1), np.array([lo]), np.array([hi]),
+                                  g(np.array([lo])), g(np.array([hi])), eps, ties_lo)
         a, b = float(got_lo[0]), float(got_hi[0])
         assert lo <= a <= b <= hi and b - a <= eps, name
         ga, gb = g(np.array([a, b]))
@@ -712,8 +774,7 @@ def test_itp_worst_case_on_adversarial_residuals():
             return (np.array([float(cases[r][1](np.array([xi]))[0]) for r, xi in zip(rr, x)]),
                     np.ones(len(rr), dtype=bool))
 
-        got_lo, got_hi = kpi._itp_rows(probe, np.array(rows), lo, hi, f_lo, f_hi,
-                                       eps, ties_lo)
+        got_lo, got_hi = itp_rows(probe, np.array(rows), lo, hi, f_lo, f_hi, eps, ties_lo)
         for r in rows:
             assert (got_lo[r], got_hi[r]) == singles[r], cases[r][0]
 
@@ -736,8 +797,8 @@ def _itp_on_jump_residual(root, width, eps, low, high, power, ties_lo):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
-                             g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+        return itp_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
+                        g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -756,7 +817,7 @@ def _itp_on_jump_residual(root, width, eps, low, high, power, ties_lo):
 def test_itp_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, high, power,
                                                      ties_lo):
     # c > 0 and normal keeps root = c * width > 0, so the residual at lo is
-    # negative, as _itp_rows requires
+    # negative, as itp_rows requires
     eps = 10.0 ** eps_exp * width
     root = c * width
     lo, hi = _itp_on_jump_residual(root, width, eps, low, high, power, ties_lo)
@@ -783,10 +844,167 @@ def test_itp_takes_the_midpoint_between_equal_residuals():
         probes.append(x[0])
         return np.where(x < 0.3, x - 0.3, 0.0), np.ones(len(rows), dtype=bool)
 
-    lo, hi = kpi._itp_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
-                           np.full(1, -0.3), np.zeros(1), 1e-6, ties_lo=True)
+    lo, hi = itp_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
+                      np.full(1, -0.3), np.zeros(1), 1e-6, ties_lo=True)
     assert hi[0] - lo[0] <= 1e-6 and 0.3 <= lo[0]
-    assert len(probes) <= math.ceil(math.log2(1e6)) + kpi._ITP_N0
+    assert len(probes) <= math.ceil(math.log2(1e6)) + 1  # n0 = 1
+
+
+# --------------------------------------------------------------------------
+# the safeguarded Newton search: its worst case, with slopes that lie
+# --------------------------------------------------------------------------
+
+def _slopes(g):
+    """Slopes to feed the Newton search for residual g: (name, slope(x)),
+    the residual's own central difference first, then lies."""
+    return [
+        ("central difference", lambda x: (g(x + 1e-7) - g(x - 1e-7)) / 2e-7),
+        ("zero", lambda x: np.zeros_like(x)),
+        ("wrong sign", lambda x: -np.abs((g(x + 1e-7) - g(x - 1e-7)) / 2e-7) - 1.0),
+        ("nan", lambda x: np.full_like(x, np.nan)),
+        ("huge", lambda x: np.full_like(x, 1e300)),
+        ("tiny", lambda x: np.full_like(x, 1e-300)),
+    ]
+
+
+def _newton_cases():
+    """The ITP oracle's adversarial residuals, a residual flat at its root,
+    and a smooth one, each with every slope of ``_slopes``:
+    (name, g, slope, lo, hi, eps, ties_lo)."""
+    flat = ("flat at 0 beyond 0.3", lambda x: np.where(x < 0.3, x - 0.3, 0.0), 0.0, 1.0, 1e-6,
+            True)
+    smooth = ("smooth", lambda x: np.expm1(x - 0.4123), 0.0, 1.0, 1e-10, False)
+    return [(f"{name}, {lie}", g, slope, lo, hi, eps, ties_lo)
+            for name, g, lo, hi, eps, ties_lo in _adversarial_residuals() + [flat, smooth]
+            for lie, slope in _slopes(g)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_newton_worst_case_on_adversarial_residuals():
+    # each row alone, then all rows of one eps and tie rule in one lockstep
+    # search: at most _NEWTON_N0 probes beyond bisection's count, the
+    # crossing kept in the final bracket, and each row bit for bit its
+    # search alone; a true slope on a smooth residual takes a few probes
+    cases = _newton_cases()
+    singles = []
+    for name, g, slope, lo, hi, eps, ties_lo in cases:
+        probes = []
+        limit = math.ceil(math.log2((hi - lo) / eps)) + kpi._NEWTON_N0
+
+        def probe(x, rows):
+            probes.append(len(rows))
+            assert len(probes) <= limit, name  # fail fast rather than crawl
+            return g(x), slope(x), np.ones(len(rows), dtype=bool)
+
+        got_lo, got_hi, _ = kpi._newton_rows(probe, np.arange(1), np.array([lo]), np.array([hi]),
+                                             g(np.array([lo])), g(np.array([hi])), eps, ties_lo)
+        a, b = float(got_lo[0]), float(got_hi[0])
+        assert lo <= a <= b <= hi and b - a <= eps, name
+        ga, gb = g(np.array([a, b]))
+        assert (ga <= 0.0 if ties_lo else ga < 0.0) or a == lo, name
+        assert (gb > 0.0 if ties_lo else gb >= 0.0) or b == hi, name
+        if name == "smooth, central difference":
+            assert len(probes) <= 6  # bisection takes 34
+        singles.append((a, b))
+
+    for ties_lo, eps in {(case[6], case[5]) for case in cases}:
+        rows = [r for r, case in enumerate(cases) if (case[6], case[5]) == (ties_lo, eps)]
+        lo = np.array([case[3] for case in cases])
+        hi = np.array([case[4] for case in cases])
+        f_lo = np.array([float(case[1](np.array([case[3]]))[0]) for case in cases])
+        f_hi = np.array([float(case[1](np.array([case[4]]))[0]) for case in cases])
+
+        def probe(x, rr):
+            one = [(cases[r][1](np.array([xi]))[0], cases[r][2](np.array([xi]))[0])
+                   for r, xi in zip(rr, x)]
+            return (np.array([v for v, _ in one]), np.array([d for _, d in one]),
+                    np.ones(len(rr), dtype=bool))
+
+        got_lo, got_hi, _ = kpi._newton_rows(probe, np.array(rows), lo, hi, f_lo, f_hi, eps,
+                                             ties_lo)
+        for r in rows:
+            assert (got_lo[r], got_hi[r]) == singles[r], cases[r][0]
+
+
+@settings(max_examples=200, deadline=None)
+# eps = 1e-14 on [0, 1] is within three slacks (4 ulps of 4): the budget
+# window comes out empty, and only midpoints end the search
+@example(c=1.0, width=1.0, eps_exp=-14, low=1.0, high=1.0, power=1, ties_lo=False, lie=0)
+@given(
+    c=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_subnormal=False),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    eps_exp=st.integers(min_value=-14, max_value=-2),
+    low=st.floats(min_value=1e-6, max_value=1e6),
+    high=st.floats(min_value=1e-6, max_value=1e6),
+    power=st.sampled_from([1, 3, 15]),
+    ties_lo=st.booleans(),
+    lie=st.integers(min_value=0, max_value=5),
+)
+def test_newton_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low, high, power,
+                                                       ties_lo, lie):
+    # a jump of heights low and high at root = c * width on top of an odd
+    # power, with the residual's own slope or one of the lies of _slopes;
+    # c > 0 and normal keeps the residual at lo negative
+    eps = 10.0 ** eps_exp * width
+    root = c * width
+
+    def g(x):
+        t = (x - root) / width
+        return np.where(x < root, -low, high) * (1e-3 + np.abs(t) ** power)
+
+    _, slope = _slopes(g)[lie]
+    probes = []
+
+    def probe(x, rows):
+        probes.append(1)
+        assert len(probes) <= math.ceil(math.log2(width / eps)) + kpi._NEWTON_N0
+        return g(x), slope(x), np.ones(len(rows), dtype=bool)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lo, hi, _ = kpi._newton_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
+                                     g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+    assert hi[0] - lo[0] <= eps
+    assert lo[0] <= root <= hi[0] or root == width
+
+
+# --------------------------------------------------------------------------
+# the monotonicity the searches rely on, without probing for it
+# --------------------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rho=st.floats(min_value=0.05, max_value=0.97),
+    share=st.floats(min_value=0.05, max_value=0.95),
+    d=st.integers(min_value=0, max_value=60).map(lambda k: k / 4),
+    u=st.floats(min_value=0.05, max_value=30.0),
+    bs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+)
+def test_class2_cdf_is_nondecreasing_in_b(rho, share, d, u, bs):
+    # the stochastic ordering of _b_star_class2_rows: thinning the births of
+    # the walk beyond d never delays its first passage, and F(d) and the
+    # busy weights are b-free; each value is certified to eps_invert
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, d=d)
+    cdf = class2_cdf_per_b(cfg, d + u)
+    slack = 2.0 * DEFAULT_TOL.eps_invert
+    _check_monotone_per_b(cdf, slack, "class-2 compliance")
+    b1, b2 = sorted(bs)
+    assert cdf(b1) <= cdf(b2) + slack
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lam1=st.floats(min_value=0.0, max_value=0.95),
+    lam2s=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2),
+    w=st.floats(min_value=0.1, max_value=30.0),
+)
+def test_strict_priority_class2_cdf_is_nonincreasing_in_lambda2(lam1, lam2s, w):
+    # the region frontier's monotonicity: with lambda1 fixed, added class-2
+    # arrivals only add work ahead of a tagged class-2 customer
+    lam2_lo, lam2_hi = sorted(l2 * (0.99 - lam1) for l2 in lam2s)
+    target = Kpi(w, 0.5, 2)
+    assert (npq_cdf_by_probe(lam1, lam2_lo, 1.0, target)
+            >= npq_cdf_by_probe(lam1, lam2_hi, 1.0, target) - 2.0 * DEFAULT_TOL.eps_invert)
 
 
 # --------------------------------------------------------------------------
@@ -800,23 +1018,43 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
     points = policy_sweep(cfg, KPI2, ds)
     assert isinstance(points, kpi.PolicySweep) and points == list(points)
     assert points.inversion_calls == len(calls)
-    assert points.rows_inverted == sum(shape[0] for shape in calls)
+    assert points.rows_inverted == sum(shape[-2] for shape in calls)
     probes = [pt.probes for pt in points]
-    # two ends, three monotonicity rates, then ITP steps; b = 1 fails after
-    # two probes; a row with d >= w has one b-free probe
-    assert all(6 <= n <= 5 + 35 for n in probes[:2])
-    assert probes[2:] == [2, 1, 1]
+    # two ends, then a regula-falsi point, two Newton steps and the probe
+    # that closes the bracket (the ITP search took 14 and 13, three of them
+    # monotonicity probes); b = 1 fails after two probes; a row with d >= w
+    # has one b-free probe
+    assert probes == [6, 6, 2, 1, 1]
     assert sum(probes) == points.rows_inverted - 2  # F(d) at d = 1 and 3, once each
-    assert replace(points[0], probes=0, error_estimate=0.0) == points[0]
+    assert replace(points[0], probes=0, error_estimate=0.0, root_width=1.0) == points[0]
+
+    # an interior b* is pinned to its certified error over dF/db, which a
+    # central difference of the from-scratch CDF confirms; the other points
+    # found no root
+    for pt in points[:2]:
+        cdf = class2_cdf_per_b(cfg.replace(d=pt.d), KPI2.target_w)
+        slope = (cdf(pt.b_star + 1e-6) - cdf(pt.b_star - 1e-6)) / 2e-6
+        assert pt.root_width == pytest.approx(pt.error_estimate / slope, rel=1e-4)
+    assert [pt.root_width for pt in points[2:]] == [0.0] * 3
 
     # a class-1 sweep inverts nothing; its probes are mean evaluations: two
     # ends, then the closed-form b* and each step down from it, whose gaps
     # double from one ulp, so they pass b* (an ulp being 2**-52 of it) and
     # reach b = 0 within 53 steps
-    points = policy_sweep(QueueConfig(0.05, 0.6, 1.0), KPI1, [0.0, 1.0])
+    cfg = QueueConfig(0.05, 0.6, 1.0)
+    points = policy_sweep(cfg, KPI1, [0.0, 1.0])
     assert (points.inversion_calls, points.rows_inverted) == (0, 0)
     assert all(3 <= pt.probes <= 3 + 53 for pt in points)
-    assert b_star_class1(QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1)).probes == 0
+    atom = b_star_class1(QueueConfig(0.2, 0.2, 1.0), Kpi(2.0, 0.3, 1))
+    assert (atom.probes, atom.root_width) == (0, 0.0)
+
+    # a class-1 b* is pinned to one rounding of the class-1 mean (eps rhs /
+    # rho1) over its slope in b, which a central difference confirms
+    for pt in points:
+        mean1 = class1_mean_per_b(cfg.replace(d=pt.d))
+        slope = (mean1(pt.b_star + 1e-6) - mean1(pt.b_star - 1e-6)) / 2e-6
+        rounding = np.finfo(float).eps * conservation_rhs(cfg) / cfg.lambda1
+        assert pt.root_width == pytest.approx(rounding / slope, rel=1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -854,7 +1092,8 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     points = policy_sweep(cfg, KPI2, ds)
     assert steps == [max(max(c) for c in cuts)] == [44]
     assert (points.chain_runs, points.chain_steps) == (1, 44)
-    assert points == want
+    assert [(pt.d, pt.feasible) for pt in points] == [(pt.d, pt.feasible) for pt in want]
+    assert all(abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root for pt, ref in zip(points, want))
 
     # a class-1 sweep needs only the moments: one run too; deterministic
     # service sums its correction in closed form and runs no chain

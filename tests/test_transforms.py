@@ -350,6 +350,35 @@ def test_a_ragged_batch_equals_its_one_row_inversions_bit_for_bit():
         assert np.array_equal(one[0][0], vals[r]) and np.array_equal(one[1][0], est[r])
 
 
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.9, 1.0])
+def test_the_derivative_rides_in_the_value_call_and_changes_no_value(b):
+    # values and estimates of a value-and-derivative call equal the
+    # value-only call's bit for bit; dF/da of the over-delay rows (ragged
+    # heads) and dF/drho of the strict-priority rows match a second-order
+    # forward difference (a = 0 at b = 1, so no central one) to 1e-6
+    configs = [QueueConfig(0.5, 0.3, 1.0, d=2.0), QueueConfig(0.2, 0.7, 1.0),
+               QueueConfig(0.9, 0.05, 1.0, d=9.0), QueueConfig(0.4, 0.18, 1.0, d=0.5)]
+    _, weights = _rows_of(configs)
+    ts = np.array([[4.0, 9.0], [0.5, 3.0], [2.0, 30.0], [1.0, 6.0]])
+    lam = np.array([cfg.lambda1 * (1.0 - b) for cfg in configs])
+    vals, est = transforms._invert_over_delay_rows(ts, lam, 1.0, weights, DEFAULT_TOL)
+    pair = transforms._invert_over_delay_rows(ts, lam, 1.0, weights, DEFAULT_TOL, slope=True)
+    assert np.array_equal(pair[0], vals) and np.array_equal(pair[1], est)
+    h = 1e-5
+    one, two = (transforms._invert_over_delay_rows(ts, lam + k * h, 1.0, weights, DEFAULT_TOL)[0]
+                for k in (1, 2))
+    assert np.allclose(pair[2], (4.0 * one - two - 3.0 * vals) / (2.0 * h), rtol=1e-6, atol=1e-9)
+
+    rho = np.array([0.3, 0.6, 0.95, 0.8])
+    lam1 = rho * np.array([0.5, 0.1, 0.9, 0.3])
+    vals, est = transforms._npq_cdf_rows(ts, lam1, rho, 1.0, DEFAULT_TOL)
+    pair = transforms._npq_cdf_rows(ts, lam1, rho, 1.0, DEFAULT_TOL, slope=True)
+    assert np.array_equal(pair[0], vals) and np.array_equal(pair[1], est)
+    one, two = (transforms._npq_cdf_rows(ts, lam1, rho + k * h, 1.0, DEFAULT_TOL)[0]
+                for k in (1, 2))
+    assert np.allclose(pair[2], (4.0 * one - two - 3.0 * vals) / (2.0 * h), rtol=1e-6, atol=1e-9)
+
+
 @pytest.mark.parametrize("cfg, grid", [
     (QueueConfig(0.5, 0.3, 1.0, b=0.55, d=3.27), None),
     (QueueConfig(0.5, 0.45, 1.0, b=0.35, d=2.2), None),

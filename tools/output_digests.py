@@ -1,6 +1,7 @@
 """Digests of the benchmark's outputs, to show that a change moves no output bit.
 
     python3 tools/output_digests.py TREE [--seeds 0 1 2 3] > digests.txt
+    python3 tools/output_digests.py TREE --compare OTHER [--seeds 0 1 2 3]
 
 TREE is the root of a checkout, say a ``git archive`` export of a commit.
 The script runs the ``means``, ``cdf`` and ``kpi`` specs of
@@ -13,13 +14,23 @@ kind (``MEAN_SWEEP``), which covers the command line's mean path.  CSVs go
 to a temporary directory and no bytecode is written, so nothing is
 written inside TREE.
 Diffing the output for two trees shows whether any output changed.
+
+With ``--compare OTHER`` the script runs both trees, each in its own
+process, and prints instead, per ``cdf`` and ``kpi`` output, the largest
+absolute difference over the CSV's numeric cells between TREE and OTHER:
+0.0 for equal CSVs, inf when a text cell differs or the CSVs differ in
+shape or presence.  That is the tolerance a change that moves outputs
+states.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -43,12 +54,60 @@ def _digest(name: str, raw, path: Path) -> str:
     return line
 
 
+def _cells(path: Path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def max_abs_diff(path: Path, other: Path) -> float:
+    """The largest |a - b| over the numeric cells of two CSVs, inf if they cannot be matched."""
+    if not (path.exists() and other.exists()):
+        return 0.0 if path.exists() == other.exists() else math.inf
+    rows, other_rows = _cells(path), _cells(other)
+    if [len(r) for r in rows] != [len(r) for r in other_rows]:
+        return math.inf
+    worst = 0.0
+    for row, other_row in zip(rows, other_rows):
+        for a, b in zip(row, other_row):
+            if a == b:
+                continue
+            try:
+                worst = max(worst, abs(float(a) - float(b)))
+            except ValueError:
+                return math.inf
+    return worst
+
+
+def _compare(tree: Path, other: Path, seeds) -> int:
+    """Run both trees into scratch directories and print each CSV's largest numeric change."""
+    with tempfile.TemporaryDirectory() as scratch:
+        dirs = [Path(scratch) / "tree", Path(scratch) / "other"]
+        for root, out in zip((tree, other), dirs):
+            out.mkdir()
+            subprocess.run([sys.executable, "-B", __file__, str(root), "--csv-dir", str(out),
+                            "--seeds", *map(str, seeds)], check=True, stdout=subprocess.DEVNULL)
+        for seed in seeds:
+            for name in ("cdf", "kpi"):
+                count = max(len(list(out.glob(f"{name}-{seed}-*.csv"))) for out in dirs)
+                for i in range(count):
+                    file = f"{name}-{seed}-{i}.csv"
+                    print(f"{name} seed={seed} op={i} "
+                          f"max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
+                          flush=True)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", type=Path, help="root of the checkout to run")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
+    parser.add_argument("--compare", type=Path, metavar="OTHER",
+                        help="print each CSV's largest numeric change from TREE to OTHER")
+    parser.add_argument("--csv-dir", type=Path, help=argparse.SUPPRESS)  # keep the CSVs here
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
+    if args.compare is not None:
+        return _compare(tree, args.compare.resolve(), args.seeds)
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import dapq
@@ -58,7 +117,8 @@ def main(argv=None) -> int:
     for module in (dapq, workloads):
         if tree not in Path(module.__file__).resolve().parents:
             raise SystemExit(f"{module.__name__} was imported from {module.__file__}, not {tree}")
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = args.csv_dir or tmp
         for seed in args.seeds:
             for name in WORKLOADS:
                 workload = workloads.WORKLOADS[name]
