@@ -358,49 +358,48 @@ class _Class2Rows:
             self.free_values = vals[:, 0]
             self.fixed_est[self.free] = np.max(est, axis=1)
 
-    def probe(self, b, rows: np.ndarray, slope: bool = False):
+    def probe(self, b, rows: np.ndarray):
         """Certified F(w) at rate b (a float or one per row) for rows with w > d.
 
-        Returns (values, ok) and, with ``slope``, (values, slopes, ok),
-        ``slopes`` dF/db = -lambda1 dF/da (NaN where unresolved) from the
-        same inversion (``transforms._invert_over_delay_rows``).
+        Returns (values, slopes, ok), ``slopes`` dF/db = -lambda1 dF/da
+        (NaN where unresolved) from the same inversion
+        (``transforms._invert_over_delay_rows``).
         """
         if not rows.size:
             empty = np.zeros(0)
-            return (empty, empty, empty.astype(bool)) if slope else (empty, empty.astype(bool))
+            return empty, empty, empty.astype(bool)
         self.state.inverted(len(rows))
         self.state.probes[rows] += 1
-        vals, est, *dfda = transforms._invert_over_delay_rows(
+        vals, est, dfda = transforms._invert_over_delay_rows(
             (self.w - self.ds[rows])[:, None],
             self.lambda1 * (1.0 - b),
             self.mu,
             [self.weights[r] for r in rows],
             self.state.tol,
-            slope,
+            slope=True,
         )
         worst = np.maximum(self.fixed_est[rows], est[:, 0])
         values, ok = self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
-        if not slope:
-            return values, ok
-        return values, -self.lambda1 * dfda[0][:, 0], ok
+        return values, -self.lambda1 * dfda[:, 0], ok
 
 
-def _npq_meets(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray,
-               slope: bool = False):
+def _npq_meets(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray):
     """Whether strict priority meets a class-2 KPI at (lam1[i], lam2[i]) for each row.
 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
-    counted in ``state``.  Returns (meets, values, ok) per row, ``values``
-    the certified F(w), and with ``slope`` also dF/dlambda2 = dF/drho / mu.
+    counted in ``state``.  Returns (meets, values, slopes, ok) per row,
+    ``values`` the certified F(w) and ``slopes`` dF/dlambda2 = dF/drho / mu
+    from the same inversion.
     """
     if not rows.size:
         empty = np.zeros(0)
-        return (empty.astype(bool), empty, empty.astype(bool)) + ((empty,) if slope else ())
+        return empty.astype(bool), empty, empty, empty.astype(bool)
     state.inverted(len(rows))
-    vals, est, *dfdrho = transforms._npq_cdf_rows(
-        np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol, slope)
+    vals, est, dfdrho = transforms._npq_cdf_rows(
+        np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol,
+        slope=True)
     values, ok = state.certify(rows, vals[:, 0], est[:, 0])
-    return (values >= kpi.compliance_p, values, ok) + tuple(d[:, 0] / mu for d in dfdrho)
+    return values >= kpi.compliance_p, values, dfdrho[:, 0] / mu, ok
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +466,7 @@ def _b_star_class2_rows(
     for b, f in ((0.0, f0), (1.0, f1)):
         if not live.size:
             break
-        values, ok = rows.probe(b, live)
+        values, _, ok = rows.probe(b, live)
         live, values = live[ok], values[ok]
         f[live] = values
         done = values >= p if b == 0.0 else values < p
@@ -476,7 +475,7 @@ def _b_star_class2_rows(
         live = live[~done]
 
     def residual(b, rr):
-        values, slopes, ok = rows.probe(b, rr, slope=True)
+        values, slopes, ok = rows.probe(b, rr)
         return values - p, slopes, ok
 
     _, hi, slope = _newton_rows(residual, live, np.zeros(n), np.ones(n), f0 - p, f1 - p,
@@ -623,7 +622,7 @@ def meets_extreme(
     if kpi.class_index == 1:
         return approx.ZExp(rho, mu - lam1).cdf(w) >= p
     state = _Rows(1, tol)
-    meets, _, _ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
+    meets, *_ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
     state.raise_first()
     return bool(meets[0])
 
@@ -708,16 +707,16 @@ def feasible_region(
     rows = np.arange(n)
     lo = np.full(n, 1e-9)
     f_lo, f_hi = np.zeros(n), np.zeros(n)  # residuals p - F(w) at the bracket ends
-    meets, values, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
+    meets, values, _, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
     f_lo[rows] = p - values
     rows = rows[ok & meets]
-    meets, values, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
+    meets, values, _, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
     f_hi[rows] = p - values
     lower[rows[ok & meets]] = hi_l2[rows[ok & meets]]
     rows = rows[ok & ~meets]
 
     def residual(lam2, rr):
-        _, values, ok, slopes = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr, slope=True)
+        _, values, slopes, ok = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr)
         return p - values, -slopes, ok
 
     lo, hi, _ = _newton_rows(residual, rows, lo, hi_l2, f_lo, f_hi, 1e-4, ties_lo=True)

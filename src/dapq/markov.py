@@ -319,13 +319,6 @@ class BusyWeights:
     rho: float
     tail_next: float
 
-    @classmethod
-    def geometric(cls, rhos: Sequence[float]) -> list:
-        """The weights at d = 0, one per rho, sharing one empty head: w_l = (1-rho) rho**l,
-        so tail_next = (1-rho) rho, as ``busy_state_distribution`` gives them."""
-        head = np.zeros(0)
-        return [cls(head, rho, (1.0 - rho) * rho) for rho in rhos]
-
     def __len__(self) -> int:
         return len(self.head)
 

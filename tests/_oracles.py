@@ -11,7 +11,9 @@ the Poisson jump cut and the Euler parameters with the package.  Poisson
 tails and pmfs come from ``scipy.stats`` or from a 50-digit recurrence,
 and the KPI searches evaluate each b from scratch; so does the bisection
 that places a class-1 crossing to float resolution
-(``class1_crossing_by_bisection``).  The row-by-row KPI
+(``class1_crossing_by_bisection``).  The class-2 search on from-scratch
+probes (``b_star_class2_per_b``) runs the package's own Newton search, so
+that the package must match it bit for bit.  The row-by-row KPI
 searches the lockstep ones replaced (one delay or one lambda1 at a time,
 one single-point inversion per probe) are kept as oracles too, each on a
 scalar ITP search written from the published pseudo-code or, on request,
@@ -795,7 +797,12 @@ def _policy_point_per_b(config, b, feasible, tol):
 
 
 def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
-    """``dapq.kpi.b_star_class2`` with every constraint value computed from scratch."""
+    """``dapq.kpi.b_star_class2`` with every probe computed from scratch:
+    F(w) from ``class2_cdf_dapq`` and dF/db from a one-row derivative
+    inversion at the config's own busy weights.  It runs the package's
+    safeguarded Newton search (``dapq.kpi._newton_rows``), whose points
+    depend on the probes alone, so a search that hoists the b-free parts
+    must find this point bit for bit."""
     validate(config.replace(b=0.0))
     w, p = kpi.target_w, kpi.compliance_p
     constraint = class2_cdf_per_b(config, w, tol)
@@ -805,9 +812,19 @@ def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
     f1 = constraint(1.0)
     if f1 < p:
         return _policy_point_per_b(config, 1.0, False, tol)
-    _check_monotone_per_b(constraint, 100 * tol.eps_invert, "class-2 compliance")
-    b = _smallest(constraint, p, f0, f1, tol.eps_root)
-    return _policy_point_per_b(config, b, True, tol)
+
+    def probe(b, rows):
+        weights = dapq_busy_weights(config.replace(b=float(b[0])), tol)
+        *_, dfda = transforms._invert_over_delay_rows(
+            np.array([[w - config.d]]), config.lambda1 * (1.0 - b), config.mu, [weights], tol,
+            True)
+        return (np.array([constraint(float(b[0])) - p]), -config.lambda1 * dfda[:, 0],
+                np.ones(1, dtype=bool))
+
+    _, hi, _ = kpi_mod._newton_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
+                                    np.array([f0 - p]), np.array([f1 - p]), tol.eps_root,
+                                    ties_lo=False)
+    return _policy_point_per_b(config, float(hi[0]), True, tol)
 
 
 def b_star_class1_per_b(config, kpi, tol=DEFAULT_TOL):
@@ -852,14 +869,15 @@ def class1_crossing_by_bisection(config, kpi, tol=DEFAULT_TOL):
 
 
 def _bisect_smallest(f, p, lo, hi, eps):
-    """Smallest b in [lo,hi] with f(b) >= p, given f(lo) < p <= f(hi)."""
+    """The final bracket (lo, hi) of a bisection for the smallest b in
+    [lo, hi] with f(b) >= p, given f(lo) < p <= f(hi)."""
     while hi - lo > eps:
         mid = 0.5 * (lo + hi)
         if f(mid) >= p:
             hi = mid
         else:
             lo = mid
-    return hi
+    return lo, hi
 
 
 def _bisect_largest(f, m, lo, hi, eps):
@@ -988,11 +1006,17 @@ def itp_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return lo, hi
 
 
-def _smallest(f, p, f0, f1, eps, bisect=False):
-    """Smallest b in [0, 1] with f(b) >= p, given f(0) = f0 < p <= f(1) = f1."""
+def _smallest_bracket(f, p, f0, f1, eps, bisect=False):
+    """The final bracket (lo, hi) of a search for the smallest b in [0, 1]
+    with f(b) >= p, given f(0) = f0 < p <= f(1) = f1."""
     if bisect:
         return _bisect_smallest(f, p, 0.0, 1.0, eps)
-    return itp_bracket(lambda b: f(b) - p, 0.0, 1.0, f0 - p, f1 - p, eps, False)[1]
+    return itp_bracket(lambda b: f(b) - p, 0.0, 1.0, f0 - p, f1 - p, eps, False)[:2]
+
+
+def _smallest(f, p, f0, f1, eps, bisect=False):
+    """Smallest b in [0, 1] with f(b) >= p, given f(0) = f0 < p <= f(1) = f1."""
+    return _smallest_bracket(f, p, f0, f1, eps, bisect)[1]
 
 
 def _largest(f, m, m0, m1, eps, bisect=False):
@@ -1131,6 +1155,14 @@ def b_star_class2_by_probes(config, kpi, tol=DEFAULT_TOL, bisect=False):
     return point(_smallest(constraint, p, f0, f1, tol.eps_root, bisect), True)
 
 
+def b_star_class2_bracket_by_probes(config, kpi, tol=DEFAULT_TOL, bisect=False):
+    """The final bracket (lo, hi) of ``b_star_class2_by_probes``' search,
+    hi being its b*, for a config whose b* is interior."""
+    constraint = class2_cdf_per_b(config, kpi.target_w, tol)
+    return _smallest_bracket(constraint, kpi.compliance_p, constraint(0.0), constraint(1.0),
+                             tol.eps_root, bisect)
+
+
 def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL, bisect=False):
     """One delay's class-1 search, a scalar class-1 mean (replace and validate) per step;
     the point carries its probe count.  A scalar ITP search, or bisection with ``bisect``."""
@@ -1159,10 +1191,16 @@ def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL, bisect=False):
     return point(_largest(mean1, threshold, m0, m1, tol.eps_root, bisect), True)
 
 
-def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False):
-    """``dapq.kpi.policy_sweep`` one delay after another, with the same trend checks."""
-    search = b_star_class2_by_probes if kpi.class_index == 2 else b_star_class1_by_steps
-    points = [search(config.replace(d=float(d)), kpi, tol, bisect) for d in d_values]
+def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False, search=None):
+    """``dapq.kpi.policy_sweep`` one delay after another, with the same trend checks.
+
+    Each delay's point comes from ``search(config, kpi, tol)`` when given,
+    else from the probe-by-probe search of the KPI's class.
+    """
+    if search is None:
+        by_probes = b_star_class2_by_probes if kpi.class_index == 2 else b_star_class1_by_steps
+        search = lambda cfg, target, t: by_probes(cfg, target, t, bisect)
+    points = [search(config.replace(d=float(d)), kpi, tol) for d in d_values]
     feas = [pt for pt in points if pt.feasible]
     if kpi.class_index == 2:
         w1s = [pt.mean_w1 for pt in feas]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from _oracles import (
     _check_monotone_per_b,
     b_star_class1_per_b,
+    b_star_class2_bracket_by_probes,
     b_star_class2_per_b,
     class1_crossing_by_bisection,
     class1_mean_per_b,
@@ -46,7 +47,7 @@ from dapq.kpi import (
     meets_extreme,
     policy_sweep,
 )
-from dapq.markov import BusyWeights, _jump_cuts, busy_state_distribution
+from dapq.markov import _jump_cuts, busy_state_distribution
 from dapq.mean_wait import dapq_means, md1_dapq_class2_mean, mm1_dapq_class2_mean
 from dapq.transforms import class2_cdf_dapq
 
@@ -300,20 +301,45 @@ def _class2_outcomes_match(cfg, target, got, want):
         assert (pt.mean_w1, pt.mean_w2) == (means.mean_w1, means.mean_w2)
 
 
-def _class2_crossing_matches(config, target, b_star, ref):
-    """An interior class-2 b* against an oracle's ``ref``: F(w) from scratch
-    (``class2_cdf_dapq``) meets the KPI at b*, and b* lies within eps_root
-    of ``ref`` plus the width in b of F's rounding band, two Euler roundoff
-    floors (2**-52 exp(A/2), 7e-12 at the default eps_invert) over dF/db:
-    within that band F's rounding can put the float crossing anywhere,
-    and two searches that probe different points find different ones (a
-    drawn config with dF/db = 5.5e-4 put them 1.03e-10 apart)."""
+def _class2_crossing_matches(config, target, b_star, ref, bisect=False):
+    """An interior class-2 b* against the ITP oracle's ``ref``, or with
+    ``bisect`` the bisection oracle's: F(w) from scratch (``class2_cdf_dapq``)
+    meets the KPI at b*, and b* lies within eps_root of ``ref``.
+
+    Each search ends with a bracket at most eps_root wide whose lower end
+    has F < p and whose upper end, b*, has F >= p.  Where F is
+    nondecreasing between two such brackets, they lie within eps_root of
+    each other.  Farther apart, the check asks for the proof that F is not:
+    the higher search's lower end lies above the lower b*, F is below p
+    there and at least p at the lower b*.  That happens where F's roundoff
+    exceeds dF/db times eps_root: a drawn config with dF/db = 1.7e-5 put
+    the two searches 1.2e-10 apart."""
     cdf = class2_cdf_per_b(config, target.target_w)
-    assert cdf(b_star) >= target.compliance_p
-    lo, hi = max(0.0, b_star - 1e-6), min(1.0, b_star + 1e-6)
-    slope = (cdf(hi) - cdf(lo)) / (hi - lo)
-    floor = math.ulp(1.0) * math.exp(transforms._euler_params(DEFAULT_TOL.eps_invert) / 2.0)
-    assert slope <= 0.0 or abs(b_star - ref) <= DEFAULT_TOL.eps_root + 2.0 * floor / slope
+    p = target.compliance_p
+    assert cdf(b_star) >= p
+    if abs(b_star - ref) <= DEFAULT_TOL.eps_root:
+        return
+    if b_star > ref:
+        above = _newton_bracket(config, target)[0]
+    else:
+        above = b_star_class2_bracket_by_probes(config, target, bisect=bisect)[0]
+    below = min(b_star, ref)
+    assert below < above and cdf(below) >= p > cdf(above)
+
+
+def _newton_bracket(config, target):
+    """The final bracket (lo, hi) of ``b_star_class2``'s Newton search."""
+    newton, brackets = kpi._newton_rows, []
+
+    def recorded(*args, **kwargs):
+        brackets.append(newton(*args, **kwargs))
+        return brackets[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kpi, "_newton_rows", recorded)
+        b_star_class2(config, target)
+    lo, hi, _ = brackets[0]
+    return float(lo[0]), float(hi[0])
 
 
 def _regions_match(got, want):
@@ -364,8 +390,8 @@ def test_hoisted_b_free_parts_match_per_b_oracles(rho, share, det, ell, b_mid, b
     p2 = class2_cdf_per_b(cfg, w)(b_mid)
     if 0.0 < p2 < 1.0:
         kpi2 = Kpi(w, p2, 2)
-        _class2_outcomes_match(cfg, kpi2, _outcome(b_star_class2, cfg, kpi2),
-                               _outcome(b_star_class2_per_b, cfg, kpi2))
+        assert (_outcome(b_star_class2, cfg, kpi2)
+                == _outcome(b_star_class2_per_b, cfg, kpi2))
 
 
 # --------------------------------------------------------------------------
@@ -426,6 +452,13 @@ def test_extremes_reject_rates_that_are_not_rates(lam1, lam2, mu, unstable, targ
                 check()
 
 
+def _one_row_sweep(cfg, target, ds, tol=DEFAULT_TOL):
+    """``policy_sweep`` as one-row class-2 searches (``b_star_class2``), one
+    delay after another, with the oracle's trend check: the lockstep rows
+    must see the points of their searches alone, bit for bit."""
+    return policy_sweep_by_delay(cfg, target, ds, tol, search=b_star_class2)
+
+
 def _sweep_outcome(search, cfg, target, ds):
     """A sweep's points with their error estimates and the probe counts of its
     interior points, or the type and text of its error."""
@@ -438,6 +471,8 @@ def _sweep_outcome(search, cfg, target, ds):
 
 
 @settings(max_examples=40, deadline=None)
+# F is flat in b to its roundoff here: the Newton and ITP b* lie 1.2e-10 apart
+@example(rho=1 / 3, share=0.1, cls=2, det=False, w=0.3, ks=[3], anchor=0, b_mid=0.25, u=None)
 @given(
     rho=st.floats(min_value=0.3, max_value=0.92),
     share=st.floats(min_value=0.1, max_value=0.9),
@@ -478,6 +513,9 @@ def test_lockstep_sweep_equals_delay_by_delay_sweep(rho, share, cls, det, w, ks,
     sweep = lambda search: _outcome(lambda c, k: search(c, k, d_values), cfg, target)
     match = _class1_outcomes_match if cls == 1 else _class2_outcomes_match
     match(cfg, target, sweep(policy_sweep), sweep(policy_sweep_by_delay))
+    if cls == 2:
+        assert (_sweep_outcome(policy_sweep, cfg, target, d_values)
+                == _sweep_outcome(_one_row_sweep, cfg, target, d_values))
 
 
 def test_sweep_mixes_every_class2_outcome():
@@ -487,6 +525,7 @@ def test_sweep_mixes_every_class2_outcome():
     ds = [0.0, 1.0, 3.0, 4.0, 6.0]
     points = policy_sweep(cfg, KPI2, ds)
     _class2_outcomes_match(cfg, KPI2, points, policy_sweep_by_delay(cfg, KPI2, ds))
+    assert points == _one_row_sweep(cfg, KPI2, ds)
     assert 0.0 < points[0].b_star < 1.0 and not points[-1].feasible
     assert [pt.b_star for pt in policy_sweep(cfg, Kpi(4.0, 0.5, 2), ds)] == [0.0] * len(ds)
 
@@ -565,7 +604,7 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
         return class2_cdf_dapq(c.replace(b=b), np.array([w]))
 
     bs = np.linspace(0.0, 1.0, len(rows.dep))
-    values, ok = rows.probe(bs, rows.dep)
+    values, _, ok = rows.probe(bs, rows.dep)
     assert ok.all()
     for r, b, v in zip(rows.dep, bs, values):
         curve = one_row(configs[r], b)
@@ -578,11 +617,12 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
 
 
 def test_geometric_rows_are_the_zero_delay_busy_weights():
+    # the strict-priority rows (transforms._npq_cdf_rows) invert the headless
+    # weights with tail_next = (1 - rho) rho, which are those at d = 0
     weights = [busy_state_distribution(QueueConfig(0.3 * x, 0.7 * x, 1.0))
                for x in np.random.default_rng(2).uniform(1e-6, 0.999, 200)]
-    geometric = BusyWeights.geometric([w.rho for w in weights])
-    assert all(len(w) == 0 for w in weights + geometric)
-    assert [g.tail_next for g in geometric] == [w.tail_next for w in weights]
+    assert all(len(w) == 0 for w in weights)
+    assert [(1.0 - w.rho) * w.rho for w in weights] == [w.tail_next for w in weights]
 
 
 def test_too_tight_eps_invert_fails_a_batch():
@@ -655,6 +695,9 @@ def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
 # --------------------------------------------------------------------------
 
 @settings(max_examples=25, deadline=None)
+# F is flat in b to its roundoff here: the Newton and bisection b* lie more
+# than eps_root apart
+@example(rho=0.3125, share=0.125, cls=2, det=False, w=0.3125, ks=[2], b_mid=0.5)
 @given(
     rho=st.floats(min_value=0.3, max_value=0.92),
     share=st.floats(min_value=0.1, max_value=0.9),
@@ -699,7 +742,7 @@ def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks,
         interior += 1
         at = cfg.replace(d=pt.d)
         if cls == 2:
-            _class2_crossing_matches(at, target, pt.b_star, ref.b_star)
+            _class2_crossing_matches(at, target, pt.b_star, ref.b_star, bisect=True)
         else:
             assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
             threshold = kpi_mean_threshold(validate(at).rho, target)
@@ -1087,13 +1130,14 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     cfg, ds = QueueConfig(0.4, 0.18, 1.0), [float(d) for d in range(9)]
     rates = validate(cfg)
     cuts = [_jump_cuts(rates.nu * d, rates.rho, DEFAULT_TOL)[1:] for d in ds]
-    want = policy_sweep_by_delay(cfg, KPI2, ds)
+    _class2_outcomes_match(cfg, KPI2, policy_sweep(cfg, KPI2, ds),
+                           policy_sweep_by_delay(cfg, KPI2, ds))
+    want = _one_row_sweep(cfg, KPI2, ds)
     steps = _count_chain_runs(monkeypatch)
     points = policy_sweep(cfg, KPI2, ds)
     assert steps == [max(max(c) for c in cuts)] == [44]
     assert (points.chain_runs, points.chain_steps) == (1, 44)
-    assert [(pt.d, pt.feasible) for pt in points] == [(pt.d, pt.feasible) for pt in want]
-    assert all(abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root for pt, ref in zip(points, want))
+    assert points == want
 
     # a class-1 sweep needs only the moments: one run too; deterministic
     # service sums its correction in closed form and runs no chain

@@ -326,7 +326,7 @@ def test_curves_equal_their_per_point_inversions_bit_for_bit(points):
     lams, weights = _rows_of([QueueConfig(0.5, 0.3, 1.0, b=0.6, d=2.0),
                               QueueConfig(0.9, 0.05, 1.0, b=0.9, d=7.0)])
     for lam, w in zip(lams, weights):
-        for row in ([w], BusyWeights.geometric([w.rho])):
+        for row in ([w], [BusyWeights(np.zeros(0), w.rho, (1.0 - w.rho) * w.rho)]):
             vals, est = transforms._invert_over_delay_rows(ts, lam, 1.0, row, DEFAULT_TOL)
             for i in range(points):
                 one = transforms._invert_over_delay_rows(ts[:, [i]], lam, 1.0, row, DEFAULT_TOL)
