@@ -42,7 +42,6 @@ from .core import (
     MonotonicityViolation,
     OutOfRange,
     QueueConfig,
-    RootBracketFailure,
     ServiceKind,
     ToleranceConfig,
     TruncationOverflow,
@@ -57,12 +56,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
 _VALIDATION_ERRORS = (OutOfRange, UnstableSystem, InvalidDelay)
-_NUMERICAL_ERRORS = (
-    AccuracyNotMet,
-    TruncationOverflow,
-    RootBracketFailure,
-    MonotonicityViolation,
-)
+_NUMERICAL_ERRORS = (AccuracyNotMet, TruncationOverflow, MonotonicityViolation)
 
 
 def _tol_from_env() -> ToleranceConfig:
@@ -102,10 +96,6 @@ def _parse_sweep(text: str) -> List[float]:
     if vals[-1] > hi + 1e-12:
         vals.pop()
     return vals
-
-
-def _service(text: str) -> ServiceKind:
-    return ServiceKind(text)
 
 
 def _csv_cells(column) -> list:
@@ -176,7 +166,7 @@ def _simulation_record(result: simulate.EmpiricalCdf) -> dict:
 
 def cmd_mean(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
-    service = _service(args.service)
+    service = ServiceKind(args.service)
     bs = _parse_sweep(args.b)
     ds = _parse_sweep(args.d)
     _check_count(len(bs) * len(ds), "the b x d grid")
@@ -218,7 +208,7 @@ def _cdf_grid(args, cfg: QueueConfig) -> np.ndarray:
 
 def cmd_cdf(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
-    service = _service(args.service)
+    service = ServiceKind(args.service)
     cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d, service=service)
     rates = validate(cfg)
     kind = args.kind
@@ -263,7 +253,7 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
 
 def cmd_simulate(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
-    service = _service(args.service)
+    service = ServiceKind(args.service)
     cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d, service=service)
     sim = simulate.SimConfig(
         queue=cfg, n_customers=args.n, burn_in=args.burn_in,

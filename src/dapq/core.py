@@ -40,10 +40,6 @@ class TruncationOverflow(DapqError):
     """A truncated sum failed to meet its tail bound within the state cap."""
 
 
-class RootBracketFailure(DapqError):
-    """A bracketing root search could not locate a sign change."""
-
-
 class AccuracyNotMet(DapqError):
     """A numerical inversion could not certify the requested accuracy."""
 

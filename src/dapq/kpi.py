@@ -329,9 +329,12 @@ class _Class2Rows:
         n = len(configs)
         self.state = state
         self.rates, self.means, self.weights = _b_free_rows(configs, state, heads=True)
+        self.w = w = kpi.target_w
+        self.ds = ds = np.array([cfg.d for cfg in configs], dtype=float)
+        for r in state.alive(range(n)):  # a d or w - d too small to invert fails its row
+            if error := transforms._abscissa_error(np.array([ds[r], w - ds[r]]), tol):
+                state.fail(r, error)
         live = state.alive(range(n))
-        self.w = kpi.target_w
-        self.ds = np.array([cfg.d for cfg in configs], dtype=float)
         self.f_at_d = np.zeros(n)
         self.fixed_est = np.zeros(n)  # each row's b-free Euler estimate
         self.free = live[self.w <= self.ds[live]]

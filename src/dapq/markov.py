@@ -4,7 +4,7 @@ Two kinds of object live here:
 
 * the distribution of the number of customers an arrival finds in system,
   for M/D/1 (FFT inversion of the pole-subtracted Pollaczek--Khinchine
-  pgf, with a geometric tail continuation), and
+  pgf, sized to the terms asked for), and
 
 * the busy-horizon state weights: the probability of "``j`` customers
   ahead after ``d`` time units and the ahead-set never emptied" for a
@@ -23,18 +23,16 @@ Two kinds of object live here:
   gets every delay's head and first moment from one run, and a single
   curve or mean is the one-delay case.
 
-On the M/D/1 geometric tail: the decay of consecutive probabilities is the
-*reciprocal* of the nontrivial root ``sigma > 1`` of ``exp(rho*sigma)/sigma
-= exp(rho)``.  The orientation was fixed by comparing against exact
-consecutive ratios (see ``md1_tail_ratio``); the root itself exceeds 1, so
-it cannot be the ratio directly.  It is the pgf's dominant pole, which
-``md1_stationary`` subtracts before its FFT.
+On the M/D/1 pmf: consecutive probabilities decay by the *reciprocal* of
+the root ``sigma > 1`` of ``exp(rho*sigma)/sigma = exp(rho)``
+(``md1_tail_ratio``), the pgf's dominant pole, which ``md1_stationary``
+subtracts before an FFT sized to the pi_0..pi_l asked for, not cut by mass.
 
-Truncations stop on absolute tail mass and raise ``TruncationOverflow``
-when the tolerance cannot be met: the M/D/1 head within ``max_states``
-terms, the Poisson jump sum within its table (the tail is the Poisson
-survival function of ``_poisson_table``, accurate to about 1e-15 relative
-down to 1e-300), and the busy-state head within ``max_states`` states.
+The busy-horizon truncations stop on absolute tail mass and raise
+``TruncationOverflow`` when the tolerance cannot be met: the Poisson jump
+sum within its table (the tail is the Poisson survival function of
+``_poisson_table``, accurate to about 1e-15 relative down to 1e-300), and
+the busy-state head within ``max_states`` states.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .core import (
     DerivedRates,
     OutOfRange,
     QueueConfig,
-    RootBracketFailure,
     ServiceKind,
     ToleranceConfig,
     TruncationOverflow,
@@ -61,24 +58,10 @@ from .core import (
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Arriving-customer queue-length pmf with a geometric continuation.
-
-    ``probs[i]`` holds pi_i for i <= truncation_K; beyond that index the
-    pmf continues geometrically with ratio ``tail_ratio``.
-    """
+    """Head of an arriving customer's queue-length pmf: ``probs[i]`` is pi_i, i <= truncation_K."""
 
     probs: np.ndarray
-    tail_ratio: float
     truncation_K: int
-
-    def pmf_array(self, n: int) -> np.ndarray:
-        """pi_0 .. pi_n as a dense array, continuing the tail as needed."""
-        if n <= self.truncation_K:
-            return self.probs[: n + 1].copy()
-        ext = self.probs[self.truncation_K] * self.tail_ratio ** np.arange(
-            1, n - self.truncation_K + 1
-        )
-        return np.concatenate([self.probs, ext])
 
 
 def md1_tail_ratio(rho: float) -> float:
@@ -89,24 +72,18 @@ def md1_tail_ratio(rho: float) -> float:
     pi_{i+1}/pi_i tends to 1/sigma.  In u = sigma - 1 the log of the
     equation is g(u) = rho u - log1p(u) = 0, which keeps its digits in
     heavy traffic, where the root nears 1 and g's slope there nears 0.  g
-    is convex and increasing past u = 1/rho - 1, so Newton's method from a
-    point where g > 0 falls monotonically to the root; it stops where an
-    iterate no longer falls, at the floating-point root, so the ratio
-    needs no tolerance.
+    is convex, negative at its minimum u = 1/rho - 1 and increasing past
+    it, so doubling sigma from 2/rho finds a point where g > 0, and
+    Newton's method from there falls monotonically to the root; it stops
+    where an iterate no longer falls, at the floating-point root, so the
+    ratio needs no tolerance.  Below rho ~ 4e-306 the root overflows and 0 is returned.
     """
     if not 0.0 < rho < 1.0:
         raise OutOfRange(f"rho must lie in (0,1), got {rho}")
     g = lambda u: rho * u - math.log1p(u)
-    lo = 1.0 / rho - 1.0  # location of the minimum; g(lo) < 0 for rho < 1
-    if g(lo) >= 0.0:
-        raise RootBracketFailure(f"no bracket above 1/rho for rho = {rho}")
-    sigma = 1.0 / rho
-    for _ in range(200):
+    sigma = 2.0 / rho
+    while g(sigma - 1.0) <= 0.0:
         sigma *= 2.0
-        if g(sigma - 1.0) > 0.0:
-            break
-    else:
-        raise RootBracketFailure(f"upper bracket not found for rho = {rho}")
     u = sigma - 1.0
     while True:
         fallen = u - g(u) / (rho - 1.0 / (1.0 + u))
@@ -115,19 +92,20 @@ def md1_tail_ratio(rho: float) -> float:
         u = fallen
 
 
-def _md1_pmf_fft(rho: float, g: float, c: float, n: int) -> np.ndarray:
-    """pi_0 .. pi_{n-1} for M/D/1 by FFT of the pole-subtracted pgf.
+def _md1_pmf_fft(rho: float, g: float, n: int) -> np.ndarray:
+    """pi_0 .. pi_{n-1} for M/D/1 by an n-point FFT of the pole-subtracted pgf.
 
     The Pollaczek--Khinchine pgf P(z) = (1-rho)(1-z)/(1 - z e^{rho(1-z)})
-    has its dominant singularity at the simple pole z = sigma = 1/g, with
+    has a simple pole at z = sigma = 1/g, g = ``md1_tail_ratio(rho)``, with
     principal part c/(1 - z/sigma), c = (1-rho)(sigma-1)/(rho*sigma-1).  The
-    remainder is analytic on a disk larger than |z| <= sigma, so its
-    coefficients decay faster than g^i and n roots of unity alias them
-    negligibly; the pole's coefficients c*g^i are added back exactly (Abate
-    & Whitt, "Numerical inversion of probability generating functions",
-    Oper. Res. Letters 12, 1992).  Absolute error is about 1e-16; entries
-    at roundoff level may come out negative and are clipped to 0.
+    FFT inverts the remainder, analytic well beyond |z| = sigma, and the
+    pole's coefficients c*g^i are added back exactly (Abate & Whitt,
+    "Numerical inversion of probability generating functions", Oper. Res.
+    Letters 12, 1992).  Entries at roundoff level may come out negative and
+    are clipped to 0.
     """
+    sigma = 1.0 / g
+    c = (1.0 - rho) * (sigma - 1.0) / (rho * sigma - 1.0)
     theta = (2.0 * math.pi / n) * np.arange(n)
     z = np.exp(1j * theta)
     # P(z) = (1-rho) / (1 - rho z (e^w - 1)/w) with w = rho(1-z): no 0/0 at z = 1
@@ -144,37 +122,33 @@ def _md1_pmf_fft(rho: float, g: float, c: float, n: int) -> np.ndarray:
     return probs
 
 
-def md1_stationary(rho: float, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
-    """M/D/1 queue-length pmf: FFT-inverted head, then a geometric continuation.
+def md1_stationary(rho: float, terms: int, tol: ToleranceConfig = DEFAULT_TOL) -> StationaryDist:
+    """pi_0 .. pi_terms of the M/D/1 queue length an arrival finds.
 
-    The head runs until the geometric tail carries less than eps_series/2 of
-    the mass, so the truncated-plus-tail total is accurate to eps_series
-    even though the continuation uses the limiting ratio.  The stopping rule
-    is on absolute mass because the FFT terms carry an absolute (not
-    relative) error of about 1e-16.
+    One ``_md1_pmf_fft`` of n points, n the least power of two >= 64,
+    2 (terms + 1) and 2/(1 - g), with no alias check at run time; the terms
+    are accurate to about 1e-16 absolute.  Less its pole at 1/g, the pgf is
+    analytic out to the next root of z = exp(rho (z-1)), a -W_k(-rho e^-rho)/rho
+    on a complex branch k of Lambert's W, with |z| >= 8.07 for every rho < 1,
+    so an index i <= terms < n/2 takes aliases of order 8^-(n/2).  The pole
+    itself is known only to rounding, which in heavy traffic puts about eps
+    into its residue and leaves a residual pole decaying like g^i; n >= 2/(1-g)
+    damps that alias by g^n <= e^-2.  terms or 1/(1-g) - 1 above max_states
+    (rho above about 0.9999 at the default) raises TruncationOverflow.  Below
+    rho ~ 2e-154 the mass past pi_1 (about rho^2/2) underflows, and the head
+    is 1 - rho, (1 - rho)(e^rho - 1) and zeros.
     """
-    if not 0.0 <= rho < 1.0:
-        raise OutOfRange(f"rho must lie in [0,1), got {rho}")
-    if rho == 0.0:
-        return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
-    g = md1_tail_ratio(rho)
-    sigma = 1.0 / g
-    c = (1.0 - rho) * (sigma - 1.0) / (rho * sigma - 1.0)
-    # pi_i ~ c g^i, so the stopping index is about log(eps (1-g)/(2 c g)) / log(g);
-    # measured, it is at most 1.13 max(8, K_pred) for rho in [0.01, 0.995] and
-    # eps_series in [1e-16, 1e-4], so 2 K_pred terms hold it
-    K_pred = math.log(0.5 * tol.eps_series * (1.0 - g) / (c * g)) / math.log(g)
-    n = 64
-    while n < 2 * min(K_pred, tol.max_states + 1):
-        n *= 2
-    probs = _md1_pmf_fft(rho, g, c, n)
-    small = np.flatnonzero(probs[8:] * g / (1.0 - g) < 0.5 * tol.eps_series)
-    if not small.size or 8 + small[0] > tol.max_states:
-        raise TruncationOverflow(
-            f"M/D/1 pmf needs more than max_states={tol.max_states} terms"
-        )
-    K = 8 + int(small[0])
-    return StationaryDist(probs=probs[: K + 1].copy(), tail_ratio=g, truncation_K=K)
+    if not (0.0 <= rho < 1.0 and terms >= 0):
+        raise OutOfRange(f"need rho in [0,1) and terms >= 0, got rho={rho}, terms={terms}")
+    g = md1_tail_ratio(rho) if 0.5 * rho * rho >= np.finfo(float).tiny else 0.0
+    if max(terms, 1.0 / (1.0 - g) - 1.0) > tol.max_states:
+        raise TruncationOverflow(f"M/D/1 pmf to pi_{terms} at rho = {rho:.6g} needs more "
+                                 f"than max_states={tol.max_states} terms")
+    if g > 0.0:
+        probs = _md1_pmf_fft(rho, g, 1 << max(63, 2 * terms + 1, int(2.0 / (1.0 - g))).bit_length())
+    else:
+        probs = np.append((1.0 - rho) * np.array([1.0, math.expm1(rho)]), np.zeros(terms))
+    return StationaryDist(probs=probs[: terms + 1], truncation_K=terms)
 
 
 # --------------------------------------------------------------------------

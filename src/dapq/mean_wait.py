@@ -64,7 +64,6 @@ from .core import (
     QueueConfig,
     ServiceKind,
     ToleranceConfig,
-    TruncationOverflow,
     WaitSummary,
     _class1_mean_from_class2,
     _conservation_rhs,
@@ -239,12 +238,8 @@ def _md1_correction_sum(
     truncated but the upward Poisson sums inside the integral.
     """
     ell = int(round(config.d * config.mu))
-    if ell > tol.max_states:
-        raise TruncationOverflow(
-            f"deterministic-service correction needs {ell} states but max_states={tol.max_states}"
-        )
     lam1, rho = rates.rho1, rates.rho
-    pi = md1_stationary(rho, tol).pmf_array(ell)
+    pi = md1_stationary(rho, ell, tol).probs
     x = lam1 * ell
     head = np.convolve(pi[1:], _poisson_table(x, ell - 1)[0])[:ell]  # P'(S = 1..l)
     queue_mean = rho + rho * rho / (2.0 * (1.0 - rho))

@@ -359,6 +359,15 @@ def _euler_constants(a: float):
     return constants
 
 
+def _abscissa_error(ts: np.ndarray, tol: ToleranceConfig):
+    """OutOfRange if a t in ``ts`` lies in (0, t_min), else None: t_min, about 1e-306 at the
+    default eps_invert, is the least t whose largest contour node (A/2 + i N pi)/t is finite."""
+    t_min = abs(_euler_constants(_euler_params(tol.eps_invert))[0][-1]) / np.finfo(float).max
+    low = ts[(ts > 0.0) & (ts < t_min)]
+    return OutOfRange(f"abscissa {low[0]:.6g} lies below the smallest invertible t = {t_min:.6g}, "
+                      "where the inversion's contour nodes overflow") if low.size else None
+
+
 def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
     """Invert fn(s)/s at every t > 0 in ``ts``; returns (values, estimates) shaped like ts.
 
@@ -468,7 +477,7 @@ def class2_cdf_dapq(
     one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
     depend on b, which enters only through the accrediting rate.  An empty
     grid gives an empty curve; an abscissa that is not finite or out of
-    order raises OutOfRange.
+    order, or a positive d, t or t - d too small to invert, raises OutOfRange.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
@@ -480,6 +489,8 @@ def class2_cdf_dapq(
 
     inside = (ts > 0.0) & (ts <= d)
     beyond = ts > d
+    if error := _abscissa_error(np.concatenate([ts[inside], [d], ts[beyond] - d]), tol):
+        raise error
     values = np.zeros_like(ts)
     values[ts == 0.0] = atom
     f_at_d, worst_inside = atom, 0.0

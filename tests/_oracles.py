@@ -28,10 +28,11 @@ generator call per exponential draw, and its waits are split by class
 with a comprehension.  The command line's CSV is
 built one row at a time, each value formatted on its own.  The one-row
 chain loop that the batched ``markov._busy_weights_rows`` replaced is kept
-as ``busy_weights_by_loop``.  Public names only the tests used live here
-too: the geometric M/M/1 pmf, the pmf and total mass of a
-``StationaryDist`` (``stationary_pmf``, ``stationary_mass``), the class-2
-tail transform, the class-2 mean as a function of b
+as ``busy_weights_by_loop``, and the M/D/1 tail ratio's former bracket
+search as ``md1_tail_ratio_by_bracket``.  Public names only the tests
+used live here too: the geometric M/M/1 pmf, the pmf and mass of a
+``StationaryDist`` head (``stationary_pmf``, ``stationary_mass``), the
+class-2 tail transform, the class-2 mean as a function of b
 (``class2_mean_in_b``), and ``Lst`` with ``invert_to_cdf``, which invert a
 stand-alone transform through the package's own inversion and gate.  So
 do ``eta_mm1``, ``conservation_rhs`` and ``class1_mean_from_class2``,
@@ -73,6 +74,7 @@ from dapq.markov import (
     _jump_cuts,
     busy_state_distribution as dapq_busy_weights,
     md1_stationary,
+    md1_tail_ratio,
 )
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
@@ -188,6 +190,25 @@ def md1_tail_ratio_by_lambert_w(rho, dps=50):
         return float(-r / mp.re(mp.lambertw(-r * mp.exp(-r), -1)))
 
 
+def md1_tail_ratio_by_bracket(rho):
+    """``dapq.markov.md1_tail_ratio`` with the bracket it replaced: up to 200
+    doublings from sigma = 1/rho, each tested after it, then the same Newton steps."""
+    g = lambda u: rho * u - math.log1p(u)
+    sigma = 1.0 / rho
+    for _ in range(200):
+        sigma *= 2.0
+        if g(sigma - 1.0) > 0.0:
+            break
+    else:
+        raise OutOfRange(f"upper bracket not found for rho = {rho}")
+    u = sigma - 1.0
+    while True:
+        fallen = u - g(u) / (rho - 1.0 / (1.0 + u))
+        if not fallen < u:
+            return 1.0 / (1.0 + u)
+        u = fallen
+
+
 def md1_pi_exact(rho, n):
     """pi_n for M/D/1 from the pgf expansion, in extended precision.
 
@@ -212,32 +233,26 @@ def md1_pi_exact(rho, n):
 
 
 def mm1_stationary(rho, tol=DEFAULT_TOL):
-    """Geometric M/M/1 queue-length pmf, truncated where the tail mass < eps_series."""
+    """Head of the geometric M/M/1 queue-length pmf, cut where the tail mass < eps_series."""
     if not 0.0 <= rho < 1.0:
         raise OutOfRange(f"rho must lie in [0,1), got {rho}")
     if rho == 0.0:
-        return StationaryDist(probs=np.array([1.0]), tail_ratio=0.0, truncation_K=0)
+        return StationaryDist(probs=np.array([1.0]), truncation_K=0)
     # tail mass beyond K is rho**(K+1)
     K = max(1, math.ceil(math.log(tol.eps_series) / math.log(rho)) - 1)
     K = min(K, tol.max_states)
     probs = (1.0 - rho) * rho ** np.arange(K + 1)
-    return StationaryDist(probs=probs, tail_ratio=rho, truncation_K=K)
+    return StationaryDist(probs=probs, truncation_K=K)
 
 
 def stationary_pmf(dist, i):
-    """pi_i of a ``StationaryDist``: the stored head, then its geometric continuation."""
-    if i < 0:
-        return 0.0
-    if i <= dist.truncation_K:
-        return float(dist.probs[i])
-    return float(dist.probs[dist.truncation_K] * dist.tail_ratio ** (i - dist.truncation_K))
+    """pi_i of a ``StationaryDist``'s head, 0 outside it."""
+    return float(dist.probs[i]) if 0 <= i <= dist.truncation_K else 0.0
 
 
 def stationary_mass(dist):
-    """Total mass of a ``StationaryDist``: the stored head plus the closed-form tail."""
-    g = dist.tail_ratio
-    tail = dist.probs[dist.truncation_K] * g / (1.0 - g) if g > 0 else 0.0
-    return float(dist.probs.sum() + tail)
+    """Mass of a ``StationaryDist``'s head."""
+    return float(dist.probs.sum())
 
 
 def md1_pi_embedded(rho, n_max):
@@ -310,15 +325,14 @@ def md1_correction_sum_by_series(ell, lam1, rho, tol=DEFAULT_TOL):
     consecutive terms floored at the pmf's tail ratio and capped at 0.999.
     There is no proven bound; at a tight eps_series it is a reference.
     """
-    dist = md1_stationary(rho, tol)
-    g = dist.tail_ratio
-    pi = dist.pmf_array(ell + 64)
+    g = md1_tail_ratio(rho)
+    pi = md1_stationary(rho, ell + 64, tol).probs
     T = md1_probempty_by_factorials(ell, lam1) if ell >= 2 else None
     total = 0.0
     prev_term = math.inf
     for j in range(1, tol.max_states + 1):
         if j + ell + 1 > len(pi):
-            pi = dist.pmf_array(2 * (j + ell) + 8)
+            pi = md1_stationary(rho, 2 * (j + ell) + 8, tol).probs
         term = md1_correction_term_by_nodes(j, ell, lam1, pi, T)
         total += term
         if j >= ell + 4 and term < prev_term:

@@ -550,6 +550,16 @@ def test_mean_sweep_computes_one_correction_per_delay(service, monkeypatch, tmp_
     assert calls == (["_busy_weights_rows"] if service == "exp" else ["_md1_correction_sum"] * 4)
 
 
+def test_mean_sweep_in_heavy_deterministic_traffic(capsys):
+    # the M/D/1 pmf is sized to the delay, not to its tail mass, which at
+    # occupancy 0.999 would need more than max_states terms
+    code, out, err = run_cli(capsys, "mean", "--lam1", "0.5", "--lam2", "0.499",
+                             "--b", "0:1:0.5", "--d", "0:5", "--service", "det")
+    assert (code, err) == (EXIT_OK, "")
+    header, rows = parse_csv(out)
+    assert len(rows) == 18 and all(float(r[header.index("mean_w2")]) > 0.0 for r in rows)
+
+
 @pytest.mark.parametrize("argv,env", [
     (["--service", "det", "--b", "0:1:0.5", "--d", "0:2:0.5"], None),
     (["--b", "0:1.5:0.5", "--d", "0:2"], None),

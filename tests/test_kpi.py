@@ -1149,6 +1149,22 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     assert len(steps) == 1 and (points.chain_runs, points.chain_steps) == (0, 0)
 
 
+def test_a_delay_too_small_to_invert_fails_its_row_before_any_inversion(monkeypatch):
+    # the contour nodes of an abscissa below about 1e-306 overflow: such a
+    # delay fails with OutOfRange, the other delays are searched, and the
+    # sweep raises the first failed delay's error, as the one-delay searches do
+    cfg = QueueConfig(0.4, 0.18, 1.0)
+    ds = [0.0, 1.0, 1e-308, 2.0, 1e-310]
+    got = _sweep_outcome(policy_sweep, cfg, KPI2, ds)
+    assert got == _sweep_outcome(policy_sweep_by_delay, cfg, KPI2, ds)
+    assert got[0] is OutOfRange and "abscissa 1e-308 " in got[1]
+    inverted = []
+    monkeypatch.setattr(transforms, "_euler_invert", lambda *a: inverted.append(a))
+    with pytest.raises(OutOfRange, match="smallest invertible t"):
+        b_star_class2(cfg.replace(d=1e-308), KPI2)
+    assert inverted == []
+
+
 @pytest.mark.parametrize("target,ds,max_states,error", [
     # d = 1's moment cut overflows (b* > 0 needs it) before d = 2's head does
     (KPI2, [0.0, 1.0, 2.0, 4.0, 6.0], 15, "Poisson(1.4) k-sum bound"),

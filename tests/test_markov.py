@@ -2,15 +2,17 @@ import math
 import time
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import poisson
 
 import _oracles
 from _oracles import (
     md1_pi_embedded,
     md1_pi_exact,
+    md1_tail_ratio_by_bracket,
     md1_tail_ratio_by_lambert_w,
     mm1_stationary,
     poisson_by_mpmath,
@@ -31,6 +33,7 @@ from dapq.markov import (
     _busy_weights_rows,
     _delay_weights,
     _jump_cuts,
+    _md1_pmf_fft,
     _poisson_table,
     busy_state_distribution,
     md1_stationary,
@@ -52,7 +55,7 @@ def test_mm1_stationary_geometric_values():
     assert stationary_pmf(dist, 0) == pytest.approx(0.2, abs=1e-15)
     assert stationary_pmf(dist, 1) == pytest.approx(0.16, abs=1e-15)
     assert stationary_pmf(dist, 2) == pytest.approx(0.128, abs=1e-15)
-    assert dist.tail_ratio == 0.8
+    np.testing.assert_allclose(dist.probs[1:] / dist.probs[:-1], 0.8, rtol=1e-14, atol=0.0)
 
 
 def test_mm1_stationary_empty_system():
@@ -91,7 +94,8 @@ def test_md1_pi_matches_embedded_chain(rho):
 
 @pytest.mark.parametrize("rho", [0.5, 0.8, 0.9])
 def test_md1_stationary_mass(rho):
-    dist = md1_stationary(rho)
+    # pi_i ~ c g^i with c < 2 and g < 0.82 here, so 400 terms leave a tail below 1e-30
+    dist = md1_stationary(rho, 400)
     assert stationary_pmf(dist, 0) == pytest.approx(1 - rho, abs=1e-15)
     assert stationary_mass(dist) == pytest.approx(1.0, abs=1e-8)
     assert np.all(dist.probs >= 0)
@@ -106,36 +110,84 @@ def test_md1_exact_ratios_match_tail_ratio(rho):
 
 
 @settings(max_examples=40, deadline=None)
-@given(rho=st.floats(min_value=0.05, max_value=0.99))
-def test_md1_stationary_fft_matches_embedded_chain(rho):
-    oracle = np.array(md1_pi_embedded(rho, 60)[:61])
-    assert np.max(np.abs(md1_stationary(rho).pmf_array(60) - oracle)) <= 1e-13
+@given(rho=st.floats(min_value=0.05, max_value=0.999), terms=st.integers(0, 60))
+@example(rho=0.999, terms=60)
+@example(rho=0.9989999999999999, terms=1)
+def test_md1_stationary_fft_matches_embedded_chain(rho, terms):
+    # to roundoff: one ulp below 0.999, a 64-point FFT erred by 5e-15, as the
+    # rounding of the pole's residue aliased back undamped (g^64 = 0.88)
+    oracle = np.array(md1_pi_embedded(rho, 60)[: terms + 1])
+    assert np.max(np.abs(md1_stationary(rho, terms).probs - oracle)) <= 1e-15
 
 
 @pytest.mark.parametrize("rho", [1e-9, 1e-6, 1e-3])
 def test_md1_stationary_light_traffic(rho):
     # the pole residue c grows like 1/rho here, so any cancellation against
     # it would show at the 1e-16 * c level
-    dist = md1_stationary(rho)
+    dist = md1_stationary(rho, 20)
     oracle = np.array(md1_pi_embedded(rho, 20)[:21])
-    assert np.max(np.abs(dist.pmf_array(20) - oracle)) <= 1e-15
+    assert np.max(np.abs(dist.probs - oracle)) <= 1e-15
     assert stationary_mass(dist) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_md1_stationary_light_traffic_closed_form():
+    # below rho ~ 2e-154 the mass past pi_1 underflows; the FFT, whose pole
+    # lies beyond the largest float from rho ~ 4e-306, is not run
+    for rho in (1e-160, 1e-300, 1e-310, 5e-324, 0.0):
+        probs = md1_stationary(rho, 4).probs
+        assert list(probs) == [1.0 - rho, (1.0 - rho) * math.expm1(rho), 0.0, 0.0, 0.0]
+    assert len(md1_stationary(0.0, 0).probs) == 1
+
+
+# the sizing rule's grid: occupancies from light to heavy traffic, and heads
+# on both sides of the 64-point floor and up to max_states
+@pytest.mark.parametrize("rho", [1e-9, 1e-3, 0.5, 0.9, 0.99, 0.999])
+def test_md1_stationary_sized_to_its_terms_matches_a_long_fft(rho):
+    reference = _md1_pmf_fft(rho, md1_tail_ratio(rho), 2**16)
+    for terms in (0, 8, 63, 64, 200, 1000, 6000):
+        dist = md1_stationary(rho, terms)
+        assert dist.truncation_K == terms and len(dist.probs) == terms + 1
+        assert np.max(np.abs(dist.probs - reference[: terms + 1])) <= 5e-16
+
+
+def test_md1_pgf_next_root_lies_beyond_8():
+    # with the pole subtracted, the remainder is analytic out to the next root
+    # of z = exp(rho (z - 1)), z = -W_k(-rho e^-rho)/rho with k = 0 giving
+    # z = 1 and k = -1 the pole; the others come in conjugate pairs, nearest
+    # at k = 1, -2, and the sizing rule rests on |z| >= 8 for all of them
+    with mp.workdps(30):
+        for rho in np.concatenate([np.geomspace(1e-9, 0.5, 40), np.linspace(0.5, 0.999, 60)]):
+            r = mp.mpf(float(rho))
+            for k in (1, -2, 2, -3):
+                z = -mp.lambertw(-r * mp.exp(-r), k) / r
+                assert abs(z - mp.exp(r * (z - 1))) <= 1e-20 * abs(z)
+                assert abs(z) >= 8.0
+
+
 # stopping indices of the term-by-term extended-precision pmf (md1_pi_exact)
-# under the same absolute-mass rule, at the criterion-01 occupancies and 0.95
+# under the absolute-mass rule the package once cut its head by, the least
+# K >= 8 with pi_K g/(1-g) < eps_series/2, at the criterion-01 occupancies
+# and 0.95: the sized pmf's terms cross that level at the same index
 @pytest.mark.parametrize(
     "rho,K",
     [(0.1, 8), (0.5, 19), (0.55, 22), (0.8, 55), (0.85, 75), (0.9, 115), (0.95, 233)],
 )
 def test_md1_stationary_truncation_matches_exact_terms(rho, K):
-    assert md1_stationary(rho).truncation_K == K
+    g = md1_tail_ratio(rho)
+    tail = md1_stationary(rho, 300).probs[8:] * g / (1.0 - g)
+    assert 8 + int(np.argmax(tail < 0.5 * ToleranceConfig().eps_series)) == K
 
 
 def test_md1_stationary_state_cap_raises():
     with pytest.raises(TruncationOverflow):
-        md1_stationary(0.9, ToleranceConfig(max_states=100))
-    assert md1_stationary(0.9, ToleranceConfig(max_states=115)).truncation_K == 115
+        md1_stationary(0.9, 101, ToleranceConfig(max_states=100))
+    assert md1_stationary(0.9, 100, ToleranceConfig(max_states=100)).truncation_K == 100
+    with pytest.raises(OutOfRange):
+        md1_stationary(0.9, -1)
+    # the FFT damps the pole's alias with n >= 2/(1 - g) points, capped the same way
+    assert len(md1_stationary(0.9999, 5).probs) == 6
+    with pytest.raises(TruncationOverflow):
+        md1_stationary(0.99995, 5)
 
 
 def test_md1_tail_ratio_reference_value():
@@ -154,22 +206,25 @@ def test_md1_tail_ratio_rejects_trivial_root():
         assert abs(1.0 / g - 1.0) > 1e-3  # sigma = 1 is always a root; must not return it
 
 
+_TAIL_RATIO_RHOS = np.concatenate([np.linspace(0.001, 0.999, 999), [1e-9, 0.9999, 0.99999]])
+
+
 def test_md1_tail_ratio_matches_lambert_w():
     # Newton's method runs to the floating-point root, heavy traffic included
-    for rho in np.concatenate([np.linspace(0.001, 0.999, 999), [1e-9, 0.9999, 0.99999]]):
+    for rho in _TAIL_RATIO_RHOS:
         want = md1_tail_ratio_by_lambert_w(rho)
         assert abs(md1_tail_ratio(float(rho)) - want) <= 1e-15 * want
 
 
+def test_md1_tail_ratio_bracket_moves_no_bit():
+    # doubling from 2/rho while g <= 0 is the former search from 1/rho, which
+    # doubled before its first test, and 2/rho rounds to twice 1/rho
+    for rho in map(float, _TAIL_RATIO_RHOS):
+        assert md1_tail_ratio(rho) == md1_tail_ratio_by_bracket(rho)
+
+
 def test_md1_tail_ratio_heavy_traffic_limit():
     assert md1_tail_ratio(0.995) > 0.98
-
-
-def test_md1_stationary_geometric_continuation_consistency():
-    dist = md1_stationary(0.8)
-    K = dist.truncation_K
-    arr = dist.pmf_array(K + 10)
-    assert arr[K + 5] == pytest.approx(dist.probs[K] * dist.tail_ratio**5, rel=1e-12)
 
 
 # ----- busy-horizon transition law -----
@@ -444,7 +499,7 @@ def test_md1_stationary_matches_pasta_simulation():
         seen = np.array(seen[1000:])
         for i in range(8):
             counts[r, i] = np.mean(seen == i)
-    dist = md1_stationary(rho)
+    dist = md1_stationary(rho, 7)
     for i in range(8):
         p_hat = counts[:, i].mean()
         se = counts[:, i].std(ddof=1) / math.sqrt(n_reps)

@@ -12,6 +12,7 @@ from _oracles import (
     correction_by_matrix,
     fcfs_mean,
     md1_correction_sum_by_series,
+    md1_pi_embedded,
     md1_probempty_by_factorials,
     npq_class2_mean,
     poisson_horizon_scalar,
@@ -30,7 +31,7 @@ from dapq.core import (
     validate,
 )
 from dapq import mean_wait
-from dapq.markov import _busy_weights_rows, _jump_cuts
+from dapq.markov import StationaryDist, _busy_weights_rows, _jump_cuts
 from dapq.mean_wait import (
     _MD1_NODES,
     _log_factorials,
@@ -268,6 +269,31 @@ def test_md1_long_delay_above_state_cap_is_typed():
         md1_dapq_class2_mean(cfg, ToleranceConfig(max_states=150))
     with pytest.raises(TruncationOverflow):
         md1_dapq_class2_mean(cfg.replace(d=7000.0))
+
+
+def test_md1_heavy_traffic_mean_reads_only_the_pmf_head_it_needs(monkeypatch):
+    # at occupancy 0.999 the pmf's tail mass stays above 1e-10 for thousands
+    # of terms, but the mean at d = 5 reads pi_0..pi_5
+    cfg = QueueConfig(0.5, 0.499, 1.0, b=0.5, d=5.0, service=DET)
+    rates = validate(cfg)
+    got = dapq_means(cfg)
+    assert fcfs_mean(cfg) <= got.mean_w2 <= npq_class2_mean(cfg)
+    pi = np.array(md1_pi_embedded(rates.rho, 5)[:6])
+    monkeypatch.setattr(mean_wait, "md1_stationary",
+                        lambda rho, terms, tol: StationaryDist(probs=pi[: terms + 1],
+                                                               truncation_K=terms))
+    want = dapq_means(cfg)
+    assert abs(got.mean_w2 - want.mean_w2) <= 1e-12 * want.mean_w2
+    assert abs(got.mean_w1 - want.mean_w1) <= 1e-12 * want.mean_w1
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-308, 1e-310])
+def test_md1_mean_at_vanishing_load(lam):
+    # the pmf past pi_1 underflows at these loads (and below about 4e-306 the
+    # pgf's pole lies beyond the largest float), so its head is a closed form
+    cfg = QueueConfig(lam, lam, 1.0, b=0.5, d=5.0, service=DET)
+    mean = md1_dapq_class2_mean(cfg)
+    assert fcfs_mean(cfg) <= mean <= npq_class2_mean(cfg)
 
 
 def test_md1_mu_rescaling():

@@ -19,11 +19,13 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean")]
-    assert counts == [64, 3, 3, 2]
+    assert counts == [64, 3, 3, 3]
+    assert [line.split(" exit=")[0] for line in lines[-3:]] == [
+        "mean service=exp", "mean service=det", "mean heavy service=det"]
     for line in lines:
         if line.startswith("mean "):
-            _, service, code, digest = line.split()
-            assert service in ("service=exp", "service=det") and code == "exit=0"
+            code, digest = line.split()[-2:]
+            assert code == "exit=0"
             assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
             continue
         fields = line.split(" ", 3)[3]

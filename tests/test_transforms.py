@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -26,7 +27,7 @@ from dapq.core import (
 )
 from dapq.markov import BusyWeights, busy_state_distribution
 from dapq.mean_wait import dapq_means
-from dapq.transforms import class2_cdf_dapq, default_grid
+from dapq.transforms import _N_AVG, _N_BURN, _euler_params, class2_cdf_dapq, default_grid
 
 EXP = ServiceKind.EXPONENTIAL
 DET = ServiceKind.DETERMINISTIC
@@ -395,13 +396,31 @@ def test_kernel_agrees_with_the_two_root_division_kernel(cfg, grid):
 
 
 def test_inversion_refuses_non_finite_values():
-    # at t = 1e-310 the contour scale exp(A/2)/t overflows; the NaN this
-    # produces must fail the accuracy gate, not be returned as a value
+    # at t = 1e-310 the contour nodes (A/2 + i k pi)/t overflow: a class-2
+    # curve refuses the abscissa before inverting, and the NaN that a bare
+    # inversion produces must fail the accuracy gate, not be returned as a value
     cfg = QueueConfig(0.25, 0.5, 1.0, b=0.5, d=1.0, service=EXP)
-    with np.errstate(all="ignore"), pytest.raises(AccuracyNotMet):
+    with pytest.raises(OutOfRange, match="abscissa 1e-310 lies below the smallest invertible t"):
         class2_cdf_dapq(cfg, np.array([0.0, 1e-310, 0.5, 2.0]))
     with np.errstate(all="ignore"), pytest.raises(AccuracyNotMet):
         invert_to_cdf(fcfs_lst(0.5, 1.0), np.array([1e-310]))
+
+
+def test_class2_cdf_names_the_smallest_invertible_abscissa():
+    # the bound is the largest contour node over the largest float: there the
+    # inversion runs without an overflow, one float below it the curve refuses
+    # its d, a point in (0, d] or a t - d beyond d, whichever is too small
+    a = _euler_params(DEFAULT_TOL.eps_invert)
+    t_min = abs(a / 2.0 + 1j * math.pi * (_N_BURN + _N_AVG)) / sys.float_info.max
+    below = np.nextafter(t_min, 0.0)
+    cfg = QueueConfig(0.25, 0.25, 1.0, b=0.5, d=0.0, service=EXP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert class2_cdf_dapq(cfg.replace(d=t_min), [t_min, 2.0 * t_min, 1.0]).values[0] >= 0.5
+    for d, grid in ((below, [1.0]), (1e-308, [1.0]), (1.0, [below, 1.0]),
+                    (1e-300, [1e-300 + 1e-310])):
+        with pytest.raises(OutOfRange, match=f"smallest invertible t = {t_min:.6g},"):
+            class2_cdf_dapq(cfg.replace(d=d), grid)
 
 
 @pytest.mark.parametrize("d", [0.0, 2.0])

@@ -9,10 +9,11 @@ The script runs the ``means``, ``cdf`` and ``kpi`` specs of
 prints one line per output: for ``means`` the float hex of both means, for
 ``cdf`` and ``kpi`` the exit code, the CSV's sha256 and the manifest
 without ``duration_s`` and the output path.  It then prints the exit code
-and CSV sha256 of one fixed ``dapq mean`` sweep over b and d per service
-kind (``MEAN_SWEEP``), which covers the command line's mean path.  CSVs go
-to a temporary directory and no bytecode is written, so nothing is
-written inside TREE.
+and CSV sha256 (``none`` when no CSV was written) of one fixed ``dapq
+mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
+the command line's mean path, and of one deterministic sweep at occupancy
+0.999 (``HEAVY_SWEEP``).  CSVs go to a temporary directory and no
+bytecode is written, so nothing is written inside TREE.
 Diffing the output for two trees shows whether any output changed.
 
 With ``--compare OTHER`` the script runs both trees, each in its own
@@ -37,6 +38,7 @@ from pathlib import Path
 
 WORKLOADS = ("means", "cdf", "kpi")
 MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
+HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5"]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -126,11 +128,13 @@ def main(argv=None) -> int:
                     path = Path(scratch) / f"{name}-{seed}-{i}.csv"
                     print(f"{name} seed={seed} op={i} {_digest(name, workload.run(spec, path), path)}",
                           flush=True)
-        for service in ("exp", "det"):
-            path = Path(scratch) / f"mean-{service}.csv"
-            code = dapq.cli.main(["mean", *MEAN_SWEEP, "--service", service, "--out", str(path)])
-            print(f"mean service={service} exit={code} "
-                  f"sha256={hashlib.sha256(path.read_bytes()).hexdigest()}", flush=True)
+        for i, (label, sweep, service) in enumerate((("mean", MEAN_SWEEP, "exp"),
+                                                     ("mean", MEAN_SWEEP, "det"),
+                                                     ("mean heavy", HEAVY_SWEEP, "det"))):
+            path = Path(scratch) / f"mean-{i}.csv"
+            code = dapq.cli.main(["mean", *sweep, "--service", service, "--out", str(path)])
+            digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
+            print(f"{label} service={service} exit={code} sha256={digest}", flush=True)
     return 0
 
 
