@@ -37,7 +37,6 @@ from . import __version__, approx, kpi as kpi_mod, mean_wait, simulate, transfor
 from .core import (
     AccuracyNotMet,
     DapqError,
-    InvalidDelay,
     Kpi,
     MonotonicityViolation,
     OutOfRange,
@@ -45,7 +44,6 @@ from .core import (
     ServiceKind,
     ToleranceConfig,
     TruncationOverflow,
-    UnstableSystem,
     _check_count,
     validate,
 )
@@ -55,7 +53,6 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-_VALIDATION_ERRORS = (OutOfRange, UnstableSystem, InvalidDelay)
 _NUMERICAL_ERRORS = (AccuracyNotMet, TruncationOverflow, MonotonicityViolation)
 
 
@@ -127,13 +124,12 @@ def _write_output(header: List[str], columns: list, args, manifest: dict) -> Non
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(
-    args, tol: ToleranceConfig, t0: float, inversion=None, simulation=None, search=None,
-) -> dict:
+def _manifest(args, tol: ToleranceConfig, t0: float, **records) -> dict:
     """Run record: the parsed flags of ``args`` but the manifest path, which
-    ``rerun`` replays, and the tolerances.  ``inversion`` holds an inverted
-    curve's accuracy diagnostics, ``simulation`` a simulated run's customer
-    count and wall time, and ``search`` how a KPI search was computed."""
+    ``rerun`` replays, and the tolerances.  Each of ``records`` that is not
+    None is a block of its own: ``inversion`` holds an inverted curve's
+    accuracy diagnostics, ``simulation`` a simulated run's customer count
+    and wall time, and ``search`` how a KPI search was computed."""
     manifest = {
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items()
@@ -147,17 +143,22 @@ def _manifest(
         "version": __version__,
         "duration_s": round(time.monotonic() - t0, 6),
     }
-    if inversion is not None:
-        manifest["inversion"] = inversion
-    if simulation is not None:
-        manifest["simulation"] = simulation
-    if search is not None:
-        manifest["search"] = search
+    manifest.update((name, block) for name, block in records.items() if block is not None)
     return manifest
 
 
 def _simulation_record(result: simulate.EmpiricalCdf) -> dict:
     return {"customers": result.customers, "wall_s": round(result.wall_s, 6)}
+
+
+def _queue_config(args) -> QueueConfig:
+    return QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d,
+                       service=ServiceKind(args.service))
+
+
+def _sim_config(args, cfg: QueueConfig) -> simulate.SimConfig:
+    return simulate.SimConfig(queue=cfg, n_customers=args.n, burn_in=args.burn_in,
+                              replications=args.reps, seed=args.seed)
 
 
 # --------------------------------------------------------------------------
@@ -175,8 +176,8 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     # one class-2 mean function of b per delay, as a KPI sweep builds them: every
     # exponential-service correction comes from one chain run
     base = QueueConfig(args.lam1, args.lam2, args.mu, service=service)
-    _, means, _ = kpi_mod._b_free_rows([base.replace(d=d) for d in ds],
-                                       kpi_mod._Rows(len(ds), tol), heads=False)
+    _, means, _, _ = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, {},
+                                            heads=False)
     summaries = []
     for d, mean_in_b in zip(ds, means):
         for b in bs:
@@ -208,13 +209,12 @@ def _cdf_grid(args, cfg: QueueConfig) -> np.ndarray:
 
 def cmd_cdf(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
-    service = ServiceKind(args.service)
-    cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d, service=service)
+    cfg = _queue_config(args)
     rates = validate(cfg)
     kind = args.kind
     grid = _cdf_grid(args, cfg)
     analytic_kinds = {"fcfs", "npq1", "npq2", "dapq2", "zexp1"}
-    if kind in analytic_kinds and service is not ServiceKind.EXPONENTIAL:
+    if kind in analytic_kinds and cfg.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange(f"analytic curve {kind!r} requires exponential service")
 
     inversion = simulation = None
@@ -236,29 +236,21 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
         cls = 1 if kind == "sim1" else 2
         if not (cfg.lambda1, cfg.lambda2)[cls - 1] > 0:
             raise OutOfRange(f"{kind} needs class-{cls} arrivals: lambda{cls} > 0")
-        sim = simulate.SimConfig(
-            queue=cfg, n_customers=args.n, burn_in=args.burn_in,
-            replications=args.reps, seed=args.seed,
-        )
-        result = simulate.run_replicated(sim, grid)
+        result = simulate.run_replicated(_sim_config(args, cfg), grid)
         values = result.curves[cls].values
         simulation = _simulation_record(result)
     else:
         raise OutOfRange(f"unknown curve kind {kind!r}")
 
     _write_output(["t", "F"], [grid, values], args,
-                  _manifest(args, tol, t0, inversion, simulation))
+                  _manifest(args, tol, t0, inversion=inversion, simulation=simulation))
     return EXIT_OK
 
 
 def cmd_simulate(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
-    service = ServiceKind(args.service)
-    cfg = QueueConfig(args.lam1, args.lam2, args.mu, b=args.b, d=args.d, service=service)
-    sim = simulate.SimConfig(
-        queue=cfg, n_customers=args.n, burn_in=args.burn_in,
-        replications=args.reps, seed=args.seed,
-    )
+    cfg = _queue_config(args)
+    sim = _sim_config(args, cfg)  # a bad run is reported before a bad grid
     grid = _cdf_grid(args, cfg)
     result = simulate.run_replicated(sim, grid, raw_path=args.raw)
     columns = [grid]
@@ -267,12 +259,8 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
             columns += [result.curves[cls].values, result.curve_se[cls]]
         else:
             columns += [[math.nan] * len(grid)] * 2
-    _write_output(
-        ["t", "cdf1", "se1", "cdf2", "se2"],
-        columns,
-        args,
-        _manifest(args, tol, t0, simulation=_simulation_record(result)),
-    )
+    _write_output(["t", "cdf1", "se1", "cdf2", "se2"], columns, args,
+                  _manifest(args, tol, t0, simulation=_simulation_record(result)))
     if args.summary_out:
         summary = _csv_text(
             ["class", "mean", "se", "replications"],
@@ -464,15 +452,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         tol = _tol_from_env()
         return _DISPATCH[args.subcommand](args, tol)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DapqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -100,17 +100,15 @@ class QueueConfig:
 class DerivedRates:
     """Occupancies and uniformization constants derived from a valid config.
 
-    ``lambda1_acc`` is the thinned class-1 rate governing accreditation
-    intervals; ``p_up``/``q_down`` are the jump probabilities of the
-    uniformized ahead-of-me chain (birth lambda1, death mu) and
-    ``r_coef = p_up + q_down * rho**2`` its geometric-tail coefficient.
+    None of them depends on b.  ``p_up``/``q_down`` are the jump
+    probabilities of the uniformized ahead-of-me chain (birth lambda1,
+    death mu) and ``r_coef = p_up + q_down * rho**2`` its geometric-tail
+    coefficient.
     """
 
     rho1: float
     rho2: float
     rho: float
-    lambda1_acc: float
-    rho1_acc: float
     nu: float
     p_up: float
     q_down: float
@@ -229,7 +227,6 @@ def validate(config: QueueConfig) -> DerivedRates:
                 f"got d*mu = {ell:.6g}"
             )
 
-    lambda1_acc = config.lambda1 * (1.0 - config.b)
     nu = config.mu + config.lambda1
     p_up = config.lambda1 / nu
     q_down = config.mu / nu
@@ -237,8 +234,6 @@ def validate(config: QueueConfig) -> DerivedRates:
         rho1=rho1,
         rho2=rho2,
         rho=rho,
-        lambda1_acc=lambda1_acc,
-        rho1_acc=lambda1_acc / config.mu,
         nu=nu,
         p_up=p_up,
         q_down=q_down,
@@ -260,9 +255,8 @@ def _conservation_rhs(config: QueueConfig, rates: DerivedRates) -> float:
 def _class1_mean_from_class2(config: QueueConfig, rates: DerivedRates, mean_w2):
     """Recover the class-1 mean wait from the class-2 mean via conservation.
 
-    ``rates`` are those ``validate`` gave the config.  Elementwise in
-    ``mean_w2``; only the b-free occupancies of ``rates`` are read, so any
-    b of the config will do.
+    ``rates`` are those ``validate`` gave the config at any b.  Elementwise
+    in ``mean_w2``.
     """
     if rates.rho1 == 0.0:
         raise NoClass1("lambda1 = 0: class-1 mean is undefined")

@@ -19,23 +19,24 @@ Every class-2 search runs in lockstep over rows: the lambda1 values of a
 region, or the delays of a sweep (a single search is the one-row case).
 Each probe is one batched inversion over the rows still searching
 (``transforms._invert_over_delay_rows``), which also inverts the CDF's
-derivative in the searched parameter.  Each row narrows its own bracket by
-a safeguarded Newton search (``_newton_rows``): a regula-falsi point from
-the signed residuals at the bracket ends, then Newton steps, a last probe
-aimed just beyond the predicted root so that the bracket closes, and
-bisection wherever a step is not trustworthy, so that no row takes more
-than a few probes beyond bisection's worst case.  A row stops, as
-bisection would, once its bracket is at most eps wide, and returns the end
-that meets the KPI (the midpoint for a region frontier).  So each result
-lies within eps of the bisection result, and every row sees the points and
-values of a search of that row alone.  The b-free parts of a sweep (busy
-weights, the mean's correction sum, the strict-priority F(d)) are computed
-once per delay, and the busy weights and exponential-service correction
-sums of all delays come from one run of the ahead-set chain
-(``_b_free_rows``).  Each row's inversions are gated on their own error
-bound; a row that fails retires and the others go on, and the search then
-raises the error of the first failed row, the one a row-by-row loop would
-have raised.
+derivative in the searched parameter.  One function owns the bracket
+(``_newton_rows``): it probes both ends, settles each row whose root lies
+at one, and narrows every other row's bracket by a safeguarded Newton
+search: a regula-falsi point from the signed residuals at the ends, then
+Newton steps, a last probe aimed just beyond the predicted root so that
+the bracket closes, and bisection wherever a step is not trustworthy, so
+that no row takes more than a few probes beyond bisection's worst case.
+A row stops, as bisection would, once its bracket is at most eps wide,
+and returns the end that meets the KPI (the midpoint for a region
+frontier).  So each result lies within eps of the bisection result, and
+every row sees the points and values of a search of that row alone.  The
+b-free parts of a sweep (busy weights, the mean's correction sum, the
+strict-priority F(d)) are computed once per delay, the busy weights and
+exponential-service correction sums of all delays in one run of the
+ahead-set chain (``mean_wait._b_free_rows``).  Each row's inversions are
+gated on their own error bound; a row that fails retires and the others go
+on, and the search then raises the error of the first failed row, the one
+a row-by-row loop would have raised.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .core import (
     MonotonicityViolation,
     OutOfRange,
     QueueConfig,
-    ServiceKind,
     ToleranceConfig,
     UnstableSystem,
     _check_count,
@@ -62,7 +62,6 @@ from .core import (
     _conservation_rhs,
     validate,
 )
-from .markov import _delay_weights
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,14 @@ class _Rows:
         self.calls += 1
         self.rows_inverted += n_rows
 
+    def b_free(self, configs: Sequence[QueueConfig], heads: bool) -> list:
+        """(rates, means, weights) of ``mean_wait._b_free_rows``, its chain run counted."""
+        *parts, steps = mean_wait._b_free_rows(configs, self.tol, self.errors, heads)
+        if steps is not None:
+            self.chain_runs += 1
+            self.chain_steps += steps
+        return parts
+
     def fail(self, row, exc: DapqError) -> None:
         self.errors.setdefault(int(row), exc)
 
@@ -199,21 +206,24 @@ class _Rows:
 _NEWTON_N0 = 3
 
 
-def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 f_lo: np.ndarray, f_hi: np.ndarray, eps: float, ties_lo: bool):
+def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: float,
+                 ties_lo: bool):
     """Safeguarded Newton search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep.
 
-    The residual increases: ``f_lo`` and ``f_hi`` are its values at the
-    bracket ends, at most 0 at lo and at least 0 at hi, not both 0.
-    ``probe(x, rows)`` evaluates the active rows at one point each and
-    returns (residuals, slopes, ok), ``ok`` False for rows whose probe
-    failed, which retire.  A negative residual moves lo up, a positive one
-    moves hi down, and a zero one moves lo when ``ties_lo`` and hi
-    otherwise.  A row retires once its own width hi - lo is at most eps.
-    Returns (lo, hi, slope), ``slope`` each row's slope at its last probe.
+    The residual increases.  ``probe(x, rows)`` evaluates the active rows
+    (never none) at one point each and returns (residuals, slopes, ok),
+    ``ok`` False for rows whose probe failed, which retire.  A negative
+    residual moves lo up, a positive one moves hi down, and a zero one
+    moves lo when ``ties_lo`` and hi otherwise.  The search probes lo for
+    every row, then hi for the rows that lo left open, and settles a row
+    whose root lies at an end, with its bracket unchanged: at lo where the
+    residual would move hi, at hi where it would move lo.  Every other row
+    is searched until its own width hi - lo is at most eps.  Returns (lo,
+    hi, slope, at_lo, at_hi): the brackets, each searched row's slope at
+    its last probe (NaN elsewhere), and the rows settled at lo and at hi.
 
-    The first probe is the regula-falsi point of the end residuals (the
-    midpoint between equal ones); each later one is the Newton point
+    The first probe inside is the regula-falsi point of the end residuals
+    (the midpoint between equal ones); each later one is the Newton point
     x - f/f' of the last probe x.  Once that step is at most 3 eps / 4,
     the probe is aimed eps / 4 beyond the predicted root, away from x, so
     that the crossing lies between x and it and the bracket closes to eps.
@@ -222,14 +232,24 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     could leave it wider than bound = eps * 2**(n_max - j - 1) after probe
     j, is replaced by the midpoint.  n_max is bisection's count of halvings
     plus ``_NEWTON_N0``, and the midpoint halves the width as fast as the
-    bound shrinks, so no row takes more than n_max probes, whatever its
-    residuals and slopes.  The bound keeps a slack of a few ulps of the
-    bracket's magnitude in hand, so rounding cannot carry a row past it;
-    with eps within a few slacks of it only midpoints remain.  A row's
-    points depend on its own values and on the step count alone, so it
-    sees the points of a search of that row alone.
+    bound shrinks, so no row takes more than n_max probes inside its
+    bracket, whatever its residuals and slopes.  The bound keeps a slack of
+    a few ulps of the bracket's magnitude in hand, so rounding cannot carry
+    a row past it; with eps within a few slacks of it only midpoints
+    remain.  A row's points depend on its own values and on the step count
+    alone, so it sees the points of a search of that row alone.
     """
     lo, hi = lo.copy(), hi.copy()
+    f_lo, f_hi = np.zeros(len(lo)), np.zeros(len(lo))
+    settled = []
+    for at_hi, end, f_end in ((False, lo, f_lo), (True, hi, f_hi)):
+        if rows.size:
+            values, _, ok = probe(end[rows], rows)
+            f_end[rows[ok]] = values[ok]
+            rows = rows[ok]
+        up = f_end[rows] <= 0.0 if ties_lo else f_end[rows] < 0.0  # as a probe inside moves lo
+        settled.append(rows[up == at_hi])
+        rows = rows[up != at_hi]
     slope = np.full(len(lo), np.nan)
     rows = rows[hi[rows] - lo[rows] > eps]
     a, b, fa, fb = lo[rows], hi[rows], f_lo[rows], f_hi[rows]
@@ -260,61 +280,19 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray,
             newton = np.where(slopes > 0.0, -values / slopes, np.nan)
         close = np.abs(newton) <= 0.75 * eps
         x = x + newton + np.where(close, np.where(up, 0.25 * eps, -0.25 * eps), 0.0)
-    return lo, hi, slope
+    return lo, hi, slope, *settled
 
 
 # --------------------------------------------------------------------------
 # constraint evaluations
 # --------------------------------------------------------------------------
 
-def _b_free_rows(configs: Sequence[QueueConfig], state: _Rows, heads: bool) -> tuple:
-    """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
-
-    The rows are configs that differ only in d.  Their busy weights and
-    exponential-service correction sums come from one run of the ahead-set
-    chain (``markov._delay_weights``), each equal to its one-row value bit
-    for bit.  A row fails in ``state`` when its config is invalid or, with
-    ``heads``, when its service is not exponential or its head cannot be
-    cut within max_states.  A correction sum that cannot be cut is kept in
-    the row's mean function, which raises it only when a b > 0 needs the
-    correction, as the one-row mean would.  Deterministic service computes
-    its closed-form correction on first use.  Returns (rates, means,
-    weights) lists, with None in the failed rows.
-    """
-    tol = state.tol
-    n = len(configs)
-    rates, moments, weights = [None] * n, [None] * n, [None] * n
-    batch = []
-    for r, cfg in enumerate(configs):
-        try:
-            rates[r] = validate(cfg.replace(b=0.0))
-            if heads and cfg.service is not ServiceKind.EXPONENTIAL:
-                raise OutOfRange("class-2 CDF machinery requires exponential service")
-            batch.append(r)
-        except DapqError as exc:
-            state.fail(r, exc)
-    if batch and configs[batch[0]].service is ServiceKind.EXPONENTIAL:
-        rows, steps = _delay_weights(rates[batch[0]], [configs[r].d for r in batch], tol, heads)
-        if steps is not None:
-            state.chain_runs += 1
-            state.chain_steps += steps
-        for r, (w, moment) in zip(batch, rows):
-            if isinstance(w, DapqError):
-                state.fail(r, w)
-                continue
-            weights[r] = w
-            moments[r] = moment
-    means = [None if r in state.errors else mean_wait._MeanInB(cfg, rates[r], tol, moments[r])
-             for r, cfg in enumerate(configs)]
-    return rates, means, weights
-
-
 class _Class2Rows:
     """The class-2 CDF at the KPI's target wait for configs that differ only in d.
 
     Per row it keeps the busy weights and the mean function
-    (``_b_free_rows``), and the strict-priority F(d): it is b-free, so it
-    is inverted once, for all rows together
+    (``mean_wait._b_free_rows``), and the strict-priority F(d): it is
+    b-free, so it is inverted once, for all rows together
     (``transforms._npq_cdf_rows``).  ``probe(b, rows)`` then costs one
     batched inversion of the rows' over-delay transforms.  Rows with
     w <= d have a b-free constraint, F(w) under strict priority: ``free``
@@ -328,11 +306,11 @@ class _Class2Rows:
         tol = state.tol
         n = len(configs)
         self.state = state
-        self.rates, self.means, self.weights = _b_free_rows(configs, state, heads=True)
+        self.rates, self.means, self.weights = state.b_free(configs, heads=True)
         self.w = w = kpi.target_w
         self.ds = ds = np.array([cfg.d for cfg in configs], dtype=float)
-        for r in state.alive(range(n)):  # a d or w - d too small to invert fails its row
-            if error := transforms._abscissa_error(np.array([ds[r], w - ds[r]]), tol):
+        for r in state.alive(range(n)):  # a d, w - d or w too small to invert fails its row
+            if error := transforms._abscissa_error(np.array([ds[r], w - ds[r], w]), tol):
                 state.fail(r, error)
         live = state.alive(range(n))
         self.f_at_d = np.zeros(n)
@@ -361,16 +339,13 @@ class _Class2Rows:
             self.free_values = vals[:, 0]
             self.fixed_est[self.free] = np.max(est, axis=1)
 
-    def probe(self, b, rows: np.ndarray):
-        """Certified F(w) at rate b (a float or one per row) for rows with w > d.
+    def probe(self, b: np.ndarray, rows: np.ndarray):
+        """Certified F(w) at rate b[i] for each row i, all with w > d.
 
         Returns (values, slopes, ok), ``slopes`` dF/db = -lambda1 dF/da
         (NaN where unresolved) from the same inversion
         (``transforms._invert_over_delay_rows``).
         """
-        if not rows.size:
-            empty = np.zeros(0)
-            return empty, empty, empty.astype(bool)
         self.state.inverted(len(rows))
         self.state.probes[rows] += 1
         vals, est, dfda = transforms._invert_over_delay_rows(
@@ -386,23 +361,22 @@ class _Class2Rows:
         return values, -self.lambda1 * dfda[:, 0], ok
 
 
-def _npq_meets(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray):
-    """Whether strict priority meets a class-2 KPI at (lam1[i], lam2[i]) for each row.
+def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray):
+    """Strict priority's certified class-2 F(w) at (lam1[i], lam2[i]) for each row.
 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
-    counted in ``state``.  Returns (meets, values, slopes, ok) per row,
-    ``values`` the certified F(w) and ``slopes`` dF/dlambda2 = dF/drho / mu
-    from the same inversion.
+    counted in ``state``, after ``transforms._abscissa_error`` has refused
+    a w too small to invert.  Returns (values, slopes, ok) per row,
+    ``slopes`` dF/dlambda2 = dF/drho / mu from the same inversion.
     """
-    if not rows.size:
-        empty = np.zeros(0)
-        return empty.astype(bool), empty, empty, empty.astype(bool)
+    if error := transforms._abscissa_error(np.array([kpi.target_w]), state.tol):
+        raise error
     state.inverted(len(rows))
     vals, est, dfdrho = transforms._npq_cdf_rows(
         np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol,
         slope=True)
     values, ok = state.certify(rows, vals[:, 0], est[:, 0])
-    return values >= kpi.compliance_p, values, dfdrho[:, 0] / mu, ok
+    return values, dfdrho[:, 0] / mu, ok
 
 
 # --------------------------------------------------------------------------
@@ -413,7 +387,7 @@ def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
     """Each row's PolicyPoint at its (b, feasible) outcome; raises the first failed row's error.
 
     ``rates[r]`` and ``means[r]`` are the row's rates and class-2 mean as a
-    function of b (``_b_free_rows``); the class-1 mean follows from
+    function of b (``mean_wait._b_free_rows``); the class-1 mean follows from
     conservation, as in ``mean_wait.dapq_means``.
     """
     points = []
@@ -448,11 +422,11 @@ def _b_star_class2_rows(
     rate mu, started from the busy weights.  Thinning the births of a walk
     at rate a gives one at any lower rate on the same path, which never
     lies above it, so its passage time is never later: the passage time is
-    stochastically increasing in a, and so decreasing in b.  Rows with
-    F(w) >= p at b = 0 (b* = 0) or F(w) < p at b = 1 (infeasible) are
-    settled by those two probes; the others are searched
-    (``_newton_rows``) with the derivative dF/db from each probe, and b*
-    is the end of the final bracket that meets the KPI.
+    stochastically increasing in a, and so decreasing in b.  The search
+    (``_newton_rows``) settles the rows with F(w) >= p at b = 0 (b* = 0)
+    or F(w) < p at b = 1 (infeasible) by those two probes and searches the
+    others with the derivative dF/db from each probe; b* is the end of the
+    final bracket that meets the KPI.
     """
     if kpi.class_index != 2:
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
@@ -464,28 +438,20 @@ def _b_star_class2_rows(
     for r, v in zip(rows.free[ok], values[ok]):
         outcome[r] = (0.0, True) if v >= p else (1.0, False)
 
-    f0, f1 = np.zeros(n), np.zeros(n)
-    live = rows.dep
-    for b, f in ((0.0, f0), (1.0, f1)):
-        if not live.size:
-            break
-        values, _, ok = rows.probe(b, live)
-        live, values = live[ok], values[ok]
-        f[live] = values
-        done = values >= p if b == 0.0 else values < p
-        for r in live[done]:
-            outcome[r] = (b, b == 0.0)
-        live = live[~done]
-
     def residual(b, rr):
         values, slopes, ok = rows.probe(b, rr)
         return values - p, slopes, ok
 
-    _, hi, slope = _newton_rows(residual, live, np.zeros(n), np.ones(n), f0 - p, f1 - p,
-                                tol.eps_root, ties_lo=False)
-    for r in state.alive(live):
-        outcome[r] = (float(hi[r]), True)
-        state.widths[r] = state.worst[r] / slope[r] if slope[r] > 0.0 else math.inf
+    _, hi, slope, at_lo, at_hi = _newton_rows(residual, rows.dep, np.zeros(n), np.ones(n),
+                                              tol.eps_root, ties_lo=False)
+    for r in state.alive(rows.dep):
+        if r in at_lo:
+            outcome[r] = (0.0, True)
+        elif r in at_hi:
+            outcome[r] = (1.0, False)
+        else:
+            outcome[r] = (float(hi[r]), True)
+            state.widths[r] = state.worst[r] / slope[r] if slope[r] > 0.0 else math.inf
     return _points(configs, outcome, rows.rates, rows.means, state)
 
 
@@ -511,7 +477,7 @@ def _b_star_class1_rows(
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
     n = len(configs)
     state = _Rows(n, tol)
-    rates, means, _ = _b_free_rows(configs, state, heads=False)
+    rates, means, _ = state.b_free(configs, heads=False)
     outcome = {}
     for r in state.alive(range(n)):
         cfg, rt, mean_w2 = configs[r], rates[r], means[r]
@@ -625,9 +591,9 @@ def meets_extreme(
     if kpi.class_index == 1:
         return approx.ZExp(rho, mu - lam1).cdf(w) >= p
     state = _Rows(1, tol)
-    meets, *_ = _npq_meets(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
+    values, *_ = _npq_probe(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
     state.raise_first()
-    return bool(meets[0])
+    return bool(values[0] >= p)
 
 
 def in_tuning_region(
@@ -666,11 +632,12 @@ def feasible_region(
     a tagged class-2 customer, path by path, and the accrediting rate
     lambda1 does not change.  The class-2 searches run in lockstep over
     lambda1: each probe is one batched inversion of F(w) and its derivative
-    in lambda2 over the rows still searching.  The two probes at the
-    bracket ends give each row its residuals p - F(w) there; each row then
-    narrows its bracket to 1e-4 in at most ``_NEWTON_N0`` probes more than
-    bisection would take, and its frontier is the bracket's midpoint,
-    within 1e-4 of the bisection midpoint.  When rows fail, the error of
+    in lambda2 over the rows still searching.  The probes at the bracket
+    ends settle the rows that fail the KPI at its lower end (frontier 0) or
+    meet it at its upper end (frontier there); each other row narrows its
+    bracket to 1e-4 in at most ``_NEWTON_N0`` probes more than bisection
+    would take, and its frontier is the bracket's midpoint, within 1e-4 of
+    the bisection midpoint.  When rows fail, the error of
     the lowest lambda1 is raised.  A resolution that would give more than
     ``core._MAX_VALUES`` lambda1 values raises OutOfRange.
     """
@@ -706,25 +673,16 @@ def feasible_region(
     lam1s, hi_l2 = lam1s[hi_l2 > 0], hi_l2[hi_l2 > 0]
     n = len(lam1s)
     state = _Rows(n, tol)
-    lower = np.zeros(n)  # fails even with a trace of class-2 load
-    rows = np.arange(n)
-    lo = np.full(n, 1e-9)
-    f_lo, f_hi = np.zeros(n), np.zeros(n)  # residuals p - F(w) at the bracket ends
-    meets, values, _, ok = _npq_meets(lam1s, lo, mu, kpi, state, rows)
-    f_lo[rows] = p - values
-    rows = rows[ok & meets]
-    meets, values, _, ok = _npq_meets(lam1s[rows], hi_l2[rows], mu, kpi, state, rows)
-    f_hi[rows] = p - values
-    lower[rows[ok & meets]] = hi_l2[rows[ok & meets]]
-    rows = rows[ok & ~meets]
 
     def residual(lam2, rr):
-        _, values, slopes, ok = _npq_meets(lam1s[rr], lam2, mu, kpi, state, rr)
+        values, slopes, ok = _npq_probe(lam1s[rr], lam2, mu, kpi, state, rr)
         return p - values, -slopes, ok
 
-    lo, hi, _ = _newton_rows(residual, rows, lo, hi_l2, f_lo, f_hi, 1e-4, ties_lo=True)
-    rows = state.alive(rows)
-    lower[rows] = 0.5 * (lo[rows] + hi[rows])
+    lo, hi, _, at_lo, at_hi = _newton_rows(residual, np.arange(n), np.full(n, 1e-9), hi_l2,
+                                           1e-4, ties_lo=True)
+    lower = 0.5 * (lo + hi)
+    lower[at_lo] = 0.0  # fails even with a trace of class-2 load
+    lower[at_hi] = hi_l2[at_hi]
     state.raise_first()
     return FeasibleRegion(
         kpi=kpi,

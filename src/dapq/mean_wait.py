@@ -23,8 +23,8 @@ Numerical notes
 ---------------
 * The exponential-service correction iterates the same chain as the
   class-2 CDFs' busy weights, through the same call
-  (``markov._delay_weights``, one delay here; ``dapq.kpi`` passes all the
-  delays of a sweep at once), but cuts the Poisson jump sum where an
+  (``markov._delay_weights``, one delay here; ``_b_free_rows`` passes all
+  the delays of a sweep at once), but cuts the Poisson jump sum where an
   explicit bound on the first moment's remainder, not on the mass, falls
   below eps_series/2 (the moment cut of ``markov._jump_cuts``).  Beyond
   the cut the weights are exactly geometric, so their moment has a closed
@@ -176,7 +176,8 @@ def _upper_poisson_moment(
     with p, so once the last term times (r+i+1) q/(1-q)^2 is below 1e-17
     of the sum, the rest is too.
     """
-    t = np.exp(a * np.log(z) - z - log_fact[a])
+    with np.errstate(divide="ignore"):  # z = 0 (lambda1 underflows): log z = -inf, t = 0
+        t = np.exp(a * np.log(z) - z - log_fact[a])
     out = r * t
     steps = np.arange(1.0, 17.0)
     ratios, terms, weighted = (np.empty(z.shape + (16,)) for _ in range(3))
@@ -263,17 +264,16 @@ class _MeanInB:
     """b -> exact E[W2] at fixed rates and delay, and back.
 
     The mean at rate b is npq - g(b) num / den: npq is the strict-priority
-    mean, g(b) = rho1 b / ((1 - rho1_acc)(1 - rho1)), over mu for
+    mean, g(b) = rho1 b / ((1 - rho1 (1 - b))(1 - rho1)), over mu for
     exponential service, and the b-free quotient (num, den) is computed at
     the first b that needs it and kept, so later calls cost a few float
     operations; each value equals the one-shot mean of
     ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is
-    ignored, and of ``rates``, which ``validate`` gave the config at any b,
-    only the b-free fields are read.  ``moment`` is the exponential-service
-    correction sum when the caller has it (``dapq.kpi`` computes those of
-    all delays of a sweep at once), or the ``DapqError`` computing it
-    raised, which a call that needs the correction raises; None computes
-    it on first use.
+    ignored; ``rates`` are those ``validate`` gave the config at any b.
+    ``moment`` is the exponential-service correction sum when the caller
+    has it (``_b_free_rows`` computes those of all delays of a sweep at
+    once), or the ``DapqError`` computing it raised, which a call that
+    needs the correction raises; None computes it on first use.
     """
 
     def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
@@ -338,6 +338,45 @@ class _MeanInB:
         num, den = self._correction()
         rho1 = self._rates.rho1
         return -self._g_at_one() * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * num / den
+
+
+def _b_free_rows(configs, tol: ToleranceConfig, errors: dict, heads: bool) -> tuple:
+    """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
+
+    The rows are configs that differ only in d.  Their busy weights and
+    exponential-service correction sums come from one run of the ahead-set
+    chain (``markov._delay_weights``), each equal to its one-row value bit
+    for bit.  A row whose config is invalid, or with ``heads`` whose
+    service is not exponential or whose head cannot be cut within
+    max_states, fails: ``errors`` maps it to its first DapqError.  A
+    correction sum that cannot be cut is kept in the row's mean function,
+    which raises it only when a b > 0 needs it, as the one-row mean would.
+    Returns (rates, means, weights, steps): lists with None in the failed
+    rows, and the chain run's step count (None when none ran).
+    """
+    n = len(configs)
+    rates, moments, weights = [None] * n, [None] * n, [None] * n
+    batch = []
+    for r, cfg in enumerate(configs):
+        try:
+            rates[r] = validate(cfg.replace(b=0.0))
+            if heads and cfg.service is not ServiceKind.EXPONENTIAL:
+                raise OutOfRange("class-2 CDF machinery requires exponential service")
+            batch.append(r)
+        except DapqError as exc:
+            errors.setdefault(r, exc)
+    steps = None
+    if batch and configs[batch[0]].service is ServiceKind.EXPONENTIAL:
+        rows, steps = _delay_weights(rates[batch[0]], [configs[r].d for r in batch], tol, heads)
+        for r, (w, moment) in zip(batch, rows):
+            if isinstance(w, DapqError):
+                errors.setdefault(r, w)
+                continue
+            weights[r] = w
+            moments[r] = moment
+    means = [None if r in errors else _MeanInB(cfg, rates[r], tol, moments[r])
+             for r, cfg in enumerate(configs)]
+    return rates, means, weights, steps
 
 
 # --------------------------------------------------------------------------

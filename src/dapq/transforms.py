@@ -42,7 +42,7 @@ accrediting rate lambda1 (``_npq_cdf_rows``).  The KPI searches in
 :mod:`dapq.kpi` invert all their rows this way, one call per
 root-finding step, and each such call also inverts the derivative of the
 CDF in the searched parameter, as a second half of the same contour sums
-(``_invert_pair``), without changing a value.
+(``_euler_invert`` with ``slope``), without changing a value.
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -176,33 +176,6 @@ def _horner(e, rho, tail_next, steps, starts, acc, slope=None):
     return np.multiply(e, acc, out=acc)
 
 
-def _invert_pair(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool):
-    """Invert a transform at ``ts`` and, with ``slope``, its derivative in a parameter, in one call.
-
-    ``transform(s, out)`` returns G(s) and, with ``slope``, dG/dx, stacked
-    as an array shaped like ``out``, a work array of one block shaped
-    (1 or 2,) + s.shape that it may return.  The derivative rides as a
-    leading axis of 2 on the abscissae: ``_euler_invert`` sees both halves
-    of s, equal, and the transform reads the first, so eta is computed
-    once.  Inversion is linear, so the second half inverts to dF/dx, and
-    every value equals that of the value-only call bit for bit.  Returns
-    the values and their Euler estimates, shaped like ts, and with
-    ``slope`` the derivatives, NaN where a derivative is not larger than
-    its own Euler estimate (it only steers a search, so it takes no part
-    in the accuracy gate).
-    """
-    pair = (2 if slope else 1,)
-    (out_work,) = _block_arrays(1, pair + ts.shape)
-
-    def fn(s):
-        return transform(s[0], _front(out_work, s.shape))
-
-    values, estimates = _euler_invert(fn, np.broadcast_to(ts, pair + ts.shape), tol)
-    if not slope:
-        return values[0], estimates[0]
-    return values[0], estimates[0], np.where(np.abs(values[1]) > estimates[1], values[1], np.nan)
-
-
 def _invert_over_delay_rows(
     ts: np.ndarray, lam_acc, mu: float, weights: Sequence[BusyWeights], tol: ToleranceConfig,
     slope: bool = False,
@@ -214,7 +187,7 @@ def _invert_over_delay_rows(
     and the shift avoids the oscillatory exp(-s d) factor.  ``ts`` is
     (rows, points), ``lam_acc`` the rows' accrediting rates (or one for
     all) and ``weights`` their busy weights, one ``BusyWeights`` per row;
-    returns ``_invert_pair``'s (values, estimates), both (rows, points),
+    returns ``_euler_invert``'s (values, estimates), both (rows, points),
     and with ``slope`` dH/da as well, a the accrediting rate.  b enters
     only through a, and the weights do not depend on it, so
     dG/da = P'(eta) deta/da, P'(eta) from Horner's rule (``_horner``) and
@@ -257,7 +230,7 @@ def _invert_over_delay_rows(
 
     back = np.empty(len(order), dtype=int)
     back[order] = np.arange(len(order))
-    return tuple(x[back] for x in _invert_pair(transform, ts[order], tol, slope))
+    return tuple(x[back] for x in _euler_invert(transform, ts[order], tol, slope))
 
 
 def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig,
@@ -294,7 +267,7 @@ def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig,
         np.divide(e, d, out=d)
         return out
 
-    values, *rest = _invert_pair(transform, ts, tol, slope)
+    values, *rest = _euler_invert(transform, ts, tol, slope)
     return ((1.0 - rhos)[:, None] + values, *rest)
 
 
@@ -368,42 +341,54 @@ def _abscissa_error(ts: np.ndarray, tol: ToleranceConfig):
                       "where the inversion's contour nodes overflow") if low.size else None
 
 
-def _euler_invert(fn, ts: np.ndarray, tol: ToleranceConfig):
-    """Invert fn(s)/s at every t > 0 in ``ts``; returns (values, estimates) shaped like ts.
+def _euler_invert(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool = False):
+    """Invert G(s)/s at every t > 0 in ``ts``; returns (values, estimates) shaped like ts.
 
     Each point's Bromwich contour Re(s) = A/(2t) is sampled at the nodes
     s_k = (A/2 + i k pi)/t.  ``ts`` may have any leading shape, a batch
-    being (rows, points): ``fn`` gets s as ts's shape plus a node axis,
-    ``_BLOCK`` points of the last axis at a time, broadcasts its
-    parameters as (rows, 1, 1) and returns an array that does not share
-    memory with s.  The Euler term of node k is
-    exp(A/2)/t sign_k Re(fn(s_k)/s_k), and t s_k is A/2 + i k pi, so the
-    term is Re(fn(s_k) C_k) with the t-free constant
-    C_k = exp(A/2) sign_k / (A/2 + i k pi).  The partial sums and their
-    binomial averages are linear in the terms, so the value and the error
-    estimate (the difference of the last two binomial averages) are each
-    one weighted sum of the real and imaginary parts of fn(s_k) along the
-    node axis (``_euler_constants``).  numpy sums each point's products on
-    its own, so a point's value and estimate do not depend on the other
-    points or rows of the call, nor on where its block starts.  s lives in
-    one array allocated per call, and once fn has returned, the products
-    are written over it; the short last block uses its leading part.
+    being (rows, points): ``transform(s, out)`` gets s as ts's shape plus a
+    node axis, ``_BLOCK`` points of the last axis at a time, broadcasts its
+    parameters as (rows, 1, 1), leaves s as it is and returns G(s) and,
+    with ``slope``, its derivative in a parameter, stacked as an array
+    shaped like ``out``, a work array of (1 or 2,) + s.shape that it may
+    return.  The Euler term of node k is exp(A/2)/t sign_k Re(G(s_k)/s_k),
+    and t s_k is A/2 + i k pi, so the term is Re(G(s_k) C_k) with the
+    t-free constant C_k = exp(A/2) sign_k / (A/2 + i k pi).  The partial
+    sums and their binomial averages are linear in the terms, so the value
+    and the error estimate (the difference of the last two binomial
+    averages) are each one weighted sum of the real and imaginary parts of
+    G(s_k) along the node axis (``_euler_constants``), and the derivative
+    inverts by the same sums; with ``slope`` it is returned third, NaN
+    where it is not larger than its own estimate (it only steers a search,
+    so it takes no part in the accuracy gate).  numpy sums each point's
+    products on its own, so a point's value and estimate do not depend on
+    the other points or rows of the call, on where its block starts, nor
+    on ``slope``.  s is formed once per block, in one array allocated per
+    call, and once the transform has returned, each half's products are
+    written over it; the short last block uses its leading part.
     """
     scaled_nodes, average, change = _euler_constants(_euler_params(tol.eps_invert))
+    halves = 2 if slope else 1
     (s_work,) = _block_arrays(1, ts.shape)
-    values = np.empty(ts.shape)
-    estimates = np.empty(ts.shape)
+    (out_work,) = _block_arrays(1, (halves,) + ts.shape)
+    values, estimates = np.empty((2, halves) + ts.shape)
     for lo in range(0, ts.shape[-1], _BLOCK):
         block = (..., slice(lo, lo + _BLOCK))
         t = ts[block][..., None]
         s = _front(s_work, t.shape[:-1] + (len(_NODES),))
         np.multiply(scaled_nodes, 1.0 / t, out=s)
-        g = np.ascontiguousarray(fn(s), dtype=complex).view(float)
-        products = _front(s_work.view(float), g.shape)  # s is spent
-        np.add.reduce(np.multiply(g, average, out=products), axis=-1, out=values[block])
-        late = np.multiply(g[..., -len(change) :], change, out=products[..., : len(change)])
-        np.add.reduce(late, axis=-1, out=estimates[block])
-    return values, np.abs(estimates, out=estimates)
+        g = np.ascontiguousarray(transform(s, _front(out_work, (halves,) + s.shape)),
+                                 dtype=complex).view(float)
+        products = _front(s_work.view(float), g.shape[1:])  # s is spent
+        for half, value, estimate in zip(g, values, estimates):
+            np.add.reduce(np.multiply(half, average, out=products), axis=-1, out=value[block])
+            late = np.multiply(half[..., -len(change) :], change,
+                               out=products[..., : len(change)])
+            np.add.reduce(late, axis=-1, out=estimate[block])
+    np.abs(estimates, out=estimates)
+    if not slope:
+        return values[0], estimates[0]
+    return values[0], estimates[0], np.where(np.abs(values[1]) > estimates[1], values[1], np.nan)
 
 
 def _accuracy_gate(worst, tol: ToleranceConfig):
@@ -502,7 +487,7 @@ def class2_cdf_dapq(
         f_at_d = npq_vals[0, -1]
         worst_inside = np.max(npq_est)
     tail_vals, tail_est = _invert_over_delay_rows(
-        (ts[beyond] - d)[None, :], rates.lambda1_acc, config.mu, [weights], tol)
+        (ts[beyond] - d)[None, :], config.lambda1 * (1.0 - config.b), config.mu, [weights], tol)
     values[beyond] = f_at_d + tail_vals[0]
     # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate
     worst = float(np.max(tail_est, initial=worst_inside))

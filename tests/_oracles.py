@@ -476,7 +476,7 @@ def class2_tail_lst(config, s, tol=DEFAULT_TOL):
     waiting when the delay expires.
     """
     w = dapq_busy_weights(config, tol)
-    e = complex(eta_mm1(complex(s), validate(config).lambda1_acc, config.mu))
+    e = complex(eta_mm1(complex(s), config.lambda1 * (1.0 - config.b), config.mu))
     n = len(w)
     poly = sum(h * e ** (l + 1) for l, h in enumerate(w.head))
     poly += w.tail_next * e ** (n + 1) / (1.0 - w.rho * e)
@@ -500,7 +500,13 @@ def _shifted_tail_by_horner(lam_acc, mu, w, eta=eta_mm1):
     return fn
 
 
-def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=_euler_invert):
+def invert_fn(fn, ts, tol=DEFAULT_TOL):
+    """The package's block inversion (``transforms._euler_invert``) of a
+    transform ``fn(s)`` that takes no work array."""
+    return _euler_invert(lambda s, out: fn(s)[None], ts, tol)
+
+
+def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=invert_fn):
     """The class-2 CDF by the one-curve path the batched row inverter replaced.
 
     The strict-priority part inverts the busy weights of the config at
@@ -526,13 +532,12 @@ def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=_
     values[ts == 0.0] = atom
     f_at_d, worst_inside = atom, 0.0
     if d > 0:
-        npq_fn = _shifted_tail_by_horner(
-            validate(npq_config).lambda1_acc, config.mu, npq_weights, eta)
+        npq_fn = _shifted_tail_by_horner(config.lambda1, config.mu, npq_weights, eta)
         npq_vals, npq_est = invert(npq_fn, np.append(ts[inside], d), tol)
         values[inside] = atom + npq_vals[:-1]
         f_at_d = atom + npq_vals[-1]
         worst_inside = np.max(npq_est)
-    tail_fn = _shifted_tail_by_horner(rates.lambda1_acc, config.mu, weights, eta)
+    tail_fn = _shifted_tail_by_horner(config.lambda1 * (1.0 - config.b), config.mu, weights, eta)
     tail_vals, tail_est = invert(tail_fn, ts[beyond] - d, tol)
     values[beyond] = f_at_d + tail_vals
     worst = float(np.max(tail_est, initial=worst_inside))
@@ -612,7 +617,7 @@ def invert_to_cdf(transform, grid, tol=DEFAULT_TOL):
     grid = np.asarray(grid, dtype=float)
     raw = np.zeros_like(grid)
     positive = grid > 0.0
-    raw[positive], estimates = _euler_invert(transform.fn, grid[positive], tol)
+    raw[positive], estimates = invert_fn(transform.fn, grid[positive], tol)
     # np.max propagates NaN, so a non-finite evaluation fails the gate
     worst = float(np.max(estimates, initial=0.0))
     at_zero = grid == 0.0
@@ -653,7 +658,7 @@ def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
 
     def shifted(cfg):
         w = busy_state_distribution(cfg, tol)
-        lam_acc = validate(cfg).lambda1_acc
+        lam_acc = cfg.lambda1 * (1.0 - cfg.b)
         js = np.arange(1, len(w) + 1)
         return lambda s: complex(np.sum(w * _eta_scalar(complex(s), lam_acc, cfg.mu) ** js))
 
@@ -820,12 +825,6 @@ def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
     validate(config.replace(b=0.0))
     w, p = kpi.target_w, kpi.compliance_p
     constraint = class2_cdf_per_b(config, w, tol)
-    f0 = constraint(0.0)
-    if f0 >= p:
-        return _policy_point_per_b(config, 0.0, True, tol)
-    f1 = constraint(1.0)
-    if f1 < p:
-        return _policy_point_per_b(config, 1.0, False, tol)
 
     def probe(b, rows):
         weights = dapq_busy_weights(config.replace(b=float(b[0])), tol)
@@ -835,9 +834,12 @@ def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
         return (np.array([constraint(float(b[0])) - p]), -config.lambda1 * dfda[:, 0],
                 np.ones(1, dtype=bool))
 
-    _, hi, _ = kpi_mod._newton_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
-                                    np.array([f0 - p]), np.array([f1 - p]), tol.eps_root,
-                                    ties_lo=False)
+    _, hi, _, at_lo, at_hi = kpi_mod._newton_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
+                                                  tol.eps_root, ties_lo=False)
+    if at_lo.size:
+        return _policy_point_per_b(config, 0.0, True, tol)
+    if at_hi.size:
+        return _policy_point_per_b(config, 1.0, False, tol)
     return _policy_point_per_b(config, float(hi[0]), True, tol)
 
 

@@ -31,8 +31,8 @@ def test_validate_reference_rates():
     assert rates.p_up == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert rates.q_down == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert rates.p_up + rates.q_down == pytest.approx(1.0, abs=1e-15)
-    assert rates.lambda1_acc == pytest.approx(0.25, abs=1e-15)
-    assert rates.rho1_acc <= rates.rho1
+    # the rates are b-free: validation at any b gives the same ones
+    assert rates == validate(QueueConfig(0.5, 0.3, 1.0, b=1.0, d=2.0, service=EXP))
 
 
 def test_validate_rejects_unstable():

@@ -327,6 +327,31 @@ def _class2_crossing_matches(config, target, b_star, ref, bisect=False):
     assert below < above and cdf(below) >= p > cdf(above)
 
 
+def _class1_crossing_matches(config, target, b_star, ref):
+    """An interior class-1 b* against the bisection oracle's ``ref``: the
+    class-1 mean from scratch (``class1_mean_per_b``) meets the threshold
+    at b*, and b* lies within eps_root of ``ref``.
+
+    Farther apart, the check asks for the proof that floats cannot order
+    the two: ``ref`` meets the threshold too, and either the mean is the
+    same float at both, or some b strictly between them exceeds the
+    threshold, here the closed-form rate that the step-down rejected.
+    That happens where the class-1 mean is flat in b to its rounding: two
+    drawn configs, with root widths of 9.7e-10 and 7.0e-10, put the two
+    1.9e-10 and 1.16e-10 apart, each pair on one float of the mean."""
+    mean1 = class1_mean_per_b(config)
+    rates = validate(config)
+    threshold = kpi_mean_threshold(rates.rho, target)
+    assert mean1(b_star) <= threshold
+    if abs(b_star - ref) <= DEFAULT_TOL.eps_root:
+        return
+    assert mean1(ref) <= threshold
+    lo, hi = sorted((b_star, ref))
+    rate = class2_mean_in_b(config).rate_for(
+        (conservation_rhs(config) - rates.rho1 * threshold) / rates.rho2)
+    assert mean1(lo) == mean1(hi) or (lo < rate < hi and mean1(rate) > threshold)
+
+
 def _newton_bracket(config, target):
     """The final bracket (lo, hi) of ``b_star_class2``'s Newton search."""
     newton, brackets = kpi._newton_rows, []
@@ -338,7 +363,7 @@ def _newton_bracket(config, target):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kpi, "_newton_rows", recorded)
         b_star_class2(config, target)
-    lo, hi, _ = brackets[0]
+    lo, hi, *_ = brackets[0]
     return float(lo[0]), float(hi[0])
 
 
@@ -668,18 +693,18 @@ def _count_inversions(monkeypatch):
     calls = []
     invert = transforms._euler_invert
 
-    def counted(fn, ts, tol):
+    def counted(transform, ts, tol, slope=False):
         calls.append(np.shape(ts))
-        return invert(fn, ts, tol)
+        return invert(transform, ts, tol, slope)
 
     monkeypatch.setattr(transforms, "_euler_invert", counted)
     return calls
 
 
 def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
-    # a search probe inverts F and its derivative in one call, as a leading
-    # axis of 2; the region takes 7 calls and the sweep 8, and one more
-    # each is allowed (the ITP search they replaced took 8 and 16)
+    # a search probe inverts F and its derivative in one call, as the two
+    # halves of its contour sums; the region takes 7 calls and the sweep 8,
+    # and one more each is allowed (the ITP search they replaced took 8 and 16)
     calls = _count_inversions(monkeypatch)
     region = feasible_region(Kpi(4.0, 0.85, 2), resolution=0.02)
     assert len(calls) == region.inversion_calls <= 7 + 1
@@ -698,6 +723,10 @@ def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
 # F is flat in b to its roundoff here: the Newton and bisection b* lie more
 # than eps_root apart
 @example(rho=0.3125, share=0.125, cls=2, det=False, w=0.3125, ks=[2], b_mid=0.5)
+# the class-1 mean is flat in b to its rounding here: the closed form's b*
+# lies 1.9e-10 and 1.16e-10 below the bisection's
+@example(rho=0.3125, share=0.125, cls=1, det=True, w=1.0, ks=[7], b_mid=0.5)
+@example(rho=0.3046875, share=0.25, cls=1, det=True, w=1.0, ks=[8], b_mid=0.5)
 @given(
     rho=st.floats(min_value=0.3, max_value=0.92),
     share=st.floats(min_value=0.1, max_value=0.9),
@@ -744,9 +773,7 @@ def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks,
         if cls == 2:
             _class2_crossing_matches(at, target, pt.b_star, ref.b_star, bisect=True)
         else:
-            assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
-            threshold = kpi_mean_threshold(validate(at).rho, target)
-            assert class1_mean_per_b(at)(pt.b_star) <= threshold
+            _class1_crossing_matches(at, target, pt.b_star, ref.b_star)
         assert pt.probes <= ref.probes + kpi._NEWTON_N0
     assert interior or not any(0.0 < pt.b_star < 1.0 for pt in got)
 
@@ -912,50 +939,63 @@ def _slopes(g):
 
 def _newton_cases():
     """The ITP oracle's adversarial residuals, a residual flat at its root,
-    and a smooth one, each with every slope of ``_slopes``:
-    (name, g, slope, lo, hi, eps, ties_lo)."""
+    a smooth one and four whose root lies at an end, each with every slope
+    of ``_slopes``: (name, g, slope, lo, hi, eps, ties_lo)."""
     flat = ("flat at 0 beyond 0.3", lambda x: np.where(x < 0.3, x - 0.3, 0.0), 0.0, 1.0, 1e-6,
             True)
     smooth = ("smooth", lambda x: np.expm1(x - 0.4123), 0.0, 1.0, 1e-10, False)
+    ends = [
+        ("root below lo", lambda x: x + 1.0, 0.0, 1.0, 1e-10, False),
+        ("zero at lo, ties to hi", lambda x: x, 0.0, 1.0, 1e-10, False),
+        ("root above hi", lambda x: x - 2.0, 0.0, 1.0, 1e-10, True),
+        ("zero at hi, ties to lo", lambda x: x - 1.0, 0.0, 1.0, 1e-10, True),
+    ]
     return [(f"{name}, {lie}", g, slope, lo, hi, eps, ties_lo)
-            for name, g, lo, hi, eps, ties_lo in _adversarial_residuals() + [flat, smooth]
+            for name, g, lo, hi, eps, ties_lo in _adversarial_residuals() + [flat, smooth] + ends
             for lie, slope in _slopes(g)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_newton_worst_case_on_adversarial_residuals():
     # each row alone, then all rows of one eps and tie rule in one lockstep
-    # search: at most _NEWTON_N0 probes beyond bisection's count, the
-    # crossing kept in the final bracket, and each row bit for bit its
-    # search alone; a true slope on a smooth residual takes a few probes
+    # search: the two ends, then at most _NEWTON_N0 probes beyond
+    # bisection's count, the crossing kept in the final bracket, and each
+    # row bit for bit its search alone; a row whose root lies at an end
+    # settles there by the tie rule with its bracket unchanged, and a true
+    # slope on a smooth residual takes a few probes
     cases = _newton_cases()
     singles = []
     for name, g, slope, lo, hi, eps, ties_lo in cases:
         probes = []
-        limit = math.ceil(math.log2((hi - lo) / eps)) + kpi._NEWTON_N0
+        limit = 2 + math.ceil(math.log2((hi - lo) / eps)) + kpi._NEWTON_N0
 
         def probe(x, rows):
             probes.append(len(rows))
-            assert len(probes) <= limit, name  # fail fast rather than crawl
+            assert len(probes) <= limit and len(rows), name  # fail fast rather than crawl
             return g(x), slope(x), np.ones(len(rows), dtype=bool)
 
-        got_lo, got_hi, _ = kpi._newton_rows(probe, np.arange(1), np.array([lo]), np.array([hi]),
-                                             g(np.array([lo])), g(np.array([hi])), eps, ties_lo)
+        got_lo, got_hi, _, at_lo, at_hi = kpi._newton_rows(
+            probe, np.arange(1), np.array([lo]), np.array([hi]), eps, ties_lo)
         a, b = float(got_lo[0]), float(got_hi[0])
-        assert lo <= a <= b <= hi and b - a <= eps, name
         ga, gb = g(np.array([a, b]))
-        assert (ga <= 0.0 if ties_lo else ga < 0.0) or a == lo, name
-        assert (gb > 0.0 if ties_lo else gb >= 0.0) or b == hi, name
+        if at_lo.size or at_hi.size:
+            assert (a, b, list(at_lo) + list(at_hi)) == (lo, hi, [0]), name
+            if at_lo.size:
+                assert (ga > 0.0 if ties_lo else ga >= 0.0) and len(probes) == 1, name
+            else:
+                assert (gb <= 0.0 if ties_lo else gb < 0.0) and len(probes) == 2, name
+        else:
+            assert lo <= a <= b <= hi and b - a <= eps, name
+            assert (ga <= 0.0 if ties_lo else ga < 0.0) or a == lo, name
+            assert (gb > 0.0 if ties_lo else gb >= 0.0) or b == hi, name
         if name == "smooth, central difference":
-            assert len(probes) <= 6  # bisection takes 34
-        singles.append((a, b))
+            assert len(probes) <= 2 + 6  # bisection takes 34
+        singles.append((a, b, at_lo.size, at_hi.size))
 
     for ties_lo, eps in {(case[6], case[5]) for case in cases}:
         rows = [r for r, case in enumerate(cases) if (case[6], case[5]) == (ties_lo, eps)]
         lo = np.array([case[3] for case in cases])
         hi = np.array([case[4] for case in cases])
-        f_lo = np.array([float(case[1](np.array([case[3]]))[0]) for case in cases])
-        f_hi = np.array([float(case[1](np.array([case[4]]))[0]) for case in cases])
 
         def probe(x, rr):
             one = [(cases[r][1](np.array([xi]))[0], cases[r][2](np.array([xi]))[0])
@@ -963,10 +1003,10 @@ def test_newton_worst_case_on_adversarial_residuals():
             return (np.array([v for v, _ in one]), np.array([d for _, d in one]),
                     np.ones(len(rr), dtype=bool))
 
-        got_lo, got_hi, _ = kpi._newton_rows(probe, np.array(rows), lo, hi, f_lo, f_hi, eps,
-                                             ties_lo)
+        got_lo, got_hi, _, at_lo, at_hi = kpi._newton_rows(probe, np.array(rows), lo, hi, eps,
+                                                           ties_lo)
         for r in rows:
-            assert (got_lo[r], got_hi[r]) == singles[r], cases[r][0]
+            assert (got_lo[r], got_hi[r], r in at_lo, r in at_hi) == singles[r], cases[r][0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1000,13 +1040,13 @@ def test_newton_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low,
 
     def probe(x, rows):
         probes.append(1)
-        assert len(probes) <= math.ceil(math.log2(width / eps)) + kpi._NEWTON_N0
+        assert len(probes) <= 2 + math.ceil(math.log2(width / eps)) + kpi._NEWTON_N0
         return g(x), slope(x), np.ones(len(rows), dtype=bool)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        lo, hi, _ = kpi._newton_rows(probe, np.arange(1), np.zeros(1), np.full(1, width),
-                                     g(np.zeros(1)), g(np.full(1, width)), eps, ties_lo)
+        lo, hi, *_ = kpi._newton_rows(probe, np.arange(1), np.zeros(1), np.full(1, width), eps,
+                                      ties_lo)
     assert hi[0] - lo[0] <= eps
     assert lo[0] <= root <= hi[0] or root == width
 
@@ -1162,6 +1202,25 @@ def test_a_delay_too_small_to_invert_fails_its_row_before_any_inversion(monkeypa
     monkeypatch.setattr(transforms, "_euler_invert", lambda *a: inverted.append(a))
     with pytest.raises(OutOfRange, match="smallest invertible t"):
         b_star_class2(cfg.replace(d=1e-308), KPI2)
+    assert inverted == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_target_wait_too_small_to_invert_fails_before_any_inversion(monkeypatch):
+    # a b-free row (w <= d), the region's strict-priority probes and
+    # meets_extreme invert at w itself: a w below the least invertible t
+    # raises the OutOfRange that names it, where each raised AccuracyNotMet
+    # on a NaN estimate
+    inverted = []
+    monkeypatch.setattr(transforms, "_euler_invert", lambda *a: inverted.append(a))
+    tiny, cfg = Kpi(1e-310, 0.5, 2), QueueConfig(0.4, 0.18, 1.0)
+    for search in (lambda: b_star_class2(cfg.replace(d=1.0), tiny),
+                   lambda: policy_sweep(cfg, tiny, [1.0, 2.0]),
+                   lambda: feasible_region(tiny, resolution=0.1),
+                   lambda: meets_extreme(0.4, 0.18, 1.0, tiny, "npq"),
+                   lambda: in_tuning_region(0.1, 0.1, 1.0, tiny)):
+        with pytest.raises(OutOfRange, match="abscissa 1e-310 lies below the smallest invertible"):
+            search()
     assert inverted == []
 
 

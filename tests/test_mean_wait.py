@@ -296,6 +296,15 @@ def test_md1_mean_at_vanishing_load(lam):
     assert fcfs_mean(cfg) <= mean <= npq_class2_mean(cfg)
 
 
+@pytest.mark.filterwarnings("error")
+def test_md1_mean_is_quiet_where_the_poisson_argument_underflows():
+    # lambda1 (a - r) underflows to 0 in the upper Poisson moments: log 0 =
+    # -inf gives a first term of exactly 0, with no divide-by-zero warning,
+    # and the means are those the warning came with
+    summary = dapq_means(QueueConfig(5e-324, 5e-324, 1.0, b=0.5, d=5.0, service=DET))
+    assert (summary.mean_w1, summary.mean_w2) == (0.0, 5e-324)
+
+
 def test_md1_mu_rescaling():
     # same dimensionless problem at a different clock speed
     base = md1_dapq_class2_mean(QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=DET))

@@ -19,14 +19,19 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean")]
-    assert counts == [64, 3, 3, 3]
-    assert [line.split(" exit=")[0] for line in lines[-3:]] == [
-        "mean service=exp", "mean service=det", "mean heavy service=det"]
+    assert counts == [64, 3, 5, 3]
+    assert [line.split(" exit=")[0] for line in lines[-5:]] == [
+        "mean service=exp", "mean service=det", "mean heavy service=det",
+        "kpi tiny-w sweep", "kpi tiny-w region"]
     for line in lines:
         if line.startswith("mean "):
             code, digest = line.split()[-2:]
             assert code == "exit=0"
             assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
+            continue
+        if line.startswith("kpi tiny-w "):
+            # a target wait below the least invertible t is invalid input
+            assert line.split()[-2:] == ["exit=2", "sha256=none"]
             continue
         fields = line.split(" ", 3)[3]
         if line.startswith("means"):

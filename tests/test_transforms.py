@@ -23,7 +23,7 @@ from _oracles import (
 )
 from dapq import transforms
 from dapq.core import (
-    DEFAULT_TOL, AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig, validate,
+    DEFAULT_TOL, AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig,
 )
 from dapq.markov import BusyWeights, busy_state_distribution
 from dapq.mean_wait import dapq_means
@@ -315,7 +315,7 @@ def test_class2_cdf_equals_one_curve_path_bit_for_bit(points, where):
 
 def _rows_of(configs):
     """Each config's over-delay inversion inputs: accrediting rate and busy weights."""
-    return ([validate(cfg).lambda1_acc for cfg in configs],
+    return ([cfg.lambda1 * (1.0 - cfg.b) for cfg in configs],
             [busy_state_distribution(cfg) for cfg in configs])
 
 

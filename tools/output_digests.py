@@ -11,8 +11,9 @@ prints one line per output: for ``means`` the float hex of both means, for
 without ``duration_s`` and the output path.  It then prints the exit code
 and CSV sha256 (``none`` when no CSV was written) of one fixed ``dapq
 mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
-the command line's mean path, and of one deterministic sweep at occupancy
-0.999 (``HEAVY_SWEEP``).  CSVs go to a temporary directory and no
+the command line's mean path, of one deterministic sweep at occupancy
+0.999 (``HEAVY_SWEEP``), and of a class-2 ``dapq kpi`` sweep and region
+at a target wait too small to invert (``TINY_TARGET``).  CSVs go to a temporary directory and no
 bytecode is written, so nothing is written inside TREE.
 Diffing the output for two trees shows whether any output changed.
 
@@ -39,6 +40,7 @@ from pathlib import Path
 WORKLOADS = ("means", "cdf", "kpi")
 MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
 HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5"]
+TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -128,13 +130,18 @@ def main(argv=None) -> int:
                     path = Path(scratch) / f"{name}-{seed}-{i}.csv"
                     print(f"{name} seed={seed} op={i} {_digest(name, workload.run(spec, path), path)}",
                           flush=True)
-        for i, (label, sweep, service) in enumerate((("mean", MEAN_SWEEP, "exp"),
-                                                     ("mean", MEAN_SWEEP, "det"),
-                                                     ("mean heavy", HEAVY_SWEEP, "det"))):
-            path = Path(scratch) / f"mean-{i}.csv"
-            code = dapq.cli.main(["mean", *sweep, "--service", service, "--out", str(path)])
+        commands = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
+                    for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
+                                                  ("mean", MEAN_SWEEP, "det"),
+                                                  ("mean heavy", HEAVY_SWEEP, "det"))]
+        commands += [("kpi tiny-w sweep",
+                      [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
+                     ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"])]
+        for i, (label, argv) in enumerate(commands):
+            path = Path(scratch) / f"cli-{i}.csv"
+            code = dapq.cli.main([*argv, "--out", str(path)])
             digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
-            print(f"{label} service={service} exit={code} sha256={digest}", flush=True)
+            print(f"{label} exit={code} sha256={digest}", flush=True)
     return 0
 
 
