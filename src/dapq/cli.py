@@ -176,8 +176,7 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     # one class-2 mean function of b per delay, as a KPI sweep builds them: every
     # exponential-service correction comes from one chain run
     base = QueueConfig(args.lam1, args.lam2, args.mu, service=service)
-    _, means, _, _ = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, {},
-                                            heads=False)
+    means = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, heads=False)[1]
     summaries = []
     for d, mean_in_b in zip(ds, means):
         for b in bs:

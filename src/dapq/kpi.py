@@ -73,9 +73,9 @@ class PolicyPoint:
     search, which inverts nothing.  ``probes`` is the number of times the
     search evaluated the point's constraint: for a class-2 KPI the bracket
     ends b = 0 and 1, then each Newton or bisection step; for a class-1 KPI
-    the means at b = 0 and 1, then each mean of the step-down from the
-    closed-form b*.  ``root_width`` says how sharply an interior b* is
-    pinned: how far b may move before the constraint moves by its own
+    the means at b = 0 and 1, then each of the steps from the closed-form
+    b* and of their bisection.  ``root_width`` says how sharply an interior
+    b* is pinned: how far b may move before the constraint moves by its own
     error, the certified inversion error over dF/db at b* for class 2, one
     rounding of the class-1 mean (eps rhs / rho1) over its slope in b for
     class 1, and inf where that slope is not resolved; it is 0 at b* = 0
@@ -171,12 +171,15 @@ class _Rows:
         self.rows_inverted += n_rows
 
     def b_free(self, configs: Sequence[QueueConfig], heads: bool) -> list:
-        """(rates, means, weights) of ``mean_wait._b_free_rows``, its chain run counted."""
-        *parts, steps = mean_wait._b_free_rows(configs, self.tol, self.errors, heads)
+        """(rates, means, weights) of ``mean_wait._b_free_rows``, failures and chain run kept."""
+        rates, means, weights, steps = mean_wait._b_free_rows(configs, self.tol, heads)
+        for r, mean in enumerate(means):
+            if isinstance(mean, DapqError):
+                self.fail(r, mean)
         if steps is not None:
             self.chain_runs += 1
             self.chain_steps += steps
-        return parts
+        return rates, means, weights
 
     def fail(self, row, exc: DapqError) -> None:
         self.errors.setdefault(int(row), exc)
@@ -467,11 +470,14 @@ def _b_star_class1_rows(
     class-1 mean is monotone in b, its direction fixed by the correction's
     sign; m1(0) <= thr < m1(1) makes it increasing, so the rows meeting the
     KPI are b <= b*, and no monotonicity probe is needed.  Roundoff can
-    leave the mean at the root a few ulps above thr: the search steps down
-    from it in gaps of doubling size (an ulp, two, ...) until the mean,
-    computed as ``mean_wait.dapq_means`` computes it, meets thr, which
-    b = 0 does.  At every interior b* the class-2 mean is m2* to roundoff,
-    which depends on no delay: this is the trend a class-1 sweep shows.
+    leave the mean at the root (computed as ``mean_wait.dapq_means`` does)
+    above thr: the search then steps down in gaps of an ulp, two, ... until
+    it meets thr (b = 0 does), else up in gaps of eps_root, two, ... until
+    it does not (b = 1 does not), and bisects the last gap to eps_root, wider
+    where the mean is flat in b to its rounding: b* meets thr within
+    eps_root below a rate that does not.  At every interior b* the class-2
+    mean is m2* to roundoff, which depends on no delay: this is the trend a
+    class-1 sweep shows.
     """
     if kpi.class_index != 1:
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
@@ -496,10 +502,15 @@ def _b_star_class1_rows(
                 outcome[r] = (1.0, True)
             else:
                 rhs = _conservation_rhs(cfg, rt)
-                b = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
+                b = above = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
                 gap = math.ulp(b)
                 while mean1(b) > threshold:
-                    b, gap = max(0.0, b - gap), 2.0 * gap
+                    above, b, gap = b, max(0.0, b - gap), 2.0 * gap
+                gap = max(tol.eps_root, gap)  # if the rate met thr, step up: b = 1 does not
+                while above == b and mean1(above := min(1.0, b + gap)) <= threshold:
+                    b, gap = above, 2.0 * gap
+                while b + tol.eps_root < above and b < (mid := 0.5 * (b + above)) < above:
+                    b, above = (mid, above) if mean1(mid) <= threshold else (b, mid)
                 outcome[r] = (b, True)
                 # conservation: m1' = -(rho2 / rho1) m2', and a rounding of m1 is eps rhs / rho1
                 slope1 = abs(rt.rho2 * mean_w2.slope(b))
@@ -531,10 +542,9 @@ def b_star_class1(
 
     The constraint is the exact class-1 mean against the
     zero-inflated-exponential threshold, which makes the result exact given
-    the approximation.  b* is a closed form, stepped down where roundoff
-    leaves its mean above the threshold (``_b_star_class1_rows``), and
-    ``probes`` counts the means evaluated: at b = 0 and 1, then each of
-    the step-down.  This is the one-row case of ``policy_sweep``.
+    the approximation.  b* is a closed form, refined to eps_root by the
+    means about it (``_b_star_class1_rows``), and ``probes`` counts the
+    means evaluated.  This is the one-row case of ``policy_sweep``.
     """
     return _b_star_class1_rows([config], kpi, tol)[0]
 

@@ -340,7 +340,7 @@ class _MeanInB:
         return -self._g_at_one() * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * num / den
 
 
-def _b_free_rows(configs, tol: ToleranceConfig, errors: dict, heads: bool) -> tuple:
+def _b_free_rows(configs, tol: ToleranceConfig, heads: bool) -> tuple:
     """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
 
     The rows are configs that differ only in d.  Their busy weights and
@@ -348,14 +348,14 @@ def _b_free_rows(configs, tol: ToleranceConfig, errors: dict, heads: bool) -> tu
     chain (``markov._delay_weights``), each equal to its one-row value bit
     for bit.  A row whose config is invalid, or with ``heads`` whose
     service is not exponential or whose head cannot be cut within
-    max_states, fails: ``errors`` maps it to its first DapqError.  A
-    correction sum that cannot be cut is kept in the row's mean function,
-    which raises it only when a b > 0 needs it, as the one-row mean would.
-    Returns (rates, means, weights, steps): lists with None in the failed
-    rows, and the chain run's step count (None when none ran).
+    max_states, fails, its DapqError in place of its mean.  A correction
+    sum that cannot be cut is kept in the row's mean function, which
+    raises it only when a b > 0 needs it, as the one-row mean would.
+    Returns (rates, means, weights, steps), None where a failed row has no
+    rates or weights, steps the chain run's step count (None if none ran).
     """
     n = len(configs)
-    rates, moments, weights = [None] * n, [None] * n, [None] * n
+    rates, moments, weights, means = [None] * n, [None] * n, [None] * n, [None] * n
     batch = []
     for r, cfg in enumerate(configs):
         try:
@@ -364,18 +364,17 @@ def _b_free_rows(configs, tol: ToleranceConfig, errors: dict, heads: bool) -> tu
                 raise OutOfRange("class-2 CDF machinery requires exponential service")
             batch.append(r)
         except DapqError as exc:
-            errors.setdefault(r, exc)
+            means[r] = exc
     steps = None
     if batch and configs[batch[0]].service is ServiceKind.EXPONENTIAL:
         rows, steps = _delay_weights(rates[batch[0]], [configs[r].d for r in batch], tol, heads)
         for r, (w, moment) in zip(batch, rows):
             if isinstance(w, DapqError):
-                errors.setdefault(r, w)
-                continue
-            weights[r] = w
-            moments[r] = moment
-    means = [None if r in errors else _MeanInB(cfg, rates[r], tol, moments[r])
-             for r, cfg in enumerate(configs)]
+                means[r] = w
+            else:
+                weights[r], moments[r] = w, moment
+    means = [m or _MeanInB(cfg, rates[r], tol, moments[r])
+             for r, (cfg, m) in enumerate(zip(configs, means))]
     return rates, means, weights, steps
 
 

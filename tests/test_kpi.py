@@ -333,12 +333,10 @@ def _class1_crossing_matches(config, target, b_star, ref):
     at b*, and b* lies within eps_root of ``ref``.
 
     Farther apart, the check asks for the proof that floats cannot order
-    the two: ``ref`` meets the threshold too, and either the mean is the
-    same float at both, or some b strictly between them exceeds the
-    threshold, here the closed-form rate that the step-down rejected.
-    That happens where the class-1 mean is flat in b to its rounding: two
-    drawn configs, with root widths of 9.7e-10 and 7.0e-10, put the two
-    1.9e-10 and 1.16e-10 apart, each pair on one float of the mean."""
+    the two: ``ref`` meets the threshold too, and some b strictly between
+    them exceeds it, here the closed-form rate of ``rate_for``.  That can
+    happen only where the class-1 mean is not monotone in b to its
+    rounding."""
     mean1 = class1_mean_per_b(config)
     rates = validate(config)
     threshold = kpi_mean_threshold(rates.rho, target)
@@ -349,7 +347,7 @@ def _class1_crossing_matches(config, target, b_star, ref):
     lo, hi = sorted((b_star, ref))
     rate = class2_mean_in_b(config).rate_for(
         (conservation_rhs(config) - rates.rho1 * threshold) / rates.rho2)
-    assert mean1(lo) == mean1(hi) or (lo < rate < hi and mean1(rate) > threshold)
+    assert lo < rate < hi and mean1(rate) > threshold
 
 
 def _newton_bracket(config, target):
@@ -597,6 +595,29 @@ def test_closed_form_class1_rate_meets_the_kpi_at_the_crossing(rho, share, mu, d
                            _outcome(b_star_class1_per_b, cfg, target))
 
 
+@pytest.mark.parametrize("rho,share,d,moved", [
+    # (b* of the search without the bisection of its last gap) - (crossing)
+    (0.3, 0.125, 8.0, -2.2e-9),    # the closed form meets thr: steps up
+    (0.3, 0.125, 15.0, -7.0e-4),   # the mean flat over 7e-4 of b
+    (0.3125, 0.125, 7.0, -2.3e-10),  # the closed form does not: steps down
+    (0.3046875, 0.25, 8.0, -1.5e-10),
+])
+def test_class1_b_star_lies_within_eps_root_below_the_crossing_where_the_mean_is_flat(
+        rho, share, d, moved):
+    # where the class-1 mean is flat in b to its rounding, the last step from
+    # the closed form can be far wider than eps_root (the search once stopped
+    # by ``moved`` from the crossing); bisecting it puts b* within eps_root
+    # below the crossing that bisection finds to float resolution
+    cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, d=d,
+                      service=ServiceKind.DETERMINISTIC)
+    p1 = 1.0 - 0.5 * rho
+    target = Kpi(class1_mean_per_b(cfg)(0.5) * math.log(rho / (1.0 - p1)) / rho, p1, 1)
+    pt = b_star_class1(cfg, target)
+    crossing = class1_crossing_by_bisection(cfg, target)
+    assert class1_mean_per_b(cfg)(pt.b_star) <= kpi_mean_threshold(validate(cfg).rho, target)
+    assert 0.0 <= crossing - pt.b_star <= DEFAULT_TOL.eps_root < abs(moved)
+
+
 @pytest.mark.parametrize("service", list(ServiceKind))
 @pytest.mark.parametrize("mu", [0.7, 1.0, 3.0])
 def test_interior_class1_points_have_the_conserved_class2_mean(service, mu):
@@ -723,8 +744,9 @@ def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
 # F is flat in b to its roundoff here: the Newton and bisection b* lie more
 # than eps_root apart
 @example(rho=0.3125, share=0.125, cls=2, det=False, w=0.3125, ks=[2], b_mid=0.5)
-# the class-1 mean is flat in b to its rounding here: the closed form's b*
-# lies 1.9e-10 and 1.16e-10 below the bisection's
+# the class-1 mean is flat in b to its rounding here: the search stopped
+# 1.9e-10 and 1.16e-10 below the bisection's b* until it bisected its last
+# gap and stepped up from a closed form that meets the threshold
 @example(rho=0.3125, share=0.125, cls=1, det=True, w=1.0, ks=[7], b_mid=0.5)
 @example(rho=0.3046875, share=0.25, cls=1, det=True, w=1.0, ks=[8], b_mid=0.5)
 @given(
@@ -1121,9 +1143,9 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
     assert [pt.root_width for pt in points[2:]] == [0.0] * 3
 
     # a class-1 sweep inverts nothing; its probes are mean evaluations: two
-    # ends, then the closed-form b* and each step down from it, whose gaps
-    # double from one ulp, so they pass b* (an ulp being 2**-52 of it) and
-    # reach b = 0 within 53 steps
+    # ends, then the closed-form b* and each step from it (down in gaps
+    # doubling from one ulp, or up in gaps doubling from eps_root), which
+    # here close within eps_root, so no bisection follows
     cfg = QueueConfig(0.05, 0.6, 1.0)
     points = policy_sweep(cfg, KPI1, [0.0, 1.0])
     assert (points.inversion_calls, points.rows_inverted) == (0, 0)
