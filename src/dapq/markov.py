@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -219,62 +219,48 @@ def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
 
     Returns (pmf, mass cut, moment cut).  Each cut is an int, None when not
     asked for, or the ``TruncationOverflow`` that says why it cannot be met;
-    the pmf runs to the larger cut that was met.  Both cuts read one table,
-    ``_poisson_table`` out to 12 sqrt(nu d + 1) + 40 past the mean, which is
-    not built when neither cut can lie within max_states.
+    the pmf runs to the larger cut that was met.
 
-    The mass cut, which sets the head of the class-2 CDFs' busy weights, is
-    the least n with P[N > n] < eps_series/2 for N ~ Poisson(m = nu d), and
-    at most max_states.  The moment cut, for the weights' first moment, is the
-    least K whose remainder bound is below eps_series/2: the steps k > K
-    hold at most rho in each head state l <= k and (1-rho) rho^(l-k) r^k,
-    r <= 1, in each geometric state l > k, which sum against l to at most
-    rho (k + 1/(1-rho)), so they miss at most
-
-        rho [ E[N(N+1)/2; N > K] + E[N; N > K] + P(N > K)/(1-rho) ]
-        = rho [ m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho) ]
-
-    using E[N(N-1); N > K] = m^2 P(N >= K-1) and E[N; N > K] = m P(N >= K).
-    Its candidates run from int(m) in steps of max(1, int(m/20)), below
-    max_states and out to the end of the table, all evaluated at once.
+    One rule makes both cuts: the least n <= max_states with
+    B P[N > n] < eps_series/2 for N ~ Poisson(nu d), since the steps past n
+    of a jump sum whose terms are at most B miss at most that much.  B = 1
+    gives the mass cut, which sets the head of the class-2 CDFs' busy
+    weights: a step holds at most mass 1.  B = rho/(1-rho) gives the moment
+    cut of the M/M/1 mean's correction: a step's first moment falls from
+    rho/(1-rho) (``_delay_weights``).  The moment cut is tested as
+    rho P[N > n] < (1-rho) eps_series/2, which does not divide by rho.  Both
+    read one table, ``_poisson_table`` out to 12 sqrt(nu d + 1) + 40 past
+    the mean.  The table is not built, and neither cut sought, when
+    nu d - 1 > max_states: a mass cut lies at or past the Poisson median,
+    at least nu d - ln 2.
     """
     if nu_d == 0.0:
         return np.array([1.0]), 0 if mass else None, 0 if moment else None
-    eps = 0.5 * tol.eps_series
+    eps, cap = 0.5 * tol.eps_series, tol.max_states
+    if nu_d - 1.0 > cap:
+        return (np.zeros(0),
+                TruncationOverflow(f"busy-state head needs more than nu*d - 1 = {nu_d - 1.0:.6g} "
+                                   f"states but max_states={cap}") if mass else None,
+                TruncationOverflow(f"Poisson({nu_d:g}) k-sum bound not sought: nu*d - 1 = "
+                                   f"{nu_d - 1.0:.6g} exceeds max_states={cap}") if moment else None)
     top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
-    hi = min(top, tol.max_states - 1)
-    ks = np.arange(int(nu_d), hi + 1, max(1, int(0.05 * nu_d))) if moment else ()
-    # the mass cut has P[N > n] < eps < 1/2, so n is at least the Poisson
-    # median, which is at least nu d - ln 2: reject before building the table
-    head_fits = mass and nu_d - 1.0 <= tol.max_states
-    pmf, sf = _poisson_table(nu_d, top) if head_fits or len(ks) else (np.zeros(0), None)
+    pmf, sf = _poisson_table(nu_d, top)  # sf[k] = P[N > k]
     cut_mass = cut_moment = None
-    if mass and not head_fits:
-        cut_mass = TruncationOverflow(
-            f"busy-state head needs more than nu*d - 1 = {nu_d - 1.0:.6g} states "
-            f"but max_states={tol.max_states}"
-        )
-    elif mass:
-        meets = sf < eps  # sf[k] = P[N > k]
+    if mass:
+        meets = sf < eps
         cut_mass = int(np.argmax(meets))  # first index meeting the bound
         if not meets[-1]:
             cut_mass = TruncationOverflow(
-                f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {top} jumps"
-            )
-        elif cut_mass > tol.max_states:
+                f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {top} jumps")
+        elif cut_mass > cap:
             cut_mass = TruncationOverflow(
-                f"busy-state head needs {cut_mass} states but max_states={tol.max_states}"
-            )
+                f"busy-state head needs {cut_mass} states but max_states={cap}")
     if moment:
-        below = ()
-        if len(ks):
-            sf = np.concatenate(([1.0, 1.0], sf))  # sf[k + 2] = P[N > k] for k >= -2
-            head = 0.5 * nu_d**2 * sf[ks] + 2.0 * nu_d * sf[ks + 1]
-            below = np.flatnonzero(rho * (head + sf[ks + 2] / (1.0 - rho)) < eps)
-        cut_moment = int(ks[below[0]]) if len(below) else TruncationOverflow(
+        hi = min(top, cap)
+        meets = rho * sf[: hi + 1] < (1.0 - rho) * eps
+        cut_moment = int(np.argmax(meets)) if meets[-1] else TruncationOverflow(
             f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-            f"through {hi} jumps (max_states={tol.max_states})"
-        )
+            f"through {hi} jumps (max_states={cap})")
     met = [c for c in (cut_mass, cut_moment) if isinstance(c, int)]
     return pmf[: max(met, default=-1) + 1], cut_mass, cut_moment
 
@@ -300,16 +286,6 @@ class BusyWeights:
         """P[ahead-set never empties within d], head plus closed-form tail."""
         return float(self.head.sum() + self.tail_next / (1.0 - self.rho))
 
-    def first_moment(self) -> float:
-        """sum_l l w_l: the head's dot product with 1..n plus the closed-form tail.
-
-        The tail is sum_{l>n} l ``tail_next`` rho**(l-n-1)
-        = ``tail_next`` ((n+1)/(1-rho) + rho/(1-rho)**2).
-        """
-        n, rho = len(self.head), self.rho
-        tail = self.tail_next * ((n + 1) / (1.0 - rho) + rho / (1.0 - rho) ** 2)
-        return float(np.arange(1, n + 1) @ self.head + tail)
-
 
 # floats a block of chain steps holds at most, its states and its sums together,
 # unless one step's alone exceed it
@@ -317,57 +293,58 @@ _CHAIN_BLOCK_FLOATS = 1 << 18
 
 
 def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
-                       cuts: Sequence[Sequence[int]]) -> list:
+                       cuts: Sequence[Optional[int]], steps: int) -> tuple:
     """The busy weights of several Poisson jump sums of one chain, from one run.
 
     The uniformized chain of ``rates`` starts from the stationary
     arriving-customer count restricted to busy finds (PASTA): pi_+ with
-    (pi_+)_l = (1-rho) rho^l.  Row r's sum weights the state after k steps
-    by ``pmfs[r][k]``, and each cut n in ``cuts[r]`` gives the busy weights
-    of that sum cut after step n: the head is the sum's states 1..n at step
-    n.  Returns, per row, a tuple of ``BusyWeights``, one per cut, in order.
+    (pi_+)_l = (1-rho) rho^l, and runs ``steps`` steps.  Row r's sum weights
+    the state after k steps by ``pmfs[r][k]`` and is cut after step
+    n = ``cuts[r]`` <= ``steps``: its head is the sum's states 1..n.
+    Returns (weights, s1): per row its ``BusyWeights``, None where its cut
+    is None, and s1[k] the mass in state 1 after k steps, k = 0..steps.
 
     After k steps every state l > k still holds exactly (1-rho) rho^(l-k) r^k
     with r = p_up + q_down rho^2 (one step maps that geometric profile onto
     itself times r), so with the jump sum cut at n every state l > n
     carries C rho^l, C = (1-rho) sum_k pmf_k (r/rho)^k.  So only the first
-    2K states are iterated, K the largest cut of all rows: the missing flow
-    from above corrupts one more top state per step, so after n <= K steps
-    states 1..n are still exact, whatever the number of states.  The rows
-    (the delays of a sweep) differ only in their jump weights, which are 0
-    past a row's largest cut, so from there on its sum gains exact zeros.
+    W = max(steps + 1, 2H) states are iterated, H the largest cut: the
+    missing flow from above corrupts one more top state per step, so after
+    k steps states 1..W-k are still exact, state 1 through the run and
+    states 1..n after n <= H steps, whatever the number of states.  The
+    rows (the delays of a sweep) differ only in their jump weights, which
+    are 0 past a row's cut, so from there on its sum gains exact zeros.
     Each row's weights therefore equal those of a run of that row alone,
-    bit for bit, and a sweep over delays pays for one chain of K steps.
-    With K = 0 every head is empty and no step runs.
+    bit for bit, and a sweep over delays pays for one chain.  With
+    ``steps`` = 0 every head is empty and no step runs.
 
     A step only moves the chain, into the next row of a block of steps.
     The sums are taken per block: one multiply by the block's jump weights,
     then one ``np.add.accumulate`` along the steps from the previous block's
     last sum, which adds in step order, as a step-by-step sum would.
     """
-    K = max(max(row_cuts) for row_cuts in cuts)
     rho, p_up, q_down = rates.rho, rates.p_up, rates.q_down
-    heads = [[np.zeros(0)] * len(row_cuts) for row_cuts in cuts]  # the heads of cuts at 0
-    if K:
-        weight = np.zeros((K + 1, len(pmfs), 1))  # weight[k] = step k's column of pmfs
-        due = {}  # step -> the (row, slot) whose cut it is
-        for r, (pmf, row_cuts) in enumerate(zip(pmfs, cuts)):
-            top = max(row_cuts) + 1
-            weight[:top, r, 0] = pmf[:top]
-            for slot, n in enumerate(row_cuts):
-                due.setdefault(n, []).append((r, slot))
+    rows = [r for r, n in enumerate(cuts) if n]  # the rows with a head
+    H = max((cuts[r] for r in rows), default=0)
+    heads = [None if n is None else np.zeros(0) for n in cuts]
+    s1 = np.full(steps + 1, (1.0 - rho) * rho)
+    if steps:
+        width = max(steps + 1, 2 * H)
+        weight = np.zeros((steps + 1, len(rows), 1))  # weight[k] = step k's column of pmfs
+        for i, r in enumerate(rows):
+            weight[: cuts[r] + 1, i, 0] = pmfs[r][: cuts[r] + 1]
         # row 0 of a block carries the previous block's last states and sums;
         # state 0 is the absorbing empty state, held at 0, and state l is entry l
-        size = min(K, max(1, _CHAIN_BLOCK_FLOATS // ((len(pmfs) + 2) * K + 1) - 1))
-        states = np.zeros((size + 1, 2 * K + 1))
-        sums = np.empty((size + 1, len(pmfs), K))
-        states[0, 1:] = (1.0 - rho) * rho ** np.arange(1, 2 * K + 1)
-        np.multiply(weight[0], states[0, 1 : K + 1], out=sums[0])
-        down = np.empty(2 * K - 1)
+        size = min(steps, max(1, _CHAIN_BLOCK_FLOATS // (width + 1 + len(rows) * H) - 1))
+        states = np.zeros((size + 1, width + 1))
+        sums = np.empty((size + 1, len(rows), H))
+        states[0, 1:] = (1.0 - rho) * rho ** np.arange(1, width + 1)
+        np.multiply(weight[0], states[0, 1 : H + 1], out=sums[0])
+        down = np.empty(width - 1)
         mul, add = np.multiply, np.add
         done = 0
-        while done < K:
-            n = min(size, K - done)
+        while done < steps:
+            n = min(size, steps - done)
             # per step, the sources of the up- and the down-moves in one row
             # and their targets in the next
             for up, dn, up_to, dn_to in zip(states[:n, :-1], states[:n, 2:],
@@ -377,25 +354,25 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
                 mul(up, p_up, out=up_to)
                 mul(dn, q_down, out=down)
                 add(dn_to, down, out=dn_to)
-            mul(weight[done + 1 : done + n + 1], states[1 : n + 1, None, 1 : K + 1],
+            mul(weight[done + 1 : done + n + 1], states[1 : n + 1, None, 1 : H + 1],
                 out=sums[1 : n + 1])
             np.add.accumulate(sums[: n + 1], axis=0, out=sums[: n + 1])
-            for k, slots in due.items():
-                for r, slot in slots if done < k <= done + n else ():
-                    heads[r][slot] = sums[k - done, r, :k].copy()
+            s1[done + 1 : done + n + 1] = states[1 : n + 1, 1]
+            for i, r in enumerate(rows):
+                if done < cuts[r] <= done + n:
+                    heads[r] = sums[cuts[r] - done, i, : cuts[r]].copy()
             states[0], sums[0] = states[n], sums[n]
             done += n
-    out = []
-    for pmf, row_cuts, row_heads in zip(pmfs, cuts, heads):
-        weights = []
-        for n, head in zip(row_cuts, row_heads):
+    weights = []
+    for pmf, n, head in zip(pmfs, cuts, heads):
+        if n is not None:
             # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
             ks = np.arange(n + 1)
             tail_next = float((1.0 - rho)
                               * (pmf[: n + 1] * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
-            weights.append(BusyWeights(head=head, rho=rho, tail_next=tail_next))
-        out.append(tuple(weights))
-    return out
+            head = BusyWeights(head=head, rho=rho, tail_next=tail_next)
+        weights.append(head)
+    return weights, s1
 
 
 def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfig,
@@ -404,34 +381,52 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
 
     Each delay's jump sum is cut by ``_jump_cuts``: with ``heads`` its busy
     weights are the sum at the mass cut, and with ``moments`` its first
-    moment is taken at the moment cut.  All of them come from one run of
-    ``_busy_weights_rows``, to the largest cut that was met, so each equals
-    its one-delay value bit for bit.  Returns (rows, steps): per delay, the
-    pair (``BusyWeights``, first moment), each None when not asked for or
-    the ``TruncationOverflow`` of a cut that cannot be met; with ``heads``
-    a delay whose mass cut fails keeps out of the run, and its moment is
-    None.  ``steps`` is the run's step count, None when no delay joined it.
+    moment sum_l l w_l, the M/M/1 mean's correction, is the sum at the
+    moment cut.  One run of ``_busy_weights_rows``, to the largest cut that
+    was met, gives them all, so each equals its one-delay value bit for bit.
+
+    The moment needs no head, only the walk's drift.  A step moves the
+    ahead count up with probability p_up and down with q_down, and a move
+    down from state 1 empties the ahead-set.  So the alive mass S_k and the
+    first moment M_k after k steps follow from the state-1 masses s_k[1]:
+
+        S_0 = rho,          S_{k+1} = S_k - q_down s_k[1],
+        M_0 = rho/(1-rho),  M_{k+1} = M_k - (q_down - p_up) S_k,
+
+    and the moment is sum_{k<=K} pmf_k M_k, K the moment cut (optional
+    stopping of the walk gives the same identity in continuous time).  mu >
+    lambda1 makes q_down > p_up, so M_k falls from M_0, the bound the
+    moment cut assumes.
+
+    Returns (rows, steps): per delay, the pair (``BusyWeights``, first
+    moment), each None when not asked for or the ``TruncationOverflow`` of
+    a cut that cannot be met; with ``heads`` a delay whose mass cut fails
+    keeps out of the run, and its moment is None.  ``steps`` is the run's
+    step count, None when no delay joined it.
     """
-    rows, batch, pmfs, cuts = [], [], [], []
+    rows, pmfs, steps = [], [], None
     for d in ds:
         pmf, mass, moment = _jump_cuts(rates.nu * d, rates.rho, tol, heads, moments)
         if isinstance(mass, DapqError):
             moment = None
         met = [c for c in (mass, moment) if isinstance(c, int)]
         if met:
-            batch.append(len(rows))
-            pmfs.append(pmf)
-            cuts.append(met)
+            steps = max(steps or 0, *met)
         rows.append([mass, moment])
-    if not batch:
+        pmfs.append(pmf)
+    if steps is None:
         return rows, None
-    for r, weights in zip(batch, _busy_weights_rows(rates, pmfs, cuts)):
-        row = rows[r]  # a met mass cut is the first of the row's cuts, a moment cut the last
-        if isinstance(row[0], int):
-            row[0] = weights[0]
+    weights, s1 = _busy_weights_rows(
+        rates, pmfs, [mass if isinstance(mass, int) else None for mass, _ in rows], steps)
+    rho = rates.rho
+    alive = np.cumsum(np.append(rho, -rates.q_down * s1[:-1]))  # S_0 .. S_steps
+    moment_k = np.cumsum(np.append(rho / (1.0 - rho), -(rates.q_down - rates.p_up) * alive[:-1]))
+    for row, pmf, w in zip(rows, pmfs, weights):
+        if w is not None:
+            row[0] = w
         if isinstance(row[1], int):
-            row[1] = weights[-1].first_moment()
-    return rows, max(max(c) for c in cuts)
+            row[1] = float(pmf[: row[1] + 1] @ moment_k[: row[1] + 1])
+    return rows, steps
 
 
 def busy_state_distribution(

@@ -467,6 +467,19 @@ def busy_weights_by_loop(rates, pmf):
     return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)
 
 
+def busy_weights_first_moment(weights):
+    """sum_l l w_l of busy weights: the head's dot product with 1..n plus the closed-form tail.
+
+    This is how the package took the M/M/1 correction before it followed
+    the ahead-set walk's drift: from a head as long as the moment cut.  The
+    tail is sum_{l>n} l ``tail_next`` rho**(l-n-1)
+    = ``tail_next`` ((n+1)/(1-rho) + rho/(1-rho)**2).
+    """
+    n, rho = len(weights.head), weights.rho
+    tail = weights.tail_next * ((n + 1) / (1.0 - rho) + rho / (1.0 - rho) ** 2)
+    return float(np.arange(1, n + 1) @ weights.head + tail)
+
+
 def class2_tail_lst(config, s, tol=DEFAULT_TOL):
     """E[exp(-s W2) ; W2 > d] for the delayed APQ.
 
@@ -728,28 +741,28 @@ def poisson_horizon_scalar(nu_d, eps):
     )
 
 
-def poisson_ksum_cutoff_scalar(nu_d, rho, eps, max_states):
-    """Smallest K whose k-sum remainder bound is below eps, one K at a time.
+def moment_cut_scalar(nu_d, rho, eps, max_states):
+    """The moment cut of a jump sum: the mass cut at eps (1-rho)/rho, one n at a time.
 
-    The bound is rho [m^2 P(N >= K-1)/2 + 2 m P(N >= K) + P(N > K)/(1-rho)]
-    for N ~ Poisson(m = nu_d): the head states' part and the geometric
-    states' part of the steps k > K.  K stays below max_states and within
-    m + 12 sqrt(m + 1) + 40, the end of the package's Poisson table.
+    The steps past n carry first moments of at most rho/(1-rho) each, so
+    they miss at most rho/(1-rho) P[N > n].  A cut past max_states, or a
+    delay whose nu d - 1 exceeds it, raises the package's
+    ``TruncationOverflow`` text.
     """
-    if nu_d == 0.0:
-        return 0
-    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states - 1)
-    K = int(nu_d)
-    while K <= hi:
-        head = 0.5 * nu_d**2 * poisson.sf(K - 2, nu_d) + 2.0 * nu_d * poisson.sf(K - 1, nu_d)
-        bound = rho * (head + poisson.sf(K, nu_d) / (1.0 - rho))
-        if bound < eps:
-            return K
-        K += max(1, int(0.05 * nu_d))
-    raise TruncationOverflow(
-        f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-        f"through {hi} jumps (max_states={max_states})"
-    )
+    if nu_d - 1.0 > max_states:
+        raise TruncationOverflow(f"Poisson({nu_d:g}) k-sum bound not sought: nu*d - 1 = "
+                                 f"{nu_d - 1.0:.6g} exceeds max_states={max_states}")
+    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states)
+    try:
+        cut = poisson_horizon_scalar(nu_d, eps * (1.0 - rho) / rho)
+    except TruncationOverflow:
+        cut = hi + 1
+    if cut > hi:
+        raise TruncationOverflow(
+            f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
+            f"through {hi} jumps (max_states={max_states})"
+        )
+    return cut
 
 
 # --------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def test_criterion_04_x_table_matrix_oracle():
         oracle = x_rows_by_matrix(lam1, 1.0, rho, 25)
         # the package's chain, one run: row k weights only step k and is cut
         # there, so its head is the state after k steps, states 1..k
-        run = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in range(1, 26)],
-                                 [(k,) for k in range(1, 26)])
-        for k, (weights,) in enumerate(run, start=1):
+        run, _ = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in range(1, 26)],
+                                    list(range(1, 26)), 25)
+        for k, weights in enumerate(run, start=1):
             x_row = weights.head / (1.0 - rho)
             worst = max(worst, float(np.max(np.abs(x_row - oracle[k - 1]))))
     _report(4, "chain rows equal explicit truncated matrix products", worst < 1e-12,

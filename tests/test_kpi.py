@@ -1172,9 +1172,9 @@ def _count_chain_runs(monkeypatch):
     steps = []
     run = markov._busy_weights_rows
 
-    def counted(rates, pmfs, cuts):
-        steps.append(max(max(row_cuts) for row_cuts in cuts))
-        return run(rates, pmfs, cuts)
+    def counted(rates, pmfs, cuts, n_steps):
+        steps.append(n_steps)
+        return run(rates, pmfs, cuts, n_steps)
 
     def one_row(*args):
         raise AssertionError("a sweep ran a one-row chain")
@@ -1188,7 +1188,7 @@ def _count_chain_runs(monkeypatch):
 def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     # the benchmark's class-2 sweep: the busy weights and correction sums of
     # all nine delays come from one run, as long as the longest cut of any
-    # delay (the moment cut at d = 8)
+    # delay (d = 8's, where the mass and the moment cut coincide)
     cfg, ds = QueueConfig(0.4, 0.18, 1.0), [float(d) for d in range(9)]
     rates = validate(cfg)
     cuts = [_jump_cuts(rates.nu * d, rates.rho, DEFAULT_TOL)[1:] for d in ds]
@@ -1197,8 +1197,8 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     want = _one_row_sweep(cfg, KPI2, ds)
     steps = _count_chain_runs(monkeypatch)
     points = policy_sweep(cfg, KPI2, ds)
-    assert steps == [max(max(c) for c in cuts)] == [44]
-    assert (points.chain_runs, points.chain_steps) == (1, 44)
+    assert steps == [max(max(c) for c in cuts)] == [39]
+    assert (points.chain_runs, points.chain_steps) == (1, 39)
     assert points == want
 
     # a class-1 sweep needs only the moments: one run too; deterministic
@@ -1252,13 +1252,15 @@ def test_a_target_wait_too_small_to_invert_fails_before_any_inversion(monkeypatc
     (KPI2, [0.0, 1.0, 2.0, 4.0, 6.0], 17, "busy-state head needs 19 states"),
     (KPI2, [4.0, 6.0, 8.0], 28, "Poisson(5.6) k-sum bound"),
     # strict priority complies, so no delay needs the correction it cannot sum
-    (Kpi(4.0, 0.5, 2), [0.0, 1.0], 15, None),
+    (Kpi(100.0, 0.5, 2), [0.0, 1.0], 15, None),
     (KPI1, [0.0, 1.0, 2.0, 4.0], 15, "k-sum bound"),
 ])
 def test_a_sweep_raises_the_truncation_overflow_of_its_first_failed_delay(
         target, ds, max_states, error):
+    # at occupancy 0.96 the moment cut (rho/(1-rho) P[N > n] < eps_series/2)
+    # lies two jumps past the mass cut at these delays, so it can fail alone
     tol = ToleranceConfig(max_states=max_states)
-    cfg = QueueConfig(0.4, 0.18, 1.0) if target.class_index == 2 else QueueConfig(0.05, 0.6, 1.0)
+    cfg = QueueConfig(0.4, 0.56, 1.0) if target.class_index == 2 else QueueConfig(0.05, 0.6, 1.0)
     got = _sweep_outcome(lambda c, t, d: policy_sweep(c, t, d, tol), cfg, target, ds)
     assert got == _sweep_outcome(lambda c, t, d: policy_sweep_by_delay(c, t, d, tol),
                                  cfg, target, ds)

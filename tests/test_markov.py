@@ -347,10 +347,32 @@ def test_busy_state_head_and_tail_match_full_vector(lam1, lam2, b, d):
     assert w.total_mass() == pytest.approx(full.sum(), abs=1e-10)
 
 
-def _row_cuts(rates, d, tol):
-    """A delay's jump pmf and those of its mass and moment cuts that were met."""
-    pmf, *cuts = _jump_cuts(rates.nu * d, rates.rho, tol)
-    return pmf, [n for n in cuts if isinstance(n, int)]
+def _row_cuts(rates, ds, tol):
+    """Each delay's jump pmf and mass cut (None where it overflows), and the run's length."""
+    pmfs, heads, steps = [], [], 0
+    for d in ds:
+        pmf, *cuts = _jump_cuts(rates.nu * d, rates.rho, tol)
+        pmfs.append(pmf)
+        heads.append(cuts[0] if isinstance(cuts[0], int) else None)
+        steps = max([steps] + [n for n in cuts if isinstance(n, int)])
+    return pmfs, heads, steps
+
+
+def _equal_the_loop(rates, pmfs, heads, steps):
+    """The run's heads and tails equal the one-row loop's, and its state-1
+    masses those of a run of each row alone, bit for bit."""
+    run, s1 = _busy_weights_rows(rates, pmfs, heads, steps)
+    assert len(run) == len(heads) and len(s1) == steps + 1
+    for pmf, n, got in zip(pmfs, heads, run):
+        if n is None:
+            assert got is None
+            continue
+        want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
+        assert np.array_equal(got.head, want.head)
+        assert got.tail_next == want.tail_next and got.rho == want.rho
+        alone, alone_s1 = _busy_weights_rows(rates, [pmf], [n], n)
+        assert np.array_equal(alone[0].head, got.head)
+        assert np.array_equal(alone_s1, s1[: n + 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,47 +389,25 @@ def test_busy_weights_rows_equal_the_one_row_loop_bit_for_bit(lam1, lam2, ds, ma
     if lam1 + lam2 >= 0.99:
         lam2 = 0.98 - lam1
     rates = validate(QueueConfig(lam1, lam2, 1.0, service=EXP))
-    pmfs, cuts = [], []
-    for d in ds:
-        pmf, row_cuts = _row_cuts(rates, d, tol)
-        if row_cuts:
-            pmfs.append(pmf)
-            cuts.append(tuple(row_cuts))
-    if not cuts:
-        return
-    run = _busy_weights_rows(rates, pmfs, cuts)
-    assert [len(row) for row in run] == [len(c) for c in cuts]
-    for pmf, row_cuts, row in zip(pmfs, cuts, run):
-        for n, got in zip(row_cuts, row):
-            want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
-            assert np.array_equal(got.head, want.head)
-            assert got.tail_next == want.tail_next and got.rho == want.rho
-            assert got.first_moment() == want.first_moment()
+    pmfs, heads, steps = _row_cuts(rates, ds, tol)
+    _equal_the_loop(rates, pmfs, heads, steps)
 
 
 def test_busy_weights_rows_over_many_blocks_equal_the_loop_in_bounded_memory():
-    # twelve delays with cuts up to K = 2338: a block holds 7 steps, so the
-    # sums cross 334 blocks; summing every step of every row at once would
-    # take (K+1) x 12 x K floats, 500 MiB
+    # twelve delays with head cuts up to H = 2242 and a run of 2252 steps: a
+    # block holds 7 steps, so the sums cross 322 blocks; summing every step
+    # of every row at once would take (H+1) x 12 x H floats, 460 MiB
     rates = validate(QueueConfig(0.5, 0.3, 1.0))
     ds = [0.5, 3.0, 40.0, 300.0, 700.0, 1000.0, 1300.0, 1300.0, 200.0, 900.0, 1100.0, 60.0]
-    pmfs, cuts = [], []
-    for d in ds:
-        pmf, *row_cuts = _jump_cuts(rates.nu * d, rates.rho, ToleranceConfig())
-        pmfs.append(pmf)
-        cuts.append(tuple(row_cuts))
-    K = max(max(c) for c in cuts)
-    assert K == 2338
+    pmfs, heads, steps = _row_cuts(rates, ds, ToleranceConfig())
+    H = max(heads)
+    assert (H, steps) == (2242, 2252)
     tracemalloc.start()
-    run = _busy_weights_rows(rates, pmfs, cuts)
+    _busy_weights_rows(rates, pmfs, heads, steps)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 3 * 8 * _CHAIN_BLOCK_FLOATS < (K + 1) * len(ds) * K * 8 / 50
-    for pmf, row_cuts, row in zip(pmfs, cuts, run):
-        for n, got in zip(row_cuts, row):
-            want = _oracles.busy_weights_by_loop(rates, pmf[: n + 1])
-            assert np.array_equal(got.head, want.head) and got.tail_next == want.tail_next
-            assert got.first_moment() == want.first_moment()
+    assert peak < 3 * 8 * _CHAIN_BLOCK_FLOATS < (H + 1) * len(ds) * H * 8 / 50
+    _equal_the_loop(rates, pmfs, heads, steps)
 
 
 @pytest.mark.parametrize("heads,moments", [(True, True), (True, False), (False, True)])
@@ -415,9 +415,10 @@ def test_busy_weights_rows_over_many_blocks_equal_the_loop_in_bounded_memory():
 def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_states):
     # every delay's weights, moment or error is that of a call for it alone;
     # with heads, a delay whose head overflows keeps out of the run, and at
-    # max_states 15 the head of d = 1 fits where its moment cut does not
+    # occupancy 0.95 and max_states 15 the head of d = 1 fits where its
+    # moment cut does not
     tol = ToleranceConfig(max_states=max_states)
-    rates = validate(QueueConfig(0.4, 0.18, 1.0))
+    rates = validate(QueueConfig(0.4, 0.55, 1.0))
     ds = [0.0, 3.0, 1.0, 8.0, 0.5, 3.0]
     rows, steps = _delay_weights(rates, ds, tol, heads, moments)
     singles = [_delay_weights(rates, [d], tol, heads, moments) for d in ds]

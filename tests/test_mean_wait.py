@@ -4,8 +4,11 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import poisson
 
 from _oracles import (
+    busy_weights_by_loop,
+    busy_weights_first_moment,
     class1_mean_from_class2,
     class2_mean_in_b,
     conservation_rhs,
@@ -14,9 +17,9 @@ from _oracles import (
     md1_correction_sum_by_series,
     md1_pi_embedded,
     md1_probempty_by_factorials,
+    moment_cut_scalar,
     npq_class2_mean,
     poisson_horizon_scalar,
-    poisson_ksum_cutoff_scalar,
     x_rows_by_matrix,
 )
 from dapq.core import (
@@ -69,8 +72,8 @@ def chain_rows(rates, k_max):
     steps, states 1..k, which are exact however many states the run keeps.
     """
     steps = range(1, k_max + 1)
-    run = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in steps], [(k,) for k in steps])
-    return [weights.head / (1.0 - rates.rho) for (weights,) in run]
+    run, _ = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in steps], list(steps), k_max)
+    return [weights.head / (1.0 - rates.rho) for weights in run]
 
 
 def test_x_table_first_entry_and_edge():
@@ -113,6 +116,29 @@ def test_mm1_correction_sum_within_half_eps_series(lam1, lam2, d):
     want = correction_by_matrix(lam1, 1.0, lam1 + lam2, d, size=6000)
     got = _mm1_correction_sum(cfg, validate(cfg), DEFAULT_TOL)
     assert abs(got - want) <= 0.5 * DEFAULT_TOL.eps_series
+
+
+@pytest.mark.parametrize("lam1,lam2,mu,d", [
+    (0.5, 0.3, 1.0, 2.0), (0.9, 0.09, 1.0, 10.0), (0.02, 0.97, 1.0, 0.5),
+    (0.1, 0.89, 1.0, 300.0), (0.891, 0.099, 1.0, 300.0), (0.05, 0.0, 1.0, 7.0),
+    (0.0, 0.6, 1.0, 4.0), (0.02, 0.03, 1.0, 40.0), (3.0, 0.5, 4.0, 263.0),
+    (3.5, 0.45, 4.0, 265.0),
+])
+def test_drift_moment_matches_the_snapshot_and_a_deep_cut(lam1, lam2, mu, d):
+    # the correction from the ahead-set walk's drift against the first
+    # moment of busy weights whose head is as long as the moment cut, and
+    # against those of a jump sum run to the end of the Poisson table; the
+    # grid reaches occupancy 0.99, d = 300 and nu d = 2,000
+    cfg = QueueConfig(lam1, lam2, mu, d=d, service=EXP)
+    rates, tol = validate(cfg), DEFAULT_TOL
+    got = _mm1_correction_sum(cfg, rates, tol)
+    pmf, _, cut = _jump_cuts(rates.nu * d, rates.rho, tol, mass=False)
+    snapshot = busy_weights_first_moment(busy_weights_by_loop(rates, pmf[: cut + 1]))
+    assert abs(got - snapshot) <= 0.5 * tol.eps_series
+    top = int(rates.nu * d + 12.0 * math.sqrt(rates.nu * d + 1.0) + 40.0)
+    deep_pmf = poisson.pmf(np.arange(top + 1), rates.nu * d)
+    deep = busy_weights_first_moment(busy_weights_by_loop(rates, deep_pmf))
+    assert abs(got - deep) <= 0.5 * tol.eps_series
 
 
 def test_mm1_reduces_to_npq_at_b_zero():
@@ -387,11 +413,12 @@ def test_md1_below_mm1_at_equal_parameters():
 @pytest.mark.parametrize("eps", [1e-17, 1e-12, 5e-11, 1e-8, 1e-6])
 @pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])
 def test_poisson_ksum_cutoff_matches_scalar_loop(rho, eps):
-    # both cuts of one Poisson table: the moment cut, and (rho-free) the mass cut
+    # both cuts of one Poisson table by one rule: the mass cut, and the
+    # moment cut as the mass cut at eps (1-rho)/rho
     tol = ToleranceConfig(eps_series=2.0 * eps)
     for nu_d in list(np.geomspace(1e-9, 2000.0, 30)) + [0.0, 1.0, 6.3, 20.0, 2047.5]:
         _, mass, moment = _jump_cuts(nu_d, rho, tol)
-        assert moment == poisson_ksum_cutoff_scalar(nu_d, rho, eps, 6000)
+        assert moment == moment_cut_scalar(nu_d, rho, eps, 6000)
         if rho == 0.8:
             assert mass == poisson_horizon_scalar(nu_d, eps)
 
@@ -407,21 +434,21 @@ def _moment_cut(nu_d, rho, eps, max_states):
 @pytest.mark.parametrize("nu_d,max_states", [(50.0, 5), (20.0, 30), (2000.0, 2100), (6.3, 1)])
 def test_poisson_ksum_cutoff_overflow_matches_scalar_loop(nu_d, max_states):
     with pytest.raises(TruncationOverflow) as want:
-        poisson_ksum_cutoff_scalar(nu_d, 0.8, 5e-11, max_states)
+        moment_cut_scalar(nu_d, 0.8, 5e-11, max_states)
     with pytest.raises(TruncationOverflow) as got:
         _moment_cut(nu_d, 0.8, 5e-11, max_states)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == str(want.value) and "k-sum bound" in str(got.value)
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])
 def test_moment_cut_below_the_table_end_matches_scalar_loop(rho):
-    # max_states - 1 below the end of the Poisson table: the candidates stop
-    # there, and the cut reads the table the mass cut reads
+    # max_states below the end of the Poisson table: the cut stops there,
+    # and reads the table the mass cut reads
     for nu_d in (1.0, 6.3, 20.0, 55.0, 140.0):
         top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
         for max_states in range(int(nu_d) + 1, top + 1, 3):
             outcomes = []
-            for cut in (poisson_ksum_cutoff_scalar, _moment_cut):
+            for cut in (moment_cut_scalar, _moment_cut):
                 try:
                     outcomes.append(cut(nu_d, rho, 5e-11, max_states))
                 except TruncationOverflow as exc:
