@@ -95,18 +95,18 @@ def _parse_sweep(text: str) -> List[float]:
     return vals
 
 
-def _csv_cells(column) -> list:
-    """One column as CSV cells: floats (``np.float64`` included) with 12
-    significant digits, anything else through ``str``."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return [format(v, ".12g") if isinstance(v, float) else str(v) for v in values]
-
-
 def _csv_text(header: List[str], columns: list) -> str:
-    """CSV text of ``header`` and one line per row of the equal-length ``columns``."""
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_csv_cells, columns)))
-    return "\n".join(lines) + "\n"
+    """CSV text of ``header`` and one line per row of the equal-length ``columns``, one
+    ``format`` call a line: floats (``np.float64`` included) with 12 significant digits,
+    anything else through ``str``, which a column not all floats takes per cell."""
+    cells, fields = [], []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        floats = all(isinstance(v, float) for v in values)
+        fields.append("{:.12g}" if floats else "{}")
+        cells.append(values if floats else
+                     [format(v, ".12g") if isinstance(v, float) else str(v) for v in values])
+    return ",".join(header) + "\n" + "".join(map((",".join(fields) + "\n").format, *cells))
 
 
 def _write_output(header: List[str], columns: list, args, manifest: dict) -> None:

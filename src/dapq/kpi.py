@@ -312,8 +312,9 @@ class _Class2Rows:
         self.rates, self.means, self.weights = state.b_free(configs, heads=True)
         self.w = w = kpi.target_w
         self.ds = ds = np.array([cfg.d for cfg in configs], dtype=float)
-        for r in state.alive(range(n)):  # a d, w - d or w too small to invert fails its row
-            if error := transforms._abscissa_error(np.array([ds[r], w - ds[r], w]), tol):
+        # an eps_invert below the floor, or a d, w - d or w too small to invert, fails a row
+        for r in state.alive(range(n)):
+            if error := transforms._inversion_error(np.array([ds[r], w - ds[r], w]), tol):
                 state.fail(r, error)
         live = state.alive(range(n))
         self.f_at_d = np.zeros(n)
@@ -368,11 +369,11 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
     """Strict priority's certified class-2 F(w) at (lam1[i], lam2[i]) for each row.
 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
-    counted in ``state``, after ``transforms._abscissa_error`` has refused
-    a w too small to invert.  Returns (values, slopes, ok) per row,
+    counted in ``state``, after ``transforms._inversion_error`` has refused
+    an eps_invert below the floor or a w too small to invert.  Returns (values, slopes, ok) per row,
     ``slopes`` dF/dlambda2 = dF/drho / mu from the same inversion.
     """
-    if error := transforms._abscissa_error(np.array([kpi.target_w]), state.tol):
+    if error := transforms._inversion_error(np.array([kpi.target_w]), state.tol):
         raise error
     state.inverted(len(rows))
     vals, est, dfdrho = transforms._npq_cdf_rows(
@@ -471,11 +472,14 @@ def _b_star_class1_rows(
     sign; m1(0) <= thr < m1(1) makes it increasing, so the rows meeting the
     KPI are b <= b*, and no monotonicity probe is needed.  Roundoff can
     leave the mean at the root (computed as ``mean_wait.dapq_means`` does)
-    above thr: the search then steps down in gaps of an ulp, two, ... until
-    it meets thr (b = 0 does), else up in gaps of eps_root, two, ... until
-    it does not (b = 1 does not), and bisects the last gap to eps_root, wider
-    where the mean is flat in b to its rounding: b* meets thr within
-    eps_root below a rate that does not.  At every interior b* the class-2
+    above thr.  The search then steps down from the root in gaps of
+    max(ulp, w), twice that, ... until it meets thr (b = 0 does), else up
+    in gaps of max(eps_root, w), twice that, ... until it does not (b = 1
+    does not), and bisects the last gap to eps_root: b* meets thr within
+    eps_root below a rate that does not.  w is the root's width (see
+    ``PolicyPoint``), how far b moves before the mean moves by its
+    rounding, so where the mean is flat in b the first step already spans
+    the flat stretch.  At every interior b* the class-2
     mean is m2* to roundoff, which depends on no delay: this is the trend a
     class-1 sweep shows.
     """
@@ -502,8 +506,12 @@ def _b_star_class1_rows(
                 outcome[r] = (1.0, True)
             else:
                 rhs = _conservation_rhs(cfg, rt)
+
+                def width(x):  # one rounding of m1, eps rhs / rho1, over m1' = -(rho2/rho1) m2'
+                    slope1 = abs(rt.rho2 * mean_w2.slope(x))
+                    return float(np.finfo(float).eps * rhs / slope1) if slope1 > 0.0 else math.inf
                 b = above = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
-                gap = math.ulp(b)
+                gap = max(math.ulp(b), width(b))
                 while mean1(b) > threshold:
                     above, b, gap = b, max(0.0, b - gap), 2.0 * gap
                 gap = max(tol.eps_root, gap)  # if the rate met thr, step up: b = 1 does not
@@ -512,10 +520,7 @@ def _b_star_class1_rows(
                 while b + tol.eps_root < above and b < (mid := 0.5 * (b + above)) < above:
                     b, above = (mid, above) if mean1(mid) <= threshold else (b, mid)
                 outcome[r] = (b, True)
-                # conservation: m1' = -(rho2 / rho1) m2', and a rounding of m1 is eps rhs / rho1
-                slope1 = abs(rt.rho2 * mean_w2.slope(b))
-                rounding = np.finfo(float).eps * rhs
-                state.widths[r] = rounding / slope1 if slope1 > 0.0 else math.inf
+                state.widths[r] = width(b)
         except DapqError as exc:
             state.fail(r, exc)
     return _points(configs, outcome, rates, means, state)
@@ -612,13 +617,9 @@ def in_tuning_region(
     """True when the KPI needs (d, b) tuning: favorable extreme fails to
     dominate, unfavorable extreme still has room.  False for an unstable
     pair, where neither extreme meets the KPI."""
-    if kpi.class_index == 2:
-        return meets_extreme(lam1, lam2, mu, kpi, "fcfs", tol) and not meets_extreme(
-            lam1, lam2, mu, kpi, "npq", tol
-        )
-    return meets_extreme(lam1, lam2, mu, kpi, "npq", tol) and not meets_extreme(
-        lam1, lam2, mu, kpi, "fcfs", tol
-    )
+    favorable, unfavorable = ("fcfs", "npq") if kpi.class_index == 2 else ("npq", "fcfs")
+    return (meets_extreme(lam1, lam2, mu, kpi, favorable, tol)
+            and not meets_extreme(lam1, lam2, mu, kpi, unfavorable, tol))
 
 
 def _pairs(pairs: list) -> np.ndarray:
@@ -732,7 +733,5 @@ def policy_sweep(
     points = _b_star_class2_rows(configs, kpi, tol)
     w1s = [pt.mean_w1 for pt in points if pt.feasible]
     if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
-        raise MonotonicityViolation(
-            f"class-1 mean not nondecreasing along the sweep: {w1s}"
-        )
+        raise MonotonicityViolation(f"class-1 mean not nondecreasing along the sweep: {w1s}")
     return points

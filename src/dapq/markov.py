@@ -14,14 +14,17 @@ Two kinds of object live here:
   of the geometric M/M/1 law).  Beyond the Poisson jump cut the weights
   are exactly geometric in ``j`` with ratio rho, so only a head whose size
   is set by ``d`` is computed and the tail is kept in closed form.  The
-  rule for cutting a delay's jump sum lives in ``_jump_cuts`` alone: by
-  mass for the class-2 CDFs' heads, by a bound weighted by the ahead
-  count for the M/M/1 mean's first moment, both read off one Poisson
-  table.  One loop (``_busy_weights_rows``) runs the chain of one config
-  for any number of jump sums, snapshotting each at each of its cuts, and
-  ``_delay_weights`` feeds it the cuts of a list of delays: a KPI sweep
-  gets every delay's head and first moment from one run, and a single
-  curve or mean is the one-delay case.
+  M/M/1 mean's correction, the weights' first moment, needs no head: the
+  ahead-set walk drifts down, so its first moment after k steps is
+  rho/(1-rho) less (q_down - p_up) times the alive mass summed so far,
+  and the alive mass loses q_down times the state-1 mass per step.  One
+  rule cuts every jump sum, in ``_jump_cuts``: the least n with
+  B P[N > n] < eps_series/2, B = 1 for the heads' mass and rho/(1-rho)
+  for the moment.  One loop (``_busy_weights_rows``) runs the chain of
+  one config for any number of jump sums, taking each head at its cut and
+  the state-1 mass of every step, and ``_delay_weights`` feeds it the
+  cuts of a list of delays: a KPI sweep gets every delay's head and first
+  moment from one run, and a single curve or mean is the one-delay case.
 
 On the M/D/1 pmf: consecutive probabilities decay by the *reciprocal* of
 the root ``sigma > 1`` of ``exp(rho*sigma)/sigma = exp(rho)``
@@ -222,47 +225,39 @@ def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
     the pmf runs to the larger cut that was met.
 
     One rule makes both cuts: the least n <= max_states with
-    B P[N > n] < eps_series/2 for N ~ Poisson(nu d), since the steps past n
-    of a jump sum whose terms are at most B miss at most that much.  B = 1
-    gives the mass cut, which sets the head of the class-2 CDFs' busy
-    weights: a step holds at most mass 1.  B = rho/(1-rho) gives the moment
-    cut of the M/M/1 mean's correction: a step's first moment falls from
-    rho/(1-rho) (``_delay_weights``).  The moment cut is tested as
+    B P[N > n] < eps_series/2 for N ~ Poisson(nu d), as the steps past n of
+    a jump sum whose terms are at most B miss at most that much.  B = 1
+    gives the mass cut, the head of the class-2 CDFs' busy weights, since a
+    step holds mass at most 1; B = rho/(1-rho) the moment cut of the M/M/1
+    mean's correction, since a step's first moment falls from rho/(1-rho)
+    (``_delay_weights``).  The moment cut is tested as
     rho P[N > n] < (1-rho) eps_series/2, which does not divide by rho.  Both
     read one table, ``_poisson_table`` out to 12 sqrt(nu d + 1) + 40 past
-    the mean.  The table is not built, and neither cut sought, when
-    nu d - 1 > max_states: a mass cut lies at or past the Poisson median,
-    at least nu d - ln 2.
+    the mean, which is not built when nu d - 1 > max_states: a mass cut
+    lies at or past the Poisson median, at least nu d - ln 2.
     """
     if nu_d == 0.0:
         return np.array([1.0]), 0 if mass else None, 0 if moment else None
     eps, cap = 0.5 * tol.eps_series, tol.max_states
     if nu_d - 1.0 > cap:
-        return (np.zeros(0),
-                TruncationOverflow(f"busy-state head needs more than nu*d - 1 = {nu_d - 1.0:.6g} "
-                                   f"states but max_states={cap}") if mass else None,
-                TruncationOverflow(f"Poisson({nu_d:g}) k-sum bound not sought: nu*d - 1 = "
-                                   f"{nu_d - 1.0:.6g} exceeds max_states={cap}") if moment else None)
+        uncut = TruncationOverflow(f"Poisson({nu_d:g}) jump sum is not cut: nu*d - 1 = "
+                                   f"{nu_d - 1.0:.6g} exceeds max_states={cap}")
+        return np.zeros(0), uncut if mass else None, uncut if moment else None
     top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
     pmf, sf = _poisson_table(nu_d, top)  # sf[k] = P[N > k]
-    cut_mass = cut_moment = None
-    if mass:
-        meets = sf < eps
-        cut_mass = int(np.argmax(meets))  # first index meeting the bound
+    cuts = []
+    for asked, what, meets in ((mass, "busy-state head", sf < eps),
+                               (moment, "k-sum bound", rho * sf < (1.0 - rho) * eps)):
+        n = int(np.argmax(meets))  # the first index meeting the bound
         if not meets[-1]:
-            cut_mass = TruncationOverflow(
-                f"Poisson({nu_d:g}) tail stays above eps={eps:g} through {top} jumps")
-        elif cut_mass > cap:
-            cut_mass = TruncationOverflow(
-                f"busy-state head needs {cut_mass} states but max_states={cap}")
-    if moment:
-        hi = min(top, cap)
-        meets = rho * sf[: hi + 1] < (1.0 - rho) * eps
-        cut_moment = int(np.argmax(meets)) if meets[-1] else TruncationOverflow(
-            f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-            f"through {hi} jumps (max_states={cap})")
-    met = [c for c in (cut_mass, cut_moment) if isinstance(c, int)]
-    return pmf[: max(met, default=-1) + 1], cut_mass, cut_moment
+            n = TruncationOverflow(f"Poisson({nu_d:g}) {what} stays above eps={eps:g} "
+                                   f"through {top} jumps")
+        elif n > cap:
+            n = TruncationOverflow(f"Poisson({nu_d:g}) {what} needs {n} states "
+                                   f"but max_states={cap}")
+        cuts.append(n if asked else None)
+    met = [c for c in cuts if isinstance(c, int)]
+    return pmf[: max(met, default=-1) + 1], *cuts
 
 
 @dataclass(frozen=True)
@@ -310,13 +305,10 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
     carries C rho^l, C = (1-rho) sum_k pmf_k (r/rho)^k.  So only the first
     W = max(steps + 1, 2H) states are iterated, H the largest cut: the
     missing flow from above corrupts one more top state per step, so after
-    k steps states 1..W-k are still exact, state 1 through the run and
-    states 1..n after n <= H steps, whatever the number of states.  The
-    rows (the delays of a sweep) differ only in their jump weights, which
-    are 0 past a row's cut, so from there on its sum gains exact zeros.
-    Each row's weights therefore equal those of a run of that row alone,
-    bit for bit, and a sweep over delays pays for one chain.  With
-    ``steps`` = 0 every head is empty and no step runs.
+    k steps states 1..W-k, state 1 through the run and states 1..n after
+    n <= H steps, are exact, bit for bit whatever W.  A row's jump weights
+    are 0 past its cut, so each row's weights equal those of a run of that
+    row alone, and a sweep over delays pays for one chain.
 
     A step only moves the chain, into the next row of a block of steps.
     The sums are taken per block: one multiply by the block's jump weights,
@@ -363,16 +355,12 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
                     heads[r] = sums[cuts[r] - done, i, : cuts[r]].copy()
             states[0], sums[0] = states[n], sums[n]
             done += n
-    weights = []
-    for pmf, n, head in zip(pmfs, cuts, heads):
-        if n is not None:
-            # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
+    for r, n in enumerate(cuts):
+        if n is not None:  # w_{n+1} = (1-rho) sum_k pmf_k r^k rho^(n+1-k): no (r/rho)^k overflow
             ks = np.arange(n + 1)
-            tail_next = float((1.0 - rho)
-                              * (pmf[: n + 1] * rates.r_coef**ks * rho ** (n + 1 - ks)).sum())
-            head = BusyWeights(head=head, rho=rho, tail_next=tail_next)
-        weights.append(head)
-    return weights, s1
+            tail = (pmfs[r][: n + 1] * rates.r_coef**ks * rho ** (n + 1 - ks)).sum()
+            heads[r] = BusyWeights(head=heads[r], rho=rho, tail_next=float((1.0 - rho) * tail))
+    return heads, s1
 
 
 def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfig,
@@ -385,18 +373,16 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
     moment cut.  One run of ``_busy_weights_rows``, to the largest cut that
     was met, gives them all, so each equals its one-delay value bit for bit.
 
-    The moment needs no head, only the walk's drift.  A step moves the
-    ahead count up with probability p_up and down with q_down, and a move
-    down from state 1 empties the ahead-set.  So the alive mass S_k and the
-    first moment M_k after k steps follow from the state-1 masses s_k[1]:
+    The moment needs no head, only the walk's drift: a step moves the ahead
+    count up with probability p_up and down with q_down, and the move down
+    from state 1 empties the ahead-set.  So the alive mass S_k and the first
+    moment M_k after k steps follow from the state-1 masses s_k[1],
 
         S_0 = rho,          S_{k+1} = S_k - q_down s_k[1],
         M_0 = rho/(1-rho),  M_{k+1} = M_k - (q_down - p_up) S_k,
 
-    and the moment is sum_{k<=K} pmf_k M_k, K the moment cut (optional
-    stopping of the walk gives the same identity in continuous time).  mu >
-    lambda1 makes q_down > p_up, so M_k falls from M_0, the bound the
-    moment cut assumes.
+    and the moment is sum_{k<=K} pmf_k M_k, K the moment cut.  mu > lambda1
+    makes q_down > p_up, so M_k falls from M_0, as the moment cut assumes.
 
     Returns (rows, steps): per delay, the pair (``BusyWeights``, first
     moment), each None when not asked for or the ``TruncationOverflow`` of
@@ -404,18 +390,15 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
     keeps out of the run, and its moment is None.  ``steps`` is the run's
     step count, None when no delay joined it.
     """
-    rows, pmfs, steps = [], [], None
+    rows, pmfs = [], []
     for d in ds:
         pmf, mass, moment = _jump_cuts(rates.nu * d, rates.rho, tol, heads, moments)
-        if isinstance(mass, DapqError):
-            moment = None
-        met = [c for c in (mass, moment) if isinstance(c, int)]
-        if met:
-            steps = max(steps or 0, *met)
-        rows.append([mass, moment])
+        rows.append([mass, None if isinstance(mass, DapqError) else moment])
         pmfs.append(pmf)
-    if steps is None:
+    met = [c for row in rows for c in row if isinstance(c, int)]
+    if not met:
         return rows, None
+    steps = max(met)
     weights, s1 = _busy_weights_rows(
         rates, pmfs, [mass if isinstance(mass, int) else None for mass, _ in rows], steps)
     rho = rates.rho

@@ -24,11 +24,13 @@ Numerical notes
 * The exponential-service correction iterates the same chain as the
   class-2 CDFs' busy weights, through the same call
   (``markov._delay_weights``, one delay here; ``_b_free_rows`` passes all
-  the delays of a sweep at once), but cuts the Poisson jump sum where an
-  explicit bound on the first moment's remainder, not on the mass, falls
-  below eps_series/2 (the moment cut of ``markov._jump_cuts``).  Beyond
-  the cut the weights are exactly geometric, so their moment has a closed
-  form.
+  the delays of a sweep at once), but keeps no head: the ahead-set walk
+  drifts down at q_down - p_up per step while it is alive, so the first
+  moment after k steps is M_k = rho/(1-rho) - (q_down - p_up) sum_{j<k} S_j,
+  S_j the alive mass, which the state-1 mass of each step updates.  M_k
+  falls from rho/(1-rho), so the jump sum is cut where rho/(1-rho) times
+  the Poisson tail falls below eps_series/2, the heads' mass rule scaled
+  (the moment cut of ``markov._jump_cuts``).
 * A mean validates its config once and works from the ``DerivedRates``
   that validation returned: the strict-priority mean, the conservation law
   (``core._conservation_rhs``, ``core._class1_mean_from_class2``) and the
@@ -92,10 +94,10 @@ def _npq_class2_mean(config: QueueConfig, rates: DerivedRates) -> float:
 def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
     """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
 
-    This is the first moment sum_l l w_l of the busy weights, with the
-    jump sum cut at the moment cut of ``markov._jump_cuts``: a cut by mass
-    alone, as the CDFs use, does not weight the missed steps by l.  It is
-    the one-delay case of ``markov._delay_weights``.
+    This is the first moment sum_l l w_l of the busy weights, from the
+    ahead-set walk's drift, with the jump sum cut at the moment cut of
+    ``markov._jump_cuts``.  It is the one-delay case of
+    ``markov._delay_weights``.
     """
     [(_, moment)], _ = _delay_weights(rates, [config.d], tol, heads=False)
     if isinstance(moment, DapqError):

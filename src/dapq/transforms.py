@@ -332,9 +332,17 @@ def _euler_constants(a: float):
     return constants
 
 
-def _abscissa_error(ts: np.ndarray, tol: ToleranceConfig):
-    """OutOfRange if a t in ``ts`` lies in (0, t_min), else None: t_min, about 1e-306 at the
-    default eps_invert, is the least t whose largest contour node (A/2 + i N pi)/t is finite."""
+# the least eps_invert the float64 Euler sums meet: at 1e-11 one misses it by 4.1e-11
+_INVERT_FLOOR = 1e-10
+
+
+def _inversion_error(ts: np.ndarray, tol: ToleranceConfig):
+    """AccuracyNotMet for an eps_invert below ``_INVERT_FLOOR``, OutOfRange if a t in ``ts``
+    lies in (0, t_min), else None: t_min, about 1e-306 at the default eps_invert, is the
+    least t whose largest contour node (A/2 + i N pi)/t is finite."""
+    if tol.eps_invert < _INVERT_FLOOR:
+        return AccuracyNotMet(f"eps_invert={tol.eps_invert:.3e} lies below the inversion "
+                              f"floor {_INVERT_FLOOR:g}, the least that float64 certifies")
     t_min = abs(_euler_constants(_euler_params(tol.eps_invert))[0][-1]) / np.finfo(float).max
     low = ts[(ts > 0.0) & (ts < t_min)]
     return OutOfRange(f"abscissa {low[0]:.6g} lies below the smallest invertible t = {t_min:.6g}, "
@@ -462,7 +470,8 @@ def class2_cdf_dapq(
     one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
     depend on b, which enters only through the accrediting rate.  An empty
     grid gives an empty curve; an abscissa that is not finite or out of
-    order, or a positive d, t or t - d too small to invert, raises OutOfRange.
+    order, or a positive d, t or t - d too small to invert, raises OutOfRange,
+    and an eps_invert below the inversion floor AccuracyNotMet.
     """
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
@@ -474,7 +483,7 @@ def class2_cdf_dapq(
 
     inside = (ts > 0.0) & (ts <= d)
     beyond = ts > d
-    if error := _abscissa_error(np.concatenate([ts[inside], [d], ts[beyond] - d]), tol):
+    if error := _inversion_error(np.concatenate([ts[inside], [d], ts[beyond] - d]), tol):
         raise error
     values = np.zeros_like(ts)
     values[ts == 0.0] = atom

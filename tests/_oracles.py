@@ -750,18 +750,15 @@ def moment_cut_scalar(nu_d, rho, eps, max_states):
     ``TruncationOverflow`` text.
     """
     if nu_d - 1.0 > max_states:
-        raise TruncationOverflow(f"Poisson({nu_d:g}) k-sum bound not sought: nu*d - 1 = "
+        raise TruncationOverflow(f"Poisson({nu_d:g}) jump sum is not cut: nu*d - 1 = "
                                  f"{nu_d - 1.0:.6g} exceeds max_states={max_states}")
-    hi = min(int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0), max_states)
     try:
         cut = poisson_horizon_scalar(nu_d, eps * (1.0 - rho) / rho)
-    except TruncationOverflow:
-        cut = hi + 1
-    if cut > hi:
-        raise TruncationOverflow(
-            f"Poisson({nu_d:g}) k-sum bound stays above eps={eps:g} "
-            f"through {hi} jumps (max_states={max_states})"
-        )
+    except TruncationOverflow as exc:
+        raise TruncationOverflow(str(exc).replace(" tail ", " k-sum bound "))
+    if cut > max_states:
+        raise TruncationOverflow(f"Poisson({nu_d:g}) k-sum bound needs {cut} states "
+                                 f"but max_states={max_states}")
     return cut
 
 

@@ -342,7 +342,10 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
     search = json.loads((tmp_path / "sweep1.csv.manifest.json").read_text())["search"]
     assert (search["inversion_calls"], search["rows_inverted"]) == (0, 0)
     assert search["chain_runs"] == 1 and search["chain_steps"] > 0
-    assert all(p > 5 for p in search["probes"])
+    # the means at b = 0 and 1 and at the closed-form rate, then its steps
+    points = kpi.policy_sweep(QueueConfig(0.05, 0.6, 1.0), Kpi(2.0, 0.9, 1), [0.0, 1.0])
+    assert search["probes"] == [pt.probes for pt in points]
+    assert all(p >= 3 for p in search["probes"])
     assert all(0.0 < width < 1e-12 for width in search["root_widths"])
 
 
@@ -440,6 +443,8 @@ def _table(draw):
 @example((["t", "F"], [np.array(_EDGE_FLOATS), [np.float64(x) for x in _EDGE_FLOATS]]))
 @example((["a", "b", "c"], [[1, True, "x"], [2.5, np.float64(-0.0), False], np.arange(3)]))
 @example((["t", "F"], [np.array([]), []]))
+@example((["n", "s", "x", "y", "z"], [[1, -2], ["a", "{}"], [np.float64(math.nan), math.inf],
+                                      np.array([-math.inf, 0.1]), [np.float64(2.5), 3]]))
 def test_column_writer_equals_row_writer(table):
     header, columns = table
     rows = list(zip(*columns))  # what the subcommands used to build

@@ -618,6 +618,18 @@ def test_class1_b_star_lies_within_eps_root_below_the_crossing_where_the_mean_is
     assert 0.0 <= crossing - pt.b_star <= DEFAULT_TOL.eps_root < abs(moved)
 
 
+def test_class1_steps_start_at_the_root_width_where_the_mean_is_flat():
+    # the class-1 mean is flat over 7e-4 of b here, about the root's width:
+    # a first step of that width crosses the flat stretch, where steps
+    # doubling from eps_root took 48 probes, more than bisection's 2 + 34
+    cfg = QueueConfig(0.0375, 0.2625, 1.0, d=15.0, service=ServiceKind.DETERMINISTIC)
+    target = Kpi(class1_mean_per_b(cfg)(0.5) * math.log(0.3 / 0.15) / 0.3, 0.85, 1)
+    pt = b_star_class1(cfg, target)
+    assert type(pt.b_star) is float
+    assert pt.probes <= 2 + math.ceil(math.log2(1.0 / DEFAULT_TOL.eps_root))
+    assert abs(pt.b_star - b_star_class1_per_b(cfg, target).b_star) <= DEFAULT_TOL.eps_root
+
+
 @pytest.mark.parametrize("service", list(ServiceKind))
 @pytest.mark.parametrize("mu", [0.7, 1.0, 3.0])
 def test_interior_class1_points_have_the_conserved_class2_mean(service, mu):
@@ -678,6 +690,26 @@ def test_too_tight_eps_invert_fails_a_batch():
         feasible_region(KPI2, resolution=0.05, tol=tol)
     with pytest.raises(AccuracyNotMet):
         policy_sweep(cfg, KPI2, [0.0, 1.0, 2.0], tol)
+
+
+def test_an_eps_invert_below_the_floor_fails_before_any_inversion(monkeypatch):
+    # at (0.5, 0.45, b = 0.5, d = 2) and t = 200 the Euler sums err by
+    # 4.1e-11, which a gate at eps_invert = 1e-11 passed: every class-2
+    # inversion entry refuses an eps_invert below 1e-10 up front, naming it
+    cfg = QueueConfig(0.5, 0.45, 1.0, b=0.5, d=2.0)
+    grid = np.array([0.0, 1.0, 2.0, 5.0, 200.0])
+    curve = class2_cdf_dapq(cfg, grid, ToleranceConfig(eps_series=1e-15, eps_invert=1e-10))
+    assert 0.0 < curve.error_estimate <= 1e-10
+    tight = ToleranceConfig(eps_series=1e-15, eps_invert=1e-11)
+    inverted = []
+    monkeypatch.setattr(transforms, "_euler_invert", lambda *a: inverted.append(a))
+    for entry in (lambda: class2_cdf_dapq(cfg, grid, tight),
+                  lambda: policy_sweep(cfg, KPI2, [1.0, 2.0], tight),
+                  lambda: feasible_region(KPI2, resolution=0.1, tol=tight),
+                  lambda: meets_extreme(0.5, 0.45, 1.0, KPI2, "npq", tight)):
+        with pytest.raises(AccuracyNotMet, match="floor 1e-10"):
+            entry()
+    assert inverted == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -437,7 +437,7 @@ def test_poisson_ksum_cutoff_overflow_matches_scalar_loop(nu_d, max_states):
         moment_cut_scalar(nu_d, 0.8, 5e-11, max_states)
     with pytest.raises(TruncationOverflow) as got:
         _moment_cut(nu_d, 0.8, 5e-11, max_states)
-    assert str(got.value) == str(want.value) and "k-sum bound" in str(got.value)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.8, 0.99])

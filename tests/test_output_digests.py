@@ -19,10 +19,10 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean")]
-    assert counts == [64, 3, 5, 3]
-    assert [line.split(" exit=")[0] for line in lines[-5:]] == [
-        "mean service=exp", "mean service=det", "mean heavy service=det",
-        "kpi tiny-w sweep", "kpi tiny-w region"]
+    assert counts == [64, 3, 5, 4]
+    assert [line.split(" exit=")[0] for line in lines[-6:]] == [
+        "mean service=exp", "mean service=det", "mean long service=exp",
+        "mean heavy service=det", "kpi tiny-w sweep", "kpi tiny-w region"]
     for line in lines:
         if line.startswith("mean "):
             code, digest = line.split()[-2:]
@@ -53,8 +53,10 @@ def test_compare_prints_each_csvs_largest_numeric_change(tmp_path):
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), "--compare", str(ROOT),
                           "--seeds", "0"], capture_output=True, text=True, check=True)
     lines = run.stdout.splitlines()
-    assert [line.split()[:3] for line in lines] == [
-        [kind, "seed=0", f"op={i}"] for kind in ("cdf", "kpi") for i in range(3)]
+    assert [line.split(" max_abs_diff=")[0] for line in lines] == [
+        f"{kind} seed=0 op={i}" for kind in ("cdf", "kpi") for i in range(3)] + [
+        "mean service=exp", "mean service=det", "mean long service=exp",
+        "mean heavy service=det"]
     assert all(line.endswith(" max_abs_diff=0.0") for line in lines)
 
     # numeric cells compare by value; a text cell, a shape or a missing file

@@ -11,14 +11,17 @@ prints one line per output: for ``means`` the float hex of both means, for
 without ``duration_s`` and the output path.  It then prints the exit code
 and CSV sha256 (``none`` when no CSV was written) of one fixed ``dapq
 mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
-the command line's mean path, of one deterministic sweep at occupancy
-0.999 (``HEAVY_SWEEP``), and of a class-2 ``dapq kpi`` sweep and region
-at a target wait too small to invert (``TINY_TARGET``).  CSVs go to a temporary directory and no
-bytecode is written, so nothing is written inside TREE.
-Diffing the output for two trees shows whether any output changed.
+the command line's mean path, of one exponential sweep out to d = 300
+(``LONG_SWEEP``), of one deterministic sweep at occupancy 0.999
+(``HEAVY_SWEEP``), and of a class-2 ``dapq kpi`` sweep and region at a
+target wait too small to invert (``TINY_TARGET``).  CSVs go to a
+temporary directory and no bytecode is written, so nothing is written
+inside TREE.  Diffing the output for two trees shows whether any output
+changed.
 
 With ``--compare OTHER`` the script runs both trees, each in its own
-process, and prints instead, per ``cdf`` and ``kpi`` output, the largest
+process, and prints instead, per ``cdf`` and ``kpi`` output and per
+``dapq mean`` sweep, the largest
 absolute difference over the CSV's numeric cells between TREE and OTHER:
 0.0 for equal CSVs, inf when a text cell differs or the CSVs differ in
 shape or presence.  That is the tolerance a change that moves outputs
@@ -39,8 +42,18 @@ from pathlib import Path
 
 WORKLOADS = ("means", "cdf", "kpi")
 MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
+LONG_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.5", "--d", "0:300:100"]
 HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5"]
 TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
+# (label, argv) of the fixed command lines, whose CSVs are cli-<index>.csv
+COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
+            for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
+                                          ("mean", MEAN_SWEEP, "det"),
+                                          ("mean long", LONG_SWEEP, "exp"),
+                                          ("mean heavy", HEAVY_SWEEP, "det"))]
+COMMANDS += [("kpi tiny-w sweep",
+              [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
+             ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"])]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -98,6 +111,11 @@ def _compare(tree: Path, other: Path, seeds) -> int:
                     print(f"{name} seed={seed} op={i} "
                           f"max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
                           flush=True)
+        for i, (label, _) in enumerate(COMMANDS):
+            if label.startswith("mean"):
+                file = f"cli-{i}.csv"
+                print(f"{label} max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
+                      flush=True)
     return 0
 
 
@@ -130,14 +148,7 @@ def main(argv=None) -> int:
                     path = Path(scratch) / f"{name}-{seed}-{i}.csv"
                     print(f"{name} seed={seed} op={i} {_digest(name, workload.run(spec, path), path)}",
                           flush=True)
-        commands = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
-                    for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
-                                                  ("mean", MEAN_SWEEP, "det"),
-                                                  ("mean heavy", HEAVY_SWEEP, "det"))]
-        commands += [("kpi tiny-w sweep",
-                      [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
-                     ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"])]
-        for i, (label, argv) in enumerate(commands):
+        for i, (label, argv) in enumerate(COMMANDS):
             path = Path(scratch) / f"cli-{i}.csv"
             code = dapq.cli.main([*argv, "--out", str(path)])
             digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
