@@ -28,8 +28,10 @@ generator call per exponential draw, and its waits are split by class
 with a comprehension.  The command line's CSV is
 built one row at a time, each value formatted on its own.  The one-row
 chain loop that the batched ``markov._busy_weights_rows`` replaced is kept
-as ``busy_weights_by_loop``, and the M/D/1 tail ratio's former bracket
-search as ``md1_tail_ratio_by_bracket``.  Public names only the tests
+as ``busy_weights_by_loop``, the M/M/1 correction it once read off a
+head as long as the moment cut (before the ahead-set walk's drift gave
+it) as ``busy_weights_first_moment``, and the M/D/1 tail ratio's former
+bracket search as ``md1_tail_ratio_by_bracket``.  Public names only the tests
 used live here too: the geometric M/M/1 pmf, the pmf and mass of a
 ``StationaryDist`` head (``stationary_pmf``, ``stationary_mass``), the
 class-2 tail transform, the class-2 mean as a function of b
