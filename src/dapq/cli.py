@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -96,17 +97,19 @@ def _parse_sweep(text: str) -> List[float]:
 
 
 def _csv_text(header: List[str], columns: list) -> str:
-    """CSV text of ``header`` and one line per row of the equal-length ``columns``, one
-    ``format`` call a line: floats (``np.float64`` included) with 12 significant digits,
+    """CSV text of ``header`` and one line per row of the equal-length ``columns``, all rows
+    in one ``%`` format: floats (``np.float64`` included) with 12 significant digits,
     anything else through ``str``, which a column not all floats takes per cell."""
     cells, fields = [], []
     for column in columns:
         values = column.tolist() if isinstance(column, np.ndarray) else column
         floats = all(isinstance(v, float) for v in values)
-        fields.append("{:.12g}" if floats else "{}")
+        fields.append("%.12g" if floats else "%s")
         cells.append(values if floats else
                      [format(v, ".12g") if isinstance(v, float) else str(v) for v in values])
-    return ",".join(header) + "\n" + "".join(map((",".join(fields) + "\n").format, *cells))
+    line = ",".join(fields) + "\n"
+    return ",".join(header) + "\n" + line * len(cells[0]) % tuple(
+        itertools.chain.from_iterable(zip(*cells)))
 
 
 def _write_output(header: List[str], columns: list, args, manifest: dict) -> None:
@@ -134,12 +137,7 @@ def _manifest(args, tol: ToleranceConfig, t0: float, **records) -> dict:
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("subcommand", "manifest")},
-        "tolerances": {
-            "eps_series": tol.eps_series,
-            "eps_root": tol.eps_root,
-            "eps_invert": tol.eps_invert,
-            "max_states": tol.max_states,
-        },
+        "tolerances": dict(vars(tol)),
         "version": __version__,
         "duration_s": round(time.monotonic() - t0, 6),
     }
