@@ -312,8 +312,7 @@ class _Class2Rows:
         self.rates, self.means, self.weights = state.b_free(configs, heads=True)
         self.w = w = kpi.target_w
         self.ds = ds = np.array([cfg.d for cfg in configs], dtype=float)
-        # an eps_invert below the floor, or a d, w - d or w too small to invert, fails a row
-        for r in state.alive(range(n)):
+        for r in state.alive(range(n)):  # a low eps_invert or a d, w - d or w too small fails it
             if error := transforms._inversion_error(np.array([ds[r], w - ds[r], w]), tol):
                 state.fail(r, error)
         live = state.alive(range(n))
@@ -370,8 +369,9 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
     counted in ``state``, after ``transforms._inversion_error`` has refused
-    an eps_invert below the floor or a w too small to invert.  Returns (values, slopes, ok) per row,
-    ``slopes`` dF/dlambda2 = dF/drho / mu from the same inversion.
+    an eps_invert below the floor or a w too small to invert.  Returns
+    (values, slopes, ok) per row, ``slopes`` dF/dlambda2 = dF/drho / mu
+    from the same inversion.
     """
     if error := transforms._inversion_error(np.array([kpi.target_w]), state.tol):
         raise error
@@ -733,5 +733,7 @@ def policy_sweep(
     points = _b_star_class2_rows(configs, kpi, tol)
     w1s = [pt.mean_w1 for pt in points if pt.feasible]
     if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
-        raise MonotonicityViolation(f"class-1 mean not nondecreasing along the sweep: {w1s}")
+        raise MonotonicityViolation(
+            f"class-1 mean not nondecreasing along the sweep: {w1s}"
+        )
     return points

@@ -401,10 +401,9 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
     steps = max(met)
     weights, s1 = _busy_weights_rows(
         rates, pmfs, [mass if isinstance(mass, int) else None for mass, _ in rows], steps)
-    rho = rates.rho
     if moments:  # S_0 .. S_steps, then M_0 .. M_steps
-        alive = np.cumsum(np.concatenate(([rho], -rates.q_down * s1[:-1])))
-        moment_k = np.cumsum(np.concatenate(([rho / (1.0 - rho)],
+        alive = np.cumsum(np.concatenate(([rates.rho], -rates.q_down * s1[:-1])))
+        moment_k = np.cumsum(np.concatenate(([rates.rho / (1.0 - rates.rho)],
                                              -(rates.q_down - rates.p_up) * alive[:-1])))
     for row, pmf, w in zip(rows, pmfs, weights):
         if w is not None:
