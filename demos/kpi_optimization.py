@@ -10,9 +10,10 @@ target "90% seen within 2", this script:
      (d, b*, means) trajectories,
   3. locates the arrival-rate sliver where *both* KPIs need tuning.
 
-The sweeps show the punchline: for the class-2 target, raising d forces
-b*(d) up so hard that class-1 ends up worse, so zero delay is optimal;
-for the class-1 target, the optimized class-1 mean pins to its threshold
+The sweeps show the punchline: for this class-2 target, raising d forces
+b*(d) up so hard that class-1 ends up worse, so zero delay is optimal for
+it (demos/zero_delay_map.py maps the KPIs where that holds and where the
+class-1 mean falls with d instead); for the class-1 target, the optimized class-1 mean pins to its threshold
 and class-2 is indifferent to d.
 """
 

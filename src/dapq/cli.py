@@ -39,7 +39,6 @@ from .core import (
     AccuracyNotMet,
     DapqError,
     Kpi,
-    MonotonicityViolation,
     OutOfRange,
     QueueConfig,
     ServiceKind,
@@ -54,7 +53,7 @@ EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
-_NUMERICAL_ERRORS = (AccuracyNotMet, TruncationOverflow, MonotonicityViolation)
+_NUMERICAL_ERRORS = (AccuracyNotMet, TruncationOverflow)
 
 
 def _tol_from_env() -> ToleranceConfig:

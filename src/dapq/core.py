@@ -52,10 +52,6 @@ class DegenerateMean(DapqError):
     """A zero mean is incompatible with a positive busy probability."""
 
 
-class MonotonicityViolation(DapqError):
-    """A trend that downstream conclusions rest on failed: the class-1 mean fell along a class-2 sweep."""
-
-
 # --------------------------------------------------------------------------
 # domain types
 # --------------------------------------------------------------------------

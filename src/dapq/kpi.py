@@ -52,7 +52,6 @@ from .core import (
     DEFAULT_TOL,
     DapqError,
     Kpi,
-    MonotonicityViolation,
     OutOfRange,
     QueueConfig,
     ToleranceConfig,
@@ -294,15 +293,16 @@ class _Class2Rows:
     """The class-2 CDF at the KPI's target wait for configs that differ only in d.
 
     Per row it keeps the busy weights and the mean function
-    (``mean_wait._b_free_rows``), and the strict-priority F(d): it is
-    b-free, so it is inverted once, for all rows together
-    (``transforms._npq_cdf_rows``).  ``probe(b, rows)`` then costs one
-    batched inversion of the rows' over-delay transforms.  Rows with
+    (``mean_wait._b_free_rows``), and the strict-priority F(d).  Rows with
     w <= d have a b-free constraint, F(w) under strict priority: ``free``
-    lists them and ``free_values`` holds their uncertified values,
-    inverted with F(d) as the two points of one row, as
-    ``transforms.class2_cdf_dapq`` inverts them, which counts as the one
-    probe of such a row.  Every inversion is counted in the state.
+    lists them and ``free_values`` holds their uncertified values, which
+    count as the one probe of such a row.  The strict-priority F has the
+    same rates on every row, so it is inverted once, as one row at the
+    sorted abscissae that any row needs (``transforms._npq_cdf_rows``);
+    a point's value does not depend on the other points of its call, and
+    each row takes the worst estimate of its own points.
+    ``probe(b, rows)`` then costs one batched inversion of the rows'
+    over-delay transforms.  Every inversion is counted in the state.
     """
 
     def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
@@ -327,20 +327,22 @@ class _Class2Rows:
         rho = self.rates[live[0]].rho
         self.f_at_d[:] = 1.0 - rho
         delayed = self.dep[self.ds[self.dep] > 0]
-        if delayed.size:
-            state.inverted(len(delayed))
-            vals, est = transforms._npq_cdf_rows(
-                self.ds[delayed][:, None], self.lambda1, rho, self.mu, tol)
-            self.f_at_d[delayed] = vals[:, 0]
-            self.fixed_est[delayed] = est[:, 0]
+        ts = self.ds[np.concatenate([delayed, self.free])]
         if self.free.size:
-            state.inverted(len(self.free))
-            state.probes[self.free] += 1
-            vals, est = transforms._npq_cdf_rows(
-                np.column_stack([np.full(len(self.free), self.w), self.ds[self.free]]),
-                self.lambda1, rho, self.mu, tol)
-            self.free_values = vals[:, 0]
-            self.fixed_est[self.free] = np.max(est, axis=1)
+            ts = np.append(ts, w)
+        if ts.size:
+            ts = np.unique(ts)
+            state.inverted(1)
+            vals, est = transforms._npq_cdf_rows(ts[None, :], self.lambda1, rho, self.mu, tol)
+            vals, est = vals[0], est[0]
+            at_d = np.searchsorted(ts, self.ds)
+            self.f_at_d[delayed] = vals[at_d[delayed]]
+            self.fixed_est[delayed] = est[at_d[delayed]]
+            if self.free.size:
+                state.probes[self.free] += 1
+                at_w = np.searchsorted(ts, w)
+                self.free_values = np.full(len(self.free), vals[at_w])
+                self.fixed_est[self.free] = np.maximum(est[at_w], est[at_d[self.free]])
 
     def probe(self, b: np.ndarray, rows: np.ndarray):
         """Certified F(w) at rate b[i] for each row i, all with w > d.
@@ -715,25 +717,19 @@ def policy_sweep(
     d_values: Sequence[float],
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PolicySweep:
-    """Optimal-b search across delay levels, with trend verification.
+    """Optimal-b search across delay levels.
 
     The searches of all delays run in lockstep (see the module notes); when
     several fail, the error of the first delay in ``d_values`` is raised.
-    For class-2 KPIs the class-1 mean must be nondecreasing along
-    (d, b*(d)), and a violation raises MonotonicityViolation since
-    downstream conclusions rest on that trend.  For class-1 KPIs the
-    class-2 mean is the same at every interior b*, by conservation (see
-    ``_b_star_class1_rows``), so there is nothing to check.  Returns a
-    ``PolicySweep``: the points, with the sweep's inversion and chain
-    counts.
+    Each point carries both means at its b*, so the trend along
+    (d, b*(d)) is read off the points.  For class-1 KPIs the class-2 mean
+    is the same at every interior b*, by conservation (see
+    ``_b_star_class1_rows``); for class-2 KPIs the class-1 mean rises with
+    d for some KPIs and falls for others (``demos/zero_delay_map.py``).
+    Returns a ``PolicySweep``: the points, with the sweep's inversion and
+    chain counts.
     """
     configs = [config.replace(d=float(d)) for d in d_values]
     if kpi.class_index == 1:
         return _b_star_class1_rows(configs, kpi, tol)
-    points = _b_star_class2_rows(configs, kpi, tol)
-    w1s = [pt.mean_w1 for pt in points if pt.feasible]
-    if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
-        raise MonotonicityViolation(
-            f"class-1 mean not nondecreasing along the sweep: {w1s}"
-        )
-    return points
+    return _b_star_class2_rows(configs, kpi, tol)

@@ -20,7 +20,10 @@ scalar ITP search written from the published pseudo-code or, on request,
 on the bisection the ITP search replaced; so is the lockstep ITP search
 (``itp_rows``) that the package's safeguarded Newton search replaced.
 So is the one-curve class-2
-path the batched row inverter replaced (``class2_cdf_by_grid``), and the
+path the batched row inverter replaced (``class2_cdf_by_grid``).  The
+class-2 CDF also has a reference that inverts no transform: the
+uniformized first-passage walk by the hitting-time theorem
+(``class2_cdf_by_first_passage``).  Kept as well is the
 inversion kernel before its one-root eta and t-free Euler weights
 (``eta_by_two_roots``, ``euler_invert_by_division``).  The
 simulator moves customers event by event through two deques, makes one
@@ -60,7 +63,6 @@ from dapq.core import (
     DEFAULT_TOL,
     DapqError,
     Kpi,
-    MonotonicityViolation,
     OutOfRange,
     QueueConfig,
     ServiceKind,
@@ -702,6 +704,61 @@ def class2_cdf_scalar(config, ts, tol=DEFAULT_TOL):
 
 
 # --------------------------------------------------------------------------
+# class-2 CDFs without a transform: the uniformized first-passage walk
+# --------------------------------------------------------------------------
+
+
+def _first_passage_cdf(weights, a, mu, u):
+    """H(u) = P[T <= u, T > 0] for the first passage T to 0 of a birth-death
+    walk (birth rate a, death rate mu) that starts at j >= 1 with mass
+    ``weights(M)[j - 1]``.
+
+    Uniformized at nu = a + mu, with p = a/nu and q = mu/nu, a walk from j
+    first reaches 0 at step m with probability (j/m) C(m, k) p^k q^(m-k),
+    k = (m - j)/2 (the hitting-time theorem; van der Hofstad and Keane,
+    Amer. Math. Monthly 115, 2008), so H(u) = sum_m f_m P[N(nu u) >= m],
+    f_m summing that over the start.  Steps past M, with
+    P[N(nu u) > M] < 1e-16, are cut; a start above M needs more steps.
+    f is one log-space array over (j, k), m = j + 2k.
+    """
+    nu = a + mu
+    top = int(poisson.isf(1e-16, nu * u)) + 1
+    j = np.arange(1, top + 1)[:, None]
+    k = np.arange(0, top // 2 + 1)[None, :]
+    m = j + 2 * k
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights(top))[:, None]
+    log_f = (log_w + np.log(j / m) + gammaln(m + 1) - gammaln(k + 1) - gammaln(j + k + 1)
+             + k * math.log(a / nu) + (j + k) * math.log(mu / nu))
+    keep = m <= top
+    f = np.bincount(m[keep], weights=np.exp(log_f[keep]), minlength=top + 1)
+    return float(np.dot(f[1:], poisson.sf(np.arange(top), nu * u)))
+
+
+def class2_cdf_by_first_passage(config, t, tol=DEFAULT_TOL):
+    """The class-2 CDF at one t > d (exponential service), no inversion.
+
+    Up to d the wait is strict priority's: the first passage of the walk
+    at rate lambda1 from the geometric weights (1 - rho) rho^j.  Beyond d
+    it is the first passage at lambda1 (1 - b) from the package's busy
+    weights (``markov.busy_state_distribution``), head then geometric tail.
+    """
+    rates = validate(config)
+    rho, lam1, mu, d = rates.rho, config.lambda1, config.mu, config.d
+    busy = dapq_busy_weights(config, tol)
+
+    def geometric(top):
+        return (1.0 - rho) * rho ** np.arange(1.0, top + 1)
+
+    def busy_weights(top):
+        tail = busy.tail_next * rho ** np.arange(0.0, max(top - len(busy), 0))
+        return np.concatenate([busy.head, tail])[:top]
+
+    f_at_d = (1.0 - rho) + (_first_passage_cdf(geometric, lam1, mu, d) if d > 0 else 0.0)
+    return f_at_d + _first_passage_cdf(busy_weights, lam1 * (1.0 - config.b), mu, t - d)
+
+
+# --------------------------------------------------------------------------
 # Poisson truncation: one scalar scipy.stats call per candidate
 # --------------------------------------------------------------------------
 
@@ -814,7 +871,7 @@ def _check_monotone_per_b(f, slack, what):
     bs = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = [f(b) for b in bs]
     if not np.all(np.diff(vals) >= -slack):
-        raise MonotonicityViolation(
+        raise AssertionError(
             f"{what} is not monotone in b on {bs}: {['%.8f' % v for v in vals]}"
         )
 
@@ -1058,7 +1115,7 @@ def _check_monotone_known_ends(f, f0, f1, slack, what):
     bs = [0.0, 0.25, 0.5, 0.75, 1.0]
     vals = [f0] + [f(b) for b in bs[1:-1]] + [f1]
     if not np.all(np.diff(vals) >= -slack):
-        raise MonotonicityViolation(
+        raise AssertionError(
             f"{what} is not monotone in b on {bs}: {['%.8f' % v for v in vals]}"
         )
 
@@ -1220,7 +1277,7 @@ def b_star_class1_by_steps(config, kpi, tol=DEFAULT_TOL, bisect=False):
 
 
 def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False, search=None):
-    """``dapq.kpi.policy_sweep`` one delay after another, with the same trend checks.
+    """``dapq.kpi.policy_sweep`` one delay after another.
 
     Each delay's point comes from ``search(config, kpi, tol)`` when given,
     else from the probe-by-probe search of the KPI's class.
@@ -1228,23 +1285,7 @@ def policy_sweep_by_delay(config, kpi, d_values, tol=DEFAULT_TOL, bisect=False, 
     if search is None:
         by_probes = b_star_class2_by_probes if kpi.class_index == 2 else b_star_class1_by_steps
         search = lambda cfg, target, t: by_probes(cfg, target, t, bisect)
-    points = [search(config.replace(d=float(d)), kpi, tol) for d in d_values]
-    feas = [pt for pt in points if pt.feasible]
-    if kpi.class_index == 2:
-        w1s = [pt.mean_w1 for pt in feas]
-        if any(b - a < -1e-6 for a, b in zip(w1s, w1s[1:])):
-            raise MonotonicityViolation(
-                f"class-1 mean not nondecreasing along the sweep: {w1s}"
-            )
-    else:
-        interior = [pt for pt in feas if 0.0 < pt.b_star < 1.0]
-        if interior:
-            w2s = [pt.mean_w2 for pt in interior]
-            if max(w2s) - min(w2s) > 1e-4:
-                raise MonotonicityViolation(
-                    f"class-2 mean not constant along the sweep: {w2s}"
-                )
-    return points
+    return [search(config.replace(d=float(d)), kpi, tol) for d in d_values]
 
 
 # --------------------------------------------------------------------------

@@ -230,6 +230,20 @@ def test_kpi_sweep_trends(capsys):
     assert min(w1) == w1[0]
 
 
+def test_kpi_sweep_whose_class1_mean_falls_writes_its_points(capsys):
+    # zero delay is not best for this KPI: the class-1 mean falls along the
+    # sweep, and every point is returned
+    code, out, _ = run_cli(
+        capsys, "kpi", "--class", "2", "--w", "8", "--p", "0.95",
+        "--lam1", "0.35", "--lam2", "0.25", "--sweep-d", "0:2:0.5",
+    )
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    assert [r[4] for r in rows] == ["1"] * 5
+    w1 = [float(r[2]) for r in rows]
+    assert all(b < a for a, b in zip(w1, w1[1:]))
+
+
 def test_kpi_region_csv(capsys):
     code, out, _ = run_cli(
         capsys, "kpi", "--class", "1", "--w", "2", "--p", "0.9",

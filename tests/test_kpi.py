@@ -30,7 +30,6 @@ from dapq.core import (
     AccuracyNotMet,
     DapqError,
     Kpi,
-    MonotonicityViolation,
     OutOfRange,
     QueueConfig,
     ServiceKind,
@@ -129,6 +128,19 @@ def test_policy_sweep_class2_trends():
     assert w1s[0] == min(w1s)  # no delay is never worse for class-1
     bs = [pt.b_star for pt in feas]
     assert all(b2 >= b1 for b1, b2 in zip(bs, bs[1:]))
+
+
+def test_policy_sweep_class2_returns_a_falling_trend():
+    # zero delay is not best for every class-2 KPI: here b* rises so little
+    # with d that the class-1 mean falls, and each point is still correct
+    cfg, target = QueueConfig(0.1875, 0.1875, 1.0), Kpi(4.0, 0.9594641726526383, 2)
+    ds = [0.0, 1.0]
+    points = policy_sweep(cfg, target, ds)
+    assert all(pt.feasible for pt in points)
+    assert [pt.b_star for pt in points] == pytest.approx([0.5, 0.8111769744], abs=5e-11)
+    assert [pt.mean_w1 for pt in points] == pytest.approx([0.5379310345, 0.5333627512], abs=5e-11)
+    for pt, ref in zip(points, policy_sweep_by_delay(cfg, target, ds, bisect=True)):
+        assert abs(pt.b_star - ref.b_star) <= DEFAULT_TOL.eps_root
 
 
 def test_policy_sweep_class1_constant_class2_mean():
@@ -270,17 +282,12 @@ def _class1_outcomes_match(cfg, target, got, want):
 def _class2_outcomes_match(cfg, target, got, want):
     """Class-2 search outcomes against the ITP oracle's ``want``: a point, a
     list of points at the delays of a sweep of ``cfg``, or an error's type
-    and text, which must be equal; a sweep's trend check prints the means
-    at b* to every digit, so of its MonotonicityViolation only the type is
-    compared.  Each point must have the oracle's delay and outcome (b* = 0,
-    interior, or b* = 1 infeasible), and a point whose b* is 0 or 1 must
-    equal the oracle's, with its error estimate where the oracle carries
-    one.  An interior b* must meet the KPI and lie at the oracle's crossing
+    and text, which must be equal.  Each point must have the oracle's delay
+    and outcome (b* = 0, interior, or b* = 1 infeasible), and a point whose
+    b* is 0 or 1 must equal the oracle's, with its error estimate where the
+    oracle carries one.  An interior b* must meet the KPI and lie at the oracle's crossing
     (``_class2_crossing_matches``), and carry the means of ``dapq_means`` at
     b* bit for bit."""
-    if isinstance(want, tuple) and want[0] is MonotonicityViolation:
-        assert isinstance(got, tuple) and got[0] is MonotonicityViolation
-        return
     if isinstance(got, tuple) or isinstance(want, tuple):
         assert got == want
         return
@@ -477,8 +484,8 @@ def test_extremes_reject_rates_that_are_not_rates(lam1, lam2, mu, unstable, targ
 
 def _one_row_sweep(cfg, target, ds, tol=DEFAULT_TOL):
     """``policy_sweep`` as one-row class-2 searches (``b_star_class2``), one
-    delay after another, with the oracle's trend check: the lockstep rows
-    must see the points of their searches alone, bit for bit."""
+    delay after another: the lockstep rows must see the points of their
+    searches alone, bit for bit."""
     return policy_sweep_by_delay(cfg, target, ds, tol, search=b_star_class2)
 
 
@@ -496,6 +503,9 @@ def _sweep_outcome(search, cfg, target, ds):
 @settings(max_examples=40, deadline=None)
 # F is flat in b to its roundoff here: the Newton and ITP b* lie 1.2e-10 apart
 @example(rho=1 / 3, share=0.1, cls=2, det=False, w=0.3, ks=[3], anchor=0, b_mid=0.25, u=None)
+# the class-1 mean falls from d = 0 to d = 1 (test_policy_sweep_class2_returns_a_falling_trend)
+@example(rho=0.375, share=0.5, cls=2, det=False, w=4.0, ks=[0, 1], anchor=0, b_mid=0.5,
+         u=0.9594641726526383)
 @given(
     rho=st.floats(min_value=0.3, max_value=0.92),
     share=st.floats(min_value=0.1, max_value=0.9),
@@ -756,15 +766,16 @@ def _count_inversions(monkeypatch):
 
 def test_region_and_sweep_make_one_inversion_per_lockstep_probe(monkeypatch):
     # a search probe inverts F and its derivative in one call, as the two
-    # halves of its contour sums; the region takes 7 calls and the sweep 8,
-    # and one more each is allowed (the ITP search they replaced took 8 and 16)
+    # halves of its contour sums; the region takes 7 calls and the sweep 7
+    # (one of them the strict-priority curve), and one more each is allowed
+    # (the ITP search they replaced took 8 and 16)
     calls = _count_inversions(monkeypatch)
     region = feasible_region(Kpi(4.0, 0.85, 2), resolution=0.02)
     assert len(calls) == region.inversion_calls <= 7 + 1
     assert region.rows_inverted == sum(shape[-2] for shape in calls)
     calls.clear()
     points = policy_sweep(QueueConfig(0.4, 0.18, 1.0), KPI2, [float(d) for d in range(9)])
-    assert len(calls) == points.inversion_calls <= 8 + 1
+    assert len(calls) == points.inversion_calls <= 7 + 1
     assert points.rows_inverted == sum(shape[-2] for shape in calls)
 
 
@@ -811,7 +822,7 @@ def test_itp_b_star_is_within_eps_root_of_bisection(rho, share, cls, det, w, ks,
     try:
         bisected = policy_sweep_by_delay(cfg, target, d_values, bisect=True)
     except DapqError as exc:
-        # a trend check's message prints means at b* to every digit
+        # the two searches probe different b, so an error's text may differ
         assert _sweep_outcome(policy_sweep, cfg, target, d_values)[0] is type(exc)
         return
     got = policy_sweep(cfg, target, d_values)
@@ -1162,7 +1173,9 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
     # monotonicity probes); b = 1 fails after two probes; a row with d >= w
     # has one b-free probe
     assert probes == [6, 6, 2, 1, 1]
-    assert sum(probes) == points.rows_inverted - 2  # F(d) at d = 1 and 3, once each
+    # F(d) at d = 1 and 3 and F(w) at d >= w come from one strict-priority
+    # row, which each b-free row counts as its probe
+    assert sum(probes) == points.rows_inverted + 1
     assert replace(points[0], probes=0, error_estimate=0.0, root_width=1.0) == points[0]
 
     # an interior b* is pinned to its certified error over dF/db, which a

@@ -19,12 +19,12 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean")]
-    assert counts == [64, 3, 5, 4]
-    assert [line.split(" exit=")[0] for line in lines[-6:]] == [
+    assert counts == [64, 3, 6, 4]
+    assert [line.split(" exit=")[0] for line in lines[-7:]] == [
         "mean service=exp", "mean service=det", "mean long service=exp",
-        "mean heavy service=det", "kpi tiny-w sweep", "kpi tiny-w region"]
+        "mean heavy service=det", "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep"]
     for line in lines:
-        if line.startswith("mean "):
+        if line.startswith(("mean ", "kpi trend ")):
             code, digest = line.split()[-2:]
             assert code == "exit=0"
             assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     Lst,
+    class2_cdf_by_first_passage,
     class2_cdf_by_grid,
     class2_cdf_scalar,
     class2_tail_lst,
@@ -378,6 +379,19 @@ def test_the_derivative_rides_in_the_value_call_and_changes_no_value(b):
     one, two = (transforms._npq_cdf_rows(ts, lam1, rho + k * h, 1.0, DEFAULT_TOL)[0]
                 for k in (1, 2))
     assert np.allclose(pair[2], (4.0 * one - two - 3.0 * vals) / (2.0 * h), rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("lam1, lam2, d, t", [
+    (0.9, 0.09, 10.0, 600.0), (0.5, 0.45, 2.0, 200.0), (0.5, 0.3, 3.27, 30.0)])
+def test_class2_cdf_is_certified_against_the_first_passage_walk(lam1, lam2, d, t, eps):
+    # a reference that is not Euler's: the uniformized first-passage walk,
+    # exact to about 1e-14.  The error reaches 1.05e-9 at eps_invert = 1e-8
+    # and 1.3e-11 at 1e-10, within eps_invert, though above error_estimate
+    # at most of these points
+    cfg = QueueConfig(lam1, lam2, 1.0, b=0.5, d=d)
+    curve = class2_cdf_dapq(cfg, np.array([t]), ToleranceConfig(eps_invert=eps))
+    assert abs(curve.values[0] - class2_cdf_by_first_passage(cfg, t)) <= eps
 
 
 @pytest.mark.parametrize("cfg, grid", [
