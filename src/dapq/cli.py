@@ -9,9 +9,10 @@ kpi       optimal accumulation rates, delay sweeps, feasible regions
 rerun     re-execute a previously written run manifest
 
 Every file output is accompanied by a ``<out>.manifest.json`` manifest
-recording the resolved parameters; analytic subcommands are bit-reproducible
-from their manifests, simulation subcommands statistically reproducible
-given the recorded seed (bit-identical for an identical seed).
+recording the resolved parameters and how the result was computed;
+analytic subcommands are bit-reproducible from their manifests, simulation
+subcommands statistically reproducible given the recorded seed
+(bit-identical for an identical seed).
 
 Exit codes: 0 success, 2 invalid input, 3 infeasible KPI, 4 numerical
 accuracy failure.
@@ -23,6 +24,7 @@ DAPQ_EPS_SERIES, DAPQ_EPS_ROOT, DAPQ_EPS_INVERT, and DAPQ_MAX_STATES.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -98,11 +100,13 @@ def _parse_sweep(text: str) -> List[float]:
 def _csv_text(header: List[str], columns: list) -> str:
     """CSV text of ``header`` and one line per row of the equal-length ``columns``, all rows
     in one ``%`` format: floats (``np.float64`` included) with 12 significant digits,
-    anything else through ``str``, which a column not all floats takes per cell."""
+    anything else through ``str``, which a column not all floats (an ndarray by its dtype,
+    a list by its cells) takes per cell."""
     cells, fields = [], []
     for column in columns:
-        values = column.tolist() if isinstance(column, np.ndarray) else column
-        floats = all(isinstance(v, float) for v in values)
+        array = isinstance(column, np.ndarray)
+        values = column.tolist() if array else column
+        floats = column.dtype.kind == "f" if array else all(isinstance(v, float) for v in values)
         fields.append("%.12g" if floats else "%s")
         cells.append(values if floats else
                      [format(v, ".12g") if isinstance(v, float) else str(v) for v in values])
@@ -111,7 +115,9 @@ def _csv_text(header: List[str], columns: list) -> str:
         itertools.chain.from_iterable(zip(*cells)))
 
 
-def _write_output(header: List[str], columns: list, args, manifest: dict) -> None:
+def _write_output(header: List[str], columns: list, args, tol: ToleranceConfig, t0: float,
+                  result=None) -> None:
+    manifest = _manifest(args, tol, t0, result)
     payload = _csv_text(header, columns)
     out = getattr(args, "out", None)
     if out:
@@ -126,12 +132,18 @@ def _write_output(header: List[str], columns: list, args, manifest: dict) -> Non
             fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest(args, tol: ToleranceConfig, t0: float, **records) -> dict:
+def _provenance(result) -> dict:
+    """How ``result`` was computed: its dataclass fields declared ``compare=False``.  A
+    ``kpi.PolicySweep`` gives its counts and, under ``points``, each point's fields."""
+    if isinstance(result, kpi_mod.PolicySweep):
+        return {**vars(result), "points": [_provenance(point) for point in result]}
+    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result) if not f.compare}
+
+
+def _manifest(args, tol: ToleranceConfig, t0: float, result=None) -> dict:
     """Run record: the parsed flags of ``args`` but the manifest path, which
-    ``rerun`` replays, and the tolerances.  Each of ``records`` that is not
-    None is a block of its own: ``inversion`` holds an inverted curve's
-    accuracy diagnostics, ``simulation`` a simulated run's customer count
-    and wall time, and ``search`` how a KPI search was computed."""
+    ``rerun`` replays, the tolerances and, under ``provenance``, how
+    ``result`` was computed (``_provenance``), when there is one."""
     manifest = {
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items()
@@ -140,12 +152,9 @@ def _manifest(args, tol: ToleranceConfig, t0: float, **records) -> dict:
         "version": __version__,
         "duration_s": round(time.monotonic() - t0, 6),
     }
-    manifest.update((name, block) for name, block in records.items() if block is not None)
+    if result is not None:
+        manifest["provenance"] = _provenance(result)
     return manifest
-
-
-def _simulation_record(result: simulate.EmpiricalCdf) -> dict:
-    return {"customers": result.customers, "wall_s": round(result.wall_s, 6)}
 
 
 def _queue_config(args) -> QueueConfig:
@@ -187,8 +196,7 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
         [[args.lam1] * n, [args.lam2] * n, [args.mu] * n, [service.value] * n, b_col, d_col,
          [s.mean_w1 for s in summaries], [s.mean_w2 for s in summaries],
          [s.conservation_residual for s in summaries]],
-        args,
-        _manifest(args, tol, t0),
+        args, tol, t0,
     )
     return EXIT_OK
 
@@ -213,33 +221,26 @@ def cmd_cdf(args, tol: ToleranceConfig) -> int:
     if kind in analytic_kinds and cfg.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange(f"analytic curve {kind!r} requires exponential service")
 
-    inversion = simulation = None
-    if kind == "fcfs":
-        lam = cfg.lambda1 + cfg.lambda2
-        values = approx.ZExp(rates.rho, cfg.mu - lam).curve(grid).values
-    elif kind == "npq1":
-        values = approx.ZExp(rates.rho, cfg.mu - cfg.lambda1).curve(grid).values
+    if kind in ("fcfs", "npq1"):  # both laws are zero-inflated exponential, exactly
+        lam = cfg.lambda1 + cfg.lambda2 if kind == "fcfs" else cfg.lambda1
+        result = dataclasses.replace(approx.ZExp(rates.rho, cfg.mu - lam).curve(grid),
+                                     provenance="exact")
     elif kind in ("npq2", "dapq2"):
         curve_cfg = cfg.replace(b=0.0, d=0.0) if kind == "npq2" else cfg
-        curve = transforms.class2_cdf_dapq(curve_cfg, grid, tol)
-        values = curve.values
-        inversion = {"error_estimate": curve.error_estimate, "head_states": curve.head_states}
+        result = transforms.class2_cdf_dapq(curve_cfg, grid, tol)
     elif kind == "zexp1":
         summary = mean_wait.dapq_means(cfg, tol)
-        z = approx.zexp_from_mean(rates.rho, summary.mean_w1)
-        values = z.curve(grid).values
+        result = approx.zexp_from_mean(rates.rho, summary.mean_w1).curve(grid)
     elif kind in ("sim1", "sim2"):
         cls = 1 if kind == "sim1" else 2
         if not (cfg.lambda1, cfg.lambda2)[cls - 1] > 0:
             raise OutOfRange(f"{kind} needs class-{cls} arrivals: lambda{cls} > 0")
         result = simulate.run_replicated(_sim_config(args, cfg), grid)
-        values = result.curves[cls].values
-        simulation = _simulation_record(result)
     else:
         raise OutOfRange(f"unknown curve kind {kind!r}")
 
-    _write_output(["t", "F"], [grid, values], args,
-                  _manifest(args, tol, t0, inversion=inversion, simulation=simulation))
+    values = result.curves[cls].values if kind in ("sim1", "sim2") else result.values
+    _write_output(["t", "F"], [grid, values], args, tol, t0, result)
     return EXIT_OK
 
 
@@ -255,8 +256,7 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
             columns += [result.curves[cls].values, result.curve_se[cls]]
         else:
             columns += [[math.nan] * len(grid)] * 2
-    _write_output(["t", "cdf1", "se1", "cdf2", "se2"], columns, args,
-                  _manifest(args, tol, t0, simulation=_simulation_record(result)))
+    _write_output(["t", "cdf1", "se1", "cdf2", "se2"], columns, args, tol, t0, result)
     if args.summary_out:
         summary = _csv_text(
             ["class", "mean", "se", "replications"],
@@ -273,7 +273,6 @@ def cmd_simulate(args, tol: ToleranceConfig) -> int:
 def cmd_kpi(args, tol: ToleranceConfig) -> int:
     t0 = time.monotonic()
     target = Kpi(target_w=args.w, compliance_p=args.p, class_index=args.cls)
-    manifest = lambda search: _manifest(args, tol, t0, search=search)
 
     if args.region:
         region = kpi_mod.feasible_region(target, mu=args.mu, resolution=args.resolution, tol=tol)
@@ -281,10 +280,7 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
         columns = [["lower"] * len(lower) + ["upper"] * len(upper),
                    lower[:, 0].tolist() + upper[:, 0].tolist(),
                    lower[:, 1].tolist() + upper[:, 1].tolist()]
-        search = {"inversion_calls": region.inversion_calls,
-                  "rows_inverted": region.rows_inverted,
-                  "error_estimate": region.error_estimate}
-        _write_output(["boundary", "lambda1", "lambda2"], columns, args, manifest(search))
+        _write_output(["boundary", "lambda1", "lambda2"], columns, args, tol, t0, region)
         return EXIT_OK
 
     if args.lam1 is None or args.lam2 is None:
@@ -295,18 +291,8 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
     columns = [[pt.d for pt in points], [pt.b_star for pt in points],
                [pt.mean_w1 for pt in points], [pt.mean_w2 for pt in points],
                [int(pt.feasible) for pt in points]]
-    search = {"error_estimates": [pt.error_estimate for pt in points],
-              "probes": [pt.probes for pt in points],
-              "root_widths": [pt.root_width for pt in points],
-              "inversion_calls": points.inversion_calls,
-              "rows_inverted": points.rows_inverted,
-              "chain_runs": points.chain_runs,
-              "chain_steps": points.chain_steps}
-    _write_output(["d", "b_star", "mean_w1", "mean_w2", "feasible"], columns, args,
-                  manifest(search))
-    if not any(pt.feasible for pt in points):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    _write_output(["d", "b_star", "mean_w1", "mean_w2", "feasible"], columns, args, tol, t0, points)
+    return EXIT_OK if any(pt.feasible for pt in points) else EXIT_INFEASIBLE
 
 
 def cmd_rerun(args, _env_tol: ToleranceConfig) -> int:

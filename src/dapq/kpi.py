@@ -67,8 +67,8 @@ from .core import (
 class PolicyPoint:
     """Result of one accumulation-rate search at a fixed delay.
 
-    ``error_estimate`` is the largest certified inversion error (Euler
-    estimate plus exp(-A)) over the search's probes: 0 for a class-1
+    ``error_estimate`` is the largest certified inversion error over the
+    search's probes (``transforms._accuracy_gate``): 0 for a class-1
     search, which inverts nothing.  ``probes`` is the number of times the
     search evaluated the point's constraint: for a class-2 KPI the bracket
     ends b = 0 and 1, then each Newton or bisection step; for a class-1 KPI
@@ -125,15 +125,16 @@ class FeasibleRegion:
     region also says how it was traced: ``inversion_calls`` batched
     inversions over ``rows_inverted`` rows in all (two bracket-end probes,
     then one per Newton or bisection step of the lockstep search), with
-    ``error_estimate`` the largest certified inversion error among them.
+    ``error_estimate`` the largest certified inversion error among them;
+    these take no part in comparisons.
     """
 
     kpi: Kpi
     lower_boundary: np.ndarray
     upper_boundary: np.ndarray
-    inversion_calls: int = 0
-    rows_inverted: int = 0
-    error_estimate: float = 0.0
+    inversion_calls: int = field(default=0, compare=False)
+    rows_inverted: int = field(default=0, compare=False)
+    error_estimate: float = field(default=0.0, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +362,8 @@ class _Class2Rows:
             self.state.tol,
             slope=True,
         )
-        worst = np.maximum(self.fixed_est[rows], est[:, 0])
+        worst = transforms._two_part_estimate(self.fixed_est[rows], est[:, 0], self.ds[rows] > 0,
+                                              self.state.tol)
         values, ok = self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
         return values, -self.lambda1 * dfda[:, 0], ok
 

@@ -277,10 +277,6 @@ class BusyWeights:
     def __len__(self) -> int:
         return len(self.head)
 
-    def total_mass(self) -> float:
-        """P[ahead-set never empties within d], head plus closed-form tail."""
-        return float(self.head.sum() + self.tail_next / (1.0 - self.rho))
-
 
 # floats a block of chain steps holds at most, its states and its sums together,
 # unless one step's alone exceed it

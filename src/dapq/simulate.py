@@ -33,7 +33,7 @@ import math
 import operator
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from typing import Callable, Dict, Optional, Tuple
 
@@ -88,7 +88,8 @@ class EmpiricalCdf:
     """Replication-averaged empirical CDFs and means, one entry per class.
 
     ``customers`` counts every simulated service, burn-in included, and
-    ``wall_s`` is the wall time of the whole replicated run.
+    ``wall_s`` is the wall time of the whole replicated run; these two take
+    no part in comparisons.
     """
 
     grid: np.ndarray
@@ -97,8 +98,8 @@ class EmpiricalCdf:
     means: Dict[int, float]
     mean_se: Dict[int, float]
     replications: int
-    customers: int = 0
-    wall_s: float = 0.0
+    customers: int = field(default=0, compare=False)
+    wall_s: float = field(default=0.0, compare=False)
 
 
 def _rng_for(seed: int, rep_index: int) -> np.random.Generator:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,20 +75,20 @@ from .markov import BusyWeights, busy_state_distribution
 class CdfCurve:
     """A monotone CDF evaluated on a fixed grid of abscissae.
 
-    Inverted curves also say how they were computed: ``max_adjustment`` is
-    the largest change made by clipping and isotonic clamping,
-    ``error_estimate`` the certified inversion error (worst Euler estimate
-    plus the discretization bound exp(-A)), and ``head_states`` the number
-    of explicit busy-state weights behind the transform (its geometric tail
-    is summed in closed form).
+    The other fields say how the curve was computed and take no part in
+    comparisons: ``provenance`` its method, ``max_adjustment`` the largest
+    change made by clipping and isotonic clamping, ``error_estimate`` the
+    certified inversion error (``_accuracy_gate``), and ``head_states`` the
+    number of explicit busy-state weights behind the transform (its
+    geometric tail is summed in closed form).
     """
 
     ts: np.ndarray
     values: np.ndarray
-    provenance: str
-    max_adjustment: float = 0.0
-    error_estimate: float = 0.0
-    head_states: int = 0
+    provenance: str = field(compare=False)
+    max_adjustment: float = field(default=0.0, compare=False)
+    error_estimate: float = field(default=0.0, compare=False)
+    head_states: int = field(default=0, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -417,6 +417,18 @@ def _accuracy_gate(worst, tol: ToleranceConfig):
     return error, ok, failures
 
 
+def _two_part_estimate(at_d, over_delay, delayed, tol: ToleranceConfig):
+    """The estimate ``_accuracy_gate`` certifies for F(d) + H(t - d), a class-2 value past d.
+
+    The two inversions' errors add, elementwise: F(d)'s estimate ``at_d`` and exp(-A), but
+    none where ``delayed`` is False (at d = 0 F(d) is the exact atom 1 - rho); H's
+    ``over_delay`` and the gate's exp(-A); and the eps_series/2 of mass that H's busy
+    weights drop at their jump cut (``markov._jump_cuts``).
+    """
+    floor = math.exp(-_euler_params(tol.eps_invert))
+    return np.where(delayed, at_d + floor, 0.0) + (over_delay + 0.5 * tol.eps_series)
+
+
 def _certified_curve(
     ts: np.ndarray, raw: np.ndarray, worst: float, tol: ToleranceConfig, head_states: int = 0
 ) -> CdfCurve:
@@ -487,17 +499,19 @@ def class2_cdf_dapq(
         raise error
     values = np.zeros_like(ts)
     values[ts == 0.0] = atom
-    f_at_d, worst_inside = atom, 0.0
+    f_at_d, worst = atom, 0.0
     if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
         # F(d) rides along as the last point of the strict-priority row
         npq_vals, npq_est = _npq_cdf_rows(
             np.append(ts[inside], d)[None, :], config.lambda1, rates.rho, config.mu, tol)
         values[inside] = npq_vals[0, :-1]
         f_at_d = npq_vals[0, -1]
-        worst_inside = np.max(npq_est)
+        worst = np.max(npq_est)
     tail_vals, tail_est = _invert_over_delay_rows(
         (ts[beyond] - d)[None, :], config.lambda1 * (1.0 - config.b), config.mu, [weights], tol)
     values[beyond] = f_at_d + tail_vals[0]
-    # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate
-    worst = float(np.max(tail_est, initial=worst_inside))
-    return _certified_curve(ts, values, worst, tol, head_states=len(weights))
+    # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate.  F(d)'s
+    # estimate is among the strict-priority ones, so the sum bounds the points in (0, d] too
+    if tail_est.size:
+        worst = _two_part_estimate(worst, np.max(tail_est), d > 0, tol)
+    return _certified_curve(ts, values, float(worst), tol, head_states=len(weights))

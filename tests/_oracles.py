@@ -61,6 +61,7 @@ from scipy.stats import poisson
 from dapq import approx, cli, kpi as kpi_mod, mean_wait, simulate, transforms
 from dapq.core import (
     DEFAULT_TOL,
+    AccuracyNotMet,
     DapqError,
     Kpi,
     OutOfRange,
@@ -83,6 +84,7 @@ from dapq.markov import (
 from dapq.mean_wait import dapq_means
 from dapq.simulate import _rng_for
 from dapq.transforms import (
+    CdfCurve,
     _N_AVG,
     _N_BURN,
     _certified_curve,
@@ -471,6 +473,11 @@ def busy_weights_by_loop(rates, pmf):
     return BusyWeights(head=acc[:n], rho=rho, tail_next=tail_next)
 
 
+def busy_weights_total_mass(weights):
+    """P[ahead-set never empties within d] of busy weights, head plus closed-form tail."""
+    return float(weights.head.sum() + weights.tail_next / (1.0 - weights.rho))
+
+
 def busy_weights_first_moment(weights):
     """sum_l l w_l of busy weights: the head's dot product with 1..n plus the closed-form tail.
 
@@ -529,8 +536,8 @@ def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=i
     The strict-priority part inverts the busy weights of the config at
     d = 0 (and b = 0), the over-delay part the config's own, each through a
     per-config closure with its own Horner loop and ``invert`` on the 1-D
-    grid; F(d) rides along as the last strict-priority point, and
-    ``_certified_curve`` gates the result.  With ``eta=eta_by_two_roots``
+    grid; F(d) rides along as the last strict-priority point, and the
+    result is gated and clamped by hand, as ``_certified_curve`` does.  With ``eta=eta_by_two_roots``
     and ``invert=euler_invert_by_division`` it is the curve of the kernel
     the package used before its one-root eta and t-free Euler weights.
     """
@@ -557,8 +564,19 @@ def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=i
     tail_fn = _shifted_tail_by_horner(config.lambda1 * (1.0 - config.b), config.mu, weights, eta)
     tail_vals, tail_est = invert(tail_fn, ts[beyond] - d, tol)
     values[beyond] = f_at_d + tail_vals
-    worst = float(np.max(tail_est, initial=worst_inside))
-    return _certified_curve(ts, values, worst, tol, head_states=len(weights))
+    # the certificate by hand: an inversion errs by its estimate plus exp(-A); past d the
+    # errors of F(d) (none at d = 0, where it is the atom) and of H add, with the
+    # eps_series/2 of mass that the busy weights drop at their jump cut
+    floor = math.exp(-_euler_params(tol.eps_invert))
+    worst = float(worst_inside)
+    if tail_est.size:
+        worst = (worst + floor if d > 0 else 0.0) + (float(np.max(tail_est)) + tol.eps_series / 2)
+    error = worst + floor
+    if not error <= tol.eps_invert:
+        raise AccuracyNotMet(f"inversion error estimate {error:.3e} exceeds eps_invert")
+    iso = np.maximum.accumulate(np.clip(values, 0.0, 1.0))
+    return CdfCurve(ts, iso, "inverted", float(np.max(np.abs(iso - values), initial=0.0)),
+                    error, len(weights))
 
 
 def eta_by_two_roots(s, arrival_rate, mu):

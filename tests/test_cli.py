@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _oracles import cli_csv_by_rows, csv_payload_by_rows, run_single_by_events
-from dapq import cli, kpi, markov, mean_wait, simulate
+from dapq import cli, kpi, markov, mean_wait, simulate, transforms
 from dapq.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 from dapq.core import DapqError, Kpi, QueueConfig, ServiceKind, TruncationOverflow
 
@@ -122,8 +123,8 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["subcommand"] == "simulate"
     assert manifest["parameters"]["seed"] == 7
-    assert manifest["simulation"]["customers"] == 2 * (400 + 100)
-    assert 0.0 < manifest["simulation"]["wall_s"] <= manifest["duration_s"]
+    assert manifest["provenance"]["customers"] == 2 * (400 + 100)
+    assert 0.0 < manifest["provenance"]["wall_s"] <= manifest["duration_s"]
 
 
 def test_simulate_summary_and_raw(tmp_path):
@@ -192,9 +193,9 @@ def test_cdf_sim_manifest_records_simulation(tmp_path):
                  "--t-max", "5", "--out", str(out)])
     assert code == EXIT_OK
     manifest = json.loads((tmp_path / "sim2.csv.manifest.json").read_text())
-    assert manifest["simulation"]["customers"] == 2 * (200 + 50)
-    assert manifest["simulation"]["wall_s"] > 0.0
-    assert "inversion" not in manifest
+    assert manifest["provenance"]["customers"] == 2 * (200 + 50)
+    assert manifest["provenance"]["wall_s"] > 0.0
+    assert set(manifest["provenance"]) == {"customers", "wall_s"}
 
 
 def test_kpi_left_of_region_b_zero_exit_ok(capsys):
@@ -303,9 +304,12 @@ def test_cdf_manifest_records_inversion_diagnostics(tmp_path):
     code = main(["cdf", "--kind", "dapq2", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5",
                  "--d", "2", "--t-max", "5", "--out", str(out)])
     assert code == EXIT_OK
-    manifest = json.loads((tmp_path / "cdf.csv.manifest.json").read_text())
-    assert 0.0 < manifest["inversion"]["error_estimate"] <= 1e-8
-    assert manifest["inversion"]["head_states"] > 0
+    provenance = json.loads((tmp_path / "cdf.csv.manifest.json").read_text())["provenance"]
+    assert provenance["provenance"] == "inverted"
+    assert 0.0 < provenance["error_estimate"] <= 1e-8
+    assert provenance["head_states"] > 0
+    # the clamp's change, which the manifest once left out
+    assert 0.0 <= provenance["max_adjustment"] < 1e-8
 
 
 def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
@@ -313,7 +317,7 @@ def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
     code = main(["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--region",
                  "--resolution", "0.05", "--out", str(out)])
     assert code == EXIT_OK
-    search = json.loads((tmp_path / "region.csv.manifest.json").read_text())["search"]
+    search = json.loads((tmp_path / "region.csv.manifest.json").read_text())["provenance"]
     assert 0 < search["inversion_calls"] <= 20
     assert search["rows_inverted"] >= search["inversion_calls"]
     assert 0.0 < search["error_estimate"] <= 1e-8
@@ -325,7 +329,7 @@ def test_kpi_manifest_records_how_the_search_was_computed(tmp_path):
                      "--lam2", lam2, "--sweep-d", "0:3", "--out", str(out)])
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / f"sweep{cls}.csv.manifest.json").read_text())
-        estimates = manifest["search"]["error_estimates"]
+        estimates = [pt["error_estimate"] for pt in manifest["provenance"]["points"]]
         assert len(estimates) == 4 and "duration_s" in manifest
         if inverted:
             assert all(0.0 < e <= 1e-8 for e in estimates)
@@ -339,13 +343,14 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
                  "--lam2", "0.18", "--sweep-d", "0:4", "--out", str(out)]) == EXIT_OK
-    search = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["search"]
-    assert search["probes"] == [pt.probes for pt in points]
-    assert search["root_widths"] == [pt.root_width for pt in points]
-    assert 0.0 < search["root_widths"][0] < 1e-6 and search["root_widths"][-1] == 0.0
+    search = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["provenance"]
+    probes, widths = ([pt[key] for pt in search["points"]] for key in ("probes", "root_width"))
+    assert probes == [pt.probes for pt in points]
+    assert widths == [pt.root_width for pt in points]
+    assert 0.0 < widths[0] < 1e-6 and widths[-1] == 0.0
     assert (search["inversion_calls"], search["rows_inverted"]) == (
         points.inversion_calls, points.rows_inverted)
-    assert 0 < search["inversion_calls"] <= 20 and search["probes"][0] > 5
+    assert 0 < search["inversion_calls"] <= 20 and probes[0] > 5
     # one chain run gives the busy weights and correction sums of every delay
     assert (search["chain_runs"], search["chain_steps"]) == (1, points.chain_steps)
     assert points.chain_runs == 1 and points.chain_steps > 0
@@ -353,14 +358,15 @@ def test_kpi_sweep_manifest_records_probes_and_inversions(tmp_path):
     out = tmp_path / "sweep1.csv"
     assert main(["kpi", "--class", "1", "--w", "2", "--p", "0.9", "--lam1", "0.05",
                  "--lam2", "0.6", "--sweep-d", "0:1", "--out", str(out)]) == EXIT_OK
-    search = json.loads((tmp_path / "sweep1.csv.manifest.json").read_text())["search"]
+    search = json.loads((tmp_path / "sweep1.csv.manifest.json").read_text())["provenance"]
     assert (search["inversion_calls"], search["rows_inverted"]) == (0, 0)
     assert search["chain_runs"] == 1 and search["chain_steps"] > 0
     # the means at b = 0 and 1 and at the closed-form rate, then its steps
     points = kpi.policy_sweep(QueueConfig(0.05, 0.6, 1.0), Kpi(2.0, 0.9, 1), [0.0, 1.0])
-    assert search["probes"] == [pt.probes for pt in points]
-    assert all(p >= 3 for p in search["probes"])
-    assert all(0.0 < width < 1e-12 for width in search["root_widths"])
+    probes = [pt["probes"] for pt in search["points"]]
+    assert probes == [pt.probes for pt in points]
+    assert all(p >= 3 for p in probes)
+    assert all(0.0 < pt["root_width"] < 1e-12 for pt in search["points"])
 
 
 _QUEUE = ["--lam1", "0.4", "--lam2", "0.18"]
@@ -609,6 +615,37 @@ def test_manifest_records_every_flag_but_the_manifest_path(argv, tmp_path):
     subparsers = next(a for a in cli._build_parser()._actions if a.dest == "subcommand")
     flags = {a.dest for a in subparsers.choices[argv[0]]._actions} - {"help", "manifest"}
     assert manifest["subcommand"] == argv[0] and set(manifest["parameters"]) == flags
+
+
+@pytest.mark.parametrize("argv, result_type, label", [
+    (_CLI_BATTERY["cdf-dapq2"], transforms.CdfCurve, "inverted"),
+    (_CLI_BATTERY["cdf-zexp1"], transforms.CdfCurve, "approximate"),
+    (_CLI_BATTERY["cdf-fcfs"], transforms.CdfCurve, "exact"),
+    (_CLI_BATTERY["cdf-npq1"], transforms.CdfCurve, "exact"),
+    (_CLI_BATTERY["cdf-sim2-exp"], simulate.EmpiricalCdf, None),
+    (["simulate", "--lam1", "0.5", "--lam2", "0.3", "--t-max", "2", *_SIM],
+     simulate.EmpiricalCdf, None),
+    (_CLI_BATTERY["kpi-sweep-class2"], kpi.PolicySweep, None),
+    (_CLI_BATTERY["kpi-region"], kpi.FeasibleRegion, None),
+])
+def test_manifest_provenance_is_the_results_compare_false_fields(argv, result_type, label,
+                                                                  tmp_path):
+    # one rule: every field that says how a result was computed reaches its manifest
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+    provenance = json.loads((tmp_path / "out.csv.manifest.json").read_text())["provenance"]
+
+    def diagnostics(cls):
+        return {f.name for f in dataclasses.fields(cls) if not f.compare}
+
+    if result_type is kpi.PolicySweep:
+        points = provenance.pop("points")
+        assert len(points) == 9 and all(set(pt) == diagnostics(kpi.PolicyPoint) for pt in points)
+        assert set(provenance) == {"inversion_calls", "rows_inverted", "chain_runs",
+                                   "chain_steps"}
+    else:
+        assert provenance and set(provenance) == diagnostics(result_type)
+    if label is not None:
+        assert provenance["provenance"] == label
 
 
 # --------------------------------------------------------------------------

@@ -14,18 +14,19 @@ mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
 the command line's mean path, of one exponential sweep out to d = 300
 (``LONG_SWEEP``), of one deterministic sweep at occupancy 0.999
 (``HEAVY_SWEEP``), of a class-2 ``dapq kpi`` sweep and region at a
-target wait too small to invert (``TINY_TARGET``), and of a class-2
-``dapq kpi`` sweep whose class-1 mean falls with d (``TREND_SWEEP``).
+target wait too small to invert (``TINY_TARGET``), of a class-2
+``dapq kpi`` sweep whose class-1 mean falls with d (``TREND_SWEEP``), and
+of one small seeded ``dapq simulate`` run (``SIMULATE``).
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
 
 With ``--compare OTHER`` the script runs both trees, each in its own
 process, and prints instead, per ``cdf`` and ``kpi`` output and per
-``dapq mean`` sweep, the largest
-absolute difference over the CSV's numeric cells between TREE and OTHER:
-0.0 for equal CSVs, inf when a text cell differs or the CSVs differ in
-shape or presence.  That is the tolerance a change that moves outputs
+fixed command line, the largest absolute difference over the CSV's
+numeric cells between TREE and OTHER: 0.0 for equal CSVs (or none on
+either side), inf when a text cell differs or the CSVs differ in shape
+or presence.  That is the tolerance a change that moves outputs
 states.
 """
 
@@ -48,6 +49,9 @@ HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5
 TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
 TREND_SWEEP = ["kpi", "--class", "2", "--w", "8", "--p", "0.95", "--lam1", "0.35",
                "--lam2", "0.25", "--sweep-d", "0:2:0.5"]
+SIMULATE = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
+            "--n", "400", "--burn-in", "100", "--reps", "3", "--seed", "7",
+            "--t-max", "10", "--dt", "0.5"]
 # (label, argv) of the fixed command lines, whose CSVs are cli-<index>.csv
 COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
             for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
@@ -57,7 +61,8 @@ COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service
 COMMANDS += [("kpi tiny-w sweep",
               [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
              ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"]),
-             ("kpi trend sweep", TREND_SWEEP)]
+             ("kpi trend sweep", TREND_SWEEP),
+             ("simulate", SIMULATE)]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -116,10 +121,9 @@ def _compare(tree: Path, other: Path, seeds) -> int:
                           f"max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
                           flush=True)
         for i, (label, _) in enumerate(COMMANDS):
-            if label.startswith("mean"):
-                file = f"cli-{i}.csv"
-                print(f"{label} max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
-                      flush=True)
+            file = f"cli-{i}.csv"
+            print(f"{label} max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
+                  flush=True)
     return 0
 
 
