@@ -237,15 +237,19 @@ def validate(config: QueueConfig) -> DerivedRates:
     )
 
 
+def _residual_work(config: QueueConfig) -> float:
+    """W0 = lambda*E[S^2]/2, the mean residual service an arrival finds (Cobham)."""
+    lam = config.lambda1 + config.lambda2
+    return lam * config.service.second_moment(config.mu) / 2.0
+
+
 def _conservation_rhs(config: QueueConfig, rates: DerivedRates) -> float:
     """Discipline-free value of rho1*E[W1] + rho2*E[W2], from the config's ``rates``.
 
-    Equals rho/(1-rho) * lambda*E[S^2]/2 for any work-conserving,
-    non-preemptive discipline; independent of ``b`` and ``d``.
+    Equals rho/(1-rho) * W0 for any work-conserving, non-preemptive
+    discipline; independent of ``b`` and ``d``.
     """
-    lam = config.lambda1 + config.lambda2
-    es2 = config.service.second_moment(config.mu)
-    return rates.rho / (1.0 - rates.rho) * lam * es2 / 2.0
+    return rates.rho / (1.0 - rates.rho) * _residual_work(config)
 
 
 def _class1_mean_from_class2(config: QueueConfig, rates: DerivedRates, mean_w2):

@@ -1,22 +1,25 @@
 """Exact expected waiting times in the delayed APQ, with FCFS, NPQ and APQ as its cases.
 
-The class-2 delayed-APQ mean is the NPQ mean minus a correction that prices
-the slower accreditation: for exponential service the correction is the
-first moment of the busy-horizon state weights (``dapq.markov``), a
-Poisson-weighted sum over the uniformized ahead-set chain; for
-deterministic service the sum over post-delay queue states of
-residual-service integrals against the M/D/1 stationary distribution has a
-closed form.  Class-1 means always follow from the work-conserving
-conservation law.
+For either service kind the class-2 delayed-APQ mean is
 
-The accumulation rate b enters the mean only as the prefactor
-rho1 b / (mu (1 - rho1 (1-b)) (1 - rho1)) of that correction; the
-correction sum itself depends on (lambda1, lambda2, mu, d) alone.
-``_MeanInB`` computes the sum once and then prices any number of b
+    E[W2](b) = npq - g(b) C,    g(b) = rho1 b / ((1 - rho1 (1 - b))(1 - rho1)):
+
+npq = W0 / ((1 - rho1)(1 - rho)) is the strict-priority mean (Cobham), W0 =
+lambda E[S^2]/2 the residual work an arrival finds (``core._residual_work``,
+which the conservation law reads too), and C, in time units, prices the
+slower accreditation.  For exponential service C is the first moment of
+the busy-horizon state weights (``dapq.markov``) over mu; for
+deterministic service, a closed form of residual-service integrals against
+the M/D/1 stationary distribution over mu, or below one service (d = 0)
+the FCFS mean W0 / (1 - rho).  Class-1 means follow from the
+work-conserving conservation law.
+
+b enters the mean only through g(b); C depends on (lambda1, lambda2, mu,
+d) alone.  ``_MeanInB`` computes C once and then prices any number of b
 values, which is what a search over b (``dapq.kpi``) and a b sweep of
-``dapq mean`` need.  The prefactor is linear-fractional in b, so the rate
-that gives a class-2 mean, and through conservation a class-1 mean, is
-one closed form (``_MeanInB.rate_for``), and so is the mean's slope in b
+``dapq mean`` need.  g is linear-fractional in b, so the rate that gives
+a class-2 mean, and through conservation a class-1 mean, is one closed
+form (``_MeanInB.rate_for``), and so is the mean's slope in b
 (``_MeanInB.slope``).
 
 Numerical notes
@@ -32,10 +35,14 @@ Numerical notes
   the Poisson tail falls below eps_series/2, the heads' mass rule scaled
   (the moment cut of ``markov._jump_cuts``).
 * A mean validates its config once and works from the ``DerivedRates``
-  that validation returned: the strict-priority mean, the conservation law
+  that validation returned: the conservation law
   (``core._conservation_rhs``, ``core._class1_mean_from_class2``) and the
   class-2 mean in b (``_MeanInB``) each have one implementation, and each
   takes those rates.
+* Both corrections are cut to eps_series in mu = 1 units, so a mean that
+  needs C raises ``AccuracyNotMet`` when eps_series is below the float
+  spacing of npq mu, the largest value the mean takes in those units;
+  b = 0 (npq) needs no C.
 * The deterministic-service correction is summed over every post-delay
   state at once: by the binomial theorem on the residual- and delay-side
   Poisson weights, the sum over states is a partial expectation of
@@ -60,6 +67,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    AccuracyNotMet,
     DapqError,
     DerivedRates,
     OutOfRange,
@@ -69,22 +77,10 @@ from .core import (
     WaitSummary,
     _class1_mean_from_class2,
     _conservation_rhs,
+    _residual_work,
     validate,
 )
 from .markov import _delay_weights, _poisson_table, md1_stationary
-
-
-# --------------------------------------------------------------------------
-# strict priority
-# --------------------------------------------------------------------------
-
-def _npq_class2_mean(config: QueueConfig, rates: DerivedRates) -> float:
-    """Mean class-2 wait under strict (non-preemptive) priority, from the config's ``rates``.
-
-    rho/(mu(1-rho1)(1-rho)), halved for deterministic service.
-    """
-    base = rates.rho / (config.mu * (1.0 - rates.rho1) * (1.0 - rates.rho))
-    return base if config.service is ServiceKind.EXPONENTIAL else 0.5 * base
 
 
 # --------------------------------------------------------------------------
@@ -197,16 +193,17 @@ def _upper_poisson_moment(
             return out
 
 
-def _md1_emptying_integral(ell: int, lam1: float, pi: np.ndarray, nodes: int) -> float:
+def _md1_emptying_integral(ell: int, lam1: float, pi: np.ndarray) -> float:
     """The residual-service integral of the M/D/1 correction (mu = 1 units).
 
     int_0^1 e^{-lam1 r} sum_{m=1}^{l} c_m(r) U(a_m, z_m, r) dr, where
     a_m = l-m+1, z_m = lam1 (a_m - r), U is ``_upper_poisson_moment`` and
     c_m(r) = sum_k numres_k(r) T[k, m] with
     numres_k(r) = sum_{n<k} pi_{k-n} (lam1 r)^n/n!.  The integrand is
-    smooth on [0, 1], so a fixed Gauss--Legendre rule takes it to roundoff.
+    smooth on [0, 1], so a fixed Gauss--Legendre rule of ``_MD1_NODES``
+    nodes takes it to roundoff.
     """
-    r, w = _unit_gauss_legendre(nodes)
+    r, w = _unit_gauss_legendre(_MD1_NODES)
     log_fact = _log_factorials(ell)
     band = min(ell, _MD1_BAND)
     # numres[q, k-1] = sum_{n < min(k, band)} pi_{k-n} (lam1 r_q)^n/n!, by a
@@ -224,9 +221,7 @@ def _md1_emptying_integral(ell: int, lam1: float, pi: np.ndarray, nodes: int) ->
     return float(w @ (np.exp(-lam1 * r) * total))
 
 
-def _md1_correction_sum(
-    config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig, nodes: int = _MD1_NODES
-) -> float:
+def _md1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
     """The b-free M/D/1 correction in closed form, in mu = 1 units (d = l/mu, l >= 1).
 
     Summed over the post-delay ahead count j >= 1, the j-series collapses
@@ -247,7 +242,7 @@ def _md1_correction_sum(
     head = np.convolve(pi[1:], _poisson_table(x, ell - 1)[0])[:ell]  # P'(S = 1..l)
     queue_mean = rho + rho * rho / (2.0 * (1.0 - rho))
     plain = queue_mean + rho * x - (ell + 0.5) * rho - float(np.arange(0.5 - ell, 0.0) @ head)
-    return plain - _md1_emptying_integral(ell, lam1, pi, nodes)
+    return plain - _md1_emptying_integral(ell, lam1, pi)
 
 
 def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -265,17 +260,17 @@ def md1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL
 class _MeanInB:
     """b -> exact E[W2] at fixed rates and delay, and back.
 
-    The mean at rate b is npq - g(b) num / den: npq is the strict-priority
-    mean, g(b) = rho1 b / ((1 - rho1 (1 - b))(1 - rho1)), over mu for
-    exponential service, and the b-free quotient (num, den) is computed at
-    the first b that needs it and kept, so later calls cost a few float
-    operations; each value equals the one-shot mean of
-    ``config.replace(b=b)`` bit for bit.  The config's own ``b`` is
-    ignored; ``rates`` are those ``validate`` gave the config at any b.
-    ``moment`` is the exponential-service correction sum when the caller
-    has it (``_b_free_rows`` computes those of all delays of a sweep at
-    once), or the ``DapqError`` computing it raised, which a call that
-    needs the correction raises; None computes it on first use.
+    The mean at rate b is npq - g(b) C for either service kind: npq =
+    W0 / ((1 - rho1)(1 - rho)) is the strict-priority mean, g(b) =
+    rho1 b / ((1 - rho1 (1 - b))(1 - rho1)), and the b-free correction C,
+    in time units, is computed at the first b that needs it and kept, so
+    later calls cost a few float operations; each value equals the
+    one-shot mean of ``config.replace(b=b)`` bit for bit.  The config's
+    own ``b`` is ignored; ``rates`` are those ``validate`` gave the config
+    at any b.  ``moment`` is the exponential-service drift moment when the
+    caller has it (``_b_free_rows`` computes those of all delays of a
+    sweep at once), or the ``DapqError`` computing it raised, which a call
+    that needs the correction raises; None computes it on first use.
     """
 
     def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
@@ -283,63 +278,60 @@ class _MeanInB:
         self._config = config
         self._rates = rates
         self._tol = tol
-        # a caller's exponential-service sum is the quotient (sum, 1); its error is kept
-        self._quotient = (moment, 1.0) if isinstance(moment, float) else moment
-        self._npq = _npq_class2_mean(config, rates)
+        self._moment = moment
+        self._c = None
+        self._npq = _residual_work(config) / ((1.0 - rates.rho1) * (1.0 - rates.rho))
 
-    def _correction(self) -> tuple:
-        """The b-free (num, den): correction sum and 1 or mu, in each kind's operation order."""
-        if self._quotient is None:
+    def _correction(self) -> float:
+        """C, kept once computed: the drift moment or M/D/1 closed form over mu, or the FCFS mean.
+
+        An eps_series below the spacing of npq mu raises ``AccuracyNotMet``.
+        """
+        if self._c is None:
             config, rates, tol = self._config, self._rates, self._tol
+            floor = np.spacing(self._npq * config.mu)
+            if tol.eps_series < floor:
+                raise AccuracyNotMet(
+                    f"eps_series = {tol.eps_series:.3g} is below {floor:.3g}, the float "
+                    f"spacing of the strict-priority mean in mu = 1 units")
             if config.service is ServiceKind.EXPONENTIAL:
-                self._quotient = _mm1_correction_sum(config, rates, tol), 1.0
-            elif round(config.d * config.mu) == 0:  # below one service: rho / (2 mu (1 - rho))
-                self._quotient = rates.rho, 2.0 * config.mu * (1.0 - rates.rho)
-            else:  # the closed form works in mu = 1 units; the correction scales by 1/mu
-                self._quotient = _md1_correction_sum(config, rates, tol), config.mu
-        if isinstance(self._quotient, DapqError):
-            raise self._quotient
-        return self._quotient
+                if self._moment is None:
+                    self._moment = _mm1_correction_sum(config, rates, tol)
+                if isinstance(self._moment, DapqError):
+                    raise self._moment
+                self._c = self._moment / config.mu
+            elif round(config.d * config.mu) == 0:  # below one service
+                self._c = _residual_work(config) / (1.0 - rates.rho)
+            else:
+                self._c = _md1_correction_sum(config, rates, tol) / config.mu
+        return self._c
 
     def __call__(self, b: float) -> float:
         if not 0.0 <= b <= 1.0:
             raise OutOfRange(f"accumulation ratio b must lie in [0,1], got {b}")
         if b == 0.0 or self._rates.rho1 == 0.0:
             return self._npq
-        num, den = self._correction()
-        config, rho1 = self._config, self._rates.rho1
-        rho1_acc = config.lambda1 * (1.0 - b) / config.mu
-        if config.service is ServiceKind.EXPONENTIAL:
-            g = rho1 * b / (config.mu * (1.0 - rho1_acc) * (1.0 - rho1))
-        else:
-            g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
-        return float(self._npq - g * num / den)
-
-    def _g_at_one(self) -> float:
-        """c = g(1) = rho1 / (1 - rho1), over mu for exponential service."""
         rho1 = self._rates.rho1
-        c = rho1 / (1.0 - rho1)
-        if self._config.service is ServiceKind.EXPONENTIAL:
-            c /= self._config.mu
-        return c
+        rho1_acc = self._config.lambda1 * (1.0 - b) / self._config.mu
+        g = rho1 * b / ((1.0 - rho1_acc) * (1.0 - rho1))
+        return float(self._npq - g * self._correction())
 
     def rate_for(self, mean_w2: float) -> float:
         """The rate in [0, 1] whose class-2 mean is ``mean_w2``, to roundoff.
 
         The mean must vary with b.  g(b) = c b / (1 - rho1 (1 - b)) with
-        c = g(1), so g(b) = G at b = G (1 - rho1) / (c - G rho1), where
-        G = (npq - mean_w2) den / num.
+        c = g(1) = rho1 / (1 - rho1), so g(b) = G at
+        b = G (1 - rho1) / (c - G rho1), where G = (npq - mean_w2) / C.
         """
-        num, den = self._correction()
         rho1 = self._rates.rho1
-        big_g = (self._npq - mean_w2) * den / num
-        return min(1.0, max(0.0, big_g * (1.0 - rho1) / (self._g_at_one() - big_g * rho1)))
+        big_g = (self._npq - mean_w2) / self._correction()
+        return min(1.0, max(0.0, big_g * (1.0 - rho1) / (rho1 / (1.0 - rho1) - big_g * rho1)))
 
     def slope(self, b: float) -> float:
-        """dE[W2]/db at rate b: -g'(b) num / den, g'(b) = c (1 - rho1) / (1 - rho1 (1 - b))^2."""
-        num, den = self._correction()
+        """dE[W2]/db at rate b: -g'(b) C, g'(b) = c (1 - rho1) / (1 - rho1 (1 - b))^2."""
         rho1 = self._rates.rho1
-        return -self._g_at_one() * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * num / den
+        c = rho1 / (1.0 - rho1)
+        return -c * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * self._correction()
 
 
 def _b_free_rows(configs, tol: ToleranceConfig, heads: bool) -> tuple:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -22,8 +23,10 @@ from _oracles import (
     poisson_horizon_scalar,
     x_rows_by_matrix,
 )
+from dapq.cli import EXIT_NUMERICAL, main
 from dapq.core import (
     DEFAULT_TOL,
+    AccuracyNotMet,
     InvalidDelay,
     NoClass1,
     OutOfRange,
@@ -241,9 +244,16 @@ def test_md1_probempty_matrix_bounded_at_long_delays():
     assert np.all(np.isfinite(T)) and T.min() >= 0.0 and T.max() <= 1.0
 
 
+def _md1_correction_at_nodes(monkeypatch, nodes, cfg, rates):
+    """``_md1_correction_sum`` with a ``nodes``-point residual-service rule."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mean_wait, "_MD1_NODES", nodes)
+        return _md1_correction_sum(cfg, rates, DEFAULT_TOL)
+
+
 @pytest.mark.parametrize("ell", [1, 8, 30])
 @pytest.mark.parametrize("share", [0.05, 0.5, 0.95])
-def test_md1_heavy_traffic(share, ell):
+def test_md1_heavy_traffic(share, ell, monkeypatch):
     # at occupancy 0.99 the j-series needed about 80 s for one mean
     cfg = QueueConfig(0.99 * share, 0.99 * (1.0 - share), 1.0, b=0.7, d=float(ell), service=DET)
     rates = validate(cfg)
@@ -252,14 +262,14 @@ def test_md1_heavy_traffic(share, ell):
     assert time.perf_counter() - start < 0.25
     npq = npq_class2_mean(cfg)
     assert fcfs_mean(cfg) <= mean <= npq * (1.0 + 1e-12)
-    coarse = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=32)
-    fine = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=64)
+    coarse = _md1_correction_at_nodes(monkeypatch, 32, cfg, rates)
+    fine = _md1_correction_at_nodes(monkeypatch, 64, cfg, rates)
     assert abs(coarse - fine) <= 1e-13 * max(1.0, fine)
 
 
 @pytest.mark.parametrize("ell", [1, 8, 30, 200, 500])
 @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.99])
-def test_md1_default_rule_agrees_with_64_nodes(rho, ell):
+def test_md1_default_rule_agrees_with_64_nodes(rho, ell, monkeypatch):
     # the default residual-service rule has 32 nodes; the worst measured
     # gap to 64 nodes over these configs is 1.9e-16 relative
     assert _MD1_NODES == 32
@@ -267,7 +277,7 @@ def test_md1_default_rule_agrees_with_64_nodes(rho, ell):
         cfg = QueueConfig(rho * share, rho * (1.0 - share), 1.0, b=0.5, d=float(ell), service=DET)
         rates = validate(cfg)
         got = _md1_correction_sum(cfg, rates, DEFAULT_TOL)
-        fine = _md1_correction_sum(cfg, rates, DEFAULT_TOL, nodes=64)
+        fine = _md1_correction_at_nodes(monkeypatch, 64, cfg, rates)
         assert abs(got - fine) <= 1e-14 * max(1.0, abs(fine))
 
 
@@ -331,11 +341,28 @@ def test_md1_mean_is_quiet_where_the_poisson_argument_underflows():
     assert (summary.mean_w1, summary.mean_w2) == (0.0, 5e-324)
 
 
+# roundings a rescaled mean, slope or rate may differ by
+_RESCALE_ULPS = 4
+
+
 def test_md1_mu_rescaling():
-    # same dimensionless problem at a different clock speed
-    base = md1_dapq_class2_mean(QueueConfig(0.5, 0.3, 1.0, b=0.5, d=2.0, service=DET))
-    fast = md1_dapq_class2_mean(QueueConfig(1.0, 0.6, 2.0, b=0.5, d=1.0, service=DET))
-    assert fast == pytest.approx(base / 2.0, rel=1e-10)
+    # the same dimensionless problem at another clock speed, for both
+    # service kinds: the mean and its slope in b at (lam1, lam2, mu, b, d)
+    # are those at (lam1/mu, lam2/mu, 1, b, d mu) over mu, and the rate
+    # giving a mean at mu is the one giving mean*mu at mu = 1, each to a few
+    # roundings: of npq (the largest value the mean takes) for the mean, of
+    # itself for the slope, and of npq over the slope for the rate
+    for service, mu, ell in itertools.product((EXP, DET), (2.0, 0.3), (0, 2)):
+        cfg = QueueConfig(0.5 * mu, 0.3 * mu, mu, d=ell / mu, service=service)
+        unit = QueueConfig(cfg.lambda1 / mu, cfg.lambda2 / mu, 1.0, d=cfg.d * mu,
+                           service=service)
+        at_mu, at_one = class2_mean_in_b(cfg), class2_mean_in_b(unit)
+        ulp = _RESCALE_ULPS * np.spacing(at_mu(0.0))
+        for b in (0.5, 1.0):
+            mean, slope = at_mu(b), at_mu.slope(b)
+            assert abs(mean - at_one(b) / mu) <= ulp
+            assert abs(slope - at_one.slope(b) / mu) <= _RESCALE_ULPS * np.spacing(-slope)
+            assert abs(at_mu.rate_for(mean) - at_one.rate_for(mean * mu)) <= ulp / -slope
 
 
 def test_dapq_means_npq_closed_forms():
@@ -506,3 +533,26 @@ def test_mean_in_b_keeps_the_rate_check(b):
         in_b(b)
     with pytest.raises(OutOfRange):
         class2_mean_in_b(QueueConfig(0.5, 0.3, 1.0, d=-1.0))
+
+
+@pytest.mark.parametrize("service", [EXP, DET])
+def test_an_eps_series_below_the_means_resolution_fails_loudly(service, monkeypatch, capsys,
+                                                                tmp_path):
+    # an eps_series below the float spacing of npq (in mu = 1 units) cannot
+    # be met by a correction summed in those units; it used to return a
+    # mean silently, and now raises naming that bound, whether the mean
+    # computes its correction or a sweep supplies it
+    cfg = QueueConfig(0.5, 0.3, 1.0, b=0.5, d=10.0, service=service)
+    tight = ToleranceConfig(eps_series=1e-18)
+    floor = f"{np.spacing(npq_class2_mean(cfg)):.3g}"
+    with pytest.raises(AccuracyNotMet, match=f"below {floor}, the float spacing"):
+        dapq_means(cfg, tight)
+    with pytest.raises(AccuracyNotMet, match=f"below {floor}"):
+        mean_wait._b_free_rows([cfg], tight, heads=False)[1][0](0.5)
+    assert dapq_means(cfg.replace(b=0.0), tight).mean_w2 == npq_class2_mean(cfg)
+    assert dapq_means(cfg).mean_w2 < npq_class2_mean(cfg)
+    monkeypatch.setenv("DAPQ_EPS_SERIES", "1e-18")
+    code = main(["mean", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "10",
+                 "--service", service.value, "--out", str(tmp_path / "mean.csv")])
+    assert code == EXIT_NUMERICAL
+    assert "AccuracyNotMet" in capsys.readouterr().err

@@ -19,10 +19,11 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean", "simulate")]
-    assert counts == [64, 3, 6, 4, 1]
-    assert [line.split(" exit=")[0] for line in lines[-8:]] == [
+    assert counts == [64, 3, 6, 6, 1]
+    assert [line.split(" exit=")[0] for line in lines[-10:]] == [
         "mean service=exp", "mean service=det", "mean long service=exp",
-        "mean heavy service=det", "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep",
+        "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
+        "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep",
         "simulate"]
     for line in lines:
         if line.startswith(("mean ", "kpi trend ", "simulate ")):
@@ -57,8 +58,8 @@ def test_compare_prints_each_csvs_largest_numeric_change(tmp_path):
     assert [line.split(" max_abs_diff=")[0] for line in lines] == [
         f"{kind} seed=0 op={i}" for kind in ("cdf", "kpi") for i in range(3)] + [
         "mean service=exp", "mean service=det", "mean long service=exp",
-        "mean heavy service=det", "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep",
-        "simulate"]
+        "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
+        "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep", "simulate"]
     assert all(line.endswith(" max_abs_diff=0.0") for line in lines)
 
     # numeric cells compare by value; a text cell, a shape or a missing file

@@ -13,10 +13,12 @@ and CSV sha256 (``none`` when no CSV was written) of one fixed ``dapq
 mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
 the command line's mean path, of one exponential sweep out to d = 300
 (``LONG_SWEEP``), of one deterministic sweep at occupancy 0.999
-(``HEAVY_SWEEP``), of a class-2 ``dapq kpi`` sweep and region at a
-target wait too small to invert (``TINY_TARGET``), of a class-2
-``dapq kpi`` sweep whose class-1 mean falls with d (``TREND_SWEEP``), and
-of one small seeded ``dapq simulate`` run (``SIMULATE``).
+(``HEAVY_SWEEP``), of one sweep at mu = 2 per service kind
+(``MU_SWEEP``, the only lines off mu = 1), of a class-2 ``dapq kpi``
+sweep and region at a target wait too small to invert (``TINY_TARGET``),
+of a class-2 ``dapq kpi`` sweep whose class-1 mean falls with d
+(``TREND_SWEEP``), and of one small seeded ``dapq simulate`` run
+(``SIMULATE``).
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
@@ -46,6 +48,8 @@ WORKLOADS = ("means", "cdf", "kpi")
 MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
 LONG_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.5", "--d", "0:300:100"]
 HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5"]
+# every d mu an integer, as deterministic service needs
+MU_SWEEP = ["--lam1", "1.0", "--lam2", "0.6", "--mu", "2", "--b", "0:1:0.5", "--d", "0:2:1"]
 TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
 TREND_SWEEP = ["kpi", "--class", "2", "--w", "8", "--p", "0.95", "--lam1", "0.35",
                "--lam2", "0.25", "--sweep-d", "0:2:0.5"]
@@ -57,7 +61,9 @@ COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service
             for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
                                           ("mean", MEAN_SWEEP, "det"),
                                           ("mean long", LONG_SWEEP, "exp"),
-                                          ("mean heavy", HEAVY_SWEEP, "det"))]
+                                          ("mean heavy", HEAVY_SWEEP, "det"),
+                                          ("mean mu=2", MU_SWEEP, "exp"),
+                                          ("mean mu=2", MU_SWEEP, "det"))]
 COMMANDS += [("kpi tiny-w sweep",
               [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
              ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"]),
