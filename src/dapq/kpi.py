@@ -17,9 +17,11 @@ both frontiers over arrival-rate pairs.
 
 Every class-2 search runs in lockstep over rows: the lambda1 values of a
 region, or the delays of a sweep (a single search is the one-row case).
-Each probe is one batched inversion over the rows still searching
-(``transforms._invert_over_delay_rows``), which also inverts the CDF's
-derivative in the searched parameter.  One function owns the bracket
+Each probe is one batched inversion over the rows still searching, which
+also inverts the CDF's derivative in the searched parameter: for a sweep
+the part past d of ``transforms._Class2Law``, which composes the class-2
+CDF (see the ``transforms`` module notes), for a region the
+strict-priority CDF (``_npq_probe``).  One function owns the bracket
 (``_newton_rows``): it probes both ends, settles each row whose root lies
 at one, and narrows every other row's bracket by a safeguarded Newton
 search: a regula-falsi point from the signed residuals at the ends, then
@@ -33,10 +35,11 @@ every row sees the points and values of a search of that row alone.  The
 b-free parts of a sweep (busy weights, the mean's correction sum, the
 strict-priority F(d)) are computed once per delay, the busy weights and
 exponential-service correction sums of all delays in one run of the
-ahead-set chain (``mean_wait._b_free_rows``).  Each row's inversions are
-gated on their own error bound; a row that fails retires and the others go
-on, and the search then raises the error of the first failed row, the one
-a row-by-row loop would have raised.
+ahead-set chain (``mean_wait._b_free_rows``) and every F(d) in one
+strict-priority inversion (``transforms._Class2Law``).  Each row's
+inversions are gated on their own error bound; a row that fails retires
+and the others go on, and the search then raises the error of the first
+failed row, the one a row-by-row loop would have raised.
 """
 
 from __future__ import annotations
@@ -290,84 +293,6 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: f
 # constraint evaluations
 # --------------------------------------------------------------------------
 
-class _Class2Rows:
-    """The class-2 CDF at the KPI's target wait for configs that differ only in d.
-
-    Per row it keeps the busy weights and the mean function
-    (``mean_wait._b_free_rows``), and the strict-priority F(d).  Rows with
-    w <= d have a b-free constraint, F(w) under strict priority: ``free``
-    lists them and ``free_values`` holds their uncertified values, which
-    count as the one probe of such a row.  The strict-priority F has the
-    same rates on every row, so it is inverted once, as one row at the
-    sorted abscissae that any row needs (``transforms._npq_cdf_rows``);
-    a point's value does not depend on the other points of its call, and
-    each row takes the worst estimate of its own points.
-    ``probe(b, rows)`` then costs one batched inversion of the rows'
-    over-delay transforms.  Every inversion is counted in the state.
-    """
-
-    def __init__(self, configs: Sequence[QueueConfig], kpi: Kpi, state: _Rows):
-        tol = state.tol
-        n = len(configs)
-        self.state = state
-        self.rates, self.means, self.weights = state.b_free(configs, heads=True)
-        self.w = w = kpi.target_w
-        self.ds = ds = np.array([cfg.d for cfg in configs], dtype=float)
-        for r in state.alive(range(n)):  # a low eps_invert or a d, w - d or w too small fails it
-            if error := transforms._inversion_error(np.array([ds[r], w - ds[r], w]), tol):
-                state.fail(r, error)
-        live = state.alive(range(n))
-        self.f_at_d = np.zeros(n)
-        self.fixed_est = np.zeros(n)  # each row's b-free Euler estimate
-        self.free = live[self.w <= self.ds[live]]
-        self.dep = live[self.w > self.ds[live]]
-        self.free_values = np.zeros(0)
-        if not live.size:
-            return
-        self.lambda1, self.mu = configs[live[0]].lambda1, configs[live[0]].mu
-        rho = self.rates[live[0]].rho
-        self.f_at_d[:] = 1.0 - rho
-        delayed = self.dep[self.ds[self.dep] > 0]
-        ts = self.ds[np.concatenate([delayed, self.free])]
-        if self.free.size:
-            ts = np.append(ts, w)
-        if ts.size:
-            ts = np.unique(ts)
-            state.inverted(1)
-            vals, est = transforms._npq_cdf_rows(ts[None, :], self.lambda1, rho, self.mu, tol)
-            vals, est = vals[0], est[0]
-            at_d = np.searchsorted(ts, self.ds)
-            self.f_at_d[delayed] = vals[at_d[delayed]]
-            self.fixed_est[delayed] = est[at_d[delayed]]
-            if self.free.size:
-                state.probes[self.free] += 1
-                at_w = np.searchsorted(ts, w)
-                self.free_values = np.full(len(self.free), vals[at_w])
-                self.fixed_est[self.free] = np.maximum(est[at_w], est[at_d[self.free]])
-
-    def probe(self, b: np.ndarray, rows: np.ndarray):
-        """Certified F(w) at rate b[i] for each row i, all with w > d.
-
-        Returns (values, slopes, ok), ``slopes`` dF/db = -lambda1 dF/da
-        (NaN where unresolved) from the same inversion
-        (``transforms._invert_over_delay_rows``).
-        """
-        self.state.inverted(len(rows))
-        self.state.probes[rows] += 1
-        vals, est, dfda = transforms._invert_over_delay_rows(
-            (self.w - self.ds[rows])[:, None],
-            self.lambda1 * (1.0 - b),
-            self.mu,
-            [self.weights[r] for r in rows],
-            self.state.tol,
-            slope=True,
-        )
-        worst = transforms._two_part_estimate(self.fixed_est[rows], est[:, 0], self.ds[rows] > 0,
-                                              self.state.tol)
-        values, ok = self.state.certify(rows, self.f_at_d[rows] + vals[:, 0], worst)
-        return values, -self.lambda1 * dfda[:, 0], ok
-
-
 def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: np.ndarray):
     """Strict priority's certified class-2 F(w) at (lam1[i], lam2[i]) for each row.
 
@@ -440,19 +365,30 @@ def _b_star_class2_rows(
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
     n, p = len(configs), kpi.compliance_p
     state = _Rows(n, tol)
-    rows = _Class2Rows(configs, kpi, state)
+    rates, means, weights = state.b_free(configs, heads=True)
+    law = transforms._Class2Law(configs, rates, weights, np.full((n, 1), kpi.target_w), tol)
+    for r, exc in law.errors.items():
+        state.fail(r, exc)
+    if law.strict_points:
+        state.inverted(1)
+    past = law.past[law.live] > 0
+    free, dep = law.live[~past], law.live[past]
+    state.probes[free] += 1  # a row with w <= d has the b-free strict-priority F(w)
+    values, ok = state.certify(free, law.values[free, 0], law.worst[free])
     outcome = {}
-    values, ok = state.certify(rows.free, rows.free_values, rows.fixed_est[rows.free])
-    for r, v in zip(rows.free[ok], values[ok]):
+    for r, v in zip(free[ok], values[ok]):
         outcome[r] = (0.0, True) if v >= p else (1.0, False)
 
     def residual(b, rr):
-        values, slopes, ok = rows.probe(b, rr)
-        return values - p, slopes, ok
+        state.inverted(len(rr))
+        state.probes[rr] += 1
+        values, worst, slopes = law.past_d(b, rr, slope=True)
+        values, ok = state.certify(rr, values[:, 0], worst)
+        return values - p, slopes[:, 0], ok
 
-    _, hi, slope, at_lo, at_hi = _newton_rows(residual, rows.dep, np.zeros(n), np.ones(n),
+    _, hi, slope, at_lo, at_hi = _newton_rows(residual, dep, np.zeros(n), np.ones(n),
                                               tol.eps_root, ties_lo=False)
-    for r in state.alive(rows.dep):
+    for r in state.alive(dep):
         if r in at_lo:
             outcome[r] = (0.0, True)
         elif r in at_hi:
@@ -460,7 +396,7 @@ def _b_star_class2_rows(
         else:
             outcome[r] = (float(hi[r]), True)
             state.widths[r] = state.worst[r] / slope[r] if slope[r] > 0.0 else math.inf
-    return _points(configs, outcome, rows.rates, rows.means, state)
+    return _points(configs, outcome, rates, means, state)
 
 
 def _b_star_class1_rows(
@@ -598,11 +534,8 @@ def meets_extreme(
     if discipline not in ("fcfs", "npq"):
         raise OutOfRange(f"unknown discipline {discipline!r}")
     try:
-        validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu))
+        rho = validate(QueueConfig(lambda1=lam1, lambda2=lam2, mu=mu)).rho
     except UnstableSystem:
-        return False
-    rho = (lam1 + lam2) / mu
-    if rho >= 1.0:
         return False
     w, p = kpi.target_w, kpi.compliance_p
     if discipline == "fcfs":
@@ -680,9 +613,12 @@ def feasible_region(
 
     # lower: strict priority exactly meets; CDF decreasing in lambda2.  The
     # crossing lies strictly below the FCFS frontier (NPQ treats class-2
-    # worse), which keeps the probed occupancies moderate; probes stay below
-    # the cap and frontiers beyond it are clipped (the transform state space
-    # grows like log(eps)/log(rho))
+    # worse).  The bracket ends 0.05 mu past that frontier, so a lambda1 up
+    # to 0.05 mu beyond rho_fcfs mu still gets a row, which fails at its
+    # lower end (frontier 0); the cap binds only where rho_fcfs > 0.945, and
+    # then keeps every probe at an occupancy of at most 0.995 and clips a
+    # frontier beyond it to the cap.  Strict priority inverts headless
+    # weights, so neither bounds the cost of a probe
     rho_probe_cap = 0.995
     hi_l2 = min(rho_probe_cap * mu, rho_fcfs * mu + 0.05 * mu) - lam1s - 1e-9
     lam1s, hi_l2 = lam1s[hi_l2 > 0], hi_l2[hi_l2 > 0]

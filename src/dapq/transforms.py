@@ -36,13 +36,23 @@ longest head first, and a row with a shorter head keeps its tail term
 until its own head starts, so Horner's rule updates a prefix of the rows
 at each step, and every point's weighted sums are its own.  Every row of
 a batch therefore equals its one-row inversion bit for bit, and every
-point its one-point inversion.  A single curve is the one-row case, and
-strict priority (b = d = 0) is the headless geometric weights at the
-accrediting rate lambda1 (``_npq_cdf_rows``).  The KPI searches in
-:mod:`dapq.kpi` invert all their rows this way, one call per
-root-finding step, and each such call also inverts the derivative of the
-CDF in the searched parameter, as a second half of the same contour sums
-(``_euler_invert`` with ``slope``), without changing a value.
+point its one-point inversion.  Strict priority (b = d = 0) is the
+headless geometric weights at the accrediting rate lambda1
+(``_npq_cdf_rows``).  A call can also invert the CDF's derivative in a
+parameter, as a second half of the same contour sums (``_euler_invert``
+with ``slope``), without changing a value; the KPI searches of
+:mod:`dapq.kpi` steer by it, one call per root-finding step.
+
+One type composes the class-2 CDF, ``_Class2Law``, for a curve (one row)
+and a KPI sweep (one row per delay) alike.  Up to the delay d a class-2
+wait is the strict-priority one: the atom 1 - rho at 0, then the
+strict-priority CDF, which depends on neither b nor d, so one inversion
+serves every row's points in (0, d] and every row's F(d).  Past d,
+F(t) = F(d) + H(t - d), H inverted at the accrediting rate
+lambda1 (1 - b), and the certificate adds the parts' errors: F(d)'s
+estimate and exp(-A) (none at d = 0, where F(d) is the exact atom), H's
+estimate and exp(-A), and the eps_series/2 of mass that H's busy weights
+drop at their jump cut (``markov._jump_cuts``).
 
 Empirically the exponent on eta is the full ahead count j: with exponential
 service the residual's accreditation interval is an ordinary accreditation
@@ -417,18 +427,6 @@ def _accuracy_gate(worst, tol: ToleranceConfig):
     return error, ok, failures
 
 
-def _two_part_estimate(at_d, over_delay, delayed, tol: ToleranceConfig):
-    """The estimate ``_accuracy_gate`` certifies for F(d) + H(t - d), a class-2 value past d.
-
-    The two inversions' errors add, elementwise: F(d)'s estimate ``at_d`` and exp(-A), but
-    none where ``delayed`` is False (at d = 0 F(d) is the exact atom 1 - rho); H's
-    ``over_delay`` and the gate's exp(-A); and the eps_series/2 of mass that H's busy
-    weights drop at their jump cut (``markov._jump_cuts``).
-    """
-    floor = math.exp(-_euler_params(tol.eps_invert))
-    return np.where(delayed, at_d + floor, 0.0) + (over_delay + 0.5 * tol.eps_series)
-
-
 def _certified_curve(
     ts: np.ndarray, raw: np.ndarray, worst: float, tol: ToleranceConfig, head_states: int = 0
 ) -> CdfCurve:
@@ -449,6 +447,86 @@ def _certified_curve(
         error_estimate=error,
         head_states=head_states,
     )
+
+
+class _Class2Law:
+    """The class-2 CDF of configs that differ only in d, at each row's abscissae, at any rate b.
+
+    Row r is config r with busy weights ``weights[r]`` (None for a failed
+    config, whose row is left out) and nondecreasing abscissae ``ts[r]``
+    (``ts`` is (rows, points)).  The constructor does the b-free part.  It
+    refuses each row whose abscissae cannot be inverted
+    (``_inversion_error`` on its points up to d, d, and t - d past d),
+    keeping its error in ``errors``, and makes the one strict-priority
+    inversion over the ``live`` rows' points in (0, d] and each d > 0,
+    ``strict_points`` in all.  Per row it keeps ``values`` (the atom at 0,
+    the strict-priority values in (0, d]), ``f_at_d``, ``worst``, the
+    largest estimate over those points and d, and ``past``, the count of
+    its points past d, which end the row (``past_d``).
+    """
+
+    def __init__(self, configs: Sequence[QueueConfig], rates, weights: Sequence[BusyWeights],
+                 ts: np.ndarray, tol: ToleranceConfig):
+        n, m = ts.shape
+        self.weights, self.tol = weights, tol
+        ds = np.array([cfg.d for cfg in configs], dtype=float)
+        pts = np.concatenate([ts, ds[:, None]], axis=1)  # each row's abscissae, then its d
+        self.over = over = ts - ds[:, None]
+        self.past = np.add.reduce(over > 0.0, axis=1)
+        self.errors, live, dead = {}, [], []
+        for r in range(n):
+            cut = m - self.past[r]
+            if weights[r] is None or (error := _inversion_error(
+                    np.concatenate([ts[r, :cut], ds[r : r + 1], over[r, cut:]]), tol)):
+                dead.append(r)
+                if weights[r] is not None:
+                    self.errors[r] = error
+            else:
+                live.append(r)
+        self.live = np.array(live, dtype=int)
+        strict = pts > 0.0
+        strict[:, :m] &= over <= 0.0
+        if dead:
+            strict[dead] = False
+        full, self.worst = np.zeros(pts.shape), np.zeros(n)
+        self.values, self.f_at_d = full[:, :m], full[:, m]
+        self.strict_points = 0
+        if not live:
+            return
+        self.lambda1, self.mu = configs[live[0]].lambda1, configs[live[0]].mu
+        rho = rates[live[0]].rho
+        points = pts[strict]
+        self.strict_points = points.size
+        if points.size:
+            vals, est = _npq_cdf_rows(points[None, :], self.lambda1, rho, self.mu, tol)
+            full[strict] = est[0]
+            # a NaN estimate stays NaN, unlike with max(), so it fails the gate
+            self.worst = full.max(axis=1)
+            full[strict] = vals[0]
+        full[pts == 0.0] = 1.0 - rho  # the atom at t = 0, and F(d) where d = 0
+        # F(d)'s part of a certificate past d
+        self.at_d = np.where(ds > 0.0, self.worst + math.exp(-_euler_params(tol.eps_invert)), 0.0)
+
+    def past_d(self, b, rows, slope: bool = False):
+        """F(d) + H(t - d) at each of ``rows``' points past d, at its rate b (one b or one per row).
+
+        Rows given together have equally many points past d, m.  Returns
+        the uncertified values, (len(rows), m), and each row's estimate for
+        ``_accuracy_gate``, bounding all its points: ``worst`` where m = 0,
+        else the two-part sum (F(d)'s estimate is the row's largest up to
+        d).  With ``slope`` dF/db = -lambda1 dH/da, NaN where unresolved,
+        comes third.  One batched inversion (``_invert_over_delay_rows``).
+        """
+        m = self.past[rows[0]] if len(rows) else 0
+        if not m:
+            values = np.zeros((len(rows), 0))
+            return (values, self.worst[rows]) + ((values,) if slope else ())
+        h, est, *dhda = _invert_over_delay_rows(
+            self.over[rows, -m:], self.lambda1 * (1.0 - b), self.mu,
+            [self.weights[r] for r in rows], self.tol, slope)
+        values = self.f_at_d[rows, None] + h
+        worst = self.at_d[rows] + (est.max(axis=1) + 0.5 * self.tol.eps_series)
+        return (values, worst) + ((-self.lambda1 * dhda[0],) if slope else ())
 
 
 def default_grid(config: QueueConfig) -> np.ndarray:
@@ -476,11 +554,9 @@ def class2_cdf_dapq(
 ) -> CdfCurve:
     """Waiting-time CDF of class-2 customers in the delayed APQ (M/M/1).
 
-    Within the delay horizon the law coincides with the strict-priority
-    (b = 0) reference (``_npq_cdf_rows``); beyond d the over-delay
-    transform of the config's busy weights takes over.  Each part is a
-    one-row batch of ``_invert_over_delay_rows``.  The busy weights do not
-    depend on b, which enters only through the accrediting rate.  An empty
+    The one-row case of ``_Class2Law``: strict priority up to d, then
+    F(d) + H(t - d) at the config's accrediting rate.  The busy weights do
+    not depend on b, which enters only through that rate.  An empty
     grid gives an empty curve; an abscissa that is not finite or out of
     order, or a positive d, t or t - d too small to invert, raises OutOfRange,
     and an eps_invert below the inversion floor AccuracyNotMet.
@@ -490,28 +566,10 @@ def class2_cdf_dapq(
         raise OutOfRange("class2_cdf_dapq requires exponential service")
     ts = default_grid(config) if grid is None else _abscissae(grid)
     weights = busy_state_distribution(config, tol)
-    atom = 1.0 - rates.rho
-    d = config.d
-
-    inside = (ts > 0.0) & (ts <= d)
-    beyond = ts > d
-    if error := _inversion_error(np.concatenate([ts[inside], [d], ts[beyond] - d]), tol):
-        raise error
-    values = np.zeros_like(ts)
-    values[ts == 0.0] = atom
-    f_at_d, worst = atom, 0.0
-    if d > 0:  # with d = 0 no point lies in (0, d] and F(d) is the atom
-        # F(d) rides along as the last point of the strict-priority row
-        npq_vals, npq_est = _npq_cdf_rows(
-            np.append(ts[inside], d)[None, :], config.lambda1, rates.rho, config.mu, tol)
-        values[inside] = npq_vals[0, :-1]
-        f_at_d = npq_vals[0, -1]
-        worst = np.max(npq_est)
-    tail_vals, tail_est = _invert_over_delay_rows(
-        (ts[beyond] - d)[None, :], config.lambda1 * (1.0 - config.b), config.mu, [weights], tol)
-    values[beyond] = f_at_d + tail_vals[0]
-    # np.max keeps a NaN, unlike max(), so a non-finite evaluation fails the gate.  F(d)'s
-    # estimate is among the strict-priority ones, so the sum bounds the points in (0, d] too
-    if tail_est.size:
-        worst = _two_part_estimate(worst, np.max(tail_est), d > 0, tol)
-    return _certified_curve(ts, values, float(worst), tol, head_states=len(weights))
+    law = _Class2Law([config], [rates], [weights], ts[None, :], tol)
+    if law.errors:
+        raise law.errors[0]
+    past, worst = law.past_d(config.b, law.live)
+    values = law.values[0]
+    values[len(ts) - law.past[0]:] = past[0]
+    return _certified_curve(ts, values, float(worst[0]), tol, head_states=len(weights))

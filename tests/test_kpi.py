@@ -482,6 +482,15 @@ def test_extremes_reject_rates_that_are_not_rates(lam1, lam2, mu, unstable, targ
                 check()
 
 
+def test_extremes_take_the_occupancy_that_validate_accepts():
+    # validate's rho1 + rho2 rounds to 0.9999999999999999 here, where
+    # (lam1 + lam2) / mu rounds to 1: the pair is stable, and the FCFS law
+    # 1 - rho exp(-mu (1 - rho) w) meets a target of 1e-17
+    lam1, lam2, mu = 0.39844271237554857, 0.30155728762445133, 0.7
+    assert (lam1 + lam2) / mu == 1.0 and validate(QueueConfig(lam1, lam2, mu)).rho < 1.0
+    assert meets_extreme(lam1, lam2, mu, Kpi(1.0, 1e-17, 2), "fcfs")
+
+
 def _one_row_sweep(cfg, target, ds, tol=DEFAULT_TOL):
     """``policy_sweep`` as one-row class-2 searches (``b_star_class2``), one
     delay after another: the lockstep rows must see the points of their
@@ -660,26 +669,32 @@ def test_interior_class1_points_have_the_conserved_class2_mean(service, mu):
 
 @pytest.mark.parametrize("lam", [(0.4, 0.18), (0.2, 0.5), (0.6, 0.3)])
 def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
-    # delays with mixed head lengths (d = 0 has none), each row at its own b
+    # delays with mixed head lengths (d = 0 has none), each row at its own b;
+    # 2.5 comes twice and 3.0 equals w, so the one strict-priority inversion
+    # of the b-free part sees repeated abscissae
     cfg = QueueConfig(lam[0], lam[1], 1.0)
     w = 3.0
-    configs = [cfg.replace(d=d) for d in (2.5, 0.0, 7.0, 1.0, 3.0, 0.5, 4.5)]
+    configs = [cfg.replace(d=d) for d in (2.5, 0.0, 7.0, 1.0, 3.0, 0.5, 4.5, 2.5)]
     state = kpi._Rows(len(configs), DEFAULT_TOL)
-    rows = kpi._Class2Rows(configs, Kpi(w, 0.9, 2), state)
-    assert len({len(rows.weights[r]) for r in rows.dep}) > 2
+    rates, _, weights = state.b_free(configs, heads=True)
+    law = transforms._Class2Law(configs, rates, weights, np.full((len(configs), 1), w), DEFAULT_TOL)
+    free, dep = np.flatnonzero(law.past == 0), np.flatnonzero(law.past)
+    assert not law.errors and len({len(weights[r]) for r in dep}) > 2
+    assert law.strict_points == len(free) + sum(c.d > 0.0 for c in configs)  # w and d > 0
 
     def one_row(c, b):
         return class2_cdf_dapq(c.replace(b=b), np.array([w]))
 
-    bs = np.linspace(0.0, 1.0, len(rows.dep))
-    values, _, ok = rows.probe(bs, rows.dep)
+    bs = np.linspace(0.0, 1.0, len(dep))
+    raw, worst, _ = law.past_d(bs, dep, slope=True)
+    values, ok = state.certify(dep, raw[:, 0], worst)
     assert ok.all()
-    for r, b, v in zip(rows.dep, bs, values):
+    for r, b, v in zip(dep, bs, values):
         curve = one_row(configs[r], b)
         assert v == curve.values[0] and state.worst[r] == curve.error_estimate
-    values, ok = state.certify(rows.free, rows.free_values, rows.fixed_est[rows.free])
-    assert ok.all() and len(rows.free) == 3
-    for r, v in zip(rows.free, values):
+    values, ok = state.certify(free, law.values[free, 0], law.worst[free])
+    assert ok.all() and len(free) == 3
+    for r, v in zip(free, values):
         curve = one_row(configs[r], 0.3)
         assert v == curve.values[0] and state.worst[r] == curve.error_estimate
 

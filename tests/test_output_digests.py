@@ -19,16 +19,19 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean", "simulate")]
-    assert counts == [64, 3, 6, 6, 1]
-    assert [line.split(" exit=")[0] for line in lines[-10:]] == [
-        "mean service=exp", "mean service=det", "mean long service=exp",
-        "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
-        "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep",
-        "simulate"]
+    assert counts == [64, 3, 6, 12, 1]
+    # each fixed mean line is followed by the digest of its means' float hex
+    assert [line.rsplit(" ", 1)[0] for line in lines[-16:]] == [
+        f"{label} {kind}" for label in (
+            "mean service=exp", "mean service=det", "mean long service=exp",
+            "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det")
+        for kind in ("exit=0", "floats")] + [
+        "kpi tiny-w sweep exit=2", "kpi tiny-w region exit=2", "kpi trend sweep exit=0",
+        "simulate exit=0"]
     for line in lines:
         if line.startswith(("mean ", "kpi trend ", "simulate ")):
             code, digest = line.split()[-2:]
-            assert code == "exit=0"
+            assert code in ("exit=0", "floats")
             assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
             continue
         if line.startswith("kpi tiny-w "):

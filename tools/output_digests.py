@@ -18,7 +18,10 @@ the command line's mean path, of one exponential sweep out to d = 300
 sweep and region at a target wait too small to invert (``TINY_TARGET``),
 of a class-2 ``dapq kpi`` sweep whose class-1 mean falls with d
 (``TREND_SWEEP``), and of one small seeded ``dapq simulate`` run
-(``SIMULATE``).
+(``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
+of the float hex of both means, from TREE's ``dapq_means``, at each (b, d)
+point of that command line, since the CSV's 12 significant digits hide a
+move of a few ulps.
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
@@ -84,6 +87,18 @@ def _digest(name: str, raw, path: Path) -> str:
         del manifest["parameters"]["out"]
         line += " manifest=" + json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     return line
+
+
+def _mean_floats(dapq, argv) -> str:
+    """sha256 of the float hex of both means at each (b, d) point of a ``dapq mean`` line."""
+    args = dapq.cli._build_parser().parse_args(argv)
+    base = dapq.QueueConfig(args.lam1, args.lam2, args.mu, service=dapq.ServiceKind(args.service))
+    lines = []
+    for d in dapq.cli._parse_sweep(args.d):
+        for b in dapq.cli._parse_sweep(args.b):
+            means = dapq.dapq_means(base.replace(b=b, d=d))
+            lines.append(f"{means.mean_w1.hex()} {means.mean_w2.hex()}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def _cells(path: Path):
@@ -167,6 +182,8 @@ def main(argv=None) -> int:
             code = dapq.cli.main([*argv, "--out", str(path)])
             digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
             print(f"{label} exit={code} sha256={digest}", flush=True)
+            if argv[0] == "mean":
+                print(f"{label} floats sha256={_mean_floats(dapq, argv)}", flush=True)
     return 0
 
 
