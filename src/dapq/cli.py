@@ -47,6 +47,7 @@ from .core import (
     ToleranceConfig,
     TruncationOverflow,
     _check_count,
+    _first_failure,
     validate,
 )
 
@@ -179,16 +180,18 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     _check_count(len(bs) * len(ds), "the b x d grid")
     b_col = bs * len(ds)
     d_col = [d for d in ds for _ in bs]
-    # one class-2 mean function of b per delay, as a KPI sweep builds them: every
-    # exponential-service correction comes from one chain run
     base = QueueConfig(args.lam1, args.lam2, args.mu, service=service)
-    means = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, heads=False)[1]
-    summaries = []
-    for d, mean_in_b in zip(ds, means):
-        for b in bs:
-            point = base.replace(b=b, d=d)
-            rates = validate(point)  # the first invalid point raises, as in dapq_means
-            summaries.append(mean_wait._wait_summary(point, rates, mean_in_b(b)))
+    points = [base.replace(b=b, d=d) for b, d in zip(b_col, d_col)]
+
+    def batch():
+        # one class-2 mean function of b per delay, as a KPI sweep builds them:
+        # every exponential-service correction comes from one chain run
+        means = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, heads=False)[1]
+        return [mean_wait._wait_summary(point, validate(point), means[i // len(bs)](point.b))
+                for i, point in enumerate(points)]
+
+    # a failure is the first point's that fails alone, as in a dapq_means loop
+    summaries = _first_failure(batch, lambda i: mean_wait.dapq_means(points[i], tol), len(points))
     n = len(summaries)
     _write_output(
         ["lambda1", "lambda2", "mu", "service", "b", "d",

@@ -188,6 +188,28 @@ def _check_count(count: float, what: str) -> None:
         raise OutOfRange(f"{what} would hold {count:.6g} values, more than {_MAX_VALUES}")
 
 
+def _first_failure(batch, single, n: int):
+    """``batch()``, which does n items at once, or the DapqError a loop over the items raises.
+
+    The one failure rule of every batch (a delay sweep, a region's lambda1
+    rows, a ``dapq mean`` grid): the batch raises the first error it meets,
+    whichever item that is.  Then ``single(i)`` computes item i alone, for
+    i = 0, 1, ... in order, and the first that fails raises its own error,
+    the one a loop over the items would have raised; if none fails alone,
+    the batch's error is raised.  A batch row sees the points and values of
+    a search of that row alone, so it fails in the batch exactly when it
+    fails alone.  The failure path costs at most one one-item computation
+    per item before the failed one, on top of the batch.
+    """
+    try:
+        return batch()
+    except DapqError as exc:
+        failed = exc
+    for i in range(n):
+        single(i)
+    raise failed
+
+
 # --------------------------------------------------------------------------
 # operations
 # --------------------------------------------------------------------------

@@ -37,9 +37,10 @@ strict-priority F(d)) are computed once per delay, the busy weights and
 exponential-service correction sums of all delays in one run of the
 ahead-set chain (``mean_wait._b_free_rows``) and every F(d) in one
 strict-priority inversion (``transforms._Class2Law``).  Each row's
-inversions are gated on their own error bound; a row that fails retires
-and the others go on, and the search then raises the error of the first
-failed row, the one a row-by-row loop would have raised.
+inversions are gated on their own error bound.  A batch raises the first
+error it meets, and ``policy_sweep`` and ``feasible_region`` then raise
+the first failed row's error, the one a row-by-row loop would have
+raised, by one rule (``core._first_failure``).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import numpy as np
 from . import approx, mean_wait, transforms
 from .core import (
     DEFAULT_TOL,
-    DapqError,
     Kpi,
     OutOfRange,
     QueueConfig,
@@ -62,6 +62,7 @@ from .core import (
     _check_count,
     _class1_mean_from_class2,
     _conservation_rhs,
+    _first_failure,
     validate,
 )
 
@@ -145,21 +146,19 @@ class FeasibleRegion:
 # --------------------------------------------------------------------------
 
 class _Rows:
-    """Outcome bookkeeping of a lockstep search over n rows.
+    """Bookkeeping of a lockstep search over n rows.
 
-    A row that hits a DapqError keeps its first one and retires; the other
-    rows go on.  ``raise_first`` raises the error of the lowest failed row:
-    for a region the lowest lambda1, for a sweep the first delay in the
-    order given.  ``worst`` holds each row's largest certified inversion
-    error, ``probes`` each row's constraint evaluations, ``widths`` each
-    row's ``PolicyPoint.root_width``, ``calls`` and ``rows_inverted`` the
-    batched inversions, counted by ``inverted``, and ``chain_runs`` and
-    ``chain_steps`` the runs of the ahead-set chain.
+    ``worst`` holds each row's largest certified inversion error,
+    ``probes`` each row's constraint evaluations, ``widths`` each row's
+    ``PolicyPoint.root_width``, ``calls`` and ``rows_inverted`` the batched
+    inversions, counted by ``inverted``, and ``chain_runs`` and
+    ``chain_steps`` the runs of the ahead-set chain.  A failed row raises
+    at once; which row's error the search raises is ``core._first_failure``'s
+    rule.
     """
 
     def __init__(self, n: int, tol: ToleranceConfig):
         self.tol = tol
-        self.errors = {}
         self.worst = np.zeros(n)
         self.probes = np.zeros(n, dtype=int)
         self.widths = np.zeros(n)
@@ -174,38 +173,22 @@ class _Rows:
         self.rows_inverted += n_rows
 
     def b_free(self, configs: Sequence[QueueConfig], heads: bool) -> list:
-        """(rates, means, weights) of ``mean_wait._b_free_rows``, failures and chain run kept."""
+        """(rates, means, weights) of ``mean_wait._b_free_rows``, its chain run counted."""
         rates, means, weights, steps = mean_wait._b_free_rows(configs, self.tol, heads)
-        for r, mean in enumerate(means):
-            if isinstance(mean, DapqError):
-                self.fail(r, mean)
         if steps is not None:
             self.chain_runs += 1
             self.chain_steps += steps
         return rates, means, weights
 
-    def fail(self, row, exc: DapqError) -> None:
-        self.errors.setdefault(int(row), exc)
-
-    def alive(self, rows) -> np.ndarray:
-        return np.array([r for r in rows if r not in self.errors], dtype=int)
-
-    def certify(self, rows: np.ndarray, raw: np.ndarray, worst: np.ndarray):
+    def certify(self, rows: np.ndarray, raw: np.ndarray, worst: np.ndarray) -> np.ndarray:
         """Gate one batch of CDF values row by row (``transforms._accuracy_gate``).
 
-        ``worst`` is each row's largest Euler estimate; a row that fails the
-        gate fails with its AccuracyNotMet.  Returns the values clipped to
-        [0, 1] and the mask of rows that passed.
+        ``worst`` is each row's largest Euler estimate; the first row that
+        fails the gate raises its AccuracyNotMet.  Returns the values
+        clipped to [0, 1].
         """
-        error, ok, failures = transforms._accuracy_gate(worst, self.tol)
-        for r, exc in zip(rows[~ok], failures):
-            self.fail(r, exc)
-        self.worst[rows[ok]] = np.maximum(self.worst[rows[ok]], error[ok])
-        return np.clip(raw, 0.0, 1.0), ok
-
-    def raise_first(self) -> None:
-        if self.errors:
-            raise self.errors[min(self.errors)]
+        self.worst[rows] = np.maximum(self.worst[rows], transforms._accuracy_gate(worst, self.tol))
+        return np.clip(raw, 0.0, 1.0)
 
 
 # probes a Newton search may take beyond bisection's worst case
@@ -217,8 +200,8 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: f
     """Safeguarded Newton search of [lo[r], hi[r]] for every row r in ``rows``, in lockstep.
 
     The residual increases.  ``probe(x, rows)`` evaluates the active rows
-    (never none) at one point each and returns (residuals, slopes, ok),
-    ``ok`` False for rows whose probe failed, which retire.  A negative
+    (never none) at one point each and returns (residuals, slopes), or
+    raises the DapqError of a row that fails.  A negative
     residual moves lo up, a positive one moves hi down, and a zero one
     moves lo when ``ties_lo`` and hi otherwise.  The search probes lo for
     every row, then hi for the rows that lo left open, and settles a row
@@ -250,9 +233,7 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: f
     settled = []
     for at_hi, end, f_end in ((False, lo, f_lo), (True, hi, f_hi)):
         if rows.size:
-            values, _, ok = probe(end[rows], rows)
-            f_end[rows[ok]] = values[ok]
-            rows = rows[ok]
+            f_end[rows] = probe(end[rows], rows)[0]
         up = f_end[rows] <= 0.0 if ties_lo else f_end[rows] < 0.0  # as a probe inside moves lo
         settled.append(rows[up == at_hi])
         rows = rows[up != at_hi]
@@ -273,8 +254,7 @@ def _newton_rows(probe, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, eps: f
         bound = np.ldexp(reach[rows], n_max[rows] - (step + 1)) + slack[rows]
         safe = (a < x) & (x < b) & (b - bound <= x) & (x <= a + bound)
         x = np.where(safe, x, 0.5 * (a + b))
-        values, slopes, ok = probe(x, rows)
-        rows, x, values, slopes = rows[ok], x[ok], values[ok], slopes[ok]
+        values, slopes = probe(x, rows)
         up = values <= 0.0 if ties_lo else values < 0.0
         lo[rows[up]] = x[up]
         hi[rows[~up]] = x[~up]
@@ -299,8 +279,8 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
     One batched inversion at the target wait (``transforms._npq_cdf_rows``),
     counted in ``state``, after ``transforms._inversion_error`` has refused
     an eps_invert below the floor or a w too small to invert.  Returns
-    (values, slopes, ok) per row, ``slopes`` dF/dlambda2 = dF/drho / mu
-    from the same inversion.
+    (values, slopes) per row, ``slopes`` dF/dlambda2 = dF/drho / mu from the
+    same inversion.
     """
     if error := transforms._inversion_error(np.array([kpi.target_w]), state.tol):
         raise error
@@ -308,8 +288,7 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
     vals, est, dfdrho = transforms._npq_cdf_rows(
         np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol,
         slope=True)
-    values, ok = state.certify(rows, vals[:, 0], est[:, 0])
-    return values, dfdrho[:, 0] / mu, ok
+    return state.certify(rows, vals[:, 0], est[:, 0]), dfdrho[:, 0] / mu
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +296,7 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
 # --------------------------------------------------------------------------
 
 def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
-    """Each row's PolicyPoint at its (b, feasible) outcome; raises the first failed row's error.
+    """Each row's PolicyPoint at its (b, feasible) outcome.
 
     ``rates[r]`` and ``means[r]`` are the row's rates and class-2 mean as a
     function of b (``mean_wait._b_free_rows``); the class-1 mean follows from
@@ -325,20 +304,13 @@ def _points(configs, outcome: dict, rates, means, state: _Rows) -> PolicySweep:
     """
     points = []
     for r, cfg in enumerate(configs):
-        if r in state.errors:
-            continue
         b, feasible = outcome[r]
-        try:
-            w2 = means[r](b)
-            w1 = _class1_mean_from_class2(cfg, rates[r], w2)
-        except DapqError as exc:
-            state.fail(r, exc)
-            continue
+        w2 = means[r](b)
+        w1 = _class1_mean_from_class2(cfg, rates[r], w2)
         points.append(PolicyPoint(d=cfg.d, b_star=b, mean_w1=float(w1), mean_w2=float(w2),
                                   feasible=feasible, error_estimate=float(state.worst[r]),
                                   probes=int(state.probes[r]),
                                   root_width=float(state.widths[r])))
-    state.raise_first()
     return PolicySweep(points, state.calls, state.rows_inverted, state.chain_runs,
                        state.chain_steps)
 
@@ -367,28 +339,22 @@ def _b_star_class2_rows(
     state = _Rows(n, tol)
     rates, means, weights = state.b_free(configs, heads=True)
     law = transforms._Class2Law(configs, rates, weights, np.full((n, 1), kpi.target_w), tol)
-    for r, exc in law.errors.items():
-        state.fail(r, exc)
     if law.strict_points:
         state.inverted(1)
-    past = law.past[law.live] > 0
-    free, dep = law.live[~past], law.live[past]
+    free, dep = np.flatnonzero(law.past == 0), np.flatnonzero(law.past)
     state.probes[free] += 1  # a row with w <= d has the b-free strict-priority F(w)
-    values, ok = state.certify(free, law.values[free, 0], law.worst[free])
-    outcome = {}
-    for r, v in zip(free[ok], values[ok]):
-        outcome[r] = (0.0, True) if v >= p else (1.0, False)
+    values = state.certify(free, law.values[free, 0], law.worst[free])
+    outcome = {r: (0.0, True) if v >= p else (1.0, False) for r, v in zip(free, values)}
 
     def residual(b, rr):
         state.inverted(len(rr))
         state.probes[rr] += 1
         values, worst, slopes = law.past_d(b, rr, slope=True)
-        values, ok = state.certify(rr, values[:, 0], worst)
-        return values - p, slopes[:, 0], ok
+        return state.certify(rr, values[:, 0], worst) - p, slopes[:, 0]
 
     _, hi, slope, at_lo, at_hi = _newton_rows(residual, dep, np.zeros(n), np.ones(n),
                                               tol.eps_root, ties_lo=False)
-    for r in state.alive(dep):
+    for r in dep:
         if r in at_lo:
             outcome[r] = (0.0, True)
         elif r in at_hi:
@@ -429,40 +395,35 @@ def _b_star_class1_rows(
     state = _Rows(n, tol)
     rates, means, _ = state.b_free(configs, heads=False)
     outcome = {}
-    for r in state.alive(range(n)):
-        cfg, rt, mean_w2 = configs[r], rates[r], means[r]
-
+    for r, (cfg, rt, mean_w2) in enumerate(zip(configs, rates, means)):
         def mean1(b):
             state.probes[r] += 1
             return _class1_mean_from_class2(cfg, rt, mean_w2(b))
 
-        try:
-            threshold = approx.kpi_mean_threshold(rt.rho, kpi)
-            if math.isinf(threshold):  # approx.ALWAYS_SATISFIED
-                outcome[r] = (1.0, True)
-            elif mean1(0.0) > threshold:
-                outcome[r] = (0.0, False)
-            elif mean1(1.0) <= threshold:
-                outcome[r] = (1.0, True)
-            else:
-                rhs = _conservation_rhs(cfg, rt)
+        threshold = approx.kpi_mean_threshold(rt.rho, kpi)
+        if math.isinf(threshold):  # approx.ALWAYS_SATISFIED
+            outcome[r] = (1.0, True)
+        elif mean1(0.0) > threshold:
+            outcome[r] = (0.0, False)
+        elif mean1(1.0) <= threshold:
+            outcome[r] = (1.0, True)
+        else:
+            rhs = _conservation_rhs(cfg, rt)
 
-                def width(x):  # one rounding of m1, eps rhs / rho1, over m1' = -(rho2/rho1) m2'
-                    slope1 = abs(rt.rho2 * mean_w2.slope(x))
-                    return float(np.finfo(float).eps * rhs / slope1) if slope1 > 0.0 else math.inf
-                b = above = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
-                gap = max(math.ulp(b), width(b))
-                while mean1(b) > threshold:
-                    above, b, gap = b, max(0.0, b - gap), 2.0 * gap
-                gap = max(tol.eps_root, gap)  # if the rate met thr, step up: b = 1 does not
-                while above == b and mean1(above := min(1.0, b + gap)) <= threshold:
-                    b, gap = above, 2.0 * gap
-                while b + tol.eps_root < above and b < (mid := 0.5 * (b + above)) < above:
-                    b, above = (mid, above) if mean1(mid) <= threshold else (b, mid)
-                outcome[r] = (b, True)
-                state.widths[r] = width(b)
-        except DapqError as exc:
-            state.fail(r, exc)
+            def width(x):  # one rounding of m1, eps rhs / rho1, over m1' = -(rho2/rho1) m2'
+                slope1 = abs(rt.rho2 * mean_w2.slope(x))
+                return float(np.finfo(float).eps * rhs / slope1) if slope1 > 0.0 else math.inf
+            b = above = mean_w2.rate_for((rhs - rt.rho1 * threshold) / rt.rho2)
+            gap = max(math.ulp(b), width(b))
+            while mean1(b) > threshold:
+                above, b, gap = b, max(0.0, b - gap), 2.0 * gap
+            gap = max(tol.eps_root, gap)  # if the rate met thr, step up: b = 1 does not
+            while above == b and mean1(above := min(1.0, b + gap)) <= threshold:
+                b, gap = above, 2.0 * gap
+            while b + tol.eps_root < above and b < (mid := 0.5 * (b + above)) < above:
+                b, above = (mid, above) if mean1(mid) <= threshold else (b, mid)
+            outcome[r] = (b, True)
+            state.widths[r] = width(b)
     return _points(configs, outcome, rates, means, state)
 
 
@@ -542,9 +503,8 @@ def meets_extreme(
         return approx.ZExp(rho, mu * (1.0 - rho)).cdf(w) >= p
     if kpi.class_index == 1:
         return approx.ZExp(rho, mu - lam1).cdf(w) >= p
-    state = _Rows(1, tol)
-    values, *_ = _npq_probe(np.array([lam1]), np.array([lam2]), mu, kpi, state, np.arange(1))
-    state.raise_first()
+    values, _ = _npq_probe(np.array([lam1]), np.array([lam2]), mu, kpi, _Rows(1, tol),
+                           np.arange(1))
     return bool(values[0] >= p)
 
 
@@ -585,9 +545,10 @@ def feasible_region(
     meet it at its upper end (frontier there); each other row narrows its
     bracket to 1e-4 in at most ``_NEWTON_N0`` probes more than bisection
     would take, and its frontier is the bracket's midpoint, within 1e-4 of
-    the bisection midpoint.  When rows fail, the error of
-    the lowest lambda1 is raised.  A resolution that would give more than
-    ``core._MAX_VALUES`` lambda1 values raises OutOfRange.
+    the bisection midpoint.  When rows fail, the error of the lowest
+    lambda1 is raised (``core._first_failure``, a single row being one
+    lambda1).  A resolution that would give more than ``core._MAX_VALUES``
+    lambda1 values raises OutOfRange.
     """
     if not 0.0 < resolution < math.inf:
         raise OutOfRange(f"resolution must be positive and finite, got {resolution}")
@@ -626,15 +587,17 @@ def feasible_region(
     state = _Rows(n, tol)
 
     def residual(lam2, rr):
-        values, slopes, ok = _npq_probe(lam1s[rr], lam2, mu, kpi, state, rr)
-        return p - values, -slopes, ok
+        values, slopes = _npq_probe(lam1s[rr], lam2, mu, kpi, state, rr)
+        return p - values, -slopes
 
-    lo, hi, _, at_lo, at_hi = _newton_rows(residual, np.arange(n), np.full(n, 1e-9), hi_l2,
-                                           1e-4, ties_lo=True)
+    def search(rows):
+        return _newton_rows(residual, rows, np.full(n, 1e-9), hi_l2, 1e-4, ties_lo=True)
+
+    lo, hi, _, at_lo, at_hi = _first_failure(lambda: search(np.arange(n)),
+                                             lambda r: search(np.array([r])), n)
     lower = 0.5 * (lo + hi)
     lower[at_lo] = 0.0  # fails even with a trace of class-2 load
     lower[at_hi] = hi_l2[at_hi]
-    state.raise_first()
     return FeasibleRegion(
         kpi=kpi,
         lower_boundary=np.column_stack([lam1s, lower]),
@@ -657,10 +620,12 @@ def policy_sweep(
 ) -> PolicySweep:
     """Optimal-b search across delay levels.
 
-    The searches of all delays run in lockstep (see the module notes); when
-    several fail, the error of the first delay in ``d_values`` is raised.
-    Each point carries both means at its b*, so the trend along
-    (d, b*(d)) is read off the points.  For class-1 KPIs the class-2 mean
+    The searches of all delays run in lockstep (see the module notes);
+    when some fail, the error of the first delay in ``d_values`` that fails
+    alone is raised (``core._first_failure``, a single search being the
+    one-row ``_b_star_class*_rows``), and no delays give an empty sweep.
+    Each point carries both means at its b*, so the trend along (d, b*(d))
+    is read off the points.  For class-1 KPIs the class-2 mean
     is the same at every interior b*, by conservation (see
     ``_b_star_class1_rows``); for class-2 KPIs the class-1 mean rises with
     d for some KPIs and falls for others (``demos/zero_delay_map.py``).
@@ -668,6 +633,8 @@ def policy_sweep(
     chain counts.
     """
     configs = [config.replace(d=float(d)) for d in d_values]
-    if kpi.class_index == 1:
-        return _b_star_class1_rows(configs, kpi, tol)
-    return _b_star_class2_rows(configs, kpi, tol)
+    if not configs:
+        return PolicySweep()
+    rows = _b_star_class1_rows if kpi.class_index == 1 else _b_star_class2_rows
+    return _first_failure(lambda: rows(configs, kpi, tol),
+                          lambda r: rows(configs[r : r + 1], kpi, tol), len(configs))

@@ -340,35 +340,27 @@ def _b_free_rows(configs, tol: ToleranceConfig, heads: bool) -> tuple:
     The rows are configs that differ only in d.  Their busy weights and
     exponential-service correction sums come from one run of the ahead-set
     chain (``markov._delay_weights``), each equal to its one-row value bit
-    for bit.  A row whose config is invalid, or with ``heads`` whose
-    service is not exponential or whose head cannot be cut within
-    max_states, fails, its DapqError in place of its mean.  A correction
-    sum that cannot be cut is kept in the row's mean function, which
-    raises it only when a b > 0 needs it, as the one-row mean would.
-    Returns (rates, means, weights, steps), None where a failed row has no
-    rates or weights, steps the chain run's step count (None if none ran).
+    for bit.  Raises the first invalid config (with ``heads``, also one
+    whose service is not exponential), then the first head that cannot be
+    cut within max_states.  A correction sum that cannot be cut is kept in
+    the row's mean function, which raises it only when a b > 0 needs it, as
+    the one-row mean would.  Returns (rates, means, weights, steps), weights
+    None without ``heads``, steps the chain run's step count (None if none
+    ran).
     """
-    n = len(configs)
-    rates, moments, weights, means = [None] * n, [None] * n, [None] * n, [None] * n
-    batch = []
-    for r, cfg in enumerate(configs):
-        try:
-            rates[r] = validate(cfg.replace(b=0.0))
-            if heads and cfg.service is not ServiceKind.EXPONENTIAL:
-                raise OutOfRange("class-2 CDF machinery requires exponential service")
-            batch.append(r)
-        except DapqError as exc:
-            means[r] = exc
-    steps = None
-    if batch and configs[batch[0]].service is ServiceKind.EXPONENTIAL:
-        rows, steps = _delay_weights(rates[batch[0]], [configs[r].d for r in batch], tol, heads)
-        for r, (w, moment) in zip(batch, rows):
+    rates = []
+    for cfg in configs:
+        rates.append(validate(cfg.replace(b=0.0)))
+        if heads and cfg.service is not ServiceKind.EXPONENTIAL:
+            raise OutOfRange("class-2 CDF machinery requires exponential service")
+    rows, steps = [(None, None)] * len(configs), None
+    if configs and configs[0].service is ServiceKind.EXPONENTIAL:
+        rows, steps = _delay_weights(rates[0], [cfg.d for cfg in configs], tol, heads)
+        for w, _ in rows:
             if isinstance(w, DapqError):
-                means[r] = w
-            else:
-                weights[r], moments[r] = w, moment
-    means = [m or _MeanInB(cfg, rates[r], tol, moments[r])
-             for r, (cfg, m) in enumerate(zip(configs, means))]
+                raise w
+    weights = [w for w, _ in rows]
+    means = [_MeanInB(cfg, rt, tol, moment) for cfg, rt, (_, moment) in zip(configs, rates, rows)]
     return rates, means, weights, steps
 
 

@@ -414,17 +414,16 @@ def _accuracy_gate(worst, tol: ToleranceConfig):
 
     ``worst`` is a worst Euler error estimate, a float or one per row.  The
     certified error adds exp(-A), the contour discretization bound, and
-    passes when it is at most eps_invert, so a NaN fails.  Returns (error,
-    ok, failures): the certified errors, the pass mask and one
-    AccuracyNotMet per failed entry, in order.
+    passes when it is at most eps_invert, so a NaN fails.  Returns the
+    certified errors, or raises the AccuracyNotMet of the first entry that
+    fails.
     """
     error = worst + math.exp(-_euler_params(tol.eps_invert))
-    ok = error <= tol.eps_invert
-    failures = [
-        AccuracyNotMet(f"inversion error estimate {e:.3e} exceeds eps_invert={tol.eps_invert:.3e}")
-        for e in np.atleast_1d(error)[~np.atleast_1d(ok)]
-    ]
-    return error, ok, failures
+    failed = np.atleast_1d(error)[~(np.atleast_1d(error) <= tol.eps_invert)]
+    if failed.size:
+        raise AccuracyNotMet(
+            f"inversion error estimate {failed[0]:.3e} exceeds eps_invert={tol.eps_invert:.3e}")
+    return error
 
 
 def _certified_curve(
@@ -434,9 +433,7 @@ def _certified_curve(
 
     Raises the gate's AccuracyNotMet when the curve fails it.
     """
-    error, _, failures = _accuracy_gate(worst, tol)
-    if failures:
-        raise failures[0]
+    error = _accuracy_gate(worst, tol)
     clipped = np.clip(raw, 0.0, 1.0)
     iso = np.maximum.accumulate(clipped)
     return CdfCurve(
@@ -452,13 +449,12 @@ def _certified_curve(
 class _Class2Law:
     """The class-2 CDF of configs that differ only in d, at each row's abscissae, at any rate b.
 
-    Row r is config r with busy weights ``weights[r]`` (None for a failed
-    config, whose row is left out) and nondecreasing abscissae ``ts[r]``
-    (``ts`` is (rows, points)).  The constructor does the b-free part.  It
-    refuses each row whose abscissae cannot be inverted
-    (``_inversion_error`` on its points up to d, d, and t - d past d),
-    keeping its error in ``errors``, and makes the one strict-priority
-    inversion over the ``live`` rows' points in (0, d] and each d > 0,
+    Row r is config r with busy weights ``weights[r]`` and nondecreasing
+    abscissae ``ts[r]`` (``ts`` is (rows, points), at least one row).  The
+    constructor does the b-free part.  It raises the error of the first row
+    whose abscissae cannot be inverted (``_inversion_error`` on its points
+    up to d, d, and t - d past d), then makes the one strict-priority
+    inversion over the rows' points in (0, d] and each d > 0,
     ``strict_points`` in all.  Per row it keeps ``values`` (the atom at 0,
     the strict-priority values in (0, d]), ``f_at_d``, ``worst``, the
     largest estimate over those points and d, and ``past``, the count of
@@ -473,28 +469,16 @@ class _Class2Law:
         pts = np.concatenate([ts, ds[:, None]], axis=1)  # each row's abscissae, then its d
         self.over = over = ts - ds[:, None]
         self.past = np.add.reduce(over > 0.0, axis=1)
-        self.errors, live, dead = {}, [], []
         for r in range(n):
             cut = m - self.past[r]
-            if weights[r] is None or (error := _inversion_error(
-                    np.concatenate([ts[r, :cut], ds[r : r + 1], over[r, cut:]]), tol)):
-                dead.append(r)
-                if weights[r] is not None:
-                    self.errors[r] = error
-            else:
-                live.append(r)
-        self.live = np.array(live, dtype=int)
+            if error := _inversion_error(
+                    np.concatenate([ts[r, :cut], ds[r : r + 1], over[r, cut:]]), tol):
+                raise error
         strict = pts > 0.0
         strict[:, :m] &= over <= 0.0
-        if dead:
-            strict[dead] = False
         full, self.worst = np.zeros(pts.shape), np.zeros(n)
         self.values, self.f_at_d = full[:, :m], full[:, m]
-        self.strict_points = 0
-        if not live:
-            return
-        self.lambda1, self.mu = configs[live[0]].lambda1, configs[live[0]].mu
-        rho = rates[live[0]].rho
+        self.lambda1, self.mu, rho = configs[0].lambda1, configs[0].mu, rates[0].rho
         points = pts[strict]
         self.strict_points = points.size
         if points.size:
@@ -567,9 +551,7 @@ def class2_cdf_dapq(
     ts = default_grid(config) if grid is None else _abscissae(grid)
     weights = busy_state_distribution(config, tol)
     law = _Class2Law([config], [rates], [weights], ts[None, :], tol)
-    if law.errors:
-        raise law.errors[0]
-    past, worst = law.past_d(config.b, law.live)
+    past, worst = law.past_d(config.b, np.arange(1))
     values = law.values[0]
     values[len(ts) - law.past[0]:] = past[0]
     return _certified_curve(ts, values, float(worst[0]), tol, head_states=len(weights))

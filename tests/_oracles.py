@@ -914,12 +914,13 @@ def b_star_class2_per_b(config, kpi, tol=DEFAULT_TOL):
     constraint = class2_cdf_per_b(config, w, tol)
 
     def probe(b, rows):
+        if w <= config.d:  # F(w) is the b-free strict-priority value
+            return np.array([constraint(float(b[0])) - p]), np.zeros(1)
         weights = dapq_busy_weights(config.replace(b=float(b[0])), tol)
         *_, dfda = transforms._invert_over_delay_rows(
             np.array([[w - config.d]]), config.lambda1 * (1.0 - b), config.mu, [weights], tol,
             True)
-        return (np.array([constraint(float(b[0])) - p]), -config.lambda1 * dfda[:, 0],
-                np.ones(1, dtype=bool))
+        return np.array([constraint(float(b[0])) - p]), -config.lambda1 * dfda[:, 0]
 
     _, hi, _, at_lo, at_hi = kpi_mod._newton_rows(probe, np.arange(1), np.zeros(1), np.ones(1),
                                                   tol.eps_root, ties_lo=False)

@@ -591,6 +591,10 @@ def test_mean_sweep_in_heavy_deterministic_traffic(capsys):
     (["--b", "0:1:0.5", "--d", "0:30:10"], "40"),
     (["--service", "det", "--b", "0:1:0.5", "--d", "0:300:100"], "150"),
     (["--lam1", "0", "--b", "0:1:0.5", "--d", "0:2"], None),
+    # b fails before d in a point's validation, where the batch meets d first
+    (["--b", "2", "--d", "-1"], None),
+    # d = 1.5 is no whole number of services, but the point at d = 1 fails first
+    (["--service", "det", "--lam2", "0.49", "--b", "0.5", "--d", "1:1.5:0.5"], "20"),
 ])
 def test_mean_sweep_fails_at_the_first_failing_point(argv, env, monkeypatch, capsys):
     # the sweep raises what the per-point loop raised first, with its exit code

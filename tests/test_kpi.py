@@ -162,6 +162,12 @@ def test_policy_sweep_single_point_consistency():
     assert swept == direct
 
 
+@pytest.mark.parametrize("target", [KPI1, KPI2])
+def test_an_empty_sweep_is_an_empty_list(target):
+    sweep = policy_sweep(QueueConfig(0.4, 0.18, 1.0), target, [])
+    assert sweep == [] and (sweep.inversion_calls, sweep.chain_runs) == (0, 0)
+
+
 def test_feasible_region_fcfs_boundary_constant_occupancy():
     region = feasible_region(KPI2, mu=1.0, resolution=0.1)
     ups = region.upper_boundary
@@ -381,7 +387,11 @@ def _regions_match(got, want):
     assert np.all(np.abs(got.lower_boundary[:, 1] - want.lower_boundary[:, 1]) <= 1e-4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
+# w = d: F(w) is the b-free strict-priority value, and the oracle's dF/db is 0
+# there rather than an inversion of H at u = w - d = 0, which divides by 0
+@example(rho=0.5, share=0.5, det=False, ell=1, b_mid=0.5, b=0.0, w=1.0, u=0.5)
 @given(
     rho=st.floats(min_value=0.05, max_value=0.99),
     share=st.floats(min_value=0.05, max_value=0.95),
@@ -679,7 +689,7 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
     rates, _, weights = state.b_free(configs, heads=True)
     law = transforms._Class2Law(configs, rates, weights, np.full((len(configs), 1), w), DEFAULT_TOL)
     free, dep = np.flatnonzero(law.past == 0), np.flatnonzero(law.past)
-    assert not law.errors and len({len(weights[r]) for r in dep}) > 2
+    assert len({len(weights[r]) for r in dep}) > 2
     assert law.strict_points == len(free) + sum(c.d > 0.0 for c in configs)  # w and d > 0
 
     def one_row(c, b):
@@ -687,13 +697,12 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
 
     bs = np.linspace(0.0, 1.0, len(dep))
     raw, worst, _ = law.past_d(bs, dep, slope=True)
-    values, ok = state.certify(dep, raw[:, 0], worst)
-    assert ok.all()
+    values = state.certify(dep, raw[:, 0], worst)
     for r, b, v in zip(dep, bs, values):
         curve = one_row(configs[r], b)
         assert v == curve.values[0] and state.worst[r] == curve.error_estimate
-    values, ok = state.certify(free, law.values[free, 0], law.worst[free])
-    assert ok.all() and len(free) == 3
+    values = state.certify(free, law.values[free, 0], law.worst[free])
+    assert len(free) == 3
     for r, v in zip(free, values):
         curve = one_row(configs[r], 0.3)
         assert v == curve.values[0] and state.worst[r] == curve.error_estimate
@@ -1052,7 +1061,7 @@ def test_newton_worst_case_on_adversarial_residuals():
         def probe(x, rows):
             probes.append(len(rows))
             assert len(probes) <= limit and len(rows), name  # fail fast rather than crawl
-            return g(x), slope(x), np.ones(len(rows), dtype=bool)
+            return g(x), slope(x)
 
         got_lo, got_hi, _, at_lo, at_hi = kpi._newton_rows(
             probe, np.arange(1), np.array([lo]), np.array([hi]), eps, ties_lo)
@@ -1080,8 +1089,7 @@ def test_newton_worst_case_on_adversarial_residuals():
         def probe(x, rr):
             one = [(cases[r][1](np.array([xi]))[0], cases[r][2](np.array([xi]))[0])
                    for r, xi in zip(rr, x)]
-            return (np.array([v for v, _ in one]), np.array([d for _, d in one]),
-                    np.ones(len(rr), dtype=bool))
+            return np.array([v for v, _ in one]), np.array([d for _, d in one])
 
         got_lo, got_hi, _, at_lo, at_hi = kpi._newton_rows(probe, np.array(rows), lo, hi, eps,
                                                            ties_lo)
@@ -1121,7 +1129,7 @@ def test_newton_probe_bound_on_random_monotone_residuals(c, width, eps_exp, low,
     def probe(x, rows):
         probes.append(1)
         assert len(probes) <= 2 + math.ceil(math.log2(width / eps)) + kpi._NEWTON_N0
-        return g(x), slope(x), np.ones(len(rows), dtype=bool)
+        return g(x), slope(x)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import subprocess
@@ -19,25 +20,30 @@ def test_output_digests_are_one_repeatable_line_per_output():
     assert lines == _digests(ROOT)
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean", "simulate")]
-    assert counts == [64, 3, 6, 12, 1]
+    assert counts == [64, 3, 7, 12, 1]
     # each fixed mean line is followed by the digest of its means' float hex
-    assert [line.rsplit(" ", 1)[0] for line in lines[-16:]] == [
+    fixed = lines[-17:]
+    assert [line.split(" sha256=")[0] for line in fixed] == [
         f"{label} {kind}" for label in (
             "mean service=exp", "mean service=det", "mean long service=exp",
             "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det")
         for kind in ("exit=0", "floats")] + [
         "kpi tiny-w sweep exit=2", "kpi tiny-w region exit=2", "kpi trend sweep exit=0",
-        "simulate exit=0"]
-    for line in lines:
-        if line.startswith(("mean ", "kpi trend ", "simulate ")):
-            code, digest = line.split()[-2:]
-            assert code in ("exit=0", "floats")
-            assert digest.startswith("sha256=") and len(digest) == len("sha256=") + 64
-            continue
-        if line.startswith("kpi tiny-w "):
-            # a target wait below the least invertible t is invalid input
-            assert line.split()[-2:] == ["exit=2", "sha256=none"]
-            continue
+        "kpi first-failure sweep exit=2", "simulate exit=0"]
+    # each command line also digests its stderr, empty where it exits 0
+    empty = " stderr=" + hashlib.sha256(b"").hexdigest()
+    for line in fixed:
+        digest = line.split(" sha256=")[1].split()[0]
+        assert digest == "none" or len(digest) == 64
+        assert line.endswith(empty) == (" exit=0 " in line)
+    # a target wait below the least invertible t is invalid input, and so is
+    # the first-failure sweep's first delay, which a loop over the delays
+    # reaches before the second delay's truncation overflow: each prints the
+    # one OutOfRange of the abscissa 1e-310 and writes no CSV
+    failed = [line.split(" exit=")[1] for line in fixed if " exit=2 " in line]
+    assert len(failed) == 3 and len(set(failed)) == 1
+    assert failed[0].startswith("2 sha256=none stderr=")
+    for line in lines[:-17]:
         fields = line.split(" ", 3)[3]
         if line.startswith("means"):
             w1, w2 = (float.fromhex(f.split("=")[1]) for f in fields.split())
@@ -62,7 +68,8 @@ def test_compare_prints_each_csvs_largest_numeric_change(tmp_path):
         f"{kind} seed=0 op={i}" for kind in ("cdf", "kpi") for i in range(3)] + [
         "mean service=exp", "mean service=det", "mean long service=exp",
         "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
-        "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep", "simulate"]
+        "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep", "kpi first-failure sweep",
+        "simulate"]
     assert all(line.endswith(" max_abs_diff=0.0") for line in lines)
 
     # numeric cells compare by value; a text cell, a shape or a missing file

@@ -474,12 +474,13 @@ def test_accuracy_gate_is_one_for_curves_and_rows():
     tol = DEFAULT_TOL
     floor = math.exp(-transforms._euler_params(tol.eps_invert))
     worst = np.array([0.0, tol.eps_invert - floor, tol.eps_invert, math.nan])
-    error, ok, failures = transforms._accuracy_gate(worst, tol)
-    assert np.array_equal(error[:2], worst[:2] + floor)
-    assert ok.tolist() == [True, True, False, False]
-    assert [type(f) for f in failures] == [AccuracyNotMet, AccuracyNotMet]
-    assert "nan" in str(failures[1])
-    for w, passes in zip(worst.tolist(), ok.tolist()):
+    assert np.array_equal(transforms._accuracy_gate(worst[:2], tol), worst[:2] + floor)
+    # a batch raises the error of its first failed entry
+    with pytest.raises(AccuracyNotMet, match=f"{tol.eps_invert + floor:.3e} exceeds"):
+        transforms._accuracy_gate(worst, tol)
+    with pytest.raises(AccuracyNotMet, match="nan"):
+        transforms._accuracy_gate(worst[3:], tol)
+    for w, passes in zip(worst.tolist(), [True, True, False, False]):
         ts, raw = np.array([1.0]), np.array([0.5])
         if passes:
             curve = transforms._certified_curve(ts, raw, w, tol)

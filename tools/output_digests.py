@@ -8,17 +8,20 @@ The script runs the ``means``, ``cdf`` and ``kpi`` specs of
 ``TREE/perfbench/workloads.py`` on each seed with TREE's ``dapq`` and
 prints one line per output: for ``means`` the float hex of both means, for
 ``cdf`` and ``kpi`` the exit code, the CSV's sha256 and the manifest
-without ``duration_s`` and the output path.  It then prints the exit code
-and CSV sha256 (``none`` when no CSV was written) of one fixed ``dapq
-mean`` sweep over b and d per service kind (``MEAN_SWEEP``), which covers
-the command line's mean path, of one exponential sweep out to d = 300
-(``LONG_SWEEP``), of one deterministic sweep at occupancy 0.999
-(``HEAVY_SWEEP``), of one sweep at mu = 2 per service kind
-(``MU_SWEEP``, the only lines off mu = 1), of a class-2 ``dapq kpi``
-sweep and region at a target wait too small to invert (``TINY_TARGET``),
-of a class-2 ``dapq kpi`` sweep whose class-1 mean falls with d
-(``TREND_SWEEP``), and of one small seeded ``dapq simulate`` run
-(``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
+without ``duration_s`` and the output path.  It then prints the exit
+code, the CSV sha256 (``none`` when no CSV was written) and the sha256 of
+the standard error of one fixed ``dapq mean`` sweep over b and d per
+service kind (``MEAN_SWEEP``), which covers the command line's mean path,
+of one exponential sweep out to d = 300 (``LONG_SWEEP``), of one
+deterministic sweep at occupancy 0.999 (``HEAVY_SWEEP``), of one sweep at
+mu = 2 per service kind (``MU_SWEEP``, the only lines off mu = 1), of a
+class-2 ``dapq kpi`` sweep and region at a target wait too small to
+invert (``TINY_TARGET``), of a class-2 ``dapq kpi`` sweep whose class-1
+mean falls with d (``TREND_SWEEP``), of a class-2 ``dapq kpi`` sweep
+whose first delay is too small to invert and whose second cannot be
+truncated (``FIRST_FAILURE``: the first delay's OutOfRange, exit 2, is
+what a loop over the delays raises), and of one small seeded ``dapq
+simulate`` run (``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
 of the float hex of both means, from TREE's ``dapq_means``, at each (b, d)
 point of that command line, since the CSV's 12 significant digits hide a
 move of a few ulps.
@@ -38,8 +41,10 @@ states.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -56,6 +61,8 @@ MU_SWEEP = ["--lam1", "1.0", "--lam2", "0.6", "--mu", "2", "--b", "0:1:0.5", "--
 TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
 TREND_SWEEP = ["kpi", "--class", "2", "--w", "8", "--p", "0.95", "--lam1", "0.35",
                "--lam2", "0.25", "--sweep-d", "0:2:0.5"]
+FIRST_FAILURE = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
+                 "--lam2", "0.18", "--sweep-d", "1e-310:5000:5000"]
 SIMULATE = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
             "--n", "400", "--burn-in", "100", "--reps", "3", "--seed", "7",
             "--t-max", "10", "--dt", "0.5"]
@@ -71,6 +78,7 @@ COMMANDS += [("kpi tiny-w sweep",
               [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
              ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"]),
              ("kpi trend sweep", TREND_SWEEP),
+             ("kpi first-failure sweep", FIRST_FAILURE),
              ("simulate", SIMULATE)]
 
 
@@ -179,9 +187,11 @@ def main(argv=None) -> int:
                           flush=True)
         for i, (label, argv) in enumerate(COMMANDS):
             path = Path(scratch) / f"cli-{i}.csv"
-            code = dapq.cli.main([*argv, "--out", str(path)])
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = dapq.cli.main([*argv, "--out", str(path)])
             digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
-            print(f"{label} exit={code} sha256={digest}", flush=True)
+            stderr = hashlib.sha256(err.getvalue().encode()).hexdigest()
+            print(f"{label} exit={code} sha256={digest} stderr={stderr}", flush=True)
             if argv[0] == "mean":
                 print(f"{label} floats sha256={_mean_floats(dapq, argv)}", flush=True)
     return 0
