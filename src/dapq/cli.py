@@ -186,7 +186,8 @@ def cmd_mean(args, tol: ToleranceConfig) -> int:
     def batch():
         # one class-2 mean function of b per delay, as a KPI sweep builds them:
         # every exponential-service correction comes from one chain run
-        means = mean_wait._b_free_rows([base.replace(d=d) for d in ds], tol, heads=False)[1]
+        configs = [base.replace(d=d) for d in ds]
+        means = mean_wait._b_free_rows(configs, tol, [False] * len(ds))[1]
         return [mean_wait._wait_summary(point, validate(point), means[i // len(bs)](point.b))
                 for i, point in enumerate(points)]
 

@@ -33,10 +33,11 @@ and returns the end that meets the KPI (the midpoint for a region
 frontier).  So each result lies within eps of the bisection result, and
 every row sees the points and values of a search of that row alone.  The
 b-free parts of a sweep (busy weights, the mean's correction sum, the
-strict-priority F(d)) are computed once per delay, the busy weights and
-exponential-service correction sums of all delays in one run of the
-ahead-set chain (``mean_wait._b_free_rows``) and every F(d) in one
-strict-priority inversion (``transforms._Class2Law``).  Each row's
+strict-priority F(d)) are computed once per delay, the
+exponential-service correction sums of all delays and the busy weights
+of the delays below the target wait, the only ones that read any, in one
+run of the ahead-set chain (``mean_wait._b_free_rows``), and every F(d)
+in one strict-priority inversion (``transforms._Class2Law``).  Each row's
 inversions are gated on their own error bound.  A batch raises the first
 error it meets, and ``policy_sweep`` and ``feasible_region`` then raise
 the first failed row's error, the one a row-by-row loop would have
@@ -57,6 +58,7 @@ from .core import (
     Kpi,
     OutOfRange,
     QueueConfig,
+    ServiceKind,
     ToleranceConfig,
     UnstableSystem,
     _check_count,
@@ -172,7 +174,7 @@ class _Rows:
         self.calls += 1
         self.rows_inverted += n_rows
 
-    def b_free(self, configs: Sequence[QueueConfig], heads: bool) -> list:
+    def b_free(self, configs: Sequence[QueueConfig], heads: Sequence[bool]) -> list:
         """(rates, means, weights) of ``mean_wait._b_free_rows``, its chain run counted."""
         rates, means, weights, steps = mean_wait._b_free_rows(configs, self.tol, heads)
         if steps is not None:
@@ -337,7 +339,11 @@ def _b_star_class2_rows(
         raise OutOfRange("b_star_class2 requires a class-2 KPI")
     n, p = len(configs), kpi.compliance_p
     state = _Rows(n, tol)
-    rates, means, weights = state.b_free(configs, heads=True)
+    # a row reads busy weights only where its target wait lies past its delay,
+    # but every row needs the exponential-service CDF
+    rates, means, weights = state.b_free(configs, [cfg.d < kpi.target_w for cfg in configs])
+    if configs[0].service is not ServiceKind.EXPONENTIAL:
+        raise OutOfRange("class-2 CDF machinery requires exponential service")
     law = transforms._Class2Law(configs, rates, weights, np.full((n, 1), kpi.target_w), tol)
     if law.strict_points:
         state.inverted(1)
@@ -393,7 +399,7 @@ def _b_star_class1_rows(
         raise OutOfRange("b_star_class1 requires a class-1 KPI")
     n = len(configs)
     state = _Rows(n, tol)
-    rates, means, _ = state.b_free(configs, heads=False)
+    rates, means, _ = state.b_free(configs, [False] * n)
     outcome = {}
     for r, (cfg, rt, mean_w2) in enumerate(zip(configs, rates, means)):
         def mean1(b):

@@ -23,8 +23,9 @@ Two kinds of object live here:
   for the moment.  One loop (``_busy_weights_rows``) runs the chain of
   one config for any number of jump sums, taking each head at its cut and
   the state-1 mass of every step, and ``_delay_weights`` feeds it the
-  cuts of a list of delays: a KPI sweep gets every delay's head and first
-  moment from one run, and a single curve or mean is the one-delay case.
+  cuts that each delay of a list asks for: a KPI sweep gets every delay's
+  first moment, and a head only for a delay that reads one, from one run,
+  and a single curve or mean is the one-delay case.
 
 On the M/D/1 pmf: consecutive probabilities decay by the *reciprocal* of
 the root ``sigma > 1`` of ``exp(rho*sigma)/sigma = exp(rho)``
@@ -216,13 +217,12 @@ def _poisson_table(m: float, hi: int) -> tuple:
     return pmf[: hi + 1], tail[: hi + 1]
 
 
-def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
-               moment: bool = True) -> tuple:
+def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig) -> tuple:
     """The Poisson(nu d) jump pmf of one delay and where its jump sum is cut.
 
-    Returns (pmf, mass cut, moment cut).  Each cut is an int, None when not
-    asked for, or the ``TruncationOverflow`` that says why it cannot be met;
-    the pmf runs to the larger cut that was met.
+    Returns (pmf, mass cut, moment cut).  Each cut is an int or the
+    ``TruncationOverflow`` that says why it cannot be met; the pmf runs to
+    the larger cut that was met.
 
     One rule makes both cuts: the least n <= max_states with
     B P[N > n] < eps_series/2 for N ~ Poisson(nu d), as the steps past n of
@@ -237,17 +237,17 @@ def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
     lies at or past the Poisson median, at least nu d - ln 2.
     """
     if nu_d == 0.0:
-        return np.array([1.0]), 0 if mass else None, 0 if moment else None
+        return np.array([1.0]), 0, 0
     eps, cap = 0.5 * tol.eps_series, tol.max_states
     if nu_d - 1.0 > cap:
         uncut = TruncationOverflow(f"Poisson({nu_d:g}) jump sum is not cut: nu*d - 1 = "
                                    f"{nu_d - 1.0:.6g} exceeds max_states={cap}")
-        return np.zeros(0), uncut if mass else None, uncut if moment else None
+        return np.zeros(0), uncut, uncut
     top = int(nu_d + 12.0 * math.sqrt(nu_d + 1.0) + 40.0)
     pmf, sf = _poisson_table(nu_d, top)  # sf[k] = P[N > k]
     cuts = []
-    for asked, what, meets in ((mass, "busy-state head", sf < eps),
-                               (moment, "k-sum bound", rho * sf < (1.0 - rho) * eps)):
+    for what, meets in (("busy-state head", sf < eps),
+                        ("k-sum bound", rho * sf < (1.0 - rho) * eps)):
         n = int(np.argmax(meets))  # the first index meeting the bound
         if not meets[-1]:
             n = TruncationOverflow(f"Poisson({nu_d:g}) {what} stays above eps={eps:g} "
@@ -255,7 +255,7 @@ def _jump_cuts(nu_d: float, rho: float, tol: ToleranceConfig, mass: bool = True,
         elif n > cap:
             n = TruncationOverflow(f"Poisson({nu_d:g}) {what} needs {n} states "
                                    f"but max_states={cap}")
-        cuts.append(n if asked else None)
+        cuts.append(n)
     met = [c for c in cuts if isinstance(c, int)]
     return pmf[: max(met, default=-1) + 1], *cuts
 
@@ -360,14 +360,17 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
 
 
 def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfig,
-                   heads: bool = True, moments: bool = True) -> tuple:
+                   heads: Sequence[bool], moments: Sequence[bool]) -> tuple:
     """Busy weights and their first moments at several delays of one config.
 
-    Each delay's jump sum is cut by ``_jump_cuts``: with ``heads`` its busy
-    weights are the sum at the mass cut, and with ``moments`` its first
-    moment sum_l l w_l, the M/M/1 mean's correction, is the sum at the
-    moment cut.  One run of ``_busy_weights_rows``, to the largest cut that
-    was met, gives them all, so each equals its one-delay value bit for bit.
+    Each delay asks for its own parts, ``heads[i]`` and ``moments[i]``, and
+    its jump sum is cut by ``_jump_cuts``: its busy weights are the sum at
+    the mass cut, and its first moment sum_l l w_l, the M/M/1 mean's
+    correction, is the sum at the moment cut.  One run of
+    ``_busy_weights_rows``, to the largest cut asked for that was met, gives
+    them all, so each equals its one-delay value bit for bit, and a delay
+    that asks for no head neither lengthens the run by its mass cut nor
+    fails on it.
 
     The moment needs no head, only the walk's drift: a step moves the ahead
     count up with probability p_up and down with q_down, and the move down
@@ -382,14 +385,15 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
 
     Returns (rows, steps): per delay, the pair (``BusyWeights``, first
     moment), each None when not asked for or the ``TruncationOverflow`` of
-    a cut that cannot be met; with ``heads`` a delay whose mass cut fails
-    keeps out of the run, and its moment is None.  ``steps`` is the run's
-    step count, None when no delay joined it.
+    a cut that cannot be met; a delay whose head's mass cut fails keeps out
+    of the run, and its moment is None.  ``steps`` is the run's step count,
+    None when no delay joined it.
     """
     rows, pmfs = [], []
-    for d in ds:
-        pmf, mass, moment = _jump_cuts(rates.nu * d, rates.rho, tol, heads, moments)
-        rows.append([mass, None if isinstance(mass, DapqError) else moment])
+    for d, head, moment in zip(ds, heads, moments):
+        pmf, mass, cut = _jump_cuts(rates.nu * d, rates.rho, tol)
+        mass = mass if head else None
+        rows.append([mass, cut if moment and not isinstance(mass, DapqError) else None])
         pmfs.append(pmf)
     met = [c for row in rows for c in row if isinstance(c, int)]
     if not met:
@@ -397,7 +401,7 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
     steps = max(met)
     weights, s1 = _busy_weights_rows(
         rates, pmfs, [mass if isinstance(mass, int) else None for mass, _ in rows], steps)
-    if moments:  # S_0 .. S_steps, then M_0 .. M_steps
+    if any(moments):  # S_0 .. S_steps, then M_0 .. M_steps
         alive = np.cumsum(np.concatenate(([rates.rho], -rates.q_down * s1[:-1])))
         moment_k = np.cumsum(np.concatenate(([rates.rho / (1.0 - rates.rho)],
                                              -(rates.q_down - rates.p_up) * alive[:-1])))
@@ -422,7 +426,7 @@ def busy_state_distribution(
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
-    [(weights, _)], _ = _delay_weights(rates, [config.d], tol, moments=False)
+    [(weights, _)], _ = _delay_weights(rates, [config.d], tol, [True], [False])
     if isinstance(weights, DapqError):
         raise weights
     return weights

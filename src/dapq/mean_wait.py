@@ -27,7 +27,8 @@ Numerical notes
 * The exponential-service correction iterates the same chain as the
   class-2 CDFs' busy weights, through the same call
   (``markov._delay_weights``, one delay here; ``_b_free_rows`` passes all
-  the delays of a sweep at once), but keeps no head: the ahead-set walk
+  the delays of a sweep at once, with a head asked for only where a class-2
+  search reads one), but needs no head: the ahead-set walk
   drifts down at q_down - p_up per step while it is alive, so the first
   moment after k steps is M_k = rho/(1-rho) - (q_down - p_up) sum_{j<k} S_j,
   S_j the alive mass, which the state-1 mass of each step updates.  M_k
@@ -86,20 +87,6 @@ from .markov import _delay_weights, _poisson_table, md1_stationary
 # --------------------------------------------------------------------------
 # M/M/1 delayed APQ
 # --------------------------------------------------------------------------
-
-def _mm1_correction_sum(config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig) -> float:
-    """sum_k pois(nu d; k) pi_+ P_+^k J_+: the b-free part of the M/M/1 correction.
-
-    This is the first moment sum_l l w_l of the busy weights, from the
-    ahead-set walk's drift, with the jump sum cut at the moment cut of
-    ``markov._jump_cuts``.  It is the one-delay case of
-    ``markov._delay_weights``.
-    """
-    [(_, moment)], _ = _delay_weights(rates, [config.d], tol, heads=False)
-    if isinstance(moment, DapqError):
-        raise moment
-    return moment
-
 
 def mm1_dapq_class2_mean(config: QueueConfig, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Exact mean class-2 wait in the M/M/1 delayed APQ."""
@@ -295,8 +282,9 @@ class _MeanInB:
                     f"eps_series = {tol.eps_series:.3g} is below {floor:.3g}, the float "
                     f"spacing of the strict-priority mean in mu = 1 units")
             if config.service is ServiceKind.EXPONENTIAL:
-                if self._moment is None:
-                    self._moment = _mm1_correction_sum(config, rates, tol)
+                if self._moment is None:  # the busy weights' first moment, with no head
+                    [(_, self._moment)], _ = _delay_weights(rates, [config.d], tol,
+                                                            [False], [True])
                 if isinstance(self._moment, DapqError):
                     raise self._moment
                 self._c = self._moment / config.mu
@@ -334,28 +322,25 @@ class _MeanInB:
         return -c * (1.0 - rho1) / (1.0 - rho1 * (1.0 - b)) ** 2 * self._correction()
 
 
-def _b_free_rows(configs, tol: ToleranceConfig, heads: bool) -> tuple:
-    """Each row's rates, class-2 mean function of b and, with ``heads``, busy weights.
+def _b_free_rows(configs, tol: ToleranceConfig, heads) -> tuple:
+    """Each row's rates, class-2 mean function of b and, where ``heads[i]`` asks, busy weights.
 
     The rows are configs that differ only in d.  Their busy weights and
     exponential-service correction sums come from one run of the ahead-set
     chain (``markov._delay_weights``), each equal to its one-row value bit
-    for bit.  Raises the first invalid config (with ``heads``, also one
-    whose service is not exponential), then the first head that cannot be
-    cut within max_states.  A correction sum that cannot be cut is kept in
-    the row's mean function, which raises it only when a b > 0 needs it, as
-    the one-row mean would.  Returns (rates, means, weights, steps), weights
-    None without ``heads``, steps the chain run's step count (None if none
-    ran).
+    for bit.  Raises the first invalid config, then the first head asked
+    for that cannot be cut within max_states.  A correction sum that cannot
+    be cut is kept in the row's mean function, which raises it only when a
+    b > 0 needs it, as the one-row mean would.  Returns (rates, means,
+    weights, steps): weights None where no head was asked for or the
+    service is deterministic, steps the chain run's step count (None if
+    none ran).
     """
-    rates = []
-    for cfg in configs:
-        rates.append(validate(cfg.replace(b=0.0)))
-        if heads and cfg.service is not ServiceKind.EXPONENTIAL:
-            raise OutOfRange("class-2 CDF machinery requires exponential service")
+    rates = [validate(cfg.replace(b=0.0)) for cfg in configs]
     rows, steps = [(None, None)] * len(configs), None
     if configs and configs[0].service is ServiceKind.EXPONENTIAL:
-        rows, steps = _delay_weights(rates[0], [cfg.d for cfg in configs], tol, heads)
+        rows, steps = _delay_weights(rates[0], [cfg.d for cfg in configs], tol, heads,
+                                     [True] * len(configs))
         for w, _ in rows:
             if isinstance(w, DapqError):
                 raise w

@@ -90,7 +90,8 @@ class CdfCurve:
     change made by clipping and isotonic clamping, ``error_estimate`` the
     certified inversion error (``_accuracy_gate``), and ``head_states`` the
     number of explicit busy-state weights behind the transform (its
-    geometric tail is summed in closed form).
+    geometric tail is summed in closed form; 0 for a curve with no point
+    past d, which reads no busy weights).
     """
 
     ts: np.ndarray
@@ -449,7 +450,8 @@ def _certified_curve(
 class _Class2Law:
     """The class-2 CDF of configs that differ only in d, at each row's abscissae, at any rate b.
 
-    Row r is config r with busy weights ``weights[r]`` and nondecreasing
+    Row r is config r with busy weights ``weights[r]`` (None will do for a
+    row with no point past d, which reads none) and nondecreasing
     abscissae ``ts[r]`` (``ts`` is (rows, points), at least one row).  The
     constructor does the b-free part.  It raises the error of the first row
     whose abscissae cannot be inverted (``_inversion_error`` on its points
@@ -461,8 +463,8 @@ class _Class2Law:
     its points past d, which end the row (``past_d``).
     """
 
-    def __init__(self, configs: Sequence[QueueConfig], rates, weights: Sequence[BusyWeights],
-                 ts: np.ndarray, tol: ToleranceConfig):
+    def __init__(self, configs: Sequence[QueueConfig], rates,
+                 weights: Sequence[Optional[BusyWeights]], ts: np.ndarray, tol: ToleranceConfig):
         n, m = ts.shape
         self.weights, self.tol = weights, tol
         ds = np.array([cfg.d for cfg in configs], dtype=float)
@@ -540,7 +542,8 @@ def class2_cdf_dapq(
 
     The one-row case of ``_Class2Law``: strict priority up to d, then
     F(d) + H(t - d) at the config's accrediting rate.  The busy weights do
-    not depend on b, which enters only through that rate.  An empty
+    not depend on b, which enters only through that rate, and are built
+    only when the grid has a point past d.  An empty
     grid gives an empty curve; an abscissa that is not finite or out of
     order, or a positive d, t or t - d too small to invert, raises OutOfRange,
     and an eps_invert below the inversion floor AccuracyNotMet.
@@ -549,9 +552,9 @@ def class2_cdf_dapq(
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("class2_cdf_dapq requires exponential service")
     ts = default_grid(config) if grid is None else _abscissae(grid)
-    weights = busy_state_distribution(config, tol)
+    weights = busy_state_distribution(config, tol) if ts.size and ts[-1] > config.d else None
     law = _Class2Law([config], [rates], [weights], ts[None, :], tol)
     past, worst = law.past_d(config.b, np.arange(1))
     values = law.values[0]
     values[len(ts) - law.past[0]:] = past[0]
-    return _certified_curve(ts, values, float(worst[0]), tol, head_states=len(weights))
+    return _certified_curve(ts, values, float(worst[0]), tol, head_states=len(weights or ()))

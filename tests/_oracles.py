@@ -374,10 +374,10 @@ def _state_cap(rho, n_poisson, tol):
 
 def _mass_cut_pmf(rates, d, tol):
     """The package's Poisson jump pmf of a busy-weight head, cut by mass."""
-    pmf, cut, _ = _jump_cuts(rates.nu * d, rates.rho, tol, moment=False)
+    pmf, cut, _ = _jump_cuts(rates.nu * d, rates.rho, tol)
     if isinstance(cut, DapqError):
         raise cut
-    return pmf
+    return pmf[: cut + 1]
 
 
 def _chain_step(v, p_up, q_down):

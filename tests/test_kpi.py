@@ -29,6 +29,7 @@ from dapq.core import (
     DEFAULT_TOL,
     AccuracyNotMet,
     DapqError,
+    InvalidDelay,
     Kpi,
     OutOfRange,
     QueueConfig,
@@ -686,7 +687,7 @@ def test_lockstep_class2_rows_equal_one_row_cdfs_bit_for_bit(lam):
     w = 3.0
     configs = [cfg.replace(d=d) for d in (2.5, 0.0, 7.0, 1.0, 3.0, 0.5, 4.5, 2.5)]
     state = kpi._Rows(len(configs), DEFAULT_TOL)
-    rates, _, weights = state.b_free(configs, heads=True)
+    rates, _, weights = state.b_free(configs, [True] * len(configs))
     law = transforms._Class2Law(configs, rates, weights, np.full((len(configs), 1), w), DEFAULT_TOL)
     free, dep = np.flatnonzero(law.past == 0), np.flatnonzero(law.past)
     assert len({len(weights[r]) for r in dep}) > 2
@@ -1234,38 +1235,49 @@ def test_points_and_sweeps_say_how_they_were_found(monkeypatch):
 # one chain run per sweep
 # --------------------------------------------------------------------------
 
-def _count_chain_runs(monkeypatch):
+def _count_chain_runs(monkeypatch, heads=None):
     """Record the step count of every batched chain run a search makes, and
-    fail on a one-row busy-weight or correction-sum path."""
+    in ``heads`` whether each row of the run has a head cut; fail on a
+    one-row busy-weight or correction-sum path."""
     steps = []
-    run = markov._busy_weights_rows
+    run, delay_weights = markov._busy_weights_rows, mean_wait._delay_weights
 
     def counted(rates, pmfs, cuts, n_steps):
         steps.append(n_steps)
+        if heads is not None:
+            heads.append([c is not None for c in cuts])
         return run(rates, pmfs, cuts, n_steps)
 
     def one_row(*args):
         raise AssertionError("a sweep ran a one-row chain")
 
+    def batched(rates, ds, *args):
+        if len(ds) == 1:
+            one_row()
+        return delay_weights(rates, ds, *args)
+
     monkeypatch.setattr(markov, "_busy_weights_rows", counted)
     monkeypatch.setattr(markov, "busy_state_distribution", one_row)
-    monkeypatch.setattr(mean_wait, "_mm1_correction_sum", one_row)
+    monkeypatch.setattr(mean_wait, "_delay_weights", batched)
     return steps
 
 
 def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
-    # the benchmark's class-2 sweep: the busy weights and correction sums of
-    # all nine delays come from one run, as long as the longest cut of any
-    # delay (d = 8's, where the mass and the moment cut coincide)
+    # the benchmark's class-2 sweep: the correction sums of all nine delays
+    # and the busy weights of d = 0..3, the delays below w = 4 and the only
+    # ones whose CDF reads a head, come from one run, as long as the longest
+    # cut of any delay (d = 8's moment cut, which its mass cut equals)
     cfg, ds = QueueConfig(0.4, 0.18, 1.0), [float(d) for d in range(9)]
     rates = validate(cfg)
     cuts = [_jump_cuts(rates.nu * d, rates.rho, DEFAULT_TOL)[1:] for d in ds]
     _class2_outcomes_match(cfg, KPI2, policy_sweep(cfg, KPI2, ds),
                            policy_sweep_by_delay(cfg, KPI2, ds))
     want = _one_row_sweep(cfg, KPI2, ds)
-    steps = _count_chain_runs(monkeypatch)
+    heads = []
+    steps = _count_chain_runs(monkeypatch, heads)
     points = policy_sweep(cfg, KPI2, ds)
     assert steps == [max(max(c) for c in cuts)] == [39]
+    assert heads == [[d < KPI2.target_w for d in ds]] == [[True] * 4 + [False] * 5]
     assert (points.chain_runs, points.chain_steps) == (1, 39)
     assert points == want
 
@@ -1277,6 +1289,31 @@ def test_a_sweep_runs_the_chain_once_to_its_largest_cut(monkeypatch):
     det = QueueConfig(0.05, 0.6, 1.0, service=ServiceKind.DETERMINISTIC)
     points = policy_sweep(det, KPI1, [0.0, 1.0, 2.0])
     assert len(steps) == 1 and (points.chain_runs, points.chain_steps) == (0, 0)
+
+
+def test_a_class2_sweep_builds_no_head_that_no_row_reads():
+    # at d = 260 >= w = 1 the row reads only the strict-priority F(w) and the
+    # mean's correction moment: its head would need 402 states, past
+    # max_states = 400, while the moment fits
+    cfg, tol = QueueConfig(0.1, 0.1, 1.0), ToleranceConfig(max_states=400)
+    with pytest.raises(TruncationOverflow, match="busy-state head needs 402 states"):
+        busy_state_distribution(cfg.replace(d=260.0), tol)
+    [point] = policy_sweep(cfg, Kpi(1.0, 0.85, 2), [260.0], tol)
+    assert (point.b_star, point.feasible) == (0.0, True)
+    assert point.mean_w2 == dapq_means(cfg.replace(d=260.0), tol).mean_w2
+
+
+def test_a_deterministic_class2_sweep_fails_where_no_row_reads_a_head():
+    # every class-2 row needs the exponential-service CDF, whether or not it
+    # reads busy weights: here no delay lies below w = 4, and the sweep must
+    # not return b* = 1 infeasible
+    det = QueueConfig(0.4, 0.18, 1.0, service=ServiceKind.DETERMINISTIC)
+    for ds in ([5.0, 6.0], [5.0, 0.5], [1.0, 5.0]):
+        with pytest.raises(OutOfRange, match="class-2 CDF machinery requires exponential"):
+            policy_sweep(det, KPI2, ds)
+    # a loop over the delays meets the invalid d mu = 0.5 first
+    with pytest.raises(InvalidDelay, match="got d\\*mu = 0.5"):
+        policy_sweep(det, KPI2, [0.5, 5.0])
 
 
 def test_a_delay_too_small_to_invert_fails_its_row_before_any_inversion(monkeypatch):

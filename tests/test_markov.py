@@ -411,21 +411,33 @@ def test_busy_weights_rows_over_many_blocks_equal_the_loop_in_bounded_memory():
     _equal_the_loop(rates, pmfs, heads, steps)
 
 
-@pytest.mark.parametrize("heads,moments", [(True, True), (True, False), (False, True)])
+_DELAYS = [0.0, 3.0, 1.0, 8.0, 0.5, 3.0]
+
+
+@pytest.mark.parametrize("heads,moments", [
+    pytest.param([True] * 6, [True] * 6, id="True-True"),
+    pytest.param([True] * 6, [False] * 6, id="True-False"),
+    pytest.param([False] * 6, [True] * 6, id="False-True"),
+    # as a class-2 sweep at w = 3 asks
+    pytest.param([d < 3.0 for d in _DELAYS], [True] * 6, id="below-w"),
+    pytest.param([True, False, False, True, True, False], [False, True, True, False, True, True],
+                 id="mixed"),
+])
 @pytest.mark.parametrize("max_states", [6000, 15, 9])
 def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_states):
-    # every delay's weights, moment or error is that of a call for it alone;
-    # with heads, a delay whose head overflows keeps out of the run, and at
-    # occupancy 0.95 and max_states 15 the head of d = 1 fits where its
-    # moment cut does not
+    # every delay's weights, moment or error is that of a call for it alone,
+    # and each delay gets only the parts it asks for; a delay whose head
+    # overflows keeps out of the run, one that asks for no head never fails
+    # on it, and at occupancy 0.95 and max_states 15 the head of d = 1 fits
+    # where its moment cut does not
     tol = ToleranceConfig(max_states=max_states)
     rates = validate(QueueConfig(0.4, 0.55, 1.0))
-    ds = [0.0, 3.0, 1.0, 8.0, 0.5, 3.0]
-    rows, steps = _delay_weights(rates, ds, tol, heads, moments)
-    singles = [_delay_weights(rates, [d], tol, heads, moments) for d in ds]
+    rows, steps = _delay_weights(rates, _DELAYS, tol, heads, moments)
+    singles = [_delay_weights(rates, [d], tol, [h], [m])
+               for d, h, m in zip(_DELAYS, heads, moments)]
     joined = [s for _, s in singles if s is not None]
     assert steps == (max(joined) if joined else None)
-    for got, ((want,), _) in zip(rows, singles):
+    for got, ((want,), _), head, moment in zip(rows, singles, heads, moments):
         for g, w in zip(got, want):
             if isinstance(w, TruncationOverflow):
                 assert type(g) is type(w) and str(g) == str(w)
@@ -433,8 +445,8 @@ def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_state
                 assert g == w
             else:
                 assert np.array_equal(g.head, w.head) and g.tail_next == w.tail_next
-        assert (got[0] is None) == (not heads)
-        assert (got[1] is None) == (not moments or isinstance(got[0], TruncationOverflow))
+        assert (got[0] is None) == (not head)
+        assert (got[1] is None) == (not moment or isinstance(got[0], TruncationOverflow))
 
 
 def test_busy_state_head_size_does_not_grow_with_rho():

@@ -37,13 +37,12 @@ from dapq.core import (
     validate,
 )
 from dapq import mean_wait
-from dapq.markov import StationaryDist, _busy_weights_rows, _jump_cuts
+from dapq.markov import StationaryDist, _busy_weights_rows, _delay_weights, _jump_cuts
 from dapq.mean_wait import (
     _MD1_NODES,
     _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
-    _mm1_correction_sum,
     dapq_means,
     md1_dapq_class2_mean,
     mm1_dapq_class2_mean,
@@ -77,6 +76,15 @@ def chain_rows(rates, k_max):
     steps = range(1, k_max + 1)
     run, _ = _busy_weights_rows(rates, [np.eye(k + 1)[k] for k in steps], list(steps), k_max)
     return [weights.head / (1.0 - rates.rho) for weights in run]
+
+
+def drift_moment(cfg, rates, tol):
+    """The b-free M/M/1 correction: the one-delay, headless ``_delay_weights``."""
+    [(head, moment)], _ = _delay_weights(rates, [cfg.d], tol, [False], [True])
+    assert head is None
+    if isinstance(moment, TruncationOverflow):
+        raise moment
+    return moment
 
 
 def test_x_table_first_entry_and_edge():
@@ -117,7 +125,7 @@ def test_mm1_correction_sum_within_half_eps_series(lam1, lam2, d):
     # occupancy 0.99 and a short delay they dominate the remainder
     cfg = QueueConfig(lam1, lam2, 1.0, d=d, service=EXP)
     want = correction_by_matrix(lam1, 1.0, lam1 + lam2, d, size=6000)
-    got = _mm1_correction_sum(cfg, validate(cfg), DEFAULT_TOL)
+    got = drift_moment(cfg, validate(cfg), DEFAULT_TOL)
     assert abs(got - want) <= 0.5 * DEFAULT_TOL.eps_series
 
 
@@ -134,8 +142,8 @@ def test_drift_moment_matches_the_snapshot_and_a_deep_cut(lam1, lam2, mu, d):
     # grid reaches occupancy 0.99, d = 300 and nu d = 2,000
     cfg = QueueConfig(lam1, lam2, mu, d=d, service=EXP)
     rates, tol = validate(cfg), DEFAULT_TOL
-    got = _mm1_correction_sum(cfg, rates, tol)
-    pmf, _, cut = _jump_cuts(rates.nu * d, rates.rho, tol, mass=False)
+    got = drift_moment(cfg, rates, tol)
+    pmf, _, cut = _jump_cuts(rates.nu * d, rates.rho, tol)
     snapshot = busy_weights_first_moment(busy_weights_by_loop(rates, pmf[: cut + 1]))
     assert abs(got - snapshot) <= 0.5 * tol.eps_series
     top = int(rates.nu * d + 12.0 * math.sqrt(rates.nu * d + 1.0) + 40.0)
@@ -452,7 +460,7 @@ def test_poisson_ksum_cutoff_matches_scalar_loop(rho, eps):
 
 def _moment_cut(nu_d, rho, eps, max_states):
     tol = ToleranceConfig(eps_series=2.0 * eps, max_states=max_states)
-    cut = _jump_cuts(nu_d, rho, tol, mass=False)[2]
+    cut = _jump_cuts(nu_d, rho, tol)[2]
     if isinstance(cut, TruncationOverflow):
         raise cut
     return cut
@@ -548,7 +556,7 @@ def test_an_eps_series_below_the_means_resolution_fails_loudly(service, monkeypa
     with pytest.raises(AccuracyNotMet, match=f"below {floor}, the float spacing"):
         dapq_means(cfg, tight)
     with pytest.raises(AccuracyNotMet, match=f"below {floor}"):
-        mean_wait._b_free_rows([cfg], tight, heads=False)[1][0](0.5)
+        mean_wait._b_free_rows([cfg], tight, [False])[1][0](0.5)
     assert dapq_means(cfg.replace(b=0.0), tight).mean_w2 == npq_class2_mean(cfg)
     assert dapq_means(cfg).mean_w2 < npq_class2_mean(cfg)
     monkeypatch.setenv("DAPQ_EPS_SERIES", "1e-18")

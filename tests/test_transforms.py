@@ -25,6 +25,7 @@ from _oracles import (
 from dapq import transforms
 from dapq.core import (
     DEFAULT_TOL, AccuracyNotMet, OutOfRange, QueueConfig, ServiceKind, ToleranceConfig,
+    TruncationOverflow,
 )
 from dapq.markov import BusyWeights, busy_state_distribution
 from dapq.mean_wait import dapq_means
@@ -306,12 +307,14 @@ def test_class2_cdf_equals_one_curve_path_bit_for_bit(points, where):
     k = max(points // 2, 1)
     d = {"zero": 0.0, "on_point": ts[points // 2], "past_end": ts[-1] + 1.5,
          "between": 0.5 * (ts[k - 1] + ts[k]) if points > 1 else 0.7}[where]
+    # a grid that ends at or before d reads no busy weights and builds none
     for lam1, lam2, b in ((0.5, 0.3, 0.6), (0.2, 0.7, 0.1), (0.9, 0.05, 0.9)):
         cfg = QueueConfig(lam1, lam2, 1.0, b=b, d=float(d))
         got, want = class2_cdf_dapq(cfg, ts), class2_cdf_by_grid(cfg, ts)
         assert np.array_equal(got.values, want.values)
         assert (got.error_estimate, got.max_adjustment, got.head_states, got.provenance) == (
-            want.error_estimate, want.max_adjustment, want.head_states, want.provenance)
+            want.error_estimate, want.max_adjustment,
+            want.head_states if ts[-1] > d else 0, want.provenance)
 
 
 def _rows_of(configs):
@@ -507,6 +510,21 @@ def test_class2_cdf_reports_how_it_was_computed():
     curve = class2_cdf_dapq(cfg, np.arange(0.0, 30.0, 0.1))
     assert math.exp(-(-math.log(1e-8) + 2.3)) <= curve.error_estimate <= 1e-8
     assert curve.head_states == len(busy_state_distribution(cfg))
+
+
+def test_class2_cdf_with_no_point_past_d_builds_no_busy_weights():
+    # the head at d = 260 would need 402 states, past max_states = 400; a
+    # grid ending before d reads only the strict-priority CDF
+    cfg, tol = QueueConfig(0.1, 0.1, 1.0, b=0.5, d=260.0), ToleranceConfig(max_states=400)
+    with pytest.raises(TruncationOverflow, match="busy-state head needs 402 states"):
+        busy_state_distribution(cfg, tol)
+    ts = np.arange(0.0, 100.0)
+    curve = class2_cdf_dapq(cfg, ts, tol)
+    assert len(curve.values) == 100 and curve.head_states == 0
+    longer = np.append(ts, 260.5)
+    assert np.array_equal(curve.values, class2_cdf_dapq(cfg, longer).values[:100])
+    with pytest.raises(TruncationOverflow, match="402 states"):
+        class2_cdf_dapq(cfg, longer, tol)
 
 
 def test_class2_cdf_heavy_traffic_long_delay_default_grid():

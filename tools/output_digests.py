@@ -4,7 +4,13 @@
     python3 tools/output_digests.py TREE --compare OTHER [--seeds 0 1 2 3]
 
 TREE is the root of a checkout, say a ``git archive`` export of a commit.
-The script runs the ``means``, ``cdf`` and ``kpi`` specs of
+The script first prints, on lines that start with ``#``, the facts the
+digests depend on: the Python and numpy versions, numpy's BLAS and the
+SIMD extensions it found, and the thread counts, which it pins to one for
+BLAS and OpenMP before numpy is imported, as ``perfbench/run.py`` does for
+its workers.  ``tests/output_digests.txt`` is this output for the
+checkout it is committed in, at the default seeds, and a tier-1 test
+recomputes it.  It then runs the ``means``, ``cdf`` and ``kpi`` specs of
 ``TREE/perfbench/workloads.py`` on each seed with TREE's ``dapq`` and
 prints one line per output: for ``means`` the float hex of both means, for
 ``cdf`` and ``kpi`` the exit code, the CSV's sha256 and the manifest
@@ -18,7 +24,8 @@ mu = 2 per service kind (``MU_SWEEP``, the only lines off mu = 1), of a
 class-2 ``dapq kpi`` sweep and region at a target wait too small to
 invert (``TINY_TARGET``), of a class-2 ``dapq kpi`` sweep whose class-1
 mean falls with d (``TREND_SWEEP``), of a class-2 ``dapq kpi`` sweep
-whose first delay is too small to invert and whose second cannot be
+out to d = 1000, far past its target wait (``LONG_CLASS2_SWEEP``), of a
+class-2 ``dapq kpi`` sweep whose first delay is too small to invert and whose second cannot be
 truncated (``FIRST_FAILURE``: the first delay's OutOfRange, exit 2, is
 what a loop over the delays raises), and of one small seeded ``dapq
 simulate`` run (``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
@@ -47,6 +54,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -61,11 +70,17 @@ MU_SWEEP = ["--lam1", "1.0", "--lam2", "0.6", "--mu", "2", "--b", "0:1:0.5", "--
 TINY_TARGET = ["kpi", "--class", "2", "--w", "1e-310", "--p", "0.5"]
 TREND_SWEEP = ["kpi", "--class", "2", "--w", "8", "--p", "0.95", "--lam1", "0.35",
                "--lam2", "0.25", "--sweep-d", "0:2:0.5"]
+LONG_CLASS2_SWEEP = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
+                     "--lam2", "0.18", "--sweep-d", "0:1000:100"]
 FIRST_FAILURE = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
                  "--lam2", "0.18", "--sweep-d", "1e-310:5000:5000"]
 SIMULATE = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
             "--n", "400", "--burn-in", "100", "--reps", "3", "--seed", "7",
             "--t-max", "10", "--dt", "0.5"]
+# BLAS and OpenMP pools would otherwise start a thread per core
+THREAD_PINS = {name: "1" for name in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
 # (label, argv) of the fixed command lines, whose CSVs are cli-<index>.csv
 COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
             for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
@@ -78,8 +93,26 @@ COMMANDS += [("kpi tiny-w sweep",
               [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
              ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"]),
              ("kpi trend sweep", TREND_SWEEP),
+             ("kpi long class-2 sweep", LONG_CLASS2_SWEEP),
              ("kpi first-failure sweep", FIRST_FAILURE),
              ("simulate", SIMULATE)]
+
+
+def _facts() -> list:
+    """The header lines: the facts of this process that the digests depend on."""
+    import numpy
+
+    try:
+        config = numpy.show_config(mode="dicts")
+        blas = config["Build Dependencies"]["blas"]
+        blas, simd = f"{blas['name']} {blas['version']}", config["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only as text
+        blas, simd = "unknown", ["unknown"]
+    return [f"# python {platform.python_version()} {platform.machine()}",
+            f"# numpy {numpy.__version__}",
+            f"# blas {blas}",
+            "# simd " + " ".join(simd),
+            "# threads " + " ".join(f"{k}={os.environ[k]}" for k in THREAD_PINS)]
 
 
 def _digest(name: str, raw, path: Path) -> str:
@@ -165,6 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument("--csv-dir", type=Path, help=argparse.SUPPRESS)  # keep the CSVs here
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
+    os.environ.update(THREAD_PINS)
     if args.compare is not None:
         return _compare(tree, args.compare.resolve(), args.seeds)
     sys.dont_write_bytecode = True
@@ -176,6 +210,7 @@ def main(argv=None) -> int:
     for module in (dapq, workloads):
         if tree not in Path(module.__file__).resolve().parents:
             raise SystemExit(f"{module.__name__} was imported from {module.__file__}, not {tree}")
+    print("\n".join(_facts()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         scratch = args.csv_dir or tmp
         for seed in args.seeds:
