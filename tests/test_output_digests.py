@@ -46,16 +46,18 @@ def test_output_digests_are_one_repeatable_line_per_output():
     lines = lines[5:]
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean", "simulate")]
-    assert counts == [64, 3, 8, 12, 1]
-    # each fixed mean line is followed by the digest of its means' float hex
-    fixed = lines[-18:]
+    assert counts == [64, 5, 9, 12, 1]
+    # each fixed mean or cdf line is followed by the digest of its floats' hex
+    fixed = lines[-21:]
     assert [line.split(" sha256=")[0] for line in fixed] == [
         f"{label} {kind}" for label in (
             "mean service=exp", "mean service=det", "mean long service=exp",
             "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det")
         for kind in ("exit=0", "floats")] + [
         "kpi tiny-w sweep exit=2", "kpi tiny-w region exit=2", "kpi trend sweep exit=0",
-        "kpi long class-2 sweep exit=0", "kpi first-failure sweep exit=2", "simulate exit=0"]
+        "kpi long class-2 sweep exit=0", "kpi first-failure sweep exit=2",
+        "cdf long head exit=0", "cdf long head floats", "kpi long-head sweep exit=0",
+        "simulate exit=0"]
     # each command line also digests its stderr, empty where it exits 0
     empty = " stderr=" + hashlib.sha256(b"").hexdigest()
     for line in fixed:
@@ -69,7 +71,7 @@ def test_output_digests_are_one_repeatable_line_per_output():
     failed = [line.split(" exit=")[1] for line in fixed if " exit=2 " in line]
     assert len(failed) == 3 and len(set(failed)) == 1
     assert failed[0].startswith("2 sha256=none stderr=")
-    for line in lines[:-18]:
+    for line in lines[:-21]:
         fields = line.split(" ", 3)[3]
         if line.startswith("means"):
             w1, w2 = (float.fromhex(f.split("=")[1]) for f in fields.split())
@@ -95,7 +97,7 @@ def test_compare_prints_each_csvs_largest_numeric_change(tmp_path):
         "mean service=exp", "mean service=det", "mean long service=exp",
         "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
         "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep", "kpi long class-2 sweep",
-        "kpi first-failure sweep", "simulate"]
+        "kpi first-failure sweep", "cdf long head", "kpi long-head sweep", "simulate"]
     assert all(line.endswith(" max_abs_diff=0.0") for line in lines)
 
     # numeric cells compare by value; a text cell, a shape or a missing file

@@ -27,11 +27,17 @@ mean falls with d (``TREND_SWEEP``), of a class-2 ``dapq kpi`` sweep
 out to d = 1000, far past its target wait (``LONG_CLASS2_SWEEP``), of a
 class-2 ``dapq kpi`` sweep whose first delay is too small to invert and whose second cannot be
 truncated (``FIRST_FAILURE``: the first delay's OutOfRange, exit 2, is
-what a loop over the delays raises), and of one small seeded ``dapq
-simulate`` run (``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
+what a loop over the delays raises), of a class-2 ``dapq cdf`` curve
+with a 286-state busy-weight head and 300 points past d over three
+blocks (``LONG_HEAD_CDF``), of a class-2 ``dapq kpi`` sweep whose six
+delays have heads of different lengths in one lockstep search
+(``LONG_HEAD_SWEEP``), and of one small seeded ``dapq simulate`` run
+(``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
 of the float hex of both means, from TREE's ``dapq_means``, at each (b, d)
-point of that command line, since the CSV's 12 significant digits hide a
-move of a few ulps.
+point of that command line, and after the ``dapq cdf`` line the sha256 of
+the float hex of the curve's values and ``error_estimate``, from TREE's
+``class2_cdf_dapq``, since the CSV's 12 significant digits hide a move of
+a few ulps.
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
@@ -74,6 +80,10 @@ LONG_CLASS2_SWEEP = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1",
                      "--lam2", "0.18", "--sweep-d", "0:1000:100"]
 FIRST_FAILURE = ["kpi", "--class", "2", "--w", "4", "--p", "0.85", "--lam1", "0.4",
                  "--lam2", "0.18", "--sweep-d", "1e-310:5000:5000"]
+LONG_HEAD_CDF = ["cdf", "--kind", "dapq2", "--lam1", "0.9", "--lam2", "0.09", "--b", "0.5",
+                 "--d", "100", "--t-max", "400", "--dt", "1"]
+LONG_HEAD_SWEEP = ["kpi", "--class", "2", "--w", "30", "--p", "0.99", "--lam1", "0.5",
+                   "--lam2", "0.3", "--sweep-d", "0:25:5"]
 SIMULATE = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
             "--n", "400", "--burn-in", "100", "--reps", "3", "--seed", "7",
             "--t-max", "10", "--dt", "0.5"]
@@ -95,6 +105,8 @@ COMMANDS += [("kpi tiny-w sweep",
              ("kpi trend sweep", TREND_SWEEP),
              ("kpi long class-2 sweep", LONG_CLASS2_SWEEP),
              ("kpi first-failure sweep", FIRST_FAILURE),
+             ("cdf long head", LONG_HEAD_CDF),
+             ("kpi long-head sweep", LONG_HEAD_SWEEP),
              ("simulate", SIMULATE)]
 
 
@@ -139,6 +151,16 @@ def _mean_floats(dapq, argv) -> str:
         for b in dapq.cli._parse_sweep(args.b):
             means = dapq.dapq_means(base.replace(b=b, d=d))
             lines.append(f"{means.mean_w1.hex()} {means.mean_w2.hex()}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def _cdf_floats(dapq, argv) -> str:
+    """sha256 of the float hex of the values and error estimate of a ``dapq cdf`` dapq2 line."""
+    args = dapq.cli._build_parser().parse_args(argv)
+    config = dapq.cli._queue_config(args)
+    curve = dapq.class2_cdf_dapq(config, dapq.cli._cdf_grid(args, config))
+    lines = [f"{v.hex()}\n" for v in map(float, curve.values)]
+    lines.append(f"{float(curve.error_estimate).hex()}\n")
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
@@ -229,6 +251,8 @@ def main(argv=None) -> int:
             print(f"{label} exit={code} sha256={digest} stderr={stderr}", flush=True)
             if argv[0] == "mean":
                 print(f"{label} floats sha256={_mean_floats(dapq, argv)}", flush=True)
+            elif argv[0] == "cdf":
+                print(f"{label} floats sha256={_cdf_floats(dapq, argv)}", flush=True)
     return 0
 
 
