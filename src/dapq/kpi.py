@@ -284,8 +284,7 @@ def _npq_probe(lam1: np.ndarray, lam2, mu: float, kpi: Kpi, state: _Rows, rows: 
     (values, slopes) per row, ``slopes`` dF/dlambda2 = dF/drho / mu from the
     same inversion.
     """
-    if error := transforms._inversion_error(np.array([kpi.target_w]), state.tol):
-        raise error
+    transforms._inversion_error(np.array([kpi.target_w]), state.tol)
     state.inverted(len(rows))
     vals, est, dfdrho = transforms._npq_cdf_rows(
         np.full((len(rows), 1), kpi.target_w), lam1, lam1 / mu + lam2 / mu, mu, state.tol,

@@ -12,7 +12,7 @@ C (rho eta)^(n+1) / (1 - rho eta); n is set by the delay horizon, not by
 the occupancy.  eta takes one square root: z^2 - 4 mu a factors as
 (s + alpha)(s + beta) with alpha, beta >= 0, both factors lie in the
 closed right half-plane for Re(s) >= 0, so the principal root of their
-product is the branch wanted (see ``_eta_into``).
+product is the branch wanted (see ``_eta``).
 
 CDFs are recovered with the Euler-summation Fourier-series inversion
 (Abate--Whitt style): the Bromwich integral is discretized with step pi/t
@@ -26,7 +26,7 @@ C_k: t cancels, and no node divides by s.  Partial sums and averages are
 linear in the terms, so each point's value and estimate are two fixed
 weighted sums over its nodes.  The inversion runs on whole blocks of grid
 points at once: a transform maps an ndarray of complex s, here points x
-contour nodes, elementwise, in work arrays allocated once per call.
+contour nodes, elementwise to a new array.
 
 Every inversion is a batch of rows (``_invert_over_delay_rows``), one
 row per configuration, each with its own abscissae, accrediting rate and
@@ -107,17 +107,17 @@ class CdfCurve:
 # --------------------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")
-def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Accreditation-interval transform eta(s) for exponential service, written into ``root``.
+def _eta(s: np.ndarray, arrival_rate, mu: float):
+    """Accreditation-interval transform eta(s) for exponential service, and z.
 
-    Equals mu/(mu+s) when the accrediting arrival rate is 0.  s is a scalar
-    or an ndarray of real or complex s with Re(s) >= 0, and the arrival rate
-    a scalar or an ndarray (one rate per row of a batch) broadcasting
-    against it; ``root`` and ``work`` are complex arrays of the broadcast
-    shape, ``work`` scratch space.  s is left as it is.  Returns ``root``.
+    Equals mu/(mu+s) when the accrediting arrival rate is 0.  s is a complex
+    ndarray (0-d will do) with Re(s) >= 0, and the arrival rate a scalar or
+    an ndarray (one rate per row of a batch) broadcasting against it.
+    Returns eta and z = s + mu + a, which the derivative in a reads
+    (``_invert_over_delay_rows``), both of the broadcast shape.
 
     eta is the root of a eta^2 - z eta + mu = 0 inside the unit disk,
-    z = s + mu + a, written 2 mu / (z + sqrt((s + alpha)(s + beta))) with
+    written 2 mu / (z + sqrt((s + alpha)(s + beta))) with
     alpha = (sqrt(mu) - sqrt(a))^2 and beta = (sqrt(mu) + sqrt(a))^2, since
     z^2 - 4 mu a = (s + alpha)(s + beta).  Both factors lie in the closed
     right half-plane, so one principal square root of their product (numpy's,
@@ -126,65 +126,57 @@ def _eta_into(s, arrival_rate, mu: float, root: np.ndarray, work: np.ndarray) ->
     |z| / a.  alpha is formed as ((mu - a) / (sqrt(mu) + sqrt(a)))^2, which
     keeps its digits when a is close to mu.  Where |s| > about 1e154 the
     product overflows; there the root equals z to double precision and z is
-    used, without a warning.  ``work`` is left holding z, which the
-    derivative in a reads (``_invert_over_delay_rows``).
+    used, without a warning.
     """
     sqrt_mu, sqrt_a = math.sqrt(mu), np.sqrt(arrival_rate)
     low = (mu - arrival_rate) / (sqrt_mu + sqrt_a)
     high = sqrt_mu + sqrt_a
-    np.add(s, low * low, out=root)
-    np.add(s, high * high, out=work)
-    np.multiply(root, work, out=root)
-    np.sqrt(root, out=root)
-    np.add(s, mu + arrival_rate, out=work)  # z
+    root = np.sqrt((s + low * low) * (s + high * high))
+    z = s + (mu + arrival_rate)
     finite = np.isfinite(root)
     if not finite.all():
-        np.copyto(root, work, where=~finite)
-    np.add(root, work, out=root)
-    return np.divide(2.0 * mu, root, out=root)
+        root = np.where(finite, root, z)
+    return 2.0 * mu / (root + z), z
 
 
 # --------------------------------------------------------------------------
 # class-2 waiting-time transforms (exponential service)
 # --------------------------------------------------------------------------
 
-def _horner(e, rho, tail_next, steps, starts, acc, slope=None):
+def _horner(e, rho, tail_next, steps, starts, slope: bool = False):
     """sum_j w_j e^j for busy weights w: a head by Horner's rule, a closed geometric tail.
 
     Evaluates e (w_1 + e (w_2 + ... e (w_n + e T))) with
     T = tail_next / (1 - rho e), the tail sum in closed form, for a batch
-    of rows in ``acc`` (shaped like e), which it returns.  ``steps`` are
-    the heads' coefficients w_n .. w_1 in the order Horner's rule takes
-    them: rows come longest head first, each step holding every row's
-    coefficient right-aligned, and row r's head begins at step
-    ``starts[r]`` (``starts`` ends with n).  From there to the next row's
-    start, rows 0..r take the steps and the rest keep their tail term, so
-    each row gets exactly its one-row value.  With ``slope`` (shaped like
-    e) the derivative in e rides along: T' = rho T / (1 - rho e), each step
-    takes the running derivative to e d + acc before acc becomes h + e acc,
-    and the sum's derivative is acc + e d.  The sum is computed by the same
+    of rows shaped like e, and returns it.  ``steps`` are the heads'
+    coefficients w_n .. w_1 in the order Horner's rule takes them: rows
+    come longest head first, each step holding every row's coefficient
+    right-aligned, and row r's head begins at step ``starts[r]``
+    (``starts`` ends with n).  From there to the next row's start, rows
+    0..r take the steps in place and the rest keep their tail term, so
+    each row gets exactly its one-row value.  With ``slope`` it returns
+    (sum, derivative in e): T' = rho T / (1 - rho e), each step takes the
+    running derivative to e d + acc before acc becomes h + e acc, and the
+    sum's derivative is acc + e d.  The sum is computed by the same
     operations either way.
     """
-    np.multiply(rho, e, out=acc)
-    np.subtract(1.0, acc, out=acc)
-    if slope is not None:
-        np.divide(rho, acc, out=slope)
-    np.divide(tail_next, acc, out=acc)
-    if slope is not None:
-        np.multiply(slope, acc, out=slope)
+    acc = 1.0 - rho * e
+    grad = rho / acc if slope else None
+    acc = tail_next / acc
+    if slope:
+        grad *= acc
     for r in range(len(starts) - 1):
         part, er = acc[: r + 1], e[: r + 1]
-        d = None if slope is None else slope[: r + 1]
+        d = grad[: r + 1] if slope else None
         for h in steps[starts[r] : starts[r + 1], : r + 1]:
-            if d is not None:
+            if slope:
                 np.multiply(er, d, out=d)
-                np.add(d, part, out=d)
+                d += part
             np.multiply(er, part, out=part)
             np.add(h, part, out=part)
-    if slope is not None:
-        np.multiply(e, slope, out=slope)
-        np.add(slope, acc, out=slope)
-    return np.multiply(e, acc, out=acc)
+    if not slope:
+        return e * acc
+    return e * acc, e * grad + acc
 
 
 def _invert_over_delay_rows(
@@ -205,9 +197,7 @@ def _invert_over_delay_rows(
     deta/da = eta (1 - eta) / (2 a eta - z) from a eta^2 - z eta + mu = 0.
     The rows are inverted longest head first, each row's head w_n .. w_1
     right-aligned in the Horner steps, so the heads that have begun form
-    a prefix at every step, and the results are put back in order.  eta
-    works in an array of one block, allocated here and reused by every
-    block, and the Horner sum in the output block.
+    a prefix at every step, and the results are put back in order.
     """
     # sorted in Python: numpy's argsort would page in its sorting code for
     # a few dozen rows
@@ -221,23 +211,13 @@ def _invert_over_delay_rows(
     tail_next = np.array([weights[r].tail_next for r in order])[:, None, None]
     lam = (np.zeros(len(order)) + lam_acc)[order, None, None]
     starts = [n - lengths[r] for r in order] + [n]
-    work = _block_arrays(2 if slope else 1, ts.shape)
 
-    def transform(s, out):
-        # the last output block is eta's scratch, which leaves z in it
-        e = _eta_into(s, lam, mu, _front(work[0], s.shape), out[-1])
+    def transform(s):
+        e, z = _eta(s, lam, mu)
         if not slope:
-            return _horner(e, rho, tail_next, steps, starts, out[0])[None]
-        den = _front(work[1], s.shape)
-        np.multiply(e, 2.0 * lam, out=den)
-        np.subtract(den, out[1], out=den)  # 2 a eta - z
-        d = out[1]
-        out[0] = _horner(e, rho, tail_next, steps, starts, out[0], d)
-        np.multiply(d, e, out=d)
-        np.divide(d, den, out=d)
-        np.subtract(1.0, e, out=den)
-        np.multiply(d, den, out=d)
-        return out
+            return _horner(e, rho, tail_next, steps, starts)[None]
+        value, grad = _horner(e, rho, tail_next, steps, starts, slope=True)
+        return np.stack([value, grad * e / (e * (2.0 * lam) - z) * (1.0 - e)])
 
     back = np.empty(len(order), dtype=int)
     back[order] = np.arange(len(order))
@@ -262,21 +242,14 @@ def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig,
     r = rhos[:, None, None]
     tail_next = (1.0 - r) * r
     lam = (np.zeros(len(ts)) + lambda1)[:, None, None]
-    (eta_work,) = _block_arrays(1, ts.shape)
 
-    def transform(s, out):
-        e = _eta_into(s, lam, mu, _front(eta_work, s.shape), out[0])
-        value = _horner(e, r, tail_next, (), [0], out[0])
+    def transform(s):
+        e = _eta(s, lam, mu)[0]
+        value = _horner(e, r, tail_next, (), [0])
         if not slope:
             return value[None]
-        out[0] = value
-        d = out[1]
-        np.multiply(r, e, out=d)
-        np.subtract(1.0, d, out=d)
-        np.multiply(d, d, out=d)
-        np.subtract(e, 1.0, out=e)
-        np.divide(e, d, out=d)
-        return out
+        den = 1.0 - r * e
+        return np.stack([value, (e - 1.0) / (den * den)])
 
     values, *rest = _euler_invert(transform, ts, tol, slope)
     return ((1.0 - rhos)[:, None] + values, *rest)
@@ -286,7 +259,7 @@ def _npq_cdf_rows(ts: np.ndarray, lambda1, rho, mu: float, tol: ToleranceConfig,
 # Euler-summation inversion
 # --------------------------------------------------------------------------
 
-# Grid points inverted per block: a work array of one block holds points x
+# Grid points inverted per block: one complex array of a block holds points x
 # 61 contour nodes of 16 bytes, 122 KiB for one row.
 _BLOCK = 128
 
@@ -313,17 +286,6 @@ def _euler_params(eps: float) -> float:
     return max(18.5, -math.log(eps) + 2.3)
 
 
-def _block_arrays(count: int, ts_shape) -> np.ndarray:
-    """``count`` flat complex work arrays, each one block of ts's points times the contour nodes."""
-    points = min(ts_shape[-1], _BLOCK)
-    return np.empty((count, math.prod(ts_shape[:-1]) * points * len(_NODES)), dtype=complex)
-
-
-def _front(flat: np.ndarray, shape) -> np.ndarray:
-    """The first elements of a flat work array, viewed as a contiguous array of ``shape``."""
-    return flat[: math.prod(shape)].reshape(shape)
-
-
 @functools.lru_cache(maxsize=8)
 def _euler_constants(a: float):
     """The t-free constants of the contour A: t s_k, and the weights of the value and estimate.
@@ -347,17 +309,18 @@ def _euler_constants(a: float):
 _INVERT_FLOOR = 1e-10
 
 
-def _inversion_error(ts: np.ndarray, tol: ToleranceConfig):
-    """AccuracyNotMet for an eps_invert below ``_INVERT_FLOOR``, OutOfRange if a t in ``ts``
-    lies in (0, t_min), else None: t_min, about 1e-306 at the default eps_invert, is the
+def _inversion_error(ts: np.ndarray, tol: ToleranceConfig) -> None:
+    """Raise AccuracyNotMet for an eps_invert below ``_INVERT_FLOOR``, then OutOfRange if a t
+    in ``ts`` lies in (0, t_min): t_min, about 1e-306 at the default eps_invert, is the
     least t whose largest contour node (A/2 + i N pi)/t is finite."""
     if tol.eps_invert < _INVERT_FLOOR:
-        return AccuracyNotMet(f"eps_invert={tol.eps_invert:.3e} lies below the inversion "
-                              f"floor {_INVERT_FLOOR:g}, the least that float64 certifies")
+        raise AccuracyNotMet(f"eps_invert={tol.eps_invert:.3e} lies below the inversion "
+                             f"floor {_INVERT_FLOOR:g}, the least that float64 certifies")
     t_min = abs(_euler_constants(_euler_params(tol.eps_invert))[0][-1]) / np.finfo(float).max
     low = ts[(ts > 0.0) & (ts < t_min)]
-    return OutOfRange(f"abscissa {low[0]:.6g} lies below the smallest invertible t = {t_min:.6g}, "
-                      "where the inversion's contour nodes overflow") if low.size else None
+    if low.size:
+        raise OutOfRange(f"abscissa {low[0]:.6g} lies below the smallest invertible "
+                         f"t = {t_min:.6g}, where the inversion's contour nodes overflow")
 
 
 def _euler_invert(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool = False):
@@ -365,14 +328,14 @@ def _euler_invert(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool =
 
     Each point's Bromwich contour Re(s) = A/(2t) is sampled at the nodes
     s_k = (A/2 + i k pi)/t.  ``ts`` may have any leading shape, a batch
-    being (rows, points): ``transform(s, out)`` gets s as ts's shape plus a
+    being (rows, points): ``transform(s)`` gets s as ts's shape plus a
     node axis, ``_BLOCK`` points of the last axis at a time, broadcasts its
-    parameters as (rows, 1, 1), leaves s as it is and returns G(s) and,
-    with ``slope``, its derivative in a parameter, stacked as an array
-    shaped like ``out``, a work array of (1 or 2,) + s.shape that it may
-    return.  The Euler term of node k is exp(A/2)/t sign_k Re(G(s_k)/s_k),
-    and t s_k is A/2 + i k pi, so the term is Re(G(s_k) C_k) with the
-    t-free constant C_k = exp(A/2) sign_k / (A/2 + i k pi).  The partial
+    parameters as (rows, 1, 1) and returns G(s) and, with ``slope``, its
+    derivative in a parameter, stacked as a (1 or 2,) + s.shape array; s
+    is its own to overwrite.  The Euler term of node k is
+    exp(A/2)/t sign_k Re(G(s_k)/s_k), and t s_k is A/2 + i k pi, so the
+    term is Re(G(s_k) C_k) with the t-free constant
+    C_k = exp(A/2) sign_k / (A/2 + i k pi).  The partial
     sums and their binomial averages are linear in the terms, so the value
     and the error estimate (the difference of the last two binomial
     averages) are each one weighted sum of the real and imaginary parts of
@@ -382,28 +345,18 @@ def _euler_invert(transform, ts: np.ndarray, tol: ToleranceConfig, slope: bool =
     so it takes no part in the accuracy gate).  numpy sums each point's
     products on its own, so a point's value and estimate do not depend on
     the other points or rows of the call, on where its block starts, nor
-    on ``slope``.  s is formed once per block, in one array allocated per
-    call, and once the transform has returned, each half's products are
-    written over it; the short last block uses its leading part.
+    on ``slope``.
     """
     scaled_nodes, average, change = _euler_constants(_euler_params(tol.eps_invert))
     halves = 2 if slope else 1
-    (s_work,) = _block_arrays(1, ts.shape)
-    (out_work,) = _block_arrays(1, (halves,) + ts.shape)
     values, estimates = np.empty((2, halves) + ts.shape)
     for lo in range(0, ts.shape[-1], _BLOCK):
         block = (..., slice(lo, lo + _BLOCK))
-        t = ts[block][..., None]
-        s = _front(s_work, t.shape[:-1] + (len(_NODES),))
-        np.multiply(scaled_nodes, 1.0 / t, out=s)
-        g = np.ascontiguousarray(transform(s, _front(out_work, (halves,) + s.shape)),
+        g = np.ascontiguousarray(transform(scaled_nodes * (1.0 / ts[block][..., None])),
                                  dtype=complex).view(float)
-        products = _front(s_work.view(float), g.shape[1:])  # s is spent
         for half, value, estimate in zip(g, values, estimates):
-            np.add.reduce(np.multiply(half, average, out=products), axis=-1, out=value[block])
-            late = np.multiply(half[..., -len(change) :], change,
-                               out=products[..., : len(change)])
-            np.add.reduce(late, axis=-1, out=estimate[block])
+            np.add.reduce(half * average, axis=-1, out=value[block])
+            np.add.reduce(half[..., -len(change) :] * change, axis=-1, out=estimate[block])
     np.abs(estimates, out=estimates)
     if not slope:
         return values[0], estimates[0]
@@ -473,9 +426,7 @@ class _Class2Law:
         self.past = np.add.reduce(over > 0.0, axis=1)
         for r in range(n):
             cut = m - self.past[r]
-            if error := _inversion_error(
-                    np.concatenate([ts[r, :cut], ds[r : r + 1], over[r, cut:]]), tol):
-                raise error
+            _inversion_error(np.concatenate([ts[r, :cut], ds[r : r + 1], over[r, cut:]]), tol)
         strict = pts > 0.0
         strict[:, :m] &= over <= 0.0
         full, self.worst = np.zeros(pts.shape), np.zeros(n)

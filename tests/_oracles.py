@@ -88,7 +88,7 @@ from dapq.transforms import (
     _N_AVG,
     _N_BURN,
     _certified_curve,
-    _eta_into,
+    _eta,
     _euler_invert,
     _euler_params,
     class2_cdf_dapq,
@@ -136,14 +136,13 @@ def class1_mean_from_class2(config, mean_w2):
 
 
 def eta_mm1(s, arrival_rate, mu):
-    """The package's eta (``transforms._eta_into``) of a scalar or an ndarray s.
+    """The package's eta (``transforms._eta``) of a scalar or an ndarray s.
 
     An ndarray s gives a complex ndarray, a complex scalar a complex, and a
     real scalar s >= 0 a float in (0, 1].  With an ndarray s the arrival
     rate may be an ndarray too, broadcasting against s.
     """
-    shape = np.broadcast_shapes(np.shape(s), np.shape(arrival_rate))
-    val = _eta_into(s, arrival_rate, mu, np.empty(shape, complex), np.empty(shape, complex))
+    val = _eta(np.asarray(s, dtype=complex), arrival_rate, mu)[0]
     if isinstance(s, np.ndarray):
         return val
     if isinstance(s, complex):
@@ -525,9 +524,8 @@ def _shifted_tail_by_horner(lam_acc, mu, w, eta=eta_mm1):
 
 
 def invert_fn(fn, ts, tol=DEFAULT_TOL):
-    """The package's block inversion (``transforms._euler_invert``) of a
-    transform ``fn(s)`` that takes no work array."""
-    return _euler_invert(lambda s, out: fn(s)[None], ts, tol)
+    """The package's block inversion (``transforms._euler_invert``) of a transform ``fn(s)``."""
+    return _euler_invert(lambda s: fn(s)[None], ts, tol)
 
 
 def class2_cdf_by_grid(config, grid=None, tol=DEFAULT_TOL, eta=eta_mm1, invert=invert_fn):

@@ -753,9 +753,10 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
     spoiled = busy_state_distribution(cfg.replace(d=2.0)).tail_next
     horner = transforms._horner
 
-    def nan_row(e, rho, tail_next, steps, starts, acc, slope=None):
-        out = horner(e, rho, tail_next, steps, starts, acc, slope)
-        return np.where(np.asarray(tail_next) == spoiled, np.nan, out)
+    def nan_row(e, rho, tail_next, steps, starts, slope=False):
+        out = horner(e, rho, tail_next, steps, starts, slope)
+        spoil = lambda x: np.where(np.asarray(tail_next) == spoiled, np.nan, x)
+        return tuple(map(spoil, out)) if slope else spoil(out)
 
     monkeypatch.setattr(transforms, "_horner", nan_row)
     for ds, error in (([0.0, 1.0, 2.0, 3.0, -1.0], AccuracyNotMet),
@@ -767,10 +768,14 @@ def test_a_nan_row_fails_the_batch_and_the_first_failed_row_is_raised(monkeypatc
 
     # a region row whose every probe is NaN: the lowest such lambda1 is raised
     lam1s = np.arange(0.05, 1.0, 0.05)
-    eta = transforms._eta_into
+    eta = transforms._eta
+
+    def nan_eta(s, rate, mu):
+        e, z = eta(s, rate, mu)
+        return np.where(np.isin(rate, lam1s[[4, 2]]), np.nan, e), z
+
     monkeypatch.setattr(transforms, "_horner", horner)
-    monkeypatch.setattr(transforms, "_eta_into", lambda s, rate, mu, root, work: np.where(
-        np.isin(rate, lam1s[[4, 2]]), np.nan, eta(s, rate, mu, root, work)))
+    monkeypatch.setattr(transforms, "_eta", nan_eta)
     with pytest.raises(AccuracyNotMet, match="nan"):
         feasible_region(KPI2, resolution=0.05)
     with pytest.raises(AccuracyNotMet, match="nan"):

@@ -325,8 +325,8 @@ def _rows_of(configs):
 
 @pytest.mark.parametrize("points", [1, 127, 128, 129, 256, 257])
 def test_curves_equal_their_per_point_inversions_bit_for_bit(points):
-    # the work arrays are reused from block to block and the last block
-    # views their front, yet no point depends on its block or neighbours
+    # points are inverted 128 to a block and the last block is short, yet
+    # no point depends on its block or neighbours
     ts = np.sort(np.random.default_rng(points).uniform(1e-3, 15.0, points))[None, :]
     lams, weights = _rows_of([QueueConfig(0.5, 0.3, 1.0, b=0.6, d=2.0),
                               QueueConfig(0.9, 0.05, 1.0, b=0.9, d=7.0)])
@@ -412,6 +412,23 @@ def test_kernel_agrees_with_the_two_root_division_kernel(cfg, grid):
     assert np.max(np.abs(got.values - old.values)) <= 1e-11
     assert abs(got.error_estimate - old.error_estimate) <= 1e-11
     assert got.head_states == old.head_states
+
+
+def test_a_transform_may_compute_in_place_on_its_s():
+    # s is the transform's own: G(s) = mu/(mu + s) computed over s inverts
+    # to the same values and estimates as the same G in a fresh array
+    mu, ts = 1.0, np.array([0.5, 1.0, 2.0, 4.0])
+
+    def in_place(s):
+        np.add(s, mu, out=s)
+        np.divide(mu, s, out=s)
+        return s[None]
+
+    fresh = transforms._euler_invert(lambda s: (mu / (mu + s))[None], ts, DEFAULT_TOL)
+    spent = transforms._euler_invert(in_place, ts, DEFAULT_TOL)
+    assert np.array_equal(spent[0], fresh[0]) and np.array_equal(spent[1], fresh[1])
+    assert np.max(np.abs(fresh[0] - (1.0 - np.exp(-mu * ts)))) < DEFAULT_TOL.eps_invert
+    assert np.max(fresh[1]) < 1e-15
 
 
 def test_inversion_refuses_non_finite_values():
