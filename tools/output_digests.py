@@ -31,13 +31,16 @@ what a loop over the delays raises), of a class-2 ``dapq cdf`` curve
 with a 286-state busy-weight head and 300 points past d over three
 blocks (``LONG_HEAD_CDF``), of a class-2 ``dapq kpi`` sweep whose six
 delays have heads of different lengths in one lockstep search
-(``LONG_HEAD_SWEEP``), and of one small seeded ``dapq simulate`` run
-(``SIMULATE``).  After each fixed ``dapq mean`` line it prints the sha256
-of the float hex of both means, from TREE's ``dapq_means``, at each (b, d)
-point of that command line, and after the ``dapq cdf`` line the sha256 of
-the float hex of the curve's values and ``error_estimate``, from TREE's
-``class2_cdf_dapq``, since the CSV's 12 significant digits hide a move of
-a few ulps.
+(``LONG_HEAD_SWEEP``), of one small seeded ``dapq simulate`` run
+(``SIMULATE``) and of a five-replication run of it that also writes
+``--raw`` and ``--summary-out`` (``SIMULATE_RAW``, whose line adds the
+sha256 of those two files).  After each fixed ``dapq mean`` line it prints
+the sha256 of the float hex of both means, from TREE's ``dapq_means``, at
+each (b, d) point of that command line, after the ``dapq cdf`` line the
+sha256 of the float hex of the curve's values and ``error_estimate``, from
+TREE's ``class2_cdf_dapq``, and after the ``SIMULATE`` line the sha256 of
+the float hex of ``run_replicated``'s means, mean SEs, curves and curve
+SEs, since the CSV's 12 significant digits hide a move of a few ulps.
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
@@ -87,6 +90,7 @@ LONG_HEAD_SWEEP = ["kpi", "--class", "2", "--w", "30", "--p", "0.99", "--lam1", 
 SIMULATE = ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--b", "0.5", "--d", "2",
             "--n", "400", "--burn-in", "100", "--reps", "3", "--seed", "7",
             "--t-max", "10", "--dt", "0.5"]
+SIMULATE_RAW = [*SIMULATE, "--reps", "5"]  # argparse keeps the last --reps
 # BLAS and OpenMP pools would otherwise start a thread per core
 THREAD_PINS = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -107,7 +111,8 @@ COMMANDS += [("kpi tiny-w sweep",
              ("kpi first-failure sweep", FIRST_FAILURE),
              ("cdf long head", LONG_HEAD_CDF),
              ("kpi long-head sweep", LONG_HEAD_SWEEP),
-             ("simulate", SIMULATE)]
+             ("simulate", SIMULATE),
+             ("simulate raw", SIMULATE_RAW)]
 
 
 def _facts() -> list:
@@ -161,6 +166,20 @@ def _cdf_floats(dapq, argv) -> str:
     curve = dapq.class2_cdf_dapq(config, dapq.cli._cdf_grid(args, config))
     lines = [f"{v.hex()}\n" for v in map(float, curve.values)]
     lines.append(f"{float(curve.error_estimate).hex()}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+def _simulate_floats(dapq, argv) -> str:
+    """sha256 of the float hex of the means, mean SEs, curves and curve SEs of a ``dapq simulate`` line."""
+    args = dapq.cli._build_parser().parse_args(argv)
+    config = dapq.cli._queue_config(args)
+    result = dapq.simulate.run_replicated(dapq.cli._sim_config(args, config),
+                                          dapq.cli._cdf_grid(args, config))
+    lines = []
+    for cls in sorted(result.means):
+        lines.append(f"{result.means[cls].hex()} {result.mean_se[cls].hex()}\n")
+        lines += [f"{v.hex()} {se.hex()}\n" for v, se in
+                  zip(map(float, result.curves[cls].values), map(float, result.curve_se[cls]))]
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
@@ -244,15 +263,26 @@ def main(argv=None) -> int:
                           flush=True)
         for i, (label, argv) in enumerate(COMMANDS):
             path = Path(scratch) / f"cli-{i}.csv"
+            # SIMULATE_RAW also writes a raw dump and a summary, digested after the CSV
+            files = {"sha256": path}
+            if argv is SIMULATE_RAW:
+                files.update(raw_sha256=Path(scratch) / f"cli-{i}.raw.csv",
+                             summary_sha256=Path(scratch) / f"cli-{i}.summary.csv")
+                argv = [*argv, "--raw", str(files["raw_sha256"]),
+                        "--summary-out", str(files["summary_sha256"])]
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = dapq.cli.main([*argv, "--out", str(path)])
-            digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "none"
+            digests = "".join(
+                f" {name}={hashlib.sha256(file.read_bytes()).hexdigest() if file.exists() else 'none'}"
+                for name, file in files.items())
             stderr = hashlib.sha256(err.getvalue().encode()).hexdigest()
-            print(f"{label} exit={code} sha256={digest} stderr={stderr}", flush=True)
+            print(f"{label} exit={code}{digests} stderr={stderr}", flush=True)
             if argv[0] == "mean":
                 print(f"{label} floats sha256={_mean_floats(dapq, argv)}", flush=True)
             elif argv[0] == "cdf":
                 print(f"{label} floats sha256={_cdf_floats(dapq, argv)}", flush=True)
+            elif argv is SIMULATE:
+                print(f"{label} floats sha256={_simulate_floats(dapq, argv)}", flush=True)
     return 0
 
 
