@@ -14,8 +14,8 @@ analytic subcommands are bit-reproducible from their manifests, simulation
 subcommands statistically reproducible given the recorded seed
 (bit-identical for an identical seed).
 
-Exit codes: 0 success, 2 invalid input, 3 infeasible KPI, 4 numerical
-accuracy failure.
+Exit codes: 0 success, 2 invalid input or a file that cannot be opened,
+3 infeasible KPI, 4 numerical accuracy failure.
 
 Default tolerances can be overridden with the environment variables
 DAPQ_EPS_SERIES, DAPQ_EPS_ROOT, DAPQ_EPS_INVERT, and DAPQ_MAX_STATES.
@@ -438,7 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         tol = _tol_from_env()
         return _DISPATCH[args.subcommand](args, tol)
-    except DapqError as exc:
+    except (DapqError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, _NUMERICAL_ERRORS) else EXIT_INVALID
 

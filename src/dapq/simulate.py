@@ -25,12 +25,24 @@ independent of execution order.  Within a replication every inter-arrival
 and service time comes from its substream in event order.  The unit
 exponentials are drawn in chunks and scaled one at a time, which gives
 exactly the values of one ``exponential(scale)`` call per event.
+
+The replications run on contiguous ranges in k processes: k - 1 forked
+children and the caller, which runs the last range.  k is the number of
+usable CPUs (the affinity mask), at most one per replication, and 1 without
+``os.fork`` or while other threads are alive, where forking is unsafe.  The
+ranges' CDF rows, means and ``--raw`` text are combined in replication
+order, so every result is bit-identical for any k.  Peak memory
+(``RUSAGE_SELF``) counts only the caller's range.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
+import sys
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -87,9 +99,10 @@ class SimConfig:
 class EmpiricalCdf:
     """Replication-averaged empirical CDFs and means, one entry per class.
 
-    ``customers`` counts every simulated service, burn-in included, and
-    ``wall_s`` is the wall time of the whole replicated run; these two take
-    no part in comparisons.
+    ``customers`` counts every simulated service, burn-in included,
+    ``wall_s`` is the wall time of the whole replicated run and ``workers``
+    the number of processes it ran in; these three take no part in
+    comparisons.
     """
 
     grid: np.ndarray
@@ -100,6 +113,7 @@ class EmpiricalCdf:
     replications: int
     customers: int = field(default=0, compare=False)
     wall_s: float = field(default=0.0, compare=False)
+    workers: int = field(default=1, compare=False)
 
 
 def _rng_for(seed: int, rep_index: int) -> np.random.Generator:
@@ -206,6 +220,78 @@ def run_single(sim: SimConfig, rep_index: int) -> Tuple[np.ndarray, np.ndarray, 
     return np.where(second, np.uint8(2), np.uint8(1)), arrival, wait
 
 
+def _summaries(sim: SimConfig, grid: np.ndarray, reps: range, raw: bool) -> tuple:
+    """Per replication in ``reps``: its {class: (CDF row on ``grid``, mean wait)} and raw
+    text; and the exception that stopped the range early, or None."""
+    out = []
+    try:
+        for r in reps:
+            classes, arrival, wait = run_single(sim, r)
+            rows = {}
+            for cls in (1, 2):
+                waits = wait[classes == cls]
+                if len(waits):
+                    waits.sort()
+                    rows[cls] = (np.searchsorted(waits, grid, side="right") / len(waits),
+                                 waits.mean())
+            out.append((rows, "".join(map(_RAW_LINE.format, repeat(r), classes.tolist(),
+                                            arrival.tolist(), wait.tolist())) if raw else ""))
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
+def _workers(reps: int) -> int:
+    """Processes to run ``reps`` replications in (see the module docstring)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, reps)
+
+
+def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list:
+    """``_summaries`` of replications ``cuts[0]`` to ``cuts[-1] - 1`` in order: each range
+    ``cuts[i]`` to ``cuts[i + 1] - 1`` in a forked child, but the last one here.  Raises
+    the lowest failing range's error, as one loop over the replications would."""
+    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+            sys.stdout.flush()  # or the child would hold a copy of unwritten text
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # leave only through os._exit: no inherited buffer, atexit
+                status = 1  # handler or caller's finally may run twice
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(_summaries(sim, grid, range(lo, hi), raw), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        own = _summaries(sim, grid, range(cuts[-2], cuts[-1]), raw)
+        outcomes = []
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                raise ChildProcessError(f"simulation worker {pid} exited without a result")
+            outcomes.append(pickle.loads(data))
+    finally:
+        for pid, pipe in children.items():  # on an error or interrupt, stop every child
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    for _, error in outcomes + [own]:
+        if error is not None:
+            raise error
+    return [summary for summaries, _ in outcomes + [own] for summary in summaries]
+
+
 def run_replicated(
     sim: SimConfig, grid: np.ndarray, raw_path: Optional[str] = None
 ) -> EmpiricalCdf:
@@ -218,44 +304,28 @@ def run_replicated(
     t0 = time.perf_counter()
     grid = np.asarray(grid, dtype=float)
     reps = sim.replications
-    cdf_acc = {1: [], 2: []}
-    mean_acc = {1: [], 2: []}
+    workers = _workers(reps)
+    # opened before any fork, so that a bad path fails before a child exists
     with open(raw_path, "w", newline="") if raw_path else nullcontext() as fh:
+        summaries = _run_ranges(sim, grid, [reps * i // workers for i in range(workers + 1)],
+                                fh is not None)
         if fh is not None:
             fh.write("rep,class,arrival,wait\n")
-        for r in range(reps):
-            classes, arrival, wait = run_single(sim, r)
-            if fh is not None:
-                fh.writelines(map(_RAW_LINE.format, repeat(r), classes.tolist(),
-                                  arrival.tolist(), wait.tolist()))
-            for cls in (1, 2):
-                waits = wait[classes == cls]
-                if len(waits) == 0:
-                    continue
-                waits.sort()
-                cdf_acc[cls].append(np.searchsorted(waits, grid, side="right") / len(waits))
-                mean_acc[cls].append(waits.mean())
+            fh.writelines(text for _, text in summaries)
     curves, curve_se, means, mean_se = {}, {}, {}, {}
     for cls in (1, 2):
-        if not cdf_acc[cls]:
+        got = [rows[cls] for rows, _ in summaries if cls in rows]
+        if not got:
             continue
-        stack = np.vstack(cdf_acc[cls])
+        stack = np.vstack([row for row, _ in got])
         n = stack.shape[0]
         avg = stack.mean(axis=0)
         curves[cls] = CdfCurve(ts=grid, values=avg, provenance="empirical")
-        curve_se[cls] = (
-            stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(avg)
-        )
-        marr = np.array(mean_acc[cls])
+        curve_se[cls] = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(avg)
+        marr = np.array([mean for _, mean in got])
         means[cls] = float(marr.mean())
         mean_se[cls] = float(marr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EmpiricalCdf(
-        grid=grid,
-        curves=curves,
-        curve_se=curve_se,
-        means=means,
-        mean_se=mean_se,
-        replications=reps,
-        customers=reps * (sim.burn_in + sim.n_customers),
-        wall_s=time.perf_counter() - t0,
-    )
+    return EmpiricalCdf(grid=grid, curves=curves, curve_se=curve_se, means=means,
+                        mean_se=mean_se, replications=reps,
+                        customers=reps * (sim.burn_in + sim.n_customers),
+                        wall_s=time.perf_counter() - t0, workers=workers)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,7 @@ def test_simulate_deterministic_bytes(tmp_path, capsys):
     assert manifest["parameters"]["seed"] == 7
     assert manifest["provenance"]["customers"] == 2 * (400 + 100)
     assert 0.0 < manifest["provenance"]["wall_s"] <= manifest["duration_s"]
+    assert manifest["provenance"]["workers"] == simulate._workers(2)
 
 
 def test_simulate_summary_and_raw(tmp_path):
@@ -158,11 +160,30 @@ def test_simulate_raw_simulates_each_replication_once(tmp_path, monkeypatch):
         return real(sim, r)
 
     monkeypatch.setattr(simulate, "run_single", counted)
+    # in one process, so that this process makes every run_single call
+    monkeypatch.setattr(simulate, "_workers", lambda reps: 1)
     out, raw = tmp_path / "cdf.csv", tmp_path / "raw.csv"
     assert main(args + ["--out", str(out), "--raw", str(raw)]) == EXIT_OK
     assert len(calls) == 3
     assert len(raw.read_text().splitlines()) == 1 + 3 * 300
     assert out.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cdf", "--kind", "npq2", "--lam1", "0.5", "--lam2", "0.3", "--t-max", "1", "--out"],
+    ["simulate", "--lam1", "0.5", "--lam2", "0.3", "--n", "50", "--burn-in", "10",
+     "--reps", "3", "--t-max", "1", "--out", "sim.csv", "--raw"],
+])
+def test_unwritable_output_paths_are_invalid_input(argv, tmp_path, capsys, monkeypatch):
+    # a path in a missing directory is bad input: one error line, exit 2, no traceback
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: FileNotFoundError: [Errno 2] No such file or directory: '{bad}'\n"
+    assert list(tmp_path.iterdir()) == []  # no CSV, manifest or raw dump
+    with pytest.raises(ChildProcessError):  # and no simulation worker left behind
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_rejects_empty_queue(capsys):
@@ -195,7 +216,8 @@ def test_cdf_sim_manifest_records_simulation(tmp_path):
     manifest = json.loads((tmp_path / "sim2.csv.manifest.json").read_text())
     assert manifest["provenance"]["customers"] == 2 * (200 + 50)
     assert manifest["provenance"]["wall_s"] > 0.0
-    assert set(manifest["provenance"]) == {"customers", "wall_s"}
+    assert manifest["provenance"]["workers"] == simulate._workers(2)
+    assert set(manifest["provenance"]) == {"customers", "wall_s", "workers"}
 
 
 def test_kpi_left_of_region_b_zero_exit_ok(capsys):

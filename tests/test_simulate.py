@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from _oracles import (
 )
 
 from dapq import simulate
-from dapq.core import OutOfRange, QueueConfig, ServiceKind
+from dapq.core import OutOfRange, QueueConfig, ServiceKind, TruncationOverflow
 from dapq.simulate import SimConfig, run_replicated, run_single
 
 EXP = ServiceKind.EXPONENTIAL
@@ -271,6 +277,8 @@ def test_run_replicated_writes_raw_from_the_same_replications(tmp_path, monkeypa
         return run_single(sim_, r)
 
     monkeypatch.setattr(simulate, "run_single", counted)
+    # in one process, so that this process makes every run_single call
+    monkeypatch.setattr(simulate, "_workers", lambda reps: 1)
     raw = tmp_path / "raw.csv"
     with_raw = run_replicated(sim, GRID, raw_path=str(raw))
     assert calls == [0, 1, 2]  # each replication simulated once
@@ -280,3 +288,147 @@ def test_run_replicated_writes_raw_from_the_same_replications(tmp_path, monkeypa
     assert raw.read_bytes() == want.encode()  # "\n" line ends, no "\r"
     plain = run_replicated(sim, GRID)
     assert with_raw.means == plain.means and with_raw.mean_se == plain.mean_se
+
+
+# --------------------------------------------------------------------------
+# replications in forked processes: at most three processes at a time
+# --------------------------------------------------------------------------
+
+def in_processes(monkeypatch, k):
+    # k processes where there are k CPUs: the caller and k - 1 forked children
+    monkeypatch.setattr(simulate, "_workers", lambda reps: min(k, reps))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_count_is_the_usable_cpus_up_to_one_per_replication(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [simulate._workers(reps) for reps in (1, 2, 3, 50)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert [simulate._workers(reps) for reps in (1, 50)] == [1, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one
+    assert simulate._workers(50) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # forking a process with other live threads is unsafe: run in this one
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert simulate._workers(50) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and simulate._workers(50) == 4
+    monkeypatch.delattr(os, "fork")  # as on Windows
+    assert simulate._workers(50) == 1
+
+
+@pytest.mark.parametrize("reps", [1, 2, 5])
+@pytest.mark.parametrize("service", [EXP, DET])
+def test_run_replicated_is_bit_identical_in_any_number_of_processes(tmp_path, monkeypatch,
+                                                                    service, reps):
+    sim = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0, service=service),
+                    n_customers=300, burn_in=50, replications=reps, seed=67)
+    results, raws = [], []
+    for k in (1, 2, 3):
+        in_processes(monkeypatch, k)
+        for raw in (None, tmp_path / f"raw-{k}.csv"):
+            results.append(run_replicated(sim, GRID, raw_path=raw and str(raw)))
+            assert results[-1].workers == min(k, reps)
+            assert_no_child_left()
+        raws.append(raw.read_bytes())
+    want = results[0]
+    for got in results:
+        assert got.means == want.means and got.mean_se == want.mean_se
+        assert got.customers == want.customers == reps * 350
+        assert sorted(got.curves) == sorted(want.curves) == [1, 2]
+        for cls in (1, 2):
+            assert np.array_equal(got.curves[cls].values, want.curves[cls].values)
+            assert np.array_equal(got.curve_se[cls], want.curve_se[cls])
+    assert raws[0] == raws[1] == raws[2]
+    assert raws[0].count(b"\n") == 1 + reps * 300
+
+
+def failing_at(errors):
+    """``run_single`` that raises ``errors[r]`` at each replication r listed there."""
+    def run(sim, r):
+        if r in errors:
+            raise errors[r](f"replication {r} failed")
+        return run_single(sim, r)
+    return run
+
+
+SIM5 = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0), n_customers=200, burn_in=20,
+                 replications=5, seed=71)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("errors, first", [
+    ({0: OutOfRange}, 0),  # in the first child's range
+    ({4: TruncationOverflow}, 4),  # in the caller's own range
+    ({1: OutOfRange, 3: TruncationOverflow, 4: ValueError}, 1),  # in two or three ranges
+])
+def test_run_replicated_raises_the_serial_error_and_leaves_no_child(monkeypatch, k, errors,
+                                                                    first):
+    in_processes(monkeypatch, k)
+    monkeypatch.setattr(simulate, "run_single", failing_at(errors))
+    with pytest.raises(Exception) as raised:
+        run_replicated(SIM5, GRID)
+    # the lowest failing replication's error, type and message, as one loop raises it
+    assert raised.type is errors[first] and str(raised.value) == f"replication {first} failed"
+    assert_no_child_left()
+
+
+def test_an_interrupted_caller_stops_its_children(monkeypatch):
+    # the child's range would take a minute; the caller's range is interrupted
+    def run(sim, r):
+        if r < 2:
+            time.sleep(60)
+        if r == 4:
+            raise KeyboardInterrupt
+        return run_single(sim, r)
+
+    in_processes(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "run_single", run)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_replicated(SIM5, GRID)
+    assert time.monotonic() - t0 < 30.0
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
+    def run(sim, r):
+        if r == 0:
+            os._exit(3)  # runs only in the forked child, which has replication 0
+        return run_single(sim, r)
+
+    in_processes(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "run_single", run)
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        run_replicated(SIM5, GRID)
+    assert_no_child_left()
+
+
+def test_text_printed_before_a_forked_run_appears_once():
+    # stdout is a pipe, so block-buffered: the children must not write the
+    # caller's unflushed text again
+    script = "\n".join([
+        "import numpy as np",
+        "from dapq import simulate",
+        "from dapq.core import QueueConfig",
+        "simulate._workers = lambda reps: min(3, reps)",
+        "print('before')",
+        "sim = simulate.SimConfig(queue=QueueConfig(0.5, 0.3, 1.0), n_customers=100,"
+        " burn_in=10, replications=3)",
+        "print('after', simulate.run_replicated(sim, np.arange(0.0, 5.0, 0.5)).workers)",
+    ])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(simulate.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "before\nafter 3\n", "")
