@@ -24,15 +24,12 @@ Replications draw from independent substreams spawned off one root seed
 independent of execution order.  Within a replication every inter-arrival
 and service time comes from its substream in event order.  The unit
 exponentials are drawn in chunks and scaled one at a time, which gives
-exactly the values of one ``exponential(scale)`` call per event.
-
-The replications run on contiguous ranges in k processes: k - 1 forked
-children and the caller, which runs the last range.  k is the number of
-usable CPUs (the affinity mask), at most one per replication, and 1 without
-``os.fork`` or while other threads are alive, where forking is unsafe.  The
-ranges' CDF rows, means and ``--raw`` text are combined in replication
-order, so every result is bit-identical for any k.  Peak memory
-(``RUSAGE_SELF``) counts only the caller's range.
+exactly the values of one ``exponential(scale)`` call per event.  The
+replications run in k processes, k the usable CPUs but at most one per
+replication (1 without ``os.fork`` or while other threads run): k - 1
+forked children and the caller, each on a contiguous range.  Their
+summaries are combined in replication order, so every result is
+bit-identical for any k; ``RUSAGE_SELF`` counts only the caller's range.
 """
 
 from __future__ import annotations
@@ -99,10 +96,9 @@ class SimConfig:
 class EmpiricalCdf:
     """Replication-averaged empirical CDFs and means, one entry per class.
 
-    ``customers`` counts every simulated service, burn-in included,
-    ``wall_s`` is the wall time of the whole replicated run and ``workers``
-    the number of processes it ran in; these three take no part in
-    comparisons.
+    ``customers`` counts every simulated service, burn-in included, ``wall_s``
+    is the wall time of the replicated run and ``workers`` the number of
+    processes it ran in; these three take no part in comparisons.
     """
 
     grid: np.ndarray
@@ -250,9 +246,8 @@ def _workers(reps: int) -> int:
 
 
 def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list:
-    """``_summaries`` of replications ``cuts[0]`` to ``cuts[-1] - 1`` in order: each range
-    ``cuts[i]`` to ``cuts[i + 1] - 1`` in a forked child, but the last one here.  Raises
-    the lowest failing range's error, as one loop over the replications would."""
+    """``_summaries`` of the ranges between ``cuts``, each in a forked child but the last;
+    raises the lowest failing range's error, as one loop over the replications would."""
     children = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
         for lo, hi in zip(cuts[:-2], cuts[1:-1]):
@@ -261,14 +256,13 @@ def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:  # leave only through os._exit: no inherited buffer, atexit
-                status = 1  # handler or caller's finally may run twice
-                try:
+                try:  # handler or caller's finally may run twice
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as pipe:
                         pickle.dump(_summaries(sim, grid, range(lo, hi), raw), pipe)
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
         own = _summaries(sim, grid, range(cuts[-2], cuts[-1]), raw)
@@ -321,11 +315,20 @@ def run_replicated(
         n = stack.shape[0]
         avg = stack.mean(axis=0)
         curves[cls] = CdfCurve(ts=grid, values=avg, provenance="empirical")
-        curve_se[cls] = stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(avg)
+        curve_se[cls] = (
+            stack.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(avg)
+        )
         marr = np.array([mean for _, mean in got])
         means[cls] = float(marr.mean())
         mean_se[cls] = float(marr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EmpiricalCdf(grid=grid, curves=curves, curve_se=curve_se, means=means,
-                        mean_se=mean_se, replications=reps,
-                        customers=reps * (sim.burn_in + sim.n_customers),
-                        wall_s=time.perf_counter() - t0, workers=workers)
+    return EmpiricalCdf(
+        grid=grid,
+        curves=curves,
+        curve_se=curve_se,
+        means=means,
+        mean_se=mean_se,
+        replications=reps,
+        customers=reps * (sim.burn_in + sim.n_customers),
+        wall_s=time.perf_counter() - t0,
+        workers=workers,
+    )
