@@ -26,10 +26,10 @@ and service time comes from its substream in event order.  The unit
 exponentials are drawn in chunks and scaled one at a time, which gives
 exactly the values of one ``exponential(scale)`` call per event.  The
 replications run in k processes, k the usable CPUs but at most one per
-replication (1 without ``os.fork`` or while other threads run): k - 1
-forked children and the caller, each on a contiguous range.  Their
-summaries are combined in replication order, so every result is
-bit-identical for any k; ``RUSAGE_SELF`` counts only the caller's range.
+replication (1 without ``os.fork`` or while other threads run): k - 1 forked
+children and the caller each take a contiguous range, and the summaries are
+combined in replication order, so every result is bit-identical for any k.
+``RUSAGE_SELF`` counts only the caller's range.
 """
 
 from __future__ import annotations
@@ -239,15 +239,13 @@ def _summaries(sim: SimConfig, grid: np.ndarray, reps: range, raw: bool) -> tupl
 
 def _workers(reps: int) -> int:
     """Processes to run ``reps`` replications in (see the module docstring)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, reps)
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    return min(cpus or 1, reps) if forkable else 1
 
 
 def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list:
-    """``_summaries`` of the ranges between ``cuts``, each in a forked child but the last;
-    raises the lowest failing range's error, as one loop over the replications would."""
+    """``_summaries`` of the ranges between ``cuts``, forked but the last; errors as in one loop."""
     children = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
         for lo, hi in zip(cuts[:-2], cuts[1:-1]):
@@ -257,7 +255,6 @@ def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list
             pid = os.fork()
             if pid == 0:  # leave only through os._exit: no inherited buffer, atexit
                 try:  # handler or caller's finally may run twice
-                    os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as pipe:
                         pickle.dump(_summaries(sim, grid, range(lo, hi), raw), pipe)
                     os._exit(0)

@@ -170,7 +170,7 @@ def _cdf_floats(dapq, argv) -> str:
 
 
 def _simulate_floats(dapq, argv) -> str:
-    """sha256 of the float hex of the means, mean SEs, curves and curve SEs of a ``dapq simulate`` line."""
+    """sha256 of the float hex of the means, mean SEs, curves and curve SEs of a simulate line."""
     args = dapq.cli._build_parser().parse_args(argv)
     config = dapq.cli._queue_config(args)
     result = dapq.simulate.run_replicated(dapq.cli._sim_config(args, config),
