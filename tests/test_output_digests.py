@@ -46,14 +46,14 @@ def test_output_digests_are_one_repeatable_line_per_output():
     lines = lines[5:]
     kinds = [line.split()[0] for line in lines]
     counts = [kinds.count(kind) for kind in ("means", "cdf", "kpi", "mean", "simulate")]
-    assert counts == [64, 5, 9, 12, 3]
+    assert counts == [64, 5, 9, 14, 3]
     # each fixed mean or cdf line, and the first simulate line, is followed by the
     # digest of its floats' hex
-    fixed = lines[-23:]
+    fixed = lines[-25:]
     assert [line.split(" sha256=")[0] for line in fixed] == [
         f"{label} {kind}" for label in (
             "mean service=exp", "mean service=det", "mean long service=exp",
-            "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det")
+            "mean long service=det", "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det")
         for kind in ("exit=0", "floats")] + [
         "kpi tiny-w sweep exit=2", "kpi tiny-w region exit=2", "kpi trend sweep exit=0",
         "kpi long class-2 sweep exit=0", "kpi first-failure sweep exit=2",
@@ -76,7 +76,7 @@ def test_output_digests_are_one_repeatable_line_per_output():
     failed = [line.split(" exit=")[1] for line in fixed if " exit=2 " in line]
     assert len(failed) == 3 and len(set(failed)) == 1
     assert failed[0].startswith("2 sha256=none stderr=")
-    for line in lines[:-23]:
+    for line in lines[:-25]:
         fields = line.split(" ", 3)[3]
         if line.startswith("means"):
             w1, w2 = (float.fromhex(f.split("=")[1]) for f in fields.split())
@@ -100,7 +100,7 @@ def test_compare_prints_each_csvs_largest_numeric_change(tmp_path):
     assert [line.split(" max_abs_diff=")[0] for line in lines] == [
         f"{kind} seed=0 op={i}" for kind in ("cdf", "kpi") for i in range(3)] + [
         "mean service=exp", "mean service=det", "mean long service=exp",
-        "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
+        "mean long service=det", "mean heavy service=det", "mean mu=2 service=exp", "mean mu=2 service=det",
         "kpi tiny-w sweep", "kpi tiny-w region", "kpi trend sweep", "kpi long class-2 sweep",
         "kpi first-failure sweep", "cdf long head", "kpi long-head sweep", "simulate",
         "simulate raw"]

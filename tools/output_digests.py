@@ -19,6 +19,8 @@ code, the CSV sha256 (``none`` when no CSV was written) and the sha256 of
 the standard error of one fixed ``dapq mean`` sweep over b and d per
 service kind (``MEAN_SWEEP``), which covers the command line's mean path,
 of one exponential sweep out to d = 300 (``LONG_SWEEP``), of one
+deterministic sweep out to d = 300 at occupancy 0.99
+(``LONG_DET_SWEEP``, the only M/D/1 lines past d = 8), of one
 deterministic sweep at occupancy 0.999 (``HEAVY_SWEEP``), of one sweep at
 mu = 2 per service kind (``MU_SWEEP``, the only lines off mu = 1), of a
 class-2 ``dapq kpi`` sweep and region at a target wait too small to
@@ -73,6 +75,7 @@ from pathlib import Path
 WORKLOADS = ("means", "cdf", "kpi")
 MEAN_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.25", "--d", "0:8:2"]
 LONG_SWEEP = ["--lam1", "0.5", "--lam2", "0.3", "--b", "0:1:0.5", "--d", "0:300:100"]
+LONG_DET_SWEEP = ["--lam1", "0.9", "--lam2", "0.09", "--b", "0:1:0.5", "--d", "0:300:100"]
 HEAVY_SWEEP = ["--lam1", "0.5", "--lam2", "0.499", "--b", "0:1:0.5", "--d", "0:5"]
 # every d mu an integer, as deterministic service needs
 MU_SWEEP = ["--lam1", "1.0", "--lam2", "0.6", "--mu", "2", "--b", "0:1:0.5", "--d", "0:2:1"]
@@ -100,6 +103,7 @@ COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service
             for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
                                           ("mean", MEAN_SWEEP, "det"),
                                           ("mean long", LONG_SWEEP, "exp"),
+                                          ("mean long", LONG_DET_SWEEP, "det"),
                                           ("mean heavy", HEAVY_SWEEP, "det"),
                                           ("mean mu=2", MU_SWEEP, "exp"),
                                           ("mean mu=2", MU_SWEEP, "det"))]
