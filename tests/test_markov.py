@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -34,6 +35,7 @@ from dapq.markov import (
     _delay_weights,
     _jump_cuts,
     _md1_pmf_fft,
+    _poisson_pmf,
     _poisson_table,
     busy_state_distribution,
     md1_stationary,
@@ -540,3 +542,37 @@ def test_poisson_helpers_equal_scipy_stats(m):
         above = (ks > m) & (exact >= 1e-300)
         assert above.sum() >= 10
         assert _worst_tail_error(ours, exact, above) <= _worst_tail_error(theirs, exact, above)
+
+
+@pytest.mark.parametrize("m", [0.0, 1e-9, 0.3, 5.0, 15.5, 16.0, 17.3, 40.0, 100.5, 449.1,
+                               740.0, 1000.0, 2000.0])
+def test_poisson_pmf_against_mpmath(m):
+    # k from 0 past the upper tail: both sides of the mode and across k = 16,
+    # where the kernel turns from exp(-m) m^k / k! to Loader's saddle point.
+    # Down to 1e-300 the error is within 5 eps max(1, |log pmf|), about the
+    # cost of rounding the exponent, and within 2 eps next to the mode
+    eps = np.finfo(float).eps
+    ks = np.arange(int(m + 40.0 * math.sqrt(m) + 200.0))
+    exact = poisson_by_mpmath(m, int(ks[-1]))[0] if m > 0 else (ks == 0).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _poisson_pmf(ks, m)
+    assert got.shape == ks.shape
+    if m == 0.0:
+        assert got[0] == 1.0 and not got[1:].any()
+        return
+    kept = exact >= 1e-300
+    rel = np.abs(got[kept] - exact[kept]) / exact[kept]
+    assert np.all(rel <= 5.0 * eps * np.maximum(1.0, -np.log(exact[kept])))
+    assert np.all(rel[np.abs(ks[kept] - m) <= 1.0] <= 2.0 * eps)
+
+
+def test_poisson_pmf_broadcasts_and_splits_mixed_arrays():
+    # a mixed array gives each entry the value it has alone, scalars included
+    ks = np.array([[0, 3, 15, 16, 40, 400]])
+    ms = np.array([[0.0], [2.5], [16.0], [390.0]])
+    got = _poisson_pmf(ks, ms)
+    assert got.shape == (4, 6)
+    for (i, j), value in np.ndenumerate(got):
+        assert value == _poisson_pmf(ks[0, j], ms[i, 0])
+    assert _poisson_pmf(20, 0.0) == 0.0 and _poisson_pmf(0, 0.0) == 1.0

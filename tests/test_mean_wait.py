@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +41,6 @@ from dapq import mean_wait
 from dapq.markov import StationaryDist, _busy_weights_rows, _delay_weights, _jump_cuts
 from dapq.mean_wait import (
     _MD1_NODES,
-    _log_factorials,
     _md1_correction_sum,
     _md1_probempty_matrix,
     dapq_means,
@@ -204,8 +204,11 @@ def test_md1_rejects_fractional_delay():
 
 
 def test_md1_reference_values():
-    # values cross-validated against the replicated event simulation
-    # (z-scores below 1 at 50 replications); pinned here to full precision
+    # these values pin today's output to full precision; they are not a
+    # simulation check: 50 replications cannot resolve the deterministic-
+    # service defect of up to 0.47% at d > 0 (ROADMAP item 13), and a
+    # control-variate simulation puts the first value at z = +11.8, so the
+    # fix of item 13 will move them
     cases = {
         (0.5, 0.3, 0.5, 2.0): 3.081335068936494,
         (0.2, 0.7, 0.5, 2.0): 5.171442610689,
@@ -239,7 +242,7 @@ def test_md1_closed_form_matches_series(rho, share, ell):
 @pytest.mark.parametrize("lam1", [0.05, 0.5, 0.9])
 def test_md1_probempty_matrix_folds_arrival_factor(lam1, ell):
     ms = np.arange(1, ell + 1)
-    T = _md1_probempty_matrix(lam1, ms, _log_factorials(ell))
+    T = _md1_probempty_matrix(lam1, ms)
     assert T[0, 0] == 1.0 and not T[0, 1:].any() and not T[1:, 0].any()
     scaled = md1_probempty_by_factorials(ell, lam1) * np.exp(-lam1 * (ms[1:] - 1.0))
     np.testing.assert_allclose(T[1:, 1:], scaled, rtol=1e-13, atol=0.0)
@@ -248,8 +251,26 @@ def test_md1_probempty_matrix_folds_arrival_factor(lam1, ell):
 def test_md1_probempty_matrix_bounded_at_long_delays():
     # the unscaled coefficients overflow from about l = 150
     ms = np.arange(1, 1001)
-    T = _md1_probempty_matrix(0.9, ms, _log_factorials(1000))
+    T = _md1_probempty_matrix(0.9, ms)
     assert np.all(np.isfinite(T)) and T.min() >= 0.0 and T.max() <= 1.0
+
+
+def test_md1_probempty_matrix_against_mpmath_at_long_delays():
+    # sampled entries of the l = 500 matrix at 40 digits; the log-space
+    # exp(k log m - m - log k!) it replaced was off by up to 2.7e-12 here
+    lam1, ell = 0.9, 500
+    ms = np.arange(1, ell + 1)
+    T = _md1_probempty_matrix(lam1, ms)
+    worst = 0.0
+    with mp.workdps(40):
+        for m in (2, 17, 60, 250, 499, 500):
+            mean = mp.mpf(lam1) * (m - 1)
+            for k in sorted({2, 3, m // 3, m // 2, m - 20, m - 17, m - 16, m - 15, m - 1, m}):
+                if 2 <= k <= m:
+                    exact = mp.exp(-mean) * mean ** (m - k) / mp.factorial(m - k) * mp.mpf(k - 1) / (m - 1)
+                    if exact >= 1e-300:
+                        worst = max(worst, float(abs(T[k - 1, m - 1] - exact) / exact))
+    assert worst <= 1e-13
 
 
 def _md1_correction_at_nodes(monkeypatch, nodes, cfg, rates):
