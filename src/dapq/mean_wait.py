@@ -57,8 +57,8 @@ Numerical notes
   from their first term with every summand positive.  Every Poisson
   probability here comes from ``markov._poisson_pmf``: the residual-service
   weights and each tail's first term directly, and the first-emptying
-  coefficients as product chains out of each column's mode; against
-  40-digit mpmath those coefficients are within 1e-13 relative at l = 500.  Only pi_1..pi_l and l x l
+  coefficients as product chains out of each column's mode, within 1e-13
+  relative of 40-digit mpmath at l = 500.  Only pi_1..pi_l and l x l
   first-emptying coefficients enter, so the cost depends on the delay
   l = d*mu, not on the occupancy, and a delay above ``max_states`` raises
   ``TruncationOverflow``.
