@@ -32,17 +32,15 @@ class ZExp:
         return self.rho_mass / self.alpha
 
     def cdf(self, t: float) -> float:
-        if t < 0.0:
-            raise OutOfRange("t must be nonnegative")
+        if not t >= 0.0:
+            raise OutOfRange(f"t must be nonnegative, got {t}")
         return 1.0 - self.rho_mass * math.exp(-self.alpha * t)
 
     def curve(self, grid: np.ndarray) -> CdfCurve:
+        """The CDF on ``grid``, 0 below t = 0 as a wait's CDF is."""
         ts = np.asarray(grid, dtype=float)
-        return CdfCurve(
-            ts=ts,
-            values=1.0 - self.rho_mass * np.exp(-self.alpha * np.maximum(ts, 0.0)),
-            provenance="approximate",
-        )
+        values = 1.0 - self.rho_mass * np.exp(-self.alpha * np.maximum(ts, 0.0))
+        return CdfCurve(ts=ts, values=np.where(ts < 0.0, 0.0, values), provenance="approximate")
 
 
 def zexp_from_mean(rho: float, mean_w: float) -> ZExp:
@@ -51,6 +49,8 @@ def zexp_from_mean(rho: float, mean_w: float) -> ZExp:
         raise OutOfRange(f"rho must lie in (0,1), got {rho}")
     if mean_w <= 0.0:
         raise DegenerateMean(f"mean_w must be positive when rho > 0, got {mean_w}")
+    if not math.isfinite(mean_w):
+        raise OutOfRange(f"mean_w must be finite, got {mean_w}")
     return ZExp(rho_mass=rho, alpha=rho / mean_w)
 
 

@@ -301,10 +301,13 @@ def cmd_kpi(args, tol: ToleranceConfig) -> int:
 
 def cmd_rerun(args, _env_tol: ToleranceConfig) -> int:
     with open(args.manifest_file) as fh:
-        manifest = json.load(fh)
-    sub = manifest["subcommand"]
-    params = manifest["parameters"]
-    tol = ToleranceConfig(**manifest["tolerances"])  # recorded set, not the env
+        try:  # not JSON or not text, not an object, or a key missing
+            manifest = json.load(fh)
+            sub, params, tols = (manifest[k] for k in ("subcommand", "parameters", "tolerances"))
+        except (ValueError, TypeError, KeyError):
+            raise OutOfRange(f"{args.manifest_file} is not a JSON object with subcommand, "
+                             "parameters and tolerances") from None
+    tol = ToleranceConfig(**tols)  # recorded set, not the env
     argv = [sub]
     for key, val in params.items():
         # a rerun writes only its own CSV and manifest: the first run's

@@ -36,7 +36,8 @@ The busy-horizon truncations stop on absolute tail mass and raise
 ``TruncationOverflow`` when the tolerance cannot be met: the Poisson jump
 sum within its table (the tail is the Poisson survival function of
 ``_poisson_table``, accurate to about 1e-15 relative down to 1e-300), and
-the busy-state head within ``max_states`` states.
+the busy-state head within ``max_states`` states, before the chain runs.
+Only a moment cut's error is returned, to the mean that reads it.
 
 Every Poisson probability of the package comes from ``_poisson_pmf``, one
 elementwise kernel: directly (the M/D/1 residual-service weights and the
@@ -398,17 +399,18 @@ def _busy_weights_rows(rates: DerivedRates, pmfs: Sequence[np.ndarray],
 
 
 def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfig,
-                   heads: Sequence[bool], moments: Sequence[bool]) -> tuple:
+                   heads: Sequence[bool], moments: bool) -> tuple:
     """Busy weights and their first moments at several delays of one config.
 
-    Each delay asks for its own parts, ``heads[i]`` and ``moments[i]``, and
-    its jump sum is cut by ``_jump_cuts``: its busy weights are the sum at
-    the mass cut, and its first moment sum_l l w_l, the M/M/1 mean's
-    correction, is the sum at the moment cut.  One run of
-    ``_busy_weights_rows``, to the largest cut asked for that was met, gives
-    them all, so each equals its one-delay value bit for bit, and a delay
-    that asks for no head neither lengthens the run by its mass cut nor
-    fails on it.
+    Delay i asks for its head when ``heads[i]``, and every delay for its
+    moment when ``moments``.  The busy weights are the jump sum at its mass
+    cut (``_jump_cuts``), and the first moment sum_l l w_l, the M/M/1
+    mean's correction, the sum at its moment cut.  The first delay, in list
+    order, whose head cannot be cut raises its ``TruncationOverflow`` before
+    the run; one run of ``_busy_weights_rows``, to the largest cut asked for
+    that was met, then gives every part, each equal to its one-delay value
+    bit for bit, and a delay that asks for no head neither lengthens the run
+    by its mass cut nor fails on it.
 
     The moment needs no head, only the walk's drift: a step moves the ahead
     count up with probability p_up and down with q_down, and the move down
@@ -422,30 +424,29 @@ def _delay_weights(rates: DerivedRates, ds: Sequence[float], tol: ToleranceConfi
     makes q_down > p_up, so M_k falls from M_0, as the moment cut assumes.
 
     Returns (rows, steps): per delay, the pair (``BusyWeights``, first
-    moment), each None when not asked for or the ``TruncationOverflow`` of
-    a cut that cannot be met; a delay whose head's mass cut fails keeps out
-    of the run, and its moment is None.  ``steps`` is the run's step count,
-    None when no delay joined it.
+    moment), each None when not asked for; a moment cut that cannot be met
+    leaves its ``TruncationOverflow``, which ``mean_wait._MeanInB`` holds
+    until a mean reads it.  ``steps`` is the run's step count, None when no
+    delay joined it.
     """
     rows, pmfs = [], []
-    for d, head, moment in zip(ds, heads, moments):
+    for d, head in zip(ds, heads):
         pmf, mass, cut = _jump_cuts(rates.nu * d, rates.rho, tol)
-        mass = mass if head else None
-        rows.append([mass, cut if moment and not isinstance(mass, DapqError) else None])
+        if head and isinstance(mass, DapqError):
+            raise mass
+        rows.append([mass if head else None, cut if moments else None])
         pmfs.append(pmf)
     met = [c for row in rows for c in row if isinstance(c, int)]
     if not met:
         return rows, None
     steps = max(met)
-    weights, s1 = _busy_weights_rows(
-        rates, pmfs, [mass if isinstance(mass, int) else None for mass, _ in rows], steps)
-    if any(moments):  # S_0 .. S_steps, then M_0 .. M_steps
+    weights, s1 = _busy_weights_rows(rates, pmfs, [mass for mass, _ in rows], steps)
+    if moments:  # S_0 .. S_steps, then M_0 .. M_steps
         alive = np.cumsum(np.concatenate(([rates.rho], -rates.q_down * s1[:-1])))
         moment_k = np.cumsum(np.concatenate(([rates.rho / (1.0 - rates.rho)],
                                              -(rates.q_down - rates.p_up) * alive[:-1])))
     for row, pmf, w in zip(rows, pmfs, weights):
-        if w is not None:
-            row[0] = w
+        row[0] = w
         if isinstance(row[1], int):
             row[1] = float(pmf[: row[1] + 1] @ moment_k[: row[1] + 1])
     return rows, steps
@@ -464,7 +465,5 @@ def busy_state_distribution(
     rates = validate(config)
     if config.service is not ServiceKind.EXPONENTIAL:
         raise OutOfRange("busy_state_distribution requires exponential service")
-    [(weights, _)], _ = _delay_weights(rates, [config.d], tol, [True], [False])
-    if isinstance(weights, DapqError):
-        raise weights
+    [(weights, _)], _ = _delay_weights(rates, [config.d], tol, [True], False)
     return weights

@@ -257,8 +257,9 @@ class _MeanInB:
     own ``b`` is ignored; ``rates`` are those ``validate`` gave the config
     at any b.  ``moment`` is the exponential-service drift moment when the
     caller has it (``_b_free_rows`` computes those of all delays of a
-    sweep at once), or the ``DapqError`` computing it raised, which a call
-    that needs the correction raises; None computes it on first use.
+    sweep at once), or the ``TruncationOverflow`` of its moment cut
+    (``markov._delay_weights``), which only a call that needs the
+    correction raises, so b = 0 never fails; None computes it on first use.
     """
 
     def __init__(self, config: QueueConfig, rates: DerivedRates, tol: ToleranceConfig,
@@ -284,8 +285,7 @@ class _MeanInB:
                     f"spacing of the strict-priority mean in mu = 1 units")
             if config.service is ServiceKind.EXPONENTIAL:
                 if self._moment is None:  # the busy weights' first moment, with no head
-                    [(_, self._moment)], _ = _delay_weights(rates, [config.d], tol,
-                                                            [False], [True])
+                    [(_, self._moment)], _ = _delay_weights(rates, [config.d], tol, [False], True)
                 if isinstance(self._moment, DapqError):
                     raise self._moment
                 self._c = self._moment / config.mu
@@ -329,22 +329,18 @@ def _b_free_rows(configs, tol: ToleranceConfig, heads) -> tuple:
     The rows are configs that differ only in d.  Their busy weights and
     exponential-service correction sums come from one run of the ahead-set
     chain (``markov._delay_weights``), each equal to its one-row value bit
-    for bit.  Raises the first invalid config, then the first head asked
-    for that cannot be cut within max_states.  A correction sum that cannot
-    be cut is kept in the row's mean function, which raises it only when a
-    b > 0 needs it, as the one-row mean would.  Returns (rates, means,
-    weights, steps): weights None where no head was asked for or the
-    service is deterministic, steps the chain run's step count (None if
-    none ran).
+    for bit.  Raises the first invalid config, then, from the chain, the
+    first head asked for that cannot be cut within max_states.  A correction
+    sum that cannot be cut is kept in the row's mean function, which raises
+    it only when a b > 0 needs it, as the one-row mean would.  Returns
+    (rates, means, weights, steps): weights None where no head was asked for
+    or the service is deterministic, steps the chain run's step count (None
+    if none ran).
     """
     rates = [validate(cfg.replace(b=0.0)) for cfg in configs]
     rows, steps = [(None, None)] * len(configs), None
     if configs and configs[0].service is ServiceKind.EXPONENTIAL:
-        rows, steps = _delay_weights(rates[0], [cfg.d for cfg in configs], tol, heads,
-                                     [True] * len(configs))
-        for w, _ in rows:
-            if isinstance(w, DapqError):
-                raise w
+        rows, steps = _delay_weights(rates[0], [cfg.d for cfg in configs], tol, heads, True)
     weights = [w for w, _ in rows]
     means = [_MeanInB(cfg, rt, tol, moment) for cfg, rt, (_, moment) in zip(configs, rates, rows)]
     return rates, means, weights, steps

@@ -26,9 +26,11 @@ and service time comes from its substream in event order.  The unit
 exponentials are drawn in chunks and scaled one at a time, which gives
 exactly the values of one ``exponential(scale)`` call per event.  The
 replications run in k processes, k the usable CPUs but at most one per
-replication (1 without ``os.fork`` or while other threads run): k - 1 forked
-children and the caller each take a contiguous range, and the summaries are
-combined in replication order, so every result is bit-identical for any k.
+replication (1 without ``os.fork`` or while other threads run): the caller
+runs the first contiguous range and k - 1 forked children the others, and
+the summaries are combined in replication order, so every result, and the
+error raised, is that of one loop for any k: the caller's error propagates
+in place, and a child's as its pipe is read, in range order.
 ``RUSAGE_SELF`` counts only the caller's range.
 """
 
@@ -216,25 +218,20 @@ def run_single(sim: SimConfig, rep_index: int) -> Tuple[np.ndarray, np.ndarray, 
     return np.where(second, np.uint8(2), np.uint8(1)), arrival, wait
 
 
-def _summaries(sim: SimConfig, grid: np.ndarray, reps: range, raw: bool) -> tuple:
-    """Per replication in ``reps``: its {class: (CDF row on ``grid``, mean wait)} and raw
-    text; and the exception that stopped the range early, or None."""
+def _summaries(sim: SimConfig, grid: np.ndarray, reps: range, raw: bool) -> list:
+    """Per replication in ``reps``: its {class: (CDF row on ``grid``, mean wait)} and raw text."""
     out = []
-    try:
-        for r in reps:
-            classes, arrival, wait = run_single(sim, r)
-            rows = {}
-            for cls in (1, 2):
-                waits = wait[classes == cls]
-                if len(waits):
-                    waits.sort()
-                    rows[cls] = (np.searchsorted(waits, grid, side="right") / len(waits),
-                                 waits.mean())
-            out.append((rows, "".join(map(_RAW_LINE.format, repeat(r), classes.tolist(),
-                                            arrival.tolist(), wait.tolist())) if raw else ""))
-    except Exception as exc:
-        return out, exc
-    return out, None
+    for r in reps:
+        classes, arrival, wait = run_single(sim, r)
+        rows = {}
+        for cls in (1, 2):
+            waits = wait[classes == cls]
+            if len(waits):
+                waits.sort()
+                rows[cls] = (np.searchsorted(waits, grid, side="right") / len(waits), waits.mean())
+        out.append((rows, "".join(map(_RAW_LINE.format, repeat(r), classes.tolist(),
+                                        arrival.tolist(), wait.tolist())) if raw else ""))
+    return out
 
 
 def _workers(reps: int) -> int:
@@ -245,10 +242,12 @@ def _workers(reps: int) -> int:
 
 
 def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list:
-    """``_summaries`` of the ranges between ``cuts``, forked but the last; errors as in one loop."""
+    """``_summaries`` of the ranges between ``cuts``, forked but the first; errors as in one loop.
+
+    A child pickles its summaries or its range's exception, raised as its pipe is read."""
     children = {}  # pid -> read end of its pipe, for each child not yet reaped
     try:
-        for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
             sys.stdout.flush()  # or the child would hold a copy of unwritten text
             sys.stderr.flush()
             read_fd, write_fd = os.pipe()
@@ -256,14 +255,16 @@ def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list
             if pid == 0:  # leave only through os._exit: no inherited buffer, atexit
                 try:  # handler or caller's finally may run twice
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(_summaries(sim, grid, range(lo, hi), raw), pipe)
+                        try:
+                            pickle.dump(_summaries(sim, grid, range(lo, hi), raw), pipe)
+                        except Exception as exc:  # raised when the caller reads it
+                            pickle.dump(exc, pipe)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write_fd)
             children[pid] = os.fdopen(read_fd, "rb")
-        own = _summaries(sim, grid, range(cuts[-2], cuts[-1]), raw)
-        outcomes = []
+        summaries = _summaries(sim, grid, range(cuts[0], cuts[1]), raw)
         for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -271,16 +272,16 @@ def _run_ranges(sim: SimConfig, grid: np.ndarray, cuts: list, raw: bool) -> list
             del children[pid]
             if status:
                 raise ChildProcessError(f"simulation worker {pid} exited without a result")
-            outcomes.append(pickle.loads(data))
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            summaries += result
     finally:
         for pid, pipe in children.items():  # on an error or interrupt, stop every child
             pipe.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    for _, error in outcomes + [own]:
-        if error is not None:
-            raise error
-    return [summary for summaries, _ in outcomes + [own] for summary in summaries]
+    return summaries
 
 
 def run_replicated(

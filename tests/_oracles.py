@@ -349,6 +349,39 @@ def md1_correction_sum_by_series(ell, lam1, rho, tol=DEFAULT_TOL):
     raise TruncationOverflow(f"j-series exceeded max_states={tol.max_states}")
 
 
+def md1_correction_by_drift(ell, lam1, rho):
+    """The M/D/1 correction from the work-ahead drift identity, with no quadrature (mu = 1).
+
+    Optional stopping of the work ahead gives C = E[V0] - (1 - lam1)
+    E[min(l, tau); busy], E[V0] = rho/(2(1-rho)), and, tau falling at the
+    m-th departure r + m - 1 with the first-emptying coefficients T of
+    ``mean_wait._md1_probempty_matrix``,
+
+        E[min(l, tau); busy] = l rho - J,
+        J = sum_{1<=k<=m<=l} T[k, m] (A_k (l + 1 - m) - B_k).
+
+    A_k and B_k integrate numres_k(r) = sum_{n<k} pi_{k-n} Pois(lam1 r; n)
+    and r numres_k(r) over r in (0, 1) in closed form: with N ~
+    Poisson(lam1), the integral of Pois(lam1 r; n) is P[N > n]/lam1 and
+    that of r Pois(lam1 r; n) is (n + 1) P[N > n + 1]/lam1^2.  T and the
+    tails come from ``scipy.stats.poisson``; needs l >= 1 and lam1 > 0.
+    """
+    pi = md1_stationary(rho, ell).probs
+    n = np.arange(ell)
+    sf = poisson.sf(np.arange(ell + 1), lam1)
+    # toep[k-1, n] = pi_{k-n} for n < k, else 0
+    k = np.arange(1, ell + 1)[:, None]
+    toep = np.where(n < k, pi[np.clip(k - n, 0, ell)], 0.0)
+    A = toep @ (sf[:-1] / lam1)
+    B = toep @ ((n + 1) * sf[1:] / lam1**2)
+    m = np.arange(1, ell + 1)
+    T = np.where((k >= 2) & (k <= m),
+                 poisson.pmf(m - k, lam1 * (m - 1)) * (k - 1) / np.maximum(m - 1, 1), 0.0)
+    T[0, 0] = 1.0
+    J = A @ (T @ (ell + 1.0 - m)) - B @ T.sum(axis=1)
+    return rho / (2.0 * (1.0 - rho)) - (1.0 - lam1) * (ell * rho - J)
+
+
 # --------------------------------------------------------------------------
 # busy-horizon weights and class-2 CDFs: the full-vector scalar path
 # --------------------------------------------------------------------------

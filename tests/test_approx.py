@@ -51,6 +51,28 @@ def test_zexp_cdf_values():
         z.cdf(-0.1)
 
 
+def test_zexp_curve_is_zero_below_zero_and_unchanged_from_zero():
+    # a wait's CDF is 0 below t = 0, as the exact and simulated curves read;
+    # from t = 0 on each value is the closed form's, bit for bit
+    z = ZExp(0.8, 0.2)
+    ts = np.array([-np.inf, -1.0, -1e-300, 0.0, 1e-300, 1.0, 4.0])
+    values = z.curve(ts).values
+    assert values[:3].tolist() == [0.0, 0.0, 0.0]
+    assert values[3:].tolist() == (1.0 - 0.8 * np.exp(-0.2 * ts[3:])).tolist()
+    assert values[3:].tolist() == [z.cdf(t) for t in ts[3:]]
+
+
+def test_zexp_rejects_an_abscissa_or_a_mean_that_is_not_a_number():
+    with pytest.raises(OutOfRange):
+        ZExp(0.8, 0.2).cdf(math.nan)
+    for mean in (math.nan, math.inf):
+        with pytest.raises(OutOfRange, match="finite"):
+            zexp_from_mean(0.5, mean)
+    for mean in (-1.0, -math.inf):  # a mean <= 0 is degenerate, as before
+        with pytest.raises(DegenerateMean):
+            zexp_from_mean(0.5, mean)
+
+
 def test_cdf_sup_diff_identical_curves():
     grid = np.arange(0.0, 5.0, 0.05)
     c = CdfCurve(ts=grid, values=np.linspace(0.2, 1.0, len(grid)), provenance="x")

@@ -311,6 +311,21 @@ def test_rerun_rejects_a_fractional_state_cap(tmp_path, capsys):
     assert "OutOfRange" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("not json {", id="not-json"),
+    pytest.param('["mean", {}]', id="array"),
+    pytest.param('{"subcommand": "mean"}', id="missing-key"),
+])
+def test_rerun_refuses_a_malformed_manifest(tmp_path, capsys, text):
+    manifest = tmp_path / "bad.manifest.json"
+    manifest.write_text(text)
+    code = main(["rerun", str(manifest), "--out", str(tmp_path / "again.csv")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_INVALID and len(err) == 1
+    assert err[0].startswith("error: OutOfRange: ") and str(manifest) in err[0]
+    assert not (tmp_path / "again.csv").exists()
+
+
 def test_env_tolerance_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DAPQ_MAX_STATES", "3")
     code, _, err = run_cli(

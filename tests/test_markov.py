@@ -417,29 +417,39 @@ _DELAYS = [0.0, 3.0, 1.0, 8.0, 0.5, 3.0]
 
 
 @pytest.mark.parametrize("heads,moments", [
-    pytest.param([True] * 6, [True] * 6, id="True-True"),
-    pytest.param([True] * 6, [False] * 6, id="True-False"),
-    pytest.param([False] * 6, [True] * 6, id="False-True"),
+    pytest.param([True] * 6, True, id="True-True"),
+    pytest.param([True] * 6, False, id="True-False"),
+    pytest.param([False] * 6, True, id="False-True"),
     # as a class-2 sweep at w = 3 asks
-    pytest.param([d < 3.0 for d in _DELAYS], [True] * 6, id="below-w"),
-    pytest.param([True, False, False, True, True, False], [False, True, True, False, True, True],
-                 id="mixed"),
+    pytest.param([d < 3.0 for d in _DELAYS], True, id="below-w"),
+    pytest.param([True, False, False, True, True, False], False, id="mixed"),
 ])
 @pytest.mark.parametrize("max_states", [6000, 15, 9])
 def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_states):
-    # every delay's weights, moment or error is that of a call for it alone,
-    # and each delay gets only the parts it asks for; a delay whose head
-    # overflows keeps out of the run, one that asks for no head never fails
-    # on it, and at occupancy 0.95 and max_states 15 the head of d = 1 fits
-    # where its moment cut does not
+    # a list call raises what the first delay whose asked-for head overflows
+    # raises alone; otherwise every delay's weights, moment or moment error
+    # is that of a call for it alone, and each delay gets only the parts it
+    # asks for: one that asks for no head never fails on it, and at
+    # occupancy 0.95 and max_states 15 the head of d = 1 fits where its
+    # moment cut does not
     tol = ToleranceConfig(max_states=max_states)
     rates = validate(QueueConfig(0.4, 0.55, 1.0))
+    singles = []
+    for d, head in zip(_DELAYS, heads):
+        try:
+            singles.append(_delay_weights(rates, [d], tol, [head], moments))
+        except TruncationOverflow as exc:
+            singles.append(exc)
+    failed = [s for s in singles if isinstance(s, TruncationOverflow)]
+    if failed:
+        with pytest.raises(TruncationOverflow) as raised:
+            _delay_weights(rates, _DELAYS, tol, heads, moments)
+        assert str(raised.value) == str(failed[0])
+        return
     rows, steps = _delay_weights(rates, _DELAYS, tol, heads, moments)
-    singles = [_delay_weights(rates, [d], tol, [h], [m])
-               for d, h, m in zip(_DELAYS, heads, moments)]
     joined = [s for _, s in singles if s is not None]
     assert steps == (max(joined) if joined else None)
-    for got, ((want,), _), head, moment in zip(rows, singles, heads, moments):
+    for got, ((want,), _), head in zip(rows, singles, heads):
         for g, w in zip(got, want):
             if isinstance(w, TruncationOverflow):
                 assert type(g) is type(w) and str(g) == str(w)
@@ -448,7 +458,7 @@ def test_delay_weights_of_a_list_equal_one_delay_calls(heads, moments, max_state
             else:
                 assert np.array_equal(g.head, w.head) and g.tail_next == w.tail_next
         assert (got[0] is None) == (not head)
-        assert (got[1] is None) == (not moment or isinstance(got[0], TruncationOverflow))
+        assert (got[1] is None) == (not moments)
 
 
 def test_busy_state_head_size_does_not_grow_with_rho():

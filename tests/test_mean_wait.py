@@ -16,6 +16,7 @@ from _oracles import (
     conservation_rhs,
     correction_by_matrix,
     fcfs_mean,
+    md1_correction_by_drift,
     md1_correction_sum_by_series,
     md1_pi_embedded,
     md1_probempty_by_factorials,
@@ -236,6 +237,22 @@ def test_md1_closed_form_matches_series(rho, share, ell):
     want = md1_correction_sum_by_series(ell, rates.rho1, rates.rho, tol)
     got = _md1_correction_sum(cfg, rates, tol)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_md1_correction_matches_the_drift_identity():
+    # a second route with no quadrature and no upward Poisson sums, out to
+    # l = 500; the worst gap, 1.7e-13 at (0.99, 0.5, l = 500), is the
+    # drift form's cancellation of l rho against J, and up to l = 30 the
+    # routes agree to 1e-14
+    for rho, share, ell in itertools.product((0.1, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99),
+                                             (0.05, 0.2, 0.5, 0.8, 0.95),
+                                             (1, 2, 8, 30, 100, 200, 500)):
+        cfg = QueueConfig(share * rho, (1.0 - share) * rho, 1.0, b=0.5, d=float(ell),
+                          service=DET)
+        rates = validate(cfg)
+        want = md1_correction_by_drift(ell, rates.rho1, rates.rho)
+        got = _md1_correction_sum(cfg, rates, DEFAULT_TOL)
+        assert abs(got - want) <= 5e-13 * max(1.0, abs(want)), (rho, share, ell)
 
 
 @pytest.mark.parametrize("ell", [2, 5, 20])

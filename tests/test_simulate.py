@@ -368,8 +368,8 @@ SIM5 = SimConfig(queue=QueueConfig(0.5, 0.3, 1.0, b=0.5, d=1.0), n_customers=200
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("errors, first", [
-    ({0: OutOfRange}, 0),  # in the first child's range
-    ({4: TruncationOverflow}, 4),  # in the caller's own range
+    ({0: OutOfRange}, 0),  # in the caller's own range
+    ({4: TruncationOverflow}, 4),  # in the last child's range
     ({1: OutOfRange, 3: TruncationOverflow, 4: ValueError}, 1),  # in two or three ranges
 ])
 def test_run_replicated_raises_the_serial_error_and_leaves_no_child(monkeypatch, k, errors,
@@ -386,9 +386,9 @@ def test_run_replicated_raises_the_serial_error_and_leaves_no_child(monkeypatch,
 def test_an_interrupted_caller_stops_its_children(monkeypatch):
     # the child's range would take a minute; the caller's range is interrupted
     def run(sim, r):
-        if r < 2:
+        if r >= 2:
             time.sleep(60)
-        if r == 4:
+        if r == 0:
             raise KeyboardInterrupt
         return run_single(sim, r)
 
@@ -403,8 +403,8 @@ def test_an_interrupted_caller_stops_its_children(monkeypatch):
 
 def test_a_child_that_dies_without_a_result_is_an_error(monkeypatch):
     def run(sim, r):
-        if r == 0:
-            os._exit(3)  # runs only in the forked child, which has replication 0
+        if r == 4:
+            os._exit(3)  # runs only in the forked child, which has replications 2..4
         return run_single(sim, r)
 
     in_processes(monkeypatch, 2)

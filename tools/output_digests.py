@@ -43,6 +43,8 @@ sha256 of the float hex of the curve's values and ``error_estimate``, from
 TREE's ``class2_cdf_dapq``, and after the ``SIMULATE`` line the sha256 of
 the float hex of ``run_replicated``'s means, mean SEs, curves and curve
 SEs, since the CSV's 12 significant digits hide a move of a few ulps.
+Each ``COMMANDS`` entry names its floats digest and its extra files, so a
+copied argv list keeps its lines.
 CSVs go to a temporary directory and no bytecode is written, so nothing
 is written inside TREE.  Diffing the output for two trees shows whether any output
 changed.
@@ -98,27 +100,6 @@ SIMULATE_RAW = [*SIMULATE, "--reps", "5"]  # argparse keeps the last --reps
 THREAD_PINS = {name: "1" for name in (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")}
-# (label, argv) of the fixed command lines, whose CSVs are cli-<index>.csv
-COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service])
-            for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
-                                          ("mean", MEAN_SWEEP, "det"),
-                                          ("mean long", LONG_SWEEP, "exp"),
-                                          ("mean long", LONG_DET_SWEEP, "det"),
-                                          ("mean heavy", HEAVY_SWEEP, "det"),
-                                          ("mean mu=2", MU_SWEEP, "exp"),
-                                          ("mean mu=2", MU_SWEEP, "det"))]
-COMMANDS += [("kpi tiny-w sweep",
-              [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"]),
-             ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"]),
-             ("kpi trend sweep", TREND_SWEEP),
-             ("kpi long class-2 sweep", LONG_CLASS2_SWEEP),
-             ("kpi first-failure sweep", FIRST_FAILURE),
-             ("cdf long head", LONG_HEAD_CDF),
-             ("kpi long-head sweep", LONG_HEAD_SWEEP),
-             ("simulate", SIMULATE),
-             ("simulate raw", SIMULATE_RAW)]
-
-
 def _facts() -> list:
     """The header lines: the facts of this process that the digests depend on."""
     import numpy
@@ -187,6 +168,32 @@ def _simulate_floats(dapq, argv) -> str:
     return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
+# the files a run of SIMULATE_RAW also writes: (digest name, flag, suffix of the file name)
+RAW_FILES = (("raw_sha256", "--raw", "raw"), ("summary_sha256", "--summary-out", "summary"))
+# (label, argv, floats, files) of the fixed command lines, whose CSVs are cli-<index>.csv:
+# floats, if any, digests the line's floats on the line after it, and files are
+# the extra files it writes, digested after the CSV
+COMMANDS = [(f"{label} service={service}", ["mean", *sweep, "--service", service],
+             _mean_floats, ())
+            for label, sweep, service in (("mean", MEAN_SWEEP, "exp"),
+                                          ("mean", MEAN_SWEEP, "det"),
+                                          ("mean long", LONG_SWEEP, "exp"),
+                                          ("mean long", LONG_DET_SWEEP, "det"),
+                                          ("mean heavy", HEAVY_SWEEP, "det"),
+                                          ("mean mu=2", MU_SWEEP, "exp"),
+                                          ("mean mu=2", MU_SWEEP, "det"))]
+COMMANDS += [("kpi tiny-w sweep",
+              [*TINY_TARGET, "--lam1", "0.4", "--lam2", "0.18", "--sweep-d", "1:2"], None, ()),
+             ("kpi tiny-w region", [*TINY_TARGET, "--region", "--resolution", "0.1"], None, ()),
+             ("kpi trend sweep", TREND_SWEEP, None, ()),
+             ("kpi long class-2 sweep", LONG_CLASS2_SWEEP, None, ()),
+             ("kpi first-failure sweep", FIRST_FAILURE, None, ()),
+             ("cdf long head", LONG_HEAD_CDF, _cdf_floats, ()),
+             ("kpi long-head sweep", LONG_HEAD_SWEEP, None, ()),
+             ("simulate", SIMULATE, _simulate_floats, ()),
+             ("simulate raw", SIMULATE_RAW, None, RAW_FILES)]
+
+
 def _cells(path: Path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -227,7 +234,7 @@ def _compare(tree: Path, other: Path, seeds) -> int:
                     print(f"{name} seed={seed} op={i} "
                           f"max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
                           flush=True)
-        for i, (label, _) in enumerate(COMMANDS):
+        for i, (label, *_) in enumerate(COMMANDS):
             file = f"cli-{i}.csv"
             print(f"{label} max_abs_diff={max_abs_diff(dirs[0] / file, dirs[1] / file)!r}",
                   flush=True)
@@ -265,28 +272,22 @@ def main(argv=None) -> int:
                     path = Path(scratch) / f"{name}-{seed}-{i}.csv"
                     print(f"{name} seed={seed} op={i} {_digest(name, workload.run(spec, path), path)}",
                           flush=True)
-        for i, (label, argv) in enumerate(COMMANDS):
+        for i, (label, argv, floats, extra) in enumerate(COMMANDS):
             path = Path(scratch) / f"cli-{i}.csv"
-            # SIMULATE_RAW also writes a raw dump and a summary, digested after the CSV
             files = {"sha256": path}
-            if argv is SIMULATE_RAW:
-                files.update(raw_sha256=Path(scratch) / f"cli-{i}.raw.csv",
-                             summary_sha256=Path(scratch) / f"cli-{i}.summary.csv")
-                argv = [*argv, "--raw", str(files["raw_sha256"]),
-                        "--summary-out", str(files["summary_sha256"])]
+            command = list(argv)
+            for name, flag, suffix in extra:
+                files[name] = Path(scratch) / f"cli-{i}.{suffix}.csv"
+                command += [flag, str(files[name])]
             with contextlib.redirect_stderr(io.StringIO()) as err:
-                code = dapq.cli.main([*argv, "--out", str(path)])
+                code = dapq.cli.main([*command, "--out", str(path)])
             digests = "".join(
                 f" {name}={hashlib.sha256(file.read_bytes()).hexdigest() if file.exists() else 'none'}"
                 for name, file in files.items())
             stderr = hashlib.sha256(err.getvalue().encode()).hexdigest()
             print(f"{label} exit={code}{digests} stderr={stderr}", flush=True)
-            if argv[0] == "mean":
-                print(f"{label} floats sha256={_mean_floats(dapq, argv)}", flush=True)
-            elif argv[0] == "cdf":
-                print(f"{label} floats sha256={_cdf_floats(dapq, argv)}", flush=True)
-            elif argv is SIMULATE:
-                print(f"{label} floats sha256={_simulate_floats(dapq, argv)}", flush=True)
+            if floats is not None:
+                print(f"{label} floats sha256={floats(dapq, argv)}", flush=True)
     return 0
 
 
